@@ -29,11 +29,12 @@ from .errors import (
 from .gateway import (
     ChatRequest,
     GatewayConfig,
-    complete,
+    complete_with_reprompt,
     estimate_tokens,
     parse_string_groups,
     parse_string_list,
 )
+from .schema import check_fields
 from .textnorm import alias_key, collapse_whitespace, match_key
 
 logger = logging.getLogger(__name__)
@@ -47,19 +48,25 @@ def _prompt_text(name: str) -> str:
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Batching and filtering knobs for the bootstrap stage."""
+    """Batching and filtering knobs for the bootstrap stage.
 
-    batch_size: int = 200
-    merge_budget: int = 200
-    min_label_count: int = 15
+    `b` is the number of reports per extraction batch, `kappa` the token
+    budget of one merge call, and `theta` the minimum number of positive
+    training records a label needs to be kept.
+    """
+
+    b: int = 200
+    kappa: int = 200
+    theta: int = 15
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.merge_budget < 1:
-            raise ConfigError("merge_budget must be >= 1")
-        if self.min_label_count < 0:
-            raise ConfigError("min_label_count must be >= 0")
+        check_fields(self)
+        if self.b < 1:
+            raise ConfigError("b must be >= 1")
+        if self.kappa < 1:
+            raise ConfigError("kappa must be >= 1")
+        if self.theta < 0:
+            raise ConfigError("theta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,29 +170,13 @@ def _dedupe_surfaces(surfaces: list[str]) -> list[str]:
     return out
 
 
-def _complete_with_reprompt(request: ChatRequest, config: GatewayConfig, parser):
-    """Run a call and parse it; on a parse failure, reprompt exactly once."""
-    text = complete(request, config).text
-    try:
-        return parser(text)
-    except LLMOutputError:
-        nudged = ChatRequest(
-            system=request.system,
-            user=request.user + "\n\nReturn only the JSON array. No prose, no code fences.",
-            temperature=request.temperature,
-            max_tokens=request.max_tokens,
-        )
-        text = complete(nudged, config).text
-        return parser(text)  # second failure propagates with raw text attached
-
-
 def extract_batch_labels(reports: list[str], config: GatewayConfig) -> list[str]:
     """Propose finding names for one batch of report texts."""
     request = ChatRequest(
         system=_prompt_text("extraction.txt"),
         user=json.dumps(reports, ensure_ascii=False),
     )
-    surfaces = _complete_with_reprompt(request, config, parse_string_list)
+    surfaces = complete_with_reprompt(request, config, parse_string_list)
     return _dedupe_surfaces(surfaces)
 
 
@@ -252,7 +243,7 @@ def _merge_group(
         system=_prompt_text("merge.txt"),
         user=json.dumps(group, ensure_ascii=False),
     )
-    groups = _complete_with_reprompt(request, config, parse_string_groups)
+    groups = complete_with_reprompt(request, config, parse_string_groups)
 
     offered = {match_key(s) for labels in group for s in labels}
     merged: list[str] = []
@@ -287,9 +278,10 @@ def merge_label_sets(
     """Merge per-batch label sets into one deduplicated list.
 
     Returns (labels, aliases keyed by match_key of the label, rounds run).
-    A single input set passes through unchanged with zero rounds.
+    A single non-empty input set passes through unchanged with zero rounds.
     """
-    working = [_dedupe_surfaces(s) for s in sets]
+    # An empty set (a batch of normal studies) has nothing to merge.
+    working = [labels for labels in map(_dedupe_surfaces, sets) if labels]
     if not working:
         raise BootstrapError("no label sets to merge")
     if len(working) == 1:
@@ -345,7 +337,7 @@ def annotate_report(
         system=_prompt_text("annotate.txt"),
         user=json.dumps(payload, ensure_ascii=False),
     )
-    surfaces = _complete_with_reprompt(request, config, parse_string_list)
+    surfaces = complete_with_reprompt(request, config, parse_string_list)
     positives: set[int] = set()
     for s in surfaces:
         idx = taxonomy.index_of(s)
@@ -425,8 +417,8 @@ def bootstrap_dataset(
         raise BootstrapError("corpus has no training records; nothing to bootstrap from")
 
     batches = [
-        [rec.report for rec in train[i : i + config.batch_size]]
-        for i in range(0, len(train), config.batch_size)
+        [rec.report for rec in train[i : i + config.b]]
+        for i in range(0, len(train), config.b)
     ]
     with ThreadPoolExecutor(max_workers=gateway.parallelism) as pool:
         batch_sets = list(
@@ -436,21 +428,17 @@ def bootstrap_dataset(
         "extracted %d label sets from %d training reports (batch size %d)",
         len(batch_sets),
         len(train),
-        config.batch_size,
+        config.b,
     )
 
-    names, aliases, merge_rounds = merge_label_sets(batch_sets, gateway, config.merge_budget)
+    names, aliases, merge_rounds = merge_label_sets(batch_sets, gateway, config.kappa)
     draft = LabelTaxonomy(
         labels=tuple(
             LabelEntry(index=i, name=n, aliases=aliases.get(match_key(n), ()))
             for i, n in enumerate(names)
         ),
         merge_rounds=merge_rounds,
-        params={
-            "b": config.batch_size,
-            "kappa": config.merge_budget,
-            "theta": config.min_label_count,
-        },
+        params={"b": config.b, "kappa": config.kappa, "theta": config.theta},
     )
     logger.info("merged to %d draft labels in %d rounds", len(draft), merge_rounds)
 
@@ -473,7 +461,7 @@ def bootstrap_dataset(
         logger.warning("annotation skipped %d records", len(skipped))
 
     dataset = MLCDataset(taxonomy=draft, items=items, skipped=skipped)
-    dataset = filter_labels(dataset, config.min_label_count)
+    dataset = filter_labels(dataset, config.theta)
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -19,6 +19,7 @@ import numpy as np
 from .bootstrap import MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
 from .errors import ConfigError, DivergenceError, TrainingError
+from .schema import check_fields
 
 CHECKPOINT_VERSION = 1
 
@@ -33,12 +34,15 @@ class TrainConfig:
     adjustment: str = "on"
 
     def __post_init__(self):
+        check_fields(self)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.adjustment not in ("on", "off"):
             raise ConfigError(f"adjustment must be 'on' or 'off', got {self.adjustment!r}")
 
@@ -233,21 +237,17 @@ def predict(
     params: ClassifierParams,
     features: np.ndarray,
     threshold: float = 0.5,
-    apply_adjustment: bool = False,
 ) -> Prediction:
     """Probabilities and thresholded positives for one feature vector.
 
-    Inference uses raw logits; the training-time shift is only re-applied
-    when apply_adjustment is set (an experimentation escape hatch). The
-    threshold comparison is strict, so an all-zero head (every probability
-    exactly 0.5) yields no positives at the default threshold.
+    Inference uses raw logits: the training-time shift is never applied.
+    The threshold comparison is strict, so an all-zero head (every
+    probability exactly 0.5) yields no positives at the default threshold.
     """
     x = np.asarray(features, dtype=np.float64).reshape(-1)
     if x.shape[0] != params.d:
         raise TrainingError(f"feature dim {x.shape[0]} does not match d={params.d}")
     z = params.weights @ x + params.bias
-    if apply_adjustment:
-        z = adjust_logits(z, params.frequencies, params.tau)
     probs = _sigmoid(z)
     positives = tuple(int(j) for j in range(params.k) if probs[j] > threshold)
     return Prediction(probabilities=probs, positives=positives)

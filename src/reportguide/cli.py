@@ -19,14 +19,16 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import bootstrap as bootstrap_mod
 from . import classifier as classifier_mod
 from . import guidance as guidance_mod
 from . import metrics as metrics_mod
-from .corpus import Corpus, load_features, load_manifest
+from .bootstrap import BootstrapConfig
+from .classifier import TrainConfig
+from .corpus import SPLITS, Corpus, load_features, load_manifest
 from .errors import (
     ConfigError,
     DataError,
@@ -36,6 +38,8 @@ from .errors import (
     PrerequisiteError,
 )
 from .gateway import GatewayConfig
+from .guidance import GeneratorConfig
+from .schema import check_fields
 from .synthetic import write_synthetic_corpus
 
 logger = logging.getLogger(__name__)
@@ -46,222 +50,166 @@ EXIT_GATEWAY = 3
 EXIT_DATA = 4
 EXIT_PREREQ = 5
 
+# Written by the http gateway into the workdir: one JSON line per call.
+CALL_LOG_NAME = "gateway_calls.jsonl"
+
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathsConfig:
     manifest: str = ""
     features: str = ""
     workdir: str = ""
 
-
-@dataclass
-class BootstrapSection:
-    b: int = 200
-    kappa: int = 200
-    theta: int = 15
+    def __post_init__(self):
+        check_fields(self)
 
 
-@dataclass
-class GatewaySection:
-    backend: str = "mock"
-    endpoint: str = ""
-    model: str = "mock-clinical-1"
-    api_key_env: str = "LLM_API_KEY"
-    max_retries: int = 3
-    parallelism: int = 4
-    requests_per_minute: int = 600
-
-
-@dataclass
-class TrainSection:
-    learning_rate: float = 1e-2
-    epochs: int = 200
-    batch_size: int = 32
-    seed: int = 0
-    tau: float = 1.0
-    adjustment: str = "on"
-
-
-@dataclass
-class GeneratorSection:
-    backend: str = "mock"
-    command: str = ""
-    endpoint: str = ""
-    model: str = ""
-
-
-@dataclass
-class GuidanceSection:
+@dataclass(frozen=True)
+class GuidanceConfig:
     mode: str = "image_and_label"
     label_source: str = "pred"
     threshold: float = 0.5
     split: str = "test"
-    generator: GeneratorSection = field(default_factory=GeneratorSection)
+    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.mode not in guidance_mod.MODES:
+            raise ConfigError(f"mode must be one of {guidance_mod.MODES}, got {self.mode!r}")
+        if self.label_source not in guidance_mod.LABEL_SOURCES:
+            raise ConfigError(f"label_source must be one of {guidance_mod.LABEL_SOURCES}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError("threshold must lie in [0, 1]")
+        if self.split not in SPLITS:
+            raise ConfigError(f"split must be one of {SPLITS}")
+
+    @property
+    def cell(self) -> tuple[str, str]:
+        """The (mode, label source) cell to generate and evaluate: image_only
+        prompts carry no labels, whatever label_source says."""
+        return self.mode, "none" if self.mode == "image_only" else self.label_source
 
 
-@dataclass
-class MetricsSection:
-    enabled: list[str] = field(
-        default_factory=lambda: ["bleu", "rouge_l", "cider_d", "meteor_simple", "entity_f1"]
-    )
+@dataclass(frozen=True)
+class MetricsConfig:
+    enabled: list[str] = field(default_factory=lambda: list(metrics_mod.METRIC_NAMES))
+
+    def __post_init__(self):
+        check_fields(self)
+        for name in self.enabled:
+            if name not in metrics_mod.METRIC_NAMES:
+                raise ConfigError(f"unknown metric {name!r} in enabled")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """The config file: one field per section, each the config of the stage
+    code that reads it."""
+
     paths: PathsConfig = field(default_factory=PathsConfig)
-    bootstrap: BootstrapSection = field(default_factory=BootstrapSection)
-    gateway: GatewaySection = field(default_factory=GatewaySection)
-    train: TrainSection = field(default_factory=TrainSection)
-    guidance: GuidanceSection = field(default_factory=GuidanceSection)
-    metrics: MetricsSection = field(default_factory=MetricsSection)
+    bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
+    gateway: GatewayConfig = field(default_factory=GatewayConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
+    metrics: MetricsConfig = field(default_factory=MetricsConfig)
 
 
-def _merge_section(obj, data: dict, path: str):
+def _section(cls, data, path: str, **wiring):
+    """Build one config section from its JSON object.
+
+    Unknown keys and values its dataclass rejects become ConfigErrors naming
+    the dotted path. `wiring` passes an already built subsection, or an
+    init-only argument that no file key can set.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path!r} must be an object")
-    known = {f.name: f for f in fields(obj)}
-    for key, value in data.items():
+    known = {f.name for f in fields(cls)}
+    for key in data:
         if key not in known:
             raise ConfigError(f"unknown config key {path + '.' + key!r}")
-        current = getattr(obj, key)
-        if hasattr(current, "__dataclass_fields__"):
-            _merge_section(current, value, path + "." + key)
-        else:
-            setattr(obj, key, value)
+    try:
+        return cls(**{**data, **wiring})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path: str | Path | None, overrides: list[tuple[str, str]]) -> PipelineConfig:
     """Build the effective config: file values over defaults, then flag
-    overrides over the file. Unknown keys are rejected, not ignored."""
-    config = PipelineConfig()
+    overrides over the file. Unknown keys are rejected, not ignored, and
+    every value is type-checked here, before any stage runs."""
+    doc: dict = {}
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
-            data = json.loads(text)
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        for key, value in data.items():
-            if not hasattr(config, key):
-                raise ConfigError(f"unknown config section {key!r}")
-            _merge_section(getattr(config, key), value, key)
     for dotted, raw in overrides:
-        _apply_override(config, dotted, raw)
-    _validate_config(config)
+        _apply_override(doc, dotted, raw)
+    sections = {f.name for f in fields(PipelineConfig)}
+    for name in doc:
+        if name not in sections:
+            raise ConfigError(f"unknown config section {name!r}")
+
+    gateway = _section(GatewayConfig, doc.get("gateway", {}), "gateway")
+    guidance = doc.get("guidance", {})
+    # The one cross-section rule: an http generator takes its key variable
+    # and limits, and its endpoint and model where unset, from the gateway.
+    generator = _section(
+        GeneratorConfig,
+        guidance.get("generator", {}) if isinstance(guidance, dict) else {},
+        "guidance.generator",
+        gateway=gateway,
+    )
+    config = PipelineConfig(
+        paths=_section(PathsConfig, doc.get("paths", {}), "paths"),
+        bootstrap=_section(BootstrapConfig, doc.get("bootstrap", {}), "bootstrap"),
+        gateway=gateway,
+        train=_section(TrainConfig, doc.get("train", {}), "train"),
+        guidance=_section(GuidanceConfig, guidance, "guidance", generator=generator),
+        metrics=_section(MetricsConfig, doc.get("metrics", {}), "metrics"),
+    )
+    paths = config.paths
+    if not paths.workdir:
+        raise ConfigError("paths.workdir is required")
+    if not paths.manifest:
+        raise ConfigError("paths.manifest is required")
+    if not Path(paths.manifest).exists():
+        raise ConfigError(f"manifest file {paths.manifest} does not exist")
+    if paths.features and not Path(paths.features).exists():
+        raise ConfigError(f"feature file {paths.features} does not exist")
     return config
 
 
-def _apply_override(config: PipelineConfig, dotted: str, raw: str) -> None:
-    parts = dotted.split(".")
-    obj = config
-    for part in parts[:-1]:
-        if not hasattr(obj, part):
-            raise ConfigError(f"unknown config key {dotted!r}")
-        obj = getattr(obj, part)
-        if not hasattr(obj, "__dataclass_fields__"):
+def _apply_override(doc: dict, dotted: str, raw: str) -> None:
+    """Set one dotted key in the raw config document; the value is checked
+    with the rest of its section."""
+    *parents, leaf = dotted.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
             raise ConfigError(f"config key {dotted!r} does not name a field")
-    leaf = parts[-1]
-    if leaf not in {f.name for f in fields(obj)}:
-        raise ConfigError(f"unknown config key {dotted!r}")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings may be given unquoted
-    setattr(obj, leaf, value)
-
-
-def _validate_config(config: PipelineConfig) -> None:
-    c = config
-    if not isinstance(c.bootstrap.b, int) or c.bootstrap.b < 1:
-        raise ConfigError("bootstrap.b must be a positive integer")
-    if not isinstance(c.bootstrap.kappa, int) or c.bootstrap.kappa < 1:
-        raise ConfigError("bootstrap.kappa must be a positive integer")
-    if not isinstance(c.bootstrap.theta, int) or c.bootstrap.theta < 0:
-        raise ConfigError("bootstrap.theta must be a non-negative integer")
-    if c.guidance.mode not in guidance_mod.MODES:
-        raise ConfigError(
-            f"guidance.mode must be one of {guidance_mod.MODES}, got {c.guidance.mode!r}"
-        )
-    if c.guidance.label_source not in guidance_mod.LABEL_SOURCES:
-        raise ConfigError(
-            f"guidance.label_source must be one of {guidance_mod.LABEL_SOURCES}"
-        )
-    if not 0.0 <= float(c.guidance.threshold) <= 1.0:
-        raise ConfigError("guidance.threshold must lie in [0, 1]")
-    if c.guidance.split not in ("train", "val", "test"):
-        raise ConfigError("guidance.split must be train, val, or test")
-    for name in c.metrics.enabled:
-        if name not in metrics_mod.METRIC_NAMES:
-            raise ConfigError(f"unknown metric {name!r} in metrics.enabled")
-    if not c.paths.workdir:
-        raise ConfigError("paths.workdir is required")
-    if not c.paths.manifest:
-        raise ConfigError("paths.manifest is required")
-    if not Path(c.paths.manifest).exists():
-        raise ConfigError(f"manifest file {c.paths.manifest} does not exist")
-    if c.paths.features and not Path(c.paths.features).exists():
-        raise ConfigError(f"feature file {c.paths.features} does not exist")
-    # Exercise the stricter dataclass validators early so bad values fail
-    # at config time with exit code 2 rather than mid-stage.
-    _gateway_config(config)
-    classifier_mod.TrainConfig(
-        learning_rate=float(c.train.learning_rate),
-        epochs=int(c.train.epochs),
-        batch_size=int(c.train.batch_size),
-        seed=int(c.train.seed),
-        tau=float(c.train.tau),
-        adjustment=str(c.train.adjustment),
-    )
+    node[leaf] = value
 
 
 def config_fingerprint(config: PipelineConfig) -> str:
     doc = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
-
-
-def _gateway_config(config: PipelineConfig, with_log: bool = False) -> GatewayConfig:
-    g = config.gateway
-    log_path = None
-    if with_log and g.backend == "http" and config.paths.workdir:
-        log_path = str(Path(config.paths.workdir) / "gateway_calls.jsonl")
-    return GatewayConfig(
-        backend=g.backend,
-        endpoint=g.endpoint,
-        model=g.model,
-        api_key_env=g.api_key_env,
-        max_retries=int(g.max_retries),
-        parallelism=int(g.parallelism),
-        requests_per_minute=int(g.requests_per_minute),
-        call_log_path=log_path,
-    )
-
-
-def _generator_config(config: PipelineConfig) -> guidance_mod.GeneratorConfig:
-    g = config.guidance.generator
-    if g.backend == "http":
-        gate = config.gateway
-        return guidance_mod.GeneratorConfig(
-            backend="http",
-            gateway=GatewayConfig(
-                backend="http",
-                endpoint=g.endpoint or gate.endpoint,
-                model=g.model or gate.model,
-                api_key_env=gate.api_key_env,
-                max_retries=int(gate.max_retries),
-                parallelism=int(gate.parallelism),
-                requests_per_minute=int(gate.requests_per_minute),
-            ),
-        )
-    return guidance_mod.GeneratorConfig(backend=g.backend, command=g.command)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +316,8 @@ def cmd_bootstrap(config: PipelineConfig, force: bool = False) -> None:
     corpus = _load_corpus(config)
     dataset = bootstrap_mod.bootstrap_dataset(
         corpus,
-        bootstrap_mod.BootstrapConfig(
-            batch_size=config.bootstrap.b,
-            merge_budget=config.bootstrap.kappa,
-            min_label_count=config.bootstrap.theta,
-        ),
-        _gateway_config(config, with_log=True),
+        config.bootstrap,
+        replace(config.gateway, call_log_path=str(workdir / CALL_LOG_NAME)),
         out_dir=workdir,
     )
     audit = bootstrap_mod.audit_taxonomy(dataset)
@@ -396,19 +340,8 @@ def cmd_train(config: PipelineConfig, force: bool = False) -> None:
     _refuse_overwrite([workdir / "checkpoint.json"], force)
     corpus, features = _load_corpus_and_features(config)
     _, dataset = _load_stage1(config, corpus)
-    t = config.train
     classifier_mod.train(
-        dataset,
-        features,
-        classifier_mod.TrainConfig(
-            learning_rate=float(t.learning_rate),
-            epochs=int(t.epochs),
-            batch_size=int(t.batch_size),
-            seed=int(t.seed),
-            tau=float(t.tau),
-            adjustment=str(t.adjustment),
-        ),
-        checkpoint_path=workdir / "checkpoint.json",
+        dataset, features, config.train, checkpoint_path=workdir / "checkpoint.json"
     )
     _write_meta(workdir, "train", config, started)
     logger.info("train: checkpoint written to %s", workdir / "checkpoint.json")
@@ -435,7 +368,7 @@ def cmd_predict(config: PipelineConfig, force: bool = False) -> None:
     corpus, features = _load_corpus_and_features(config)
     params, _, dataset = _load_checkpoint_bound(config, corpus)
     split = config.guidance.split
-    threshold = float(config.guidance.threshold)
+    threshold = config.guidance.threshold
 
     with open(workdir / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for rec in sorted(corpus.split(split), key=lambda r: r.id):
@@ -472,45 +405,33 @@ def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = F
     workdir = Path(config.paths.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus(config)
-    generator = _generator_config(config)
-    threshold = float(config.guidance.threshold)
-    split = config.guidance.split
-
-    cells: list[tuple[str, str]]
-    if ablation:
-        cells = list(guidance_mod.ABLATION_MODES)
-    else:
-        mode = config.guidance.mode
-        source = "none" if mode == "image_only" else config.guidance.label_source
-        cells = [(mode, source)]
+    g = config.guidance
+    cells = guidance_mod.ABLATION_MODES if ablation else (g.cell,)
     _refuse_overwrite(
         [workdir / guidance_mod.generated_filename(m, s) for m, s in cells], force
     )
 
-    needs_pred = any(s == "pred" for _, s in cells)
     params = None
     features = None
-    if needs_pred:
+    if any(s == "pred" for _, s in cells):
         corpus, features = _load_corpus_and_features(config)
         params, _, dataset = _load_checkpoint_bound(config, corpus)
     else:
         _, dataset = _load_stage1(config, corpus)
 
-    for mode, source in cells:
-        out_path = workdir / guidance_mod.generated_filename(mode, source)
-        guidance_mod.run_generation(
-            corpus,
-            dataset,
-            mode,
-            source,
-            generator,
-            params=params,
-            features=features,
-            threshold=threshold,
-            split=split,
-            out_path=out_path,
+    common = dict(params=params, features=features, threshold=g.threshold, split=g.split)
+    if ablation:
+        written = list(
+            guidance_mod.run_ablation(corpus, dataset, g.generator, **common, out_dir=workdir).values()
         )
-        logger.info("generate: wrote %s", out_path)
+    else:
+        mode, source = g.cell
+        written = [workdir / guidance_mod.generated_filename(mode, source)]
+        guidance_mod.run_generation(
+            corpus, dataset, mode, source, g.generator, **common, out_path=written[0]
+        )
+    for path in written:
+        logger.info("generate: wrote %s", path)
     _write_meta(workdir, "generate", config, started)
 
 
@@ -520,8 +441,7 @@ def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
     workdir.mkdir(parents=True, exist_ok=True)
     _refuse_overwrite([workdir / "metrics.json"], force)
     corpus = _load_corpus(config)
-    mode = config.guidance.mode
-    source = "none" if mode == "image_only" else config.guidance.label_source
+    mode, source = config.guidance.cell
     gen_path = workdir / guidance_mod.generated_filename(mode, source)
     _require(gen_path, "generate")
     rows = guidance_mod.load_generated(gen_path)
@@ -537,13 +457,13 @@ def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
 
     report = metrics_mod.evaluate_generation(
         pairs,
-        gateway=_gateway_config(config, with_log=True),
+        gateway=replace(config.gateway, call_log_path=str(workdir / CALL_LOG_NAME)),
         enabled=tuple(config.metrics.enabled),
         config_echo={
             "mode": mode,
             "label_source": source,
             "split": config.guidance.split,
-            "threshold": float(config.guidance.threshold),
+            "threshold": config.guidance.threshold,
             "enabled": list(config.metrics.enabled),
         },
     )

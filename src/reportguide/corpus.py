@@ -29,18 +29,12 @@ class ImageRef:
 
 @dataclass
 class ReportRecord:
-    """One study: a unique id, a split, the reference report, its images.
-
-    `feature_row` is the index of this record's row in the feature matrix;
-    it is bound by `load_features` and stays None for records without
-    precomputed features.
-    """
+    """One study: a unique id, a split, the reference report, its images."""
 
     id: str
     split: str
     report: str
     images: tuple[ImageRef, ...] = ()
-    feature_row: int | None = None
 
     def __post_init__(self):
         if not self.id:
@@ -89,9 +83,6 @@ class Corpus:
         if name not in SPLITS:
             raise ManifestError(f"unknown split {name!r}")
         return [rec for rec in self.records if rec.split == name]
-
-    def split_sizes(self) -> dict[str, int]:
-        return {name: len(self.split(name)) for name in SPLITS}
 
 
 def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
@@ -214,8 +205,7 @@ def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
 def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatrix:
     """Read a feature file and its id sidecar.
 
-    When a corpus is given, every row id must resolve to a record; matching
-    records get their `feature_row` index bound in place.
+    When a corpus is given, every row id must resolve to a record.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -247,21 +237,12 @@ def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatr
             f"sidecar {sidecar} lists {len(row_ids)} ids but matrix has {rows} rows"
         )
 
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, c = (int(x) for x in bad[0])
-        raise FeatureValidationError(
-            f"non-finite feature value at row {r}, column {c} (record {row_ids[r]!r})"
-        )
-
     matrix = FeatureMatrix(values=values, row_ids=row_ids)
     if corpus is not None:
         index = corpus.index()
         for i, rid in enumerate(row_ids):
-            rec = index.get(rid)
-            if rec is None:
+            if rid not in index:
                 raise FeatureValidationError(
                     f"feature row {i} references unknown record id {rid!r}"
                 )
-            rec.feature_row = i
     return matrix

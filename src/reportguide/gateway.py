@@ -17,17 +17,24 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import requests
 
 from .errors import ConfigError, LLMOutputError, MockContractError, TransportError
+from .schema import check_fields
 from .textnorm import alias_key, is_cjk, match_key
 
 logger = logging.getLogger(__name__)
 
 # Retryable HTTP statuses: rate limiting and server-side failures.
 _RETRY_STATUSES = frozenset({429, 500, 502, 503, 504})
+
+# Seconds before the first retry; each further retry doubles it.
+RETRY_BASE_DELAY = 0.25
+
+# Appended to the user message of the one reprompt after unparseable output.
+REPROMPT_SUFFIX = "\n\nReturn only the JSON array. No prose, no code fences."
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,8 @@ class GatewayConfig:
     `endpoint` is the full chat-completions URL for the http backend. The API
     key is only ever read from the environment variable named by
     `api_key_env`; the key itself never appears in configs or artifacts.
-    `call_log_path`, when set, receives one JSON line per real (http) call.
+    `call_log_path`, when set, receives one JSON line per real (http) call;
+    it is an init-only argument, not a field, so no config file can set it.
     """
 
     backend: str = "mock"
@@ -71,10 +79,11 @@ class GatewayConfig:
     max_retries: int = 3
     parallelism: int = 4
     requests_per_minute: int = 600
-    call_log_path: str | None = None
-    retry_base_delay: float = 0.25
+    call_log_path: InitVar[str | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, call_log_path):
+        object.__setattr__(self, "call_log_path", call_log_path)
+        check_fields(self)
         if self.backend not in ("mock", "http"):
             raise ConfigError(f"unknown gateway backend {self.backend!r}")
         if self.max_retries < 0:
@@ -380,7 +389,7 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
         # initial try plus max_retries more.
         for attempt in range(config.max_retries + 1):
             if attempt > 0:
-                time.sleep(config.retry_base_delay * (2 ** (attempt - 1)))
+                time.sleep(RETRY_BASE_DELAY * (2 ** (attempt - 1)))
             limiter.wait_turn()
             started = time.monotonic()
             try:
@@ -433,3 +442,23 @@ def complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
             latency_ms=0.0,
         )
     return _http_complete(request, config)
+
+
+def complete_with_reprompt(request: ChatRequest, config: GatewayConfig, parser):
+    """Run a call and parse its text; on a parse failure, reprompt exactly once.
+
+    The reprompt repeats the request with REPROMPT_SUFFIX appended to the
+    user message. A second parse failure propagates its LLMOutputError,
+    raw text attached.
+    """
+    text = complete(request, config).text
+    try:
+        return parser(text)
+    except LLMOutputError:
+        nudged = ChatRequest(
+            system=request.system,
+            user=request.user + REPROMPT_SUFFIX,
+            temperature=request.temperature,
+            max_tokens=request.max_tokens,
+        )
+        return parser(complete(nudged, config).text)

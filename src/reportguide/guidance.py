@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 
 from .bootstrap import LabelTaxonomy, MLCDataset
@@ -19,6 +19,7 @@ from .classifier import ClassifierParams, predict
 from .corpus import Corpus, FeatureMatrix, ReportRecord
 from .errors import ConfigError, ExportError, GenerationError, PrerequisiteError
 from .gateway import ChatRequest, GatewayConfig, complete
+from .schema import check_fields
 
 logger = logging.getLogger(__name__)
 
@@ -159,19 +160,31 @@ class GeneratorConfig:
     backend "mock" expands labels through a fixed phrase rule; "command"
     spawns `command` once per record with a one-line JSON request on stdin;
     "http" forwards the prompt through the chat gateway.
+
+    For "http", the init-only `gateway` argument (the config's gateway
+    section) supplies the key variable and limits, and the endpoint and
+    model where `endpoint` and `model` are empty. After init, `gateway` is
+    the resolved http gateway, or None for the other backends.
     """
 
     backend: str = "mock"
     command: str = ""
-    gateway: GatewayConfig | None = None
+    endpoint: str = ""
+    model: str = ""
+    gateway: InitVar[GatewayConfig | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, gateway):
+        check_fields(self)
         if self.backend not in ("mock", "command", "http"):
             raise ConfigError(f"unknown generator backend {self.backend!r}")
         if self.backend == "command" and not self.command:
             raise ConfigError("command generator backend requires a command line")
-        if self.backend == "http" and self.gateway is None:
-            raise ConfigError("http generator backend requires a gateway config")
+        chat = None
+        if self.backend == "http":
+            base = gateway or GatewayConfig()
+            endpoint, model = self.endpoint or base.endpoint, self.model or base.model
+            chat = replace(base, backend="http", endpoint=endpoint, model=model)
+        object.__setattr__(self, "gateway", chat)
 
 
 _GENERATION_SYSTEM_PROMPT = (

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigError, LLMOutputError
-from .gateway import ChatRequest, GatewayConfig, complete, parse_string_list
+from .gateway import ChatRequest, GatewayConfig, complete_with_reprompt, parse_string_list
 from .textnorm import is_cjk
 
 logger = logging.getLogger(__name__)
@@ -289,15 +289,7 @@ def _normalize_entity(entity: str) -> str:
 def extract_entities(text: str, config: GatewayConfig) -> set[str]:
     """LLM entity extraction for one report, normalized for exact matching."""
     request = ChatRequest(system=_ENTITY_PROMPT, user=text)
-    raw = complete(request, config).text
-    try:
-        entities = parse_string_list(raw)
-    except LLMOutputError:
-        nudged = ChatRequest(
-            system=_ENTITY_PROMPT,
-            user=text + "\n\nReturn only the JSON array. No prose, no code fences.",
-        )
-        entities = parse_string_list(complete(nudged, config).text)
+    entities = complete_with_reprompt(request, config, parse_string_list)
     return {e for e in (_normalize_entity(x) for x in entities) if e}
 
 

@@ -36,7 +36,7 @@ from reportguide.errors import (
 )
 from reportguide.gateway import ChatResponse, estimate_tokens
 
-from reportguide import bootstrap as bootstrap_mod
+from reportguide import gateway as gateway_mod
 
 
 def _taxonomy(names, aliases=None):
@@ -56,11 +56,11 @@ def _taxonomy(names, aliases=None):
 
 def test_bootstrap_config_validation():
     with pytest.raises(ConfigError):
-        BootstrapConfig(batch_size=0)
+        BootstrapConfig(b=0)
     with pytest.raises(ConfigError):
-        BootstrapConfig(merge_budget=0)
+        BootstrapConfig(kappa=0)
     with pytest.raises(ConfigError):
-        BootstrapConfig(min_label_count=-1)
+        BootstrapConfig(theta=-1)
 
 
 def test_taxonomy_requires_dense_indices():
@@ -124,7 +124,7 @@ def test_extraction_reprompts_once_then_succeeds(monkeypatch, mock_gateway):
             return ChatResponse(text="sorry, here you go", input_tokens=0, output_tokens=0)
         return ChatResponse(text='["Pulmonary cavitation"]', input_tokens=0, output_tokens=0)
 
-    monkeypatch.setattr(bootstrap_mod, "complete", fake_complete)
+    monkeypatch.setattr(gateway_mod, "complete", fake_complete)
     labels = extract_batch_labels(["whatever"], mock_gateway)
     assert labels == ["Pulmonary cavitation"]
     assert len(calls) == 2
@@ -135,7 +135,7 @@ def test_extraction_failure_after_reprompt_carries_raw_text(monkeypatch, mock_ga
     def fake_complete(request, config):
         return ChatResponse(text="still not json", input_tokens=0, output_tokens=0)
 
-    monkeypatch.setattr(bootstrap_mod, "complete", fake_complete)
+    monkeypatch.setattr(gateway_mod, "complete", fake_complete)
     with pytest.raises(LLMOutputError) as excinfo:
         extract_batch_labels(["whatever"], mock_gateway)
     assert excinfo.value.raw_text == "still not json"
@@ -208,7 +208,7 @@ def test_merge_drops_invented_canonical_but_keeps_its_members(monkeypatch, mock_
             text='[["Invented disease", "A"], ["B"]]', input_tokens=0, output_tokens=0
         )
 
-    monkeypatch.setattr(bootstrap_mod, "complete", fake_complete)
+    monkeypatch.setattr(gateway_mod, "complete", fake_complete)
     with caplog.at_level("WARNING"):
         labels, _, rounds = merge_label_sets([["A"], ["B"]], mock_gateway, merge_budget=200)
     assert labels == ["B", "A"]  # B placed by the model, A recovered afterwards
@@ -241,7 +241,7 @@ def test_annotate_drops_labels_outside_taxonomy(monkeypatch, mock_gateway, caplo
             text='["XYZ", "Pulmonary cavitation"]', input_tokens=0, output_tokens=0
         )
 
-    monkeypatch.setattr(bootstrap_mod, "complete", fake_complete)
+    monkeypatch.setattr(gateway_mod, "complete", fake_complete)
     tax = _taxonomy(["Pulmonary cavitation"])
     record = ReportRecord(id="r1", split="train", report="whatever")
     with caplog.at_level("WARNING"):
@@ -254,7 +254,7 @@ def test_annotate_matches_aliases_case_insensitively(monkeypatch, mock_gateway):
     def fake_complete(request, config):
         return ChatResponse(text='["tb"]', input_tokens=0, output_tokens=0)
 
-    monkeypatch.setattr(bootstrap_mod, "complete", fake_complete)
+    monkeypatch.setattr(gateway_mod, "complete", fake_complete)
     tax = _taxonomy(["Pulmonary tuberculosis"], {"Pulmonary tuberculosis": ("TB",)})
     record = ReportRecord(id="r1", split="train", report="whatever")
     assert annotate_report(record, tax, mock_gateway) == (0,)
@@ -347,7 +347,7 @@ def test_bootstrap_filters_injected_rare_labels(synth, mock_gateway):
 
 def test_bootstrap_multiple_batches_still_recover_labels(synth, mock_gateway):
     dataset = bootstrap_dataset(
-        synth.corpus, BootstrapConfig(batch_size=40), mock_gateway
+        synth.corpus, BootstrapConfig(b=40), mock_gateway
     )
     assert set(dataset.taxonomy.names()) == set(synth.primary_names)
     assert dataset.taxonomy.merge_rounds >= 1
@@ -375,16 +375,16 @@ def test_bootstrap_skips_records_with_unparseable_annotation(monkeypatch, mock_g
             ReportRecord(id="bad", split="train", report="A cavity too."),
         ]
     )
-    real_complete = bootstrap_mod.complete
+    real_complete = gateway_mod.complete
 
     def flaky_complete(request, config):
         if "[task:annotate]" in request.system and "A cavity too." in request.user:
             return ChatResponse(text="garbage", input_tokens=0, output_tokens=0)
         return real_complete(request, config)
 
-    monkeypatch.setattr(bootstrap_mod, "complete", flaky_complete)
+    monkeypatch.setattr(gateway_mod, "complete", flaky_complete)
     dataset = bootstrap_dataset(
-        corpus, BootstrapConfig(min_label_count=1), mock_gateway
+        corpus, BootstrapConfig(theta=1), mock_gateway
     )
     assert dataset.skipped == ("bad",)
     assert [i.record_id for i in dataset.items] == ["good"]

@@ -4,11 +4,15 @@ artifact and locking discipline, and the mini end-to-end pipeline."""
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reportguide.cli import (
+    PipelineConfig,
     config_fingerprint,
     load_config,
     main,
@@ -140,11 +144,98 @@ def test_override_unknown_dotted_key_is_rejected(mini):
         ("guidance.split", "other", "split"),
         ("train.epochs", "0", "epochs"),
         ("gateway.backend", "http", "endpoint"),
+        ("guidance.threshold", "abc", "threshold"),
+        ("train.learning_rate", "abc", "learning_rate"),
+        ("gateway.parallelism", "x", "parallelism"),
+        ("train.batch_size", "null", "batch_size"),
+        ("paths.workdir", "5", "workdir"),
+        ("paths", "5", "paths"),
+        ("bootstrap.b", "true", "b must be an integer"),
+        ("train.epochs", "2.5", "epochs"),
+        ("train.tau", "nan", "tau"),
+        ("train.tau", "NaN", "tau"),
+        ("train.learning_rate", "1e400", "learning_rate"),
+        ("train.seed", "-1", "seed"),
+        ("guidance.generator", "1", "generator"),
+        ("guidance.generator.backend", "zzz", "backend"),
+        ("metrics.enabled", '"bleu"', "list of strings"),
+        ("gateway.call_log_path", '"calls.jsonl"', "unknown config key"),
+        ("gateway.retry_base_delay", "0", "unknown config key"),
+        ("guidance.generator.gateway", "{}", "unknown config key"),
     ],
 )
 def test_validation_rejects_bad_values(mini, dotted, value, hint):
     with pytest.raises(ConfigError, match=hint):
         load_config(mini["config"], [(dotted, value)])
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "guidance.threshold=abc",
+        "train.learning_rate=abc",
+        "gateway.parallelism=x",
+        "train.batch_size=null",
+        "paths.workdir=5",
+        "paths=5",
+    ],
+)
+def test_bad_values_exit_2_from_every_stage(mini, caplog, override):
+    for command in ("bootstrap", "train", "predict", "generate", "evaluate", "pipeline"):
+        caplog.clear()
+        assert main([command, "--config", mini["config"], "--set", override]) == 2, command
+        assert "configuration error:" in caplog.text, command
+
+
+def _dotted(doc: dict, prefix: str = "") -> dict:
+    flat = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            flat.update(_dotted(value, prefix + key + "."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def test_settable_keys_are_exactly_the_documented_28(mini):
+    config = load_config(mini["config"], [])
+    flat = _dotted(asdict(config))
+    assert set(flat) == {
+        "paths.manifest", "paths.features", "paths.workdir",
+        "bootstrap.b", "bootstrap.kappa", "bootstrap.theta",
+        "gateway.backend", "gateway.endpoint", "gateway.model", "gateway.api_key_env",
+        "gateway.max_retries", "gateway.parallelism", "gateway.requests_per_minute",
+        "train.learning_rate", "train.epochs", "train.batch_size", "train.seed",
+        "train.tau", "train.adjustment",
+        "guidance.mode", "guidance.label_source", "guidance.threshold", "guidance.split",
+        "guidance.generator.backend", "guidance.generator.command",
+        "guidance.generator.endpoint", "guidance.generator.model",
+        "metrics.enabled",
+    }
+    for key, value in flat.items():
+        again = load_config(mini["config"], [(key, json.dumps(value))])
+        assert config_fingerprint(again) == config_fingerprint(config), key
+
+
+def test_readme_configuration_block_matches_the_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert doc == asdict(PipelineConfig())
+
+
+def test_http_generator_falls_back_to_the_gateway_section(mini):
+    config = load_config(
+        mini["config"],
+        [("gateway.endpoint", "http://127.0.0.1:9/v1"), ("gateway.max_retries", "5"),
+         ("guidance.generator.backend", "http"), ("guidance.generator.model", "gen-1")],
+    )
+    chat = config.guidance.generator.gateway
+    assert (chat.backend, chat.endpoint, chat.model, chat.max_retries) == (
+        "http", "http://127.0.0.1:9/v1", "gen-1", 5
+    )
+    with pytest.raises(ConfigError, match="endpoint"):
+        load_config(mini["config"], [("guidance.generator.backend", "http")])
 
 
 def test_validation_rejects_unknown_metric(mini):
@@ -169,6 +260,8 @@ def test_fingerprint_ignores_how_values_were_set(mini):
     via_file = load_config(mini["config"], [])
     via_flag = load_config(mini["config"], [("train.epochs", "40")])
     assert config_fingerprint(via_file) == config_fingerprint(via_flag)
+    as_float = load_config(mini["config"], [("train.epochs", "40.0"), ("train.tau", "1")])
+    assert config_fingerprint(via_file) == config_fingerprint(as_float)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +348,14 @@ def test_tampered_taxonomy_fails_predict_with_4(mini):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_training_exits_4(mini):
-    # An effectively infinite learning rate saturates the weights to +/-inf
-    # on the first single-record batch; the first subsequent record whose
-    # feature pattern is not parallel to it produces a NaN logit.
+    # A huge (finite: infinity is a config error) learning rate saturates the
+    # weights to +/-inf within the first single-record batches; the first
+    # subsequent record whose feature pattern is not parallel to them
+    # produces a NaN logit.
     assert main(["bootstrap", "--config", mini["config"]]) == 0
     code = main(
         ["train", "--config", mini["config"],
-         "--set", "train.learning_rate=1e400", "--set", "train.batch_size=1"]
+         "--set", "train.learning_rate=1e308", "--set", "train.batch_size=1"]
     )
     assert code == 4
 
@@ -269,6 +363,14 @@ def test_divergent_training_exits_4(mini):
 # ---------------------------------------------------------------------------
 # Stages and artifacts
 # ---------------------------------------------------------------------------
+
+
+def test_bootstrap_with_one_report_per_batch_exits_0(mini):
+    # Normal studies extract to empty label sets, which merging must skip.
+    assert main(["bootstrap", "--config", mini["config"], "--set", "bootstrap.b=1"]) == 0
+    doc = json.loads((mini["workdir"] / "taxonomy.json").read_text(encoding="utf-8"))
+    assert [e["name"] for e in doc["labels"]] == ["Pulmonary cavitation", "Pleural effusion"]
+    assert doc["params"] == {"b": 1, "kappa": 200, "theta": 2}
 
 
 def test_workdir_flag_redirects_artifacts(mini):

@@ -64,7 +64,7 @@ def test_corpus_lookup_and_split_sizes():
     ]
     corpus = Corpus(records=records)
     assert corpus.by_id("b").split == "val"
-    assert corpus.split_sizes() == {"train": 1, "val": 1, "test": 1}
+    assert [len(corpus.split(s)) for s in ("train", "val", "test")] == [1, 1, 1]
     with pytest.raises(ManifestError):
         corpus.by_id("zzz")
     with pytest.raises(ManifestError):
@@ -87,7 +87,7 @@ def test_load_manifest_three_line_splits(tmp_path):
         ],
     )
     corpus = load_manifest(path)
-    assert corpus.split_sizes() == {"train": 1, "val": 1, "test": 1}
+    assert [len(corpus.split(s)) for s in ("train", "val", "test")] == [1, 1, 1]
     assert [r.id for r in corpus] == ["a", "b", "c"]  # input order preserved
 
 
@@ -282,23 +282,6 @@ def test_load_features_rejects_unknown_record_id(tmp_path):
     corpus = Corpus(records=[ReportRecord(id="real", split="train", report="t")])
     with pytest.raises(FeatureValidationError, match="ghost"):
         load_features(path, corpus)
-
-
-def test_load_features_binds_feature_rows(tmp_path):
-    path = tmp_path / "f.ffmx"
-    matrix = FeatureMatrix(values=np.arange(4, dtype=np.float32).reshape(2, 2), row_ids=["a", "b"])
-    save_features(matrix, path)
-    corpus = Corpus(
-        records=[
-            ReportRecord(id="b", split="train", report="t"),
-            ReportRecord(id="a", split="val", report="t"),
-        ]
-    )
-    loaded = load_features(path, corpus)
-    assert corpus.by_id("a").feature_row == 0
-    assert corpus.by_id("b").feature_row == 1
-    for rec in corpus:
-        assert 0 <= rec.feature_row < loaded.rows
 
 
 def test_feature_matrix_rejects_non_2d():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reportguide import gateway as gateway_mod
 from reportguide.errors import ConfigError, LLMOutputError, MockContractError, TransportError
 from reportguide.gateway import (
     ChatRequest,
@@ -202,6 +203,11 @@ def test_mock_unknown_sentinel_is_a_contract_error(mock_gateway):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(autouse=True)
+def _fast_retries(monkeypatch):
+    monkeypatch.setattr(gateway_mod, "RETRY_BASE_DELAY", 0.01)
+
+
 def _http_config(server, **overrides) -> GatewayConfig:
     defaults = dict(
         backend="http",
@@ -210,7 +216,6 @@ def _http_config(server, **overrides) -> GatewayConfig:
         max_retries=2,
         parallelism=4,
         requests_per_minute=60000,
-        retry_base_delay=0.01,
     )
     defaults.update(overrides)
     return GatewayConfig(**defaults)
@@ -276,7 +281,6 @@ def test_http_connection_failure_exhausts_retries(monkeypatch):
         backend="http",
         endpoint=f"http://127.0.0.1:{port}/v1/chat/completions",
         max_retries=1,
-        retry_base_delay=0.01,
         requests_per_minute=60000,
     )
     with pytest.raises(TransportError):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reportguide import metrics as metrics_mod
+from reportguide import gateway as gateway_mod
 from reportguide.errors import ConfigError
 from reportguide.gateway import ChatResponse
 from reportguide.metrics import (
@@ -344,14 +344,14 @@ def test_extract_entities_empty_for_clean_text(mock_gateway):
 
 
 def test_entity_scores_exclude_unparseable_samples(monkeypatch, mock_gateway, caplog):
-    real_complete = metrics_mod.complete
+    real_complete = gateway_mod.complete
 
     def flaky_complete(request, config):
         if "refuses extraction" in request.user:
             return ChatResponse(text="I cannot do that", input_tokens=0, output_tokens=0)
         return real_complete(request, config)
 
-    monkeypatch.setattr(metrics_mod, "complete", flaky_complete)
+    monkeypatch.setattr(gateway_mod, "complete", flaky_complete)
     with caplog.at_level(logging.WARNING, logger="reportguide.metrics"):
         scores, failures = entity_f1_scores(
             ["A cavity is seen.", "this text refuses extraction"],
@@ -448,14 +448,14 @@ def test_evaluate_generation_warns_on_empty_reference(caplog):
 def test_evaluate_generation_counts_excluded_entity_samples(
     monkeypatch, mock_gateway
 ):
-    real_complete = metrics_mod.complete
+    real_complete = gateway_mod.complete
 
     def flaky_complete(request, config):
         if "refuses extraction" in request.user:
             return ChatResponse(text="nope", input_tokens=0, output_tokens=0)
         return real_complete(request, config)
 
-    monkeypatch.setattr(metrics_mod, "complete", flaky_complete)
+    monkeypatch.setattr(gateway_mod, "complete", flaky_complete)
     pairs = [
         ("r1", "A cavity is seen.", "A cavity is seen."),
         ("r2", "this text refuses extraction", "A cavity is seen."),
