@@ -9,6 +9,7 @@ frequency filter drops labels too rare in the training split to learn.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import json
 import logging
@@ -42,6 +43,7 @@ logger = logging.getLogger(__name__)
 SYNONYM_SIMILARITY_THRESHOLD = 0.85
 
 
+@functools.cache
 def _prompt_text(name: str) -> str:
     return resources.files("reportguide.prompts").joinpath(name).read_text(encoding="utf-8")
 
@@ -537,21 +539,23 @@ def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> ML
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"labels file {path} line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise BootstrapError(f"labels line {lineno}: invalid JSON: {exc}") from exc
+                raise BootstrapError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise BootstrapError(f"{where}: not a JSON object")
             rid = str(obj.get("id", ""))
             rec = index.get(rid)
             if rec is None:
-                raise BootstrapError(f"labels line {lineno}: unknown record id {rid!r}")
-            items.append(
-                AnnotatedItem(
-                    record_id=rid,
-                    split=rec.split,
-                    positives=tuple(int(j) for j in obj.get("positives", [])),
-                )
-            )
+                raise BootstrapError(f"{where}: unknown record id {rid!r}")
+            positives = obj.get("positives", [])
+            if not isinstance(positives, list) or not all(
+                isinstance(j, int) and not isinstance(j, bool) for j in positives
+            ):
+                raise BootstrapError(f"{where}: positives must be a list of integers")
+            items.append(AnnotatedItem(record_id=rid, split=rec.split, positives=tuple(positives)))
     return MLCDataset(taxonomy=taxonomy, items=tuple(items))
 
 

@@ -105,6 +105,14 @@ def compute_frequencies(dataset: MLCDataset) -> np.ndarray:
     return np.clip(counts / n, eps, 1.0 - eps)
 
 
+def _logit_shift(frequencies, tau: float) -> np.ndarray:
+    """tau times the log-odds of each label frequency: the training shift."""
+    p = np.asarray(frequencies, dtype=np.float64)
+    if np.any(p <= 0) or np.any(p >= 1):
+        raise TrainingError("frequencies must lie strictly inside (0, 1)")
+    return tau * np.log(p / (1.0 - p))
+
+
 def adjust_logits(logits, frequencies, tau: float) -> np.ndarray:
     """Shift logits by tau times the log-odds of each label frequency.
 
@@ -112,11 +120,7 @@ def adjust_logits(logits, frequencies, tau: float) -> np.ndarray:
     (n, k) logit matrix pairs with a length-k frequency vector. At p = 0.5
     the shift is exactly zero and logits pass through unchanged.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    p = np.asarray(frequencies, dtype=np.float64)
-    if np.any(p <= 0) or np.any(p >= 1):
-        raise TrainingError("frequencies must lie strictly inside (0, 1)")
-    return z + tau * np.log(p / (1.0 - p))
+    return np.asarray(logits, dtype=np.float64) + _logit_shift(frequencies, tau)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -133,19 +137,20 @@ def _batch_loss_grad(
     x: np.ndarray,
     y: np.ndarray,
     params: ClassifierParams,
-    adjustment: str,
+    shift: np.ndarray | None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean BCE over labels and batch rows, with analytic gradients.
 
-    Loss per row is the mean over the k labels of
+    `shift`, when given, is added to every row of logits: the training-time
+    logit adjustment. Loss per row is the mean over the k labels of
     y*softplus(-z) + (1-y)*softplus(z), evaluated with logaddexp so large
     logits cannot overflow. The gradient wrt each (possibly shifted) logit
     is (sigmoid(z) - y) / (k * batch).
     """
     n, k = y.shape
     z = x @ params.weights.T + params.bias
-    if adjustment == "on":
-        z = adjust_logits(z, params.frequencies, params.tau)
+    if shift is not None:
+        z = z + shift
     per_label = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
     loss = float(per_label.sum() / (k * n))
     dz = (_sigmoid(z) - y) / (k * n)
@@ -167,7 +172,8 @@ def bce_loss_and_grad(
         raise TrainingError(f"feature dim {x.shape[1]} does not match d={params.d}")
     if y.shape[1] != params.k:
         raise TrainingError(f"target dim {y.shape[1]} does not match k={params.k}")
-    loss, grad_w, grad_b = _batch_loss_grad(x, y, params, adjustment)
+    shift = _logit_shift(params.frequencies, params.tau) if adjustment == "on" else None
+    loss, grad_w, grad_b = _batch_loss_grad(x, y, params, shift)
     return {"loss": loss, "grad_w": grad_w, "grad_b": grad_b}
 
 
@@ -209,6 +215,8 @@ def train(
         taxonomy_hash=taxonomy_fingerprint(dataset.taxonomy),
     )
 
+    # The shift is constant during training: computed once, added per batch.
+    shift = _logit_shift(params.frequencies, params.tau) if config.adjustment == "on" else None
     rng = np.random.default_rng(config.seed)
     n = x_all.shape[0]
     for epoch in range(config.epochs):
@@ -216,7 +224,7 @@ def train(
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             loss, grad_w, grad_b = _batch_loss_grad(
-                x_all[idx], y_all[idx], params, config.adjustment
+                x_all[idx], y_all[idx], params, shift
             )
             if not math.isfinite(loss):
                 raise DivergenceError(
@@ -335,25 +343,54 @@ def save_checkpoint(params: ClassifierParams, path: str | Path) -> None:
     Path(path).write_text(checkpoint_to_json(params), encoding="utf-8")
 
 
+_CHECKPOINT_KEYS = ("k", "d", "tau", "taxonomy_hash", "frequencies", "bias", "weights")
+
+
+def _finite_floats(path, key: str, values) -> np.ndarray:
+    """A checkpoint's JSON list of numbers as float64, all finite."""
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise TrainingError(f"checkpoint {path}: {key!r} must hold numbers only")
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        array = np.array([math.inf])
+    if not np.all(np.isfinite(array)):
+        raise TrainingError(f"checkpoint {path}: {key!r} holds a non-finite value")
+    return array
+
+
 def load_checkpoint(path: str | Path) -> ClassifierParams:
+    """Read a checkpoint; a missing, ill-typed or non-finite value is a
+    TrainingError, so a damaged file never yields NaN predictions."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise TrainingError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TrainingError(f"checkpoint {path} must hold a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise TrainingError(
             f"checkpoint {path} has unsupported version {doc.get('version')!r}"
         )
-    k, d = int(doc["k"]), int(doc["d"])
-    weights = np.asarray(doc["weights"], dtype=np.float64)
+    missing = [key for key in _CHECKPOINT_KEYS if key not in doc]
+    if missing:
+        raise TrainingError(f"checkpoint {path} is missing {', '.join(missing)}")
+    k, d = doc["k"], doc["d"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (k, d)):
+        raise TrainingError(f"checkpoint {path}: k and d must be positive integers")
+    if not isinstance(doc["taxonomy_hash"], str):
+        raise TrainingError(f"checkpoint {path}: taxonomy_hash must be a string")
+    weights = _finite_floats(path, "weights", doc["weights"])
     if weights.shape != (k * d,):
         raise TrainingError(
             f"checkpoint {path}: weights length {weights.shape[0]} != k*d = {k * d}"
         )
     return ClassifierParams(
         weights=weights.reshape(k, d),
-        bias=np.asarray(doc["bias"], dtype=np.float64),
-        frequencies=np.asarray(doc["frequencies"], dtype=np.float64),
-        tau=float(doc["tau"]),
-        taxonomy_hash=str(doc["taxonomy_hash"]),
+        bias=_finite_floats(path, "bias", doc["bias"]),
+        frequencies=_finite_floats(path, "frequencies", doc["frequencies"]),
+        tau=float(_finite_floats(path, "tau", [doc["tau"]])[0]),
+        taxonomy_hash=doc["taxonomy_hash"],
     )

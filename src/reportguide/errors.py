@@ -84,6 +84,10 @@ class GenerationError(PipelineError):
     """A report generation backend failed."""
 
 
+class GeneratedFileError(DataError):
+    """A generated-report file has a line that is not valid JSON or not a JSON object."""
+
+
 class ExportError(DataError):
     """Fine-tuning export hit a record that cannot be serialized."""
 

@@ -23,7 +23,7 @@ import requests
 
 from .errors import ConfigError, LLMOutputError, MockContractError, TransportError
 from .schema import check_fields
-from .textnorm import alias_key, is_cjk, match_key
+from .textnorm import CJK_RE, alias_key, match_key
 
 logger = logging.getLogger(__name__)
 
@@ -102,7 +102,7 @@ def estimate_tokens(text: str) -> int:
     One token per CJK ideograph plus one per four remaining characters,
     rounded up. Monotone under concatenation; never returns a negative.
     """
-    cjk = sum(1 for ch in text if is_cjk(ch))
+    cjk = len(CJK_RE.findall(text))
     latin = len(text) - cjk
     return math.ceil(latin / 4) + cjk
 
@@ -229,6 +229,13 @@ MOCK_SYNONYMS: dict[str, str] = {
 }
 
 
+# Lexicon keywords grouped by the match_key of their canonical name.
+_MOCK_KEYWORDS: dict[str, list[str]] = {
+    match_key(canonical): [kw for kw, c in MOCK_LEXICON if match_key(c) == match_key(canonical)]
+    for _, canonical in MOCK_LEXICON
+}
+
+
 def _mock_extract_entities(user_text: str) -> list[str]:
     text = user_text.casefold()
     found: list[str] = []
@@ -279,13 +286,10 @@ def _mock_annotate(user_text: str) -> list[str]:
     labels = payload.get("labels", [])
     aliases = payload.get("aliases", {})
     text = str(report).casefold()
-    by_canonical: dict[str, list[str]] = {}
-    for keyword, canonical in MOCK_LEXICON:
-        by_canonical.setdefault(match_key(canonical), []).append(keyword)
     hits: list[str] = []
     for name in labels:
         keywords = [str(name).casefold()]
-        keywords += by_canonical.get(match_key(str(name)), [])
+        keywords += _MOCK_KEYWORDS.get(match_key(str(name)), [])
         keywords += [str(a).casefold() for a, n in aliases.items() if n == name]
         if any(kw in text for kw in keywords):
             hits.append(str(name))

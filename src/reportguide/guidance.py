@@ -14,10 +14,16 @@ import subprocess
 from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 
-from .bootstrap import LabelTaxonomy, MLCDataset
+from .bootstrap import AnnotatedItem, LabelTaxonomy, MLCDataset
 from .classifier import ClassifierParams, predict
 from .corpus import Corpus, FeatureMatrix, ReportRecord
-from .errors import ConfigError, ExportError, GenerationError, PrerequisiteError
+from .errors import (
+    ConfigError,
+    ExportError,
+    GeneratedFileError,
+    GenerationError,
+    PrerequisiteError,
+)
 from .gateway import ChatRequest, GatewayConfig, complete
 from .schema import check_fields
 
@@ -282,7 +288,7 @@ def _labels_for(
     record: ReportRecord,
     mode: str,
     label_source: str,
-    dataset: MLCDataset,
+    vectors: dict[str, AnnotatedItem],
     params: ClassifierParams | None,
     features: FeatureMatrix | None,
     threshold: float,
@@ -290,7 +296,7 @@ def _labels_for(
     if mode == "image_only":
         return ()
     if label_source == "gt":
-        item = dataset.by_id().get(record.id)
+        item = vectors.get(record.id)
         if item is None:
             raise PrerequisiteError(
                 f"record {record.id!r} has no bootstrap label vector; run the bootstrap stage"
@@ -323,10 +329,11 @@ def run_generation(
     Output rows are ordered by record id. Each row carries the prompt that
     produced it so downstream evaluation never has to re-derive prompts.
     """
+    vectors = dataset.by_id()
     rows: list[dict] = []
     for rec in sorted(corpus.split(split), key=lambda r: r.id):
         positives = _labels_for(
-            rec, mode, label_source, dataset, params, features, threshold
+            rec, mode, label_source, vectors, params, features, threshold
         )
         prompt = serialize_labels(
             positives,
@@ -397,8 +404,12 @@ def load_generated(path: str | Path) -> list[dict]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise GenerationError(
+                raise GeneratedFileError(
                     f"generated file {path} line {lineno}: invalid JSON: {exc}"
                 ) from exc
+            if not isinstance(obj, dict):
+                raise GeneratedFileError(
+                    f"generated file {path} line {lineno}: not a JSON object"
+                )
             rows.append(obj)
     return rows

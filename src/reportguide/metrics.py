@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigError, LLMOutputError
 from .gateway import ChatRequest, GatewayConfig, complete_with_reprompt, parse_string_list
-from .textnorm import is_cjk
+from .textnorm import CJK_CLASS
 
 logger = logging.getLogger(__name__)
 
@@ -29,28 +30,17 @@ METEOR_CHUNK_POWER = 3
 METEOR_RECALL_WEIGHT = 9.0  # F_mean = 10PR / (R + 9P)
 
 
+# One CJK ideograph, or a run of alphanumerics other than CJK ideographs
+# (a str-pattern \w is str.isalnum() plus the underscore).
+_TOKEN_RE = re.compile(f"[{CJK_CLASS}]|[^\\W_{CJK_CLASS}]+")
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split: CJK ideographs become single-character tokens,
     anything alphanumeric groups into runs, punctuation separates and is
     dropped. Idempotent: re-tokenizing a space-joined token list is a no-op.
     """
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in text.lower():
-        if is_cjk(ch):
-            if current:
-                tokens.append("".join(current))
-                current = []
-            tokens.append(ch)
-        elif ch.isalnum():
-            current.append(ch)
-        else:
-            if current:
-                tokens.append("".join(current))
-                current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:

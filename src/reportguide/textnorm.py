@@ -15,13 +15,12 @@ CJK_RANGES: tuple[tuple[int, int], ...] = (
     (0xF900, 0xFAFF),
 )
 
+# The body of a character class matching exactly the CJK_RANGES code points.
+CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in CJK_RANGES)
+CJK_RE = re.compile(f"[{CJK_CLASS}]")
+
 _WS_RE = re.compile(r"\s+")
 _PUNCT_RE = re.compile(r"[^\w\s]|_", flags=re.UNICODE)
-
-
-def is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in CJK_RANGES)
 
 
 def collapse_whitespace(s: str) -> str:

@@ -442,6 +442,26 @@ def test_labels_save_load_round_trip(tmp_path):
     assert loaded.items == dataset.items
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('["r1", [0]]', "line 2: not a JSON object"),
+        ("null", "line 2: not a JSON object"),
+        ('{"id": "r1", "positives": ["0"]}', "line 2: positives must be a list of integers"),
+        ('{"id": "r1", "positives": [0.5]}', "line 2: positives must be a list of integers"),
+        ('{"id": "r1", "positives": [true]}', "line 2: positives must be a list of integers"),
+        ('{"id": "r1", "positives": 0}', "line 2: positives must be a list of integers"),
+    ],
+)
+def test_load_labels_rejects_malformed_lines(tmp_path, line, message):
+    tax = _taxonomy(["A"])
+    corpus = Corpus(records=[ReportRecord(id="r1", split="train", report="t")])
+    path = tmp_path / "labels.jsonl"
+    path.write_text('{"id": "r1", "positives": [0]}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(BootstrapError, match=f"labels file .*labels.jsonl {message}"):
+        load_labels(path, corpus, tax)
+
+
 def test_load_labels_rejects_unknown_record(tmp_path):
     tax = _taxonomy(["A"])
     corpus = Corpus(records=[ReportRecord(id="r1", split="train", report="t")])

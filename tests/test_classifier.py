@@ -3,7 +3,10 @@ gradients, deterministic training, prediction, F1 evaluation, checkpoints."""
 
 from __future__ import annotations
 
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from reportguide.bootstrap import AnnotatedItem, LabelEntry, LabelTaxonomy, MLCD
 from reportguide.classifier import (
     ClassifierParams,
     TrainConfig,
+    _sigmoid,
     adjust_logits,
     bce_loss_and_grad,
     checkpoint_to_json,
@@ -317,6 +321,44 @@ def test_training_fits_a_separable_problem():
     assert result["macro_f1"] == 1.0
 
 
+def _per_batch_shift_train(dataset, features, config):
+    """Reference trainer: the same loop with adjust_logits applied, and so the
+    shift recomputed, in every batch. Returns (weights, bias)."""
+    items = dataset.split_items("train")
+    x_all = np.asarray([features.row_for_id(i.record_id) for i in items], dtype=np.float64)
+    k = len(dataset.taxonomy)
+    y_all = np.zeros((len(items), k))
+    for i, item in enumerate(items):
+        y_all[i, list(item.positives)] = 1.0
+    frequencies = compute_frequencies(dataset)
+    weights, bias = np.zeros((k, x_all.shape[1])), np.zeros(k)
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(items))
+        for start in range(0, len(items), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            x, y = x_all[idx], y_all[idx]
+            z = x @ weights.T + bias
+            if config.adjustment == "on":
+                z = adjust_logits(z, frequencies, config.tau)
+            dz = (_sigmoid(z) - y) / (k * len(idx))
+            weights -= config.learning_rate * (dz.T @ x)
+            bias -= config.learning_rate * dz.sum(axis=0)
+    return weights, bias
+
+
+@pytest.mark.parametrize("adjustment", ["on", "off"])
+def test_training_matches_the_per_batch_shift_bit_for_bit(adjustment):
+    dataset, features = _separable_setup()
+    config = TrainConfig(
+        learning_rate=0.3, epochs=7, batch_size=3, seed=4, tau=1.7, adjustment=adjustment
+    )
+    params = train(dataset, features, config)
+    weights, bias = _per_batch_shift_train(dataset, features, config)
+    assert np.array_equal(params.weights, weights)
+    assert np.array_equal(params.bias, bias)
+
+
 def test_training_reduces_loss_from_zero_init():
     dataset, features = _separable_setup()
     config = TrainConfig(learning_rate=0.5, epochs=5, batch_size=4, seed=0)
@@ -548,6 +590,60 @@ def test_checkpoint_rejects_wrong_weight_count(tmp_path):
     )
     path.write_text(doc, encoding="utf-8")
     with pytest.raises(TrainingError, match="k\\*d"):
+        load_checkpoint(path)
+
+
+def _tampered_checkpoint(tmp_path, edit) -> Path:
+    doc = json.loads(checkpoint_to_json(_params([[1.0, 2.0], [3.0, 4.0]])))
+    edit(doc)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _set_first(key, value):
+    return lambda doc: doc[key].__setitem__(0, value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_first("weights", math.nan), "'weights' holds a non-finite value"),
+        (_set_first("weights", math.inf), "'weights' holds a non-finite value"),
+        (_set_first("bias", -math.inf), "'bias' holds a non-finite value"),
+        (_set_first("frequencies", math.nan), "'frequencies' holds a non-finite value"),
+        (_set_first("weights", 10**400), "'weights' holds a non-finite value"),
+        (_set("tau", math.nan), "'tau' holds a non-finite value"),
+        (_set_first("weights", "1.0"), "'weights' must hold numbers only"),
+        (_set_first("bias", True), "'bias' must hold numbers only"),
+        (_set_first("weights", [1.0]), "'weights' must hold numbers only"),
+        (_set("bias", 0.0), "'bias' must hold numbers only"),
+        (_set("tau", "1"), "'tau' must hold numbers only"),
+        (_set("k", "2"), "k and d must be positive integers"),
+        (_set("k", True), "k and d must be positive integers"),
+        (_set("d", 2.0), "k and d must be positive integers"),
+        (_set("k", -2), "k and d must be positive integers"),
+        (_set("taxonomy_hash", 7), "taxonomy_hash must be a string"),
+    ]
+    + [
+        (lambda doc, key=key: doc.pop(key), f"missing {key}")
+        for key in ("k", "d", "tau", "taxonomy_hash", "frequencies", "bias", "weights")
+    ],
+)
+def test_checkpoint_rejects_malformed_values(tmp_path, edit, message):
+    path = _tampered_checkpoint(tmp_path, edit)
+    with pytest.raises(TrainingError, match=re.escape(message)):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_non_object_document(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(TrainingError, match="JSON object"):
         load_checkpoint(path)
 
 

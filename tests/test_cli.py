@@ -346,6 +346,43 @@ def test_tampered_taxonomy_fails_predict_with_4(mini):
     assert main(["predict", "--config", mini["config"]]) == 4
 
 
+def _edit_checkpoint(edit):
+    def tamper(workdir):
+        path = workdir / "checkpoint.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    return tamper
+
+
+def _append_line(name, line):
+    def tamper(workdir):
+        with open(workdir / name, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "tamper, command, message",
+    [
+        (_edit_checkpoint(lambda d: d["weights"].__setitem__(0, float("nan"))),
+         "predict", "non-finite"),
+        (_edit_checkpoint(lambda d: d.pop("k")), "predict", "missing k"),
+        (_edit_checkpoint(lambda d: d.__setitem__("tau", "1")), "predict", "'tau'"),
+        (_append_line("labels.jsonl", '["t1"]'), "train", "labels.jsonl line 13"),
+        (_append_line("labels.jsonl", '{"id": "t1", "positives": ["x"]}'),
+         "train", "labels.jsonl line 13"),
+        (_append_line("generated-image_and_label-pred.jsonl", "[1, 2]"),
+         "evaluate", "generated-image_and_label-pred.jsonl line 3"),
+    ],
+)
+def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    tamper(mini["workdir"])
+    assert main([command, "--config", mini["config"], "--force"]) == 4
+    assert message in caplog.text
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_training_exits_4(mini):
     # A huge (finite: infinity is a config error) learning rate saturates the

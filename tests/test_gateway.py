@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from reportguide import gateway as gateway_mod
 from reportguide.errors import ConfigError, LLMOutputError, MockContractError, TransportError
+from reportguide.textnorm import CJK_RANGES
 from reportguide.gateway import (
     ChatRequest,
     GatewayConfig,
@@ -85,6 +87,39 @@ def test_estimate_tokens_rounds_up():
 def test_estimate_tokens_monotone_under_concatenation(a, b):
     assert estimate_tokens(a + b) >= max(estimate_tokens(a), estimate_tokens(b))
     assert estimate_tokens(a) >= 0
+
+
+# The per-character estimate the compiled pattern replaced, kept verbatim as
+# the reference the pattern must match.
+def _reference_is_cjk(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in CJK_RANGES)
+
+
+def _reference_estimate_tokens(text: str) -> int:
+    cjk = sum(1 for ch in text if _reference_is_cjk(ch))
+    latin = len(text) - cjk
+    return math.ceil(latin / 4) + cjk
+
+
+# lo-1, lo, hi and hi+1 of every CJK block, plus characters near the edge of
+# the class in other ways: the underscore, digits, "İ" and an astral
+# ideograph.
+ESTIMATE_EDGE_CHARS = tuple(
+    chr(cp) for lo, hi in CJK_RANGES for cp in (lo - 1, lo, hi, hi + 1)
+) + ("_", "0", "9", "\u0130", "\U00020001")
+
+
+@pytest.mark.parametrize("ch", ESTIMATE_EDGE_CHARS)
+def test_estimate_tokens_matches_the_per_character_reference_at_edges(ch):
+    for text in (ch, ch * 5, f"ab{ch}cd", f"{ch}\u80ba{ch}xyz"):
+        assert estimate_tokens(text) == _reference_estimate_tokens(text)
+
+
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(ESTIMATE_EDGE_CHARS)), max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_estimate_tokens_matches_the_per_character_reference(text):
+    assert estimate_tokens(text) == _reference_estimate_tokens(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,104 @@
+"""Golden artifact digests for the synthetic corpus, and call counts of the
+steps the pipeline must not repeat per record or per batch.
+
+The digests pin the bytes the pipeline writes: `pipeline`, then `generate
+--ablation` and `evaluate` of every ablation cell, on the bundled synthetic
+corpus with the default config. A change that alters any of these files,
+however slightly, fails here; one that means to must update the digests and
+say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from reportguide import classifier as classifier_mod
+from reportguide.bootstrap import BootstrapConfig, MLCDataset, bootstrap_dataset
+from reportguide.classifier import TrainConfig, train
+from reportguide.cli import main
+from reportguide.guidance import ABLATION_MODES, GeneratorConfig, generated_filename, run_ablation
+
+GOLDEN_SHA256 = {
+    "taxonomy.json": "a152bb338167c64cfdf3baaf5e72c43aafac821776405217a053a86313dcce2b",
+    "labels.jsonl": "ade7690db0242820f6fab00c74b0b2dbe05fa8e726fb1d87ec25c66f40c877d6",
+    "generated-image_only.jsonl": "0078c26a72818eb164b9e486e4fbc5fb9f23c6cad4f72ebb85686011cc184430",
+    "generated-label_only-pred.jsonl": "ae229f7a290c11c2b0c69cbd2583b0e524ff998f3ac443ebc923a935596e4597",
+    "generated-image_and_label-pred.jsonl": "85002aedb51cab739c67d2404010425ec4af4f102c710acac1b0f28076991a4a",
+    "generated-label_only-gt.jsonl": "16fea12f31b746eaefe544d0757fcb9dd56de653e4b77fc11f468ff54b3798c2",
+    "generated-image_and_label-gt.jsonl": "2a68f1e24547ffe7d7e843be992864f006b10a117083cae151df0f23ee20a938",
+    "metrics.json image_only": "c0368ede121da3b8fa49c33313be5de0174b1a113702a330cc40492d413a05ce",
+    "metrics.json label_only-pred": "fb0f902a1c054bcb5e4b9af88d370ad95dcd8133194cb1d3af141852a227a5ab",
+    "metrics.json image_and_label-pred": "220026f9465968940eee0cbbb111dc0cbdbdd1781b6306ee8fa2ac567b89db66",
+    "metrics.json label_only-gt": "cde7646a73f98716e4da755f18c6deb842d421eb1f9b5e47a3d31ed644a658c8",
+    "metrics.json image_and_label-gt": "659e52f96515e3adc5b18430eec932ab131d62d9c94bddf77cc38df652e1b424",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_ablation_artifacts_match_the_golden_digests(synth_dir, tmp_path):
+    workdir = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "paths": {
+                    "manifest": str(synth_dir / "manifest.jsonl"),
+                    "features": str(synth_dir / "features.ffmx"),
+                    "workdir": str(workdir),
+                }
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["pipeline", "--config", str(config)]) == 0
+    assert main(["generate", "--config", str(config), "--ablation", "--force"]) == 0
+    digests = {name: _sha256(workdir / name) for name in ("taxonomy.json", "labels.jsonl")}
+    for mode, source in ABLATION_MODES:
+        name = generated_filename(mode, source)
+        digests[name] = _sha256(workdir / name)
+        args = ["evaluate", "--config", str(config), "--force", "--mode", mode]
+        if source != "none":
+            args += ["--label-source", source]
+        assert main(args) == 0
+        digests[f"metrics.json {name[len('generated-'):-len('.jsonl')]}"] = _sha256(
+            workdir / "metrics.json"
+        )
+    assert digests == GOLDEN_SHA256
+
+
+def _counting(monkeypatch, owner, attr) -> list:
+    calls: list = []
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+def test_ablation_builds_the_label_map_at_most_once_per_cell(
+    synth, mock_gateway, monkeypatch, tmp_path
+):
+    dataset = bootstrap_dataset(synth.corpus, BootstrapConfig(), mock_gateway)
+    params = train(dataset, synth.features, TrainConfig(epochs=2))
+    calls = _counting(monkeypatch, MLCDataset, "by_id")
+    run_ablation(
+        synth.corpus, dataset, GeneratorConfig(), params=params,
+        features=synth.features, out_dir=tmp_path,
+    )
+    assert len(calls) <= len(ABLATION_MODES)
+
+
+def test_training_computes_the_logit_shift_once(synth, mock_gateway, monkeypatch):
+    dataset = bootstrap_dataset(synth.corpus, BootstrapConfig(), mock_gateway)
+    adjust_calls = _counting(monkeypatch, classifier_mod, "adjust_logits")
+    shift_calls = _counting(monkeypatch, classifier_mod, "_logit_shift")
+    train(dataset, synth.features, TrainConfig(epochs=3, batch_size=8))
+    assert len(adjust_calls) <= 1
+    assert len(shift_calls) == 1

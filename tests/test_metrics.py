@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from reportguide import gateway as gateway_mod
 from reportguide.errors import ConfigError
 from reportguide.gateway import ChatResponse
+from reportguide.textnorm import CJK_RANGES
 from reportguide.metrics import (
     EntityScores,
     bleu_scores,
@@ -59,6 +60,54 @@ def test_tokenize_empty_and_punctuation_only():
 def test_tokenize_is_idempotent_over_space_joins(text):
     tokens = tokenize(text)
     assert tokenize(" ".join(tokens)) == tokens
+
+
+# The per-character tokenizer the compiled pattern replaced, kept verbatim
+# as the reference the pattern must match.
+def _reference_is_cjk(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in CJK_RANGES)
+
+
+def _reference_tokenize(text: str) -> list[str]:
+    tokens: list[str] = []
+    current: list[str] = []
+    for ch in text.lower():
+        if _reference_is_cjk(ch):
+            if current:
+                tokens.append("".join(current))
+                current = []
+            tokens.append(ch)
+        elif ch.isalnum():
+            current.append(ch)
+        else:
+            if current:
+                tokens.append("".join(current))
+                current = []
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
+# Code points where the CJK test flips (lo-1, lo, hi, hi+1 of every block),
+# the underscore, digits, a letter whose lowercase form is longer ("İ"
+# lowercases to "i" plus a combining dot), an astral-plane ideograph, and
+# numerics outside ASCII.
+TOKEN_EDGE_CHARS = tuple(
+    chr(cp) for lo, hi in CJK_RANGES for cp in (lo - 1, lo, hi, hi + 1)
+) + ("_", "0", "7", "9", "\u0130", "\U00020001", "\u00b2", "\u216b", "\u0663")
+
+
+@pytest.mark.parametrize("ch", TOKEN_EDGE_CHARS)
+def test_tokenize_matches_the_per_character_reference_at_edges(ch):
+    for text in (ch, ch * 3, f"a{ch}b", f"{ch} x{ch}{ch}1 \u80ba{ch}", f"_{ch}_"):
+        assert tokenize(text) == _reference_tokenize(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(TOKEN_EDGE_CHARS)), max_size=60))
+def test_tokenize_matches_the_per_character_reference(text):
+    assert tokenize(text) == _reference_tokenize(text)
 
 
 def test_ngram_counts_window():
