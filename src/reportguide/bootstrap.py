@@ -500,22 +500,39 @@ def load_taxonomy(path: str | Path) -> LabelTaxonomy:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise BootstrapError(f"taxonomy file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BootstrapError(f"taxonomy file {path}: not a JSON object")
     if doc.get("version") != 1:
         raise BootstrapError(f"taxonomy file {path} has unsupported version {doc.get('version')!r}")
-    labels = tuple(
-        LabelEntry(
-            index=int(e["index"]),
-            name=str(e["name"]),
-            aliases=tuple(str(a) for a in e.get("aliases", [])),
-            count=int(e.get("count", 0)),
+    entries = doc.get("labels", [])
+    merge_rounds, params = doc.get("merge_rounds", 0), doc.get("params", {})
+    if not isinstance(entries, list):
+        raise BootstrapError(f"taxonomy file {path}: labels must be a list")
+    if not _is_int(merge_rounds) or not isinstance(params, dict):
+        raise BootstrapError(
+            f"taxonomy file {path}: merge_rounds must be an integer and params an object"
         )
-        for e in doc.get("labels", [])
-    )
-    return LabelTaxonomy(
-        labels=labels,
-        merge_rounds=int(doc.get("merge_rounds", 0)),
-        params=dict(doc.get("params", {})),
-    )
+    labels = []
+    for i, e in enumerate(entries):
+        where = f"taxonomy file {path} label {i}"
+        if not isinstance(e, dict):
+            raise BootstrapError(f"{where}: not a JSON object")
+        index, name = e.get("index"), e.get("name")
+        aliases, count = e.get("aliases", []), e.get("count", 0)
+        if not _is_int(index):
+            raise BootstrapError(f"{where}: index must be an integer")
+        if not isinstance(name, str):
+            raise BootstrapError(f"{where}: name must be a string")
+        if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
+            raise BootstrapError(f"{where}: aliases must be a list of strings")
+        if not _is_int(count):
+            raise BootstrapError(f"{where}: count must be an integer")
+        labels.append(LabelEntry(index=index, name=name, aliases=tuple(aliases), count=count))
+    return LabelTaxonomy(labels=tuple(labels), merge_rounds=merge_rounds, params=dict(params))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def taxonomy_fingerprint(taxonomy: LabelTaxonomy) -> str:
@@ -551,9 +568,7 @@ def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> ML
             if rec is None:
                 raise BootstrapError(f"{where}: unknown record id {rid!r}")
             positives = obj.get("positives", [])
-            if not isinstance(positives, list) or not all(
-                isinstance(j, int) and not isinstance(j, bool) for j in positives
-            ):
+            if not isinstance(positives, list) or not all(_is_int(j) for j in positives):
                 raise BootstrapError(f"{where}: positives must be a list of integers")
             items.append(AnnotatedItem(record_id=rid, split=rec.split, positives=tuple(positives)))
     return MLCDataset(taxonomy=taxonomy, items=tuple(items))

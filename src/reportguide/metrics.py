@@ -13,6 +13,7 @@ import logging
 import math
 import re
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConfigError, LLMOutputError
@@ -65,20 +66,31 @@ def bleu_scores(
         )
     if not candidates:
         raise ConfigError("cannot score an empty corpus")
-    clipped = [0] * max_n
-    total = [0] * max_n
-    cand_len = 0
-    ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            c_counts = ngram_counts(cand, n)
-            r_counts = ngram_counts(ref, n)
-            total[n - 1] += sum(c_counts.values())
-            clipped[n - 1] += sum(
-                min(count, r_counts.get(gram, 0)) for gram, count in c_counts.items()
-            )
+    return _bleu_from_counts(
+        [_bleu_counts(c, r, max_n) for c, r in zip(candidates, references)], max_n
+    )
+
+
+def _bleu_counts(cand: list[str], ref: list[str], max_n: int) -> tuple[int, ...]:
+    """One pair's BLEU statistics: the candidate and reference lengths, then
+    the clipped and the total candidate n-gram counts of orders 1..max_n."""
+    clipped: list[int] = []
+    total: list[int] = []
+    for n in range(1, max_n + 1):
+        c_counts = ngram_counts(cand, n)
+        r_counts = ngram_counts(ref, n)
+        total.append(sum(c_counts.values()))
+        clipped.append(
+            sum(min(count, r_counts.get(gram, 0)) for gram, count in c_counts.items())
+        )
+    return (len(cand), len(ref), *clipped, *total)
+
+
+def _bleu_from_counts(counts: list[tuple[int, ...]], max_n: int) -> list[float]:
+    """BLEU-1..max_n of the pooled (summed) statistics of `counts`; one
+    pair's statistics give that pair's BLEU."""
+    cand_len, ref_len, *pooled = (sum(column) for column in zip(*counts))
+    clipped, total = pooled[:max_n], pooled[max_n:]
     precisions = [
         (clipped[i] / total[i]) if total[i] else 0.0 for i in range(max_n)
     ]
@@ -309,21 +321,41 @@ def entity_f1_scores(
     reference_texts: list[str],
     config: GatewayConfig,
 ) -> tuple[list[EntityScores | None], int]:
-    """Per-sample entity overlap; a sample whose extraction stays unparseable
-    after the reprompt is excluded (None) and counted, not scored."""
-    out: list[EntityScores | None] = []
-    failures = 0
-    for gen, ref in zip(generated_texts, reference_texts):
+    """Per-sample entity overlap and the number of excluded samples.
+
+    Each distinct text of either column is extracted once, over
+    `config.parallelism` threads. A text whose extraction stays unparseable
+    after the reprompt excludes (None) every sample that carries it; one
+    warning per such text says how many samples it excludes.
+    """
+    texts = list(dict.fromkeys([*generated_texts, *reference_texts]))
+
+    def extract(text: str) -> set[str] | LLMOutputError:
         try:
-            gen_entities = extract_entities(gen, config)
-            ref_entities = extract_entities(ref, config)
+            return extract_entities(text, config)
         except LLMOutputError as exc:
-            logger.warning("entity extraction failed, excluding sample: %s", exc)
+            return exc
+
+    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        entities = dict(zip(texts, pool.map(extract, texts)))
+
+    out: list[EntityScores | None] = []
+    excluded_by: Counter = Counter()
+    for gen, ref in zip(generated_texts, reference_texts):
+        failed = {t for t in (gen, ref) if isinstance(entities[t], LLMOutputError)}
+        if failed:
+            excluded_by.update(failed)
             out.append(None)
-            failures += 1
-            continue
-        out.append(entity_overlap(gen_entities, ref_entities))
-    return out, failures
+        else:
+            out.append(entity_overlap(entities[gen], entities[ref]))
+    for text in texts:
+        if text in excluded_by:
+            logger.warning(
+                "entity extraction failed, excluding %d samples carrying the text: %s",
+                excluded_by[text],
+                entities[text],
+            )
+    return out, sum(s is None for s in out)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +396,11 @@ def evaluate_generation(
     n = len(pairs)
 
     if "bleu" in enabled:
-        corpus_bleu = bleu_scores(gen_tokens, ref_tokens)
-        for i, name in enumerate(("bleu1", "bleu2", "bleu3", "bleu4")):
-            corpus[name] = corpus_bleu[i]
-        for row, cand, ref in zip(per_sample, gen_tokens, ref_tokens):
-            sample = bleu_scores([cand], [ref])
-            for i, name in enumerate(("bleu1", "bleu2", "bleu3", "bleu4")):
-                row[name] = sample[i]
+        names = ("bleu1", "bleu2", "bleu3", "bleu4")
+        counts = [_bleu_counts(c, r, len(names)) for c, r in zip(gen_tokens, ref_tokens)]
+        corpus.update(zip(names, _bleu_from_counts(counts, len(names))))
+        for row, pair_counts in zip(per_sample, counts):
+            row.update(zip(names, _bleu_from_counts([pair_counts], len(names))))
 
     if "rouge_l" in enabled:
         values = [rouge_l_sample(c, r) for c, r in zip(gen_tokens, ref_tokens)]

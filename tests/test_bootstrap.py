@@ -424,6 +424,32 @@ def test_load_taxonomy_rejects_unknown_version(tmp_path):
         load_taxonomy(path)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "not a JSON object"),
+        ({"version": 1, "labels": {}}, "labels must be a list"),
+        ({"version": 1, "labels": [], "merge_rounds": "2"}, "merge_rounds must be an integer"),
+        ({"version": 1, "labels": [], "params": [["b", 200]]}, "params an object"),
+        ({"version": 1, "labels": [["A"]]}, "label 0: not a JSON object"),
+        ({"version": 1, "labels": [{"name": "A"}]}, "label 0: index must be an integer"),
+        ({"version": 1, "labels": [{"index": 0.0, "name": "A"}]}, "index must be an integer"),
+        ({"version": 1, "labels": [{"index": True, "name": "A"}]}, "index must be an integer"),
+        ({"version": 1, "labels": [{"index": 0}]}, "label 0: name must be a string"),
+        ({"version": 1, "labels": [{"index": 0, "name": "A", "aliases": "a1"}]},
+         "aliases must be a list of strings"),
+        ({"version": 1, "labels": [{"index": 0, "name": "A", "count": "x"}]},
+         "count must be an integer"),
+    ],
+)
+def test_load_taxonomy_rejects_malformed_documents(tmp_path, doc, message):
+    path = tmp_path / "taxonomy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(BootstrapError, match=message) as info:
+        load_taxonomy(path)
+    assert str(path) in str(info.value)
+
+
 def test_labels_save_load_round_trip(tmp_path):
     tax = _taxonomy(["A", "B"])
     corpus = Corpus(

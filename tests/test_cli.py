@@ -346,12 +346,18 @@ def test_tampered_taxonomy_fails_predict_with_4(mini):
     assert main(["predict", "--config", mini["config"]]) == 4
 
 
-def _edit_checkpoint(edit):
+def _edit_json(name, edit):
     def tamper(workdir):
-        path = workdir / "checkpoint.json"
+        path = workdir / name
         doc = json.loads(path.read_text(encoding="utf-8"))
         edit(doc)
         path.write_text(json.dumps(doc), encoding="utf-8")
+    return tamper
+
+
+def _replace_file(name, text):
+    def tamper(workdir):
+        (workdir / name).write_text(text, encoding="utf-8")
     return tamper
 
 
@@ -365,15 +371,26 @@ def _append_line(name, line):
 @pytest.mark.parametrize(
     "tamper, command, message",
     [
-        (_edit_checkpoint(lambda d: d["weights"].__setitem__(0, float("nan"))),
+        (_edit_json("checkpoint.json", lambda d: d["weights"].__setitem__(0, float("nan"))),
          "predict", "non-finite"),
-        (_edit_checkpoint(lambda d: d.pop("k")), "predict", "missing k"),
-        (_edit_checkpoint(lambda d: d.__setitem__("tau", "1")), "predict", "'tau'"),
+        (_edit_json("checkpoint.json", lambda d: d.pop("k")), "predict", "missing k"),
+        (_edit_json("checkpoint.json", lambda d: d.__setitem__("tau", "1")), "predict", "'tau'"),
         (_append_line("labels.jsonl", '["t1"]'), "train", "labels.jsonl line 13"),
         (_append_line("labels.jsonl", '{"id": "t1", "positives": ["x"]}'),
          "train", "labels.jsonl line 13"),
         (_append_line("generated-image_and_label-pred.jsonl", "[1, 2]"),
          "evaluate", "generated-image_and_label-pred.jsonl line 3"),
+        (_replace_file("taxonomy.json", "[]"), "train", "taxonomy.json: not a JSON object"),
+        (_edit_json("taxonomy.json", lambda d: d.__setitem__("labels", {})),
+         "train", "taxonomy.json: labels must be a list"),
+        (_edit_json("taxonomy.json", lambda d: d["labels"].__setitem__(1, "x")),
+         "train", "taxonomy.json label 1: not a JSON object"),
+        (_edit_json("taxonomy.json", lambda d: d["labels"][0].pop("index")),
+         "train", "label 0: index must be an integer"),
+        (_edit_json("taxonomy.json", lambda d: d["labels"][0].__setitem__("index", "0")),
+         "predict", "label 0: index must be an integer"),
+        (_edit_json("taxonomy.json", lambda d: d["labels"][0].__setitem__("name", 7)),
+         "train", "label 0: name must be a string"),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):

@@ -3,6 +3,7 @@ entity extraction and the corpus evaluation document."""
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reportguide import gateway as gateway_mod
+from reportguide.cli import main
 from reportguide.errors import ConfigError
-from reportguide.gateway import ChatResponse
+from reportguide.gateway import ChatResponse, GatewayConfig
 from reportguide.textnorm import CJK_RANGES
 from reportguide.metrics import (
     EntityScores,
@@ -412,6 +414,90 @@ def test_entity_scores_exclude_unparseable_samples(monkeypatch, mock_gateway, ca
     assert scores[1] is None
 
 
+def test_entity_scores_extract_each_distinct_text_once(monkeypatch, mock_gateway):
+    real_complete = gateway_mod.complete
+    users: list[str] = []  # list.append is atomic, so pool threads may share it
+
+    def counting_complete(request, config):
+        users.append(request.user)
+        return real_complete(request, config)
+
+    monkeypatch.setattr(gateway_mod, "complete", counting_complete)
+    generated = ["A cavity is seen.", "Pleural effusion.", "A cavity is seen.", "Normal."]
+    references = ["A cavity is seen.", "A cavity is seen.", "Normal.", "Normal."]
+    scores, failures = entity_f1_scores(generated, references, mock_gateway)
+    assert sorted(users) == sorted({*generated, *references})
+    assert failures == 0
+    assert scores == [
+        entity_overlap(extract_entities(g, mock_gateway), extract_entities(r, mock_gateway))
+        for g, r in zip(generated, references)
+    ]
+
+
+def test_a_failing_text_excludes_every_sample_that_carries_it(
+    monkeypatch, mock_gateway, caplog
+):
+    real_complete = gateway_mod.complete
+    bad = "this text refuses extraction"
+
+    def flaky_complete(request, config):
+        if bad in request.user:
+            return ChatResponse(text="nope", input_tokens=0, output_tokens=0)
+        return real_complete(request, config)
+
+    monkeypatch.setattr(gateway_mod, "complete", flaky_complete)
+    generated = [bad, "A cavity is seen.", bad, "Pleural effusion.", "A cavity is seen."]
+    references = ["A cavity is seen.", "A cavity is seen.", "Normal.", "Normal.", bad]
+    with caplog.at_level(logging.WARNING, logger="reportguide.metrics"):
+        scores, failures = entity_f1_scores(generated, references, mock_gateway)
+    assert failures == 3
+    assert [s is None for s in scores] == [True, False, True, False, True]
+    assert scores[1] == EntityScores(1.0, 1.0, 1.0)
+    assert scores[3] == EntityScores(0.0, 0.0, 0.0)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "excluding 3 samples" in warnings[0]
+
+
+def test_entity_extraction_fans_out_over_the_http_gateway(
+    stub_server_factory, monkeypatch
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    stub = stub_server_factory(reply='["cavity"]', delay=0.05)
+    config = GatewayConfig(
+        backend="http", endpoint=stub.endpoint, parallelism=3, requests_per_minute=60000
+    )
+    generated = [f"generated report {i % 4}" for i in range(8)]
+    references = [f"reference report {i % 3}" for i in range(8)]
+    scores, failures = entity_f1_scores(generated, references, config)
+    assert failures == 0
+    assert scores == [EntityScores(1.0, 1.0, 1.0)] * 8
+    assert len(stub.requests) == 7
+    assert 1 < stub.max_in_flight <= 3
+
+
+def test_evaluate_metrics_are_byte_identical_at_any_parallelism(synth_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "paths": {
+                    "manifest": str(synth_dir / "manifest.jsonl"),
+                    "features": str(synth_dir / "features.ffmx"),
+                    "workdir": str(tmp_path / "run"),
+                },
+                "gateway": {"parallelism": 1},
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["pipeline", "--config", str(config)]) == 0
+    serial = (tmp_path / "run" / "metrics.json").read_bytes()
+    args = ["evaluate", "--config", str(config), "--force", "--set", "gateway.parallelism=4"]
+    assert main(args) == 0
+    assert (tmp_path / "run" / "metrics.json").read_bytes() == serial
+
+
 # ---------------------------------------------------------------------------
 # Corpus evaluation document
 # ---------------------------------------------------------------------------
@@ -469,6 +555,57 @@ def test_evaluate_generation_is_permutation_invariant(mock_gateway):
     assert set(forward) == set(backward)
     for name, value in forward.items():
         assert backward[name] == pytest.approx(value, rel=1e-12)
+
+
+# The BLEU that rebuilt every n-gram Counter for each call, kept verbatim as
+# the reference for the shared per-pair counts.
+def _reference_bleu_scores(candidates, references, max_n=4):
+    clipped = [0] * max_n
+    total = [0] * max_n
+    cand_len = 0
+    ref_len = 0
+    for cand, ref in zip(candidates, references):
+        cand_len += len(cand)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            c_counts = ngram_counts(cand, n)
+            r_counts = ngram_counts(ref, n)
+            total[n - 1] += sum(c_counts.values())
+            clipped[n - 1] += sum(
+                min(count, r_counts.get(gram, 0)) for gram, count in c_counts.items()
+            )
+    precisions = [
+        (clipped[i] / total[i]) if total[i] else 0.0 for i in range(max_n)
+    ]
+    if cand_len == 0:
+        return [0.0] * max_n
+    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    scores = []
+    for n in range(1, max_n + 1):
+        if any(p == 0.0 for p in precisions[:n]):
+            scores.append(0.0)
+            continue
+        log_mean = sum(math.log(p) for p in precisions[:n]) / n
+        scores.append(bp * math.exp(log_mean))
+    return scores
+
+
+_WORDS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8).map(" ".join)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(_WORDS, _WORDS), min_size=1, max_size=6))
+def test_evaluate_generation_bleu_matches_the_reference_exactly(texts):
+    pairs = [(f"r{i}", gen, ref) for i, (gen, ref) in enumerate(texts)]
+    doc = evaluate_generation(pairs, enabled=("bleu",))
+    names = ("bleu1", "bleu2", "bleu3", "bleu4")
+    gen_tokens = [tokenize(gen) for gen, _ in texts]
+    ref_tokens = [tokenize(ref) for _, ref in texts]
+    expected = _reference_bleu_scores(gen_tokens, ref_tokens)
+    assert [doc["corpus"][n] for n in names] == expected
+    assert bleu_scores(gen_tokens, ref_tokens) == expected
+    for row, cand, ref in zip(doc["per_sample"], gen_tokens, ref_tokens):
+        assert [row[n] for n in names] == _reference_bleu_scores([cand], [ref])
 
 
 def test_evaluate_generation_unknown_metric_is_an_error():
