@@ -452,7 +452,7 @@ def bootstrap_dataset(
                 positives=annotate_report(record, draft, gateway),
             )
         except LLMOutputError as exc:
-            logger.warning("skipping record %s: annotation unparseable: %s", record.id, exc)
+            logger.debug("skipping record %s: annotation unparseable: %s", record.id, exc)
             return record.id
 
     with ThreadPoolExecutor(max_workers=gateway.parallelism) as pool:

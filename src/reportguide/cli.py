@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 gateway error, 4 data error,
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import logging
@@ -218,32 +219,50 @@ def config_fingerprint(config: PipelineConfig) -> str:
 
 
 class _WorkdirLock:
-    """Exclusive lock file guarding a working directory against concurrent
-    pipeline commands. Stale locks must be removed by hand."""
+    """Exclusive `flock` on the working directory's lock file, guarding it
+    against concurrent pipeline commands. The kernel drops the lock when its
+    holder exits, so a lock file left by a killed run is taken over."""
 
     def __init__(self, workdir: Path):
         self.path = workdir / ".lock"
         self._fd: int | None = None
 
     def __enter__(self):
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"workdir is locked by another command ({self.path}); "
-                f"remove the lock file if no other run is active"
-            ) from None
-        os.write(self._fd, str(os.getpid()).encode("ascii"))
+        # A holder unlinks the file before releasing it, so a lock won on an
+        # unlinked file means that holder just finished: open the path anew.
+        for _ in range(2):
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise self._held() from None
+            try:
+                current = os.stat(self.path).st_ino == os.fstat(fd).st_ino
+            except FileNotFoundError:
+                current = False
+            if current:
+                break
+            os.close(fd)
+        else:
+            raise self._held()
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        self._fd = fd
         return self
 
+    def _held(self) -> ConfigError:
+        return ConfigError(f"workdir is locked by another running command ({self.path})")
+
     def __exit__(self, *exc_info):
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        # Unlink while still holding the lock (see __enter__).
         try:
             self.path.unlink()
         except FileNotFoundError:
             pass
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
         return False
 
 

@@ -19,8 +19,6 @@ import threading
 import time
 from dataclasses import InitVar, dataclass
 
-import requests
-
 from .errors import ConfigError, LLMOutputError, MockContractError, TransportError
 from .schema import check_fields
 from .textnorm import CJK_RE, alias_key, match_key
@@ -375,6 +373,10 @@ def _log_call(config: GatewayConfig, request: ChatRequest, response: ChatRespons
 
 
 def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
+    # Imported here so that only the http backend pays for loading the HTTP
+    # stack; the mock pipeline never needs it.
+    import requests
+
     key = _api_key(config)
     limiter = _limiter_for(config)
     payload = {

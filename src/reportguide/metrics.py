@@ -45,7 +45,8 @@ def tokenize(text: str) -> list[str]:
 
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """Counts of the n-grams of `tokens`, keyed in first-occurrence order."""
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -113,21 +114,21 @@ def _bleu_from_counts(counts: list[tuple[int, ...]], max_n: int) -> list[float]:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    # One rolling row keeps memory linear in the shorter sequence.
+    """Bit-parallel LCS length (Allison-Dix, Hyyrö), with `b` the shorter
+    sequence. After each token of `a`, bit i of `v` is 0 exactly where the
+    LCS of the tokens read so far with b[:i + 1] is one longer than with
+    b[:i], so the zero bits count the LCS."""
     if len(b) > len(a):
         a, b = b, a
-    prev = [0] * (len(b) + 1)
+    masks: dict[str, int] = {}
+    for i, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        row = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                row.append(prev[j - 1] + 1)
-            else:
-                row.append(max(prev[j], row[j - 1]))
-        prev = row
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l_sample(candidate: list[str], reference: list[str]) -> float:
@@ -147,38 +148,6 @@ def rouge_l_sample(candidate: list[str], reference: list[str]) -> float:
 # ---------------------------------------------------------------------------
 # CIDEr-D style consensus
 # ---------------------------------------------------------------------------
-
-
-def _document_frequencies(references: list[list[str]], max_n: int) -> list[Counter]:
-    df: list[Counter] = [Counter() for _ in range(max_n)]
-    for ref in references:
-        for n in range(1, max_n + 1):
-            for gram in set(ngram_counts(ref, n)):
-                df[n - 1][gram] += 1
-    return df
-
-
-def _tfidf_vector(tokens: list[str], n: int, df: Counter, corpus_size: int) -> dict:
-    counts = ngram_counts(tokens, n)
-    vec = {}
-    for gram, count in counts.items():
-        # df is clamped to 1 so n-grams unseen in the reference corpus keep a
-        # finite idf of log(corpus_size).
-        idf = math.log(corpus_size / max(1, df.get(gram, 0)))
-        vec[gram] = count * idf
-    return vec
-
-
-def _clipped_cosine(cand_vec: dict, ref_vec: dict) -> float:
-    cand_norm = math.sqrt(sum(v * v for v in cand_vec.values()))
-    ref_norm = math.sqrt(sum(v * v for v in ref_vec.values()))
-    if cand_norm == 0.0 or ref_norm == 0.0:
-        return 0.0
-    dot = sum(
-        min(v, ref_vec.get(gram, 0.0)) * ref_vec.get(gram, 0.0)
-        for gram, v in cand_vec.items()
-    )
-    return dot / (cand_norm * ref_norm)
 
 
 def cider_d_scores(
@@ -204,17 +173,40 @@ def cider_d_scores(
             "consensus scoring over a single-document corpus: all idf weights "
             "are zero, scores degenerate to 0"
         )
-    df = _document_frequencies(references, max_n)
+    ref_counts = [[ngram_counts(ref, n) for n in range(1, max_n + 1)] for ref in references]
+    idfs: list[dict] = []
+    for n in range(max_n):
+        df: Counter = Counter()
+        for counts in ref_counts:
+            df.update(counts[n].keys())
+        idfs.append({gram: math.log(corpus_size / d) for gram, d in df.items()})
+    # df is clamped to 1 so n-grams unseen in the reference corpus keep a
+    # finite idf of log(corpus_size).
+    unseen_idf = math.log(corpus_size / 1)
     scores: list[float] = []
-    for cand, ref in zip(candidates, references):
+    for cand, ref, counts in zip(candidates, references, ref_counts):
         penalty = math.exp(
             -((len(cand) - len(ref)) ** 2) / (2.0 * CIDER_SIGMA * CIDER_SIGMA)
         )
         per_n = []
-        for n in range(1, max_n + 1):
-            cand_vec = _tfidf_vector(cand, n, df[n - 1], corpus_size)
-            ref_vec = _tfidf_vector(ref, n, df[n - 1], corpus_size)
-            per_n.append(_clipped_cosine(cand_vec, ref_vec) * penalty)
+        for n, (r_counts, idf) in enumerate(zip(counts, idfs), start=1):
+            cand_vec = {
+                gram: count * idf.get(gram, unseen_idf)
+                for gram, count in ngram_counts(cand, n).items()
+            }
+            ref_vec = {gram: count * idf[gram] for gram, count in r_counts.items()}
+            # Reference-clipped cosine. The sums stay plain left-to-right
+            # sums in n-gram order so that no score changes in its last bits.
+            cand_norm = math.sqrt(sum(v * v for v in cand_vec.values()))
+            ref_norm = math.sqrt(sum(v * v for v in ref_vec.values()))
+            if cand_norm == 0.0 or ref_norm == 0.0:
+                per_n.append(0.0)
+                continue
+            dot = sum(
+                min(v, ref_vec.get(gram, 0.0)) * ref_vec.get(gram, 0.0)
+                for gram, v in cand_vec.items()
+            )
+            per_n.append(dot / (cand_norm * ref_norm) * penalty)
         scores.append(10.0 * sum(per_n) / max_n)
     return scores
 
@@ -387,9 +379,14 @@ def evaluate_generation(
     ref_texts = [p[2] for p in pairs]
     gen_tokens = [tokenize(t) for t in gen_texts]
     ref_tokens = [tokenize(t) for t in ref_texts]
-    for rid, ref in zip(ids, ref_tokens):
-        if not ref:
-            logger.warning("record %s has an empty reference after tokenization", rid)
+    empty = [rid for rid, ref in zip(ids, ref_tokens) if not ref]
+    if empty:
+        logger.warning(
+            "%d records have an empty reference after tokenization: %s%s",
+            len(empty),
+            ", ".join(empty[:5]),
+            ", ..." if len(empty) > 5 else "",
+        )
 
     per_sample: list[dict] = [{"id": rid} for rid in ids]
     corpus: dict = {}

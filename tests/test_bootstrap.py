@@ -4,6 +4,7 @@ annotation, frequency filtering, persistence, and the audit report."""
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -388,6 +389,36 @@ def test_bootstrap_skips_records_with_unparseable_annotation(monkeypatch, mock_g
     )
     assert dataset.skipped == ("bad",)
     assert [i.record_id for i in dataset.items] == ["good"]
+
+
+def test_skipped_records_are_one_warning_and_detail_at_debug(
+    monkeypatch, mock_gateway, caplog
+):
+    corpus = Corpus(
+        records=[
+            ReportRecord(id="good", split="train", report="A cavity is seen."),
+            ReportRecord(id="bad1", split="train", report="A cavity too."),
+            ReportRecord(id="bad2", split="train", report="A cavity too."),
+        ]
+    )
+    real_complete = gateway_mod.complete
+
+    def flaky_complete(request, config):
+        if "[task:annotate]" in request.system and "A cavity too." in request.user:
+            return ChatResponse(text="garbage", input_tokens=0, output_tokens=0)
+        return real_complete(request, config)
+
+    monkeypatch.setattr(gateway_mod, "complete", flaky_complete)
+    with caplog.at_level(logging.DEBUG, logger="reportguide.bootstrap"):
+        bootstrap_dataset(corpus, BootstrapConfig(theta=1), mock_gateway)
+    warnings = [r.message for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == ["annotation skipped 2 records"]
+    detail = [r for r in caplog.records if r.message.startswith("skipping record")]
+    assert sorted(r.message.split(":")[0] for r in detail) == [
+        "skipping record bad1",
+        "skipping record bad2",
+    ]
+    assert all(r.levelno == logging.DEBUG for r in detail)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@ artifact and locking discipline, and the mini end-to-end pipeline."""
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -316,9 +320,64 @@ def test_evaluate_before_generate_exits_5(mini, caplog):
 def test_held_lock_exits_2(mini, caplog):
     workdir = mini["workdir"]
     workdir.mkdir(parents=True, exist_ok=True)
-    (workdir / ".lock").write_text("12345", encoding="ascii")
-    assert main(["bootstrap", "--config", mini["config"]]) == 2
-    assert "locked" in caplog.text
+    fd = os.open(workdir / ".lock", os.O_CREAT | os.O_WRONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        os.write(fd, b"12345")
+        assert main(["bootstrap", "--config", mini["config"]]) == 2
+        assert "locked" in caplog.text
+    finally:
+        os.close(fd)
+
+
+def test_lock_left_by_a_killed_run_is_taken_over(mini, caplog):
+    workdir = mini["workdir"]
+    workdir.mkdir(parents=True, exist_ok=True)
+    holder = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import fcntl, os, sys, time\n"
+            "fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)\n"
+            "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+            "os.write(fd, str(os.getpid()).encode())\n"
+            "print('held', flush=True)\n"
+            "time.sleep(60)\n",
+            str(workdir / ".lock"),
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        assert main(["bootstrap", "--config", mini["config"]]) == 2
+        assert "locked" in caplog.text
+    finally:
+        holder.kill()
+        holder.wait(timeout=10)
+        holder.stdout.close()
+    assert (workdir / ".lock").read_text(encoding="ascii") == str(holder.pid)
+    assert main(["bootstrap", "--config", mini["config"]]) == 0
+    assert not (workdir / ".lock").exists()
+
+
+def test_lock_retries_when_its_file_is_unlinked_under_it(mini, monkeypatch):
+    # The previous holder unlinks the file just before releasing it; the lock
+    # then won belongs to a file no longer at the path, so take the new one.
+    lock_path = mini["workdir"] / ".lock"
+    real_flock = fcntl.flock
+    calls = []
+
+    def flock_after_unlink(fd, op):
+        calls.append(os.fstat(fd).st_ino)
+        if len(calls) == 1:
+            os.unlink(lock_path)
+        return real_flock(fd, op)
+
+    monkeypatch.setattr(fcntl, "flock", flock_after_unlink)
+    assert main(["bootstrap", "--config", mini["config"]]) == 0
+    assert len(calls) == 2
+    assert not lock_path.exists()
 
 
 def test_lock_is_released_after_a_run(mini):

@@ -7,7 +7,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -366,3 +370,18 @@ def test_mock_backend_never_writes_a_call_log(tmp_path, monkeypatch):
     config = GatewayConfig(backend="mock", call_log_path=str(log_path))
     complete(ChatRequest(system="[task:extract] go", user="cavity"), config)
     assert not log_path.exists()
+
+
+def test_importing_the_cli_does_not_load_the_http_stack():
+    # Only the http backend sends requests; the mock pipeline never pays for
+    # importing them.
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import reportguide.cli, sys; print('requests' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from reportguide.gateway import ChatResponse, GatewayConfig
 from reportguide.textnorm import CJK_RANGES
 from reportguide.metrics import (
     EntityScores,
+    _lcs_length,
     bleu_scores,
     cider_d_scores,
     entity_f1_scores,
@@ -320,6 +323,146 @@ def test_cider_scores_lie_in_range_on_noisy_pairs():
     refs = [tokenize(t) for t in ("a b c", "c d e", "y z", "a b a b")]
     for s in cider_d_scores(cands, refs):
         assert 0.0 <= s <= 10.0
+
+
+# ---------------------------------------------------------------------------
+# The n-gram, LCS and CIDEr-D code the single-pass versions replaced, kept
+# verbatim as references the new code must match exactly (same n-gram key
+# order, same integers, same floats).
+# ---------------------------------------------------------------------------
+
+
+def _reference_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _reference_lcs_length(a, b):
+    if not a or not b:
+        return 0
+    # One rolling row keeps memory linear in the shorter sequence.
+    if len(b) > len(a):
+        a, b = b, a
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        row = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                row.append(prev[j - 1] + 1)
+            else:
+                row.append(max(prev[j], row[j - 1]))
+        prev = row
+    return prev[-1]
+
+
+def _reference_document_frequencies(references, max_n):
+    df = [Counter() for _ in range(max_n)]
+    for ref in references:
+        for n in range(1, max_n + 1):
+            for gram in set(_reference_ngram_counts(ref, n)):
+                df[n - 1][gram] += 1
+    return df
+
+
+def _reference_tfidf_vector(tokens, n, df, corpus_size):
+    counts = _reference_ngram_counts(tokens, n)
+    vec = {}
+    for gram, count in counts.items():
+        # df is clamped to 1 so n-grams unseen in the reference corpus keep a
+        # finite idf of log(corpus_size).
+        idf = math.log(corpus_size / max(1, df.get(gram, 0)))
+        vec[gram] = count * idf
+    return vec
+
+
+def _reference_clipped_cosine(cand_vec, ref_vec):
+    cand_norm = math.sqrt(sum(v * v for v in cand_vec.values()))
+    ref_norm = math.sqrt(sum(v * v for v in ref_vec.values()))
+    if cand_norm == 0.0 or ref_norm == 0.0:
+        return 0.0
+    dot = sum(
+        min(v, ref_vec.get(gram, 0.0)) * ref_vec.get(gram, 0.0)
+        for gram, v in cand_vec.items()
+    )
+    return dot / (cand_norm * ref_norm)
+
+
+def _reference_cider_d_scores(candidates, references, max_n=4):
+    corpus_size = len(references)
+    df = _reference_document_frequencies(references, max_n)
+    scores = []
+    for cand, ref in zip(candidates, references):
+        penalty = math.exp(-((len(cand) - len(ref)) ** 2) / (2.0 * 6.0 * 6.0))
+        per_n = []
+        for n in range(1, max_n + 1):
+            cand_vec = _reference_tfidf_vector(cand, n, df[n - 1], corpus_size)
+            ref_vec = _reference_tfidf_vector(ref, n, df[n - 1], corpus_size)
+            per_n.append(_reference_clipped_cosine(cand_vec, ref_vec) * penalty)
+        scores.append(10.0 * sum(per_n) / max_n)
+    return scores
+
+
+# Small vocabularies so n-grams repeat within and across sequences.
+_SEQ = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=60)
+_SEQ_WIDE = st.lists(st.integers(0, 40).map(str), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SEQ, _SEQ_WIDE), st.integers(1, 6))
+def test_ngram_counts_match_the_reference_in_key_order(tokens, n):
+    new, old = ngram_counts(tokens, n), _reference_ngram_counts(tokens, n)
+    assert new == old
+    assert list(new) == list(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SEQ, _SEQ_WIDE), st.one_of(_SEQ, _SEQ_WIDE))
+def test_lcs_length_matches_the_reference(a, b):
+    assert _lcs_length(a, b) == _reference_lcs_length(a, b)
+    assert _lcs_length(b, a) == _reference_lcs_length(a, b)
+
+
+@pytest.mark.parametrize("short_len", [63, 64, 65, 128, 130, 200])
+def test_lcs_length_matches_the_reference_past_one_machine_word(short_len):
+    # The shorter sequence sets the bit-vector width; these span more than
+    # one 64-bit word, with repeats, so carries cross word boundaries.
+    rng = random.Random(short_len)
+    for vocab in (2, 5, 50):
+        short = [str(rng.randrange(vocab)) for _ in range(short_len)]
+        long = [str(rng.randrange(vocab)) for _ in range(short_len + rng.randrange(40))]
+        assert _lcs_length(long, short) == _reference_lcs_length(long, short)
+        assert _lcs_length(short, short) == short_len
+        assert _lcs_length(short, list(reversed(short))) == _reference_lcs_length(
+            short, list(reversed(short))
+        )
+        assert _lcs_length(["x"] * short_len, short + ["x"]) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(_SEQ, _SEQ_WIDE), st.one_of(_SEQ, _SEQ_WIDE)),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_cider_d_matches_the_reference_exactly(pairs):
+    cands = [c for c, _ in pairs]
+    refs = [r for _, r in pairs]
+    assert cider_d_scores(cands, refs) == _reference_cider_d_scores(cands, refs)
+
+
+@pytest.mark.parametrize(
+    "cands, refs",
+    [
+        ([[]], [[]]),
+        ([["a", "a", "a"]], [["a", "a"]]),
+        ([[], ["a", "b"]], [["a", "b"], []]),
+        ([["a"] * 70, ["a", "b"] * 35], [["a", "b"] * 35, ["a"] * 70]),
+        ([["a", "b", "c"]] * 3, [["a", "b", "c"]] * 3),
+    ],
+)
+def test_cider_d_matches_the_reference_on_edge_corpora(cands, refs):
+    assert cider_d_scores(cands, refs) == _reference_cider_d_scores(cands, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +772,17 @@ def test_evaluate_generation_warns_on_empty_reference(caplog):
         doc = evaluate_generation(pairs, enabled=("bleu", "rouge_l"))
     assert any("empty reference" in r.message for r in caplog.records)
     assert doc["per_sample"][0]["rouge_l"] == 0.0
+
+
+def test_evaluate_generation_rolls_empty_references_into_one_warning(caplog):
+    pairs = [(f"r{i}", "a b", "" if i < 8 else "a b") for i in range(10)]
+    with caplog.at_level(logging.WARNING, logger="reportguide.metrics"):
+        evaluate_generation(pairs, enabled=("bleu",))
+    warnings = [r.message for r in caplog.records if "empty reference" in r.message]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("8 records")
+    assert "r0, r1, r2, r3, r4, ..." in warnings[0]
+    assert "r5" not in warnings[0]
 
 
 def test_evaluate_generation_counts_excluded_entity_samples(
