@@ -124,13 +124,12 @@ def adjust_logits(logits, frequencies, tau: float) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable in both tails: exp is only ever taken of a non-positive value.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Stable in both tails: exp is only ever taken of -|z|. The result is
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, since the
+    # numerator max(e^-|z|, sign z) is 1 for z > 0, e^-|z| for z < 0, 1 at
+    # z = 0 and NaN for NaN. Sign and max cost less than a mask and a where.
+    e = np.exp(np.copysign(z, -1.0))
+    return np.maximum(e, np.sign(z)) / (1.0 + e)
 
 
 def _batch_loss_grad(
@@ -151,12 +150,17 @@ def _batch_loss_grad(
     z = x @ params.weights.T + params.bias
     if shift is not None:
         z = z + shift
-    per_label = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
-    loss = float(per_label.sum() / (k * n))
+    loss = _mean_bce(z, y)
     dz = (_sigmoid(z) - y) / (k * n)
     grad_w = dz.T @ x
     grad_b = dz.sum(axis=0)
     return loss, grad_w, grad_b
+
+
+def _mean_bce(z: np.ndarray, y: np.ndarray) -> float:
+    n, k = y.shape
+    per_label = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
+    return float(per_label.sum() / (k * n))
 
 
 def bce_loss_and_grad(
@@ -177,6 +181,15 @@ def bce_loss_and_grad(
     return {"loss": loss, "grad_w": grad_w, "grad_b": grad_b}
 
 
+# Rows gathered per step of the fast loop: thousands at narrow widths, one
+# batch of 32 at d=1024, so the gather buffer stays about 256 KiB.
+_GATHER_BYTES = 1 << 18
+# The fast loop runs an epoch only if every logit stays within this sum over
+# batch_size * k: a batch's softplus terms, each at most |z| + log 2, then
+# add up to far below the float range, so its loss is finite.
+_SAFE_LOSS_SUM = 1e300
+
+
 def train(
     dataset: MLCDataset,
     features: FeatureMatrix,
@@ -188,6 +201,10 @@ def train(
     The same dataset, features, and config always produce bit-identical
     parameters: shuffling comes from one seeded generator and batches are
     accumulated in a fixed order.
+
+    A non-finite mean loss at any batch raises DivergenceError naming the
+    epoch and batch before that batch's update. The loss is computed only in
+    epochs that could reach one (see _epoch_stays_finite).
     """
     train_items = dataset.split_items("train")
     if not train_items:
@@ -207,38 +224,85 @@ def train(
     for i, item in enumerate(train_items):
         y_all[i, list(item.positives)] = 1.0
 
+    n, d = x_all.shape
+    # Weights and bias are views of one block, so one update moves both.
+    block = np.zeros((k, d + 1), dtype=np.float64)
     params = ClassifierParams(
-        weights=np.zeros((k, x_all.shape[1]), dtype=np.float64),
-        bias=np.zeros(k, dtype=np.float64),
+        weights=block[:, :d],
+        bias=block[:, d],
         frequencies=compute_frequencies(dataset),
         tau=config.tau,
         taxonomy_hash=taxonomy_fingerprint(dataset.taxonomy),
     )
+    grads = np.empty_like(block)
 
     # The shift is constant during training: computed once, added per batch.
     shift = _logit_shift(params.frequencies, params.tau) if config.adjustment == "on" else None
     rng = np.random.default_rng(config.seed)
-    n = x_all.shape[0]
+    bs, lr = config.batch_size, config.learning_rate
+    chunk = bs * max(1, _GATHER_BYTES // max(1, 8 * d * bs))
+    x_buf = np.empty((min(chunk, n), d))
+    y_buf = np.empty((min(chunk, n), k))
+    x_max = max(x_all.max(initial=0.0), -x_all.min(initial=0.0))
+    weights_t, bias, grad_w, grad_b = block[:, :d].T, block[:, d], grads[:, :d], grads[:, d]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        for batch_no, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
-            loss, grad_w, grad_b = _batch_loss_grad(
-                x_all[idx], y_all[idx], params, shift
-            )
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"training loss became non-finite at epoch {epoch}, batch {batch_no}; "
-                    f"lower the learning rate",
-                    epoch=epoch,
-                    batch=batch_no,
-                )
-            params.weights -= config.learning_rate * grad_w
-            params.bias -= config.learning_rate * grad_b
+        checked = not _epoch_stays_finite(params, shift, x_max, config, n)
+        for first in range(0, n, chunk):
+            # The indices are a permutation of range(n), so "clip" never
+            # clips; unlike the default mode it fills `out` without a copy.
+            taken = order[first : first + chunk]
+            x = np.take(x_all, taken, axis=0, out=x_buf[: len(taken)], mode="clip")
+            y = np.take(y_all, taken, axis=0, out=y_buf[: len(taken)], mode="clip")
+            for start in range(0, len(taken), bs):
+                xb, yb = x[start : start + bs], y[start : start + bs]
+                # _batch_loss_grad's float operations, in place.
+                z = xb @ weights_t
+                z += bias
+                if shift is not None:
+                    z += shift
+                if checked and not math.isfinite(_mean_bce(z, yb)):
+                    batch_no = (first + start) // bs
+                    raise DivergenceError(
+                        f"training loss became non-finite at epoch {epoch}, batch {batch_no}; "
+                        f"lower the learning rate",
+                        epoch=epoch,
+                        batch=batch_no,
+                    )
+                dz = _sigmoid(z)
+                dz -= yb
+                dz /= k * len(xb)
+                np.matmul(dz.T, xb, out=grad_w)
+                np.add.reduce(dz, axis=0, out=grad_b)
+                grads *= lr
+                block -= grads
 
+    params.weights, params.bias = block[:, :d].copy(), block[:, d].copy()
     if checkpoint_path is not None:
         save_checkpoint(params, checkpoint_path)
     return params
+
+
+def _epoch_stays_finite(params, shift, x_max: float, config: TrainConfig, n: int) -> bool:
+    """True when no batch of the coming epoch can have a non-finite loss.
+
+    While every logit is finite, |sigmoid - y| <= 1, so one update moves each
+    weight by at most lr * max|x| / k and each bias by at most lr / k. Over
+    the epoch's batches that bounds every logit; the factor 2 covers
+    rounding. A NaN or inf anywhere makes the bound fail, never pass, and so
+    does an empty head, whose mean loss is 0 / 0.
+    """
+    k, d = params.weights.shape
+    if k == 0:
+        return False
+    growth = config.learning_rate * -(-n // config.batch_size) / k
+    bound = 2.0 * (
+        d * x_max * (np.abs(params.weights).max(initial=0.0) + growth * x_max)
+        + np.abs(params.bias).max()
+        + growth
+        + (0.0 if shift is None else np.abs(shift).max())
+    )
+    return bool(bound <= _SAFE_LOSS_SUM / (config.batch_size * k))
 
 
 def predict(
@@ -266,26 +330,33 @@ def evaluate_mlc(
     items,
     features: FeatureMatrix,
     threshold: float = 0.5,
+    predicted: dict[str, tuple[int, ...]] | None = None,
 ) -> dict:
     """Macro and micro F1 over a list of annotated items.
 
     Per-label F1 comes from pooled TP/FP/FN counts; a label never predicted
-    and never present contributes 0 to the macro average.
+    and never present contributes 0 to the macro average. `predicted` maps
+    record ids to the positives `predict` already gave at this threshold;
+    an item it lacks is predicted here.
     """
     k = params.k
     tp = np.zeros(k, dtype=np.int64)
     fp = np.zeros(k, dtype=np.int64)
     fn = np.zeros(k, dtype=np.int64)
+    known = predicted or {}
     for item in items:
-        row = features.row_for_id(item.record_id)
-        if row is None:
-            raise TrainingError(f"record {item.record_id!r} has no feature row")
-        predicted = set(predict(params, row, threshold=threshold).positives)
+        positives = known.get(item.record_id)
+        if positives is None:
+            row = features.row_for_id(item.record_id)
+            if row is None:
+                raise TrainingError(f"record {item.record_id!r} has no feature row")
+            positives = predict(params, row, threshold=threshold).positives
+        predicted_set = set(positives)
         actual = set(item.positives)
         for j in range(k):
-            if j in predicted and j in actual:
+            if j in predicted_set and j in actual:
                 tp[j] += 1
-            elif j in predicted:
+            elif j in predicted_set:
                 fp[j] += 1
             elif j in actual:
                 fn[j] += 1

@@ -303,12 +303,16 @@ def _load_corpus(config: PipelineConfig) -> Corpus:
     return load_manifest(config.paths.manifest)
 
 
-def _load_corpus_and_features(config: PipelineConfig):
+def _features_path(config: PipelineConfig) -> str:
     if not config.paths.features:
         raise ConfigError("paths.features is required for this command")
+    return config.paths.features
+
+
+def _load_corpus_and_features(config: PipelineConfig):
+    path = _features_path(config)
     corpus = _load_corpus(config)
-    features = load_features(config.paths.features, corpus)
-    return corpus, features
+    return corpus, load_features(path, corpus)
 
 
 def _load_stage1(config: PipelineConfig, corpus: Corpus):
@@ -389,12 +393,14 @@ def cmd_predict(config: PipelineConfig, force: bool = False) -> None:
     split = config.guidance.split
     threshold = config.guidance.threshold
 
+    predicted: dict[str, tuple[int, ...]] = {}
     with open(workdir / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for rec in sorted(corpus.split(split), key=lambda r: r.id):
             row = features.row_for_id(rec.id)
             if row is None:
                 raise DataError(f"record {rec.id!r} has no feature row")
             pred = classifier_mod.predict(params, row, threshold=threshold)
+            predicted[rec.id] = pred.positives
             fh.write(
                 json.dumps(
                     {
@@ -406,7 +412,9 @@ def cmd_predict(config: PipelineConfig, force: bool = False) -> None:
                 + "\n"
             )
     split_items = dataset.split_items(split)
-    scores = classifier_mod.evaluate_mlc(params, split_items, features, threshold=threshold)
+    scores = classifier_mod.evaluate_mlc(
+        params, split_items, features, threshold=threshold, predicted=predicted
+    )
     (workdir / "mlc_metrics.json").write_text(
         json.dumps(scores, indent=2) + "\n", encoding="utf-8"
     )
@@ -433,7 +441,7 @@ def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = F
     params = None
     features = None
     if any(s == "pred" for _, s in cells):
-        corpus, features = _load_corpus_and_features(config)
+        features = load_features(_features_path(config), corpus)
         params, _, dataset = _load_checkpoint_bound(config, corpus)
     else:
         _, dataset = _load_stage1(config, corpus)

@@ -92,15 +92,18 @@ def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
         images_raw = obj.get("images", [])
         if not isinstance(images_raw, list):
             raise ManifestError(f"manifest line {lineno}: images must be an array")
-        images = tuple(
-            ImageRef(path=str(img.get("path", "")), modality=str(img.get("modality", "")))
-            for img in images_raw
-        )
+        try:
+            images = [
+                ImageRef(str(img.get("path", "")), str(img.get("modality", "")))
+                for img in images_raw
+            ]
+        except AttributeError:  # a JSON value other than an object has no .get
+            raise ManifestError("every images entry must be a JSON object") from None
         return ReportRecord(
-            id=str(obj.get("id", "")),
-            split=str(obj.get("split", "")),
-            report=str(obj.get("report", "")),
-            images=images,
+            str(obj.get("id", "")),
+            str(obj.get("split", "")),
+            str(obj.get("report", "")),
+            tuple(images),
         )
     except ManifestError as exc:
         raise ManifestError(f"manifest line {lineno}: {exc}") from exc
@@ -115,7 +118,7 @@ def load_manifest(path: str | Path) -> Corpus:
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 obj = json.loads(line)

@@ -292,6 +292,7 @@ def _labels_for(
     params: ClassifierParams | None,
     features: FeatureMatrix | None,
     threshold: float,
+    predicted: dict[str, tuple[int, ...]],
 ) -> tuple[int, ...]:
     if mode == "image_only":
         return ()
@@ -306,10 +307,13 @@ def _labels_for(
         raise PrerequisiteError(
             "predicted labels need a trained checkpoint and features; run the train stage"
         )
-    row = features.row_for_id(record.id)
-    if row is None:
-        raise PrerequisiteError(f"record {record.id!r} has no feature row")
-    return predict(params, row, threshold=threshold).positives
+    positives = predicted.get(record.id)
+    if positives is None:
+        row = features.row_for_id(record.id)
+        if row is None:
+            raise PrerequisiteError(f"record {record.id!r} has no feature row")
+        positives = predicted[record.id] = predict(params, row, threshold=threshold).positives
+    return positives
 
 
 def run_generation(
@@ -323,17 +327,22 @@ def run_generation(
     threshold: float = 0.5,
     split: str = "test",
     out_path: str | Path | None = None,
+    predicted: dict[str, tuple[int, ...]] | None = None,
 ) -> list[dict]:
     """Generate reports for one (mode, label source) cell of the ablation.
 
     Output rows are ordered by record id. Each row carries the prompt that
     produced it so downstream evaluation never has to re-derive prompts.
+    `predicted` caches each record's predicted positives by id; cells that
+    share one (as run_ablation's do) predict each record once.
     """
     vectors = dataset.by_id()
+    if predicted is None:
+        predicted = {}
     rows: list[dict] = []
     for rec in sorted(corpus.split(split), key=lambda r: r.id):
         positives = _labels_for(
-            rec, mode, label_source, vectors, params, features, threshold
+            rec, mode, label_source, vectors, params, features, threshold, predicted
         )
         prompt = serialize_labels(
             positives,
@@ -377,6 +386,7 @@ def run_ablation(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, str] = {}
+    predicted: dict[str, tuple[int, ...]] = {}
     for mode, source in ABLATION_MODES:
         path = out / generated_filename(mode, source)
         run_generation(
@@ -390,6 +400,7 @@ def run_ablation(
             threshold=threshold,
             split=split,
             out_path=path,
+            predicted=predicted,
         )
         paths[mode_tag(mode, source)] = str(path)
     return paths

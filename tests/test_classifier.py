@@ -7,14 +7,19 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reportguide import classifier
 from reportguide.bootstrap import AnnotatedItem, LabelEntry, LabelTaxonomy, MLCDataset
 from reportguide.classifier import (
     ClassifierParams,
     TrainConfig,
+    _logit_shift,
     _sigmoid,
     adjust_logits,
     bce_loss_and_grad,
@@ -425,6 +430,258 @@ def test_divergence_reports_epoch_and_batch():
     assert excinfo.value.batch == 1
 
 
+# The training loop as it was before the loss left the hot path: the mean BCE
+# of every batch is computed and checked, each batch is fancy-indexed, and the
+# sigmoid has two masked branches. The current trainer must match its weights
+# bit for bit, and raise DivergenceError exactly where it raises.
+
+
+def _masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    # Stable in both tails: exp is only ever taken of a non-positive value.
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_batch_loss_grad(x, y, params, shift):
+    n, k = y.shape
+    z = x @ params.weights.T + params.bias
+    if shift is not None:
+        z = z + shift
+    per_label = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
+    loss = float(per_label.sum() / (k * n))
+    dz = (_masked_sigmoid(z) - y) / (k * n)
+    grad_w = dz.T @ x
+    grad_b = dz.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def _reference_train(dataset, features, config):
+    train_items = dataset.split_items("train")
+    if not train_items:
+        raise TrainingError("dataset has no training items")
+
+    rows = []
+    for item in train_items:
+        row = features.row_for_id(item.record_id)
+        if row is None:
+            raise TrainingError(
+                f"training record {item.record_id!r} has no feature row"
+            )
+        rows.append(row)
+    x_all = np.asarray(rows, dtype=np.float64)
+    k = len(dataset.taxonomy)
+    y_all = np.zeros((len(train_items), k), dtype=np.float64)
+    for i, item in enumerate(train_items):
+        y_all[i, list(item.positives)] = 1.0
+
+    params = ClassifierParams(
+        weights=np.zeros((k, x_all.shape[1]), dtype=np.float64),
+        bias=np.zeros(k, dtype=np.float64),
+        frequencies=compute_frequencies(dataset),
+        tau=config.tau,
+        taxonomy_hash="t",
+    )
+
+    # The shift is constant during training: computed once, added per batch.
+    shift = _logit_shift(params.frequencies, params.tau) if config.adjustment == "on" else None
+    rng = np.random.default_rng(config.seed)
+    n = x_all.shape[0]
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        for batch_no, start in enumerate(range(0, n, config.batch_size)):
+            idx = order[start : start + config.batch_size]
+            loss, grad_w, grad_b = _reference_batch_loss_grad(
+                x_all[idx], y_all[idx], params, shift
+            )
+            if not math.isfinite(loss):
+                raise DivergenceError(
+                    f"training loss became non-finite at epoch {epoch}, batch {batch_no}; "
+                    f"lower the learning rate",
+                    epoch=epoch,
+                    batch=batch_no,
+                )
+            params.weights -= config.learning_rate * grad_w
+            params.bias -= config.learning_rate * grad_b
+    return params
+
+
+def _random_problem(n, d, k, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 30.0], size=d)
+    items = [
+        AnnotatedItem(
+            f"r{i:03d}", "train", tuple(j for j in range(k) if rng.random() < 0.3)
+        )
+        for i in range(n)
+    ]
+    return _dataset(k, items), _features(x, [f"r{i:03d}" for i in range(n)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 45),
+    d=st.integers(1, 7),
+    k=st.integers(1, 4),
+    batch_size=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.floats(0.0, 3.0),
+    adjustment=st.sampled_from(["on", "off"]),
+    learning_rate=st.sampled_from([1e-3, 0.05, 0.5, 4.0]),
+    epochs=st.integers(1, 4),
+    checked=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_training_matches_the_per_batch_loss_loop_bit_for_bit(
+    n, d, k, batch_size, seed, tau, adjustment, learning_rate, epochs, checked
+):
+    dataset, features = _random_problem(n, d, k, seed)
+    config = TrainConfig(
+        learning_rate=learning_rate,
+        epochs=epochs,
+        batch_size=batch_size,
+        seed=seed,
+        tau=tau,
+        adjustment=adjustment,
+    )
+    reference = _reference_train(dataset, features, config)
+    params = train(dataset, features, config)
+    assert np.array_equal(params.weights, reference.weights)
+    assert np.array_equal(params.bias, reference.bias)
+    # Epochs that take the checked, loss-computing loop must leave the same
+    # weights, wherever they fall among the fast ones.
+    verdicts = iter(checked)
+    with mock.patch.object(classifier, "_epoch_stays_finite", lambda *a: next(verdicts)):
+        mixed = train(dataset, features, config)
+    assert np.array_equal(mixed.weights, reference.weights)
+    assert np.array_equal(mixed.bias, reference.bias)
+
+
+def _divergence_case(xs, positives, learning_rate, batch_size, seed, adjustment):
+    k = 1 + max((j for p in positives for j in p), default=0)
+    items = [AnnotatedItem(f"r{i}", "train", p) for i, p in enumerate(positives)]
+    dataset = _dataset(k, items)
+    features = _features(xs, [f"r{i}" for i in range(len(xs))])
+    config = TrainConfig(
+        learning_rate=learning_rate,
+        epochs=3,
+        batch_size=batch_size,
+        seed=seed,
+        adjustment=adjustment,
+    )
+    return dataset, features, config
+
+
+@pytest.mark.parametrize(
+    "case, where",
+    [
+        # The weight stays a finite 5e305, but every logit overflows from the
+        # second batch on, so the loss is NaN there.
+        (([[1000.0], [1000.0]], [(0,), (0,)], 2e303, 1, 0, "on"), (0, 1)),
+        # One batch per epoch: the first update overflows the weight, and the
+        # loss first sees it in the second epoch.
+        (([[1000.0], [2.0]], [(0,), (0,)], 1.5e308, 2, 3, "on"), (1, 0)),
+        # Finite logits near 1e308 whose loss terms sum past the float range.
+        (([[-1.0], [-1.0], [1.0], [-3.0]], [(), (), (), (0,)], 1.5e308, 2, 2, "off"), (0, 1)),
+        # The same, first reached in the third epoch.
+        (([[1000.0], [-1000.0], [-1000.0]], [(), (), (0,)], 1e303, 3, 2, "off"), (2, 0)),
+    ],
+)
+def test_divergence_is_raised_where_the_per_batch_loss_loop_raises(case, where):
+    dataset, features, config = _divergence_case(*case)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as expected:
+            _reference_train(dataset, features, config)
+        with pytest.raises(DivergenceError) as excinfo:
+            train(dataset, features, config)
+    assert (expected.value.epoch, expected.value.batch) == where
+    assert (excinfo.value.epoch, excinfo.value.batch) == where
+    assert str(excinfo.value) == str(expected.value)
+
+
+def test_large_but_finite_training_matches_the_reference():
+    # A learning rate near the bound's limit: some epochs pass the a-priori
+    # check and run fast, others fail it and run checked, and the run never
+    # diverges.
+    dataset, features = _random_problem(6, 1, 1, 4)
+    config = TrainConfig(
+        learning_rate=1.99e298, epochs=6, batch_size=2, seed=1, adjustment="off"
+    )
+    verdicts = []
+    real = classifier._epoch_stays_finite
+
+    def recording(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    with np.errstate(all="ignore"), mock.patch.object(classifier, "_epoch_stays_finite", recording):
+        params = train(dataset, features, config)
+        reference = _reference_train(dataset, features, config)
+    assert True in verdicts and False in verdicts
+    assert np.array_equal(params.weights, reference.weights)
+    assert np.array_equal(params.bias, reference.bias)
+
+
+@pytest.mark.parametrize("adjustment", ["on", "off"])
+def test_zero_width_features_train_the_bias_as_the_reference_does(adjustment):
+    items = [AnnotatedItem(f"r{i}", "train", p) for i, p in enumerate([(0,), (), (0, 1)])]
+    dataset = _dataset(2, items)
+    features = _features(np.zeros((3, 0)), ["r0", "r1", "r2"])
+    config = TrainConfig(learning_rate=0.5, epochs=3, batch_size=2, adjustment=adjustment)
+    params = train(dataset, features, config)
+    reference = _reference_train(dataset, features, config)
+    assert params.weights.shape == (2, 0)
+    assert np.array_equal(params.bias, reference.bias)
+
+
+def test_empty_taxonomy_diverges_where_the_reference_does():
+    # An empty head's mean loss is 0 / 0 at the first batch.
+    items = [AnnotatedItem(f"r{i}", "train", ()) for i in range(3)]
+    dataset = _dataset(0, items)
+    features = _features([[1.0], [2.0], [3.0]], ["r0", "r1", "r2"])
+    config = TrainConfig(learning_rate=0.5, epochs=2, batch_size=2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as expected:
+            _reference_train(dataset, features, config)
+        with pytest.raises(DivergenceError) as excinfo:
+            train(dataset, features, config)
+    assert (excinfo.value.epoch, excinfo.value.batch) == (expected.value.epoch, expected.value.batch)
+    assert str(excinfo.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "weights, bias",
+    [([[math.nan]], [0.0]), ([[0.0]], [math.inf]), ([[1e308]], [0.0])],
+)
+def test_epoch_bound_fails_on_non_finite_or_huge_parameters(weights, bias):
+    params = _params(weights, bias)
+    config = TrainConfig(learning_rate=1e-2, batch_size=4)
+    with np.errstate(all="ignore"):
+        assert not classifier._epoch_stays_finite(params, None, 1.0, config, 8)
+    assert classifier._epoch_stays_finite(_params([[1.0]]), None, 1.0, config, 8)
+
+
+SIGMOID_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 745.0, -745.0, 710.0, -710.0, 5e-324, -5e-324, 1e-300, 37.0, -37.0]
+
+
+@pytest.mark.parametrize("z", SIGMOID_EDGES)
+def test_sigmoid_matches_the_masked_version_at_edges(z):
+    with np.errstate(all="ignore"):
+        got = _sigmoid(np.array([z]))
+        want = _masked_sigmoid(np.array([z]))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_sigmoid_matches_the_masked_version(values):
+    z = np.array(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_sigmoid(z), _masked_sigmoid(z), equal_nan=True)
+
+
 def test_half_frequency_labels_train_identically_with_or_without_adjustment():
     # The adjustment shift is exactly zero at p = 0.5, and each label's
     # weight row sees only its own logits, so the rows of exactly-half
@@ -534,6 +791,22 @@ def test_evaluate_mlc_absent_label_scores_zero():
     by_index = {e["index"]: e for e in result["per_label"]}
     assert by_index[1]["f1"] == 0.0
     assert result["macro_f1"] == pytest.approx(0.5)
+
+
+def test_evaluate_mlc_scores_given_predictions_and_predicts_the_rest():
+    dataset, features = _separable_setup()
+    params = train(dataset, features, TrainConfig(learning_rate=0.5, epochs=3, batch_size=4))
+    fresh = evaluate_mlc(params, dataset.items, features, threshold=0.4)
+    half = {
+        item.record_id: predict(params, features.row_for_id(item.record_id), 0.4).positives
+        for item in dataset.items[::2]
+    }
+    assert evaluate_mlc(params, dataset.items, features, 0.4, predicted=half) == fresh
+    # Given positives are taken as they are, not predicted again.
+    wrong = {item.record_id: () for item in dataset.items}
+    assert evaluate_mlc(params, dataset.items, features, predicted=wrong)["micro_f1"] == 0.0
+    with pytest.raises(TrainingError, match="absent"):
+        evaluate_mlc(params, [AnnotatedItem("absent", "test", ())], features, predicted=half)
 
 
 def test_evaluate_mlc_missing_row_raises():

@@ -450,6 +450,9 @@ def _append_line(name, line):
          "predict", "label 0: index must be an integer"),
         (_edit_json("taxonomy.json", lambda d: d["labels"][0].__setitem__("name", 7)),
          "train", "label 0: name must be a string"),
+        (_append_line("../data/manifest.jsonl",
+                      '{"id": "x1", "split": "train", "report": "x", "images": ["p.png"]}'),
+         "train", "manifest line 13: every images entry must be a JSON object"),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
@@ -540,6 +543,45 @@ def test_pipeline_end_to_end_produces_every_artifact(mini):
     assert metrics["config"]["mode"] == "image_and_label"
     assert metrics["corpus"]["entity_f1"] == 1.0
     assert len(metrics["per_sample"]) == 2
+
+
+def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
+    mini, monkeypatch
+):
+    from reportguide import classifier, cli, guidance
+
+    assert main(["bootstrap", "--config", mini["config"]]) == 0
+    assert main(["train", "--config", mini["config"]]) == 0
+    calls = {"load_manifest": 0, "predict": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_manifest", counting("load_manifest", cli.load_manifest))
+    predict = counting("predict", classifier.predict)
+    monkeypatch.setattr(classifier, "predict", predict)
+    monkeypatch.setattr(guidance, "predict", predict)
+    test_rows = 2
+
+    assert main(["predict", "--config", mini["config"]]) == 0
+    assert calls == {"load_manifest": 1, "predict": test_rows}
+    workdir = mini["workdir"]
+    params = classifier.load_checkpoint(workdir / "checkpoint.json")
+    config = load_config(mini["config"], [])
+    corpus = cli.load_manifest(config.paths.manifest)
+    features = cli.load_features(config.paths.features, corpus)
+    _, dataset = cli._load_stage1(config, corpus)
+    fresh = classifier.evaluate_mlc(params, dataset.split_items("test"), features)
+    assert (workdir / "mlc_metrics.json").read_text(encoding="utf-8") == (
+        json.dumps(fresh, indent=2) + "\n"
+    )
+
+    calls.update(load_manifest=0, predict=0)
+    assert main(["generate", "--config", mini["config"], "--ablation"]) == 0
+    assert calls == {"load_manifest": 1, "predict": test_rows}
 
 
 def test_meta_records_the_effective_config_fingerprint(mini):

@@ -146,6 +146,50 @@ def test_load_manifest_reports_line_of_invalid_record(tmp_path):
         load_manifest(path)
 
 
+_GOOD_LINE = '{"id": "b", "split": "val", "report": "two", "images": [{"path": "p.png"}]}'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "\ufeff" + _GOOD_LINE,  # a byte-order mark is not JSON whitespace
+        _GOOD_LINE + " {}",  # Extra data
+        _GOOD_LINE[:-1],  # truncated
+        "{" + _GOOD_LINE,
+        "{}}",
+        "[1, 2",
+        "nul",
+        '{"id": "b", "report": "\x01"}',  # a raw control character
+    ],
+)
+def test_load_manifest_words_invalid_json_as_json_loads_does(tmp_path, line):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(
+        '{"id": "a", "split": "train", "report": "ok", "images": []}\n' + line + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(line + "\n")
+    with pytest.raises(ManifestError) as excinfo:
+        load_manifest(path)
+    assert str(excinfo.value) == f"manifest line 2: invalid JSON: {expected.value}"
+
+
+@pytest.mark.parametrize("image", ['"p.png"', "1", "null", "[]", "true"])
+def test_load_manifest_rejects_an_images_entry_that_is_not_an_object(tmp_path, image):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(
+        '{"id": "a", "split": "train", "report": "ok", "images": []}\n'
+        f'{{"id": "b", "split": "train", "report": "x", "images": [{{}}, {image}]}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ManifestError) as excinfo:
+        load_manifest(path)
+    assert str(excinfo.value) == (
+        "manifest line 2: every images entry must be a JSON object"
+    )
+
+
 def test_load_manifest_skips_blank_lines(tmp_path):
     path = tmp_path / "manifest.jsonl"
     path.write_text(

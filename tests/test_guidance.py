@@ -549,3 +549,42 @@ def test_ablation_gt_and_pred_prompts_agree_for_a_perfect_head(synth, tmp_path):
     pred_rows = load_generated(paths["image_and_label-pred"])
     assert [r["prompt"] for r in gt_rows] == [r["prompt"] for r in pred_rows]
     assert [r["report"] for r in gt_rows] == [r["report"] for r in pred_rows]
+
+
+def test_ablation_predicts_each_record_once_and_writes_what_single_cells_write(
+    synth, tmp_path, monkeypatch
+):
+    from reportguide import guidance
+
+    dataset = _gt_dataset_over(synth)
+    params = _identity_params_over(synth)
+    calls = []
+    real_predict = guidance.predict
+
+    def counting_predict(params_, row, threshold=0.5):
+        calls.append(threshold)
+        return real_predict(params_, row, threshold=threshold)
+
+    monkeypatch.setattr(guidance, "predict", counting_predict)
+    paths = run_ablation(
+        synth.corpus,
+        dataset,
+        GeneratorConfig(backend="mock"),
+        params=params,
+        features=synth.features,
+        out_dir=tmp_path / "ablation",
+    )
+    assert len(calls) == len(synth.corpus.split("test"))
+    for mode, source in ABLATION_MODES:
+        single = tmp_path / generated_filename(mode, source)
+        run_generation(
+            synth.corpus,
+            dataset,
+            mode,
+            source,
+            GeneratorConfig(backend="mock"),
+            params=params,
+            features=synth.features,
+            out_path=single,
+        )
+        assert single.read_bytes() == (tmp_path / "ablation" / single.name).read_bytes()
