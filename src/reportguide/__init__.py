@@ -7,58 +7,4 @@ then serialize the labels into guidance prompts for report generation and
 score the results.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
-
-from .bootstrap import (
-    BootstrapConfig,
-    LabelEntry,
-    LabelTaxonomy,
-    MLCDataset,
-    annotate_report,
-    audit_taxonomy,
-    bootstrap_dataset,
-    extract_batch_labels,
-    filter_labels,
-    merge_label_sets,
-)
-from .classifier import (
-    ClassifierParams,
-    TrainConfig,
-    adjust_logits,
-    bce_loss_and_grad,
-    compute_frequencies,
-    evaluate_mlc,
-    predict,
-    train,
-)
-from .corpus import (
-    Corpus,
-    FeatureMatrix,
-    ImageRef,
-    ReportRecord,
-    load_features,
-    load_manifest,
-    save_features,
-    save_manifest,
-)
-from .gateway import ChatRequest, ChatResponse, GatewayConfig, complete, estimate_tokens
-from .guidance import (
-    GeneratorConfig,
-    GuidancePrompt,
-    export_sft,
-    generate_report,
-    run_ablation,
-    serialize_labels,
-)
-from .metrics import (
-    bleu_scores,
-    cider_d_scores,
-    entity_overlap,
-    evaluate_generation,
-    meteor_sample,
-    rouge_l_sample,
-    tokenize,
-)
-from .synthetic import build_synthetic_corpus, write_synthetic_corpus

@@ -27,6 +27,7 @@ from .errors import (
     MergeBudgetError,
     MergeProgressError,
 )
+from .fileio import write_atomic
 from .gateway import (
     ChatRequest,
     GatewayConfig,
@@ -492,7 +493,7 @@ def taxonomy_to_json(taxonomy: LabelTaxonomy) -> str:
 
 
 def save_taxonomy(taxonomy: LabelTaxonomy, path: str | Path) -> None:
-    Path(path).write_text(taxonomy_to_json(taxonomy), encoding="utf-8")
+    write_atomic(path, taxonomy_to_json(taxonomy))
 
 
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:
@@ -541,12 +542,13 @@ def taxonomy_fingerprint(taxonomy: LabelTaxonomy) -> str:
 
 
 def save_labels(dataset: MLCDataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in dataset.items:
-            fh.write(
-                json.dumps({"id": item.record_id, "positives": list(item.positives)})
-                + "\n"
-            )
+    write_atomic(
+        path,
+        "".join(
+            json.dumps({"id": item.record_id, "positives": list(item.positives)}) + "\n"
+            for item in dataset.items
+        ),
+    )
 
 
 def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> MLCDataset:

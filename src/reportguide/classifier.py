@@ -19,6 +19,7 @@ import numpy as np
 from .bootstrap import MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
 from .errors import ConfigError, DivergenceError, TrainingError
+from .fileio import write_atomic
 from .schema import check_fields
 
 CHECKPOINT_VERSION = 1
@@ -204,7 +205,9 @@ def train(
 
     A non-finite mean loss at any batch raises DivergenceError naming the
     epoch and batch before that batch's update. The loss is computed only in
-    epochs that could reach one (see _epoch_stays_finite).
+    epochs that could reach one (see _epoch_stays_finite). A weight or bias
+    left non-finite by the last update raises DivergenceError naming that
+    update's epoch and batch, before any checkpoint is written.
     """
     train_items = dataset.split_items("train")
     if not train_items:
@@ -277,6 +280,16 @@ def train(
                 grads *= lr
                 block -= grads
 
+    # A non-finite parameter makes the next batch's loss non-finite, so only
+    # the very last update can leave one unreported.
+    if not np.isfinite(block).all():
+        epoch, batch_no = config.epochs - 1, -(-n // bs) - 1
+        raise DivergenceError(
+            f"training parameters became non-finite at epoch {epoch}, batch {batch_no}; "
+            f"lower the learning rate",
+            epoch=epoch,
+            batch=batch_no,
+        )
     params.weights, params.bias = block[:, :d].copy(), block[:, d].copy()
     if checkpoint_path is not None:
         save_checkpoint(params, checkpoint_path)
@@ -411,7 +424,7 @@ def checkpoint_to_json(params: ClassifierParams) -> str:
 
 
 def save_checkpoint(params: ClassifierParams, path: str | Path) -> None:
-    Path(path).write_text(checkpoint_to_json(params), encoding="utf-8")
+    write_atomic(path, checkpoint_to_json(params))
 
 
 _CHECKPOINT_KEYS = ("k", "d", "tau", "taxonomy_hash", "frequencies", "bias", "weights")

@@ -38,6 +38,7 @@ from .errors import (
     PipelineError,
     PrerequisiteError,
 )
+from .fileio import write_atomic
 from .gateway import GatewayConfig
 from .guidance import GeneratorConfig
 from .schema import check_fields
@@ -294,9 +295,7 @@ def _write_meta(workdir: Path, command: str, config: PipelineConfig, started: fl
         "started_unix": round(started, 3),
         "finished_unix": round(time.time(), 3),
     }
-    (meta_dir / f"{command}.json").write_text(
-        json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(meta_dir / f"{command}.json", json.dumps(doc, indent=2) + "\n")
 
 
 def _load_corpus(config: PipelineConfig) -> Corpus:
@@ -344,9 +343,7 @@ def cmd_bootstrap(config: PipelineConfig, force: bool = False) -> None:
         out_dir=workdir,
     )
     audit = bootstrap_mod.audit_taxonomy(dataset)
-    (workdir / "audit.json").write_text(
-        json.dumps(audit, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(workdir / "audit.json", json.dumps(audit, ensure_ascii=False, indent=2) + "\n")
     _write_meta(workdir, "bootstrap", config, started)
     logger.info(
         "bootstrap: %d labels, %d annotated records, %d skipped",
@@ -394,30 +391,29 @@ def cmd_predict(config: PipelineConfig, force: bool = False) -> None:
     threshold = config.guidance.threshold
 
     predicted: dict[str, tuple[int, ...]] = {}
-    with open(workdir / "predictions.jsonl", "w", encoding="utf-8") as fh:
-        for rec in sorted(corpus.split(split), key=lambda r: r.id):
-            row = features.row_for_id(rec.id)
-            if row is None:
-                raise DataError(f"record {rec.id!r} has no feature row")
-            pred = classifier_mod.predict(params, row, threshold=threshold)
-            predicted[rec.id] = pred.positives
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "positives": list(pred.positives),
-                        "probs": [float(p) for p in pred.probabilities],
-                    }
-                )
-                + "\n"
+    lines: list[str] = []
+    for rec in sorted(corpus.split(split), key=lambda r: r.id):
+        row = features.row_for_id(rec.id)
+        if row is None:
+            raise DataError(f"record {rec.id!r} has no feature row")
+        pred = classifier_mod.predict(params, row, threshold=threshold)
+        predicted[rec.id] = pred.positives
+        lines.append(
+            json.dumps(
+                {
+                    "id": rec.id,
+                    "positives": list(pred.positives),
+                    "probs": [float(p) for p in pred.probabilities],
+                }
             )
+            + "\n"
+        )
+    write_atomic(workdir / "predictions.jsonl", "".join(lines))
     split_items = dataset.split_items(split)
     scores = classifier_mod.evaluate_mlc(
         params, split_items, features, threshold=threshold, predicted=predicted
     )
-    (workdir / "mlc_metrics.json").write_text(
-        json.dumps(scores, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(workdir / "mlc_metrics.json", json.dumps(scores, indent=2) + "\n")
     _write_meta(workdir, "predict", config, started)
     logger.info(
         "predict: split=%s macro_f1=%.4f micro_f1=%.4f",
@@ -446,18 +442,13 @@ def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = F
     else:
         _, dataset = _load_stage1(config, corpus)
 
-    common = dict(params=params, features=features, threshold=g.threshold, split=g.split)
-    if ablation:
-        written = list(
-            guidance_mod.run_ablation(corpus, dataset, g.generator, **common, out_dir=workdir).values()
-        )
-    else:
-        mode, source = g.cell
-        written = [workdir / guidance_mod.generated_filename(mode, source)]
+    predicted: dict[str, tuple[int, ...]] = {}  # shared, so each row is predicted once
+    for mode, source in cells:
+        path = workdir / guidance_mod.generated_filename(mode, source)
         guidance_mod.run_generation(
-            corpus, dataset, mode, source, g.generator, **common, out_path=written[0]
+            corpus, dataset, mode, source, g.generator, params=params, features=features,
+            threshold=g.threshold, split=g.split, out_path=path, predicted=predicted,
         )
-    for path in written:
         logger.info("generate: wrote %s", path)
     _write_meta(workdir, "generate", config, started)
 
@@ -494,8 +485,8 @@ def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
             "enabled": list(config.metrics.enabled),
         },
     )
-    (workdir / "metrics.json").write_text(
-        json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+    write_atomic(
+        workdir / "metrics.json", json.dumps(report, ensure_ascii=False, indent=2) + "\n"
     )
     _write_meta(workdir, "evaluate", config, started)
     logger.info("evaluate: wrote %s", workdir / "metrics.json")

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FeatureFormatError, FeatureValidationError, ManifestError
+from .fileio import write_atomic
 
 SPLITS = ("train", "val", "test")
 
@@ -91,7 +92,7 @@ def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
     try:
         images_raw = obj.get("images", [])
         if not isinstance(images_raw, list):
-            raise ManifestError(f"manifest line {lineno}: images must be an array")
+            raise ManifestError("images must be an array")
         try:
             images = [
                 ImageRef(str(img.get("path", "")), str(img.get("modality", "")))
@@ -137,15 +138,16 @@ def save_manifest(corpus: Corpus, path: str | Path) -> None:
 
     save(load(p)) reproduces a canonically written file byte for byte.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in corpus.records:
-            obj = {
-                "id": rec.id,
-                "split": rec.split,
-                "report": rec.report,
-                "images": [{"path": im.path, "modality": im.modality} for im in rec.images],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    lines = []
+    for rec in corpus.records:
+        obj = {
+            "id": rec.id,
+            "split": rec.split,
+            "report": rec.report,
+            "images": [{"path": im.path, "modality": im.modality} for im in rec.images],
+        }
+        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_atomic(path, "".join(lines))
 
 
 @dataclass
@@ -196,13 +198,8 @@ def _sidecar_path(path: str | Path) -> Path:
 def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
     values = np.ascontiguousarray(matrix.values, dtype="<f4")
     rows, cols = values.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", rows, cols))
-        fh.write(values.tobytes(order="C"))
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        for rid in matrix.row_ids:
-            fh.write(rid + "\n")
+    write_atomic(path, FEATURE_MAGIC + struct.pack("<II", rows, cols) + values.tobytes(order="C"))
+    write_atomic(_sidecar_path(path), "".join(rid + "\n" for rid in matrix.row_ids))
 
 
 def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatrix:

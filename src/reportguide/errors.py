@@ -88,9 +88,5 @@ class GeneratedFileError(DataError):
     """A generated-report file has a line that is not valid JSON or not a JSON object."""
 
 
-class ExportError(DataError):
-    """Fine-tuning export hit a record that cannot be serialized."""
-
-
 class PrerequisiteError(PipelineError):
     """A CLI stage was invoked before the stage that produces its inputs."""

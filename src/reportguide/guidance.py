@@ -19,11 +19,11 @@ from .classifier import ClassifierParams, predict
 from .corpus import Corpus, FeatureMatrix, ReportRecord
 from .errors import (
     ConfigError,
-    ExportError,
     GeneratedFileError,
     GenerationError,
     PrerequisiteError,
 )
+from .fileio import write_atomic
 from .gateway import ChatRequest, GatewayConfig, complete
 from .schema import check_fields
 
@@ -112,46 +112,6 @@ def serialize_labels(
         text=text,
         image_paths=image_paths,
     )
-
-
-# ---------------------------------------------------------------------------
-# Fine-tuning export
-# ---------------------------------------------------------------------------
-
-
-def export_sft(
-    dataset: MLCDataset,
-    corpus: Corpus,
-    mode: str = "image_and_label",
-    out_path: str | Path | None = None,
-) -> list[dict]:
-    """Build instruction-tuning rows for the training split.
-
-    Prompts come from ground-truth labels; targets are the reference
-    reports. Rows are ordered by record id so exports are reproducible.
-    """
-    vectors = dataset.by_id()
-    rows: list[dict] = []
-    for rec in sorted(corpus.split("train"), key=lambda r: r.id):
-        item = vectors.get(rec.id)
-        if item is None:
-            raise ExportError(f"training record {rec.id!r} has no label vector")
-        prompt = serialize_labels(
-            item.positives, dataset.taxonomy, mode=mode, label_source="gt", record=rec
-        )
-        rows.append(
-            {
-                "id": rec.id,
-                "prompt": prompt.text,
-                "images": [im.path for im in rec.images],
-                "target": rec.report,
-            }
-        )
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +223,7 @@ def generate_report(
 
 
 # ---------------------------------------------------------------------------
-# Ablation runner
+# Generation over the ablation grid
 # ---------------------------------------------------------------------------
 
 # The full ablation grid: prompt mode paired with where labels come from.
@@ -334,7 +294,7 @@ def run_generation(
     Output rows are ordered by record id. Each row carries the prompt that
     produced it so downstream evaluation never has to re-derive prompts.
     `predicted` caches each record's predicted positives by id; cells that
-    share one (as run_ablation's do) predict each record once.
+    share one (as `generate --ablation`'s do) predict each record once.
     """
     vectors = dataset.by_id()
     if predicted is None:
@@ -362,48 +322,8 @@ def run_generation(
             }
         )
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        write_atomic(out_path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
     return rows
-
-
-def run_ablation(
-    corpus: Corpus,
-    dataset: MLCDataset,
-    generator: GeneratorConfig,
-    params: ClassifierParams | None = None,
-    features: FeatureMatrix | None = None,
-    threshold: float = 0.5,
-    split: str = "test",
-    out_dir: str | Path = ".",
-) -> dict[str, str]:
-    """Run every (mode, label source) combination over one split.
-
-    Writes one generated-<mode>.jsonl file per combination and returns a
-    map from mode tag to file path. All files cover the same records.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, str] = {}
-    predicted: dict[str, tuple[int, ...]] = {}
-    for mode, source in ABLATION_MODES:
-        path = out / generated_filename(mode, source)
-        run_generation(
-            corpus,
-            dataset,
-            mode,
-            source,
-            generator,
-            params=params,
-            features=features,
-            threshold=threshold,
-            split=split,
-            out_path=path,
-            predicted=predicted,
-        )
-        paths[mode_tag(mode, source)] = str(path)
-    return paths
 
 
 def load_generated(path: str | Path) -> list[dict]:

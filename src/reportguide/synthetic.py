@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, FeatureMatrix, ImageRef, ReportRecord, save_features, save_manifest
+from .fileio import write_atomic
 
 SYNTHETIC_SEED = 7
 
@@ -243,7 +244,5 @@ def write_synthetic_corpus(out_dir: str | Path, seed: int = SYNTHETIC_SEED) -> S
     save_manifest(synth.corpus, out / "manifest.jsonl")
     save_features(synth.features, out / "features.ffmx")
     gt_doc = {rid: list(names) for rid, names in synth.gt_labels.items()}
-    (out / "gt_labels.json").write_text(
-        json.dumps(gt_doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(out / "gt_labels.json", json.dumps(gt_doc, ensure_ascii=False, indent=2) + "\n")
     return synth

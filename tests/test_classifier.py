@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reportguide import classifier
-from reportguide.bootstrap import AnnotatedItem, LabelEntry, LabelTaxonomy, MLCDataset
+from reportguide.bootstrap import (
+    AnnotatedItem,
+    LabelEntry,
+    LabelTaxonomy,
+    MLCDataset,
+    save_labels,
+    save_taxonomy,
+)
 from reportguide.classifier import (
     ClassifierParams,
     TrainConfig,
@@ -31,7 +39,8 @@ from reportguide.classifier import (
     save_checkpoint,
     train,
 )
-from reportguide.corpus import FeatureMatrix
+from reportguide.cli import main
+from reportguide.corpus import Corpus, FeatureMatrix, ReportRecord, save_features, save_manifest
 from reportguide.errors import ConfigError, DivergenceError, TrainingError
 
 
@@ -599,6 +608,52 @@ def test_divergence_is_raised_where_the_per_batch_loss_loop_raises(case, where):
     assert (expected.value.epoch, expected.value.batch) == where
     assert (excinfo.value.epoch, excinfo.value.batch) == where
     assert str(excinfo.value) == str(expected.value)
+
+
+def _last_update_overflow_case():
+    # One epoch of one batch whose update overflows the weight to inf: no
+    # later batch computes a loss from it.
+    dataset, features, config = _divergence_case(
+        [[1000.0], [2.0]], [(0,), (0,)], 1.5e308, 2, 3, "on"
+    )
+    return dataset, features, replace(config, epochs=1)
+
+
+def test_an_overflow_in_the_last_update_is_a_divergence(tmp_path):
+    dataset, features, config = _last_update_overflow_case()
+    checkpoint = tmp_path / "checkpoint.json"
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(_reference_train(dataset, features, config).weights).all()
+        with pytest.raises(DivergenceError) as excinfo:
+            train(dataset, features, config, checkpoint_path=checkpoint)
+    assert (excinfo.value.epoch, excinfo.value.batch) == (0, 0)
+    assert not checkpoint.exists()
+
+
+def test_an_overflow_in_the_last_update_exits_4_without_a_checkpoint(tmp_path):
+    dataset, features, config = _last_update_overflow_case()
+    workdir = tmp_path / "run"
+    workdir.mkdir()
+    records = [ReportRecord(id=item.record_id, split="train", report="x") for item in dataset.items]
+    save_manifest(Corpus(records=records), tmp_path / "manifest.jsonl")
+    save_features(features, tmp_path / "features.ffmx")
+    save_taxonomy(dataset.taxonomy, workdir / "taxonomy.json")
+    save_labels(dataset, workdir / "labels.jsonl")
+    with np.errstate(all="ignore"):
+        code = main(
+            [
+                "train",
+                "--workdir", str(workdir),
+                "--seed", str(config.seed),
+                "--set", f"paths.manifest={tmp_path / 'manifest.jsonl'}",
+                "--set", f"paths.features={tmp_path / 'features.ffmx'}",
+                "--set", f"train.learning_rate={config.learning_rate!r}",
+                "--set", f"train.batch_size={config.batch_size}",
+                "--set", "train.epochs=1",
+            ]
+        )
+    assert code == 4
+    assert not (workdir / "checkpoint.json").exists()
 
 
 def test_large_but_finite_training_matches_the_reference():

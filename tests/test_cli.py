@@ -395,6 +395,52 @@ def test_rerun_without_force_refuses_and_exits_2(mini, caplog):
     assert main(["bootstrap", "--config", mini["config"], "--force"]) == 0
 
 
+def test_a_failed_predict_leaves_no_partial_artifact(mini):
+    assert main(["bootstrap", "--config", mini["config"]]) == 0
+    assert main(["train", "--config", mini["config"]]) == 0
+    full = _mini_features(_mini_records())
+    keep = [i for i, rid in enumerate(full.row_ids) if rid != "s2"]  # the last test id
+    partial = mini["tmp"] / "partial.ffmx"
+    save_features(
+        FeatureMatrix(values=full.values[keep], row_ids=tuple(full.row_ids[i] for i in keep)),
+        partial,
+    )
+    predict = ["predict", "--config", mini["config"]]
+    assert main(predict + ["--set", f"paths.features={partial}"]) == 4
+    assert not (mini["workdir"] / "predictions.jsonl").exists()
+    assert not (mini["workdir"] / "mlc_metrics.json").exists()
+    assert main(predict) == 0
+
+
+def _files(workdir: Path) -> dict:
+    return {p.relative_to(workdir): p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("failing", ["replace", "fsync"])
+@pytest.mark.parametrize("stage", ["bootstrap", "train", "predict", "generate", "evaluate"])
+def test_a_write_that_fails_leaves_the_previous_artifacts(mini, monkeypatch, stage, failing):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    before = _files(mini["workdir"])
+
+    def no_space(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, failing, no_space)
+    with pytest.raises(OSError, match="No space"):
+        main([stage, "--config", mini["config"], "--force"])
+    assert _files(mini["workdir"]) == before  # no .tmp file left either
+
+
+def test_artifacts_get_mode_0666_less_the_umask(mini):
+    umask = os.umask(0o027)
+    try:
+        assert main(["pipeline", "--config", mini["config"]]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in mini["workdir"].rglob("*") if p.is_file()}
+    assert len(modes) == 13 and set(modes.values()) == {0o640}, modes  # 8 artifacts, 5 meta
+
+
 def test_tampered_taxonomy_fails_predict_with_4(mini):
     assert main(["bootstrap", "--config", mini["config"]]) == 0
     assert main(["train", "--config", mini["config"]]) == 0
@@ -453,6 +499,9 @@ def _append_line(name, line):
         (_append_line("../data/manifest.jsonl",
                       '{"id": "x1", "split": "train", "report": "x", "images": ["p.png"]}'),
          "train", "manifest line 13: every images entry must be a JSON object"),
+        (_append_line("../data/manifest.jsonl",
+                      '{"id": "x1", "split": "train", "report": "x", "images": "p.png"}'),
+         "train", "data error: manifest line 13: images must be an array"),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):

@@ -17,7 +17,7 @@ from reportguide import classifier as classifier_mod
 from reportguide.bootstrap import BootstrapConfig, MLCDataset, bootstrap_dataset
 from reportguide.classifier import TrainConfig, train
 from reportguide.cli import main
-from reportguide.guidance import ABLATION_MODES, GeneratorConfig, generated_filename, run_ablation
+from reportguide.guidance import ABLATION_MODES, generated_filename
 
 GOLDEN_SHA256 = {
     "taxonomy.json": "a152bb338167c64cfdf3baaf5e72c43aafac821776405217a053a86313dcce2b",
@@ -39,8 +39,7 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_ablation_artifacts_match_the_golden_digests(synth_dir, tmp_path):
-    workdir = tmp_path / "run"
+def _synth_config(synth_dir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -48,12 +47,18 @@ def test_ablation_artifacts_match_the_golden_digests(synth_dir, tmp_path):
                 "paths": {
                     "manifest": str(synth_dir / "manifest.jsonl"),
                     "features": str(synth_dir / "features.ffmx"),
-                    "workdir": str(workdir),
+                    "workdir": str(tmp_path / "run"),
                 }
             }
         ),
         encoding="utf-8",
     )
+    return config
+
+
+def test_ablation_artifacts_match_the_golden_digests(synth_dir, tmp_path):
+    workdir = tmp_path / "run"
+    config = _synth_config(synth_dir, tmp_path)
     assert main(["pipeline", "--config", str(config)]) == 0
     assert main(["generate", "--config", str(config), "--ablation", "--force"]) == 0
     digests = {name: _sha256(workdir / name) for name in ("taxonomy.json", "labels.jsonl")}
@@ -82,16 +87,11 @@ def _counting(monkeypatch, owner, attr) -> list:
     return calls
 
 
-def test_ablation_builds_the_label_map_at_most_once_per_cell(
-    synth, mock_gateway, monkeypatch, tmp_path
-):
-    dataset = bootstrap_dataset(synth.corpus, BootstrapConfig(), mock_gateway)
-    params = train(dataset, synth.features, TrainConfig(epochs=2))
+def test_ablation_builds_the_label_map_at_most_once_per_cell(synth_dir, monkeypatch, tmp_path):
+    config = _synth_config(synth_dir, tmp_path)
+    assert main(["pipeline", "--config", str(config), "--set", "train.epochs=2"]) == 0
     calls = _counting(monkeypatch, MLCDataset, "by_id")
-    run_ablation(
-        synth.corpus, dataset, GeneratorConfig(), params=params,
-        features=synth.features, out_dir=tmp_path,
-    )
+    assert main(["generate", "--config", str(config), "--ablation", "--force"]) == 0
     assert len(calls) <= len(ABLATION_MODES)
 
 

@@ -1,5 +1,5 @@
-"""Guidance prompt rendering, SFT export, generation backends, and the
-ablation runner."""
+"""Guidance prompt rendering, generation backends, and generation over the
+ablation grid."""
 
 from __future__ import annotations
 
@@ -10,12 +10,20 @@ import sys
 import numpy as np
 import pytest
 
-from reportguide.bootstrap import AnnotatedItem, LabelEntry, LabelTaxonomy, MLCDataset
-from reportguide.classifier import ClassifierParams
+from reportguide.bootstrap import (
+    AnnotatedItem,
+    LabelEntry,
+    LabelTaxonomy,
+    MLCDataset,
+    save_labels,
+    save_taxonomy,
+    taxonomy_fingerprint,
+)
+from reportguide.classifier import ClassifierParams, save_checkpoint
+from reportguide.cli import main
 from reportguide.corpus import Corpus, FeatureMatrix, ImageRef, ReportRecord
 from reportguide.errors import (
     ConfigError,
-    ExportError,
     GeneratedFileError,
     GenerationError,
     PrerequisiteError,
@@ -24,13 +32,11 @@ from reportguide.guidance import (
     ABLATION_MODES,
     GeneratorConfig,
     GuidancePrompt,
-    export_sft,
     generate_report,
     generated_filename,
     load_generated,
     mock_phrase,
     mode_tag,
-    run_ablation,
     run_generation,
     serialize_labels,
 )
@@ -178,76 +184,6 @@ def test_label_bearing_prompt_requires_known_source():
             label_names=("A",),
             text="t",
         )
-
-
-# ---------------------------------------------------------------------------
-# SFT export
-# ---------------------------------------------------------------------------
-
-
-def _toy_corpus_and_dataset():
-    tax = _taxonomy(["Pleural effusion", "Consolidation"])
-    records = [
-        ReportRecord(id="c", split="train", report="报告 three."),
-        ReportRecord(id="a", split="train", report="Report one."),
-        ReportRecord(id="b", split="train", report="Report two."),
-        ReportRecord(id="z", split="test", report="Held out."),
-    ]
-    corpus = Corpus(records=records)
-    dataset = MLCDataset(
-        taxonomy=tax,
-        items=(
-            AnnotatedItem("a", "train", (0,)),
-            AnnotatedItem("b", "train", ()),
-            AnnotatedItem("c", "train", (0, 1)),
-            AnnotatedItem("z", "test", (1,)),
-        ),
-    )
-    return corpus, dataset
-
-
-def test_export_rows_are_sorted_by_id_and_cover_train_only():
-    corpus, dataset = _toy_corpus_and_dataset()
-    rows = export_sft(dataset, corpus)
-    assert [r["id"] for r in rows] == ["a", "b", "c"]
-
-
-def test_export_targets_are_the_reference_reports_verbatim():
-    corpus, dataset = _toy_corpus_and_dataset()
-    rows = {r["id"]: r for r in export_sft(dataset, corpus)}
-    assert rows["a"]["target"] == "Report one."
-    assert rows["c"]["target"] == "报告 three."
-
-
-def test_export_prompts_come_from_ground_truth_labels():
-    corpus, dataset = _toy_corpus_and_dataset()
-    rows = {r["id"]: r for r in export_sft(dataset, corpus)}
-    assert "Pleural effusion, Consolidation" in rows["c"]["prompt"]
-    assert rows["b"]["prompt"] == NO_FINDINGS_PROMPT
-
-
-def test_export_image_only_mode_has_no_findings_sentence():
-    corpus, dataset = _toy_corpus_and_dataset()
-    rows = export_sft(dataset, corpus, mode="image_only")
-    assert all(r["prompt"] == IMAGE_ONLY_PROMPT for r in rows)
-
-
-def test_export_file_round_trips_targets(tmp_path):
-    corpus, dataset = _toy_corpus_and_dataset()
-    path = tmp_path / "sft.jsonl"
-    rows = export_sft(dataset, corpus, out_path=path)
-    parsed = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert parsed == rows
-
-
-def test_export_missing_label_vector_names_the_record():
-    corpus, _ = _toy_corpus_and_dataset()
-    sparse = MLCDataset(
-        taxonomy=_taxonomy(["Pleural effusion", "Consolidation"]),
-        items=(AnnotatedItem("a", "train", (0,)),),
-    )
-    with pytest.raises(ExportError, match="'b'"):
-        export_sft(sparse, corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +415,15 @@ def test_mode_tags_and_filenames():
     )
 
 
+def _gt_dataset_over(synth):
+    tax = _taxonomy(list(synth.primary_names))
+    items = tuple(
+        AnnotatedItem(rec.id, rec.split, synth.gt_primary_indices(rec.id))
+        for rec in synth.corpus.records
+    )
+    return MLCDataset(taxonomy=tax, items=items)
+
+
 def _identity_params_over(synth):
     # One strongly weighted diagonal per primary finding; the appended noise
     # dimensions get zero weight. Signal magnitude 2 against noise sigma
@@ -492,17 +437,29 @@ def _identity_params_over(synth):
         bias=np.zeros(k),
         frequencies=np.full(k, 0.5),
         tau=1.0,
-        taxonomy_hash="hand-built",
+        taxonomy_hash=taxonomy_fingerprint(_gt_dataset_over(synth).taxonomy),
     )
 
 
-def _gt_dataset_over(synth):
-    tax = _taxonomy(list(synth.primary_names))
-    items = tuple(
-        AnnotatedItem(rec.id, rec.split, synth.gt_primary_indices(rec.id))
-        for rec in synth.corpus.records
+def _generate_ablation(synth, synth_dir, workdir):
+    """Run `generate --ablation` over the ground-truth labels and the
+    hand-built head; return each cell's file by mode tag."""
+    workdir.mkdir(parents=True)
+    dataset = _gt_dataset_over(synth)
+    save_taxonomy(dataset.taxonomy, workdir / "taxonomy.json")
+    save_labels(dataset, workdir / "labels.jsonl")
+    save_checkpoint(_identity_params_over(synth), workdir / "checkpoint.json")
+    code = main(
+        [
+            "generate",
+            "--ablation",
+            "--workdir", str(workdir),
+            "--set", f"paths.manifest={synth_dir / 'manifest.jsonl'}",
+            "--set", f"paths.features={synth_dir / 'features.ffmx'}",
+        ]
     )
-    return MLCDataset(taxonomy=tax, items=items)
+    assert code == 0
+    return {mode_tag(m, s): workdir / generated_filename(m, s) for m, s in ABLATION_MODES}
 
 
 def test_hand_built_head_reproduces_generator_labels(synth):
@@ -514,17 +471,8 @@ def test_hand_built_head_reproduces_generator_labels(synth):
         assert predict(params, row).positives == synth.gt_primary_indices(rec.id)
 
 
-def test_ablation_writes_all_five_cells_over_the_same_records(synth, tmp_path):
-    dataset = _gt_dataset_over(synth)
-    params = _identity_params_over(synth)
-    paths = run_ablation(
-        synth.corpus,
-        dataset,
-        GeneratorConfig(backend="mock"),
-        params=params,
-        features=synth.features,
-        out_dir=tmp_path,
-    )
+def test_ablation_writes_all_five_cells_over_the_same_records(synth, synth_dir, tmp_path):
+    paths = _generate_ablation(synth, synth_dir, tmp_path / "run")
     assert set(paths) == {mode_tag(m, s) for m, s in ABLATION_MODES}
     id_sets = []
     for tag, path in paths.items():
@@ -534,17 +482,8 @@ def test_ablation_writes_all_five_cells_over_the_same_records(synth, tmp_path):
     assert len(id_sets[0]) == len(synth.corpus.split("test"))
 
 
-def test_ablation_gt_and_pred_prompts_agree_for_a_perfect_head(synth, tmp_path):
-    dataset = _gt_dataset_over(synth)
-    params = _identity_params_over(synth)
-    paths = run_ablation(
-        synth.corpus,
-        dataset,
-        GeneratorConfig(backend="mock"),
-        params=params,
-        features=synth.features,
-        out_dir=tmp_path,
-    )
+def test_ablation_gt_and_pred_prompts_agree_for_a_perfect_head(synth, synth_dir, tmp_path):
+    paths = _generate_ablation(synth, synth_dir, tmp_path / "run")
     gt_rows = load_generated(paths["image_and_label-gt"])
     pred_rows = load_generated(paths["image_and_label-pred"])
     assert [r["prompt"] for r in gt_rows] == [r["prompt"] for r in pred_rows]
@@ -552,7 +491,7 @@ def test_ablation_gt_and_pred_prompts_agree_for_a_perfect_head(synth, tmp_path):
 
 
 def test_ablation_predicts_each_record_once_and_writes_what_single_cells_write(
-    synth, tmp_path, monkeypatch
+    synth, synth_dir, tmp_path, monkeypatch
 ):
     from reportguide import guidance
 
@@ -566,14 +505,7 @@ def test_ablation_predicts_each_record_once_and_writes_what_single_cells_write(
         return real_predict(params_, row, threshold=threshold)
 
     monkeypatch.setattr(guidance, "predict", counting_predict)
-    paths = run_ablation(
-        synth.corpus,
-        dataset,
-        GeneratorConfig(backend="mock"),
-        params=params,
-        features=synth.features,
-        out_dir=tmp_path / "ablation",
-    )
+    _generate_ablation(synth, synth_dir, tmp_path / "ablation")
     assert len(calls) == len(synth.corpus.split("test"))
     for mode, source in ABLATION_MODES:
         single = tmp_path / generated_filename(mode, source)
