@@ -443,12 +443,17 @@ def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = F
         _, dataset = _load_stage1(config, corpus)
 
     predicted: dict[str, tuple[int, ...]] = {}  # shared, so each row is predicted once
+    # Every cell is generated before any file is written, so a cell that
+    # fails leaves the workdir's generated files all from one run.
+    outputs = []
     for mode, source in cells:
-        path = workdir / guidance_mod.generated_filename(mode, source)
-        guidance_mod.run_generation(
+        rows = guidance_mod.run_generation(
             corpus, dataset, mode, source, g.generator, params=params, features=features,
-            threshold=g.threshold, split=g.split, out_path=path, predicted=predicted,
+            threshold=g.threshold, split=g.split, predicted=predicted,
         )
+        outputs.append((workdir / guidance_mod.generated_filename(mode, source), rows))
+    for path, rows in outputs:
+        guidance_mod.write_generated(path, rows)
         logger.info("generate: wrote %s", path)
     _write_meta(workdir, "generate", config, started)
 

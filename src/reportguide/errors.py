@@ -88,5 +88,9 @@ class GeneratedFileError(DataError):
     """A generated-report file has a line that is not valid JSON or not a JSON object."""
 
 
+class ArtifactWriteError(PipelineError):
+    """An artifact could not be written (disk full, I/O error, no permission)."""
+
+
 class PrerequisiteError(PipelineError):
     """A CLI stage was invoked before the stage that produces its inputs."""

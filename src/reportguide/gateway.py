@@ -1,14 +1,17 @@
 """LLM gateway: one entry point for chat-completion calls.
 
 Two backends share the `complete()` interface. The `http` backend speaks the
-OpenAI-compatible chat-completions wire format with bounded retries, a
-parallelism cap, and request-rate spacing. The `mock` backend is a pure
-function of the request, routed by a sentinel tag embedded in the system
-prompt, so every pipeline stage can run offline and byte-reproducibly.
+OpenAI-compatible chat-completions wire format over pooled keep-alive
+connections, with bounded retries, a parallelism cap, and request-rate
+spacing. The `mock` backend is a pure function of the request, routed by a
+sentinel tag embedded in the system prompt, so every pipeline stage can run
+offline and byte-reproducibly.
 """
 
 from __future__ import annotations
 
+import atexit
+import functools
 import hashlib
 import json
 import logging
@@ -18,7 +21,10 @@ import re
 import threading
 import time
 from dataclasses import InitVar, dataclass
+from typing import NamedTuple
+from urllib.parse import unquote, urlsplit
 
+from . import __version__
 from .errors import ConfigError, LLMOutputError, MockContractError, TransportError
 from .schema import check_fields
 from .textnorm import CJK_RE, alias_key, match_key
@@ -90,8 +96,18 @@ class GatewayConfig:
             raise ConfigError("parallelism must be >= 1")
         if self.requests_per_minute < 1:
             raise ConfigError("requests_per_minute must be >= 1")
-        if self.backend == "http" and not self.endpoint:
-            raise ConfigError("http backend requires an endpoint URL")
+        if self.backend == "http":
+            if not self.endpoint:
+                raise ConfigError("http backend requires an endpoint URL")
+            try:
+                parts = urlsplit(self.endpoint)
+                parts.port  # a non-numeric or out-of-range port raises here
+            except ValueError as exc:
+                raise ConfigError(f"endpoint {self.endpoint!r} is not a valid URL: {exc}") from exc
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ConfigError(
+                    f"endpoint must be an http:// or https:// URL with a host, got {self.endpoint!r}"
+                )
 
 
 def estimate_tokens(text: str) -> int:
@@ -313,14 +329,118 @@ def _mock_complete(request: ChatRequest) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Seconds a connect, send or read may block before the attempt fails.
+HTTP_TIMEOUT = 120
+
+
+class _Route(NamedTuple):
+    """Where an endpoint's requests go: straight to its host, or through the
+    environment's proxy (absolute-form targets for http, a CONNECT tunnel for
+    https)."""
+
+    scheme: str
+    host: str
+    port: int
+    target: str
+    proxy: tuple[str, int] | None = None
+    proxy_auth: str | None = None
+
+    def connect(self):
+        """A new, not yet connected, keep-alive connection for this route."""
+        import http.client
+
+        host, port = self.proxy or (self.host, self.port)
+        if self.scheme == "http":
+            return http.client.HTTPConnection(host, port, timeout=HTTP_TIMEOUT)
+        conn = http.client.HTTPSConnection(
+            host, port, timeout=HTTP_TIMEOUT, context=_tls_context()
+        )
+        if self.proxy:
+            auth = {"Proxy-Authorization": self.proxy_auth} if self.proxy_auth else None
+            conn.set_tunnel(self.host, self.port, headers=auth)
+        return conn
+
+
+@functools.cache
+def _tls_context():
+    # Hostname checking and CERT_REQUIRED against the system trust store
+    # (SSL_CERT_FILE / SSL_CERT_DIR override it); there is no way to turn
+    # verification off.
+    import ssl
+
+    return ssl.create_default_context()
+
+
+# The environment variables a route depends on; urllib ignores HTTP_PROXY
+# when REQUEST_METHOD says the process is a CGI script.
+_PROXY_VARS = (
+    "http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY",
+    "REQUEST_METHOD",
+)
+
+
+def _route(endpoint: str) -> _Route:
+    """Resolve the endpoint against the proxy environment variables. Reading
+    them all through urllib costs more than the rest of a call, so a route is
+    resolved once per endpoint and value of those variables."""
+    return _resolve_route(endpoint, tuple(map(os.environ.get, _PROXY_VARS)))
+
+
+@functools.lru_cache(maxsize=64)
+def _resolve_route(endpoint: str, proxy_env: tuple) -> _Route:
+    # `proxy_env` only keys the cache; urllib reads the variables itself.
+    from urllib.request import getproxies, proxy_bypass
+
+    parts = urlsplit(endpoint)
+    port = parts.port or (443 if parts.scheme == "https" else 80)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    proxy = getproxies().get(parts.scheme)
+    if not proxy or proxy_bypass(parts.hostname):
+        return _Route(parts.scheme, parts.hostname, port, target)
+    via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    try:
+        via_port = via.port or 80
+    except ValueError:  # not a number, or out of range
+        via_port = None
+    if via.scheme != "http" or not via.hostname or via_port is None:
+        raise ConfigError(
+            f"the {parts.scheme} proxy must be an http:// URL with a host and a valid port"
+        )
+    auth = None
+    if via.username is not None:
+        import base64
+
+        user_pass = f"{unquote(via.username)}:{unquote(via.password or '')}"
+        auth = "Basic " + base64.b64encode(user_pass.encode("utf-8")).decode("ascii")
+    if parts.scheme == "http":
+        target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
+    return _Route(parts.scheme, parts.hostname, port, target, (via.hostname, via_port), auth)
+
+
+def _peer_closed(sock) -> bool:
+    """An idle keep-alive socket that is readable has been closed by its
+    peer (or holds bytes nobody asked for); either way it cannot be reused."""
+    import select
+
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class _Limiter:
-    """Shared per-endpoint concurrency cap and request-rate spacing."""
+    """Shared per-endpoint concurrency cap, request-rate spacing and pool of
+    idle keep-alive connections.
+
+    A caller takes a connection only while it holds `semaphore`, so an
+    endpoint never has more than `parallelism` connections open.
+    """
 
     def __init__(self, parallelism: int, requests_per_minute: int):
         self.semaphore = threading.BoundedSemaphore(parallelism)
         self.min_interval = 60.0 / requests_per_minute
         self._lock = threading.Lock()
         self._next_start = 0.0
+        self._idle: list[tuple[_Route, object]] = []  # most recently used last
 
     def wait_turn(self) -> None:
         with self._lock:
@@ -330,6 +450,27 @@ class _Limiter:
         delay = start_at - now
         if delay > 0:
             time.sleep(delay)
+
+    def checkout(self, route: _Route):
+        """The most recently used idle connection on `route` that its peer
+        has not closed, else a new one. Stale connections are discarded
+        before a request is sent on them, never after."""
+        while True:
+            try:
+                held_route, conn = self._idle.pop()
+            except IndexError:
+                return route.connect()
+            if held_route == route and not _peer_closed(conn.sock):
+                return conn
+            conn.close()
+
+    def checkin(self, route: _Route, conn) -> None:
+        self._idle.append((route, conn))
+
+    def close(self) -> None:
+        """Close the idle connections; runs at interpreter exit."""
+        while self._idle:
+            self._idle.pop()[1].close()
 
 
 _LIMITERS: dict[tuple, _Limiter] = {}
@@ -343,6 +484,7 @@ def _limiter_for(config: GatewayConfig) -> _Limiter:
         if limiter is None:
             limiter = _Limiter(config.parallelism, config.requests_per_minute)
             _LIMITERS[key] = limiter
+            atexit.register(limiter.close)
         return limiter
 
 
@@ -375,10 +517,11 @@ def _log_call(config: GatewayConfig, request: ChatRequest, response: ChatRespons
 def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
     # Imported here so that only the http backend pays for loading the HTTP
     # stack; the mock pipeline never needs it.
-    import requests
+    import http.client
 
     key = _api_key(config)
     limiter = _limiter_for(config)
+    route = _route(config.endpoint)
     payload = {
         "model": config.model,
         "messages": [
@@ -388,7 +531,14 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
         "temperature": request.temperature,
         "max_tokens": request.max_tokens,
     }
-    headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    headers = {
+        "Authorization": f"Bearer {key}",
+        "Content-Type": "application/json",
+        "User-Agent": f"reportguide/{__version__}",
+    }
+    if route.proxy_auth and route.scheme == "http":
+        headers["Proxy-Authorization"] = route.proxy_auth
     last_error = "no attempt made"
     with limiter.semaphore:
         # max_retries counts retries, so the total attempt budget is one
@@ -398,27 +548,36 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
                 time.sleep(RETRY_BASE_DELAY * (2 ** (attempt - 1)))
             limiter.wait_turn()
             started = time.monotonic()
+            conn = limiter.checkout(route)
             try:
-                resp = requests.post(config.endpoint, json=payload, headers=headers, timeout=120)
-            except requests.RequestException as exc:
+                conn.request("POST", route.target, body, headers)
+                resp = conn.getresponse()
+                data = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
                 last_error = f"transport failure: {exc}"
                 logger.warning("gateway attempt %d failed: %s", attempt + 1, last_error)
                 continue
             latency_ms = (time.monotonic() - started) * 1000.0
-            if resp.status_code in _RETRY_STATUSES:
-                last_error = f"retryable HTTP status {resp.status_code}"
+            if resp.will_close:
+                conn.close()
+            else:
+                limiter.checkin(route, conn)
+            if resp.status in _RETRY_STATUSES:
+                last_error = f"retryable HTTP status {resp.status}"
                 logger.warning("gateway attempt %d failed: %s", attempt + 1, last_error)
                 continue
-            if resp.status_code != 200:
+            if resp.status != 200:
                 raise TransportError(
-                    f"gateway request failed with HTTP {resp.status_code}: {resp.text[:500]}"
+                    f"gateway request failed with HTTP {resp.status}: "
+                    f"{data.decode('utf-8', 'replace')[:500]}"
                 )
             try:
-                body = resp.json()
-                text = body["choices"][0]["message"]["content"]
+                doc = json.loads(data)
+                text = doc["choices"][0]["message"]["content"]
             except (ValueError, LookupError, TypeError) as exc:
                 raise TransportError(f"malformed chat-completion response: {exc}") from exc
-            usage = body.get("usage") or {}
+            usage = doc.get("usage") or {}
             response = ChatResponse(
                 text=text,
                 input_tokens=int(usage.get("prompt_tokens", estimate_tokens(request.system + request.user))),

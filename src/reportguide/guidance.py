@@ -286,7 +286,6 @@ def run_generation(
     features: FeatureMatrix | None = None,
     threshold: float = 0.5,
     split: str = "test",
-    out_path: str | Path | None = None,
     predicted: dict[str, tuple[int, ...]] | None = None,
 ) -> list[dict]:
     """Generate reports for one (mode, label source) cell of the ablation.
@@ -321,9 +320,12 @@ def run_generation(
                 "report": report,
             }
         )
-    if out_path is not None:
-        write_atomic(out_path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
     return rows
+
+
+def write_generated(path: str | Path, rows: list[dict]) -> None:
+    """Write generated rows as the JSON lines `load_generated` reads back."""
+    write_atomic(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def load_generated(path: str | Path) -> list[dict]:

@@ -48,23 +48,47 @@ class StubChatServer:
 
     `script` is a list of HTTP status codes consumed one per request; once
     exhausted every request succeeds with status 200 and a fixed reply.
-    Records request payloads, and tracks the maximum number of requests that
-    were in flight simultaneously.
+    Records request payloads and targets, counts the connections it accepts
+    and closes, and tracks the maximum number of requests that were in
+    flight simultaneously.
+
+    By default it speaks HTTP/1.0 and closes every connection after one
+    reply. `keep_alive=True` speaks HTTP/1.1 with persistent connections
+    (error replies then carry Content-Length too), and `idle_timeout` closes
+    a connection that waits that many seconds for its next request.
     """
 
-    def __init__(self, script=None, reply: str = "stub-reply", delay: float = 0.0):
+    def __init__(
+        self,
+        script=None,
+        reply: str = "stub-reply",
+        delay: float = 0.0,
+        keep_alive: bool = False,
+        idle_timeout: float | None = None,
+    ):
         self.script = list(script or [])
         self.reply = reply
         self.delay = delay
         self.requests: list[dict] = []
+        self.targets: list[str] = []
+        self.connections = 0
+        self.closed = 0
         self.max_in_flight = 0
         self._in_flight = 0
         self._lock = threading.Lock()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+            timeout = idle_timeout
+
             def log_message(self, *args):  # keep test output quiet
                 pass
+
+            def setup(self):
+                super().setup()
+                with stub._lock:
+                    stub.connections += 1
 
             def do_POST(self):
                 with stub._lock:
@@ -77,12 +101,16 @@ class StubChatServer:
                     body = self.rfile.read(length)
                     with stub._lock:
                         stub.requests.append(json.loads(body))
+                        stub.targets.append(self.path)
                         status = stub.script.pop(0) if stub.script else 200
                     if status != 200:
+                        error = b'{"error": "scripted failure"}'
                         self.send_response(status)
                         self.send_header("Content-Type", "application/json")
+                        if keep_alive:
+                            self.send_header("Content-Length", str(len(error)))
                         self.end_headers()
-                        self.wfile.write(b'{"error": "scripted failure"}')
+                        self.wfile.write(error)
                         return
                     doc = {
                         "choices": [{"message": {"content": stub.reply}}],
@@ -98,7 +126,13 @@ class StubChatServer:
                     with stub._lock:
                         stub._in_flight -= 1
 
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        class Server(ThreadingHTTPServer):
+            def shutdown_request(self, request):
+                super().shutdown_request(request)
+                with stub._lock:
+                    stub.closed += 1
+
+        self._httpd = Server(("127.0.0.1", 0), Handler)
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
 

@@ -7,6 +7,7 @@ import fcntl
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
@@ -166,6 +167,11 @@ def test_override_unknown_dotted_key_is_rejected(mini):
         ("gateway.call_log_path", '"calls.jsonl"', "unknown config key"),
         ("gateway.retry_base_delay", "0", "unknown config key"),
         ("guidance.generator.gateway", "{}", "unknown config key"),
+        ("gateway", '{"backend": "http", "endpoint": "localhost:8080/v1"}', "endpoint must be"),
+        ("gateway", '{"backend": "http", "endpoint": "ftp://host/v1"}', "endpoint must be"),
+        ("gateway", '{"backend": "http", "endpoint": "http://host:port/v1"}', "not a valid URL"),
+        ("guidance.generator", '{"backend": "http", "endpoint": "https:///v1"}',
+         "guidance.generator: endpoint must be"),
     ],
 )
 def test_validation_rejects_bad_values(mini, dotted, value, hint):
@@ -418,7 +424,9 @@ def _files(workdir: Path) -> dict:
 
 @pytest.mark.parametrize("failing", ["replace", "fsync"])
 @pytest.mark.parametrize("stage", ["bootstrap", "train", "predict", "generate", "evaluate"])
-def test_a_write_that_fails_leaves_the_previous_artifacts(mini, monkeypatch, stage, failing):
+def test_a_write_that_fails_leaves_the_previous_artifacts(
+    mini, monkeypatch, caplog, stage, failing
+):
     assert main(["pipeline", "--config", mini["config"]]) == 0
     before = _files(mini["workdir"])
 
@@ -426,8 +434,8 @@ def test_a_write_that_fails_leaves_the_previous_artifacts(mini, monkeypatch, sta
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(os, failing, no_space)
-    with pytest.raises(OSError, match="No space"):
-        main([stage, "--config", mini["config"], "--force"])
+    assert main([stage, "--config", mini["config"], "--force"]) == 4
+    assert re.search(r"error: cannot write \S+: \[Errno 28\] No space", caplog.text)
     assert _files(mini["workdir"]) == before  # no .tmp file left either
 
 
@@ -660,6 +668,34 @@ def test_generate_ablation_writes_all_five_files(mini):
         assert path.exists(), name
         counts.add(len(path.read_text(encoding="utf-8").splitlines()))
     assert counts == {2}
+
+
+def test_a_failing_ablation_cell_leaves_every_generated_file_unchanged(mini, caplog):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    assert main(["generate", "--config", mini["config"], "--ablation", "--force"]) == 0
+    before = _files(mini["workdir"])
+    script = mini["tmp"] / "refuse_labels.py"
+    script.write_text(
+        "import json, sys\n"
+        "prompt = json.loads(sys.stdin.readline())['prompt']\n"
+        "if 'following findings' in prompt:\n"
+        "    sys.exit('labels refused')\n"
+        "print(json.dumps({'report': 'from the command generator'}))\n",
+        encoding="utf-8",
+    )
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    code = main([
+        "generate", "--config", mini["config"], "--ablation", "--force",
+        "--set", "guidance.generator.backend=command",
+        "--set", f"guidance.generator.command={command}",
+    ])
+    assert code == 3
+    assert "labels refused" in caplog.text
+    after = _files(mini["workdir"])
+    generated = sorted(name for name in before if name.name.startswith("generated-"))
+    assert len(generated) == 5
+    for name in generated:
+        assert after[name] == before[name], name
 
 
 def test_evaluate_scores_the_configured_mode(mini):

@@ -39,6 +39,7 @@ from reportguide.guidance import (
     mode_tag,
     run_generation,
     serialize_labels,
+    write_generated,
 )
 
 GOLDEN_PROMPT = (
@@ -381,8 +382,8 @@ def test_run_generation_writes_file_that_loads_back(tmp_path):
         "image_and_label",
         "gt",
         GeneratorConfig(backend="mock"),
-        out_path=path,
     )
+    write_generated(path, rows)
     assert load_generated(path) == rows
 
 
@@ -509,7 +510,7 @@ def test_ablation_predicts_each_record_once_and_writes_what_single_cells_write(
     assert len(calls) == len(synth.corpus.split("test"))
     for mode, source in ABLATION_MODES:
         single = tmp_path / generated_filename(mode, source)
-        run_generation(
+        rows = run_generation(
             synth.corpus,
             dataset,
             mode,
@@ -517,6 +518,6 @@ def test_ablation_predicts_each_record_once_and_writes_what_single_cells_write(
             GeneratorConfig(backend="mock"),
             params=params,
             features=synth.features,
-            out_path=single,
         )
+        write_generated(single, rows)
         assert single.read_bytes() == (tmp_path / "ablation" / single.name).read_bytes()
