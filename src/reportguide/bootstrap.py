@@ -27,7 +27,7 @@ from .errors import (
     MergeBudgetError,
     MergeProgressError,
 )
-from .fileio import write_atomic
+from .fileio import read_json, read_jsonl, write_atomic
 from .gateway import (
     ChatRequest,
     GatewayConfig,
@@ -497,12 +497,7 @@ def save_taxonomy(taxonomy: LabelTaxonomy, path: str | Path) -> None:
 
 
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BootstrapError(f"taxonomy file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BootstrapError(f"taxonomy file {path}: not a JSON object")
+    doc = read_json(path, BootstrapError, f"taxonomy file {path}")
     if doc.get("version") != 1:
         raise BootstrapError(f"taxonomy file {path} has unsupported version {doc.get('version')!r}")
     entries = doc.get("labels", [])
@@ -554,25 +549,16 @@ def save_labels(dataset: MLCDataset, path: str | Path) -> None:
 def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> MLCDataset:
     items: list[AnnotatedItem] = []
     index = corpus.index()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"labels file {path} line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BootstrapError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise BootstrapError(f"{where}: not a JSON object")
-            rid = str(obj.get("id", ""))
-            rec = index.get(rid)
-            if rec is None:
-                raise BootstrapError(f"{where}: unknown record id {rid!r}")
-            positives = obj.get("positives", [])
-            if not isinstance(positives, list) or not all(_is_int(j) for j in positives):
-                raise BootstrapError(f"{where}: positives must be a list of integers")
-            items.append(AnnotatedItem(record_id=rid, split=rec.split, positives=tuple(positives)))
+    what = f"labels file {path}"
+    for lineno, obj in read_jsonl(path, BootstrapError, what):
+        rid = str(obj.get("id", ""))
+        rec = index.get(rid)
+        if rec is None:
+            raise BootstrapError(f"{what} line {lineno}: unknown record id {rid!r}")
+        positives = obj.get("positives", [])
+        if not isinstance(positives, list) or not all(_is_int(j) for j in positives):
+            raise BootstrapError(f"{what} line {lineno}: positives must be a list of integers")
+        items.append(AnnotatedItem(record_id=rid, split=rec.split, positives=tuple(positives)))
     return MLCDataset(taxonomy=taxonomy, items=tuple(items))
 
 

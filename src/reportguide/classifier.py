@@ -19,7 +19,7 @@ import numpy as np
 from .bootstrap import MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
 from .errors import ConfigError, DivergenceError, TrainingError
-from .fileio import write_atomic
+from .fileio import read_json, write_atomic
 from .schema import check_fields
 
 CHECKPOINT_VERSION = 1
@@ -448,12 +448,7 @@ def _finite_floats(path, key: str, values) -> np.ndarray:
 def load_checkpoint(path: str | Path) -> ClassifierParams:
     """Read a checkpoint; a missing, ill-typed or non-finite value is a
     TrainingError, so a damaged file never yields NaN predictions."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TrainingError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TrainingError(f"checkpoint {path} must hold a JSON object")
+    doc = read_json(path, TrainingError, f"checkpoint {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise TrainingError(
             f"checkpoint {path} has unsupported version {doc.get('version')!r}"

@@ -38,7 +38,7 @@ from .errors import (
     PipelineError,
     PrerequisiteError,
 )
-from .fileio import write_atomic
+from .fileio import read_json, write_atomic
 from .gateway import GatewayConfig
 from .guidance import GeneratorConfig
 from .schema import check_fields
@@ -144,18 +144,7 @@ def load_config(path: str | Path | None, overrides: list[tuple[str, str]]) -> Pi
     """Build the effective config: file values over defaults, then flag
     overrides over the file. Unknown keys are rejected, not ignored, and
     every value is type-checked here, before any stage runs."""
-    doc: dict = {}
-    if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
+    doc = {} if path is None else read_json(path, ConfigError, f"config file {path}")
     for dotted, raw in overrides:
         _apply_override(doc, dotted, raw)
     sections = {f.name for f in fields(PipelineConfig)}
@@ -298,10 +287,6 @@ def _write_meta(workdir: Path, command: str, config: PipelineConfig, started: fl
     write_atomic(meta_dir / f"{command}.json", json.dumps(doc, indent=2) + "\n")
 
 
-def _load_corpus(config: PipelineConfig) -> Corpus:
-    return load_manifest(config.paths.manifest)
-
-
 def _features_path(config: PipelineConfig) -> str:
     if not config.paths.features:
         raise ConfigError("paths.features is required for this command")
@@ -310,7 +295,7 @@ def _features_path(config: PipelineConfig) -> str:
 
 def _load_corpus_and_features(config: PipelineConfig):
     path = _features_path(config)
-    corpus = _load_corpus(config)
+    corpus = load_manifest(config.paths.manifest)
     return corpus, load_features(path, corpus)
 
 
@@ -335,7 +320,7 @@ def cmd_bootstrap(config: PipelineConfig, force: bool = False) -> None:
     _refuse_overwrite(
         [workdir / "taxonomy.json", workdir / "labels.jsonl", workdir / "audit.json"], force
     )
-    corpus = _load_corpus(config)
+    corpus = load_manifest(config.paths.manifest)
     dataset = bootstrap_mod.bootstrap_dataset(
         corpus,
         config.bootstrap,
@@ -427,7 +412,7 @@ def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = F
     started = time.time()
     workdir = Path(config.paths.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus(config)
+    corpus = load_manifest(config.paths.manifest)
     g = config.guidance
     cells = guidance_mod.ABLATION_MODES if ablation else (g.cell,)
     _refuse_overwrite(
@@ -463,7 +448,7 @@ def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
     workdir = Path(config.paths.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     _refuse_overwrite([workdir / "metrics.json"], force)
-    corpus = _load_corpus(config)
+    corpus = load_manifest(config.paths.manifest)
     mode, source = config.guidance.cell
     gen_path = workdir / guidance_mod.generated_filename(mode, source)
     _require(gen_path, "generate")

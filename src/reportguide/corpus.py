@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FeatureFormatError, FeatureValidationError, ManifestError
-from .fileio import write_atomic
+from .fileio import read_bytes, read_jsonl, read_text, write_atomic
 
 SPLITS = ("train", "val", "test")
 
@@ -67,12 +67,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.records)
 
-    def by_id(self, record_id: str) -> ReportRecord:
-        rec = self.index().get(record_id)
-        if rec is None:
-            raise ManifestError(f"unknown record id {record_id!r}")
-        return rec
-
     def index(self) -> dict[str, ReportRecord]:
         cached = getattr(self, "_index", None)
         if cached is None or len(cached) != len(self.records):
@@ -87,8 +81,6 @@ class Corpus:
 
 
 def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
-    if not isinstance(obj, dict):
-        raise ManifestError(f"manifest line {lineno}: expected a JSON object")
     try:
         images_raw = obj.get("images", [])
         if not isinstance(images_raw, list):
@@ -117,19 +109,12 @@ def load_manifest(path: str | Path) -> Corpus:
     """
     records: list[ReportRecord] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"manifest line {lineno}: invalid JSON: {exc}") from exc
-            rec = _record_from_obj(obj, lineno)
-            if rec.id in seen:
-                raise ManifestError(f"manifest line {lineno}: duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            records.append(rec)
+    for lineno, obj in read_jsonl(path, ManifestError, "manifest"):
+        rec = _record_from_obj(obj, lineno)
+        if rec.id in seen:
+            raise ManifestError(f"manifest line {lineno}: duplicate record id {rec.id!r}")
+        seen.add(rec.id)
+        records.append(rec)
     return Corpus(records=records)
 
 
@@ -207,31 +192,23 @@ def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatr
 
     When a corpus is given, every row id must resolve to a record.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FEATURE_MAGIC:
-            raise FeatureFormatError(
-                f"bad magic {magic!r} in {path}; expected {FEATURE_MAGIC!r}"
-            )
-        header = fh.read(8)
-        if len(header) != 8:
-            raise FeatureFormatError(f"truncated header in {path}")
-        rows, cols = struct.unpack("<II", header)
-        payload = fh.read()
+    data = read_bytes(path, FeatureFormatError, f"feature file {path}")
+    if data[:4] != FEATURE_MAGIC:
+        raise FeatureFormatError(f"bad magic {data[:4]!r} in {path}; expected {FEATURE_MAGIC!r}")
+    if len(data) < 12:
+        raise FeatureFormatError(f"truncated header in {path}")
+    rows, cols = struct.unpack_from("<II", data, 4)
     expected = rows * cols * 4
-    if len(payload) != expected:
+    if len(data) - 12 != expected:
         raise FeatureFormatError(
-            f"feature payload is {len(payload)} bytes, expected {expected} "
+            f"feature payload is {len(data) - 12} bytes, expected {expected} "
             f"({rows} rows x {cols} cols) in {path}"
         )
-    values = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+    values = np.frombuffer(data, dtype="<f4", offset=12).reshape(rows, cols)
 
     sidecar = _sidecar_path(path)
-    try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            row_ids = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    except FileNotFoundError as exc:
-        raise FeatureFormatError(f"missing feature id sidecar {sidecar}") from exc
+    text = read_text(sidecar, FeatureFormatError, f"feature id sidecar {sidecar}")
+    row_ids = [line for line in text.split("\n") if line]
     if len(row_ids) != rows:
         raise FeatureValidationError(
             f"sidecar {sidecar} lists {len(row_ids)} ids but matrix has {rows} rows"

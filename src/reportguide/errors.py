@@ -24,7 +24,7 @@ class ManifestError(DataError):
 
 
 class FeatureFormatError(DataError):
-    """Feature file violates the binary layout or its sidecar contract."""
+    """Feature file or its sidecar cannot be read or violates the binary layout."""
 
 
 class FeatureValidationError(DataError):
@@ -85,7 +85,7 @@ class GenerationError(PipelineError):
 
 
 class GeneratedFileError(DataError):
-    """A generated-report file has a line that is not valid JSON or not a JSON object."""
+    """A generated-report file cannot be read or has a line that is not a JSON object."""
 
 
 class ArtifactWriteError(PipelineError):

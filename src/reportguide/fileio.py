@@ -1,17 +1,23 @@
-"""The one way artifacts reach disk.
+"""The one way artifacts reach disk and are read back.
 
 Each stage reads only files an earlier stage wrote, so every artifact is
 replaced in one step: a failed or killed stage leaves the previous file or
 none, never part of one.
+
+Reads go through the `read_*` functions: a file that cannot be read (a
+directory, no permission, not UTF-8) or is not the JSON it should be raises
+the caller's typed `error`, with `what` ("taxonomy file <path>") leading.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
+from collections.abc import Iterator
 from pathlib import Path
 
-from .errors import ArtifactWriteError
+from .errors import ArtifactWriteError, PipelineError
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:
@@ -40,3 +46,57 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
             raise
     except OSError as exc:
         raise ArtifactWriteError(f"cannot write {path}: {exc}") from exc
+
+
+def _unreadable(error: type[PipelineError], what: str, path, exc: Exception) -> PipelineError:
+    # An OSError's text names the path; a decoding error's does not.
+    reason = exc if isinstance(exc, OSError) else f"not UTF-8 text ({exc.reason}): {str(path)!r}"
+    return error(f"cannot read {what}: {reason}")
+
+
+def read_bytes(path: str | Path, error: type[PipelineError], what: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise _unreadable(error, what, path, exc) from exc
+
+
+def read_text(path: str | Path, error: type[PipelineError], what: str) -> str:
+    """The file decoded as UTF-8, with universal newlines."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(error, what, path, exc) from exc
+
+
+def read_json(path: str | Path, error: type[PipelineError], what: str) -> dict:
+    """The file's JSON document, which must be an object."""
+    text = read_text(path, error, what)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what}: not a JSON object")
+    return doc
+
+
+def read_jsonl(
+    path: str | Path, error: type[PipelineError], what: str
+) -> Iterator[tuple[int, dict]]:
+    """Stream (1-based line number, object) for each non-blank line. Lines
+    end at newlines only, not at the U+2028 that `json.dumps` leaves raw."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(f"{what} line {lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise error(f"{what} line {lineno}: not a JSON object")
+                yield lineno, obj
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(error, what, path, exc) from exc

@@ -575,15 +575,15 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
             try:
                 doc = json.loads(data)
                 text = doc["choices"][0]["message"]["content"]
-            except (ValueError, LookupError, TypeError) as exc:
+                usage = doc.get("usage") or {}
+                if not (isinstance(text, str) and isinstance(usage, dict)):
+                    raise TypeError("content must be a string and usage an object")
+                prompt = request.system + request.user
+                input_tokens = int(usage.get("prompt_tokens", estimate_tokens(prompt)))
+                output_tokens = int(usage.get("completion_tokens", estimate_tokens(text)))
+            except (ValueError, LookupError, TypeError, OverflowError) as exc:
                 raise TransportError(f"malformed chat-completion response: {exc}") from exc
-            usage = doc.get("usage") or {}
-            response = ChatResponse(
-                text=text,
-                input_tokens=int(usage.get("prompt_tokens", estimate_tokens(request.system + request.user))),
-                output_tokens=int(usage.get("completion_tokens", estimate_tokens(text))),
-                latency_ms=latency_ms,
-            )
+            response = ChatResponse(text, input_tokens, output_tokens, latency_ms)
             _log_call(config, request, response)
             return response
     raise TransportError(

@@ -23,7 +23,7 @@ from .errors import (
     GenerationError,
     PrerequisiteError,
 )
-from .fileio import write_atomic
+from .fileio import read_jsonl, write_atomic
 from .gateway import ChatRequest, GatewayConfig, complete
 from .schema import check_fields
 
@@ -329,20 +329,4 @@ def write_generated(path: str | Path, rows: list[dict]) -> None:
 
 
 def load_generated(path: str | Path) -> list[dict]:
-    rows: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GeneratedFileError(
-                    f"generated file {path} line {lineno}: invalid JSON: {exc}"
-                ) from exc
-            if not isinstance(obj, dict):
-                raise GeneratedFileError(
-                    f"generated file {path} line {lineno}: not a JSON object"
-                )
-            rows.append(obj)
-    return rows
+    return [obj for _, obj in read_jsonl(path, GeneratedFileError, f"generated file {path}")]

@@ -47,7 +47,8 @@ class StubChatServer:
     """Minimal scriptable OpenAI-style chat-completions endpoint.
 
     `script` is a list of HTTP status codes consumed one per request; once
-    exhausted every request succeeds with status 200 and a fixed reply.
+    exhausted every request succeeds with status 200 and a fixed reply, or
+    with the raw bytes of `body` in place of the whole reply when given.
     Records request payloads and targets, counts the connections it accepts
     and closes, and tracks the maximum number of requests that were in
     flight simultaneously.
@@ -62,12 +63,14 @@ class StubChatServer:
         self,
         script=None,
         reply: str = "stub-reply",
+        body: bytes | None = None,
         delay: float = 0.0,
         keep_alive: bool = False,
         idle_timeout: float | None = None,
     ):
         self.script = list(script or [])
         self.reply = reply
+        self.body = body
         self.delay = delay
         self.requests: list[dict] = []
         self.targets: list[str] = []
@@ -116,7 +119,7 @@ class StubChatServer:
                         "choices": [{"message": {"content": stub.reply}}],
                         "usage": {"prompt_tokens": 5, "completion_tokens": 7},
                     }
-                    payload = json.dumps(doc).encode("utf-8")
+                    payload = stub.body or json.dumps(doc).encode("utf-8")
                     self.send_response(200)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(payload)))

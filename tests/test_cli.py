@@ -468,9 +468,17 @@ def _edit_json(name, edit):
     return tamper
 
 
-def _replace_file(name, text):
+def _replace_file(name, data):
     def tamper(workdir):
-        (workdir / name).write_text(text, encoding="utf-8")
+        path = workdir / name
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    return tamper
+
+
+def _make_directory(name):
+    def tamper(workdir):
+        (workdir / name).unlink()
+        (workdir / name).mkdir()
     return tamper
 
 
@@ -510,12 +518,50 @@ def _append_line(name, line):
         (_append_line("../data/manifest.jsonl",
                       '{"id": "x1", "split": "train", "report": "x", "images": "p.png"}'),
          "train", "data error: manifest line 13: images must be an array"),
+        (_replace_file("taxonomy.json", b"\xff\xfe{"), "train", "taxonomy.json: not UTF-8 text"),
+        (_make_directory("taxonomy.json"), "train", "taxonomy.json: [Errno 21] Is a directory"),
+        (_replace_file("labels.jsonl", b"\xff\xfe{"), "train", "labels.jsonl: not UTF-8 text"),
+        (_make_directory("labels.jsonl"), "train", "labels.jsonl: [Errno 21] Is a directory"),
+        (_replace_file("checkpoint.json", b"\xff\xfe{"), "predict",
+         "checkpoint.json: not UTF-8 text"),
+        (_make_directory("checkpoint.json"), "predict",
+         "checkpoint.json: [Errno 21] Is a directory"),
+        (_replace_file("generated-image_and_label-pred.jsonl", b"\xff\xfe{"), "evaluate",
+         "generated-image_and_label-pred.jsonl: not UTF-8 text"),
+        (_make_directory("generated-image_and_label-pred.jsonl"), "evaluate",
+         "generated-image_and_label-pred.jsonl: [Errno 21] Is a directory"),
+        (_replace_file("../data/manifest.jsonl", b"\xff\xfe{"), "train",
+         "data error: cannot read manifest: not UTF-8 text"),
+        (_make_directory("../data/manifest.jsonl"), "train",
+         "data error: cannot read manifest: [Errno 21] Is a directory"),
+        (_replace_file("../data/features.ffmx", b"\xff\xfe{"), "train",
+         "features.ffmx; expected b'FFMX'"),
+        (_make_directory("../data/features.ffmx"), "train",
+         "features.ffmx: [Errno 21] Is a directory"),
+        (_replace_file("../data/features.ffmx.ids", b"\xff\xfe{"), "train",
+         "features.ffmx.ids: not UTF-8 text"),
+        (_make_directory("../data/features.ffmx.ids"), "train",
+         "features.ffmx.ids: [Errno 21] Is a directory"),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
     assert main(["pipeline", "--config", mini["config"]]) == 0
     tamper(mini["workdir"])
     assert main([command, "--config", mini["config"], "--force"]) == 4
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_replace_file("config.json", b"\xff\xfe{"), "config.json: not UTF-8 text"),
+        (_make_directory("config.json"), "config.json: [Errno 21] Is a directory"),
+    ],
+)
+def test_an_unreadable_config_file_exits_2(mini, caplog, tamper, message):
+    tamper(mini["tmp"])
+    assert main(["bootstrap", "--config", mini["config"]]) == 2
+    assert "configuration error: cannot read config file" in caplog.text
     assert message in caplog.text
 
 

@@ -63,10 +63,8 @@ def test_corpus_lookup_and_split_sizes():
         ReportRecord(id="c", split="test", report="t"),
     ]
     corpus = Corpus(records=records)
-    assert corpus.by_id("b").split == "val"
+    assert corpus.index()["b"].split == "val"
     assert [len(corpus.split(s)) for s in ("train", "val", "test")] == [1, 1, 1]
-    with pytest.raises(ManifestError):
-        corpus.by_id("zzz")
     with pytest.raises(ManifestError):
         corpus.split("holdout")
 
@@ -104,7 +102,7 @@ def test_load_manifest_parses_image_refs(tmp_path):
             }
         ],
     )
-    rec = load_manifest(path).by_id("a")
+    rec = load_manifest(path).index()["a"]
     assert rec.images == (ImageRef(path="img/a.png", modality="xray"),)
 
 

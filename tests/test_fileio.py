@@ -1,16 +1,22 @@
-"""Every artifact write goes through `fileio.write_atomic`.
+"""Every artifact write goes through `fileio.write_atomic`, every read
+through `fileio`'s readers.
 
 The guard parses each module of the package and fails on any call that can
 create or change a file outside `fileio.py`, except the two writes that are
-not artifacts: the gateway call log's append and the workdir lock.
+not artifacts: the gateway call log's append and the workdir lock. It also
+fails on any call that reads a file outside `fileio.py`, except the read of
+the package's own prompt texts.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 from pathlib import Path
 
 import reportguide
+from reportguide.errors import DataError
+from reportguide.fileio import read_jsonl
 
 PACKAGE = Path(reportguide.__file__).parent
 
@@ -18,6 +24,11 @@ PACKAGE = Path(reportguide.__file__).parent
 EXEMPT = {
     ("gateway.py", "_log_call"),  # append-only call log, one line per call
     ("cli.py", "_WorkdirLock.__enter__"),  # the lock file is never read back
+}
+
+# (module, enclosing function) of each read allowed outside fileio.py.
+READ_EXEMPT = {
+    ("bootstrap.py", "_prompt_text"),  # package prompt resources, not artifacts
 }
 
 
@@ -47,7 +58,22 @@ def _writes(call: ast.Call) -> bool:
     return any(c in mode.value for c in "wxa+")
 
 
-def _write_sites(path: Path) -> list[tuple[str, str, int]]:
+def _reads(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        owner = func.value.id if isinstance(func.value, ast.Name) else None
+        if func.attr in ("read_text", "read_bytes"):
+            return True
+        if func.attr == "load":
+            return owner == "json"
+        if func.attr != "open" or owner == "os":
+            return False
+    elif not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    return not _writes(call)  # open(...) or Path.open(...) in a read mode
+
+
+def _sites(path: Path, kind) -> list[tuple[str, str, int]]:
     sites = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -55,7 +81,7 @@ def _write_sites(path: Path) -> list[tuple[str, str, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and _writes(child):
+            if isinstance(child, ast.Call) and kind(child):
                 sites.append((path.name, ".".join(scope), child.lineno))
             visit(child, scope)
 
@@ -63,16 +89,27 @@ def _write_sites(path: Path) -> list[tuple[str, str, int]]:
     return sites
 
 
-def test_only_fileio_writes_artifacts():
-    sites = [
+def _package_sites(kind) -> list[tuple[str, str, int]]:
+    return [
         site
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "fileio.py"
-        for site in _write_sites(path)
+        for site in _sites(path, kind)
     ]
+
+
+def test_only_fileio_writes_artifacts():
+    sites = _package_sites(_writes)
     assert {(module, scope) for module, scope, _ in sites} >= EXEMPT  # the scan sees them
     unexpected = [site for site in sites if site[:2] not in EXEMPT]
     assert unexpected == [], "write through fileio.write_atomic instead"
+
+
+def test_only_fileio_reads_artifacts():
+    sites = _package_sites(_reads)
+    assert {(module, scope) for module, scope, _ in sites} >= READ_EXEMPT  # the scan sees it
+    unexpected = [site for site in sites if site[:2] not in READ_EXEMPT]
+    assert unexpected == [], "read through fileio's read_* functions instead"
 
 
 def test_the_scan_flags_every_kind_of_write():
@@ -95,3 +132,38 @@ def g(p):
 """
     calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
     assert sorted(n.lineno for n in calls if _writes(n)) == list(range(3, 12))
+
+
+def test_the_scan_flags_every_kind_of_read():
+    source = """
+def f(p):
+    open(p)
+    open(p, "rb")
+    open(p, mode="r")
+    p.open()
+    p.open("rb")
+    p.read_text()
+    p.read_bytes()
+    json.load(p)
+def g(p, m):
+    open(p, "w")
+    open(p, m)
+    p.open("a")
+    os.open(p, 0)
+    json.loads(p)
+    pickle.load(p)
+    fh.read()
+"""
+    calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    assert sorted(n.lineno for n in calls if _reads(n)) == list(range(3, 11))
+
+
+def test_read_jsonl_splits_only_at_newlines_and_skips_blank_lines(tmp_path):
+    # json.dumps(ensure_ascii=False) writes these separators raw inside strings;
+    # str.splitlines() would break a line at each of them.
+    text = "a\u2028b\u2029c\x85d"
+    path = tmp_path / "rows.jsonl"
+    line = json.dumps({"text": text}, ensure_ascii=False)
+    path.write_bytes(f"{line}\n \t\n\n{line}\r\n".encode("utf-8"))
+    assert list(read_jsonl(path, DataError, "rows")) == [(1, {"text": text}), (4, {"text": text})]
+

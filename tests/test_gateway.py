@@ -286,6 +286,44 @@ def test_http_success_parses_reply_and_usage(stub_server_factory, monkeypatch):
     assert sent["temperature"] == 0.0
 
 
+def _reply(content="x", **extra) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": content}}], **extra}).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _reply(usage=5),
+        _reply(usage=[1]),
+        _reply(usage={"prompt_tokens": "many"}),
+        _reply(usage={"prompt_tokens": None}),
+        _reply(usage={"completion_tokens": float("inf")}),
+        _reply(content=None),
+        _reply(content=5),
+        b'{"choices": []}',
+        b"[]",
+    ],
+)
+def test_http_malformed_reply_is_a_transport_error_without_retry(
+    stub_server_factory, monkeypatch, body
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(body=body)
+    with pytest.raises(TransportError, match="malformed chat-completion response"):
+        complete(ChatRequest(system="s", user="u"), _http_config(server))
+    assert len(server.requests) == 1
+
+
+@pytest.mark.parametrize("body", [_reply("hello"), _reply("hello", usage=None)])
+def test_http_reply_without_usage_estimates_tokens(stub_server_factory, monkeypatch, body):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(body=body)
+    response = complete(ChatRequest(system="s", user="u"), _http_config(server))
+    assert response.text == "hello"
+    assert response.input_tokens == estimate_tokens("su")
+    assert response.output_tokens == estimate_tokens("hello")
+
+
 def test_http_missing_api_key_fails_before_any_request(stub_server_factory, monkeypatch):
     monkeypatch.delenv("LLM_API_KEY", raising=False)
     server = stub_server_factory()
