@@ -18,7 +18,7 @@ import numpy as np
 
 from .bootstrap import MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
-from .errors import ConfigError, DivergenceError, TrainingError
+from .errors import ConfigError, DivergenceError, FeatureValidationError, TrainingError
 from .fileio import read_json, write_atomic
 from .schema import check_fields
 
@@ -338,33 +338,38 @@ def predict(
     return Prediction(probabilities=probs, positives=positives)
 
 
-def evaluate_mlc(
+def predict_records(
     params: ClassifierParams,
-    items,
     features: FeatureMatrix,
-    threshold: float = 0.5,
-    predicted: dict[str, tuple[int, ...]] | None = None,
-) -> dict:
-    """Macro and micro F1 over a list of annotated items.
+    ids,
+    threshold: float,
+) -> dict[str, Prediction]:
+    """Predict each record id from its feature row, keyed in the order given.
 
-    Per-label F1 comes from pooled TP/FP/FN counts; a label never predicted
-    and never present contributes 0 to the macro average. `predicted` maps
-    record ids to the positives `predict` already gave at this threshold;
-    an item it lacks is predicted here.
+    The one inference loop: a record with no feature row is a
+    FeatureValidationError.
     """
-    k = params.k
+    predictions: dict[str, Prediction] = {}
+    for record_id in ids:
+        row = features.row_for_id(record_id)
+        if row is None:
+            raise FeatureValidationError(f"record {record_id!r} has no feature row")
+        predictions[record_id] = predict(params, row, threshold=threshold)
+    return predictions
+
+
+def evaluate_mlc(k: int, items, predicted: dict[str, tuple[int, ...]]) -> dict:
+    """Macro and micro F1 of predicted positives over annotated items.
+
+    `predicted` maps each item's record id to its predicted positives among
+    the k labels. Per-label F1 comes from pooled TP/FP/FN counts; a label
+    never predicted and never present contributes 0 to the macro average.
+    """
     tp = np.zeros(k, dtype=np.int64)
     fp = np.zeros(k, dtype=np.int64)
     fn = np.zeros(k, dtype=np.int64)
-    known = predicted or {}
     for item in items:
-        positives = known.get(item.record_id)
-        if positives is None:
-            row = features.row_for_id(item.record_id)
-            if row is None:
-                raise TrainingError(f"record {item.record_id!r} has no feature row")
-            positives = predict(params, row, threshold=threshold).positives
-        predicted_set = set(positives)
+        predicted_set = set(predicted[item.record_id])
         actual = set(item.positives)
         for j in range(k):
             if j in predicted_set and j in actual:

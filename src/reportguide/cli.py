@@ -221,7 +221,10 @@ class _WorkdirLock:
         # A holder unlinks the file before releasing it, so a lock won on an
         # unlinked file means that holder just finished: open the path anew.
         for _ in range(2):
-            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+            except OSError as exc:
+                raise ConfigError(f"cannot open lock file {self.path}: {exc}") from exc
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
@@ -293,12 +296,6 @@ def _features_path(config: PipelineConfig) -> str:
     return config.paths.features
 
 
-def _load_corpus_and_features(config: PipelineConfig):
-    path = _features_path(config)
-    corpus = load_manifest(config.paths.manifest)
-    return corpus, load_features(path, corpus)
-
-
 def _load_stage1(config: PipelineConfig, corpus: Corpus):
     workdir = Path(config.paths.workdir)
     taxonomy = bootstrap_mod.load_taxonomy(_require(workdir / "taxonomy.json", "bootstrap"))
@@ -316,7 +313,6 @@ def _load_stage1(config: PipelineConfig, corpus: Corpus):
 def cmd_bootstrap(config: PipelineConfig, force: bool = False) -> None:
     started = time.time()
     workdir = Path(config.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     _refuse_overwrite(
         [workdir / "taxonomy.json", workdir / "labels.jsonl", workdir / "audit.json"], force
     )
@@ -341,9 +337,10 @@ def cmd_bootstrap(config: PipelineConfig, force: bool = False) -> None:
 def cmd_train(config: PipelineConfig, force: bool = False) -> None:
     started = time.time()
     workdir = Path(config.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     _refuse_overwrite([workdir / "checkpoint.json"], force)
-    corpus, features = _load_corpus_and_features(config)
+    features_path = _features_path(config)
+    corpus = load_manifest(config.paths.manifest)
+    features = load_features(features_path, corpus)
     _, dataset = _load_stage1(config, corpus)
     classifier_mod.train(
         dataset, features, config.train, checkpoint_path=workdir / "checkpoint.json"
@@ -352,8 +349,11 @@ def cmd_train(config: PipelineConfig, force: bool = False) -> None:
     logger.info("train: checkpoint written to %s", workdir / "checkpoint.json")
 
 
-def _load_checkpoint_bound(config: PipelineConfig, corpus: Corpus):
-    """Load the checkpoint and verify it matches the stored taxonomy."""
+def _predict_split(config: PipelineConfig, corpus: Corpus):
+    """Predict every record of `guidance.split`, in id order, with the
+    checkpoint bound to the workdir's taxonomy. Returns the checkpoint, the
+    labelled dataset and the predictions by record id."""
+    features = load_features(_features_path(config), corpus)
     workdir = Path(config.paths.workdir)
     params = classifier_mod.load_checkpoint(_require(workdir / "checkpoint.json", "train"))
     taxonomy, dataset = _load_stage1(config, corpus)
@@ -362,42 +362,33 @@ def _load_checkpoint_bound(config: PipelineConfig, corpus: Corpus):
             "checkpoint was trained against a different taxonomy than the one "
             "in the workdir; re-run the train stage"
         )
-    return params, taxonomy, dataset
+    ids = sorted(rec.id for rec in corpus.split(config.guidance.split))
+    predictions = classifier_mod.predict_records(params, features, ids, config.guidance.threshold)
+    return params, dataset, predictions
 
 
 def cmd_predict(config: PipelineConfig, force: bool = False) -> None:
     started = time.time()
     workdir = Path(config.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     _refuse_overwrite([workdir / "predictions.jsonl", workdir / "mlc_metrics.json"], force)
-    corpus, features = _load_corpus_and_features(config)
-    params, _, dataset = _load_checkpoint_bound(config, corpus)
-    split = config.guidance.split
-    threshold = config.guidance.threshold
-
-    predicted: dict[str, tuple[int, ...]] = {}
-    lines: list[str] = []
-    for rec in sorted(corpus.split(split), key=lambda r: r.id):
-        row = features.row_for_id(rec.id)
-        if row is None:
-            raise DataError(f"record {rec.id!r} has no feature row")
-        pred = classifier_mod.predict(params, row, threshold=threshold)
-        predicted[rec.id] = pred.positives
-        lines.append(
-            json.dumps(
-                {
-                    "id": rec.id,
-                    "positives": list(pred.positives),
-                    "probs": [float(p) for p in pred.probabilities],
-                }
-            )
-            + "\n"
+    _features_path(config)  # an empty paths.features exits 2 before the manifest is read
+    corpus = load_manifest(config.paths.manifest)
+    params, dataset, predictions = _predict_split(config, corpus)
+    lines = [
+        json.dumps(
+            {
+                "id": rid,
+                "positives": list(pred.positives),
+                "probs": [float(p) for p in pred.probabilities],
+            }
         )
+        + "\n"
+        for rid, pred in predictions.items()
+    ]
     write_atomic(workdir / "predictions.jsonl", "".join(lines))
-    split_items = dataset.split_items(split)
-    scores = classifier_mod.evaluate_mlc(
-        params, split_items, features, threshold=threshold, predicted=predicted
-    )
+    split = config.guidance.split
+    positives = {rid: pred.positives for rid, pred in predictions.items()}
+    scores = classifier_mod.evaluate_mlc(params.k, dataset.split_items(split), positives)
     write_atomic(workdir / "mlc_metrics.json", json.dumps(scores, indent=2) + "\n")
     _write_meta(workdir, "predict", config, started)
     logger.info(
@@ -411,7 +402,6 @@ def cmd_predict(config: PipelineConfig, force: bool = False) -> None:
 def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = False) -> None:
     started = time.time()
     workdir = Path(config.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     corpus = load_manifest(config.paths.manifest)
     g = config.guidance
     cells = guidance_mod.ABLATION_MODES if ablation else (g.cell,)
@@ -419,22 +409,23 @@ def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = F
         [workdir / guidance_mod.generated_filename(m, s) for m, s in cells], force
     )
 
-    params = None
-    features = None
+    # Each record is predicted once, however many cells read `pred`.
+    predictions = {}
     if any(s == "pred" for _, s in cells):
-        features = load_features(_features_path(config), corpus)
-        params, _, dataset = _load_checkpoint_bound(config, corpus)
+        _, dataset, predictions = _predict_split(config, corpus)
     else:
         _, dataset = _load_stage1(config, corpus)
-
-    predicted: dict[str, tuple[int, ...]] = {}  # shared, so each row is predicted once
+    # image_only cells, whose source is "none", read no labels.
+    labels = {
+        "pred": {rid: pred.positives for rid, pred in predictions.items()},
+        "gt": {item.record_id: item.positives for item in dataset.items},
+    }
     # Every cell is generated before any file is written, so a cell that
     # fails leaves the workdir's generated files all from one run.
     outputs = []
     for mode, source in cells:
         rows = guidance_mod.run_generation(
-            corpus, dataset, mode, source, g.generator, params=params, features=features,
-            threshold=g.threshold, split=g.split, predicted=predicted,
+            corpus, dataset.taxonomy, mode, source, labels.get(source, {}), g.generator, g.split
         )
         outputs.append((workdir / guidance_mod.generated_filename(mode, source), rows))
     for path, rows in outputs:
@@ -446,7 +437,6 @@ def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = F
 def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
     started = time.time()
     workdir = Path(config.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     _refuse_overwrite([workdir / "metrics.json"], force)
     corpus = load_manifest(config.paths.manifest)
     mode, source = config.guidance.cell
@@ -597,7 +587,10 @@ def main(argv: list[str] | None = None) -> int:
         overrides = _collect_overrides(args, extra)
         config = load_config(args.config, overrides)
         workdir = Path(config.paths.workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
+        try:
+            workdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use workdir {workdir}: {exc}") from exc
         handlers = {
             "bootstrap": cmd_bootstrap,
             "train": cmd_train,

@@ -14,9 +14,8 @@ import subprocess
 from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 
-from .bootstrap import AnnotatedItem, LabelTaxonomy, MLCDataset
-from .classifier import ClassifierParams, predict
-from .corpus import Corpus, FeatureMatrix, ReportRecord
+from .bootstrap import LabelTaxonomy
+from .corpus import Corpus, ReportRecord
 from .errors import (
     ConfigError,
     GeneratedFileError,
@@ -244,71 +243,29 @@ def generated_filename(mode: str, label_source: str) -> str:
     return f"generated-{mode_tag(mode, label_source)}.jsonl"
 
 
-def _labels_for(
-    record: ReportRecord,
-    mode: str,
-    label_source: str,
-    vectors: dict[str, AnnotatedItem],
-    params: ClassifierParams | None,
-    features: FeatureMatrix | None,
-    threshold: float,
-    predicted: dict[str, tuple[int, ...]],
-) -> tuple[int, ...]:
-    if mode == "image_only":
-        return ()
-    if label_source == "gt":
-        item = vectors.get(record.id)
-        if item is None:
-            raise PrerequisiteError(
-                f"record {record.id!r} has no bootstrap label vector; run the bootstrap stage"
-            )
-        return item.positives
-    if params is None or features is None:
-        raise PrerequisiteError(
-            "predicted labels need a trained checkpoint and features; run the train stage"
-        )
-    positives = predicted.get(record.id)
-    if positives is None:
-        row = features.row_for_id(record.id)
-        if row is None:
-            raise PrerequisiteError(f"record {record.id!r} has no feature row")
-        positives = predicted[record.id] = predict(params, row, threshold=threshold).positives
-    return positives
-
-
 def run_generation(
     corpus: Corpus,
-    dataset: MLCDataset,
+    taxonomy: LabelTaxonomy,
     mode: str,
     label_source: str,
+    labels: dict[str, tuple[int, ...]],
     generator: GeneratorConfig,
-    params: ClassifierParams | None = None,
-    features: FeatureMatrix | None = None,
-    threshold: float = 0.5,
     split: str = "test",
-    predicted: dict[str, tuple[int, ...]] | None = None,
 ) -> list[dict]:
     """Generate reports for one (mode, label source) cell of the ablation.
 
-    Output rows are ordered by record id. Each row carries the prompt that
-    produced it so downstream evaluation never has to re-derive prompts.
-    `predicted` caches each record's predicted positives by id; cells that
-    share one (as `generate --ablation`'s do) predict each record once.
+    `labels` maps each record id of the split to its positives from
+    `label_source`; image_only cells read none. Output rows are ordered by
+    record id. Each row carries the prompt that produced it so downstream
+    evaluation never has to re-derive prompts.
     """
-    vectors = dataset.by_id()
-    if predicted is None:
-        predicted = {}
     rows: list[dict] = []
     for rec in sorted(corpus.split(split), key=lambda r: r.id):
-        positives = _labels_for(
-            rec, mode, label_source, vectors, params, features, threshold, predicted
-        )
+        positives = () if mode == "image_only" else labels.get(rec.id)
+        if positives is None:
+            raise PrerequisiteError(f"record {rec.id!r} has no {label_source} label vector")
         prompt = serialize_labels(
-            positives,
-            dataset.taxonomy,
-            mode=mode,
-            label_source="pred" if mode == "image_only" else label_source,
-            record=rec,
+            positives, taxonomy, mode=mode, label_source=label_source, record=rec
         )
         report = generate_report(rec, prompt, generator)
         rows.append(

@@ -32,6 +32,7 @@ from reportguide.classifier import (
     bce_loss_and_grad,
     evaluate_mlc,
     predict,
+    predict_records,
     train,
 )
 from reportguide.cli import main
@@ -231,7 +232,16 @@ def test_criterion_3_long_tail_benchmark():
                 ),
             )
             by_mode[adjustment] = (
-                evaluate_mlc(params, test_items, features)["macro_f1"],
+                evaluate_mlc(
+                    params.k,
+                    test_items,
+                    {
+                        rid: pred.positives
+                        for rid, pred in predict_records(
+                            params, features, [i.record_id for i in test_items], 0.5
+                        ).items()
+                    },
+                )["macro_f1"],
                 _tail_recall(params, test_items, features),
             )
         f1_deltas.append(by_mode["on"][0] - by_mode["off"][0])

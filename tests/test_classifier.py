@@ -36,12 +36,18 @@ from reportguide.classifier import (
     evaluate_mlc,
     load_checkpoint,
     predict,
+    predict_records,
     save_checkpoint,
     train,
 )
 from reportguide.cli import main
 from reportguide.corpus import Corpus, FeatureMatrix, ReportRecord, save_features, save_manifest
-from reportguide.errors import ConfigError, DivergenceError, TrainingError
+from reportguide.errors import (
+    ConfigError,
+    DivergenceError,
+    FeatureValidationError,
+    TrainingError,
+)
 
 
 def _taxonomy(k: int) -> LabelTaxonomy:
@@ -66,6 +72,12 @@ def _features(rows, ids):
     return FeatureMatrix(
         values=np.asarray(rows, dtype=np.float32), row_ids=tuple(ids)
     )
+
+
+def _scores(params, items, features, threshold=0.5):
+    """evaluate_mlc over the items' predictions, as `predict` scores them."""
+    predicted = predict_records(params, features, [i.record_id for i in items], threshold)
+    return evaluate_mlc(params.k, items, {rid: p.positives for rid, p in predicted.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +342,7 @@ def test_training_fits_a_separable_problem():
     dataset, features = _separable_setup()
     config = TrainConfig(learning_rate=0.5, epochs=60, batch_size=4, seed=0)
     params = train(dataset, features, config)
-    result = evaluate_mlc(params, dataset.items, features)
+    result = _scores(params, dataset.items, features)
     assert result["micro_f1"] == 1.0
     assert result["macro_f1"] == 1.0
 
@@ -822,7 +834,7 @@ def test_evaluate_mlc_hand_counted_example():
         AnnotatedItem("r2", "test", (1,)),
         AnnotatedItem("r3", "test", (1,)),
     ]
-    result = evaluate_mlc(params, items, features)
+    result = _scores(params, items, features)
     assert result["macro_f1"] == pytest.approx(2 / 3, abs=1e-12)
     assert result["micro_f1"] == pytest.approx(2 / 3, abs=1e-12)
     by_index = {e["index"]: e for e in result["per_label"]}
@@ -833,7 +845,7 @@ def test_evaluate_mlc_hand_counted_example():
 def test_evaluate_mlc_perfect_predictions():
     dataset, features = _separable_setup()
     params = _params(np.diag([10.0, 10.0]))
-    result = evaluate_mlc(params, dataset.items, features)
+    result = _scores(params, dataset.items, features)
     assert result["macro_f1"] == 1.0
     assert result["micro_f1"] == 1.0
 
@@ -842,33 +854,37 @@ def test_evaluate_mlc_absent_label_scores_zero():
     params = _params(np.array([[10.0, 0.0], [0.0, -10.0]]))
     features = _features([[1.0, 1.0]], ["r0"])
     items = [AnnotatedItem("r0", "test", (0,))]
-    result = evaluate_mlc(params, items, features)
+    result = _scores(params, items, features)
     by_index = {e["index"]: e for e in result["per_label"]}
     assert by_index[1]["f1"] == 0.0
     assert result["macro_f1"] == pytest.approx(0.5)
 
 
-def test_evaluate_mlc_scores_given_predictions_and_predicts_the_rest():
+def test_evaluate_mlc_scores_the_given_positives_as_they_are():
+    dataset, _ = _separable_setup()
+    truth = {item.record_id: item.positives for item in dataset.items}
+    assert evaluate_mlc(2, dataset.items, truth)["macro_f1"] == 1.0
+    wrong = {item.record_id: () for item in dataset.items}
+    assert evaluate_mlc(2, dataset.items, wrong)["micro_f1"] == 0.0
+
+
+def test_predict_records_predicts_each_id_in_the_given_order():
     dataset, features = _separable_setup()
     params = train(dataset, features, TrainConfig(learning_rate=0.5, epochs=3, batch_size=4))
-    fresh = evaluate_mlc(params, dataset.items, features, threshold=0.4)
-    half = {
-        item.record_id: predict(params, features.row_for_id(item.record_id), 0.4).positives
-        for item in dataset.items[::2]
-    }
-    assert evaluate_mlc(params, dataset.items, features, 0.4, predicted=half) == fresh
-    # Given positives are taken as they are, not predicted again.
-    wrong = {item.record_id: () for item in dataset.items}
-    assert evaluate_mlc(params, dataset.items, features, predicted=wrong)["micro_f1"] == 0.0
-    with pytest.raises(TrainingError, match="absent"):
-        evaluate_mlc(params, [AnnotatedItem("absent", "test", ())], features, predicted=half)
+    ids = [item.record_id for item in reversed(dataset.items)]
+    predicted = predict_records(params, features, ids, 0.4)
+    assert list(predicted) == ids
+    for rid in ids:
+        expected = predict(params, features.row_for_id(rid), threshold=0.4)
+        assert predicted[rid].positives == expected.positives
+        assert np.array_equal(predicted[rid].probabilities, expected.probabilities)
 
 
-def test_evaluate_mlc_missing_row_raises():
+def test_predict_records_names_a_record_with_no_feature_row():
     params = _params(np.zeros((1, 1)))
     features = _features([[1.0]], ["present"])
-    with pytest.raises(TrainingError, match="absent"):
-        evaluate_mlc(params, [AnnotatedItem("absent", "test", ())], features)
+    with pytest.raises(FeatureValidationError, match="'absent' has no feature row"):
+        predict_records(params, features, ["present", "absent"], 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from reportguide.corpus import (
     Corpus,
     FeatureMatrix,
     ReportRecord,
+    load_features,
     save_features,
     save_manifest,
 )
@@ -313,8 +314,10 @@ def test_http_gateway_without_endpoint_exits_2(mini):
 
 def test_predict_before_train_exits_5(mini, caplog):
     assert main(["bootstrap", "--config", mini["config"]]) == 0
-    assert main(["predict", "--config", mini["config"]]) == 5
-    assert "reportguide train" in caplog.text
+    for command in ("predict", "generate"):  # generate's default cell reads `pred`
+        caplog.clear()
+        assert main([command, "--config", mini["config"]]) == 5
+        assert "reportguide train" in caplog.text
 
 
 def test_evaluate_before_generate_exits_5(mini, caplog):
@@ -334,6 +337,22 @@ def test_held_lock_exits_2(mini, caplog):
         assert "locked" in caplog.text
     finally:
         os.close(fd)
+
+
+def test_a_workdir_that_is_a_file_exits_2(mini, caplog):
+    workdir = mini["workdir"]
+    workdir.write_text("not a directory", encoding="utf-8")
+    assert main(["bootstrap", "--config", mini["config"]]) == 2
+    assert f"configuration error: cannot use workdir {workdir}: [Errno 17]" in caplog.text
+
+
+def test_a_lock_that_cannot_be_opened_exits_2(mini, caplog):
+    lock = mini["workdir"] / ".lock"
+    lock.mkdir(parents=True)
+    assert main(["bootstrap", "--config", mini["config"]]) == 2
+    assert f"configuration error: cannot open lock file {lock}: [Errno 21]" in caplog.text
+    assert lock.is_dir()
+    assert not (mini["workdir"] / "taxonomy.json").exists()
 
 
 def test_lock_left_by_a_killed_run_is_taken_over(mini, caplog):
@@ -489,6 +508,16 @@ def _append_line(name, line):
     return tamper
 
 
+def _drop_feature_row(record_id):
+    def tamper(workdir):
+        path = workdir / "../data/features.ffmx"
+        full = load_features(path)
+        keep = [i for i, rid in enumerate(full.row_ids) if rid != record_id]
+        rows = FeatureMatrix(values=full.values[keep], row_ids=[full.row_ids[i] for i in keep])
+        save_features(rows, path)
+    return tamper
+
+
 @pytest.mark.parametrize(
     "tamper, command, message",
     [
@@ -542,6 +571,8 @@ def _append_line(name, line):
          "features.ffmx.ids: not UTF-8 text"),
         (_make_directory("../data/features.ffmx.ids"), "train",
          "features.ffmx.ids: [Errno 21] Is a directory"),
+        (_drop_feature_row("s2"), "predict", "record 's2' has no feature row"),
+        (_drop_feature_row("s2"), "generate", "record 's2' has no feature row"),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
@@ -651,7 +682,7 @@ def test_pipeline_end_to_end_produces_every_artifact(mini):
 def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
     mini, monkeypatch
 ):
-    from reportguide import classifier, cli, guidance
+    from reportguide import classifier, cli
 
     assert main(["bootstrap", "--config", mini["config"]]) == 0
     assert main(["train", "--config", mini["config"]]) == 0
@@ -664,9 +695,7 @@ def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
         return wrapper
 
     monkeypatch.setattr(cli, "load_manifest", counting("load_manifest", cli.load_manifest))
-    predict = counting("predict", classifier.predict)
-    monkeypatch.setattr(classifier, "predict", predict)
-    monkeypatch.setattr(guidance, "predict", predict)
+    monkeypatch.setattr(classifier, "predict", counting("predict", classifier.predict))
     test_rows = 2
 
     assert main(["predict", "--config", mini["config"]]) == 0
@@ -677,7 +706,11 @@ def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
     corpus = cli.load_manifest(config.paths.manifest)
     features = cli.load_features(config.paths.features, corpus)
     _, dataset = cli._load_stage1(config, corpus)
-    fresh = classifier.evaluate_mlc(params, dataset.split_items("test"), features)
+    items = dataset.split_items("test")
+    predicted = classifier.predict_records(params, features, [i.record_id for i in items], 0.5)
+    fresh = classifier.evaluate_mlc(
+        params.k, items, {rid: pred.positives for rid, pred in predicted.items()}
+    )
     assert (workdir / "mlc_metrics.json").read_text(encoding="utf-8") == (
         json.dumps(fresh, indent=2) + "\n"
     )

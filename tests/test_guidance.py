@@ -19,9 +19,9 @@ from reportguide.bootstrap import (
     save_taxonomy,
     taxonomy_fingerprint,
 )
-from reportguide.classifier import ClassifierParams, save_checkpoint
+from reportguide.classifier import ClassifierParams, predict_records, save_checkpoint
 from reportguide.cli import main
-from reportguide.corpus import Corpus, FeatureMatrix, ImageRef, ReportRecord
+from reportguide.corpus import Corpus, ImageRef, ReportRecord
 from reportguide.errors import (
     ConfigError,
     GeneratedFileError,
@@ -293,7 +293,7 @@ def test_command_generator_missing_binary_raises():
 # ---------------------------------------------------------------------------
 
 
-def _gen_corpus_and_dataset():
+def _gen_corpus_and_labels():
     tax = _taxonomy(["Pleural effusion", "Consolidation"])
     records = [
         ReportRecord(id="t-c", split="test", report="ref c"),
@@ -301,86 +301,47 @@ def _gen_corpus_and_dataset():
         ReportRecord(id="t-b", split="test", report="ref b"),
     ]
     corpus = Corpus(records=records)
-    dataset = MLCDataset(
-        taxonomy=tax,
-        items=(
-            AnnotatedItem("t-a", "test", (0,)),
-            AnnotatedItem("t-b", "test", ()),
-            AnnotatedItem("t-c", "test", (0, 1)),
-        ),
-    )
-    return corpus, dataset
+    return corpus, tax, {"t-a": (0,), "t-b": (), "t-c": (0, 1)}
 
 
 def test_run_generation_rows_are_ordered_and_complete():
-    corpus, dataset = _gen_corpus_and_dataset()
+    corpus, tax, labels = _gen_corpus_and_labels()
     rows = run_generation(
-        corpus, dataset, "image_and_label", "gt", GeneratorConfig(backend="mock")
+        corpus, tax, "image_and_label", "gt", labels, GeneratorConfig(backend="mock")
     )
     assert [r["id"] for r in rows] == ["t-a", "t-b", "t-c"]
     assert set(rows[0]) == {"id", "mode", "label_source", "prompt", "report"}
     assert rows[0]["label_source"] == "gt"
-    assert rows[2]["prompt"] == serialize_labels((0, 1), dataset.taxonomy).text
+    assert rows[2]["prompt"] == serialize_labels((0, 1), tax).text
 
 
 def test_run_generation_image_only_has_no_label_source():
-    corpus, dataset = _gen_corpus_and_dataset()
+    corpus, tax, _ = _gen_corpus_and_labels()
     rows = run_generation(
-        corpus, dataset, "image_only", "none", GeneratorConfig(backend="mock")
+        corpus, tax, "image_only", "none", {}, GeneratorConfig(backend="mock")
     )
     assert all(r["label_source"] == "none" for r in rows)
     assert all(r["prompt"] == IMAGE_ONLY_PROMPT for r in rows)
 
 
-def test_run_generation_pred_without_checkpoint_is_a_prerequisite_error():
-    corpus, dataset = _gen_corpus_and_dataset()
-    with pytest.raises(PrerequisiteError, match="train"):
-        run_generation(
-            corpus, dataset, "image_and_label", "pred", GeneratorConfig(backend="mock")
-        )
-
-
 def test_run_generation_gt_without_labels_is_a_prerequisite_error():
-    corpus, _ = _gen_corpus_and_dataset()
-    empty = MLCDataset(taxonomy=_taxonomy(["Pleural effusion"]), items=())
-    with pytest.raises(PrerequisiteError, match="bootstrap"):
+    corpus, tax, labels = _gen_corpus_and_labels()
+    del labels["t-b"]
+    with pytest.raises(PrerequisiteError, match="'t-b' has no gt label vector"):
         run_generation(
-            corpus, empty, "image_and_label", "gt", GeneratorConfig(backend="mock")
-        )
-
-
-def test_run_generation_pred_without_feature_row_is_a_prerequisite_error():
-    corpus, dataset = _gen_corpus_and_dataset()
-    params = ClassifierParams(
-        weights=np.zeros((2, 1)),
-        bias=np.zeros(2),
-        frequencies=np.full(2, 0.5),
-        tau=1.0,
-        taxonomy_hash="t",
-    )
-    features = FeatureMatrix(
-        values=np.zeros((1, 1), dtype=np.float32), row_ids=("elsewhere",)
-    )
-    with pytest.raises(PrerequisiteError, match="feature row"):
-        run_generation(
-            corpus,
-            dataset,
-            "image_and_label",
-            "pred",
-            GeneratorConfig(backend="mock"),
-            params=params,
-            features=features,
+            corpus, tax, "image_and_label", "gt", labels, GeneratorConfig(backend="mock")
         )
 
 
 def test_run_generation_writes_file_that_loads_back(tmp_path):
-    corpus, dataset = _gen_corpus_and_dataset()
+    corpus, tax, labels = _gen_corpus_and_labels()
     path = tmp_path / "generated-image_and_label-gt.jsonl"
     rows = run_generation(
         corpus,
-        dataset,
+        tax,
         "image_and_label",
         "gt",
+        labels,
         GeneratorConfig(backend="mock"),
     )
     write_generated(path, rows)
@@ -494,30 +455,34 @@ def test_ablation_gt_and_pred_prompts_agree_for_a_perfect_head(synth, synth_dir,
 def test_ablation_predicts_each_record_once_and_writes_what_single_cells_write(
     synth, synth_dir, tmp_path, monkeypatch
 ):
-    from reportguide import guidance
+    from reportguide import classifier
 
     dataset = _gt_dataset_over(synth)
-    params = _identity_params_over(synth)
+    test_ids = sorted(rec.id for rec in synth.corpus.split("test"))
+    predicted = predict_records(_identity_params_over(synth), synth.features, test_ids, 0.5)
+    labels = {
+        "pred": {rid: pred.positives for rid, pred in predicted.items()},
+        "gt": {item.record_id: item.positives for item in dataset.items},
+    }
     calls = []
-    real_predict = guidance.predict
+    real_predict = classifier.predict
 
     def counting_predict(params_, row, threshold=0.5):
         calls.append(threshold)
         return real_predict(params_, row, threshold=threshold)
 
-    monkeypatch.setattr(guidance, "predict", counting_predict)
+    monkeypatch.setattr(classifier, "predict", counting_predict)
     _generate_ablation(synth, synth_dir, tmp_path / "ablation")
-    assert len(calls) == len(synth.corpus.split("test"))
+    assert len(calls) == len(test_ids)
     for mode, source in ABLATION_MODES:
         single = tmp_path / generated_filename(mode, source)
         rows = run_generation(
             synth.corpus,
-            dataset,
+            dataset.taxonomy,
             mode,
             source,
+            labels.get(source, {}),
             GeneratorConfig(backend="mock"),
-            params=params,
-            features=synth.features,
         )
         write_generated(single, rows)
         assert single.read_bytes() == (tmp_path / "ablation" / single.name).read_bytes()

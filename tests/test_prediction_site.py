@@ -1,0 +1,60 @@
+"""Records are predicted in one place: `classifier.predict_records`.
+
+The guard parses each module of the package and fails on a call to
+`predict` outside `predict_records`, on a feature-row lookup (`row_for_id`)
+outside `predict_records` and `train`, and on any import from `classifier`
+in `guidance.py`, which writes reports from the labels it is handed.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import reportguide
+
+PACKAGE = Path(reportguide.__file__).parent
+
+
+def _call_sites(name: str) -> set[tuple[str, str]]:
+    """(module, enclosing function) of each call to `name` or `<x>.name`."""
+    sites = set()
+
+    def visit(module: str, node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name:
+                    sites.add((module, ".".join(scope)))
+            visit(module, child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path.name, ast.parse(path.read_text(encoding="utf-8")), ())
+    return sites
+
+
+def test_only_predict_records_calls_predict():
+    assert _call_sites("predict") == {("classifier.py", "predict_records")}
+
+
+def test_only_predict_records_and_train_look_up_feature_rows():
+    assert _call_sites("row_for_id") == {
+        ("classifier.py", "predict_records"),
+        ("classifier.py", "train"),
+    }
+
+
+def test_guidance_imports_nothing_from_classifier():
+    tree = ast.parse((PACKAGE / "guidance.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("classifier" in name.split(".") for name in imported), imported
