@@ -27,7 +27,7 @@ from .errors import (
     MergeBudgetError,
     MergeProgressError,
 )
-from .fileio import read_json, read_jsonl, write_atomic
+from .fileio import read_json, read_jsonl
 from .gateway import (
     ChatRequest,
     GatewayConfig,
@@ -407,13 +407,11 @@ def bootstrap_dataset(
     corpus: Corpus,
     config: BootstrapConfig,
     gateway: GatewayConfig,
-    out_dir: str | Path | None = None,
 ) -> MLCDataset:
     """Run extraction, merging, annotation, and filtering over a corpus.
 
-    Persists taxonomy.json and labels.jsonl into out_dir when given. With
-    the mock backend the whole stage is deterministic, so repeated runs
-    write byte-identical artifacts.
+    With the mock backend the whole stage is deterministic, so repeated runs
+    serialize to byte-identical artifacts.
     """
     train = corpus.split("train")
     if not train:
@@ -464,14 +462,7 @@ def bootstrap_dataset(
         logger.warning("annotation skipped %d records", len(skipped))
 
     dataset = MLCDataset(taxonomy=draft, items=items, skipped=skipped)
-    dataset = filter_labels(dataset, config.theta)
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_taxonomy(dataset.taxonomy, out / "taxonomy.json")
-        save_labels(dataset, out / "labels.jsonl")
-    return dataset
+    return filter_labels(dataset, config.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +481,6 @@ def taxonomy_to_json(taxonomy: LabelTaxonomy) -> str:
         ],
     }
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
-
-
-def save_taxonomy(taxonomy: LabelTaxonomy, path: str | Path) -> None:
-    write_atomic(path, taxonomy_to_json(taxonomy))
 
 
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:
@@ -536,13 +523,10 @@ def taxonomy_fingerprint(taxonomy: LabelTaxonomy) -> str:
     return hashlib.sha256(taxonomy_to_json(taxonomy).encode("utf-8")).hexdigest()
 
 
-def save_labels(dataset: MLCDataset, path: str | Path) -> None:
-    write_atomic(
-        path,
-        "".join(
-            json.dumps({"id": item.record_id, "positives": list(item.positives)}) + "\n"
-            for item in dataset.items
-        ),
+def labels_to_jsonl(dataset: MLCDataset) -> str:
+    return "".join(
+        json.dumps({"id": item.record_id, "positives": list(item.positives)}) + "\n"
+        for item in dataset.items
     )
 
 
@@ -559,6 +543,8 @@ def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> ML
         if not isinstance(positives, list) or not all(_is_int(j) for j in positives):
             raise BootstrapError(f"{what} line {lineno}: positives must be a list of integers")
         items.append(AnnotatedItem(record_id=rid, split=rec.split, positives=tuple(positives)))
+    if not items:
+        raise BootstrapError(f"{what} has no rows")
     return MLCDataset(taxonomy=taxonomy, items=tuple(items))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .bootstrap import MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
 from .errors import ConfigError, DivergenceError, FeatureValidationError, TrainingError
-from .fileio import read_json, write_atomic
+from .fileio import read_json
 from .schema import check_fields
 
 CHECKPOINT_VERSION = 1
@@ -195,7 +195,6 @@ def train(
     dataset: MLCDataset,
     features: FeatureMatrix,
     config: TrainConfig,
-    checkpoint_path: str | Path | None = None,
 ) -> ClassifierParams:
     """Deterministic mini-batch gradient descent from zero-initialized weights.
 
@@ -207,7 +206,7 @@ def train(
     epoch and batch before that batch's update. The loss is computed only in
     epochs that could reach one (see _epoch_stays_finite). A weight or bias
     left non-finite by the last update raises DivergenceError naming that
-    update's epoch and batch, before any checkpoint is written.
+    update's epoch and batch, so non-finite parameters are never returned.
     """
     train_items = dataset.split_items("train")
     if not train_items:
@@ -291,8 +290,6 @@ def train(
             batch=batch_no,
         )
     params.weights, params.bias = block[:, :d].copy(), block[:, d].copy()
-    if checkpoint_path is not None:
-        save_checkpoint(params, checkpoint_path)
     return params
 
 
@@ -426,10 +423,6 @@ def checkpoint_to_json(params: ClassifierParams) -> str:
         "}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def save_checkpoint(params: ClassifierParams, path: str | Path) -> None:
-    write_atomic(path, checkpoint_to_json(params))
 
 
 _CHECKPOINT_KEYS = ("k", "d", "tau", "taxonomy_hash", "frequencies", "bias", "weights")

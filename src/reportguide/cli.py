@@ -1,10 +1,14 @@
 """Command-line pipeline orchestrator.
 
-Each stage command reads one JSON config file, validates it, takes a lock on
-the working directory, refuses to overwrite its own artifacts without
---force, and leaves a run-metadata file describing what it did. `pipeline`
-chains the five stages in-process, so its artifacts are byte-identical to
-running the stages one by one.
+The five stages are the rows of one table, `STAGES`: each names the workdir
+files it writes and a run function that returns their text and writes
+nothing. Each stage command reads one JSON config file, validates it and
+takes a lock on the working directory; `run_stage` then refuses to overwrite
+the stage's outputs without --force, runs it, writes the outputs only after
+the whole run has returned, and leaves `meta/<stage>.json` describing the
+run. `pipeline` runs the table's rows in order in-process, so its artifacts
+are byte-identical to running the stages one by one. The subcommands, and
+the stage named when an input is missing, come from the same table.
 
 Exit codes: 0 success, 2 configuration error, 3 gateway error, 4 data error,
 5 missing prerequisite.
@@ -20,6 +24,7 @@ import logging
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -34,6 +39,7 @@ from .errors import (
     ConfigError,
     DataError,
     GatewayError,
+    GeneratedFileError,
     GenerationError,
     PipelineError,
     PrerequisiteError,
@@ -259,35 +265,21 @@ class _WorkdirLock:
         return False
 
 
-def _refuse_overwrite(paths: list[Path], force: bool) -> None:
-    existing = [p for p in paths if p.exists()]
-    if existing and not force:
-        listing = ", ".join(str(p) for p in existing)
-        raise ConfigError(
-            f"refusing to overwrite existing artifacts: {listing}; pass --force to redo"
-        )
-
-
-def _require(path: Path, producer: str) -> Path:
+def _require(config: PipelineConfig, name: str) -> Path:
+    """The workdir's `name`; when it is missing, the error names the stage
+    that outputs it."""
+    path = Path(config.paths.workdir) / name
     if not path.exists():
+        # With ablation, generate names every cell's file.
+        producer = next(stage.name for stage in STAGES if name in stage.outputs(config, True))
         raise PrerequisiteError(
-            f"missing {path.name} in {path.parent}; run `reportguide {producer}` first"
+            f"missing {name} in {path.parent}; run `reportguide {producer}` first"
         )
     return path
 
 
-def _write_meta(workdir: Path, command: str, config: PipelineConfig, started: float) -> None:
-    meta_dir = workdir / "meta"
-    meta_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "command": command,
-        "config_sha256": config_fingerprint(config),
-        "gateway_model": config.gateway.model,
-        "gateway_backend": config.gateway.backend,
-        "started_unix": round(started, 3),
-        "finished_unix": round(time.time(), 3),
-    }
-    write_atomic(meta_dir / f"{command}.json", json.dumps(doc, indent=2) + "\n")
+def _json_text(doc) -> str:
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
 def _features_path(config: PipelineConfig) -> str:
@@ -297,56 +289,44 @@ def _features_path(config: PipelineConfig) -> str:
 
 
 def _load_stage1(config: PipelineConfig, corpus: Corpus):
-    workdir = Path(config.paths.workdir)
-    taxonomy = bootstrap_mod.load_taxonomy(_require(workdir / "taxonomy.json", "bootstrap"))
-    dataset = bootstrap_mod.load_labels(
-        _require(workdir / "labels.jsonl", "bootstrap"), corpus, taxonomy
-    )
+    taxonomy = bootstrap_mod.load_taxonomy(_require(config, "taxonomy.json"))
+    dataset = bootstrap_mod.load_labels(_require(config, "labels.jsonl"), corpus, taxonomy)
     return taxonomy, dataset
 
 
 # ---------------------------------------------------------------------------
-# Stage commands
+# Stages: each run function returns its outputs' text by name and writes
+# nothing; run_stage writes them.
 # ---------------------------------------------------------------------------
 
 
-def cmd_bootstrap(config: PipelineConfig, force: bool = False) -> None:
-    started = time.time()
-    workdir = Path(config.paths.workdir)
-    _refuse_overwrite(
-        [workdir / "taxonomy.json", workdir / "labels.jsonl", workdir / "audit.json"], force
-    )
+def _bootstrap(config: PipelineConfig, ablation: bool) -> dict[str, str]:
     corpus = load_manifest(config.paths.manifest)
+    call_log = str(Path(config.paths.workdir) / CALL_LOG_NAME)
     dataset = bootstrap_mod.bootstrap_dataset(
-        corpus,
-        config.bootstrap,
-        replace(config.gateway, call_log_path=str(workdir / CALL_LOG_NAME)),
-        out_dir=workdir,
+        corpus, config.bootstrap, replace(config.gateway, call_log_path=call_log)
     )
     audit = bootstrap_mod.audit_taxonomy(dataset)
-    write_atomic(workdir / "audit.json", json.dumps(audit, ensure_ascii=False, indent=2) + "\n")
-    _write_meta(workdir, "bootstrap", config, started)
     logger.info(
         "bootstrap: %d labels, %d annotated records, %d skipped",
         len(dataset.taxonomy),
         len(dataset.items),
         len(dataset.skipped),
     )
+    return {
+        "taxonomy.json": bootstrap_mod.taxonomy_to_json(dataset.taxonomy),
+        "labels.jsonl": bootstrap_mod.labels_to_jsonl(dataset),
+        "audit.json": _json_text(audit),
+    }
 
 
-def cmd_train(config: PipelineConfig, force: bool = False) -> None:
-    started = time.time()
-    workdir = Path(config.paths.workdir)
-    _refuse_overwrite([workdir / "checkpoint.json"], force)
+def _train(config: PipelineConfig, ablation: bool) -> dict[str, str]:
     features_path = _features_path(config)
     corpus = load_manifest(config.paths.manifest)
     features = load_features(features_path, corpus)
     _, dataset = _load_stage1(config, corpus)
-    classifier_mod.train(
-        dataset, features, config.train, checkpoint_path=workdir / "checkpoint.json"
-    )
-    _write_meta(workdir, "train", config, started)
-    logger.info("train: checkpoint written to %s", workdir / "checkpoint.json")
+    params = classifier_mod.train(dataset, features, config.train)
+    return {"checkpoint.json": classifier_mod.checkpoint_to_json(params)}
 
 
 def _predict_split(config: PipelineConfig, corpus: Corpus):
@@ -354,61 +334,53 @@ def _predict_split(config: PipelineConfig, corpus: Corpus):
     checkpoint bound to the workdir's taxonomy. Returns the checkpoint, the
     labelled dataset and the predictions by record id."""
     features = load_features(_features_path(config), corpus)
-    workdir = Path(config.paths.workdir)
-    params = classifier_mod.load_checkpoint(_require(workdir / "checkpoint.json", "train"))
+    checkpoint = _require(config, "checkpoint.json")
+    params = classifier_mod.load_checkpoint(checkpoint)
     taxonomy, dataset = _load_stage1(config, corpus)
     if params.taxonomy_hash != bootstrap_mod.taxonomy_fingerprint(taxonomy):
         raise DataError(
             "checkpoint was trained against a different taxonomy than the one "
             "in the workdir; re-run the train stage"
         )
+    if params.k != len(taxonomy):
+        raise DataError(
+            f"checkpoint {checkpoint} has k={params.k} but the taxonomy in the workdir "
+            f"has {len(taxonomy)} labels; re-run the train stage"
+        )
     ids = sorted(rec.id for rec in corpus.split(config.guidance.split))
     predictions = classifier_mod.predict_records(params, features, ids, config.guidance.threshold)
     return params, dataset, predictions
 
 
-def cmd_predict(config: PipelineConfig, force: bool = False) -> None:
-    started = time.time()
-    workdir = Path(config.paths.workdir)
-    _refuse_overwrite([workdir / "predictions.jsonl", workdir / "mlc_metrics.json"], force)
+def _predict(config: PipelineConfig, ablation: bool) -> dict[str, str]:
     _features_path(config)  # an empty paths.features exits 2 before the manifest is read
     corpus = load_manifest(config.paths.manifest)
     params, dataset, predictions = _predict_split(config, corpus)
-    lines = [
-        json.dumps(
-            {
-                "id": rid,
-                "positives": list(pred.positives),
-                "probs": [float(p) for p in pred.probabilities],
-            }
-        )
-        + "\n"
-        for rid, pred in predictions.items()
-    ]
-    write_atomic(workdir / "predictions.jsonl", "".join(lines))
     split = config.guidance.split
     positives = {rid: pred.positives for rid, pred in predictions.items()}
     scores = classifier_mod.evaluate_mlc(params.k, dataset.split_items(split), positives)
-    write_atomic(workdir / "mlc_metrics.json", json.dumps(scores, indent=2) + "\n")
-    _write_meta(workdir, "predict", config, started)
     logger.info(
         "predict: split=%s macro_f1=%.4f micro_f1=%.4f",
         split,
         scores["macro_f1"],
         scores["micro_f1"],
     )
+    lines = [
+        json.dumps({"id": rid, "positives": list(pred.positives),
+                    "probs": [float(p) for p in pred.probabilities]}) + "\n"
+        for rid, pred in predictions.items()
+    ]
+    return {"predictions.jsonl": "".join(lines), "mlc_metrics.json": _json_text(scores)}
 
 
-def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = False) -> None:
-    started = time.time()
-    workdir = Path(config.paths.workdir)
+def _cells(config: PipelineConfig, ablation: bool) -> tuple[tuple[str, str], ...]:
+    return guidance_mod.ABLATION_MODES if ablation else (config.guidance.cell,)
+
+
+def _generate(config: PipelineConfig, ablation: bool) -> dict[str, str]:
     corpus = load_manifest(config.paths.manifest)
     g = config.guidance
-    cells = guidance_mod.ABLATION_MODES if ablation else (g.cell,)
-    _refuse_overwrite(
-        [workdir / guidance_mod.generated_filename(m, s) for m, s in cells], force
-    )
-
+    cells = _cells(config, ablation)
     # Each record is predicted once, however many cells read `pred`.
     predictions = {}
     if any(s == "pred" for _, s in cells):
@@ -420,29 +392,23 @@ def cmd_generate(config: PipelineConfig, force: bool = False, ablation: bool = F
         "pred": {rid: pred.positives for rid, pred in predictions.items()},
         "gt": {item.record_id: item.positives for item in dataset.items},
     }
-    # Every cell is generated before any file is written, so a cell that
-    # fails leaves the workdir's generated files all from one run.
-    outputs = []
-    for mode, source in cells:
-        rows = guidance_mod.run_generation(
-            corpus, dataset.taxonomy, mode, source, labels.get(source, {}), g.generator, g.split
+    return {
+        guidance_mod.generated_filename(mode, source): guidance_mod.generated_to_jsonl(
+            guidance_mod.run_generation(
+                corpus, dataset.taxonomy, mode, source, labels.get(source, {}), g.generator, g.split
+            )
         )
-        outputs.append((workdir / guidance_mod.generated_filename(mode, source), rows))
-    for path, rows in outputs:
-        guidance_mod.write_generated(path, rows)
-        logger.info("generate: wrote %s", path)
-    _write_meta(workdir, "generate", config, started)
+        for mode, source in cells
+    }
 
 
-def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
-    started = time.time()
-    workdir = Path(config.paths.workdir)
-    _refuse_overwrite([workdir / "metrics.json"], force)
+def _evaluate(config: PipelineConfig, ablation: bool) -> dict[str, str]:
     corpus = load_manifest(config.paths.manifest)
     mode, source = config.guidance.cell
-    gen_path = workdir / guidance_mod.generated_filename(mode, source)
-    _require(gen_path, "generate")
+    gen_path = _require(config, guidance_mod.generated_filename(mode, source))
     rows = guidance_mod.load_generated(gen_path)
+    if not rows:
+        raise GeneratedFileError(f"generated file {gen_path} has no rows")
 
     index = corpus.index()
     pairs: list[tuple[str, str, str]] = []
@@ -453,9 +419,10 @@ def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
             raise DataError(f"generated file references unknown record id {rid!r}")
         pairs.append((rid, str(row.get("report", "")), rec.report))
 
+    call_log = str(Path(config.paths.workdir) / CALL_LOG_NAME)
     report = metrics_mod.evaluate_generation(
         pairs,
-        gateway=replace(config.gateway, call_log_path=str(workdir / CALL_LOG_NAME)),
+        gateway=replace(config.gateway, call_log_path=call_log),
         enabled=tuple(config.metrics.enabled),
         config_echo={
             "mode": mode,
@@ -465,20 +432,64 @@ def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
             "enabled": list(config.metrics.enabled),
         },
     )
-    write_atomic(
-        workdir / "metrics.json", json.dumps(report, ensure_ascii=False, indent=2) + "\n"
-    )
-    _write_meta(workdir, "evaluate", config, started)
-    logger.info("evaluate: wrote %s", workdir / "metrics.json")
+    return {"metrics.json": _json_text(report)}
 
 
-def cmd_pipeline(config: PipelineConfig, force: bool = False) -> None:
-    """Run all five stages in order inside one workdir lock."""
-    cmd_bootstrap(config, force=force)
-    cmd_train(config, force=force)
-    cmd_predict(config, force=force)
-    cmd_generate(config, force=force)
-    cmd_evaluate(config, force=force)
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table. `outputs(config, ablation)` names the
+    workdir files the stage writes; `run(config, ablation)` returns their
+    text by name."""
+
+    name: str
+    help: str
+    outputs: Callable[[PipelineConfig, bool], list[str]]
+    run: Callable[[PipelineConfig, bool], dict[str, str]]
+
+
+# In pipeline order.
+STAGES = (
+    Stage("bootstrap", "extract, merge, annotate, and filter the label taxonomy",
+          lambda config, ablation: ["taxonomy.json", "labels.jsonl", "audit.json"], _bootstrap),
+    Stage("train", "fit the multi-label classifier head",
+          lambda config, ablation: ["checkpoint.json"], _train),
+    Stage("predict", "write label predictions and classifier metrics",
+          lambda config, ablation: ["predictions.jsonl", "mlc_metrics.json"], _predict),
+    Stage("generate", "generate reports for the configured mode",
+          lambda config, ablation: [guidance_mod.generated_filename(m, s)
+                                    for m, s in _cells(config, ablation)], _generate),
+    Stage("evaluate", "score generated reports against references",
+          lambda config, ablation: ["metrics.json"], _evaluate),
+)
+
+
+def run_stage(stage: Stage, config: PipelineConfig, force: bool, ablation: bool) -> None:
+    """Run one stage: refuse to overwrite its outputs unless `force`, build
+    all of them, then write each and record the run in `meta/<name>.json`.
+    A stage that fails writes nothing."""
+    started = time.time()
+    workdir = Path(config.paths.workdir)
+    names = stage.outputs(config, ablation)
+    existing = [str(workdir / name) for name in names if (workdir / name).exists()]
+    if existing and not force:
+        raise ConfigError(
+            f"refusing to overwrite existing artifacts: {', '.join(existing)}; "
+            f"pass --force to redo"
+        )
+    outputs = stage.run(config, ablation)
+    for name in names:
+        write_atomic(workdir / name, outputs[name])
+    logger.info("%s: wrote %s", stage.name, ", ".join(names))
+    meta = {
+        "command": stage.name,
+        "config_sha256": config_fingerprint(config),
+        "gateway_model": config.gateway.model,
+        "gateway_backend": config.gateway.backend,
+        "started_unix": round(started, 3),
+        "finished_unix": round(time.time(), 3),
+    }
+    (workdir / "meta").mkdir(parents=True, exist_ok=True)
+    write_atomic(workdir / "meta" / f"{stage.name}.json", _json_text(meta))
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +524,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override any config field by dotted path, e.g. --set train.epochs=50",
         )
 
-    for name, help_text in (
-        ("bootstrap", "extract, merge, annotate, and filter the label taxonomy"),
-        ("train", "fit the multi-label classifier head"),
-        ("predict", "write label predictions and classifier metrics"),
-        ("generate", "generate reports for the configured mode"),
-        ("evaluate", "score generated reports against references"),
-        ("pipeline", "run all five stages in sequence"),
-    ):
+    for name, help_text in [(stage.name, stage.help) for stage in STAGES] + [
+        ("pipeline", "run all five stages in sequence")
+    ]:
         p = sub.add_parser(name, help=help_text)
         add_common(p)
         if name == "generate":
@@ -591,19 +597,12 @@ def main(argv: list[str] | None = None) -> int:
             workdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot use workdir {workdir}: {exc}") from exc
-        handlers = {
-            "bootstrap": cmd_bootstrap,
-            "train": cmd_train,
-            "predict": cmd_predict,
-            "generate": cmd_generate,
-            "evaluate": cmd_evaluate,
-            "pipeline": cmd_pipeline,
-        }
+        ablation = getattr(args, "ablation", False)
         with _WorkdirLock(workdir):
-            if args.command == "generate":
-                cmd_generate(config, force=args.force, ablation=args.ablation)
-            else:
-                handlers[args.command](config, force=args.force)
+            # `pipeline` runs every stage in order inside one workdir lock.
+            for stage in STAGES:
+                if args.command in ("pipeline", stage.name):
+                    run_stage(stage, config, args.force, ablation)
         return EXIT_OK
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)

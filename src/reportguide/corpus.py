@@ -105,7 +105,8 @@ def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
 def load_manifest(path: str | Path) -> Corpus:
     """Read manifest.jsonl, preserving record order.
 
-    Errors carry the 1-based line number; duplicate ids name the id.
+    Errors carry the 1-based line number; duplicate ids name the id. A
+    manifest with no records is an error too.
     """
     records: list[ReportRecord] = []
     seen: set[str] = set()
@@ -115,6 +116,8 @@ def load_manifest(path: str | Path) -> Corpus:
             raise ManifestError(f"manifest line {lineno}: duplicate record id {rec.id!r}")
         seen.add(rec.id)
         records.append(rec)
+    if not records:
+        raise ManifestError(f"manifest {path} has no records")
     return Corpus(records=records)
 
 

@@ -24,10 +24,11 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     """Replace `path` with `data`; a str is written as UTF-8.
 
     The bytes go to `.<name>.<random>.tmp` in the same directory, which is
-    flushed, fsynced and renamed onto `path`. On any error the temp file is
-    removed and `path` is left as it was; an OSError is raised again as an
-    ArtifactWriteError naming `path`. A new file gets mode 0o666 & ~umask, as
-    `open(path, "w")` would give it.
+    flushed, fsynced and renamed onto `path`; the directory is then fsynced
+    so the rename itself is durable. On any error the temp file is removed
+    and, unless only the directory fsync failed, `path` is left as it was; an
+    OSError is raised again as an ArtifactWriteError naming `path`. A new
+    file gets mode 0o666 & ~umask, as `open(path, "w")` would give it.
     """
     path = Path(path)
     if isinstance(data, str):
@@ -41,6 +42,11 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
+            dir_fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise

@@ -22,7 +22,7 @@ from .errors import (
     GenerationError,
     PrerequisiteError,
 )
-from .fileio import read_jsonl, write_atomic
+from .fileio import read_jsonl
 from .gateway import ChatRequest, GatewayConfig, complete
 from .schema import check_fields
 
@@ -280,9 +280,9 @@ def run_generation(
     return rows
 
 
-def write_generated(path: str | Path, rows: list[dict]) -> None:
-    """Write generated rows as the JSON lines `load_generated` reads back."""
-    write_atomic(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+def generated_to_jsonl(rows: list[dict]) -> str:
+    """Generated rows as the JSON lines `load_generated` reads back."""
+    return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
 def load_generated(path: str | Path) -> list[dict]:

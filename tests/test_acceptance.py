@@ -23,7 +23,9 @@ from reportguide.bootstrap import (
     LabelTaxonomy,
     MLCDataset,
     bootstrap_dataset,
+    labels_to_jsonl,
     merge_label_sets,
+    taxonomy_to_json,
 )
 from reportguide.classifier import (
     ClassifierParams,
@@ -263,14 +265,12 @@ def test_criterion_3_long_tail_benchmark():
 
 
 @criterion("C4")
-def test_criterion_4_label_recovery(synth, tmp_path):
+def test_criterion_4_label_recovery(synth):
     start = time.monotonic()
     gateway = GatewayConfig(backend="mock")
 
-    dir_a = tmp_path / "a"
-    dir_b = tmp_path / "b"
-    dataset = bootstrap_dataset(synth.corpus, BootstrapConfig(), gateway, out_dir=dir_a)
-    bootstrap_dataset(synth.corpus, BootstrapConfig(), gateway, out_dir=dir_b)
+    dataset = bootstrap_dataset(synth.corpus, BootstrapConfig(), gateway)
+    rerun = bootstrap_dataset(synth.corpus, BootstrapConfig(), gateway)
 
     names_ok = set(dataset.taxonomy.names()) == set(synth.primary_names)
 
@@ -284,9 +284,9 @@ def test_criterion_4_label_recovery(synth, tmp_path):
             correct += (name in predicted) == (name in actual)
     accuracy = correct / total
 
-    identical = all(
-        (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-        for name in ("taxonomy.json", "labels.jsonl")
+    identical = (
+        taxonomy_to_json(dataset.taxonomy) == taxonomy_to_json(rerun.taxonomy)
+        and labels_to_jsonl(dataset) == labels_to_jsonl(rerun)
     )
     elapsed = time.monotonic() - start
     passed = names_ok and accuracy >= 0.99 and identical and elapsed < 30.0

@@ -19,12 +19,12 @@ from reportguide.bootstrap import (
     bootstrap_dataset,
     extract_batch_labels,
     filter_labels,
+    labels_to_jsonl,
     load_labels,
     load_taxonomy,
     merge_label_sets,
-    save_labels,
-    save_taxonomy,
     taxonomy_fingerprint,
+    taxonomy_to_json,
 )
 from reportguide.corpus import Corpus, ReportRecord
 from reportguide.errors import (
@@ -35,6 +35,7 @@ from reportguide.errors import (
     MergeBudgetError,
     MergeProgressError,
 )
+from reportguide.fileio import write_atomic
 from reportguide.gateway import ChatResponse, estimate_tokens
 
 from reportguide import gateway as gateway_mod
@@ -360,13 +361,11 @@ def test_bootstrap_requires_training_records(mock_gateway):
         bootstrap_dataset(corpus, BootstrapConfig(), mock_gateway)
 
 
-def test_bootstrap_reruns_write_byte_identical_artifacts(synth, mock_gateway, tmp_path):
-    dir_a = tmp_path / "a"
-    dir_b = tmp_path / "b"
-    bootstrap_dataset(synth.corpus, BootstrapConfig(), mock_gateway, out_dir=dir_a)
-    bootstrap_dataset(synth.corpus, BootstrapConfig(), mock_gateway, out_dir=dir_b)
-    for name in ("taxonomy.json", "labels.jsonl"):
-        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+def test_bootstrap_reruns_write_byte_identical_artifacts(synth, mock_gateway):
+    a = bootstrap_dataset(synth.corpus, BootstrapConfig(), mock_gateway)
+    b = bootstrap_dataset(synth.corpus, BootstrapConfig(), mock_gateway)
+    assert taxonomy_to_json(a.taxonomy) == taxonomy_to_json(b.taxonomy)
+    assert labels_to_jsonl(a) == labels_to_jsonl(b)
 
 
 def test_bootstrap_skips_records_with_unparseable_annotation(monkeypatch, mock_gateway):
@@ -436,7 +435,7 @@ def test_taxonomy_save_load_round_trip(tmp_path):
         params={"b": 200, "kappa": 200, "theta": 15},
     )
     path = tmp_path / "taxonomy.json"
-    save_taxonomy(tax, path)
+    write_atomic(path, taxonomy_to_json(tax))
     loaded = load_taxonomy(path)
     assert loaded == tax
 
@@ -494,7 +493,7 @@ def test_labels_save_load_round_trip(tmp_path):
         items=(AnnotatedItem("r1", "train", (0, 1)), AnnotatedItem("r2", "test", ())),
     )
     path = tmp_path / "labels.jsonl"
-    save_labels(dataset, path)
+    write_atomic(path, labels_to_jsonl(dataset))
     loaded = load_labels(path, corpus, tax)
     assert loaded.items == dataset.items
 

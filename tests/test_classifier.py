@@ -21,8 +21,8 @@ from reportguide.bootstrap import (
     LabelEntry,
     LabelTaxonomy,
     MLCDataset,
-    save_labels,
-    save_taxonomy,
+    labels_to_jsonl,
+    taxonomy_to_json,
 )
 from reportguide.classifier import (
     ClassifierParams,
@@ -37,7 +37,6 @@ from reportguide.classifier import (
     load_checkpoint,
     predict,
     predict_records,
-    save_checkpoint,
     train,
 )
 from reportguide.cli import main
@@ -48,6 +47,7 @@ from reportguide.errors import (
     FeatureValidationError,
     TrainingError,
 )
+from reportguide.fileio import write_atomic
 
 
 def _taxonomy(k: int) -> LabelTaxonomy:
@@ -426,15 +426,6 @@ def test_training_names_missing_feature_record():
         train(dataset, features, TrainConfig(epochs=1))
 
 
-def test_training_writes_checkpoint_when_asked(tmp_path):
-    dataset, features = _separable_setup()
-    path = tmp_path / "checkpoint.json"
-    params = train(
-        dataset, features, TrainConfig(epochs=2, batch_size=4), checkpoint_path=path
-    )
-    assert path.read_text(encoding="utf-8") == checkpoint_to_json(params)
-
-
 def test_divergence_reports_epoch_and_batch():
     # A single huge feature with an absurd learning rate overflows the
     # weights on the first update; the second batch then sees an infinite
@@ -631,15 +622,13 @@ def _last_update_overflow_case():
     return dataset, features, replace(config, epochs=1)
 
 
-def test_an_overflow_in_the_last_update_is_a_divergence(tmp_path):
+def test_an_overflow_in_the_last_update_is_a_divergence():
     dataset, features, config = _last_update_overflow_case()
-    checkpoint = tmp_path / "checkpoint.json"
     with np.errstate(all="ignore"):
         assert not np.isfinite(_reference_train(dataset, features, config).weights).all()
         with pytest.raises(DivergenceError) as excinfo:
-            train(dataset, features, config, checkpoint_path=checkpoint)
+            train(dataset, features, config)
     assert (excinfo.value.epoch, excinfo.value.batch) == (0, 0)
-    assert not checkpoint.exists()
 
 
 def test_an_overflow_in_the_last_update_exits_4_without_a_checkpoint(tmp_path):
@@ -649,8 +638,8 @@ def test_an_overflow_in_the_last_update_exits_4_without_a_checkpoint(tmp_path):
     records = [ReportRecord(id=item.record_id, split="train", report="x") for item in dataset.items]
     save_manifest(Corpus(records=records), tmp_path / "manifest.jsonl")
     save_features(features, tmp_path / "features.ffmx")
-    save_taxonomy(dataset.taxonomy, workdir / "taxonomy.json")
-    save_labels(dataset, workdir / "labels.jsonl")
+    write_atomic(workdir / "taxonomy.json", taxonomy_to_json(dataset.taxonomy))
+    write_atomic(workdir / "labels.jsonl", labels_to_jsonl(dataset))
     with np.errstate(all="ignore"):
         code = main(
             [
@@ -896,7 +885,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     dataset, features = _separable_setup()
     params = train(dataset, features, TrainConfig(epochs=5, batch_size=4, seed=2))
     path = tmp_path / "checkpoint.json"
-    save_checkpoint(params, path)
+    write_atomic(path, checkpoint_to_json(params))
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.weights, params.weights)
     assert np.array_equal(loaded.bias, params.bias)
@@ -913,7 +902,7 @@ def test_checkpoint_survives_awkward_floats(tmp_path):
         bias=np.array([1e-17, -0.0]),
     )
     path = tmp_path / "checkpoint.json"
-    save_checkpoint(params, path)
+    write_atomic(path, checkpoint_to_json(params))
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.weights, params.weights)
     assert np.array_equal(loaded.bias, params.bias)

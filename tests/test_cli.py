@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reportguide import bootstrap, classifier, guidance, metrics
 from reportguide.cli import (
+    STAGES,
     PipelineConfig,
     config_fingerprint,
     load_config,
@@ -30,7 +32,7 @@ from reportguide.corpus import (
     save_features,
     save_manifest,
 )
-from reportguide.errors import ConfigError
+from reportguide.errors import ConfigError, DataError
 
 # ---------------------------------------------------------------------------
 # A 12-record corpus small enough to push through every stage in-process:
@@ -233,6 +235,31 @@ def test_readme_configuration_block_matches_the_schema():
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
     assert doc == asdict(PipelineConfig())
+
+
+def test_readme_files_table_names_the_stage_that_writes_each_artifact():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| file | written by | contents |\n|---|---|---|\n", 1)[1]
+    rows = [
+        tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+        for line in table.split("\n\n", 1)[0].splitlines()
+    ]
+    assert ("meta/<command>.json", "every stage") in rows
+    documented = [(name, writer) for name, writer in rows if writer != "every stage"]
+    outputs = [
+        (name, stage.name)
+        for stage in STAGES
+        for name in stage.outputs(PipelineConfig(), True)
+    ]
+
+    def describes(row, output):
+        pattern = re.escape(row[0]).replace("<tag>", "[a-z_-]+")
+        return re.fullmatch(pattern, output[0]) is not None and row[1] == output[1]
+
+    for output in outputs:
+        assert len([row for row in documented if describes(row, output)]) == 1, output
+    for row in documented:
+        assert any(describes(row, output) for output in outputs), row
 
 
 def test_http_generator_falls_back_to_the_gateway_section(mini):
@@ -458,6 +485,43 @@ def test_a_write_that_fails_leaves_the_previous_artifacts(
     assert _files(mini["workdir"]) == before  # no .tmp file left either
 
 
+@pytest.mark.parametrize(
+    "stage, module, last_call",
+    [
+        ("bootstrap", bootstrap, "audit_taxonomy"),
+        ("train", classifier, "checkpoint_to_json"),
+        ("predict", classifier, "evaluate_mlc"),
+        ("generate", guidance, "run_generation"),
+        ("evaluate", metrics, "evaluate_generation"),
+    ],
+)
+def test_a_stage_that_fails_after_its_library_work_writes_nothing(
+    mini, monkeypatch, caplog, stage, module, last_call
+):
+    names = [s.name for s in STAGES]
+    for earlier in names[: names.index(stage)]:
+        assert main([earlier, "--config", mini["config"]]) == 0, earlier
+    before = _files(mini["workdir"])
+
+    def fail(*args, **kwargs):
+        raise DataError("injected failure")
+
+    monkeypatch.setattr(module, last_call, fail)
+    assert main([stage, "--config", mini["config"]]) == 4
+    assert "injected failure" in caplog.text
+    assert _files(mini["workdir"]) == before  # no output, no meta file
+
+
+@pytest.mark.parametrize("ablation", [False, True])
+def test_each_stage_returns_exactly_the_outputs_it_declares(mini, ablation):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    config = load_config(mini["config"], [])
+    for stage in STAGES:
+        outputs = stage.run(config, ablation)
+        assert sorted(outputs) == sorted(stage.outputs(config, ablation)), stage.name
+        assert all(isinstance(text, str) for text in outputs.values()), stage.name
+
+
 def test_artifacts_get_mode_0666_less_the_umask(mini):
     umask = os.umask(0o027)
     try:
@@ -506,6 +570,23 @@ def _append_line(name, line):
         with open(workdir / name, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
     return tamper
+
+
+def _resize_checkpoint(delta):
+    """Give the checkpoint `delta` more (or fewer) labels than its taxonomy,
+    keeping its arrays consistent with the new k."""
+    def edit(doc):
+        d = doc["d"]
+        doc["k"] += delta
+        if delta > 0:
+            doc["weights"] += [0.0] * (d * delta)
+            doc["bias"] += [0.0] * delta
+            doc["frequencies"] += [0.5] * delta
+        else:
+            doc["weights"] = doc["weights"][: d * delta]
+            doc["bias"] = doc["bias"][:delta]
+            doc["frequencies"] = doc["frequencies"][:delta]
+    return _edit_json("checkpoint.json", edit)
 
 
 def _drop_feature_row(record_id):
@@ -573,6 +654,24 @@ def _drop_feature_row(record_id):
          "features.ffmx.ids: [Errno 21] Is a directory"),
         (_drop_feature_row("s2"), "predict", "record 's2' has no feature row"),
         (_drop_feature_row("s2"), "generate", "record 's2' has no feature row"),
+        *[
+            (_resize_checkpoint(delta), command,
+             f"checkpoint.json has k={2 + delta} but the taxonomy in the workdir has 2 labels")
+            for delta in (1, -1)
+            for command in ("predict", "generate")
+        ],
+        (_replace_file("taxonomy.json", b""), "train", "taxonomy.json is not valid JSON"),
+        (_replace_file("labels.jsonl", b""), "train", "labels.jsonl has no rows"),
+        (_replace_file("labels.jsonl", b""), "predict", "labels.jsonl has no rows"),
+        (_replace_file("checkpoint.json", b""), "predict", "checkpoint.json is not valid JSON"),
+        (_replace_file("generated-image_and_label-pred.jsonl", b""), "evaluate",
+         "generated-image_and_label-pred.jsonl has no rows"),
+        (_replace_file("../data/manifest.jsonl", b""), "train",
+         "manifest.jsonl has no records"),
+        (_replace_file("../data/features.ffmx", b""), "train",
+         "features.ffmx; expected b'FFMX'"),
+        (_replace_file("../data/features.ffmx.ids", b""), "train",
+         "features.ffmx.ids lists 0 ids"),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):

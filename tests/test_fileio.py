@@ -5,18 +5,23 @@ The guard parses each module of the package and fails on any call that can
 create or change a file outside `fileio.py`, except the two writes that are
 not artifacts: the gateway call log's append and the workdir lock. It also
 fails on any call that reads a file outside `fileio.py`, except the read of
-the package's own prompt texts.
+the package's own prompt texts. `write_atomic` itself is called only by the
+stage driver, `cli.run_stage`, and by the writers of pipeline inputs.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import os
+import stat
 from pathlib import Path
 
+import pytest
+
 import reportguide
-from reportguide.errors import DataError
-from reportguide.fileio import read_jsonl
+from reportguide.errors import ArtifactWriteError, DataError
+from reportguide.fileio import read_jsonl, write_atomic
 
 PACKAGE = Path(reportguide.__file__).parent
 
@@ -110,6 +115,53 @@ def test_only_fileio_reads_artifacts():
     assert {(module, scope) for module, scope, _ in sites} >= READ_EXEMPT  # the scan sees it
     unexpected = [site for site in sites if site[:2] not in READ_EXEMPT]
     assert unexpected == [], "read through fileio's read_* functions instead"
+
+
+def _calls_write_atomic(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "write_atomic"
+
+
+def test_only_the_stage_driver_and_the_input_writers_call_write_atomic():
+    assert {site[:2] for site in _package_sites(_calls_write_atomic)} == {
+        ("cli.py", "run_stage"),
+        ("corpus.py", "save_manifest"),
+        ("corpus.py", "save_features"),
+        ("synthetic.py", "write_synthetic_corpus"),
+    }
+
+
+def _fsynced_kinds(monkeypatch, fail_on_directories=False) -> list[str]:
+    kinds = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        kinds.append(kind)
+        if fail_on_directories and kind == "dir":
+            raise OSError(5, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return kinds
+
+
+def test_write_atomic_fsyncs_the_file_then_its_directory(tmp_path, monkeypatch):
+    # The directory fsync makes the rename durable; a power loss itself
+    # cannot be simulated here, so the test counts the calls.
+    kinds = _fsynced_kinds(monkeypatch)
+    write_atomic(tmp_path / "a.json", "{}\n")
+    write_atomic(tmp_path / "a.json", "[]\n")
+    assert kinds == ["file", "dir", "file", "dir"]
+    assert (tmp_path / "a.json").read_text(encoding="utf-8") == "[]\n"
+
+
+def test_a_failed_directory_fsync_is_an_artifact_write_error(tmp_path, monkeypatch):
+    _fsynced_kinds(monkeypatch, fail_on_directories=True)
+    with pytest.raises(ArtifactWriteError, match=r"cannot write .*a\.json: \[Errno 5\]"):
+        write_atomic(tmp_path / "a.json", "{}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]  # no temp file left
 
 
 def test_the_scan_flags_every_kind_of_write():

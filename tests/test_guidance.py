@@ -15,11 +15,11 @@ from reportguide.bootstrap import (
     LabelEntry,
     LabelTaxonomy,
     MLCDataset,
-    save_labels,
-    save_taxonomy,
+    labels_to_jsonl,
     taxonomy_fingerprint,
+    taxonomy_to_json,
 )
-from reportguide.classifier import ClassifierParams, predict_records, save_checkpoint
+from reportguide.classifier import ClassifierParams, checkpoint_to_json, predict_records
 from reportguide.cli import main
 from reportguide.corpus import Corpus, ImageRef, ReportRecord
 from reportguide.errors import (
@@ -28,18 +28,19 @@ from reportguide.errors import (
     GenerationError,
     PrerequisiteError,
 )
+from reportguide.fileio import write_atomic
 from reportguide.guidance import (
     ABLATION_MODES,
     GeneratorConfig,
     GuidancePrompt,
     generate_report,
     generated_filename,
+    generated_to_jsonl,
     load_generated,
     mock_phrase,
     mode_tag,
     run_generation,
     serialize_labels,
-    write_generated,
 )
 
 GOLDEN_PROMPT = (
@@ -344,7 +345,7 @@ def test_run_generation_writes_file_that_loads_back(tmp_path):
         labels,
         GeneratorConfig(backend="mock"),
     )
-    write_generated(path, rows)
+    write_atomic(path, generated_to_jsonl(rows))
     assert load_generated(path) == rows
 
 
@@ -408,9 +409,9 @@ def _generate_ablation(synth, synth_dir, workdir):
     hand-built head; return each cell's file by mode tag."""
     workdir.mkdir(parents=True)
     dataset = _gt_dataset_over(synth)
-    save_taxonomy(dataset.taxonomy, workdir / "taxonomy.json")
-    save_labels(dataset, workdir / "labels.jsonl")
-    save_checkpoint(_identity_params_over(synth), workdir / "checkpoint.json")
+    write_atomic(workdir / "taxonomy.json", taxonomy_to_json(dataset.taxonomy))
+    write_atomic(workdir / "labels.jsonl", labels_to_jsonl(dataset))
+    write_atomic(workdir / "checkpoint.json", checkpoint_to_json(_identity_params_over(synth)))
     code = main(
         [
             "generate",
@@ -484,5 +485,5 @@ def test_ablation_predicts_each_record_once_and_writes_what_single_cells_write(
             labels.get(source, {}),
             GeneratorConfig(backend="mock"),
         )
-        write_generated(single, rows)
+        write_atomic(single, generated_to_jsonl(rows))
         assert single.read_bytes() == (tmp_path / "ablation" / single.name).read_bytes()
