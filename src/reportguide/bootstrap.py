@@ -13,12 +13,13 @@ import functools
 import hashlib
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Corpus, ReportRecord
+from .corpus import Corpus
 from .errors import (
     BootstrapError,
     ConfigError,
@@ -33,6 +34,7 @@ from .gateway import (
     GatewayConfig,
     complete_with_reprompt,
     estimate_tokens,
+    map_distinct_texts,
     parse_string_groups,
     parse_string_list,
 )
@@ -106,16 +108,24 @@ class LabelTaxonomy:
 
     def index_of(self, surface: str) -> int | None:
         """Resolve a name or alias, case-insensitively, to a label index."""
-        key = match_key(surface)
-        table = getattr(self, "_lookup", None)
-        if table is None:
-            table = {}
-            for e in self.labels:
-                table[match_key(e.name)] = e.index
-                for a in e.aliases:
-                    table.setdefault(match_key(a), e.index)
-            object.__setattr__(self, "_lookup", table)
-        return table.get(key)
+        return self._lookup.get(match_key(surface))
+
+    @functools.cached_property
+    def _lookup(self) -> dict[str, int]:
+        table: dict[str, int] = {}
+        for e in self.labels:
+            table[match_key(e.name)] = e.index
+            for a in e.aliases:
+                table.setdefault(match_key(a), e.index)
+        return table
+
+    @functools.cached_property
+    def vocabulary(self) -> dict:
+        """The record-independent part of an annotate request payload."""
+        return {
+            "labels": self.names(),
+            "aliases": {a: e.name for e in self.labels for a in e.aliases},
+        }
 
 
 @dataclass(frozen=True)
@@ -322,35 +332,29 @@ def merge_label_sets(
 
 
 def annotate_report(
-    record: ReportRecord, taxonomy: LabelTaxonomy, config: GatewayConfig
+    report: str, taxonomy: LabelTaxonomy, config: GatewayConfig, carriers: int = 1
 ) -> tuple[int, ...]:
-    """Assign taxonomy label indices to one report via the gateway.
+    """Assign taxonomy label indices to one report text via the gateway.
 
     Returned strings are matched to canonical names or aliases case
-    insensitively; anything unmatched is dropped with a log line, never
-    invented into the vocabulary.
+    insensitively; anything unmatched is dropped with one log line naming
+    the `carriers` records that share the text, never invented into the
+    vocabulary.
     """
-    alias_map = {a: e.name for e in taxonomy.labels for a in e.aliases}
-    payload = {
-        "report": record.report,
-        "labels": taxonomy.names(),
-        "aliases": alias_map,
-    }
     request = ChatRequest(
         system=_prompt_text("annotate.txt"),
-        user=json.dumps(payload, ensure_ascii=False),
+        user=json.dumps({"report": report, **taxonomy.vocabulary}, ensure_ascii=False),
     )
     surfaces = complete_with_reprompt(request, config, parse_string_list)
-    positives: set[int] = set()
-    for s in surfaces:
-        idx = taxonomy.index_of(s)
-        if idx is None:
-            logger.warning(
-                "annotation for record %s returned unknown label %r; dropped", record.id, s
-            )
-            continue
-        positives.add(idx)
-    return tuple(sorted(positives))
+    indices = [taxonomy.index_of(s) for s in surfaces]
+    unknown = [s for s, idx in zip(surfaces, indices) if idx is None]
+    if unknown:
+        logger.warning(
+            "annotation returned unknown labels %s for %d records carrying the text; dropped",
+            unknown,
+            carriers,
+        )
+    return tuple(sorted({idx for idx in indices if idx is not None}))
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +447,28 @@ def bootstrap_dataset(
     )
     logger.info("merged to %d draft labels in %d rounds", len(draft), merge_rounds)
 
-    def annotate_one(record: ReportRecord):
-        try:
-            return AnnotatedItem(
-                record_id=record.id,
-                split=record.split,
-                positives=annotate_report(record, draft, gateway),
-            )
-        except LLMOutputError as exc:
-            logger.debug("skipping record %s: annotation unparseable: %s", record.id, exc)
-            return record.id
-
-    with ThreadPoolExecutor(max_workers=gateway.parallelism) as pool:
-        results = list(pool.map(annotate_one, corpus.records))
-    items = tuple(r for r in results if isinstance(r, AnnotatedItem))
-    skipped = tuple(r for r in results if isinstance(r, str))
+    carriers = Counter(record.report for record in corpus.records)
+    annotations = map_distinct_texts(
+        lambda text: annotate_report(text, draft, gateway, carriers[text]), carriers, gateway
+    )
+    logger.info(
+        "annotated %d records through %d distinct report texts",
+        len(corpus.records),
+        len(carriers),
+    )
+    items: list[AnnotatedItem] = []
+    skipped: list[str] = []
+    for record in corpus.records:
+        positives = annotations[record.report]
+        if isinstance(positives, LLMOutputError):
+            logger.debug("skipping record %s: annotation unparseable: %s", record.id, positives)
+            skipped.append(record.id)
+        else:
+            items.append(AnnotatedItem(record.id, record.split, positives))
     if skipped:
         logger.warning("annotation skipped %d records", len(skipped))
 
-    dataset = MLCDataset(taxonomy=draft, items=items, skipped=skipped)
+    dataset = MLCDataset(taxonomy=draft, items=tuple(items), skipped=tuple(skipped))
     return filter_labels(dataset, config.theta)
 
 

@@ -20,6 +20,7 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
@@ -627,3 +628,22 @@ def complete_with_reprompt(request: ChatRequest, config: GatewayConfig, parser):
             max_tokens=request.max_tokens,
         )
         return parser(complete(nudged, config).text)
+
+
+def map_distinct_texts(fn, texts, config: GatewayConfig) -> dict:
+    """Call `fn` once for each distinct text, over `config.parallelism` threads.
+
+    Returns text -> result in first-seen order, so thread completion order
+    cannot change what a caller derives from it. A text whose call raises
+    LLMOutputError maps to that error; every other error propagates.
+    """
+    distinct = list(dict.fromkeys(texts))
+
+    def call(text: str):
+        try:
+            return fn(text)
+        except LLMOutputError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        return dict(zip(distinct, pool.map(call, distinct)))

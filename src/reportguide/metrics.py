@@ -13,11 +13,16 @@ import logging
 import math
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConfigError, LLMOutputError
-from .gateway import ChatRequest, GatewayConfig, complete_with_reprompt, parse_string_list
+from .gateway import (
+    ChatRequest,
+    GatewayConfig,
+    complete_with_reprompt,
+    map_distinct_texts,
+    parse_string_list,
+)
 from .textnorm import CJK_CLASS
 
 logger = logging.getLogger(__name__)
@@ -315,21 +320,16 @@ def entity_f1_scores(
 ) -> tuple[list[EntityScores | None], int]:
     """Per-sample entity overlap and the number of excluded samples.
 
-    Each distinct text of either column is extracted once, over
-    `config.parallelism` threads. A text whose extraction stays unparseable
+    Each distinct text of either column is extracted once
+    (`map_distinct_texts`). A text whose extraction stays unparseable
     after the reprompt excludes (None) every sample that carries it; one
     warning per such text says how many samples it excludes.
     """
-    texts = list(dict.fromkeys([*generated_texts, *reference_texts]))
-
-    def extract(text: str) -> set[str] | LLMOutputError:
-        try:
-            return extract_entities(text, config)
-        except LLMOutputError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        entities = dict(zip(texts, pool.map(extract, texts)))
+    entities = map_distinct_texts(
+        lambda text: extract_entities(text, config),
+        [*generated_texts, *reference_texts],
+        config,
+    )
 
     out: list[EntityScores | None] = []
     excluded_by: Counter = Counter()
@@ -340,7 +340,7 @@ def entity_f1_scores(
             out.append(None)
         else:
             out.append(entity_overlap(entities[gen], entities[ref]))
-    for text in texts:
+    for text in entities:
         if text in excluded_by:
             logger.warning(
                 "entity extraction failed, excluding %d samples carrying the text: %s",

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -49,6 +50,8 @@ class StubChatServer:
     `script` is a list of HTTP status codes consumed one per request; once
     exhausted every request succeeds with status 200 and a fixed reply, or
     with the raw bytes of `body` in place of the whole reply when given.
+    A callable `reply` is called with each request document and returns
+    that request's reply text.
     Records request payloads and targets, counts the connections it accepts
     and closes, and tracks the maximum number of requests that were in
     flight simultaneously.
@@ -62,7 +65,7 @@ class StubChatServer:
     def __init__(
         self,
         script=None,
-        reply: str = "stub-reply",
+        reply: str | Callable[[dict], str] = "stub-reply",
         body: bytes | None = None,
         delay: float = 0.0,
         keep_alive: bool = False,
@@ -103,7 +106,8 @@ class StubChatServer:
                     length = int(self.headers.get("Content-Length", "0"))
                     body = self.rfile.read(length)
                     with stub._lock:
-                        stub.requests.append(json.loads(body))
+                        request = json.loads(body)
+                        stub.requests.append(request)
                         stub.targets.append(self.path)
                         status = stub.script.pop(0) if stub.script else 200
                     if status != 200:
@@ -115,8 +119,9 @@ class StubChatServer:
                         self.end_headers()
                         self.wfile.write(error)
                         return
+                    reply = stub.reply(request) if callable(stub.reply) else stub.reply
                     doc = {
-                        "choices": [{"message": {"content": stub.reply}}],
+                        "choices": [{"message": {"content": reply}}],
                         "usage": {"prompt_tokens": 5, "completion_tokens": 7},
                     }
                     payload = stub.body or json.dumps(doc).encode("utf-8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 
 import pytest
 
@@ -36,7 +37,8 @@ from reportguide.errors import (
     MergeProgressError,
 )
 from reportguide.fileio import write_atomic
-from reportguide.gateway import ChatResponse, estimate_tokens
+from reportguide.cli import main
+from reportguide.gateway import ChatRequest, ChatResponse, GatewayConfig, estimate_tokens
 
 from reportguide import gateway as gateway_mod
 
@@ -225,16 +227,13 @@ def test_merge_drops_invented_canonical_but_keeps_its_members(monkeypatch, mock_
 
 def test_annotate_report_sets_exactly_the_mentioned_labels(mock_gateway):
     tax = _taxonomy(["Pulmonary cavitation", "Pleural effusion", "Consolidation"])
-    record = ReportRecord(
-        id="r1", split="train", report="A cavity is seen. Small pleural effusion."
-    )
-    assert annotate_report(record, tax, mock_gateway) == (0, 1)
+    report = "A cavity is seen. Small pleural effusion."
+    assert annotate_report(report, tax, mock_gateway) == (0, 1)
 
 
 def test_annotate_report_with_no_mentions_is_empty(mock_gateway):
     tax = _taxonomy(["Pulmonary cavitation"])
-    record = ReportRecord(id="r1", split="train", report="Normal study.")
-    assert annotate_report(record, tax, mock_gateway) == ()
+    assert annotate_report("Normal study.", tax, mock_gateway) == ()
 
 
 def test_annotate_drops_labels_outside_taxonomy(monkeypatch, mock_gateway, caplog):
@@ -245,9 +244,8 @@ def test_annotate_drops_labels_outside_taxonomy(monkeypatch, mock_gateway, caplo
 
     monkeypatch.setattr(gateway_mod, "complete", fake_complete)
     tax = _taxonomy(["Pulmonary cavitation"])
-    record = ReportRecord(id="r1", split="train", report="whatever")
     with caplog.at_level("WARNING"):
-        positives = annotate_report(record, tax, mock_gateway)
+        positives = annotate_report("whatever", tax, mock_gateway)
     assert positives == (0,)
     assert any("XYZ" in r.message for r in caplog.records)
 
@@ -258,8 +256,7 @@ def test_annotate_matches_aliases_case_insensitively(monkeypatch, mock_gateway):
 
     monkeypatch.setattr(gateway_mod, "complete", fake_complete)
     tax = _taxonomy(["Pulmonary tuberculosis"], {"Pulmonary tuberculosis": ("TB",)})
-    record = ReportRecord(id="r1", split="train", report="whatever")
-    assert annotate_report(record, tax, mock_gateway) == (0,)
+    assert annotate_report("whatever", tax, mock_gateway) == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +415,72 @@ def test_skipped_records_are_one_warning_and_detail_at_debug(
         "skipping record bad2",
     ]
     assert all(r.levelno == logging.DEBUG for r in detail)
+
+
+def test_unknown_labels_are_one_warning_per_distinct_text(monkeypatch, mock_gateway, caplog):
+    corpus = Corpus(
+        records=[
+            ReportRecord(id=f"r{i}", split="train", report="A cavity is seen.")
+            for i in range(3)
+        ]
+    )
+    real_complete = gateway_mod.complete
+
+    def odd_complete(request, config):
+        response = real_complete(request, config)
+        if "[task:annotate]" in request.system:
+            text = json.dumps(["XYZ", *json.loads(response.text)])
+            return ChatResponse(text=text, input_tokens=0, output_tokens=0)
+        return response
+
+    monkeypatch.setattr(gateway_mod, "complete", odd_complete)
+    with caplog.at_level(logging.INFO, logger="reportguide.bootstrap"):
+        dataset = bootstrap_dataset(corpus, BootstrapConfig(theta=1), mock_gateway)
+    assert [i.positives for i in dataset.items] == [(0,)] * 3
+    warnings = [r.message for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == [
+        "annotation returned unknown labels ['XYZ'] for 3 records carrying the text; dropped"
+    ]
+    info = [r.message for r in caplog.records if r.levelno == logging.INFO]
+    assert "annotated 3 records through 1 distinct report texts" in info
+
+
+def _mock_reply(request: dict) -> str:
+    system, user = (m["content"] for m in request["messages"])
+    return gateway_mod.complete(ChatRequest(system=system, user=user), GatewayConfig()).text
+
+
+def test_http_bootstrap_annotates_each_distinct_text_once(
+    synth, synth_dir, stub_server_factory, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(reply=_mock_reply, keep_alive=True)
+    config = tmp_path / "config.json"
+    paths = {
+        "manifest": str(synth_dir / "manifest.jsonl"),
+        "features": str(synth_dir / "features.ffmx"),
+    }
+    config.write_text(json.dumps({"paths": paths, "bootstrap": {"b": 40}}), encoding="utf-8")
+    args = ["bootstrap", "--config", str(config), "--workdir"]
+    assert main([*args, str(tmp_path / "mock")]) == 0
+    http = [
+        "--set", "gateway.backend=http",
+        "--set", f"gateway.endpoint={server.endpoint}",
+        "--set", "gateway.requests_per_minute=60000",
+    ]
+    assert main([*args, str(tmp_path / "http"), *http]) == 0
+
+    records = synth.corpus.records
+    distinct = len({r.report for r in records})
+    assert distinct < len(records)
+    tasks = Counter(r["messages"][0]["content"].split("\n", 1)[0] for r in server.requests)
+    train = len(synth.corpus.split("train"))
+    assert tasks["[task:extract]"] == -(-train // 40)
+    assert tasks["[task:merge]"] >= 1
+    assert tasks["[task:annotate]"] == distinct
+    assert len(server.requests) == tasks["[task:extract]"] + tasks["[task:merge]"] + distinct
+    for name in ("labels.jsonl", "taxonomy.json"):
+        assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 from reportguide import classifier as classifier_mod
+from reportguide import gateway as gateway_mod
 from reportguide.bootstrap import BootstrapConfig, MLCDataset, bootstrap_dataset
 from reportguide.classifier import TrainConfig, train
 from reportguide.cli import main
@@ -80,7 +82,7 @@ def _counting(monkeypatch, owner, attr) -> list:
     original = getattr(owner, attr)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, wrapper)
@@ -102,3 +104,17 @@ def test_training_computes_the_logit_shift_once(synth, mock_gateway, monkeypatch
     train(dataset, synth.features, TrainConfig(epochs=3, batch_size=8))
     assert len(adjust_calls) <= 1
     assert len(shift_calls) == 1
+
+
+def test_bootstrap_calls_the_gateway_once_per_batch_merge_and_distinct_text(
+    synth, mock_gateway, monkeypatch
+):
+    calls = _counting(monkeypatch, gateway_mod, "complete")
+    config = BootstrapConfig(b=40)
+    bootstrap_dataset(synth.corpus, config, mock_gateway)
+    tasks = Counter(request.system.split("\n", 1)[0] for request, _ in calls)
+    batches = -(-len(synth.corpus.split("train")) // config.b)
+    distinct = len({r.report for r in synth.corpus.records})
+    assert tasks["[task:extract]"] == batches
+    assert tasks["[task:merge]"] >= 1
+    assert len(calls) == batches + tasks["[task:merge]"] + distinct
