@@ -417,7 +417,7 @@ def _evaluate(config: PipelineConfig, ablation: bool) -> dict[str, str]:
         rec = index.get(rid)
         if rec is None:
             raise DataError(f"generated file references unknown record id {rid!r}")
-        pairs.append((rid, str(row.get("report", "")), rec.report))
+        pairs.append((rid, row["report"], rec.report))
 
     call_log = str(Path(config.paths.workdir) / CALL_LOG_NAME)
     report = metrics_mod.evaluate_generation(

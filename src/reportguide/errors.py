@@ -85,7 +85,8 @@ class GenerationError(PipelineError):
 
 
 class GeneratedFileError(DataError):
-    """A generated-report file cannot be read or has a line that is not a JSON object."""
+    """A generated-report file cannot be read, has a line that is not a JSON
+    object or has no string `report`, or lists a record id twice."""
 
 
 class ArtifactWriteError(PipelineError):

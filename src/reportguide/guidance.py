@@ -286,4 +286,19 @@ def generated_to_jsonl(rows: list[dict]) -> str:
 
 
 def load_generated(path: str | Path) -> list[dict]:
-    return [obj for _, obj in read_jsonl(path, GeneratedFileError, f"generated file {path}")]
+    """The rows of a generated file. Every row's `report` is a string and
+    no record id appears twice, so each record is scored once."""
+    what = f"generated file {path}"
+    rows: list[dict] = []
+    line_of: dict[str, int] = {}
+    for lineno, obj in read_jsonl(path, GeneratedFileError, what):
+        if not isinstance(obj.get("report"), str):
+            raise GeneratedFileError(f"{what} line {lineno}: report must be a string")
+        rid = str(obj.get("id", ""))
+        if rid in line_of:
+            raise GeneratedFileError(
+                f"{what} line {lineno}: record id {rid!r} is already on line {line_of[rid]}"
+            )
+        line_of[rid] = lineno
+        rows.append(obj)
+    return rows

@@ -4,7 +4,9 @@ Every metric here is computed from first principles over a shared tokenizer
 so scores are reproducible bit for bit: corpus-level BLEU-1..4 without
 smoothing, LCS-based ROUGE-L, a tf-idf consensus score with length penalty,
 a compact alignment-based METEOR variant, and LLM-extracted entity overlap.
-One candidate is scored against exactly one reference.
+One candidate is scored against exactly one reference. Within a call, each
+distinct text is tokenized once and its n-gram counts are shared by BLEU
+and CIDEr-D.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 from .errors import ConfigError, LLMOutputError
 from .gateway import (
@@ -34,6 +38,7 @@ CIDER_SIGMA = 6.0
 METEOR_CHUNK_WEIGHT = 0.5
 METEOR_CHUNK_POWER = 3
 METEOR_RECALL_WEIGHT = 9.0  # F_mean = 10PR / (R + 9P)
+MAX_N = 4  # BLEU and CIDEr-D use the n-gram orders 1..MAX_N
 
 
 # One CJK ideograph, or a run of alphanumerics other than CJK ideographs
@@ -55,56 +60,117 @@ def ngram_counts(tokens: list[str], n: int) -> Counter:
 
 
 # ---------------------------------------------------------------------------
-# BLEU
+# One analysis per distinct text
 # ---------------------------------------------------------------------------
 
 
-def bleu_scores(
-    candidates: list[list[str]], references: list[list[str]], max_n: int = 4
-) -> list[float]:
-    """Corpus-level BLEU-1..max_n with clipped n-gram counts pooled over the
-    corpus, a plain geometric mean (no smoothing: a zero precision zeroes
-    every order it appears in), and the standard brevity penalty.
-    """
+@dataclass(eq=False, slots=True)
+class _Text:
+    """One distinct text of a scoring call: its tokens, the number of slots
+    of the two columns that carry it, and whether it is a reference that
+    CIDEr-D will score. Hashed by identity."""
+
+    tokens: tuple[str, ...]
+    uses: int = 0
+    cider_reference: bool = False
+    kept: list[Counter] | None = None
+
+    def grams(self) -> list[Counter]:
+        """The n-gram counts of orders 1..MAX_N. A text that more than one
+        slot carries keeps them for the call, and so does a reference that
+        CIDEr-D scores, since its document frequencies read them as well.
+        Any other text rebuilds them at each use: holding them costs more,
+        in memory traffic and collector passes, than building them again."""
+        if self.kept is not None:
+            return self.kept
+        grams = [ngram_counts(self.tokens, n) for n in range(1, MAX_N + 1)]
+        if self.uses > 1 or self.cider_reference:
+            self.kept = grams
+        return grams
+
+
+def _analyse(
+    candidates, references, tokens_of, cider: bool
+) -> tuple[list[_Text], list[_Text]]:
+    """Both columns as `_Text`s. Each distinct item (a report text, or a
+    token tuple) of either column is tokenized by `tokens_of` once, and
+    every slot that carries it shares the one `_Text`. `cider` says whether
+    CIDEr-D will score the columns."""
+    table: dict = {}
+
+    def column(items, cider_reference: bool) -> list[_Text]:
+        out = []
+        for item in items:
+            text = table.get(item)
+            if text is None:
+                # A tuple of strings drops out of the collector's tracking;
+                # a list of them never does.
+                text = table[item] = _Text(tuple(tokens_of(item)))
+            text.uses += 1
+            text.cider_reference |= cider_reference
+            out.append(text)
+        return out
+
+    return column(candidates, False), column(references, cider)
+
+
+def _columns(
+    candidates: list, references: list, cider: bool
+) -> tuple[list[_Text], list[_Text]]:
+    """The two columns of a corpus score as `_Text`s: token lists are
+    analysed here, and the `_Text`s of `evaluate_generation`'s analysis pass
+    through as they are."""
     if len(candidates) != len(references):
         raise ConfigError(
             f"{len(candidates)} candidates but {len(references)} references"
         )
     if not candidates:
         raise ConfigError("cannot score an empty corpus")
-    return _bleu_from_counts(
-        [_bleu_counts(c, r, max_n) for c, r in zip(candidates, references)], max_n
-    )
+    if isinstance(candidates[0], _Text):
+        return candidates, references
+    return _analyse(map(tuple, candidates), map(tuple, references), tuple, cider)
 
 
-def _bleu_counts(cand: list[str], ref: list[str], max_n: int) -> tuple[int, ...]:
+# ---------------------------------------------------------------------------
+# BLEU
+# ---------------------------------------------------------------------------
+
+
+def bleu_scores(candidates: list[list[str]], references: list[list[str]]) -> list[float]:
+    """Corpus-level BLEU-1..4 with clipped n-gram counts pooled over the
+    corpus, a plain geometric mean (no smoothing: a zero precision zeroes
+    every order it appears in), and the standard brevity penalty. Each
+    column holds token lists, or the `_Text`s `evaluate_generation` passes.
+    """
+    cands, refs = _columns(candidates, references, cider=False)
+    return _bleu_from_counts([_bleu_counts(c, r) for c, r in zip(cands, refs)])
+
+
+def _bleu_counts(cand: _Text, ref: _Text) -> tuple[int, ...]:
     """One pair's BLEU statistics: the candidate and reference lengths, then
-    the clipped and the total candidate n-gram counts of orders 1..max_n."""
+    the clipped and the total candidate n-gram counts of orders 1..MAX_N."""
     clipped: list[int] = []
     total: list[int] = []
-    for n in range(1, max_n + 1):
-        c_counts = ngram_counts(cand, n)
-        r_counts = ngram_counts(ref, n)
+    for c_counts, r_counts in zip(cand.grams(), ref.grams()):
         total.append(sum(c_counts.values()))
-        clipped.append(
-            sum(min(count, r_counts.get(gram, 0)) for gram, count in c_counts.items())
-        )
-    return (len(cand), len(ref), *clipped, *total)
+        r_counts_of = map(r_counts.get, c_counts, repeat(0))
+        clipped.append(sum(map(min, c_counts.values(), r_counts_of)))
+    return (len(cand.tokens), len(ref.tokens), *clipped, *total)
 
 
-def _bleu_from_counts(counts: list[tuple[int, ...]], max_n: int) -> list[float]:
-    """BLEU-1..max_n of the pooled (summed) statistics of `counts`; one
+def _bleu_from_counts(counts: list[tuple[int, ...]]) -> list[float]:
+    """BLEU-1..MAX_N of the pooled (summed) statistics of `counts`; one
     pair's statistics give that pair's BLEU."""
     cand_len, ref_len, *pooled = (sum(column) for column in zip(*counts))
-    clipped, total = pooled[:max_n], pooled[max_n:]
+    clipped, total = pooled[:MAX_N], pooled[MAX_N:]
     precisions = [
-        (clipped[i] / total[i]) if total[i] else 0.0 for i in range(max_n)
+        (clipped[i] / total[i]) if total[i] else 0.0 for i in range(MAX_N)
     ]
     if cand_len == 0:
-        return [0.0] * max_n
+        return [0.0] * MAX_N
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     scores: list[float] = []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         if any(p == 0.0 for p in precisions[:n]):
             scores.append(0.0)
             continue
@@ -155,9 +221,7 @@ def rouge_l_sample(candidate: list[str], reference: list[str]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cider_d_scores(
-    candidates: list[list[str]], references: list[list[str]], max_n: int = 4
-) -> list[float]:
+def cider_d_scores(candidates: list[list[str]], references: list[list[str]]) -> list[float]:
     """Per-sample consensus scores in [0, 10].
 
     Vectors are raw n-gram counts weighted by log(|corpus| / df) with df
@@ -165,54 +229,68 @@ def cider_d_scores(
     a reference-clipped cosine per n-gram order, scaled by a Gaussian length
     penalty (sigma = 6), averaged over n = 1..4, and multiplied by 10. A
     single-document corpus makes every idf zero and the score degenerates.
+    Each column holds token lists, or the `_Text`s `evaluate_generation`
+    passes.
     """
-    if len(candidates) != len(references):
-        raise ConfigError(
-            f"{len(candidates)} candidates but {len(references)} references"
-        )
-    if not candidates:
-        raise ConfigError("cannot score an empty corpus")
-    corpus_size = len(references)
+    cands, refs = _columns(candidates, references, cider=True)
+    corpus_size = len(refs)
     if corpus_size == 1:
         logger.warning(
             "consensus scoring over a single-document corpus: all idf weights "
             "are zero, scores degenerate to 0"
         )
-    ref_counts = [[ngram_counts(ref, n) for n in range(1, max_n + 1)] for ref in references]
-    idfs: list[dict] = []
-    for n in range(max_n):
-        df: Counter = Counter()
-        for counts in ref_counts:
-            df.update(counts[n].keys())
-        idfs.append({gram: math.log(corpus_size / d) for gram, d in df.items()})
+    # Each distinct reference adds the number of slots carrying it to the df
+    # of each of its n-grams; a one-slot reference takes Counter's C loop.
+    dfs: list[Counter] = [Counter() for _ in range(MAX_N)]
+    for ref, slots in Counter(refs).items():
+        for df, counts in zip(dfs, ref.grams()):
+            if slots == 1:
+                df.update(counts.keys())
+                continue
+            for gram in counts:
+                df[gram] += slots
+    idfs = [{gram: math.log(corpus_size / d) for gram, d in df.items()} for df in dfs]
     # df is clamped to 1 so n-grams unseen in the reference corpus keep a
     # finite idf of log(corpus_size).
     unseen_idf = math.log(corpus_size / 1)
+
+    def tfidf(text: _Text) -> list[tuple[dict, float]]:
+        """The idf-weighted vector of each order of `text`, with its norm."""
+        out = []
+        for counts, idf in zip(text.grams(), idfs):
+            vec = {gram: count * idf.get(gram, unseen_idf) for gram, count in counts.items()}
+            out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+        return out
+
+    # Only a text that more than one slot carries keeps its vectors: holding
+    # those of one-off texts costs more than it saves.
+    kept: dict[_Text, list[tuple[dict, float]]] = {}
+
+    def vectors(text: _Text) -> list[tuple[dict, float]]:
+        if text.uses == 1:
+            return tfidf(text)
+        if text not in kept:
+            kept[text] = tfidf(text)
+        return kept[text]
+
+    # Every sum runs left to right in n-gram order, as in a per-pair loop,
+    # so that no score changes in its last bits.
     scores: list[float] = []
-    for cand, ref, counts in zip(candidates, references, ref_counts):
+    for cand, ref in zip(cands, refs):
         penalty = math.exp(
-            -((len(cand) - len(ref)) ** 2) / (2.0 * CIDER_SIGMA * CIDER_SIGMA)
+            -((len(cand.tokens) - len(ref.tokens)) ** 2)
+            / (2.0 * CIDER_SIGMA * CIDER_SIGMA)
         )
         per_n = []
-        for n, (r_counts, idf) in enumerate(zip(counts, idfs), start=1):
-            cand_vec = {
-                gram: count * idf.get(gram, unseen_idf)
-                for gram, count in ngram_counts(cand, n).items()
-            }
-            ref_vec = {gram: count * idf[gram] for gram, count in r_counts.items()}
-            # Reference-clipped cosine. The sums stay plain left-to-right
-            # sums in n-gram order so that no score changes in its last bits.
-            cand_norm = math.sqrt(sum(v * v for v in cand_vec.values()))
-            ref_norm = math.sqrt(sum(v * v for v in ref_vec.values()))
+        for (cand_vec, cand_norm), (ref_vec, ref_norm) in zip(vectors(cand), vectors(ref)):
+            # Reference-clipped cosine.
             if cand_norm == 0.0 or ref_norm == 0.0:
                 per_n.append(0.0)
                 continue
-            dot = sum(
-                min(v, ref_vec.get(gram, 0.0)) * ref_vec.get(gram, 0.0)
-                for gram, v in cand_vec.items()
-            )
+            ref_weights = list(map(ref_vec.get, cand_vec, repeat(0.0)))
+            dot = sum(map(mul, map(min, cand_vec.values(), ref_weights), ref_weights))
             per_n.append(dot / (cand_norm * ref_norm) * penalty)
-        scores.append(10.0 * sum(per_n) / max_n)
+        scores.append(10.0 * sum(per_n) / MAX_N)
     return scores
 
 
@@ -364,7 +442,8 @@ def evaluate_generation(
     """Score (id, generated, reference) triples and build the report document.
 
     Corpus values are pooled for BLEU and averaged per sample for the rest.
-    Requires a gateway config when entity_f1 is enabled.
+    Each distinct text is analysed once (`_analyse`) for every text-overlap
+    metric. Requires a gateway config when entity_f1 is enabled.
     """
     for name in enabled:
         if name not in METRIC_NAMES:
@@ -377,9 +456,8 @@ def evaluate_generation(
     ids = [p[0] for p in pairs]
     gen_texts = [p[1] for p in pairs]
     ref_texts = [p[2] for p in pairs]
-    gen_tokens = [tokenize(t) for t in gen_texts]
-    ref_tokens = [tokenize(t) for t in ref_texts]
-    empty = [rid for rid, ref in zip(ids, ref_tokens) if not ref]
+    cands, refs = _analyse(gen_texts, ref_texts, tokenize, cider="cider_d" in enabled)
+    empty = [rid for rid, ref in zip(ids, refs) if not ref.tokens]
     if empty:
         logger.warning(
             "%d records have an empty reference after tokenization: %s%s",
@@ -394,25 +472,25 @@ def evaluate_generation(
 
     if "bleu" in enabled:
         names = ("bleu1", "bleu2", "bleu3", "bleu4")
-        counts = [_bleu_counts(c, r, len(names)) for c, r in zip(gen_tokens, ref_tokens)]
-        corpus.update(zip(names, _bleu_from_counts(counts, len(names))))
+        counts = [_bleu_counts(c, r) for c, r in zip(cands, refs)]
+        corpus.update(zip(names, _bleu_from_counts(counts)))
         for row, pair_counts in zip(per_sample, counts):
-            row.update(zip(names, _bleu_from_counts([pair_counts], len(names))))
+            row.update(zip(names, _bleu_from_counts([pair_counts])))
 
     if "rouge_l" in enabled:
-        values = [rouge_l_sample(c, r) for c, r in zip(gen_tokens, ref_tokens)]
+        values = [rouge_l_sample(c.tokens, r.tokens) for c, r in zip(cands, refs)]
         corpus["rouge_l"] = (sum(values) / n) if n else 0.0
         for row, v in zip(per_sample, values):
             row["rouge_l"] = v
 
     if "cider_d" in enabled:
-        values = cider_d_scores(gen_tokens, ref_tokens)
+        values = cider_d_scores(cands, refs)
         corpus["cider_d"] = (sum(values) / n) if n else 0.0
         for row, v in zip(per_sample, values):
             row["cider_d"] = v
 
     if "meteor_simple" in enabled:
-        values = [meteor_sample(c, r) for c, r in zip(gen_tokens, ref_tokens)]
+        values = [meteor_sample(c.tokens, r.tokens) for c, r in zip(cands, refs)]
         corpus["meteor_simple"] = (sum(values) / n) if n else 0.0
         for row, v in zip(per_sample, values):
             row["meteor_simple"] = v

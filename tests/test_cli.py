@@ -572,6 +572,15 @@ def _append_line(name, line):
     return tamper
 
 
+def _edit_rows(name, edit):
+    def tamper(workdir):
+        path = workdir / name
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        edit(rows)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return tamper
+
+
 def _resize_checkpoint(delta):
     """Give the checkpoint `delta` more (or fewer) labels than its taxonomy,
     keeping its arrays consistent with the new k."""
@@ -611,6 +620,17 @@ def _drop_feature_row(record_id):
          "train", "labels.jsonl line 13"),
         (_append_line("generated-image_and_label-pred.jsonl", "[1, 2]"),
          "evaluate", "generated-image_and_label-pred.jsonl line 3"),
+        (_edit_rows("generated-image_and_label-pred.jsonl", lambda rows: rows[1].pop("report")),
+         "evaluate", "generated-image_and_label-pred.jsonl line 2: report must be a string"),
+        (_edit_rows("generated-image_and_label-pred.jsonl",
+                    lambda rows: rows[0].__setitem__("report", None)),
+         "evaluate", "generated-image_and_label-pred.jsonl line 1: report must be a string"),
+        (_edit_rows("generated-image_and_label-pred.jsonl",
+                    lambda rows: rows[1].__setitem__("report", 12345)),
+         "evaluate", "generated-image_and_label-pred.jsonl line 2: report must be a string"),
+        (_edit_rows("generated-image_and_label-pred.jsonl", lambda rows: rows.append(rows[0])),
+         "evaluate",
+         "generated-image_and_label-pred.jsonl line 3: record id 's1' is already on line 1"),
         (_replace_file("taxonomy.json", "[]"), "train", "taxonomy.json: not a JSON object"),
         (_edit_json("taxonomy.json", lambda d: d.__setitem__("labels", {})),
          "train", "taxonomy.json: labels must be a list"),

@@ -351,7 +351,7 @@ def test_run_generation_writes_file_that_loads_back(tmp_path):
 
 def test_load_generated_reports_bad_lines(tmp_path):
     path = tmp_path / "generated.jsonl"
-    path.write_text('{"id": "a"}\n{broken\n', encoding="utf-8")
+    path.write_text('{"id": "a", "report": "x"}\n{broken\n', encoding="utf-8")
     with pytest.raises(GeneratedFileError, match="line 2"):
         load_generated(path)
 
@@ -359,7 +359,7 @@ def test_load_generated_reports_bad_lines(tmp_path):
 @pytest.mark.parametrize("line", ['["a"]', '"text"', "3", "null"])
 def test_load_generated_rejects_non_object_lines(tmp_path, line):
     path = tmp_path / "generated.jsonl"
-    path.write_text('{"id": "a"}\n' + line + "\n", encoding="utf-8")
+    path.write_text('{"id": "a", "report": "x"}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(GeneratedFileError, match=f"{path.name} line 2: not a JSON object"):
         load_generated(path)
 

@@ -10,7 +10,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reportguide import gateway as gateway_mod
@@ -733,22 +733,54 @@ def _reference_bleu_scores(candidates, references, max_n=4):
     return scores
 
 
+def _reference_rouge_l(cand, ref):
+    if not cand or not ref:
+        return 0.0
+    lcs = _reference_lcs_length(cand, ref)
+    if lcs == 0:
+        return 0.0
+    recall = lcs / len(ref)
+    precision = lcs / len(cand)
+    beta_sq = 1.2 * 1.2
+    return ((1 + beta_sq) * recall * precision) / (recall + beta_sq * precision)
+
+
 _WORDS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8).map(" ".join)
 
+# Pairs drawn from a small pool of texts, mixed with one-off texts, so that
+# texts repeat within and across the two columns: CIDEr-D keeps the vectors
+# of a repeated text and computes those of a one-off text inline, and the
+# scores of both must match the oracles.
+_POOLED_PAIRS = st.lists(_WORDS, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(pool), _WORDS),
+            st.one_of(st.sampled_from(pool), _WORDS),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
 
-@settings(max_examples=100)
-@given(st.lists(st.tuples(_WORDS, _WORDS), min_size=1, max_size=6))
-def test_evaluate_generation_bleu_matches_the_reference_exactly(texts):
+
+@settings(max_examples=200, deadline=None)
+@example([("a b", "a b c"), ("a b", "c d"), ("d", "a b c"), ("A, b!", "a b")])
+@given(_POOLED_PAIRS)
+def test_evaluate_generation_matches_the_oracles_exactly(texts):
     pairs = [(f"r{i}", gen, ref) for i, (gen, ref) in enumerate(texts)]
-    doc = evaluate_generation(pairs, enabled=("bleu",))
+    doc = evaluate_generation(pairs, enabled=("bleu", "rouge_l", "cider_d", "meteor_simple"))
     names = ("bleu1", "bleu2", "bleu3", "bleu4")
     gen_tokens = [tokenize(gen) for gen, _ in texts]
     ref_tokens = [tokenize(ref) for _, ref in texts]
     expected = _reference_bleu_scores(gen_tokens, ref_tokens)
     assert [doc["corpus"][n] for n in names] == expected
     assert bleu_scores(gen_tokens, ref_tokens) == expected
-    for row, cand, ref in zip(doc["per_sample"], gen_tokens, ref_tokens):
+    cider = _reference_cider_d_scores(gen_tokens, ref_tokens)
+    for row, cand, ref, want in zip(doc["per_sample"], gen_tokens, ref_tokens, cider):
         assert [row[n] for n in names] == _reference_bleu_scores([cand], [ref])
+        assert row["cider_d"] == want
+        assert row["rouge_l"] == _reference_rouge_l(cand, ref)
+        assert row["meteor_simple"] == meteor_sample(cand, ref)
 
 
 def test_evaluate_generation_unknown_metric_is_an_error():

@@ -1,9 +1,12 @@
-"""Records are predicted in one place: `classifier.predict_records`.
+"""Records are predicted in one place: `classifier.predict_records`; and
+n-grams are counted in one place: `metrics._Text.grams`.
 
 The guard parses each module of the package and fails on a call to
 `predict` outside `predict_records`, on a feature-row lookup (`row_for_id`)
-outside `predict_records` and `train`, and on any import from `classifier`
-in `guidance.py`, which writes reports from the labels it is handed.
+outside `predict_records` and `train`, on any import from `classifier`
+in `guidance.py`, which writes reports from the labels it is handed, and on
+a call to `ngram_counts` outside the per-text analysis, so that no metric
+goes back to rebuilding the n-gram tables of a text for each pair.
 """
 
 from __future__ import annotations
@@ -58,3 +61,7 @@ def test_guidance_imports_nothing_from_classifier():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not any("classifier" in name.split(".") for name in imported), imported
+
+
+def test_only_the_per_text_analysis_counts_ngrams():
+    assert _call_sites("ngram_counts") == {("metrics.py", "_Text.grams")}
