@@ -16,8 +16,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
 
 from .errors import ConfigError, LLMOutputError
 from .gateway import (
@@ -66,39 +64,33 @@ def ngram_counts(tokens: list[str], n: int) -> Counter:
 
 @dataclass(eq=False, slots=True)
 class _Text:
-    """One distinct text of a scoring call: its tokens, the number of slots
-    of the two columns that carry it, and whether it is a reference that
-    CIDEr-D will score. Hashed by identity."""
+    """One distinct text of a scoring call: its tokens and the number of
+    slots of the two columns that carry it. Hashed by identity."""
 
     tokens: tuple[str, ...]
     uses: int = 0
-    cider_reference: bool = False
     kept: list[Counter] | None = None
 
     def grams(self) -> list[Counter]:
         """The n-gram counts of orders 1..MAX_N. A text that more than one
-        slot carries keeps them for the call, and so does a reference that
-        CIDEr-D scores, since its document frequencies read them as well.
-        Any other text rebuilds them at each use: holding them costs more,
-        in memory traffic and collector passes, than building them again."""
+        slot carries keeps them for the call. Any other text rebuilds them
+        at each use: holding them costs more, in memory traffic and
+        collector passes, than building them again."""
         if self.kept is not None:
             return self.kept
         grams = [ngram_counts(self.tokens, n) for n in range(1, MAX_N + 1)]
-        if self.uses > 1 or self.cider_reference:
+        if self.uses > 1:
             self.kept = grams
         return grams
 
 
-def _analyse(
-    candidates, references, tokens_of, cider: bool
-) -> tuple[list[_Text], list[_Text]]:
+def _analyse(candidates, references, tokens_of) -> tuple[list[_Text], list[_Text]]:
     """Both columns as `_Text`s. Each distinct item (a report text, or a
     token tuple) of either column is tokenized by `tokens_of` once, and
-    every slot that carries it shares the one `_Text`. `cider` says whether
-    CIDEr-D will score the columns."""
+    every slot that carries it shares the one `_Text`."""
     table: dict = {}
 
-    def column(items, cider_reference: bool) -> list[_Text]:
+    def column(items) -> list[_Text]:
         out = []
         for item in items:
             text = table.get(item)
@@ -107,28 +99,23 @@ def _analyse(
                 # a list of them never does.
                 text = table[item] = _Text(tuple(tokens_of(item)))
             text.uses += 1
-            text.cider_reference |= cider_reference
             out.append(text)
         return out
 
-    return column(candidates, False), column(references, cider)
+    return column(candidates), column(references)
 
 
-def _columns(
-    candidates: list, references: list, cider: bool
+def _token_columns(
+    candidates: list[list[str]], references: list[list[str]]
 ) -> tuple[list[_Text], list[_Text]]:
-    """The two columns of a corpus score as `_Text`s: token lists are
-    analysed here, and the `_Text`s of `evaluate_generation`'s analysis pass
-    through as they are."""
+    """Two columns of token lists as `_Text`s, once they pair up."""
     if len(candidates) != len(references):
         raise ConfigError(
             f"{len(candidates)} candidates but {len(references)} references"
         )
     if not candidates:
         raise ConfigError("cannot score an empty corpus")
-    if isinstance(candidates[0], _Text):
-        return candidates, references
-    return _analyse(map(tuple, candidates), map(tuple, references), tuple, cider)
+    return _analyse(map(tuple, candidates), map(tuple, references), tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +126,9 @@ def _columns(
 def bleu_scores(candidates: list[list[str]], references: list[list[str]]) -> list[float]:
     """Corpus-level BLEU-1..4 with clipped n-gram counts pooled over the
     corpus, a plain geometric mean (no smoothing: a zero precision zeroes
-    every order it appears in), and the standard brevity penalty. Each
-    column holds token lists, or the `_Text`s `evaluate_generation` passes.
+    every order it appears in), and the standard brevity penalty.
     """
-    cands, refs = _columns(candidates, references, cider=False)
+    cands, refs = _token_columns(candidates, references)
     return _bleu_from_counts([_bleu_counts(c, r) for c, r in zip(cands, refs)])
 
 
@@ -153,8 +139,9 @@ def _bleu_counts(cand: _Text, ref: _Text) -> tuple[int, ...]:
     total: list[int] = []
     for c_counts, r_counts in zip(cand.grams(), ref.grams()):
         total.append(sum(c_counts.values()))
-        r_counts_of = map(r_counts.get, c_counts, repeat(0))
-        clipped.append(sum(map(min, c_counts.values(), r_counts_of)))
+        clipped.append(
+            sum(min(count, r_counts.get(gram, 0)) for gram, count in c_counts.items())
+        )
     return (len(cand.tokens), len(ref.tokens), *clipped, *total)
 
 
@@ -221,7 +208,9 @@ def rouge_l_sample(candidate: list[str], reference: list[str]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cider_d_scores(candidates: list[list[str]], references: list[list[str]]) -> list[float]:
+def cider_d_scores(
+    candidates: list[list[str]] | list[_Text], references: list[list[str]] | list[_Text]
+) -> list[float]:
     """Per-sample consensus scores in [0, 10].
 
     Vectors are raw n-gram counts weighted by log(|corpus| / df) with df
@@ -229,21 +218,28 @@ def cider_d_scores(candidates: list[list[str]], references: list[list[str]]) -> 
     a reference-clipped cosine per n-gram order, scaled by a Gaussian length
     penalty (sigma = 6), averaged over n = 1..4, and multiplied by 10. A
     single-document corpus makes every idf zero and the score degenerates.
-    Each column holds token lists, or the `_Text`s `evaluate_generation`
-    passes.
+    Each column holds token lists, or the `_Text`s of `evaluate_generation`'s
+    analysis, which pass through as they are.
     """
-    cands, refs = _columns(candidates, references, cider=True)
+    if candidates and isinstance(candidates[0], _Text):
+        cands, refs = candidates, references
+    else:
+        cands, refs = _token_columns(candidates, references)
     corpus_size = len(refs)
     if corpus_size == 1:
         logger.warning(
             "consensus scoring over a single-document corpus: all idf weights "
             "are zero, scores degenerate to 0"
         )
+    # The tables of each distinct reference, held for this call: the
+    # document frequencies and the reference vectors both read them.
+    ref_slots = Counter(refs)
+    ref_grams = {ref: ref.grams() for ref in ref_slots}
     # Each distinct reference adds the number of slots carrying it to the df
     # of each of its n-grams; a one-slot reference takes Counter's C loop.
     dfs: list[Counter] = [Counter() for _ in range(MAX_N)]
-    for ref, slots in Counter(refs).items():
-        for df, counts in zip(dfs, ref.grams()):
+    for ref, slots in ref_slots.items():
+        for df, counts in zip(dfs, ref_grams[ref]):
             if slots == 1:
                 df.update(counts.keys())
                 continue
@@ -256,8 +252,9 @@ def cider_d_scores(candidates: list[list[str]], references: list[list[str]]) -> 
 
     def tfidf(text: _Text) -> list[tuple[dict, float]]:
         """The idf-weighted vector of each order of `text`, with its norm."""
+        grams = ref_grams[text] if text in ref_grams else text.grams()
         out = []
-        for counts, idf in zip(text.grams(), idfs):
+        for counts, idf in zip(grams, idfs):
             vec = {gram: count * idf.get(gram, unseen_idf) for gram, count in counts.items()}
             out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
         return out
@@ -273,8 +270,6 @@ def cider_d_scores(candidates: list[list[str]], references: list[list[str]]) -> 
             kept[text] = tfidf(text)
         return kept[text]
 
-    # Every sum runs left to right in n-gram order, as in a per-pair loop,
-    # so that no score changes in its last bits.
     scores: list[float] = []
     for cand, ref in zip(cands, refs):
         penalty = math.exp(
@@ -283,12 +278,15 @@ def cider_d_scores(candidates: list[list[str]], references: list[list[str]]) -> 
         )
         per_n = []
         for (cand_vec, cand_norm), (ref_vec, ref_norm) in zip(vectors(cand), vectors(ref)):
-            # Reference-clipped cosine.
+            # Reference-clipped cosine. The sums stay plain left-to-right
+            # sums in n-gram order so that no score changes in its last bits.
             if cand_norm == 0.0 or ref_norm == 0.0:
                 per_n.append(0.0)
                 continue
-            ref_weights = list(map(ref_vec.get, cand_vec, repeat(0.0)))
-            dot = sum(map(mul, map(min, cand_vec.values(), ref_weights), ref_weights))
+            dot = sum(
+                min(v, ref_vec.get(gram, 0.0)) * ref_vec.get(gram, 0.0)
+                for gram, v in cand_vec.items()
+            )
             per_n.append(dot / (cand_norm * ref_norm) * penalty)
         scores.append(10.0 * sum(per_n) / MAX_N)
     return scores
@@ -456,7 +454,7 @@ def evaluate_generation(
     ids = [p[0] for p in pairs]
     gen_texts = [p[1] for p in pairs]
     ref_texts = [p[2] for p in pairs]
-    cands, refs = _analyse(gen_texts, ref_texts, tokenize, cider="cider_d" in enabled)
+    cands, refs = _analyse(gen_texts, ref_texts, tokenize)
     empty = [rid for rid, ref in zip(ids, refs) if not ref.tokens]
     if empty:
         logger.warning(
