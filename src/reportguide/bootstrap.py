@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import Corpus, read_record_rows
 from .errors import (
     BootstrapError,
     ConfigError,
@@ -28,7 +28,7 @@ from .errors import (
     MergeBudgetError,
     MergeProgressError,
 )
-from .fileio import read_json, read_jsonl
+from .fileio import read_json
 from .gateway import (
     ChatRequest,
     GatewayConfig,
@@ -539,19 +539,12 @@ def labels_to_jsonl(dataset: MLCDataset) -> str:
 
 def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> MLCDataset:
     items: list[AnnotatedItem] = []
-    index = corpus.index()
     what = f"labels file {path}"
-    for lineno, obj in read_jsonl(path, BootstrapError, what):
-        rid = str(obj.get("id", ""))
-        rec = index.get(rid)
-        if rec is None:
-            raise BootstrapError(f"{what} line {lineno}: unknown record id {rid!r}")
+    for lineno, obj, rec in read_record_rows(path, corpus, BootstrapError, what):
         positives = obj.get("positives", [])
         if not isinstance(positives, list) or not all(_is_int(j) for j in positives):
             raise BootstrapError(f"{what} line {lineno}: positives must be a list of integers")
-        items.append(AnnotatedItem(record_id=rid, split=rec.split, positives=tuple(positives)))
-    if not items:
-        raise BootstrapError(f"{what} has no rows")
+        items.append(AnnotatedItem(record_id=rec.id, split=rec.split, positives=tuple(positives)))
     return MLCDataset(taxonomy=taxonomy, items=tuple(items))
 
 

@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import bootstrap as bootstrap_mod
@@ -57,9 +57,6 @@ EXIT_CONFIG = 2
 EXIT_GATEWAY = 3
 EXIT_DATA = 4
 EXIT_PREREQ = 5
-
-# Written by the http gateway into the workdir: one JSON line per call.
-CALL_LOG_NAME = "gateway_calls.jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,16 @@ def load_config(path: str | Path | None, overrides: list[tuple[str, str]]) -> Pi
         if name not in sections:
             raise ConfigError(f"unknown config section {name!r}")
 
-    gateway = _section(GatewayConfig, doc.get("gateway", {}), "gateway")
+    paths = _section(PathsConfig, doc.get("paths", {}), "paths")
+    for key in ("workdir", "manifest", "features"):
+        if not getattr(paths, key):
+            raise ConfigError(f"paths.{key} is required")
+    for what, name in (("manifest", paths.manifest), ("feature", paths.features)):
+        if not Path(name).exists():
+            raise ConfigError(f"{what} file {name} does not exist")
+    # Every http call of every stage, generation's included, appends a line.
+    call_log = str(Path(paths.workdir) / "gateway_calls.jsonl")
+    gateway = _section(GatewayConfig, doc.get("gateway", {}), "gateway", call_log_path=call_log)
     guidance = doc.get("guidance", {})
     # The one cross-section rule: an http generator takes its key variable
     # and limits, and its endpoint and model where unset, from the gateway.
@@ -168,24 +174,14 @@ def load_config(path: str | Path | None, overrides: list[tuple[str, str]]) -> Pi
         "guidance.generator",
         gateway=gateway,
     )
-    config = PipelineConfig(
-        paths=_section(PathsConfig, doc.get("paths", {}), "paths"),
+    return PipelineConfig(
+        paths=paths,
         bootstrap=_section(BootstrapConfig, doc.get("bootstrap", {}), "bootstrap"),
         gateway=gateway,
         train=_section(TrainConfig, doc.get("train", {}), "train"),
         guidance=_section(GuidanceConfig, guidance, "guidance", generator=generator),
         metrics=_section(MetricsConfig, doc.get("metrics", {}), "metrics"),
     )
-    paths = config.paths
-    if not paths.workdir:
-        raise ConfigError("paths.workdir is required")
-    if not paths.manifest:
-        raise ConfigError("paths.manifest is required")
-    if not Path(paths.manifest).exists():
-        raise ConfigError(f"manifest file {paths.manifest} does not exist")
-    if paths.features and not Path(paths.features).exists():
-        raise ConfigError(f"feature file {paths.features} does not exist")
-    return config
 
 
 def _apply_override(doc: dict, dotted: str, raw: str) -> None:
@@ -282,12 +278,6 @@ def _json_text(doc) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
-def _features_path(config: PipelineConfig) -> str:
-    if not config.paths.features:
-        raise ConfigError("paths.features is required for this command")
-    return config.paths.features
-
-
 def _load_stage1(config: PipelineConfig, corpus: Corpus):
     taxonomy = bootstrap_mod.load_taxonomy(_require(config, "taxonomy.json"))
     dataset = bootstrap_mod.load_labels(_require(config, "labels.jsonl"), corpus, taxonomy)
@@ -302,10 +292,7 @@ def _load_stage1(config: PipelineConfig, corpus: Corpus):
 
 def _bootstrap(config: PipelineConfig, ablation: bool) -> dict[str, str]:
     corpus = load_manifest(config.paths.manifest)
-    call_log = str(Path(config.paths.workdir) / CALL_LOG_NAME)
-    dataset = bootstrap_mod.bootstrap_dataset(
-        corpus, config.bootstrap, replace(config.gateway, call_log_path=call_log)
-    )
+    dataset = bootstrap_mod.bootstrap_dataset(corpus, config.bootstrap, config.gateway)
     audit = bootstrap_mod.audit_taxonomy(dataset)
     logger.info(
         "bootstrap: %d labels, %d annotated records, %d skipped",
@@ -321,9 +308,8 @@ def _bootstrap(config: PipelineConfig, ablation: bool) -> dict[str, str]:
 
 
 def _train(config: PipelineConfig, ablation: bool) -> dict[str, str]:
-    features_path = _features_path(config)
     corpus = load_manifest(config.paths.manifest)
-    features = load_features(features_path, corpus)
+    features = load_features(config.paths.features, corpus)
     _, dataset = _load_stage1(config, corpus)
     params = classifier_mod.train(dataset, features, config.train)
     return {"checkpoint.json": classifier_mod.checkpoint_to_json(params)}
@@ -333,7 +319,7 @@ def _predict_split(config: PipelineConfig, corpus: Corpus):
     """Predict every record of `guidance.split`, in id order, with the
     checkpoint bound to the workdir's taxonomy. Returns the checkpoint, the
     labelled dataset and the predictions by record id."""
-    features = load_features(_features_path(config), corpus)
+    features = load_features(config.paths.features, corpus)
     checkpoint = _require(config, "checkpoint.json")
     params = classifier_mod.load_checkpoint(checkpoint)
     taxonomy, dataset = _load_stage1(config, corpus)
@@ -353,7 +339,6 @@ def _predict_split(config: PipelineConfig, corpus: Corpus):
 
 
 def _predict(config: PipelineConfig, ablation: bool) -> dict[str, str]:
-    _features_path(config)  # an empty paths.features exits 2 before the manifest is read
     corpus = load_manifest(config.paths.manifest)
     params, dataset, predictions = _predict_split(config, corpus)
     split = config.guidance.split
@@ -405,29 +390,32 @@ def _generate(config: PipelineConfig, ablation: bool) -> dict[str, str]:
 def _evaluate(config: PipelineConfig, ablation: bool) -> dict[str, str]:
     corpus = load_manifest(config.paths.manifest)
     mode, source = config.guidance.cell
+    split = config.guidance.split
     gen_path = _require(config, guidance_mod.generated_filename(mode, source))
-    rows = guidance_mod.load_generated(gen_path)
-    if not rows:
-        raise GeneratedFileError(f"generated file {gen_path} has no rows")
-
-    index = corpus.index()
-    pairs: list[tuple[str, str, str]] = []
-    for row in rows:
-        rid = str(row.get("id", ""))
-        rec = index.get(rid)
-        if rec is None:
-            raise DataError(f"generated file references unknown record id {rid!r}")
-        pairs.append((rid, row["report"], rec.report))
-
-    call_log = str(Path(config.paths.workdir) / CALL_LOG_NAME)
+    rows = guidance_mod.load_generated(gen_path, corpus)
+    # Every cell is scored over exactly the split's records, so that the
+    # cells' corpus means compare like with like.
+    for lineno, _, rec in rows:
+        if rec.split != split:
+            raise GeneratedFileError(
+                f"generated file {gen_path} line {lineno}: record {rec.id!r} "
+                f"is in split {rec.split!r}, not {split!r}"
+            )
+    expected = corpus.split(split)
+    missing = sorted({rec.id for rec in expected} - {rec.id for _, _, rec in rows})
+    if missing:
+        raise GeneratedFileError(
+            f"generated file {gen_path} lacks {len(missing)} of the {len(expected)} records "
+            f"of split {split!r}, first {', '.join(map(repr, missing[:3]))}"
+        )
     report = metrics_mod.evaluate_generation(
-        pairs,
-        gateway=replace(config.gateway, call_log_path=call_log),
+        [(rec.id, row["report"], rec.report) for _, row, rec in rows],
+        gateway=config.gateway,
         enabled=tuple(config.metrics.enabled),
         config_echo={
             "mode": mode,
             "label_source": source,
-            "split": config.guidance.split,
+            "split": split,
             "threshold": config.guidance.threshold,
             "enabled": list(config.metrics.enabled),
         },

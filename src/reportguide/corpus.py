@@ -3,18 +3,21 @@
 A dataset is two plain files. `manifest.jsonl` carries one report record per
 line; the feature file is a small binary matrix (magic "FFMX") whose rows are
 bound to records through a `.ids` sidecar listing one record id per row.
+Artifacts holding one JSON line per record (labels, generated reports) are
+bound to the manifest through `read_record_rows`.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FeatureFormatError, FeatureValidationError, ManifestError
+from .errors import FeatureFormatError, FeatureValidationError, ManifestError, PipelineError
 from .fileio import read_bytes, read_jsonl, read_text, write_atomic
 
 SPLITS = ("train", "val", "test")
@@ -119,6 +122,29 @@ def load_manifest(path: str | Path) -> Corpus:
     if not records:
         raise ManifestError(f"manifest {path} has no records")
     return Corpus(records=records)
+
+
+def read_record_rows(
+    path: str | Path, corpus: Corpus, error: type[PipelineError], what: str
+) -> Iterator[tuple[int, dict, ReportRecord]]:
+    """Stream (line number, object, record) for each row of a one-row-per-record
+    JSONL file. An unknown `id`, an id already on an earlier line, or a file
+    with no rows raises `error`, with `what` ("labels file <path>") leading."""
+    index = corpus.index()
+    line_of: dict[str, int] = {}
+    for lineno, obj in read_jsonl(path, error, what):
+        rid = str(obj.get("id", ""))
+        rec = index.get(rid)
+        if rec is None:
+            raise error(f"{what} line {lineno}: unknown record id {rid!r}")
+        if rid in line_of:
+            raise error(
+                f"{what} line {lineno}: record id {rid!r} is already on line {line_of[rid]}"
+            )
+        line_of[rid] = lineno
+        yield lineno, obj, rec
+    if not line_of:
+        raise error(f"{what} has no rows")
 
 
 def save_manifest(corpus: Corpus, path: str | Path) -> None:

@@ -141,41 +141,34 @@ def _find_json_span(text: str, open_ch: str, close_ch: str) -> str | None:
     return text[start : end + 1]
 
 
-def parse_string_list(text: str) -> list[str]:
-    """Parse a JSON array of strings out of possibly noisy LLM output.
-
-    Code fences are stripped and prose around the array is ignored. Raises
-    LLMOutputError (carrying the raw text) when no valid array is present.
-    """
+def _parse_array(text: str, invalid: str) -> list:
+    """The JSON array in possibly noisy LLM output, ignoring code fences and
+    prose around it; else LLMOutputError carrying the raw text."""
     span = _find_json_span(strip_code_fences(text), "[", "]")
     if span is None:
         raise LLMOutputError("no JSON array found in LLM output", raw_text=text)
     try:
         data = json.loads(span)
     except json.JSONDecodeError as exc:
-        raise LLMOutputError(f"invalid JSON array in LLM output: {exc}", raw_text=text) from exc
-    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
+        raise LLMOutputError(f"{invalid}: {exc}", raw_text=text) from exc
+    return data
+
+
+def parse_string_list(text: str) -> list[str]:
+    """Parse a JSON array of strings out of possibly noisy LLM output."""
+    data = _parse_array(text, "invalid JSON array in LLM output")
+    if not all(isinstance(x, str) for x in data):
         raise LLMOutputError("LLM output is not an array of strings", raw_text=text)
     return data
 
 
 def parse_string_groups(text: str) -> list[list[str]]:
     """Parse a JSON array of arrays of strings (synonym groups)."""
-    span = _find_json_span(strip_code_fences(text), "[", "]")
-    if span is None:
-        raise LLMOutputError("no JSON array found in LLM output", raw_text=text)
-    try:
-        data = json.loads(span)
-    except json.JSONDecodeError as exc:
-        raise LLMOutputError(f"invalid JSON in LLM output: {exc}", raw_text=text) from exc
-    if not isinstance(data, list):
-        raise LLMOutputError("LLM output is not an array", raw_text=text)
-    groups: list[list[str]] = []
+    data = _parse_array(text, "invalid JSON in LLM output")
     for item in data:
         if not isinstance(item, list) or not item or not all(isinstance(x, str) for x in item):
             raise LLMOutputError("LLM output group is not a non-empty string array", raw_text=text)
-        groups.append(list(item))
-    return groups
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 
 from .bootstrap import LabelTaxonomy
-from .corpus import Corpus, ReportRecord
+from .corpus import Corpus, ReportRecord, read_record_rows
 from .errors import (
     ConfigError,
     GeneratedFileError,
     GenerationError,
     PrerequisiteError,
 )
-from .fileio import read_jsonl
 from .gateway import ChatRequest, GatewayConfig, complete
 from .schema import check_fields
 
@@ -127,8 +126,8 @@ class GeneratorConfig:
     "http" forwards the prompt through the chat gateway.
 
     For "http", the init-only `gateway` argument (the config's gateway
-    section) supplies the key variable and limits, and the endpoint and
-    model where `endpoint` and `model` are empty. After init, `gateway` is
+    section) supplies the key variable, limits and call log, and the endpoint
+    and model where `endpoint` and `model` are empty. After init, `gateway` is
     the resolved http gateway, or None for the other backends.
     """
 
@@ -148,7 +147,8 @@ class GeneratorConfig:
         if self.backend == "http":
             base = gateway or GatewayConfig()
             endpoint, model = self.endpoint or base.endpoint, self.model or base.model
-            chat = replace(base, backend="http", endpoint=endpoint, model=model)
+            chat = replace(base, backend="http", endpoint=endpoint, model=model,
+                           call_log_path=base.call_log_path)
         object.__setattr__(self, "gateway", chat)
 
 
@@ -285,20 +285,14 @@ def generated_to_jsonl(rows: list[dict]) -> str:
     return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
-def load_generated(path: str | Path) -> list[dict]:
-    """The rows of a generated file. Every row's `report` is a string and
-    no record id appears twice, so each record is scored once."""
+def load_generated(path: str | Path, corpus: Corpus) -> list[tuple[int, dict, ReportRecord]]:
+    """The rows of a generated file in file order, each with its line number
+    and the record it names. Every row's `report` is a string and no record
+    appears twice, so each record is scored once."""
     what = f"generated file {path}"
-    rows: list[dict] = []
-    line_of: dict[str, int] = {}
-    for lineno, obj in read_jsonl(path, GeneratedFileError, what):
+    rows = []
+    for lineno, obj, rec in read_record_rows(path, corpus, GeneratedFileError, what):
         if not isinstance(obj.get("report"), str):
             raise GeneratedFileError(f"{what} line {lineno}: report must be a string")
-        rid = str(obj.get("id", ""))
-        if rid in line_of:
-            raise GeneratedFileError(
-                f"{what} line {lineno}: record id {rid!r} is already on line {line_of[rid]}"
-            )
-        line_of[rid] = lineno
-        rows.append(obj)
+        rows.append((lineno, obj, rec))
     return rows

@@ -574,9 +574,11 @@ def test_labels_save_load_round_trip(tmp_path):
 )
 def test_load_labels_rejects_malformed_lines(tmp_path, line, message):
     tax = _taxonomy(["A"])
-    corpus = Corpus(records=[ReportRecord(id="r1", split="train", report="t")])
+    corpus = Corpus(
+        records=[ReportRecord(id=rid, split="train", report="t") for rid in ("r0", "r1")]
+    )
     path = tmp_path / "labels.jsonl"
-    path.write_text('{"id": "r1", "positives": [0]}\n' + line + "\n", encoding="utf-8")
+    path.write_text('{"id": "r0", "positives": [0]}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(BootstrapError, match=f"labels file .*labels.jsonl {message}"):
         load_labels(path, corpus, tax)
 
@@ -586,7 +588,7 @@ def test_load_labels_rejects_unknown_record(tmp_path):
     corpus = Corpus(records=[ReportRecord(id="r1", split="train", report="t")])
     path = tmp_path / "labels.jsonl"
     path.write_text('{"id": "ghost", "positives": []}\n', encoding="utf-8")
-    with pytest.raises(BootstrapError, match="ghost"):
+    with pytest.raises(BootstrapError, match="labels.jsonl line 1: unknown record id 'ghost'"):
         load_labels(path, corpus, tax)
 
 

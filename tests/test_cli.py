@@ -200,6 +200,14 @@ def test_bad_values_exit_2_from_every_stage(mini, caplog, override):
         assert "configuration error:" in caplog.text, command
 
 
+def test_an_empty_features_path_exits_2_from_every_stage(mini, caplog):
+    for command in ("bootstrap", "train", "predict", "generate", "evaluate", "pipeline"):
+        caplog.clear()
+        assert main([command, "--config", mini["config"], "--set", "paths.features="]) == 2, command
+        assert "configuration error: paths.features is required" in caplog.text, command
+    assert not mini["workdir"].exists()
+
+
 def _dotted(doc: dict, prefix: str = "") -> dict:
     flat = {}
     for key, value in doc.items():
@@ -274,6 +282,20 @@ def test_http_generator_falls_back_to_the_gateway_section(mini):
     )
     with pytest.raises(ConfigError, match="endpoint"):
         load_config(mini["config"], [("guidance.generator.backend", "http")])
+
+
+def test_http_generation_logs_one_call_per_split_record(mini, stub_server_factory, monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    server = stub_server_factory(reply="Findings: from the stub.")
+    assert main([
+        "generate", "--config", mini["config"], "--force",
+        "--set", "guidance.generator.backend=http",
+        "--set", f"guidance.generator.endpoint={server.endpoint}",
+    ]) == 0
+    log = (mini["workdir"] / "gateway_calls.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(log) == len(server.requests) == 2  # the test split: s1 and s2
+    assert {json.loads(line)["model"] for line in log} == {"mock-clinical-1"}
 
 
 def test_validation_rejects_unknown_metric(mini):
@@ -692,6 +714,20 @@ def _drop_feature_row(record_id):
          "features.ffmx; expected b'FFMX'"),
         (_replace_file("../data/features.ffmx.ids", b""), "train",
          "features.ffmx.ids lists 0 ids"),
+        (_append_line("labels.jsonl", '{"id": "t1", "positives": [0]}'), "train",
+         "labels.jsonl line 13: record id 't1' is already on line 1"),
+        (_edit_rows("generated-image_and_label-pred.jsonl",
+                    lambda rows: rows[1].__setitem__("id", "zzz")),
+         "evaluate", "generated-image_and_label-pred.jsonl line 2: unknown record id 'zzz'"),
+        (_edit_rows("generated-image_and_label-pred.jsonl",
+                    lambda rows: rows[1].__setitem__("id", "t1")),
+         "evaluate",
+         "generated-image_and_label-pred.jsonl line 2: "
+         "record 't1' is in split 'train', not 'test'"),
+        (_edit_rows("generated-image_and_label-pred.jsonl", lambda rows: rows.pop(0)),
+         "evaluate",
+         "generated-image_and_label-pred.jsonl lacks 1 of the 2 records "
+         "of split 'test', first 's1'"),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):

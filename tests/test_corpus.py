@@ -18,10 +18,17 @@ from reportguide.corpus import (
     ReportRecord,
     load_features,
     load_manifest,
+    read_record_rows,
     save_features,
     save_manifest,
 )
-from reportguide.errors import FeatureFormatError, FeatureValidationError, ManifestError
+from reportguide.errors import (
+    DataError,
+    FeatureFormatError,
+    FeatureValidationError,
+    GeneratedFileError,
+    ManifestError,
+)
 
 
 def _write_manifest(path, rows):
@@ -195,6 +202,43 @@ def test_load_manifest_skips_blank_lines(tmp_path):
         encoding="utf-8",
     )
     assert len(load_manifest(path)) == 1
+
+
+# ---------------------------------------------------------------------------
+# Per-record JSONL files bound to the manifest
+# ---------------------------------------------------------------------------
+
+_AB = Corpus(records=[ReportRecord("a", "train", "ra"), ReportRecord("b", "test", "rb")])
+
+
+def test_read_record_rows_yields_each_row_with_its_record_in_file_order(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "b", "x": 1}\n\n{"id": "a", "x": 2}\n', encoding="utf-8")
+    rows = list(read_record_rows(path, _AB, DataError, "rows file"))
+    assert rows == [
+        (1, {"id": "b", "x": 1}, _AB.records[1]),
+        (3, {"id": "a", "x": 2}, _AB.records[0]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"id": "a"}\n{"id": "c"}\n', "rows file line 2: unknown record id 'c'"),
+        ('{"id": "a"}\n{"id": 7}\n', "rows file line 2: unknown record id '7'"),
+        ('{"x": 1}\n', "rows file line 1: unknown record id ''"),
+        ('{"id": "b"}\n{"id": "a"}\n{"id": "b"}\n',
+         "rows file line 3: record id 'b' is already on line 1"),
+        ("", "rows file has no rows"),
+        ("\n  \n", "rows file has no rows"),
+    ],
+)
+def test_read_record_rows_raises_the_callers_error(tmp_path, text, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(GeneratedFileError) as excinfo:
+        list(read_record_rows(path, _AB, GeneratedFileError, "rows file"))
+    assert str(excinfo.value) == message
 
 
 def test_manifest_round_trip_is_byte_identical(tmp_path):

@@ -172,6 +172,24 @@ def test_parse_string_groups_rejects_flat_list():
         parse_string_groups('["a","b"]')
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_string_list, "no array", "no JSON array found in LLM output"),
+        (parse_string_groups, "no array", "no JSON array found in LLM output"),
+        (parse_string_list, "```json\n[1,]\n```", "invalid JSON array in LLM output: "),
+        (parse_string_groups, "```json\n[[1],]\n```", "invalid JSON in LLM output: "),
+        (parse_string_list, '["a", 3]', "LLM output is not an array of strings"),
+        (parse_string_groups, '[["a"], "b"]', "LLM output group is not a non-empty string array"),
+    ],
+)
+def test_parse_failures_keep_their_messages_and_the_raw_text(parse, text, message):
+    with pytest.raises(LLMOutputError) as excinfo:
+        parse(text)
+    assert str(excinfo.value).startswith(message)
+    assert excinfo.value.raw_text == text
+
+
 # ---------------------------------------------------------------------------
 # Mock backend
 # ---------------------------------------------------------------------------

@@ -346,14 +346,21 @@ def test_run_generation_writes_file_that_loads_back(tmp_path):
         GeneratorConfig(backend="mock"),
     )
     write_atomic(path, generated_to_jsonl(rows))
-    assert load_generated(path) == rows
+    loaded = load_generated(path, corpus)
+    assert [row for _, row, _ in loaded] == rows
+    assert [(lineno, rec) for lineno, _, rec in loaded] == [
+        (i, corpus.index()[row["id"]]) for i, row in enumerate(rows, start=1)
+    ]
+
+
+_ONE_RECORD = Corpus(records=[ReportRecord(id="a", split="test", report="ref")])
 
 
 def test_load_generated_reports_bad_lines(tmp_path):
     path = tmp_path / "generated.jsonl"
     path.write_text('{"id": "a", "report": "x"}\n{broken\n', encoding="utf-8")
     with pytest.raises(GeneratedFileError, match="line 2"):
-        load_generated(path)
+        load_generated(path, _ONE_RECORD)
 
 
 @pytest.mark.parametrize("line", ['["a"]', '"text"', "3", "null"])
@@ -361,7 +368,7 @@ def test_load_generated_rejects_non_object_lines(tmp_path, line):
     path = tmp_path / "generated.jsonl"
     path.write_text('{"id": "a", "report": "x"}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(GeneratedFileError, match=f"{path.name} line 2: not a JSON object"):
-        load_generated(path)
+        load_generated(path, _ONE_RECORD)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +446,15 @@ def test_ablation_writes_all_five_cells_over_the_same_records(synth, synth_dir, 
     assert set(paths) == {mode_tag(m, s) for m, s in ABLATION_MODES}
     id_sets = []
     for tag, path in paths.items():
-        rows = load_generated(path)
-        id_sets.append([r["id"] for r in rows])
+        id_sets.append([rec.id for _, _, rec in load_generated(path, synth.corpus)])
     assert all(ids == id_sets[0] for ids in id_sets)
     assert len(id_sets[0]) == len(synth.corpus.split("test"))
 
 
 def test_ablation_gt_and_pred_prompts_agree_for_a_perfect_head(synth, synth_dir, tmp_path):
     paths = _generate_ablation(synth, synth_dir, tmp_path / "run")
-    gt_rows = load_generated(paths["image_and_label-gt"])
-    pred_rows = load_generated(paths["image_and_label-pred"])
+    gt_rows = [row for _, row, _ in load_generated(paths["image_and_label-gt"], synth.corpus)]
+    pred_rows = [row for _, row, _ in load_generated(paths["image_and_label-pred"], synth.corpus)]
     assert [r["prompt"] for r in gt_rows] == [r["prompt"] for r in pred_rows]
     assert [r["report"] for r in gt_rows] == [r["report"] for r in pred_rows]
 

@@ -1,12 +1,15 @@
-"""Records are predicted in one place: `classifier.predict_records`; and
-n-grams are counted in one place: `metrics._Text.grams`.
+"""Records are predicted in one place: `classifier.predict_records`;
+n-grams are counted in one place: `metrics._Text.grams`; and JSONL rows are
+bound to manifest records in one place: `corpus.read_record_rows`.
 
 The guard parses each module of the package and fails on a call to
 `predict` outside `predict_records`, on a feature-row lookup (`row_for_id`)
 outside `predict_records` and `train`, on any import from `classifier`
 in `guidance.py`, which writes reports from the labels it is handed, and on
 a call to `ngram_counts` outside the per-text analysis, so that no metric
-goes back to rebuilding the n-gram tables of a text for each pair.
+goes back to rebuilding the n-gram tables of a text for each pair. It also
+fails on a record lookup through `Corpus.index()`, or a JSONL read, outside
+`corpus.py`, so that no artifact reader resolves record ids its own way.
 """
 
 from __future__ import annotations
@@ -65,3 +68,11 @@ def test_guidance_imports_nothing_from_classifier():
 
 def test_only_the_per_text_analysis_counts_ngrams():
     assert _call_sites("ngram_counts") == {("metrics.py", "_Text.grams")}
+
+
+def test_only_corpus_looks_up_records_and_reads_jsonl():
+    assert {module for module, _ in _call_sites("index")} == {"corpus.py"}
+    assert _call_sites("read_jsonl") == {
+        ("corpus.py", "load_manifest"),
+        ("corpus.py", "read_record_rows"),
+    }
