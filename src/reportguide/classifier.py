@@ -13,39 +13,19 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bootstrap import MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
-from .errors import ConfigError, DivergenceError, FeatureValidationError, TrainingError
+from .errors import DivergenceError, FeatureValidationError, TrainingError
 from .fileio import read_json
-from .schema import check_fields
+
+if TYPE_CHECKING:
+    from .cli import TrainConfig
 
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-2
-    epochs: int = 200
-    batch_size: int = 32
-    seed: int = 0
-    tau: float = 1.0
-    adjustment: str = "on"
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.adjustment not in ("on", "off"):
-            raise ConfigError(f"adjustment must be 'on' or 'off', got {self.adjustment!r}")
 
 
 @dataclass

@@ -28,12 +28,13 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+# `classifier` and `synthetic` load numpy, which bootstrap and evaluate never
+# use: they are imported inside the functions that run them, so those two
+# stages' processes start without it.
 from . import bootstrap as bootstrap_mod
-from . import classifier as classifier_mod
 from . import guidance as guidance_mod
 from . import metrics as metrics_mod
 from .bootstrap import BootstrapConfig
-from .classifier import TrainConfig
 from .corpus import SPLITS, Corpus, load_features, load_manifest
 from .errors import (
     ConfigError,
@@ -48,7 +49,6 @@ from .fileio import read_json, write_atomic
 from .gateway import GatewayConfig
 from .guidance import GeneratorConfig
 from .schema import check_fields
-from .synthetic import write_synthetic_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +72,29 @@ class PathsConfig:
 
     def __post_init__(self):
         check_fields(self)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    learning_rate: float = 1e-2
+    epochs: int = 200
+    batch_size: int = 32
+    seed: int = 0
+    tau: float = 1.0
+    adjustment: str = "on"
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be > 0")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.adjustment not in ("on", "off"):
+            raise ConfigError(f"adjustment must be 'on' or 'off', got {self.adjustment!r}")
 
 
 @dataclass(frozen=True)
@@ -308,6 +331,8 @@ def _bootstrap(config: PipelineConfig, ablation: bool) -> dict[str, str]:
 
 
 def _train(config: PipelineConfig, ablation: bool) -> dict[str, str]:
+    from . import classifier as classifier_mod
+
     corpus = load_manifest(config.paths.manifest)
     features = load_features(config.paths.features, corpus)
     _, dataset = _load_stage1(config, corpus)
@@ -319,6 +344,8 @@ def _predict_split(config: PipelineConfig, corpus: Corpus):
     """Predict every record of `guidance.split`, in id order, with the
     checkpoint bound to the workdir's taxonomy. Returns the checkpoint, the
     labelled dataset and the predictions by record id."""
+    from . import classifier as classifier_mod
+
     features = load_features(config.paths.features, corpus)
     checkpoint = _require(config, "checkpoint.json")
     params = classifier_mod.load_checkpoint(checkpoint)
@@ -339,6 +366,8 @@ def _predict_split(config: PipelineConfig, corpus: Corpus):
 
 
 def _predict(config: PipelineConfig, ablation: bool) -> dict[str, str]:
+    from . import classifier as classifier_mod
+
     corpus = load_manifest(config.paths.manifest)
     params, dataset, predictions = _predict_split(config, corpus)
     split = config.guidance.split
@@ -570,8 +599,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             if extra:
                 raise ConfigError(f"unrecognized argument {extra[0]!r}")
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"synth --seed must be >= 0, got {args.seed}")
+            out = Path(args.out)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
+            from .synthetic import write_synthetic_corpus
+
             kwargs = {} if args.seed is None else {"seed": args.seed}
-            synth = write_synthetic_corpus(args.out, **kwargs)
+            synth = write_synthetic_corpus(out, **kwargs)
             print(
                 f"wrote {len(synth.corpus)} records and "
                 f"{synth.features.rows}x{synth.features.dim} features to {args.out}"

@@ -4,7 +4,9 @@ A dataset is two plain files. `manifest.jsonl` carries one report record per
 line; the feature file is a small binary matrix (magic "FFMX") whose rows are
 bound to records through a `.ids` sidecar listing one record id per row.
 Artifacts holding one JSON line per record (labels, generated reports) are
-bound to the manifest through `read_record_rows`.
+bound to the manifest through `read_record_rows`. Only the feature-file code
+imports numpy, where it runs, so a stage that reads no features (bootstrap,
+evaluate) never loads it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import FeatureFormatError, FeatureValidationError, ManifestError, PipelineError
 from .fileio import read_bytes, read_jsonl, read_text, write_atomic
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SPLITS = ("train", "val", "test")
 
@@ -172,6 +176,8 @@ class FeatureMatrix:
     row_ids: list[str]
 
     def __post_init__(self):
+        import numpy as np
+
         self.values = np.asarray(self.values, dtype=np.float32)
         if self.values.ndim != 2:
             raise FeatureValidationError(
@@ -210,6 +216,8 @@ def _sidecar_path(path: str | Path) -> Path:
 
 
 def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
+    import numpy as np
+
     values = np.ascontiguousarray(matrix.values, dtype="<f4")
     rows, cols = values.shape
     write_atomic(path, FEATURE_MAGIC + struct.pack("<II", rows, cols) + values.tobytes(order="C"))
@@ -221,6 +229,8 @@ def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatr
 
     When a corpus is given, every row id must resolve to a record.
     """
+    import numpy as np
+
     data = read_bytes(path, FeatureFormatError, f"feature file {path}")
     if data[:4] != FEATURE_MAGIC:
         raise FeatureFormatError(f"bad magic {data[:4]!r} in {path}; expected {FEATURE_MAGIC!r}")

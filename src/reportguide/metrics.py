@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ConfigError, LLMOutputError
+from .errors import ConfigError, DataError, LLMOutputError
 from .gateway import (
     ChatRequest,
     GatewayConfig,
@@ -517,6 +517,6 @@ def _validate_ranges(corpus: dict) -> None:
             "entity_p", "entity_r", "entity_f1")
     for name in unit:
         if name in corpus and not -1e-12 <= corpus[name] <= 1.0 + 1e-12:
-            raise ConfigError(f"metric {name} out of range: {corpus[name]}")
+            raise DataError(f"metric {name} out of range: {corpus[name]}")
     if "cider_d" in corpus and not -1e-12 <= corpus["cider_d"] <= 10.0 + 1e-9:
-        raise ConfigError(f"metric cider_d out of range: {corpus['cider_d']}")
+        raise DataError(f"metric cider_d out of range: {corpus['cider_d']}")

@@ -29,7 +29,6 @@ from reportguide.bootstrap import (
 )
 from reportguide.classifier import (
     ClassifierParams,
-    TrainConfig,
     adjust_logits,
     bce_loss_and_grad,
     evaluate_mlc,
@@ -37,7 +36,7 @@ from reportguide.classifier import (
     predict_records,
     train,
 )
-from reportguide.cli import main
+from reportguide.cli import TrainConfig, main
 from reportguide.corpus import FeatureMatrix
 from reportguide.gateway import GatewayConfig
 from reportguide.guidance import serialize_labels

@@ -26,7 +26,6 @@ from reportguide.bootstrap import (
 )
 from reportguide.classifier import (
     ClassifierParams,
-    TrainConfig,
     _logit_shift,
     _sigmoid,
     adjust_logits,
@@ -39,7 +38,7 @@ from reportguide.classifier import (
     predict_records,
     train,
 )
-from reportguide.cli import main
+from reportguide.cli import TrainConfig, main
 from reportguide.corpus import Corpus, FeatureMatrix, ReportRecord, save_features, save_manifest
 from reportguide.errors import (
     ConfigError,

@@ -338,6 +338,23 @@ def test_synth_command_writes_the_bundled_corpus(tmp_path, capsys):
         assert (out / name).exists()
 
 
+@pytest.mark.parametrize(
+    "seed, out_is_a_file, message",
+    [
+        ("-1", False, "synth --seed must be >= 0, got -1"),
+        ("3", True, "cannot use output directory {out}: [Errno 17]"),
+    ],
+    ids=["negative-seed", "out-is-a-file"],
+)
+def test_bad_synth_arguments_exit_2(tmp_path, caplog, seed, out_is_a_file, message):
+    out = tmp_path / "synth"
+    if out_is_a_file:
+        out.write_text("not a directory", encoding="utf-8")
+    assert main(["synth", "--out", str(out), "--seed", seed]) == 2
+    assert f"configuration error: {message.format(out=out)}" in caplog.text
+    assert out.is_file() if out_is_a_file else not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["bootstrap", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -944,6 +961,17 @@ def test_evaluate_scores_the_configured_mode(mini):
     # Image-only prompts make the mock write the fixed no-findings report,
     # which shares no entities with the references.
     assert metrics["corpus"]["entity_f1"] == 0.0
+
+
+def test_a_metric_out_of_range_is_a_data_error(mini, caplog, monkeypatch):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    (mini["workdir"] / "metrics.json").unlink()
+    monkeypatch.setattr(metrics, "rouge_l_sample", lambda candidate, reference: 1.5)
+    with pytest.raises(DataError, match="metric rouge_l out of range: 1.5"):
+        metrics.evaluate_generation([("r1", "a cavity", "a cavity")], enabled=("rouge_l",))
+    assert main(["evaluate", "--config", mini["config"]]) == 4
+    assert "data error: metric rouge_l out of range: 1.5" in caplog.text
+    assert not (mini["workdir"] / "metrics.json").exists()
 
 
 def test_stagewise_run_matches_pipeline_artifacts(mini, tmp_path):

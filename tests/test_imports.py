@@ -1,0 +1,144 @@
+"""Each stage process imports only the code it runs.
+
+numpy is loaded by `classifier` and `synthetic` alone, and `cli` imports
+those two inside the functions that run them, so `bootstrap` and `evaluate`
+start without numpy. The subprocess test checks that in a fresh
+interpreter, because this test session has loaded numpy already. The guard
+parses each module of the package and fails, naming the file and line, on
+an import that runs when a module is imported (one outside every function
+and every `if TYPE_CHECKING:` block) and would undo that: an import of
+numpy outside `classifier.py` and `synthetic.py`, or an import of
+`classifier` or `synthetic` in `cli.py`.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import reportguide
+from reportguide.cli import main
+
+PACKAGE = Path(reportguide.__file__).parent
+_SRC = PACKAGE.parent
+
+NUMPY_MODULES = {"classifier.py", "synthetic.py"}
+
+
+def _import_time_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module name) of each import that runs when the module is
+    imported. Relative names keep their leading dots."""
+    found: list[tuple[int, str]] = []
+
+    def visit(nodes) -> None:
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.extend((node.lineno, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                prefix = "." * node.level
+                if node.module:
+                    found.append((node.lineno, prefix + node.module))
+                else:  # from . import name
+                    found.extend((node.lineno, prefix + alias.name) for alias in node.names)
+            visit(ast.iter_child_nodes(node))
+
+    visit(tree.body)
+    return found
+
+
+def _package_imports() -> list[tuple[str, int, str]]:
+    return [
+        (path.name, line, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _import_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+
+
+def _package_module(name: str) -> str | None:
+    """The package module a relative or `reportguide.` import names."""
+    if name.startswith("."):
+        return name.lstrip(".").split(".")[0]
+    if name.startswith("reportguide."):
+        return name.split(".")[1]
+    return None
+
+
+def test_only_classifier_and_synthetic_import_numpy_when_imported():
+    imports = _package_imports()
+    assert ("classifier.py", "numpy") in {(module, name) for module, _, name in imports}
+    offenders = [
+        f"{module}:{line} imports {name}"
+        for module, line, name in imports
+        if name.split(".")[0] == "numpy" and module not in NUMPY_MODULES
+    ]
+    assert offenders == []
+
+
+def test_cli_imports_neither_classifier_nor_synthetic_when_imported():
+    imports = _package_imports()
+    assert ("cli.py", ".bootstrap") in {(module, name) for module, _, name in imports}
+    offenders = [
+        f"{module}:{line} imports {name}"
+        for module, line, name in imports
+        if module == "cli.py" and _package_module(name) in ("classifier", "synthetic")
+    ]
+    assert offenders == []
+
+
+_RUN = """
+import json, sys
+from reportguide.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.fixture(scope="module")
+def ran_config(synth_dir, tmp_path_factory) -> str:
+    """A mock-backend config whose workdir has been through the pipeline,
+    so every stage's inputs are there."""
+    tmp = tmp_path_factory.mktemp("imports")
+    config = {
+        "paths": {
+            "manifest": str(synth_dir / "manifest.jsonl"),
+            "features": str(synth_dir / "features.ffmx"),
+            "workdir": str(tmp / "run"),
+        },
+        "gateway": {"backend": "mock"},
+    }
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["pipeline", "--config", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "stage, loads_numpy",
+    [(None, False), ("bootstrap", False), ("evaluate", False), ("train", True)],
+    ids=["import", "bootstrap", "evaluate", "train"],
+)
+def test_a_fresh_process_loads_numpy_only_for_the_stages_that_use_it(
+    ran_config, stage, loads_numpy
+):
+    runs = [] if stage is None else [[stage, "--config", ran_config, "--force"]]
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(runs), "numpy": loads_numpy}, out.stderr
