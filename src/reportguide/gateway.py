@@ -3,9 +3,10 @@
 Two backends share the `complete()` interface. The `http` backend speaks the
 OpenAI-compatible chat-completions wire format over pooled keep-alive
 connections, with bounded retries, a parallelism cap, and request-rate
-spacing. The `mock` backend is a pure function of the request, routed by a
-sentinel tag embedded in the system prompt, so every pipeline stage can run
-offline and byte-reproducibly.
+spacing; a request already answered in the call log gets the logged reply
+instead of being sent again. The `mock` backend is a pure function of the
+request, routed by a sentinel tag embedded in the system prompt, so every
+pipeline stage can run offline and byte-reproducibly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
 
 from . import __version__
-from .errors import ConfigError, LLMOutputError, MockContractError, TransportError
+from .errors import (
+    ArtifactWriteError,
+    ConfigError,
+    LLMOutputError,
+    MockContractError,
+    TransportError,
+)
+from .fileio import read_text
 from .schema import check_fields
 from .textnorm import CJK_RE, alias_key, match_key
 
@@ -73,8 +81,10 @@ class GatewayConfig:
     `endpoint` is the full chat-completions URL for the http backend. The API
     key is only ever read from the environment variable named by
     `api_key_env`; the key itself never appears in configs or artifacts.
-    `call_log_path`, when set, receives one JSON line per real (http) call;
-    it is an init-only argument, not a field, so no config file can set it.
+    `call_log_path`, when set, receives one JSON line per real (http) call,
+    reply text included, and answers a repeat of a logged request in its
+    place; it is an init-only argument, not a field, so no config file can
+    set it.
     """
 
     backend: str = "mock"
@@ -491,31 +501,107 @@ def _api_key(config: GatewayConfig) -> str:
     return key
 
 
-def _log_call(config: GatewayConfig, request: ChatRequest, response: ChatResponse) -> None:
+class _CallLog:
+    """One call log as this process knows it: reply text and token counts by
+    request key, as read from the file whose (device, inode) is `file_id`.
+    `torn` says that file ends inside a line, which the next append closes."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.lock = threading.Lock()
+        self.file_id: tuple[int, int] | None = None
+        self.replies: dict[str, tuple[str, int, int]] = {}
+        self.torn = False
+
+    def sync(self) -> None:
+        """Match the table to the file, under `lock`: empty once the file is
+        gone, read anew when another file has taken its place."""
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            self.file_id, self.replies, self.torn = None, {}, False
+            return
+        except OSError as exc:
+            raise ArtifactWriteError(f"cannot read gateway call log {self.path}: {exc}") from exc
+        if (st.st_dev, st.st_ino) != self.file_id:
+            text = read_text(self.path, ArtifactWriteError, f"gateway call log {self.path}")
+            self.file_id = (st.st_dev, st.st_ino)
+            self.replies = _parse_call_log(text)
+            self.torn = not text.endswith("\n") and text != ""
+
+
+def _parse_call_log(text: str) -> dict[str, tuple[str, int, int]]:
+    """Replies by request key. A line that is not a complete entry, such as
+    the torn tail of a killed run or a line written before replies were
+    logged, is skipped. Lines end at newlines only: reply text may hold a
+    raw U+2028."""
+    replies: dict[str, tuple[str, int, int]] = {}
+    for line in text.split("\n"):
+        try:
+            entry = json.loads(line)
+            reply = (entry["text"], entry["input_tokens"], entry["output_tokens"])
+            key = entry["request_sha256"]
+        except (ValueError, LookupError, TypeError):
+            continue
+        if (isinstance(key, str) and isinstance(reply[0], str)
+                and all(type(n) is int and n >= 0 for n in reply[1:])):
+            replies.setdefault(key, reply)
+    return replies
+
+
+_CALL_LOGS: dict[str, _CallLog] = {}
+_CALL_LOGS_LOCK = threading.Lock()
+
+
+def _call_log_for(config: GatewayConfig) -> _CallLog | None:
     if not config.call_log_path:
+        return None
+    with _CALL_LOGS_LOCK:
+        log = _CALL_LOGS.get(config.call_log_path)
+        if log is None:
+            log = _CALL_LOGS[config.call_log_path] = _CallLog(config.call_log_path)
+        return log
+
+
+def _replay(log: _CallLog | None, key: str) -> ChatResponse | None:
+    """The logged reply to the request `key`, if the log holds one."""
+    if log is None:
+        return None
+    with log.lock:
+        log.sync()
+        hit = log.replies.get(key)
+    return None if hit is None else ChatResponse(*hit, 0.0)
+
+
+def _log_call(log: _CallLog | None, key: str, model: str, response: ChatResponse) -> None:
+    """Append one line for a billed call and add its reply to the table. The
+    line can take more than one write(), so appends are serialized."""
+    if log is None:
         return
-    digest = hashlib.sha256((request.system + "\x00" + request.user).encode("utf-8")).hexdigest()
     entry = {
-        "request_sha256": digest,
-        "model": config.model,
+        "request_sha256": key,
+        "model": model,
         "input_tokens": response.input_tokens,
         "output_tokens": response.output_tokens,
         "latency_ms": round(response.latency_ms, 3),
         "timestamp": time.time(),
+        "text": response.text,
     }
-    line = json.dumps(entry, ensure_ascii=False)
-    with open(config.call_log_path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+    line = json.dumps(entry, ensure_ascii=False) + "\n"
+    with log.lock:
+        log.sync()
+        try:
+            with open(log.path, "a", encoding="utf-8") as fh:
+                fh.write("\n" + line if log.torn else line)
+                st = os.fstat(fh.fileno())
+        except OSError as exc:
+            raise ArtifactWriteError(f"cannot write gateway call log {log.path}: {exc}") from exc
+        log.file_id, log.torn = (st.st_dev, st.st_ino), False
+        log.replies.setdefault(key, (response.text, response.input_tokens, response.output_tokens))
 
 
 def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
-    # Imported here so that only the http backend pays for loading the HTTP
-    # stack; the mock pipeline never needs it.
-    import http.client
-
-    key = _api_key(config)
-    limiter = _limiter_for(config)
-    route = _route(config.endpoint)
+    api_key = _api_key(config)
     payload = {
         "model": config.model,
         "messages": [
@@ -526,8 +612,21 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
         "max_tokens": request.max_tokens,
     }
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    # The body names the model and every sampling parameter, so equal keys
+    # mean the same request to the same endpoint.
+    key = hashlib.sha256(config.endpoint.encode("utf-8") + b"\x00" + body).hexdigest()
+    log = _call_log_for(config)
+    replayed = _replay(log, key)
+    if replayed is not None:
+        return replayed
+    # Imported here so that only calls that go out pay for loading the HTTP
+    # stack; the mock pipeline and replayed calls never need it.
+    import http.client
+
+    limiter = _limiter_for(config)
+    route = _route(config.endpoint)
     headers = {
-        "Authorization": f"Bearer {key}",
+        "Authorization": f"Bearer {api_key}",
         "Content-Type": "application/json",
         "User-Agent": f"reportguide/{__version__}",
     }
@@ -578,7 +677,7 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
             except (ValueError, LookupError, TypeError, OverflowError) as exc:
                 raise TransportError(f"malformed chat-completion response: {exc}") from exc
             response = ChatResponse(text, input_tokens, output_tokens, latency_ms)
-            _log_call(config, request, response)
+            _log_call(log, key, config.model, response)
             return response
     raise TransportError(
         f"gateway gave up after {config.max_retries + 1} attempts; last error: {last_error}"

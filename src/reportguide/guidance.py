@@ -62,6 +62,8 @@ class GuidancePrompt:
             raise ConfigError(
                 f"label source must be one of {LABEL_SOURCES}, got {self.label_source!r}"
             )
+        if self.mode == "label_only" and self.image_paths:
+            raise ConfigError("label_only prompts must not carry image paths")
 
 
 def serialize_labels(
@@ -80,7 +82,12 @@ def serialize_labels(
     if mode not in MODES:
         raise ConfigError(f"unknown guidance mode {mode!r}")
     record_id = record.id if record is not None else ""
-    image_paths = tuple(im.path for im in record.images) if record is not None else ()
+    # label_only is the ablation's no-image condition: its requests name no image.
+    image_paths = (
+        tuple(im.path for im in record.images)
+        if record is not None and mode != "label_only"
+        else ()
+    )
 
     if mode == "image_only":
         return GuidancePrompt(

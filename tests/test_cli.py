@@ -33,6 +33,7 @@ from reportguide.corpus import (
     save_manifest,
 )
 from reportguide.errors import ConfigError, DataError
+from reportguide.gateway import SENTINEL_ENTITIES, ChatRequest, GatewayConfig, complete
 
 # ---------------------------------------------------------------------------
 # A 12-record corpus small enough to push through every stage in-process:
@@ -296,6 +297,99 @@ def test_http_generation_logs_one_call_per_split_record(mini, stub_server_factor
     log = (mini["workdir"] / "gateway_calls.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(log) == len(server.requests) == 2  # the test split: s1 and s2
     assert {json.loads(line)["model"] for line in log} == {"mock-clinical-1"}
+
+
+# ---------------------------------------------------------------------------
+# Billed calls: the workdir's call log answers repeated http requests
+# ---------------------------------------------------------------------------
+
+
+def _mock_reply(doc: dict) -> str:
+    """The mock gateway's answer to a chat-completions request, so that an
+    http run against a stub with this reply writes a mock run's artifacts."""
+    messages = {m["role"]: m["content"] for m in doc["messages"]}
+    request = ChatRequest(system=messages["system"], user=messages["user"])
+    return complete(request, GatewayConfig(backend="mock")).text
+
+
+def _http(server) -> list[str]:
+    return ["--set", "gateway.backend=http", "--set", f"gateway.endpoint={server.endpoint}"]
+
+
+def test_a_rerun_of_a_failed_http_bootstrap_sends_only_the_unlogged_requests(
+    mini, stub_server_factory, monkeypatch
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    clean = mini["tmp"] / "clean"
+    server = stub_server_factory(reply=_mock_reply)
+    bootstrap_clean = ["bootstrap", "--config", mini["config"], "--workdir", str(clean)]
+    assert main([*bootstrap_clean, *_http(server)]) == 0
+    total = len(server.requests)
+    # A non-retryable status after all but three of the requests.
+    failing = stub_server_factory(script=[200] * (total - 3) + [400], reply=_mock_reply)
+    assert main(["bootstrap", "--config", mini["config"], *_http(failing)]) == 3
+    assert not (mini["workdir"] / "taxonomy.json").exists()
+    log = mini["workdir"] / "gateway_calls.jsonl"
+    logged = len(log.read_text(encoding="utf-8").splitlines())
+    assert total - 3 <= logged < total
+    # The rerun goes to the same endpoint, which keys the log, and its
+    # script is spent: from here on, every request succeeds.
+    sent = len(failing.requests)
+    assert main(["bootstrap", "--config", mini["config"], *_http(failing)]) == 0
+    assert len(failing.requests) - sent == total - logged
+    for name in ("taxonomy.json", "labels.jsonl"):
+        assert (mini["workdir"] / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_an_http_ablation_sends_each_entity_text_once(mini, stub_server_factory, monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(reply=_mock_reply)
+    config = ["--config", mini["config"], *_http(server)]
+    assert main(["pipeline", *config]) == 0
+    assert main(["generate", "--ablation", "--force", *config]) == 0
+    cells = [
+        ["--mode", mode] + ([] if source == "none" else ["--label-source", source])
+        for mode, source in guidance.ABLATION_MODES
+    ]
+    scored = []
+    for cell in cells:
+        assert main(["evaluate", "--force", *config, *cell]) == 0
+        scored.append((mini["workdir"] / "metrics.json").read_bytes())
+    entity_texts = [
+        doc["messages"][1]["content"]
+        for doc in server.requests
+        if SENTINEL_ENTITIES in doc["messages"][0]["content"]
+    ]
+    assert len(entity_texts) == len(set(entity_texts))
+    # Scored again on an empty log, each cell sends its texts and writes the same bytes.
+    for cell, metrics_json in zip(cells, scored):
+        (mini["workdir"] / "gateway_calls.jsonl").unlink()
+        sent = len(server.requests)
+        assert main(["evaluate", "--force", *config, *cell]) == 0
+        assert len(server.requests) > sent
+        assert (mini["workdir"] / "metrics.json").read_bytes() == metrics_json
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda log: log.mkdir(), "cannot read gateway call log {log}: [Errno 21] Is a directory"),
+        (lambda log: log.symlink_to(log.parent / "missing" / log.name),
+         "cannot write gateway call log {log}: [Errno 2] No such file or directory"),
+    ],
+    ids=["directory", "dangling-symlink"],
+)
+def test_a_call_log_that_cannot_be_read_or_written_exits_4(
+    mini, caplog, stub_server_factory, monkeypatch, tamper, message
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(reply=_mock_reply)
+    log = mini["workdir"] / "gateway_calls.jsonl"
+    mini["workdir"].mkdir()
+    tamper(log)
+    assert main(["bootstrap", "--config", mini["config"], *_http(server)]) == 4
+    assert message.format(log=log) in caplog.text
+    assert not (mini["workdir"] / "taxonomy.json").exists()
 
 
 def test_validation_rejects_unknown_metric(mini):

@@ -14,6 +14,7 @@ import sys
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reportguide import gateway as gateway_mod
-from reportguide.errors import ConfigError, LLMOutputError, MockContractError, TransportError
+from reportguide.errors import (
+    ArtifactWriteError,
+    ConfigError,
+    LLMOutputError,
+    MockContractError,
+    TransportError,
+)
 from reportguide.textnorm import CJK_RANGES
 from reportguide.gateway import (
     ChatRequest,
@@ -423,12 +430,18 @@ def test_http_call_log_records_request_hash_and_tokens(stub_server_factory, monk
     lines = log_path.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 1
     entry = json.loads(lines[0])
-    expected = hashlib.sha256(b"sys\x00usr").hexdigest()
+    body = (
+        b'{"model": "stub-model", "messages": [{"role": "system", "content": "sys"}, '
+        b'{"role": "user", "content": "usr"}], "temperature": 0.0, "max_tokens": 2048}'
+    )
+    assert json.loads(body) == server.requests[0]
+    expected = hashlib.sha256(server.endpoint.encode("utf-8") + b"\x00" + body).hexdigest()
     assert entry["request_sha256"] == expected
     assert entry["model"] == "stub-model"
     assert entry["input_tokens"] == 5
     assert entry["output_tokens"] == 7
     assert entry["latency_ms"] >= 0
+    assert entry["text"] == "logged"
 
 
 def test_mock_backend_never_writes_a_call_log(tmp_path, monkeypatch):
@@ -436,6 +449,171 @@ def test_mock_backend_never_writes_a_call_log(tmp_path, monkeypatch):
     config = GatewayConfig(backend="mock", call_log_path=str(log_path))
     complete(ChatRequest(system="[task:extract] go", user="cavity"), config)
     assert not log_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Replay from the call log
+# ---------------------------------------------------------------------------
+
+
+def _logged_config(server, tmp_path, **overrides) -> GatewayConfig:
+    return _http_config(server, call_log_path=str(tmp_path / "calls.jsonl"), **overrides)
+
+
+def _replace_log(path: Path, text: str) -> None:
+    """Put a new file with `text` in the log's place, as another run would."""
+    tmp = path.with_name("calls.new")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def test_a_logged_request_is_answered_from_the_log(stub_server_factory, monkeypatch, tmp_path):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    reply = "line one\nline\u2028two \u2713"
+    server = stub_server_factory(reply=reply)
+    config = _logged_config(server, tmp_path)
+    request = ChatRequest(system="sys", user="usr")
+    first = complete(request, config)
+    again = complete(request, config)
+    assert len(server.requests) == 1
+    assert (first.text, first.input_tokens, first.output_tokens) == (reply, 5, 7)
+    assert again == gateway_mod.ChatResponse(reply, 5, 7, 0.0)
+    # A hit is not billed, so it adds no line.
+    assert len((tmp_path / "calls.jsonl").read_bytes().splitlines()) == 1
+
+
+def test_a_request_that_differs_in_any_sent_field_misses(
+    stub_server_factory, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(reply="r")
+    config = _logged_config(server, tmp_path)
+    complete(ChatRequest(system="s", user="u"), config)
+    complete(ChatRequest(system="s", user="u"), _logged_config(server, tmp_path, model="other"))
+    complete(ChatRequest(system="s", user="u", temperature=0.5), config)
+    complete(ChatRequest(system="s", user="u", max_tokens=9), config)
+    complete(ChatRequest(system="s", user="u2"), config)
+    assert len(server.requests) == 5
+    # Settings that are not sent (retries, limits) do not key the reply.
+    complete(ChatRequest(system="s", user="u"), _logged_config(server, tmp_path, max_retries=0))
+    assert len(server.requests) == 5
+
+
+def test_a_torn_last_line_is_skipped_and_its_request_sent_again(
+    stub_server_factory, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(reply=lambda doc: "reply to " + doc["messages"][1]["content"])
+    config = _logged_config(server, tmp_path)
+    log = tmp_path / "calls.jsonl"
+    complete(ChatRequest(system="s", user="a"), config)
+    complete(ChatRequest(system="s", user="b"), config)
+    text = log.read_text(encoding="utf-8")
+    _replace_log(log, text[: len(text) - 20])  # killed while writing b's line
+    assert complete(ChatRequest(system="s", user="a"), config).text == "reply to a"
+    assert len(server.requests) == 2
+    assert complete(ChatRequest(system="s", user="b"), config).text == "reply to b"
+    assert len(server.requests) == 3
+    # The new line starts after the torn one, so a later reader finds both.
+    _replace_log(log, log.read_text(encoding="utf-8"))
+    for user in ("a", "b"):
+        complete(ChatRequest(system="s", user=user), config)
+    assert len(server.requests) == 3
+    assert len(log.read_text(encoding="utf-8").split("\n")) == 4  # a, torn b, b, ""
+
+
+def test_deleting_the_log_sends_everything_again(stub_server_factory, monkeypatch, tmp_path):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(reply="r")
+    config = _logged_config(server, tmp_path)
+    complete(ChatRequest(system="s", user="u"), config)
+    (tmp_path / "calls.jsonl").unlink()
+    complete(ChatRequest(system="s", user="u"), config)
+    complete(ChatRequest(system="s", user="u"), config)
+    assert len(server.requests) == 2
+    assert len((tmp_path / "calls.jsonl").read_bytes().splitlines()) == 1
+
+
+def test_the_log_keeps_only_complete_entries():
+    entry = {"request_sha256": "k", "input_tokens": 1, "output_tokens": 2, "text": "t"}
+    lines = [
+        "",
+        "not json",
+        "[1, 2]",
+        json.dumps({**entry, "request_sha256": "old"}).replace(', "text": "t"', ""),
+        json.dumps({**entry, "request_sha256": "bool", "input_tokens": True}),
+        json.dumps({**entry, "request_sha256": "negative", "output_tokens": -1}),
+        json.dumps({**entry, "request_sha256": "number", "text": 3}),
+        json.dumps(entry),
+        json.dumps({**entry, "text": "later"}),
+        '{"request_sha256": "torn", "inp',
+    ]
+    assert gateway_mod._parse_call_log("\n".join(lines)) == {"k": ("t", 1, 2)}
+
+
+def test_a_log_that_cannot_be_read_or_written_is_an_artifact_write_error(
+    stub_server_factory, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(reply="r")
+    (tmp_path / "calls.jsonl").mkdir()
+    with pytest.raises(ArtifactWriteError, match=r"cannot read gateway call log .*calls\.jsonl"):
+        complete(ChatRequest(system="s", user="u"), _logged_config(server, tmp_path))
+    assert server.requests == []
+    missing = tmp_path / "missing" / "calls.jsonl"
+    with pytest.raises(ArtifactWriteError, match=r"cannot write gateway call log .*missing"):
+        complete(
+            ChatRequest(system="s", user="u"), _http_config(server, call_log_path=str(missing))
+        )
+
+
+def test_concurrent_calls_log_whole_lines_and_replay_them(
+    stub_server_factory, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    # Long replies take more than one write() per line.
+    server = stub_server_factory(reply=lambda doc: doc["messages"][1]["content"] * 5000)
+    config = _logged_config(server, tmp_path, parallelism=16)
+    requests = [ChatRequest(system="s", user=f"u{i:02d}") for i in range(48)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            first = list(pool.map(lambda r: complete(r, config).text, requests, timeout=60))
+        _replace_log(tmp_path / "calls.jsonl", (tmp_path / "calls.jsonl").read_text("utf-8"))
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            again = list(pool.map(lambda r: complete(r, config).text, requests, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert first == again == [r.user * 5000 for r in requests]
+    assert len(server.requests) == len(requests)
+    lines = (tmp_path / "calls.jsonl").read_text(encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["text"] for line in lines) == first
+
+
+def test_a_replayed_call_opens_no_connection_and_skips_the_http_stack(tmp_path):
+    # Nothing listens on port 9: only a replay can answer.
+    endpoint = "http://127.0.0.1:9/v1/chat/completions"
+    body = json.dumps({
+        "model": "m",
+        "messages": [{"role": "system", "content": "s"}, {"role": "user", "content": "u"}],
+        "temperature": 0.0,
+        "max_tokens": 2048,
+    }).encode("utf-8")
+    key = hashlib.sha256(endpoint.encode("utf-8") + b"\x00" + body).hexdigest()
+    log = tmp_path / "calls.jsonl"
+    entry = {"request_sha256": key, "input_tokens": 3, "output_tokens": 4, "text": "from the log"}
+    log.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from reportguide import gateway\n"
+        f"config = gateway.GatewayConfig(backend='http', endpoint={endpoint!r}, model='m',\n"
+        f"                               max_retries=0, call_log_path={str(log)!r})\n"
+        "r = gateway.complete(gateway.ChatRequest(system='s', user='u'), config)\n"
+        "print(r.text, r.input_tokens, r.output_tokens, r.latency_ms)\n"
+        "print('http.client' in sys.modules, len(gateway._LIMITERS))"
+    )
+    assert _run_python(code, LLM_API_KEY="k").splitlines() == ["from the log 3 4 0.0", "False 0"]
 
 
 _SRC = Path(__file__).resolve().parent.parent / "src"

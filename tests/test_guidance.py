@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import shlex
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,15 @@ from reportguide.bootstrap import (
 )
 from reportguide.classifier import ClassifierParams, checkpoint_to_json, predict_records
 from reportguide.cli import main
-from reportguide.corpus import Corpus, ImageRef, ReportRecord
+from reportguide.corpus import (
+    Corpus,
+    FeatureMatrix,
+    ImageRef,
+    ReportRecord,
+    load_manifest,
+    save_features,
+    save_manifest,
+)
 from reportguide.errors import (
     ConfigError,
     GeneratedFileError,
@@ -156,6 +166,21 @@ def test_record_binding_carries_id_and_image_paths():
     prompt = serialize_labels((0,), tax, record=rec)
     assert prompt.record_id == "r9"
     assert prompt.image_paths == ("images/r9.png",)
+
+
+def test_label_only_prompt_carries_no_image_paths():
+    rec = ReportRecord(id="r9", split="test", report="t", images=(ImageRef(path="images/r9.png"),))
+    prompt = serialize_labels((0,), _taxonomy(["A"]), mode="label_only", record=rec)
+    assert (prompt.record_id, prompt.image_paths) == ("r9", ())
+    with pytest.raises(ConfigError, match="label_only prompts must not carry image paths"):
+        GuidancePrompt(
+            record_id="r9",
+            mode="label_only",
+            label_source="gt",
+            label_names=("A",),
+            text=prompt.text,
+            image_paths=("images/r9.png",),
+        )
 
 
 def test_image_only_prompt_cannot_carry_labels():
@@ -411,13 +436,16 @@ def _identity_params_over(synth):
     )
 
 
-def _generate_ablation(synth, synth_dir, workdir):
-    """Run `generate --ablation` over the ground-truth labels and the
-    hand-built head; return each cell's file by mode tag."""
+def _generate_ablation(synth, synth_dir, workdir, *flags):
+    """Run `generate --ablation`, with any extra `flags`, over the
+    ground-truth labels and the hand-built head, for the records of the
+    manifest in `synth_dir`; return each cell's file by mode tag."""
     workdir.mkdir(parents=True)
     dataset = _gt_dataset_over(synth)
+    ids = {rec.id for rec in load_manifest(synth_dir / "manifest.jsonl").records}
+    items = tuple(item for item in dataset.items if item.record_id in ids)
     write_atomic(workdir / "taxonomy.json", taxonomy_to_json(dataset.taxonomy))
-    write_atomic(workdir / "labels.jsonl", labels_to_jsonl(dataset))
+    write_atomic(workdir / "labels.jsonl", labels_to_jsonl(replace(dataset, items=items)))
     write_atomic(workdir / "checkpoint.json", checkpoint_to_json(_identity_params_over(synth)))
     code = main(
         [
@@ -426,6 +454,7 @@ def _generate_ablation(synth, synth_dir, workdir):
             "--workdir", str(workdir),
             "--set", f"paths.manifest={synth_dir / 'manifest.jsonl'}",
             "--set", f"paths.features={synth_dir / 'features.ffmx'}",
+            *flags,
         ]
     )
     assert code == 0
@@ -493,3 +522,66 @@ def test_ablation_predicts_each_record_once_and_writes_what_single_cells_write(
         )
         write_atomic(single, generated_to_jsonl(rows))
         assert single.read_bytes() == (tmp_path / "ablation" / single.name).read_bytes()
+
+
+def _small_synth_dir(synth, out) -> Path:
+    """The first three test records of the synthetic corpus and their
+    feature rows as pipeline inputs, for runs that cost a request or a
+    process per record."""
+    records = sorted(synth.corpus.split("test"), key=lambda r: r.id)[:3]
+    ids = [rec.id for rec in records]
+    out.mkdir()
+    save_manifest(Corpus(records=records), out / "manifest.jsonl")
+    rows = np.stack([synth.features.row_for_id(rid) for rid in ids])
+    save_features(FeatureMatrix(values=rows, row_ids=ids), out / "features.ffmx")
+    return out
+
+
+def _assert_each_cell_sent_its_images(synth, paths, expected_report):
+    """Every row's report echoes the request its cell sent for its record;
+    `expected_report(prompt, images)` renders what that request should be."""
+    for mode, source in ABLATION_MODES:
+        for _, row, rec in load_generated(paths[mode_tag(mode, source)], synth.corpus):
+            images = [] if mode == "label_only" else [im.path for im in rec.images]
+            assert rec.images and row["report"] == expected_report(row["prompt"], images)
+
+
+def test_http_ablation_sends_images_in_every_mode_but_label_only(
+    synth, tmp_path, stub_server_factory, monkeypatch
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(reply=lambda doc: doc["messages"][1]["content"])
+    paths = _generate_ablation(
+        synth, _small_synth_dir(synth, tmp_path / "data"), tmp_path / "run",
+        "--set", "guidance.generator.backend=http",
+        "--set", f"guidance.generator.endpoint={server.endpoint}",
+    )
+    _assert_each_cell_sent_its_images(
+        synth,
+        paths,
+        lambda prompt, images: prompt + ("\n\nImages: " + ", ".join(images) if images else ""),
+    )
+    # Each distinct request went out once; the call log answered its repeats.
+    sent = [doc["messages"][1]["content"] for doc in server.requests]
+    assert len(sent) == len(set(sent))
+
+
+def test_command_ablation_sends_images_in_every_mode_but_label_only(synth, tmp_path):
+    script = tmp_path / "echo.py"
+    script.write_text(
+        "import json, sys\n"
+        "line = sys.stdin.readline()\n"
+        "print(json.dumps({'report': line.rstrip('\\n')}))\n",
+        encoding="utf-8",
+    )
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    paths = _generate_ablation(
+        synth, _small_synth_dir(synth, tmp_path / "data"), tmp_path / "run",
+        "--set", "guidance.generator.backend=command",
+        "--set", f"guidance.generator.command={command}",
+    )
+    _assert_each_cell_sent_its_images(
+        synth,
+        paths,
+        lambda prompt, images: json.dumps({"prompt": prompt, "images": images}, ensure_ascii=False),
+    )
