@@ -2,13 +2,14 @@
 
 The five stages are the rows of one table, `STAGES`: each names the workdir
 files it writes and a run function that returns their text and writes
-nothing. Each stage command reads one JSON config file, validates it and
-takes a lock on the working directory; `run_stage` then refuses to overwrite
-the stage's outputs without --force, runs it, writes the outputs only after
-the whole run has returned, and leaves `meta/<stage>.json` describing the
-run. `pipeline` runs the table's rows in order in-process, so its artifacts
-are byte-identical to running the stages one by one. The subcommands, and
-the stage named when an input is missing, come from the same table.
+nothing. Each stage command reads one JSON config file, validates it, takes
+a lock on the working directory, refuses to overwrite any selected stage's
+outputs without --force, and reads the manifest once; `run_stage` then runs
+a stage on that corpus, writes the outputs only after the whole run has
+returned, and leaves `meta/<stage>.json` describing the run. `pipeline` runs
+the table's rows in order in-process, so its artifacts are byte-identical to
+running the stages one by one. The subcommands, and the stage named when an
+input is missing, come from the same table.
 
 Exit codes: 0 success, 2 configuration error, 3 gateway error, 4 data error,
 5 missing prerequisite.
@@ -308,13 +309,12 @@ def _load_stage1(config: PipelineConfig, corpus: Corpus):
 
 
 # ---------------------------------------------------------------------------
-# Stages: each run function returns its outputs' text by name and writes
-# nothing; run_stage writes them.
+# Stages: each run function reads the corpus it is handed, returns its
+# outputs' text by name and writes nothing; run_stage writes them.
 # ---------------------------------------------------------------------------
 
 
-def _bootstrap(config: PipelineConfig, ablation: bool) -> dict[str, str]:
-    corpus = load_manifest(config.paths.manifest)
+def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
     dataset = bootstrap_mod.bootstrap_dataset(corpus, config.bootstrap, config.gateway)
     audit = bootstrap_mod.audit_taxonomy(dataset)
     logger.info(
@@ -330,10 +330,9 @@ def _bootstrap(config: PipelineConfig, ablation: bool) -> dict[str, str]:
     }
 
 
-def _train(config: PipelineConfig, ablation: bool) -> dict[str, str]:
+def _train(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
     from . import classifier as classifier_mod
 
-    corpus = load_manifest(config.paths.manifest)
     features = load_features(config.paths.features, corpus)
     _, dataset = _load_stage1(config, corpus)
     params = classifier_mod.train(dataset, features, config.train)
@@ -365,10 +364,9 @@ def _predict_split(config: PipelineConfig, corpus: Corpus):
     return params, dataset, predictions
 
 
-def _predict(config: PipelineConfig, ablation: bool) -> dict[str, str]:
+def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
     from . import classifier as classifier_mod
 
-    corpus = load_manifest(config.paths.manifest)
     params, dataset, predictions = _predict_split(config, corpus)
     split = config.guidance.split
     positives = {rid: pred.positives for rid, pred in predictions.items()}
@@ -391,8 +389,7 @@ def _cells(config: PipelineConfig, ablation: bool) -> tuple[tuple[str, str], ...
     return guidance_mod.ABLATION_MODES if ablation else (config.guidance.cell,)
 
 
-def _generate(config: PipelineConfig, ablation: bool) -> dict[str, str]:
-    corpus = load_manifest(config.paths.manifest)
+def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
     g = config.guidance
     cells = _cells(config, ablation)
     # Each record is predicted once, however many cells read `pred`.
@@ -416,8 +413,7 @@ def _generate(config: PipelineConfig, ablation: bool) -> dict[str, str]:
     }
 
 
-def _evaluate(config: PipelineConfig, ablation: bool) -> dict[str, str]:
-    corpus = load_manifest(config.paths.manifest)
+def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
     mode, source = config.guidance.cell
     split = config.guidance.split
     gen_path = _require(config, guidance_mod.generated_filename(mode, source))
@@ -455,13 +451,13 @@ def _evaluate(config: PipelineConfig, ablation: bool) -> dict[str, str]:
 @dataclass(frozen=True)
 class Stage:
     """One row of the stage table. `outputs(config, ablation)` names the
-    workdir files the stage writes; `run(config, ablation)` returns their
-    text by name."""
+    workdir files the stage writes; `run(config, corpus, ablation)` returns
+    their text by name."""
 
     name: str
     help: str
     outputs: Callable[[PipelineConfig, bool], list[str]]
-    run: Callable[[PipelineConfig, bool], dict[str, str]]
+    run: Callable[[PipelineConfig, Corpus, bool], dict[str, str]]
 
 
 # In pipeline order.
@@ -480,20 +476,13 @@ STAGES = (
 )
 
 
-def run_stage(stage: Stage, config: PipelineConfig, force: bool, ablation: bool) -> None:
-    """Run one stage: refuse to overwrite its outputs unless `force`, build
-    all of them, then write each and record the run in `meta/<name>.json`.
-    A stage that fails writes nothing."""
+def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bool) -> None:
+    """Run one stage on `corpus`: build all its outputs, then write each and
+    record the run in `meta/<name>.json`. A stage that fails writes nothing."""
     started = time.time()
     workdir = Path(config.paths.workdir)
     names = stage.outputs(config, ablation)
-    existing = [str(workdir / name) for name in names if (workdir / name).exists()]
-    if existing and not force:
-        raise ConfigError(
-            f"refusing to overwrite existing artifacts: {', '.join(existing)}; "
-            f"pass --force to redo"
-        )
-    outputs = stage.run(config, ablation)
+    outputs = stage.run(config, corpus, ablation)
     for name in names:
         write_atomic(workdir / name, outputs[name])
     logger.info("%s: wrote %s", stage.name, ", ".join(names))
@@ -624,11 +613,20 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot use workdir {workdir}: {exc}") from exc
         ablation = getattr(args, "ablation", False)
+        # `pipeline` runs every stage in order inside one workdir lock, and
+        # only once none of their outputs would be overwritten.
+        stages = [stage for stage in STAGES if args.command in ("pipeline", stage.name)]
         with _WorkdirLock(workdir):
-            # `pipeline` runs every stage in order inside one workdir lock.
-            for stage in STAGES:
-                if args.command in ("pipeline", stage.name):
-                    run_stage(stage, config, args.force, ablation)
+            names = [name for stage in stages for name in stage.outputs(config, ablation)]
+            existing = [str(workdir / name) for name in names if (workdir / name).exists()]
+            if existing and not args.force:
+                raise ConfigError(
+                    f"refusing to overwrite existing artifacts: {', '.join(existing)}; "
+                    f"pass --force to redo"
+                )
+            corpus = load_manifest(config.paths.manifest)
+            for stage in stages:
+                run_stage(stage, config, corpus, ablation)
         return EXIT_OK
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)

@@ -15,6 +15,11 @@ class ConfigError(PipelineError):
     """Invalid configuration: bad field values, missing API key env, bad flags."""
 
 
+class SyntheticSeedError(ConfigError, AssertionError):
+    """A `synth` seed whose corpus fails its own construction guard. It is an
+    AssertionError too, so a caller that moves to the next seed catches it."""
+
+
 class DataError(PipelineError):
     """Malformed or inconsistent input data (manifests, feature files, labels)."""
 

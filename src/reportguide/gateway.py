@@ -315,9 +315,7 @@ def _mock_annotate(user_text: str) -> list[str]:
 
 
 def _mock_complete(request: ChatRequest) -> str:
-    if SENTINEL_EXTRACT in request.system:
-        return json.dumps(_mock_extract_entities(request.user), ensure_ascii=False)
-    if SENTINEL_ENTITIES in request.system:
+    if SENTINEL_EXTRACT in request.system or SENTINEL_ENTITIES in request.system:
         return json.dumps(_mock_extract_entities(request.user), ensure_ascii=False)
     if SENTINEL_MERGE in request.system:
         return json.dumps(_mock_merge(request.user), ensure_ascii=False)
@@ -671,9 +669,15 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
                 usage = doc.get("usage") or {}
                 if not (isinstance(text, str) and isinstance(usage, dict)):
                     raise TypeError("content must be a string and usage an object")
-                prompt = request.system + request.user
-                input_tokens = int(usage.get("prompt_tokens", estimate_tokens(prompt)))
-                output_tokens = int(usage.get("completion_tokens", estimate_tokens(text)))
+                # A count is estimated only where the reply's usage lacks it.
+                input_tokens = int(
+                    usage["prompt_tokens"] if "prompt_tokens" in usage
+                    else estimate_tokens(request.system + request.user)
+                )
+                output_tokens = int(
+                    usage["completion_tokens"] if "completion_tokens" in usage
+                    else estimate_tokens(text)
+                )
             except (ValueError, LookupError, TypeError, OverflowError) as exc:
                 raise TransportError(f"malformed chat-completion response: {exc}") from exc
             response = ChatResponse(text, input_tokens, output_tokens, latency_ms)

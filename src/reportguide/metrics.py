@@ -477,19 +477,19 @@ def evaluate_generation(
 
     if "rouge_l" in enabled:
         values = [rouge_l_sample(c.tokens, r.tokens) for c, r in zip(cands, refs)]
-        corpus["rouge_l"] = (sum(values) / n) if n else 0.0
+        corpus["rouge_l"] = sum(values) / n
         for row, v in zip(per_sample, values):
             row["rouge_l"] = v
 
     if "cider_d" in enabled:
         values = cider_d_scores(cands, refs)
-        corpus["cider_d"] = (sum(values) / n) if n else 0.0
+        corpus["cider_d"] = sum(values) / n
         for row, v in zip(per_sample, values):
             row["cider_d"] = v
 
     if "meteor_simple" in enabled:
         values = [meteor_sample(c.tokens, r.tokens) for c, r in zip(cands, refs)]
-        corpus["meteor_simple"] = (sum(values) / n) if n else 0.0
+        corpus["meteor_simple"] = sum(values) / n
         for row, v in zip(per_sample, values):
             row["meteor_simple"] = v
 

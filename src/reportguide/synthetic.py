@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, FeatureMatrix, ImageRef, ReportRecord, save_features, save_manifest
+from .errors import SyntheticSeedError
 from .fileio import write_atomic
 
 SYNTHETIC_SEED = 7
@@ -212,14 +213,14 @@ def build_synthetic_corpus(seed: int = SYNTHETIC_SEED) -> SyntheticCorpus:
             train_count[name] += 1
     for name in primary_names:
         if train_count[name] < 15:
-            raise AssertionError(
-                f"synthetic corpus: primary finding {name!r} occurs only "
+            raise SyntheticSeedError(
+                f"synthetic corpus seed {seed}: primary finding {name!r} occurs only "
                 f"{train_count[name]} times in the training split"
             )
     for name in rare_names:
         if not 0 < train_count[name] < 15:
-            raise AssertionError(
-                f"synthetic corpus: rare finding {name!r} occurs "
+            raise SyntheticSeedError(
+                f"synthetic corpus seed {seed}: rare finding {name!r} occurs "
                 f"{train_count[name]} times in the training split"
             )
 

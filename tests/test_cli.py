@@ -29,6 +29,7 @@ from reportguide.corpus import (
     FeatureMatrix,
     ReportRecord,
     load_features,
+    load_manifest,
     save_features,
     save_manifest,
 )
@@ -449,6 +450,18 @@ def test_bad_synth_arguments_exit_2(tmp_path, caplog, seed, out_is_a_file, messa
     assert out.is_file() if out_is_a_file else not out.exists()
 
 
+def test_a_synth_seed_that_fails_the_corpus_guard_exits_2_and_writes_nothing(tmp_path, caplog):
+    from reportguide.synthetic import build_synthetic_corpus
+
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--seed", "40"]) == 2
+    assert "configuration error: synthetic corpus seed 40: primary finding" in caplog.text
+    assert list(out.iterdir()) == []
+    # Callers that move on to the next seed catch an AssertionError.
+    with pytest.raises(AssertionError, match="seed 40"):
+        build_synthetic_corpus(40)
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["bootstrap", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -580,6 +593,21 @@ def test_rerun_without_force_refuses_and_exits_2(mini, caplog):
     assert main(["bootstrap", "--config", mini["config"], "--force"]) == 0
 
 
+def test_a_refused_pipeline_runs_no_stage_and_names_every_existing_output(mini, caplog):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    workdir = mini["workdir"]
+    for name in ("taxonomy.json", "labels.jsonl", "audit.json"):
+        (workdir / name).unlink()
+    before = _files(workdir)
+    assert main(["pipeline", "--config", mini["config"]]) == 2
+    assert _files(workdir) == before
+    refusal = next(r.getMessage() for r in caplog.records if "refusing" in r.getMessage())
+    later = ["checkpoint.json", "predictions.jsonl", "mlc_metrics.json",
+             "generated-image_and_label-pred.jsonl", "metrics.json"]
+    assert refusal.count(str(workdir)) == len(later)
+    assert all(str(workdir / name) in refusal for name in later)
+
+
 def test_a_failed_predict_leaves_no_partial_artifact(mini):
     assert main(["bootstrap", "--config", mini["config"]]) == 0
     assert main(["train", "--config", mini["config"]]) == 0
@@ -649,8 +677,9 @@ def test_a_stage_that_fails_after_its_library_work_writes_nothing(
 def test_each_stage_returns_exactly_the_outputs_it_declares(mini, ablation):
     assert main(["pipeline", "--config", mini["config"]]) == 0
     config = load_config(mini["config"], [])
+    corpus = load_manifest(config.paths.manifest)
     for stage in STAGES:
-        outputs = stage.run(config, ablation)
+        outputs = stage.run(config, corpus, ablation)
         assert sorted(outputs) == sorted(stage.outputs(config, ablation)), stage.name
         assert all(isinstance(text, str) for text in outputs.values()), stage.name
 
@@ -984,6 +1013,11 @@ def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
     calls.update(load_manifest=0, predict=0)
     assert main(["generate", "--config", mini["config"], "--ablation"]) == 0
     assert calls == {"load_manifest": 1, "predict": test_rows}
+
+    # `pipeline` hands one corpus to all five stages.
+    calls.update(load_manifest=0, predict=0)
+    assert main(["pipeline", "--config", mini["config"], "--force"]) == 0
+    assert calls["load_manifest"] == 1
 
 
 def test_meta_records_the_effective_config_fingerprint(mini):

@@ -349,6 +349,32 @@ def test_http_reply_without_usage_estimates_tokens(stub_server_factory, monkeypa
     assert response.output_tokens == estimate_tokens("hello")
 
 
+@pytest.mark.parametrize(
+    "body, estimated, tokens",
+    [
+        (_reply("hello", usage={"prompt_tokens": 5, "completion_tokens": 7}), [], (5, 7)),
+        (_reply("hello", usage={"prompt_tokens": 5}), ["hello"], (5, estimate_tokens("hello"))),
+        (_reply("hello"), ["su", "hello"], (estimate_tokens("su"), estimate_tokens("hello"))),
+    ],
+    ids=["both-counts", "prompt-count-only", "no-usage"],
+)
+def test_http_reply_estimates_only_the_counts_its_usage_lacks(
+    stub_server_factory, monkeypatch, body, estimated, tokens
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    seen = []
+
+    def counting(text):
+        seen.append(text)
+        return estimate_tokens(text)
+
+    monkeypatch.setattr(gateway_mod, "estimate_tokens", counting)
+    server = stub_server_factory(body=body)
+    response = complete(ChatRequest(system="s", user="u"), _http_config(server))
+    assert seen == estimated
+    assert (response.input_tokens, response.output_tokens) == tokens
+
+
 def test_http_missing_api_key_fails_before_any_request(stub_server_factory, monkeypatch):
     monkeypatch.delenv("LLM_API_KEY", raising=False)
     server = stub_server_factory()

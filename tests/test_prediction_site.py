@@ -1,6 +1,7 @@
 """Records are predicted in one place: `classifier.predict_records`;
-n-grams are counted in one place: `metrics._Text.grams`; and JSONL rows are
-bound to manifest records in one place: `corpus.read_record_rows`.
+n-grams are counted in one place: `metrics._Text.grams`; JSONL rows are
+bound to manifest records in one place: `corpus.read_record_rows`; and the
+manifest is loaded in one place: `cli.main`, once per command.
 
 The guard parses each module of the package and fails on a call to
 `predict` outside `predict_records`, on a feature-row lookup (`row_for_id`)
@@ -9,7 +10,9 @@ in `guidance.py`, which writes reports from the labels it is handed, and on
 a call to `ngram_counts` outside the per-text analysis, so that no metric
 goes back to rebuilding the n-gram tables of a text for each pair. It also
 fails on a record lookup through `Corpus.index()`, or a JSONL read, outside
-`corpus.py`, so that no artifact reader resolves record ids its own way.
+`corpus.py`, so that no artifact reader resolves record ids its own way,
+and on a `load_manifest` call outside `cli.main`, so that no stage reads the
+manifest again.
 """
 
 from __future__ import annotations
@@ -76,3 +79,7 @@ def test_only_corpus_looks_up_records_and_reads_jsonl():
         ("corpus.py", "load_manifest"),
         ("corpus.py", "read_record_rows"),
     }
+
+
+def test_only_the_driver_loads_the_manifest():
+    assert _call_sites("load_manifest") == {("cli.py", "main")}
