@@ -18,11 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import Corpus, read_record_rows
 from .errors import (
     BootstrapError,
-    ConfigError,
     EmptyTaxonomyError,
     LLMOutputError,
     MergeBudgetError,
@@ -38,8 +38,10 @@ from .gateway import (
     parse_string_groups,
     parse_string_list,
 )
-from .schema import check_fields
 from .textnorm import alias_key, collapse_whitespace, match_key
+
+if TYPE_CHECKING:
+    from .cli import BootstrapConfig
 
 logger = logging.getLogger(__name__)
 
@@ -49,29 +51,6 @@ SYNONYM_SIMILARITY_THRESHOLD = 0.85
 @functools.cache
 def _prompt_text(name: str) -> str:
     return resources.files("reportguide.prompts").joinpath(name).read_text(encoding="utf-8")
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    """Batching and filtering knobs for the bootstrap stage.
-
-    `b` is the number of reports per extraction batch, `kappa` the token
-    budget of one merge call, and `theta` the minimum number of positive
-    training records a label needs to be kept.
-    """
-
-    b: int = 200
-    kappa: int = 200
-    theta: int = 15
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.b < 1:
-            raise ConfigError("b must be >= 1")
-        if self.kappa < 1:
-            raise ConfigError("kappa must be >= 1")
-        if self.theta < 0:
-            raise ConfigError("theta must be >= 0")
 
 
 @dataclass(frozen=True)

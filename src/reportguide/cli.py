@@ -30,12 +30,11 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 # `classifier` and `synthetic` load numpy, which bootstrap and evaluate never
-# use: they are imported inside the functions that run them, so those two
-# stages' processes start without it.
-from . import bootstrap as bootstrap_mod
+# use, and `bootstrap` is code that only bootstrap, train, predict and
+# generate run: each is imported inside the functions that run it, so a
+# stage's process loads only the code of that stage.
 from . import guidance as guidance_mod
 from . import metrics as metrics_mod
-from .bootstrap import BootstrapConfig
 from .corpus import SPLITS, Corpus, load_features, load_manifest
 from .errors import (
     ConfigError,
@@ -73,6 +72,29 @@ class PathsConfig:
 
     def __post_init__(self):
         check_fields(self)
+
+
+@dataclass(frozen=True)
+class BootstrapConfig:
+    """Batching and filtering knobs for the bootstrap stage.
+
+    `b` is the number of reports per extraction batch, `kappa` the token
+    budget of one merge call, and `theta` the minimum number of positive
+    training records a label needs to be kept.
+    """
+
+    b: int = 200
+    kappa: int = 200
+    theta: int = 15
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.b < 1:
+            raise ConfigError("b must be >= 1")
+        if self.kappa < 1:
+            raise ConfigError("kappa must be >= 1")
+        if self.theta < 0:
+            raise ConfigError("theta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -303,6 +325,8 @@ def _json_text(doc) -> str:
 
 
 def _load_stage1(config: PipelineConfig, corpus: Corpus):
+    from . import bootstrap as bootstrap_mod
+
     taxonomy = bootstrap_mod.load_taxonomy(_require(config, "taxonomy.json"))
     dataset = bootstrap_mod.load_labels(_require(config, "labels.jsonl"), corpus, taxonomy)
     return taxonomy, dataset
@@ -315,6 +339,8 @@ def _load_stage1(config: PipelineConfig, corpus: Corpus):
 
 
 def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
+    from . import bootstrap as bootstrap_mod
+
     dataset = bootstrap_mod.bootstrap_dataset(corpus, config.bootstrap, config.gateway)
     audit = bootstrap_mod.audit_taxonomy(dataset)
     logger.info(
@@ -343,6 +369,7 @@ def _predict_split(config: PipelineConfig, corpus: Corpus):
     """Predict every record of `guidance.split`, in id order, with the
     checkpoint bound to the workdir's taxonomy. Returns the checkpoint, the
     labelled dataset and the predictions by record id."""
+    from . import bootstrap as bootstrap_mod
     from . import classifier as classifier_mod
 
     features = load_features(config.paths.features, corpus)

@@ -16,7 +16,7 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import FeatureFormatError, FeatureValidationError, ManifestError, PipelineError
 from .fileio import read_bytes, read_jsonl, read_text, write_atomic
@@ -29,13 +29,12 @@ SPLITS = ("train", "val", "test")
 FEATURE_MAGIC = b"FFMX"
 
 
-@dataclass(frozen=True)
-class ImageRef:
+class ImageRef(NamedTuple):
     path: str
     modality: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportRecord:
     """One study: a unique id, a split, the reference report, its images."""
 

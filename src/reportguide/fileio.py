@@ -12,6 +12,7 @@ the caller's typed `error`, with `what` ("taxonomy file <path>") leading.
 from __future__ import annotations
 
 import json
+import json.scanner
 import os
 import secrets
 from collections.abc import Iterator
@@ -87,6 +88,25 @@ def read_json(path: str | Path, error: type[PipelineError], what: str) -> dict:
     return doc
 
 
+# The decoder's own scanner (the C one where available), called without
+# `json.loads`'s checks around it.
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _decode_line(line: str):
+    """`json.loads(line)`. A line holding one value from its first character,
+    followed by JSON whitespace only, is decoded by the scanner alone; any
+    other line goes to `json.loads`, which returns its value or raises its
+    error."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):
+        return json.loads(line)
+    return obj
+
+
 def read_jsonl(
     path: str | Path, error: type[PipelineError], what: str
 ) -> Iterator[tuple[int, dict]]:
@@ -98,7 +118,7 @@ def read_jsonl(
                 if line.isspace():
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = _decode_line(line)
                 except json.JSONDecodeError as exc:
                     raise error(f"{what} line {lineno}: invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict):

@@ -247,11 +247,16 @@ MOCK_SYNONYMS: dict[str, str] = {
 }
 
 
-# Lexicon keywords grouped by the match_key of their canonical name.
-_MOCK_KEYWORDS: dict[str, list[str]] = {
-    match_key(canonical): [kw for kw, c in MOCK_LEXICON if match_key(c) == match_key(canonical)]
-    for _, canonical in MOCK_LEXICON
-}
+def _group_keywords(lexicon: tuple[tuple[str, str], ...]) -> dict[str, list[str]]:
+    """The lexicon's keywords grouped, in lexicon order, by the match_key of
+    their canonical name; the groups are keyed in first-appearance order."""
+    grouped: dict[str, list[str]] = {}
+    for keyword, canonical in lexicon:
+        grouped.setdefault(match_key(canonical), []).append(keyword)
+    return grouped
+
+
+_MOCK_KEYWORDS = _group_keywords(MOCK_LEXICON)
 
 
 def _mock_extract_entities(user_text: str) -> list[str]:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import logging
-import subprocess
 from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bootstrap import LabelTaxonomy
 from .corpus import Corpus, ReportRecord, read_record_rows
 from .errors import (
     ConfigError,
@@ -24,6 +23,9 @@ from .errors import (
 )
 from .gateway import ChatRequest, GatewayConfig, complete
 from .schema import check_fields
+
+if TYPE_CHECKING:
+    from .bootstrap import LabelTaxonomy
 
 logger = logging.getLogger(__name__)
 
@@ -177,6 +179,8 @@ def _mock_generate(prompt: GuidancePrompt) -> str:
 
 
 def _command_generate(prompt: GuidancePrompt, config: GeneratorConfig) -> str:
+    import subprocess  # here, so that only a command generator's process loads it
+
     request_line = json.dumps(
         {"prompt": prompt.text, "images": list(prompt.image_paths)}, ensure_ascii=False
     )

@@ -134,35 +134,39 @@ def bleu_scores(candidates: list[list[str]], references: list[list[str]]) -> lis
 
 def _bleu_counts(cand: _Text, ref: _Text) -> tuple[int, ...]:
     """One pair's BLEU statistics: the candidate and reference lengths, then
-    the clipped and the total candidate n-gram counts of orders 1..MAX_N."""
-    clipped: list[int] = []
-    total: list[int] = []
-    for c_counts, r_counts in zip(cand.grams(), ref.grams()):
-        total.append(sum(c_counts.values()))
-        clipped.append(
-            sum(min(count, r_counts.get(gram, 0)) for gram, count in c_counts.items())
-        )
-    return (len(cand.tokens), len(ref.tokens), *clipped, *total)
+    the clipped and the total candidate n-gram counts of orders 1..MAX_N. A
+    candidate of L tokens has max(0, L - n + 1) n-grams of order n."""
+    length = len(cand.tokens)
+    clipped = [
+        sum(min(count, r_counts.get(gram, 0)) for gram, count in c_counts.items())
+        for c_counts, r_counts in zip(cand.grams(), ref.grams())
+    ]
+    total = [max(0, length - n + 1) for n in range(1, MAX_N + 1)]
+    return (length, len(ref.tokens), *clipped, *total)
 
 
 def _bleu_from_counts(counts: list[tuple[int, ...]]) -> list[float]:
-    """BLEU-1..MAX_N of the pooled (summed) statistics of `counts`; one
-    pair's statistics give that pair's BLEU."""
-    cand_len, ref_len, *pooled = (sum(column) for column in zip(*counts))
-    clipped, total = pooled[:MAX_N], pooled[MAX_N:]
-    precisions = [
-        (clipped[i] / total[i]) if total[i] else 0.0 for i in range(MAX_N)
-    ]
+    """BLEU-1..MAX_N of the pooled (summed) statistics of `counts`."""
+    return _bleu(tuple(sum(column) for column in zip(*counts)))
+
+
+def _bleu(stats: tuple[int, ...]) -> list[float]:
+    """BLEU-1..MAX_N of one set of `_bleu_counts` statistics, one pair's or a
+    corpus's pooled ones: order n scores bp * exp(mean of log p_1..p_n), and
+    zero once any of those precisions is zero."""
+    cand_len, ref_len, *rest = stats
+    scores = [0.0] * MAX_N
     if cand_len == 0:
-        return [0.0] * MAX_N
+        return scores
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
-    scores: list[float] = []
-    for n in range(1, MAX_N + 1):
-        if any(p == 0.0 for p in precisions[:n]):
-            scores.append(0.0)
-            continue
-        log_mean = sum(math.log(p) for p in precisions[:n]) / n
-        scores.append(bp * math.exp(log_mean))
+    logs: list[float] = []
+    for clipped, total in zip(rest[:MAX_N], rest[MAX_N:]):
+        if not clipped:  # clipped <= total, so this is a zero precision
+            break
+        logs.append(math.log(clipped / total))
+        # `sum` of the list, not a running total: from Python 3.12 on, `sum`
+        # compensates float rounding, and the scores must not change.
+        scores[len(logs) - 1] = bp * math.exp(sum(logs) / len(logs))
     return scores
 
 
@@ -473,7 +477,7 @@ def evaluate_generation(
         counts = [_bleu_counts(c, r) for c, r in zip(cands, refs)]
         corpus.update(zip(names, _bleu_from_counts(counts)))
         for row, pair_counts in zip(per_sample, counts):
-            row.update(zip(names, _bleu_from_counts([pair_counts])))
+            row.update(zip(names, _bleu(pair_counts)))
 
     if "rouge_l" in enabled:
         values = [rouge_l_sample(c.tokens, r.tokens) for c, r in zip(cands, refs)]

@@ -18,7 +18,6 @@ from test_metrics import _TOY_CANDIDATES, _TOY_REFERENCES, _oracle_cider
 
 from reportguide.bootstrap import (
     AnnotatedItem,
-    BootstrapConfig,
     LabelEntry,
     LabelTaxonomy,
     MLCDataset,
@@ -36,7 +35,7 @@ from reportguide.classifier import (
     predict_records,
     train,
 )
-from reportguide.cli import TrainConfig, main
+from reportguide.cli import BootstrapConfig, TrainConfig, main
 from reportguide.corpus import FeatureMatrix
 from reportguide.gateway import GatewayConfig
 from reportguide.guidance import serialize_labels

@@ -11,7 +11,6 @@ import pytest
 
 from reportguide.bootstrap import (
     AnnotatedItem,
-    BootstrapConfig,
     LabelEntry,
     LabelTaxonomy,
     MLCDataset,
@@ -37,7 +36,7 @@ from reportguide.errors import (
     MergeProgressError,
 )
 from reportguide.fileio import write_atomic
-from reportguide.cli import main
+from reportguide.cli import BootstrapConfig, main
 from reportguide.gateway import ChatRequest, ChatResponse, GatewayConfig, estimate_tokens
 
 from reportguide import gateway as gateway_mod

@@ -219,3 +219,96 @@ def test_read_jsonl_splits_only_at_newlines_and_skips_blank_lines(tmp_path):
     path.write_bytes(f"{line}\n \t\n\n{line}\r\n".encode("utf-8"))
     assert list(read_jsonl(path, DataError, "rows")) == [(1, {"text": text}), (4, {"text": text})]
 
+
+
+def _json_loads_rows(path, what):
+    """`read_jsonl` as it was with `json.loads` on each line: the rows read,
+    and the message of the error that stopped the read, if any."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return rows, f"{what} line {lineno}: invalid JSON: {exc}"
+            if not isinstance(obj, dict):
+                return rows, f"{what} line {lineno}: not a JSON object"
+            rows.append((lineno, obj))
+    return rows, None
+
+
+def _read_jsonl_rows(path, what):
+    rows = []
+    try:
+        for row in read_jsonl(path, DataError, what):
+            rows.append(row)
+    except DataError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+# (file text, what stops the read: None, or the message's words after
+# "line N: ").
+@pytest.mark.parametrize(
+    "text, stop",
+    [
+        ('  {"a": 1}  \n\t{"b": [1, {"c": 2}]}\t \n', None),
+        ('{"a": 1}\r\n{"b": "x"}\r\n', None),
+        ('{"a": "x\u2028y", "b": "\u2029"}\n{"c": 1}\u2028\n', "invalid JSON"),
+        ('{"a": NaN, "b": Infinity, "c": -Infinity}\n', None),
+        ('{"a": 1, "b": 2, "a": 3}\n', None),
+        ('{"a": 1}{"b": 2}\n', "invalid JSON"),
+        ('{"a": 1} {"b": 2}\n', "invalid JSON"),
+        ('{"a": 1}\n[1, 2]\n', "not a JSON object"),
+        ('{"a": 1}\n[1, 2] x\n', "invalid JSON"),
+        ("3\n", "not a JSON object"),
+        ('"s"\n', "not a JSON object"),
+        ("null\n", "not a JSON object"),
+        ("3 4\n", "invalid JSON"),
+        ('{"a": 1\n', "invalid JSON"),
+        ('{"a": [1, 2\n', "invalid JSON"),
+        ('{"a": "x\x01y"}\n', "invalid JSON"),
+        ('{"a": 1}\x0b\n', "invalid JSON"),
+        ('\ufeff{"a": 1}\n', "invalid JSON"),
+        ('\n   \n{"a": 1}\n\t\r\n\n{"b": 2}\n \n', None),
+        ('{"a": 1}\n\n{"b": 2}', None),
+        ("", None),
+    ],
+    ids=[
+        "leading-and-trailing-spaces",
+        "crlf",
+        "u2028-in-a-string-and-after-a-value",
+        "nan-and-infinity",
+        "duplicate-key",
+        "two-objects",
+        "two-objects-spaced",
+        "list",
+        "list-then-junk",
+        "bare-number",
+        "bare-string",
+        "bare-null",
+        "two-numbers",
+        "truncated-object",
+        "truncated-list-in-object",
+        "raw-control-character",
+        "vertical-tab-after-a-value",
+        "byte-order-mark",
+        "blank-and-whitespace-lines",
+        "no-final-newline",
+        "empty-file",
+    ],
+)
+def test_read_jsonl_reads_each_line_as_json_loads_does(tmp_path, text, stop):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    rows, message = _read_jsonl_rows(path, "rows")
+    want_rows, want_message = _json_loads_rows(path, "rows")
+    # repr: NaN is unequal to itself, and 1 == 1.0.
+    assert (repr(rows), message) == (repr(want_rows), want_message)
+    if stop is None:
+        assert message is None
+    else:
+        assert message.split(": ", 1)[1].startswith(stop)
+

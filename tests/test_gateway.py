@@ -29,7 +29,7 @@ from reportguide.errors import (
     MockContractError,
     TransportError,
 )
-from reportguide.textnorm import CJK_RANGES
+from reportguide.textnorm import CJK_RANGES, match_key
 from reportguide.gateway import (
     ChatRequest,
     GatewayConfig,
@@ -257,6 +257,36 @@ def test_mock_annotate_matches_via_provided_alias(mock_gateway):
     }
     request = ChatRequest(system="[task:annotate] go", user=json.dumps(payload))
     assert json.loads(complete(request, mock_gateway).text) == ["Pulmonary tuberculosis"]
+
+
+def _pairwise_keywords(lexicon):
+    # The comprehension that built `_MOCK_KEYWORDS` with a match_key call per
+    # pair of lexicon entries, kept verbatim as the reference.
+    return {
+        match_key(canonical): [kw for kw, c in lexicon if match_key(c) == match_key(canonical)]
+        for _, canonical in lexicon
+    }
+
+
+@pytest.mark.parametrize(
+    "lexicon",
+    [
+        (("b1", "Beta"), ("a1", "alpha"), ("b2", " beta "), ("a2", "ALPHA"), ("g", "Gamma  ray"),
+         ("b3", "BETA"), ("g2", "gamma ray")),
+        (),
+    ],
+    ids=["case-and-space-variants", "empty"],
+)
+def test_mock_keywords_group_the_lexicon_as_the_pairwise_comprehension_did(lexicon):
+    grouped = gateway_mod._group_keywords(lexicon)
+    assert grouped == _pairwise_keywords(lexicon)
+    assert list(grouped) == list(_pairwise_keywords(lexicon))
+
+
+def test_mock_keywords_are_the_grouped_mock_lexicon():
+    reference = _pairwise_keywords(gateway_mod.MOCK_LEXICON)
+    assert gateway_mod._MOCK_KEYWORDS == reference
+    assert list(gateway_mod._MOCK_KEYWORDS) == list(reference)
 
 
 def test_mock_unknown_sentinel_is_a_contract_error(mock_gateway):

@@ -16,9 +16,9 @@ from collections import Counter
 
 from reportguide import classifier as classifier_mod
 from reportguide import gateway as gateway_mod
-from reportguide.bootstrap import BootstrapConfig, MLCDataset, bootstrap_dataset
+from reportguide.bootstrap import MLCDataset, bootstrap_dataset
 from reportguide.classifier import train
-from reportguide.cli import TrainConfig, main
+from reportguide.cli import BootstrapConfig, TrainConfig, main
 from reportguide.guidance import ABLATION_MODES, generated_filename
 
 GOLDEN_SHA256 = {

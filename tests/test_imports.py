@@ -2,13 +2,17 @@
 
 numpy is loaded by `classifier` and `synthetic` alone, and `cli` imports
 those two inside the functions that run them, so `bootstrap` and `evaluate`
-start without numpy. The subprocess test checks that in a fresh
-interpreter, because this test session has loaded numpy already. The guard
-parses each module of the package and fails, naming the file and line, on
-an import that runs when a module is imported (one outside every function
-and every `if TYPE_CHECKING:` block) and would undo that: an import of
-numpy outside `classifier.py` and `synthetic.py`, or an import of
-`classifier` or `synthetic` in `cli.py`.
+start without numpy. `cli` imports `bootstrap` the same way, and `guidance`
+names its `LabelTaxonomy` for type checking only and imports `subprocess`
+where it spawns a generator, so an `evaluate` process loads no bootstrap
+code, no `difflib` and no `subprocess`. The subprocess test checks that in
+a fresh interpreter, because this test session has loaded all of them
+already. The guard parses each module of the package and fails, naming the
+file and line, on an import that runs when a module is imported (one
+outside every function and every `if TYPE_CHECKING:` block) and would undo
+that: an import of numpy outside `classifier.py` and `synthetic.py`, an
+import of `classifier` or `synthetic` in `cli.py`, or an import of
+`bootstrap` in `cli.py` or `guidance.py`.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def test_only_classifier_and_synthetic_import_numpy_when_imported():
 
 def test_cli_imports_neither_classifier_nor_synthetic_when_imported():
     imports = _package_imports()
-    assert ("cli.py", ".bootstrap") in {(module, name) for module, _, name in imports}
+    assert ("cli.py", ".corpus") in {(module, name) for module, _, name in imports}
     offenders = [
         f"{module}:{line} imports {name}"
         for module, line, name in imports
@@ -96,11 +100,25 @@ def test_cli_imports_neither_classifier_nor_synthetic_when_imported():
     assert offenders == []
 
 
+def test_neither_cli_nor_guidance_imports_bootstrap_when_imported():
+    imports = _package_imports()
+    # The walk does see guidance's module-level imports, and skips its
+    # TYPE_CHECKING-only `from .bootstrap import LabelTaxonomy`.
+    assert ("guidance.py", ".corpus") in {(module, name) for module, _, name in imports}
+    offenders = [
+        f"{module}:{line} imports {name}"
+        for module, line, name in imports
+        if module in ("cli.py", "guidance.py") and _package_module(name) == "bootstrap"
+    ]
+    assert offenders == []
+
+
 _RUN = """
 import json, sys
 from reportguide.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+watched = ("numpy", "reportguide.bootstrap", "difflib", "subprocess")
+print(json.dumps({"codes": codes, "loaded": [m for m in watched if m in sys.modules]}))
 """
 
 
@@ -124,12 +142,17 @@ def ran_config(synth_dir, tmp_path_factory) -> str:
 
 
 @pytest.mark.parametrize(
-    "stage, loads_numpy",
-    [(None, False), ("bootstrap", False), ("evaluate", False), ("train", True)],
+    "stage, loaded",
+    [
+        (None, []),
+        ("bootstrap", ["reportguide.bootstrap", "difflib"]),
+        ("evaluate", []),
+        ("train", ["numpy", "reportguide.bootstrap", "difflib"]),
+    ],
     ids=["import", "bootstrap", "evaluate", "train"],
 )
 def test_a_fresh_process_loads_numpy_only_for_the_stages_that_use_it(
-    ran_config, stage, loads_numpy
+    ran_config, stage, loaded
 ):
     runs = [] if stage is None else [[stage, "--config", ran_config, "--force"]]
     out = subprocess.run(
@@ -141,4 +164,4 @@ def test_a_fresh_process_loads_numpy_only_for_the_stages_that_use_it(
         check=True,
     )
     result = json.loads(out.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * len(runs), "numpy": loads_numpy}, out.stderr
+    assert result == {"codes": [0] * len(runs), "loaded": loaded}, out.stderr

@@ -20,6 +20,10 @@ from reportguide.gateway import ChatResponse, GatewayConfig
 from reportguide.textnorm import CJK_RANGES
 from reportguide.metrics import (
     EntityScores,
+    _analyse,
+    _bleu,
+    _bleu_counts,
+    _bleu_from_counts,
     _lcs_length,
     bleu_scores,
     cider_d_scores,
@@ -781,6 +785,57 @@ def test_evaluate_generation_matches_the_oracles_exactly(texts):
         assert row["cider_d"] == want
         assert row["rouge_l"] == _reference_rouge_l(cand, ref)
         assert row["meteor_simple"] == meteor_sample(cand, ref)
+
+
+# `_bleu_from_counts` as it was before per-pair scoring had its own path,
+# kept verbatim: one pair's statistics, pooled alone, give that pair's BLEU.
+def _pooled_bleu_before(counts):
+    cand_len, ref_len, *pooled = (sum(column) for column in zip(*counts))
+    clipped, total = pooled[:4], pooled[4:]
+    precisions = [(clipped[i] / total[i]) if total[i] else 0.0 for i in range(4)]
+    if cand_len == 0:
+        return [0.0] * 4
+    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    scores = []
+    for n in range(1, 5):
+        if any(p == 0.0 for p in precisions[:n]):
+            scores.append(0.0)
+            continue
+        log_mean = sum(math.log(p) for p in precisions[:n]) / n
+        scores.append(bp * math.exp(log_mean))
+    return scores
+
+
+_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@example([], ["a"])
+@example(["a"], [])
+@example([], [])
+@example(["a", "b"], ["a", "b", "c"])
+@example(["a", "x", "b"], ["a", "y", "b"])
+@example(["a", "a", "a"], ["a", "b"])
+@given(_TOKENS, _TOKENS)
+def test_per_pair_bleu_matches_the_pooled_path_bit_for_bit(cand, ref):
+    cands, refs = _analyse([tuple(cand)], [tuple(ref)], tuple)
+    counts = _bleu_counts(cands[0], refs[0])
+    assert counts[:2] == (len(cand), len(ref))
+    assert list(counts[6:]) == [sum(ngram_counts(cand, n).values()) for n in range(1, 5)]
+    hexes = [x.hex() for x in _bleu(counts)]
+    assert hexes == [x.hex() for x in _pooled_bleu_before([counts])]
+    assert hexes == [x.hex() for x in _bleu_from_counts([counts])]
+    assert hexes == [x.hex() for x in _reference_bleu_scores([cand], [ref])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_TOKENS, _TOKENS), min_size=1, max_size=6))
+def test_corpus_bleu_matches_the_pooled_path_bit_for_bit(pairs):
+    cands, refs = _analyse([tuple(c) for c, _ in pairs], [tuple(r) for _, r in pairs], tuple)
+    counts = [_bleu_counts(c, r) for c, r in zip(cands, refs)]
+    assert [x.hex() for x in _bleu_from_counts(counts)] == [
+        x.hex() for x in _pooled_bleu_before(counts)
+    ]
 
 
 def test_evaluate_generation_unknown_metric_is_an_error():
