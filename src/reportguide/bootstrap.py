@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -28,12 +27,13 @@ from .errors import (
     MergeBudgetError,
     MergeProgressError,
 )
-from .fileio import read_json
+from .fileio import json_text, read_json
 from .gateway import (
     ChatRequest,
     GatewayConfig,
     complete_with_reprompt,
     estimate_tokens,
+    map_calls,
     map_distinct_texts,
     parse_string_groups,
     parse_string_list,
@@ -404,10 +404,7 @@ def bootstrap_dataset(
         [rec.report for rec in train[i : i + config.b]]
         for i in range(0, len(train), config.b)
     ]
-    with ThreadPoolExecutor(max_workers=gateway.parallelism) as pool:
-        batch_sets = list(
-            pool.map(lambda reports: extract_batch_labels(reports, gateway), batches)
-        )
+    batch_sets = map_calls(lambda reports: extract_batch_labels(reports, gateway), batches, gateway)
     logger.info(
         "extracted %d label sets from %d training reports (batch size %d)",
         len(batch_sets),
@@ -466,7 +463,7 @@ def taxonomy_to_json(taxonomy: LabelTaxonomy) -> str:
             for e in taxonomy.labels
         ],
     }
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    return json_text(doc)
 
 
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:

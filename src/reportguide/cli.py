@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import gc
 import hashlib
 import json
 import logging
@@ -45,7 +46,7 @@ from .errors import (
     PipelineError,
     PrerequisiteError,
 )
-from .fileio import read_json, write_atomic
+from .fileio import json_text, read_json, write_atomic
 from .gateway import GatewayConfig
 from .guidance import GeneratorConfig
 from .schema import check_fields
@@ -320,10 +321,6 @@ def _require(config: PipelineConfig, name: str) -> Path:
     return path
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
-
-
 def _load_stage1(config: PipelineConfig, corpus: Corpus):
     from . import bootstrap as bootstrap_mod
 
@@ -352,7 +349,7 @@ def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[s
     return {
         "taxonomy.json": bootstrap_mod.taxonomy_to_json(dataset.taxonomy),
         "labels.jsonl": bootstrap_mod.labels_to_jsonl(dataset),
-        "audit.json": _json_text(audit),
+        "audit.json": json_text(audit),
     }
 
 
@@ -409,7 +406,7 @@ def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str
                     "probs": [float(p) for p in pred.probabilities]}) + "\n"
         for rid, pred in predictions.items()
     ]
-    return {"predictions.jsonl": "".join(lines), "mlc_metrics.json": _json_text(scores)}
+    return {"predictions.jsonl": "".join(lines), "mlc_metrics.json": json_text(scores)}
 
 
 def _cells(config: PipelineConfig, ablation: bool) -> tuple[tuple[str, str], ...]:
@@ -472,7 +469,7 @@ def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[st
             "enabled": list(config.metrics.enabled),
         },
     )
-    return {"metrics.json": _json_text(report)}
+    return {"metrics.json": json_text(report)}
 
 
 @dataclass(frozen=True)
@@ -522,7 +519,7 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
         "finished_unix": round(time.time(), 3),
     }
     (workdir / "meta").mkdir(parents=True, exist_ok=True)
-    write_atomic(workdir / "meta" / f"{stage.name}.json", _json_text(meta))
+    write_atomic(workdir / "meta" / f"{stage.name}.json", json_text(meta))
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +602,21 @@ def _collect_overrides(args: argparse.Namespace, extra: list[str]) -> list[tuple
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; return its exit code.
+
+    The corpus lives until the command ends, so the cyclic collector is
+    paused while the manifest is parsed and everything alive then is frozen
+    out of later collections. The collector is left as it was found:
+    enabled or not, and with the objects it had frozen, if any, and no more.
+    """
     args, extra = _build_parser().parse_known_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    gc_was_enabled = gc.isenabled()
+    freeze = gc.get_freeze_count() == 0
     try:
         if args.command == "synth":
             if extra:
@@ -651,7 +657,14 @@ def main(argv: list[str] | None = None) -> int:
                     f"refusing to overwrite existing artifacts: {', '.join(existing)}; "
                     f"pass --force to redo"
                 )
-            corpus = load_manifest(config.paths.manifest)
+            gc.disable()
+            try:
+                corpus = load_manifest(config.paths.manifest)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+            if freeze:
+                gc.freeze()
             for stage in stages:
                 run_stage(stage, config, corpus, ablation)
         return EXIT_OK
@@ -670,10 +683,17 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as exc:
         logger.error("error: %s", exc)
         return EXIT_DATA
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    # Nothing is freed before exit: spare the shutdown collection a walk
+    # over every object still alive.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Each stage reads only files an earlier stage wrote, so every artifact is
 replaced in one step: a failed or killed stage leaves the previous file or
-none, never part of one.
+none, never part of one. `json_text` is the text of every indented JSON
+artifact but the checkpoint.
 
 Reads go through the `read_*` functions: a file that cannot be read (a
 directory, no permission, not UTF-8) or is not the JSON it should be raises
@@ -11,11 +12,13 @@ the caller's typed `error`, with `what` ("taxonomy file <path>") leading.
 
 from __future__ import annotations
 
+import functools
 import json
 import json.scanner
 import os
 import secrets
 from collections.abc import Iterator
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import ArtifactWriteError, PipelineError
@@ -53,6 +56,77 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
             raise
     except OSError as exc:
         raise ArtifactWriteError(f"cannot write {path}: {exc}") from exc
+
+
+class _Unhandled(Exception):
+    """A value that `json_text` leaves to `json.dumps`."""
+
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_STR_TYPE = frozenset({str})
+
+
+@functools.cache
+def _flat_encoder(newline: str):
+    """The stdlib's one-line encoder, with `newline` after each comma.
+
+    On a container holding scalars only, it writes the items as
+    `json.dumps(..., indent=2)` writes them at the depth whose line break
+    and indent is `newline`, through the same leaf encoders (the C ones
+    where available), between the container's two brackets.
+    """
+    return json.JSONEncoder(
+        ensure_ascii=False, check_circular=False, separators=("," + newline, ": ")
+    ).encode
+
+
+def _value_text(o, newline: str, open_ids: set) -> str:
+    """`o` as `json.dumps(o, ensure_ascii=False, indent=2)` writes it on a
+    line that starts with `newline`. `open_ids` holds the containers being
+    written around `o`."""
+    kind = type(o)
+    if kind is dict:
+        if not _STR_TYPE.issuperset(map(type, o)):
+            raise _Unhandled
+        values = o.values()
+    elif kind is list or kind is tuple:
+        values = o
+    elif kind in _SCALAR_TYPES:
+        return _flat_encoder(newline)(o)
+    else:
+        raise _Unhandled  # a subclass, or not JSON
+    if not o:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if _SCALAR_TYPES.issuperset(map(type, values)):
+        body = _flat_encoder(inner)(o)[1:-1]
+    else:
+        if id(o) in open_ids:
+            raise _Unhandled  # a cycle
+        open_ids.add(id(o))
+        texts = [_value_text(v, inner, open_ids) for v in values]
+        open_ids.discard(id(o))
+        if kind is dict:
+            texts = map(": ".join, zip(map(encode_basestring, o), texts))
+        body = ("," + inner).join(texts)
+    if kind is dict:
+        return "{" + inner + body + newline + "}"
+    return "[" + inner + body + newline + "]"
+
+
+def json_text(doc) -> str:
+    """`json.dumps(doc, ensure_ascii=False, indent=2) + "\\n"`, byte for byte.
+
+    The stdlib writes indented JSON in Python, value by value. Here each
+    container of scalars is one call of its C encoder, and each other level
+    is joined at once. A document holding a subclass of a JSON type, a key
+    that is not a str, a value that is not JSON, or a cycle goes to
+    `json.dumps` whole, so it gets the stdlib's exact bytes or exception.
+    """
+    try:
+        return _value_text(doc, "\n", set()) + "\n"
+    except _Unhandled:
+        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
 def _unreadable(error: type[PipelineError], what: str, path, exc: Exception) -> PipelineError:

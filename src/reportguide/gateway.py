@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fileio import read_text
 from .schema import check_fields
-from .textnorm import CJK_RE, alias_key, match_key
+from .textnorm import CJK_CLASS, alias_key, match_key
 
 logger = logging.getLogger(__name__)
 
@@ -121,13 +121,16 @@ class GatewayConfig:
                 )
 
 
+_CJK_CHAR = f"[{CJK_CLASS}]"
+
+
 def estimate_tokens(text: str) -> int:
     """Deterministic token-count heuristic used for prompt budgeting.
 
     One token per CJK ideograph plus one per four remaining characters,
     rounded up. Monotone under concatenation; never returns a negative.
     """
-    cjk = len(CJK_RE.findall(text))
+    cjk = 0 if text.isascii() else len(re.compile(_CJK_CHAR).findall(text))
     latin = len(text) - cjk
     return math.ceil(latin / 4) + cjk
 
@@ -731,8 +734,22 @@ def complete_with_reprompt(request: ChatRequest, config: GatewayConfig, parser):
         return parser(complete(nudged, config).text)
 
 
+def map_calls(fn, items, config: GatewayConfig) -> list:
+    """`[fn(item) for item in items]`, for an `fn` that makes gateway calls.
+
+    Over http the calls run on `config.parallelism` threads, which overlap
+    their waits. The mock backend does no I/O, so its calls run in the
+    calling thread, where a pool would only hand the interpreter lock back
+    and forth.
+    """
+    if config.backend == "mock":
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        return list(pool.map(fn, items))
+
+
 def map_distinct_texts(fn, texts, config: GatewayConfig) -> dict:
-    """Call `fn` once for each distinct text, over `config.parallelism` threads.
+    """Call `fn` once for each distinct text (`map_calls`).
 
     Returns text -> result in first-seen order, so thread completion order
     cannot change what a caller derives from it. A text whose call raises
@@ -746,5 +763,4 @@ def map_distinct_texts(fn, texts, config: GatewayConfig) -> dict:
         except LLMOutputError as exc:
             return exc
 
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        return dict(zip(distinct, pool.map(call, distinct)))
+    return dict(zip(distinct, map_calls(call, distinct, config)))

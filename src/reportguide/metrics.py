@@ -40,8 +40,10 @@ MAX_N = 4  # BLEU and CIDEr-D use the n-gram orders 1..MAX_N
 
 
 # One CJK ideograph, or a run of alphanumerics other than CJK ideographs
-# (a str-pattern \w is str.isalnum() plus the underscore).
-_TOKEN_RE = re.compile(f"[{CJK_CLASS}]|[^\\W_{CJK_CLASS}]+")
+# (a str-pattern \w is str.isalnum() plus the underscore). On ASCII text,
+# which holds no ideograph, the second branch alone is the same pattern.
+_TOKEN_PATTERN = f"[{CJK_CLASS}]|[^\\W_{CJK_CLASS}]+"
+_ASCII_TOKEN_RE = re.compile(r"[^\W_]+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -49,7 +51,10 @@ def tokenize(text: str) -> list[str]:
     anything alphanumeric groups into runs, punctuation separates and is
     dropped. Idempotent: re-tokenizing a space-joined token list is a no-op.
     """
-    return _TOKEN_RE.findall(text.lower())
+    text = text.lower()
+    if text.isascii():
+        return _ASCII_TOKEN_RE.findall(text)
+    return re.compile(_TOKEN_PATTERN).findall(text)
 
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:

@@ -11,7 +11,6 @@ run and score itself without any network access.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .corpus import Corpus, FeatureMatrix, ImageRef, ReportRecord, save_features, save_manifest
 from .errors import SyntheticSeedError
-from .fileio import write_atomic
+from .fileio import json_text, write_atomic
 
 SYNTHETIC_SEED = 7
 
@@ -245,5 +244,5 @@ def write_synthetic_corpus(out_dir: str | Path, seed: int = SYNTHETIC_SEED) -> S
     save_manifest(synth.corpus, out / "manifest.jsonl")
     save_features(synth.features, out / "features.ffmx")
     gt_doc = {rid: list(names) for rid, names in synth.gt_labels.items()}
-    write_atomic(out / "gt_labels.json", json.dumps(gt_doc, ensure_ascii=False, indent=2) + "\n")
+    write_atomic(out / "gt_labels.json", json_text(gt_doc))
     return synth

@@ -16,8 +16,9 @@ CJK_RANGES: tuple[tuple[int, int], ...] = (
 )
 
 # The body of a character class matching exactly the CJK_RANGES code points.
+# A pattern holding it takes milliseconds to compile, so it is compiled
+# where first needed, never at import: `re.compile` keeps it from then on.
 CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in CJK_RANGES)
-CJK_RE = re.compile(f"[{CJK_CLASS}]")
 
 _WS_RE = re.compile(r"\s+")
 _PUNCT_RE = re.compile(r"[^\w\s]|_", flags=re.UNICODE)

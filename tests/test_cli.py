@@ -4,6 +4,7 @@ artifact and locking discipline, and the mini end-to-end pipeline."""
 from __future__ import annotations
 
 import fcntl
+import gc
 import json
 import os
 import re
@@ -1119,3 +1120,43 @@ def test_stagewise_run_matches_pipeline_artifacts(mini, tmp_path):
         "metrics.json",
     ):
         assert (other / name).read_bytes() == (mini["workdir"] / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector around a command
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("malformed", [False, True], ids=["exit-0", "exit-4"])
+@pytest.mark.parametrize("caller_froze", [False, True], ids=["fresh", "caller-froze"])
+def test_main_leaves_the_collector_as_it_found_it(mini, monkeypatch, malformed, caller_froze):
+    """The stage runs with the collector on and the corpus frozen; after
+    the command, on success or a data error, the collector is enabled or
+    not and holds the frozen objects it held before, and no more."""
+    if malformed:
+        manifest = mini["tmp"] / "data" / "manifest.jsonl"
+        manifest.write_text(manifest.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")
+    seen = []
+    original = bootstrap.bootstrap_dataset
+
+    def recording(*args, **kwargs):
+        seen.append((gc.isenabled(), gc.get_freeze_count() > 0))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "bootstrap_dataset", recording)
+    try:
+        if caller_froze:
+            gc.disable()
+            gc.freeze()
+        before = (gc.isenabled(), gc.get_freeze_count())
+        code = main(["bootstrap", "--config", mini["config"]])
+        after = (gc.isenabled(), gc.get_freeze_count())
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert code == (4 if malformed else 0)
+    assert after == before
+    if malformed:
+        assert seen == []
+    else:
+        assert seen == [(not caller_froze, True)]

@@ -17,11 +17,14 @@ import os
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reportguide
 from reportguide.errors import ArtifactWriteError, DataError
-from reportguide.fileio import read_jsonl, write_atomic
+from reportguide.fileio import json_text, read_jsonl, write_atomic
 
 PACKAGE = Path(reportguide.__file__).parent
 
@@ -312,3 +315,96 @@ def test_read_jsonl_reads_each_line_as_json_loads_does(tmp_path, text, stop):
     else:
         assert message.split(": ", 1)[1].startswith(stop)
 
+
+# ---------------------------------------------------------------------------
+# The indented JSON writer
+# ---------------------------------------------------------------------------
+
+
+def _stdlib_json_text(doc) -> str:
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+class _Count(int):
+    pass
+
+
+_SPECIAL_FLOATS = (
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e-310, 1.7976931348623157e308
+)
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from(("\u2028", "\u2029", '"', "\\", "\x00", "\x1f", "\x7f"))
+    ),
+    max_size=8,
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**130), max_value=2**130),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    _TEXT,
+)
+# Subclasses of JSON scalars and keys of every type json.dumps converts.
+_ODD_SCALARS = st.one_of(st.floats().map(np.float64), st.integers().map(_Count))
+_ODD_KEYS = st.one_of(st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _containers(children, keys):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(keys, children, max_size=5),
+    )
+
+
+_DOCS = st.recursive(_SCALARS, lambda children: _containers(children, _TEXT), max_leaves=25)
+_ODD_DOCS = st.recursive(
+    st.one_of(_SCALARS, _ODD_SCALARS),
+    lambda children: _containers(children, st.one_of(_TEXT, _ODD_KEYS)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCS)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": (1, 2.5, None, True, False, "\u2028")})
+@example({"x": list(_SPECIAL_FLOATS), "y": 2**200, "z": -(2**70), "w": "\u80ba\U00020001 \u00e9"})
+def test_json_text_writes_json_dumps_bytes(doc):
+    assert json_text(doc) == _stdlib_json_text(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ODD_DOCS)
+@example({"p": np.float64(0.1), "q": [np.float64("nan"), _Count(3)]})
+@example({1: "a", 2.5: [True], None: {"k": 1}, False: ()})
+@example({"a": {"b": [1]}, "c": {"d": 1, 7: 2}})
+def test_json_text_writes_json_dumps_bytes_for_subclasses_and_non_str_keys(doc):
+    assert json_text(doc) == _stdlib_json_text(doc)
+
+
+def _cyclic_list():
+    doc = [1]
+    doc.append({"again": doc})
+    return {"a": doc}
+
+
+def _cyclic_dict():
+    doc: dict = {"x": 1}
+    doc["self"] = doc
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_cyclic_list(), _cyclic_dict(), {(1, 2): 1}, {"a": object()}, {"a": {1, 2}}, [10**5000]],
+    ids=["cyclic-list", "cyclic-dict", "tuple-key", "object", "set", "int-too-long"],
+)
+def test_json_text_raises_what_json_dumps_raises(doc):
+    with pytest.raises(Exception) as want:
+        _stdlib_json_text(doc)
+    with pytest.raises(Exception) as got:
+        json_text(doc)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)

@@ -136,6 +136,29 @@ def test_estimate_tokens_matches_the_per_character_reference(text):
     assert estimate_tokens(text) == _reference_estimate_tokens(text)
 
 
+# ASCII text takes its own path, which counts no ideographs. Half the texts
+# are ASCII; the rest add, sparsely, the characters next to that path: the
+# Kelvin sign (U+212A, whose lowercase is ASCII "k"), ideographs of the base
+# and a supplementary block, fullwidth digits and the underscore.
+NEAR_ASCII_CHARS = ("\u212a", "\u4e00", "\u80ba", "\U00020001", "\U0002a700", "\uff10", "\uff19", "_")
+NEAR_ASCII_TEXT = st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=80),
+    st.lists(
+        st.one_of(
+            st.text(alphabet=st.characters(max_codepoint=0x7F), min_size=1, max_size=8),
+            st.sampled_from(NEAR_ASCII_CHARS),
+        ),
+        max_size=12,
+    ).map("".join),
+)
+
+
+@given(NEAR_ASCII_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_estimate_tokens_matches_the_per_character_reference_on_near_ascii_text(text):
+    assert estimate_tokens(text) == _reference_estimate_tokens(text)
+
+
 # ---------------------------------------------------------------------------
 # Tolerant parsing
 # ---------------------------------------------------------------------------

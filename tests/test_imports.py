@@ -12,7 +12,9 @@ file and line, on an import that runs when a module is imported (one
 outside every function and every `if TYPE_CHECKING:` block) and would undo
 that: an import of numpy outside `classifier.py` and `synthetic.py`, an
 import of `classifier` or `synthetic` in `cli.py`, or an import of
-`bootstrap` in `cli.py` or `guidance.py`.
+`bootstrap` in `cli.py` or `guidance.py`. A last fresh-interpreter test
+checks that an `evaluate` over ASCII text compiles no pattern holding the
+CJK class, which takes milliseconds to compile.
 """
 
 from __future__ import annotations
@@ -165,3 +167,41 @@ def test_a_fresh_process_loads_numpy_only_for_the_stages_that_use_it(
     )
     result = json.loads(out.stdout.splitlines()[-1])
     assert result == {"codes": [0] * len(runs), "loaded": loaded}, out.stderr
+
+
+# Records each pattern compiled by `re.compile`, through which the package
+# compiles all of its patterns, before the package is imported.
+_RUN_COUNTING_PATTERNS = """
+import json, re, sys
+compiled = []
+_compile = re.compile
+def counting(pattern, flags=0):
+    compiled.append(pattern)
+    return _compile(pattern, flags)
+re.compile = counting
+from reportguide.cli import main
+from reportguide.metrics import tokenize
+from reportguide.textnorm import CJK_CLASS
+def cjk_patterns():
+    return sum(isinstance(p, str) and CJK_CLASS in p for p in compiled)
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+ascii_run = cjk_patterns()
+tokenize("\u80ba")
+print(json.dumps({"codes": codes, "ascii_run": ascii_run, "after_cjk_text": cjk_patterns()}))
+"""
+
+
+def test_an_evaluate_over_ascii_text_compiles_no_cjk_pattern(ran_config):
+    """The synthetic corpus is ASCII, so its evaluate never needs a pattern
+    holding the CJK class; the first ideograph compiles one."""
+    runs = [["evaluate", "--config", ran_config, "--force"]]
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_COUNTING_PATTERNS, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result == {"codes": [0], "ascii_run": 0, "after_cjk_text": 1}, out.stderr

@@ -119,6 +119,33 @@ def test_tokenize_matches_the_per_character_reference(text):
     assert tokenize(text) == _reference_tokenize(text)
 
 
+# Text that is ASCII after `.lower()` takes its own pattern. Half the texts
+# are ASCII; the rest add, sparsely, the characters next to that path: the
+# Kelvin sign (U+212A, whose lowercase is ASCII "k"), "İ" (whose lowercase
+# is not ASCII), ideographs of the base and a supplementary block, fullwidth
+# digits and the underscore.
+NEAR_ASCII_CHARS = (
+    "\u212a", "\u0130", "\u4e00", "\u80ba", "\U00020001", "\U0002a700", "\uff10", "\uff19", "_"
+)
+NEAR_ASCII_TEXT = st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=60),
+    st.lists(
+        st.one_of(
+            st.text(alphabet=st.characters(max_codepoint=0x7F), min_size=1, max_size=8),
+            st.sampled_from(NEAR_ASCII_CHARS),
+        ),
+        max_size=10,
+    ).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NEAR_ASCII_TEXT)
+@example("\u212aelvin_K\uff11\U00020001x")
+def test_tokenize_matches_the_per_character_reference_on_near_ascii_text(text):
+    assert tokenize(text) == _reference_tokenize(text)
+
+
 def test_ngram_counts_window():
     counts = ngram_counts(["a", "b", "a", "b"], 2)
     assert counts == {("a", "b"): 2, ("b", "a"): 1}
