@@ -225,6 +225,22 @@ def train(
     chunk = bs * max(1, _GATHER_BYTES // max(1, 8 * d * bs))
     x_buf = np.empty((min(chunk, n), d))
     y_buf = np.empty((min(chunk, n), k))
+    # Every per-batch temporary lives in one of these (batch rows x k).
+    z_buf, e_buf, s_buf = (np.empty((min(bs, n), k)) for _ in range(3))
+
+    def batch_views(length: int) -> list[tuple]:
+        """Each batch of a gathered chunk of `length` rows: its start, its
+        rows of the gather buffers, the temporaries cut to its row count m,
+        the transpose of the gradient rows, and its divisor k * m."""
+        views = []
+        for start in range(0, length, bs):
+            m = min(bs, length - start)
+            z, e, s = z_buf[:m], e_buf[:m], s_buf[:m]
+            rows = slice(start, start + m)
+            views.append((start, x_buf[rows], y_buf[rows], z, e, s, s.T, k * m))
+        return views
+
+    views_of: dict[int, list[tuple]] = {}
     x_max = max(x_all.max(initial=0.0), -x_all.min(initial=0.0))
     weights_t, bias, grad_w, grad_b = block[:, :d].T, block[:, d], grads[:, :d], grads[:, d]
     for epoch in range(config.epochs):
@@ -234,12 +250,14 @@ def train(
             # The indices are a permutation of range(n), so "clip" never
             # clips; unlike the default mode it fills `out` without a copy.
             taken = order[first : first + chunk]
-            x = np.take(x_all, taken, axis=0, out=x_buf[: len(taken)], mode="clip")
-            y = np.take(y_all, taken, axis=0, out=y_buf[: len(taken)], mode="clip")
-            for start in range(0, len(taken), bs):
-                xb, yb = x[start : start + bs], y[start : start + bs]
-                # _batch_loss_grad's float operations, in place.
-                z = xb @ weights_t
+            np.take(x_all, taken, axis=0, out=x_buf[: len(taken)], mode="clip")
+            np.take(y_all, taken, axis=0, out=y_buf[: len(taken)], mode="clip")
+            if len(taken) not in views_of:
+                views_of[len(taken)] = batch_views(len(taken))
+            for start, xb, yb, z, e, s, s_t, divisor in views_of[len(taken)]:
+                # _batch_loss_grad's float operations, in the same order,
+                # into the buffers: z is the logits, then s the gradient.
+                np.matmul(xb, weights_t, out=z)
                 z += bias
                 if shift is not None:
                     z += shift
@@ -251,11 +269,17 @@ def train(
                         epoch=epoch,
                         batch=batch_no,
                     )
-                dz = _sigmoid(z)
-                dz -= yb
-                dz /= k * len(xb)
-                np.matmul(dz.T, xb, out=grad_w)
-                np.add.reduce(dz, axis=0, out=grad_b)
+                # _sigmoid(z), then minus y, over k * m.
+                np.copysign(z, -1.0, out=e)
+                np.exp(e, out=e)
+                np.sign(z, out=s)
+                np.maximum(e, s, out=s)
+                np.add(1.0, e, out=e)
+                np.divide(s, e, out=s)
+                np.subtract(s, yb, out=s)
+                np.divide(s, divisor, out=s)
+                np.matmul(s_t, xb, out=grad_w)
+                np.add.reduce(s, axis=0, out=grad_b)
                 grads *= lr
                 block -= grads
 

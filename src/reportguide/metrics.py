@@ -6,7 +6,9 @@ smoothing, LCS-based ROUGE-L, a tf-idf consensus score with length penalty,
 a compact alignment-based METEOR variant, and LLM-extracted entity overlap.
 One candidate is scored against exactly one reference. Within a call, each
 distinct text is tokenized once and its n-gram counts are shared by BLEU
-and CIDEr-D.
+and CIDEr-D, and each distinct (generated, reference) pair is scored once:
+its per-pair values are copied to every slot that carries it, so every
+float is the one that scoring each slot on its own gives.
 """
 
 from __future__ import annotations
@@ -123,6 +125,24 @@ def _token_columns(
     return _analyse(map(tuple, candidates), map(tuple, references), tuple)
 
 
+def _per_pair(score, cands: list[_Text], refs: list[_Text]) -> list:
+    """`score(cand, ref)` of each slot's pair, in slot order. A pair of two
+    texts that more than one slot carries may recur: it is scored once and
+    its value copied to every slot that carries it. Any other pair cannot
+    recur, so it is scored directly and kept nowhere."""
+    memo: dict[tuple[_Text, _Text], object] = {}
+    out = []
+    for cand, ref in zip(cands, refs):
+        if cand.uses == 1 or ref.uses == 1:
+            out.append(score(cand, ref))
+            continue
+        key = (cand, ref)
+        if key not in memo:
+            memo[key] = score(cand, ref)
+        out.append(memo[key])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------
@@ -134,7 +154,7 @@ def bleu_scores(candidates: list[list[str]], references: list[list[str]]) -> lis
     every order it appears in), and the standard brevity penalty.
     """
     cands, refs = _token_columns(candidates, references)
-    return _bleu_from_counts([_bleu_counts(c, r) for c, r in zip(cands, refs)])
+    return _bleu_from_counts(_per_pair(_bleu_counts, cands, refs))
 
 
 def _bleu_counts(cand: _Text, ref: _Text) -> tuple[int, ...]:
@@ -173,6 +193,12 @@ def _bleu(stats: tuple[int, ...]) -> list[float]:
         # compensates float rounding, and the scores must not change.
         scores[len(logs) - 1] = bp * math.exp(sum(logs) / len(logs))
     return scores
+
+
+def _bleu_pair(cand: _Text, ref: _Text) -> tuple[tuple[int, ...], list[float]]:
+    """One pair's BLEU statistics and its BLEU-1..MAX_N."""
+    counts = _bleu_counts(cand, ref)
+    return counts, _bleu(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +305,7 @@ def cider_d_scores(
             kept[text] = tfidf(text)
         return kept[text]
 
-    scores: list[float] = []
-    for cand, ref in zip(cands, refs):
+    def score(cand: _Text, ref: _Text) -> float:
         penalty = math.exp(
             -((len(cand.tokens) - len(ref.tokens)) ** 2)
             / (2.0 * CIDER_SIGMA * CIDER_SIGMA)
@@ -297,8 +322,9 @@ def cider_d_scores(
                 for gram, v in cand_vec.items()
             )
             per_n.append(dot / (cand_norm * ref_norm) * penalty)
-        scores.append(10.0 * sum(per_n) / MAX_N)
-    return scores
+        return 10.0 * sum(per_n) / MAX_N
+
+    return _per_pair(score, cands, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +474,11 @@ def evaluate_generation(
 ) -> dict:
     """Score (id, generated, reference) triples and build the report document.
 
-    Corpus values are pooled for BLEU and averaged per sample for the rest.
-    Each distinct text is analysed once (`_analyse`) for every text-overlap
-    metric. Requires a gateway config when entity_f1 is enabled.
+    Corpus values are pooled for BLEU and averaged per sample for the rest,
+    both over every slot in slot order. Each distinct text is analysed once
+    (`_analyse`) for every text-overlap metric, and each distinct pair is
+    scored once per metric (`_per_pair`). Requires a gateway config when
+    entity_f1 is enabled.
     """
     for name in enabled:
         if name not in METRIC_NAMES:
@@ -479,13 +507,13 @@ def evaluate_generation(
 
     if "bleu" in enabled:
         names = ("bleu1", "bleu2", "bleu3", "bleu4")
-        counts = [_bleu_counts(c, r) for c, r in zip(cands, refs)]
-        corpus.update(zip(names, _bleu_from_counts(counts)))
-        for row, pair_counts in zip(per_sample, counts):
-            row.update(zip(names, _bleu(pair_counts)))
+        scored = _per_pair(_bleu_pair, cands, refs)
+        corpus.update(zip(names, _bleu_from_counts([counts for counts, _ in scored])))
+        for row, (_, scores) in zip(per_sample, scored):
+            row.update(zip(names, scores))
 
     if "rouge_l" in enabled:
-        values = [rouge_l_sample(c.tokens, r.tokens) for c, r in zip(cands, refs)]
+        values = _per_pair(lambda c, r: rouge_l_sample(c.tokens, r.tokens), cands, refs)
         corpus["rouge_l"] = sum(values) / n
         for row, v in zip(per_sample, values):
             row["rouge_l"] = v
@@ -497,7 +525,7 @@ def evaluate_generation(
             row["cider_d"] = v
 
     if "meteor_simple" in enabled:
-        values = [meteor_sample(c.tokens, r.tokens) for c, r in zip(cands, refs)]
+        values = _per_pair(lambda c, r: meteor_sample(c.tokens, r.tokens), cands, refs)
         corpus["meteor_simple"] = sum(values) / n
         for row, v in zip(per_sample, values):
             row["meteor_simple"] = v

@@ -570,6 +570,30 @@ def test_training_matches_the_per_batch_loss_loop_bit_for_bit(
     assert np.array_equal(mixed.bias, reference.bias)
 
 
+# Widths at which a gather chunk holds fewer rows than the training split, so
+# an epoch spans several chunks, the last one short, ending in a short batch.
+@pytest.mark.parametrize("n, d, batch_size", [(17, 4096, 3), (23, 2048, 5), (11, 8192, 4)])
+@pytest.mark.parametrize("adjustment", ["on", "off"])
+def test_training_across_several_gather_chunks_matches_the_loop_bit_for_bit(
+    n, d, batch_size, adjustment
+):
+    chunk = batch_size * max(1, classifier._GATHER_BYTES // (8 * d * batch_size))
+    assert chunk < n and n % chunk and n % batch_size
+    dataset, features = _random_problem(n, d, 3, seed=n)
+    config = TrainConfig(
+        learning_rate=0.05, epochs=3, batch_size=batch_size, seed=d, tau=1.3,
+        adjustment=adjustment,
+    )
+    reference = _reference_train(dataset, features, config)
+    # All fast epochs, then a checked epoch between two fast ones.
+    for stays_finite in ([True] * 3, [True, False, True]):
+        verdicts = iter(stays_finite)
+        with mock.patch.object(classifier, "_epoch_stays_finite", lambda *a: next(verdicts)):
+            params = train(dataset, features, config)
+        assert np.array_equal(params.weights, reference.weights)
+        assert np.array_equal(params.bias, reference.bias)
+
+
 def _divergence_case(xs, positives, learning_rate, batch_size, seed, adjustment):
     k = 1 + max((j for p in positives for j in p), default=0)
     items = [AnnotatedItem(f"r{i}", "train", p) for i, p in enumerate(positives)]

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -14,8 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reportguide import gateway as gateway_mod
+from reportguide import metrics
 from reportguide.cli import main
 from reportguide.errors import ConfigError
+from reportguide.fileio import json_text
 from reportguide.gateway import ChatResponse, GatewayConfig
 from reportguide.textnorm import CJK_RANGES
 from reportguide.metrics import (
@@ -25,6 +28,7 @@ from reportguide.metrics import (
     _bleu_counts,
     _bleu_from_counts,
     _lcs_length,
+    _per_pair,
     bleu_scores,
     cider_d_scores,
     entity_f1_scores,
@@ -812,6 +816,99 @@ def test_evaluate_generation_matches_the_oracles_exactly(texts):
         assert row["cider_d"] == want
         assert row["rouge_l"] == _reference_rouge_l(cand, ref)
         assert row["meteor_simple"] == meteor_sample(cand, ref)
+
+
+# Every row scored on its own, as before each distinct pair was scored once:
+# the document `evaluate_generation` must write, byte for byte.
+def _per_slot_document(pairs):
+    cands, refs = _analyse([gen for _, gen, _ in pairs], [ref for _, _, ref in pairs], tokenize)
+    names = ("bleu1", "bleu2", "bleu3", "bleu4")
+    counts = [_bleu_counts(c, r) for c, r in zip(cands, refs)]
+    rouge = [rouge_l_sample(c.tokens, r.tokens) for c, r in zip(cands, refs)]
+    cider = _reference_cider_d_scores([list(c.tokens) for c in cands], [list(r.tokens) for r in refs])
+    meteor = [meteor_sample(c.tokens, r.tokens) for c, r in zip(cands, refs)]
+    n = len(pairs)
+    corpus = dict(zip(names, _bleu_from_counts(counts)))
+    corpus.update(rouge_l=sum(rouge) / n, cider_d=sum(cider) / n, meteor_simple=sum(meteor) / n)
+    per_sample = [
+        {"id": rid, **dict(zip(names, _bleu(pair_counts))), "rouge_l": r, "cider_d": c, "meteor_simple": m}
+        for (rid, _, _), pair_counts, r, c, m in zip(pairs, counts, rouge, cider, meteor)
+    ]
+    return {"config": {}, "corpus": corpus, "per_sample": per_sample}
+
+
+_TEXT_METRICS = ("bleu", "rouge_l", "cider_d", "meteor_simple")
+# A punctuation-only text (no tokens) and one with a CJK ideograph.
+_EDGE_TEXTS = ["?!", "\u80ba a b", "A, b!"]
+
+
+@st.composite
+def _cells_with_recurring_pairs(draw):
+    """(id, generated, reference) rows whose texts come from a small pool,
+    so that pairs recur, or are one-off texts, which no other slot carries.
+    Half the candidates equal their reference."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_TEXTS), _WORDS), min_size=1, max_size=4))
+
+    def text(tag):
+        return draw(st.one_of(st.sampled_from(pool), _WORDS.map(lambda w: f"{w} {tag}")))
+
+    rows = []
+    for i in range(draw(st.integers(1, 12))):
+        ref = text(f"ref{i}")
+        gen = ref if draw(st.booleans()) else text(f"gen{i}")
+        rows.append((f"r{i}", gen, ref))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@example([("r0", "a b", "a b")])
+@example([("r0", "\u80ba a", "?!"), ("r1", "\u80ba a", "?!"), ("r2", "a b", "a b"), ("r3", "a b", "a b")])
+@given(_cells_with_recurring_pairs())
+def test_scoring_each_distinct_pair_once_writes_the_per_slot_bytes(pairs):
+    doc = evaluate_generation(pairs, enabled=_TEXT_METRICS)
+    assert json_text(doc) == json_text(_per_slot_document(pairs))
+
+
+def test_each_distinct_pair_is_scored_once_and_one_off_pairs_are_kept_nowhere(monkeypatch):
+    # R = 4 distinct pairs of recurring texts, one of them in a single slot,
+    # and U = 5 pairs of one-off texts, interleaved.
+    recurring = [("a b c", "a c d"), ("a b c", "b d"), ("c d", "a c d")] * 3 + [("c d", "b d")]
+    one_off = [(f"a c once{i}", f"b c d once{i}") for i in range(5)]
+    rows = recurring + one_off
+    random.Random(0).shuffle(rows)
+    pairs = [(f"r{i}", gen, ref) for i, (gen, ref) in enumerate(rows)]
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(metrics, name)
+
+        def wrapper(a, b):
+            calls[name] += 1
+            return real(a, b)
+
+        return wrapper
+
+    for name in ("_lcs_length", "_align"):
+        monkeypatch.setattr(metrics, name, counted(name))
+    doc = evaluate_generation(pairs, enabled=_TEXT_METRICS)
+    assert calls == {"_lcs_length": 4 + 5, "_align": 4 + 5}
+    assert json_text(doc) == json_text(_per_slot_document(pairs))
+
+    # The memo holds exactly the pairs of two recurring texts.
+    cands, refs = _analyse([gen for gen, _ in rows], [ref for _, ref in rows], tokenize)
+    memos = []
+
+    def score(cand, ref):
+        memos.append(sys._getframe(1).f_locals["memo"])  # `_per_pair`'s frame
+        return len(cand.tokens), len(ref.tokens)
+
+    values = _per_pair(score, cands, refs)
+    assert values == [(len(c.tokens), len(r.tokens)) for c, r in zip(cands, refs)]
+    assert len(memos) == 4 + 5
+    assert {(c.tokens, r.tokens) for c, r in memos[0]} == {
+        (tuple(tokenize(gen)), tuple(tokenize(ref))) for gen, ref in set(recurring)
+    }
 
 
 # `_bleu_from_counts` as it was before per-pair scoring had its own path,
