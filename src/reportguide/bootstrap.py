@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from .corpus import Corpus, read_record_rows
 from .errors import (
     BootstrapError,
+    ConfigError,
     EmptyTaxonomyError,
     LLMOutputError,
     MergeBudgetError,
@@ -38,6 +39,7 @@ from .gateway import (
     parse_string_groups,
     parse_string_list,
 )
+from .schema import check_values
 from .textnorm import alias_key, collapse_whitespace, match_key
 
 if TYPE_CHECKING:
@@ -467,17 +469,14 @@ def taxonomy_to_json(taxonomy: LabelTaxonomy) -> str:
 
 
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:
+    from .cli import BootstrapConfig  # the section whose settings `params` records
+
     doc = read_json(path, BootstrapError, f"taxonomy file {path}")
     if doc.get("version") != 1:
         raise BootstrapError(f"taxonomy file {path} has unsupported version {doc.get('version')!r}")
     entries = doc.get("labels", [])
-    merge_rounds, params = doc.get("merge_rounds", 0), doc.get("params", {})
     if not isinstance(entries, list):
         raise BootstrapError(f"taxonomy file {path}: labels must be a list")
-    if not _is_int(merge_rounds) or not isinstance(params, dict):
-        raise BootstrapError(
-            f"taxonomy file {path}: merge_rounds must be an integer and params an object"
-        )
     labels = []
     for i, e in enumerate(entries):
         where = f"taxonomy file {path} label {i}"
@@ -494,6 +493,15 @@ def load_taxonomy(path: str | Path) -> LabelTaxonomy:
         if not _is_int(count):
             raise BootstrapError(f"{where}: count must be an integer")
         labels.append(LabelEntry(index=index, name=name, aliases=tuple(aliases), count=count))
+    merge_rounds, params = doc.get("merge_rounds"), doc.get("params", {})
+    if not _is_int(merge_rounds) or merge_rounds < 0 or not isinstance(params, dict):
+        raise BootstrapError(
+            f"taxonomy file {path}: merge_rounds must be an integer >= 0 and params an object"
+        )
+    try:
+        check_values(BootstrapConfig, params)
+    except ConfigError as exc:
+        raise BootstrapError(f"taxonomy file {path}: params.{exc}") from exc
     return LabelTaxonomy(labels=tuple(labels), merge_rounds=merge_rounds, params=dict(params))
 
 
@@ -517,7 +525,7 @@ def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> ML
     items: list[AnnotatedItem] = []
     what = f"labels file {path}"
     for lineno, obj, rec in read_record_rows(path, corpus, BootstrapError, what):
-        positives = obj.get("positives", [])
+        positives = obj.get("positives")
         if not isinstance(positives, list) or not all(_is_int(j) for j in positives):
             raise BootstrapError(f"{what} line {lineno}: positives must be a list of integers")
         items.append(AnnotatedItem(record_id=rec.id, split=rec.split, positives=tuple(positives)))

@@ -448,8 +448,9 @@ def _finite_floats(path, key: str, values) -> np.ndarray:
 
 
 def load_checkpoint(path: str | Path) -> ClassifierParams:
-    """Read a checkpoint; a missing, ill-typed or non-finite value is a
-    TrainingError, so a damaged file never yields NaN predictions."""
+    """Read a checkpoint; a missing, ill-typed or non-finite value, or a
+    negative tau, is a TrainingError, so a damaged file never yields NaN
+    predictions."""
     doc = read_json(path, TrainingError, f"checkpoint {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise TrainingError(
@@ -468,10 +469,14 @@ def load_checkpoint(path: str | Path) -> ClassifierParams:
         raise TrainingError(
             f"checkpoint {path}: weights length {weights.shape[0]} != k*d = {k * d}"
         )
+    # train.tau declares the same bound: a negative tau favours frequent labels.
+    tau = float(_finite_floats(path, "tau", [doc["tau"]])[0])
+    if tau < 0:
+        raise TrainingError(f"checkpoint {path}: tau must be >= 0, got {tau}")
     return ClassifierParams(
         weights=weights.reshape(k, d),
         bias=_finite_floats(path, "bias", doc["bias"]),
         frequencies=_finite_floats(path, "frequencies", doc["frequencies"]),
-        tau=float(_finite_floats(path, "tau", [doc["tau"]])[0]),
+        tau=tau,
         taxonomy_hash=doc["taxonomy_hash"],
     )

@@ -49,7 +49,7 @@ from .errors import (
 from .fileio import json_text, read_json, write_atomic
 from .gateway import GatewayConfig
 from .guidance import GeneratorConfig
-from .schema import check_fields
+from .schema import ConfigSection
 
 logger = logging.getLogger(__name__)
 
@@ -66,17 +66,14 @@ EXIT_PREREQ = 5
 
 
 @dataclass(frozen=True)
-class PathsConfig:
+class PathsConfig(ConfigSection):
     manifest: str = ""
     features: str = ""
     workdir: str = ""
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class BootstrapConfig:
+class BootstrapConfig(ConfigSection):
     """Batching and filtering knobs for the bootstrap stage.
 
     `b` is the number of reports per extraction batch, `kappa` the token
@@ -84,61 +81,28 @@ class BootstrapConfig:
     training records a label needs to be kept.
     """
 
-    b: int = 200
-    kappa: int = 200
-    theta: int = 15
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.b < 1:
-            raise ConfigError("b must be >= 1")
-        if self.kappa < 1:
-            raise ConfigError("kappa must be >= 1")
-        if self.theta < 0:
-            raise ConfigError("theta must be >= 0")
+    b: int = field(default=200, metadata={"low": 1})
+    kappa: int = field(default=200, metadata={"low": 1})
+    theta: int = field(default=15, metadata={"low": 0})
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-2
-    epochs: int = 200
-    batch_size: int = 32
-    seed: int = 0
-    tau: float = 1.0
-    adjustment: str = "on"
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.adjustment not in ("on", "off"):
-            raise ConfigError(f"adjustment must be 'on' or 'off', got {self.adjustment!r}")
+class TrainConfig(ConfigSection):
+    learning_rate: float = field(default=1e-2, metadata={"above": 0})
+    epochs: int = field(default=200, metadata={"low": 1})
+    batch_size: int = field(default=32, metadata={"low": 1})
+    seed: int = field(default=0, metadata={"low": 0})
+    tau: float = field(default=1.0, metadata={"low": 0})
+    adjustment: str = field(default="on", metadata={"choices": ("on", "off")})
 
 
 @dataclass(frozen=True)
-class GuidanceConfig:
-    mode: str = "image_and_label"
-    label_source: str = "pred"
-    threshold: float = 0.5
-    split: str = "test"
+class GuidanceConfig(ConfigSection):
+    mode: str = field(default="image_and_label", metadata={"choices": guidance_mod.MODES})
+    label_source: str = field(default="pred", metadata={"choices": guidance_mod.LABEL_SOURCES})
+    threshold: float = field(default=0.5, metadata={"low": 0, "high": 1})
+    split: str = field(default="test", metadata={"choices": SPLITS})
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.mode not in guidance_mod.MODES:
-            raise ConfigError(f"mode must be one of {guidance_mod.MODES}, got {self.mode!r}")
-        if self.label_source not in guidance_mod.LABEL_SOURCES:
-            raise ConfigError(f"label_source must be one of {guidance_mod.LABEL_SOURCES}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError("threshold must lie in [0, 1]")
-        if self.split not in SPLITS:
-            raise ConfigError(f"split must be one of {SPLITS}")
 
     @property
     def cell(self) -> tuple[str, str]:
@@ -148,14 +112,11 @@ class GuidanceConfig:
 
 
 @dataclass(frozen=True)
-class MetricsConfig:
-    enabled: list[str] = field(default_factory=lambda: list(metrics_mod.METRIC_NAMES))
-
-    def __post_init__(self):
-        check_fields(self)
-        for name in self.enabled:
-            if name not in metrics_mod.METRIC_NAMES:
-                raise ConfigError(f"unknown metric {name!r} in enabled")
+class MetricsConfig(ConfigSection):
+    enabled: list[str] = field(
+        default_factory=lambda: list(metrics_mod.METRIC_NAMES),
+        metadata={"choices": metrics_mod.METRIC_NAMES},
+    )
 
 
 @dataclass(frozen=True)
@@ -187,7 +148,7 @@ def _section(cls, data, path: str, **wiring):
     try:
         return cls(**{**data, **wiring})
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}.{exc}" if exc.field else f"{path}: {exc}") from exc
 
 
 def load_config(path: str | Path | None, overrides: list[tuple[str, str]]) -> PipelineConfig:
@@ -443,13 +404,21 @@ def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[st
     gen_path = _require(config, guidance_mod.generated_filename(mode, source))
     rows = guidance_mod.load_generated(gen_path, corpus)
     # Every cell is scored over exactly the split's records, so that the
-    # cells' corpus means compare like with like.
-    for lineno, _, rec in rows:
+    # cells' corpus means compare like with like, and only over rows that
+    # the cell's own prompts produced.
+    for lineno, row, rec in rows:
+        where = f"generated file {gen_path} line {lineno}"
         if rec.split != split:
             raise GeneratedFileError(
-                f"generated file {gen_path} line {lineno}: record {rec.id!r} "
-                f"is in split {rec.split!r}, not {split!r}"
+                f"{where}: record {rec.id!r} is in split {rec.split!r}, not {split!r}"
             )
+        if row.get("mode") != mode or row.get("label_source") != source:
+            raise GeneratedFileError(
+                f"{where}: mode and label_source are {row.get('mode')!r} and "
+                f"{row.get('label_source')!r}, not {mode!r} and {source!r}"
+            )
+        if type(row.get("prompt")) is not str:
+            raise GeneratedFileError(f"{where}: prompt must be a string")
     expected = corpus.split(split)
     missing = sorted({rec.id for rec in expected} - {rec.id for _, _, rec in rows})
     if missing:
@@ -527,6 +496,18 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
 # ---------------------------------------------------------------------------
 
 
+# Named flags of every stage command, each an alias of `--set <key>=VALUE`:
+# its value is parsed and checked as that override's would be.
+FLAG_ALIASES = (
+    ("--workdir", "paths.workdir"),
+    ("--mode", "guidance.mode"),
+    ("--label-source", "guidance.label_source"),
+    ("--threshold", "guidance.threshold"),
+    ("--seed", "train.seed"),
+    ("--backend", "gateway.backend"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reportguide",
@@ -538,13 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="path to the JSON config file")
-        p.add_argument("--workdir", help="override paths.workdir")
         p.add_argument("--force", action="store_true", help="overwrite existing artifacts")
-        p.add_argument("--mode", help="override guidance.mode")
-        p.add_argument("--label-source", dest="label_source", help="override guidance.label_source")
-        p.add_argument("--threshold", type=float, help="override guidance.threshold")
-        p.add_argument("--seed", type=int, help="override train.seed")
-        p.add_argument("--backend", help="override gateway.backend")
+        for flag, key in FLAG_ALIASES:
+            p.add_argument(flag, dest=key, metavar="VALUE", help=f"alias of --set {key}=VALUE")
         p.add_argument(
             "--set",
             dest="overrides",
@@ -573,19 +550,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_overrides(args: argparse.Namespace, extra: list[str]) -> list[tuple[str, str]]:
-    overrides: list[tuple[str, str]] = []
-    mapping = {
-        "workdir": "paths.workdir",
-        "mode": "guidance.mode",
-        "label_source": "guidance.label_source",
-        "threshold": "guidance.threshold",
-        "seed": "train.seed",
-        "backend": "gateway.backend",
-    }
-    for attr, dotted in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides.append((dotted, json.dumps(value) if not isinstance(value, str) else value))
+    overrides = [
+        (key, getattr(args, key)) for _, key in FLAG_ALIASES if getattr(args, key, None) is not None
+    ]
     for item in getattr(args, "overrides", []):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

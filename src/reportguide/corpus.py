@@ -92,18 +92,20 @@ def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
         if not isinstance(images_raw, list):
             raise ManifestError("images must be an array")
         try:
-            images = [
-                ImageRef(str(img.get("path", "")), str(img.get("modality", "")))
-                for img in images_raw
-            ]
+            images = [ImageRef(img.get("path"), img.get("modality", "")) for img in images_raw]
         except AttributeError:  # a JSON value other than an object has no .get
             raise ManifestError("every images entry must be a JSON object") from None
-        return ReportRecord(
-            str(obj.get("id", "")),
-            str(obj.get("split", "")),
-            str(obj.get("report", "")),
-            tuple(images),
-        )
+        for path, modality in images:
+            if type(path) is not str:
+                raise ManifestError(f"image path must be a string, got {path!r}")
+            if type(modality) is not str:
+                raise ManifestError(f"image modality must be a string, got {modality!r}")
+        rid, report = obj.get("id", ""), obj.get("report", "")
+        if type(rid) is not str:
+            raise ManifestError(f"id must be a string, got {rid!r}")
+        if type(report) is not str:
+            raise ManifestError(f"record {rid!r}: report must be a string, got {report!r}")
+        return ReportRecord(rid, obj.get("split", ""), report, tuple(images))
     except ManifestError as exc:
         raise ManifestError(f"manifest line {lineno}: {exc}") from exc
 

@@ -12,7 +12,12 @@ class PipelineError(Exception):
 
 
 class ConfigError(PipelineError):
-    """Invalid configuration: bad field values, missing API key env, bad flags."""
+    """Invalid configuration: bad field values, missing API key env, bad flags.
+    `field` names the declared field a bad value was given to, if any."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class SyntheticSeedError(ConfigError, AssertionError):

@@ -22,7 +22,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
 
@@ -87,26 +87,18 @@ class GatewayConfig:
     set it.
     """
 
-    backend: str = "mock"
+    backend: str = field(default="mock", metadata={"choices": ("mock", "http")})
     endpoint: str = ""
     model: str = "mock-clinical-1"
     api_key_env: str = "LLM_API_KEY"
-    max_retries: int = 3
-    parallelism: int = 4
-    requests_per_minute: int = 600
+    max_retries: int = field(default=3, metadata={"low": 0})
+    parallelism: int = field(default=4, metadata={"low": 1})
+    requests_per_minute: int = field(default=600, metadata={"low": 1})
     call_log_path: InitVar[str | None] = None
 
     def __post_init__(self, call_log_path):
         object.__setattr__(self, "call_log_path", call_log_path)
         check_fields(self)
-        if self.backend not in ("mock", "http"):
-            raise ConfigError(f"unknown gateway backend {self.backend!r}")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        if self.requests_per_minute < 1:
-            raise ConfigError("requests_per_minute must be >= 1")
         if self.backend == "http":
             if not self.endpoint:
                 raise ConfigError("http backend requires an endpoint URL")

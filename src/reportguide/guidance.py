@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -140,7 +140,7 @@ class GeneratorConfig:
     the resolved http gateway, or None for the other backends.
     """
 
-    backend: str = "mock"
+    backend: str = field(default="mock", metadata={"choices": ("mock", "command", "http")})
     command: str = ""
     endpoint: str = ""
     model: str = ""
@@ -148,8 +148,6 @@ class GeneratorConfig:
 
     def __post_init__(self, gateway):
         check_fields(self)
-        if self.backend not in ("mock", "command", "http"):
-            raise ConfigError(f"unknown generator backend {self.backend!r}")
         if self.backend == "command" and not self.command:
             raise ConfigError("command generator backend requires a command line")
         chat = None

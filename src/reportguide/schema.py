@@ -1,22 +1,33 @@
-"""Type checks shared by the config dataclasses, which are the sections of
-the config file: each calls `check_fields` first in `__post_init__`, so a
-value of the wrong type is a ConfigError when the config loads."""
+"""The config schema. A config section's fields declare their type in the
+annotation and their bounds in `field(metadata=...)`: inclusive `low` and
+`high`, an exclusive lower bound `above`, or the `choices` of a str field or
+of each element of a list[str] one. `check_fields` checks both as a section
+is built, so a bad value is a ConfigError naming its field when the config
+loads; only rules relating two fields are hand-written after it, and a
+section with none inherits `ConfigSection`'s `__post_init__`. `check_values`
+holds a mapping, such as the settings an artifact records, to a declaration."""
 
 from __future__ import annotations
 
 import functools
+import json
 import math
+import operator
 from dataclasses import fields
 from typing import get_type_hints
 
 from .errors import ConfigError
 
 
+def _fail(name: str, expected: str, value) -> ConfigError:
+    return ConfigError(f"{name} must be {expected}, got {value!r}", field=name)
+
+
 def _as_int(name: str, value):
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise _fail(name, "an integer", value)
     return value
 
 
@@ -28,39 +39,81 @@ def _as_float(name: str, value):
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    raise _fail(name, "a finite number", value)
 
 
 def _as_str(name: str, value):
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+        raise _fail(name, "a string", value)
     return value
 
 
 def _as_str_list(name: str, value):
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ConfigError(f"{name} must be a list of strings, got {value!r}")
+        raise _fail(name, "a list of strings", value)
     return list(value)
 
 
 _CHECKS = {int: _as_int, float: _as_float, str: _as_str, list[str]: _as_str_list}
 
 
+# Each bound a field may declare: how it is written, and its test.
+_BOUNDS = {"low": (">=", operator.ge), "high": ("<=", operator.le), "above": (">", operator.gt)}
+
+
+def describe_bounds(bounds) -> str:
+    """A field's declared bounds as its errors and the README state them,
+    e.g. `>= 1`, `>= 0 and <= 1` or `one of "on" | "off"`."""
+    if "choices" in bounds:
+        return "one of " + " | ".join(json.dumps(c) for c in bounds["choices"])
+    return " and ".join(f"{sym} {bounds[key]}" for key, (sym, _) in _BOUNDS.items() if key in bounds)
+
+
+def _check(name: str, value, check, bounds):
+    value = check(name, value)
+    for item in value if isinstance(value, list) else (value,):
+        if item not in bounds.get("choices", (item,)) or not all(
+            test(item, bounds[key]) for key, (_, test) in _BOUNDS.items() if key in bounds
+        ):
+            raise _fail(name, describe_bounds(bounds), item)
+    return value
+
+
 def check_fields(obj) -> None:
-    """Check every int, float, str and list-of-str field of a dataclass.
+    """Check every int, float, str and list-of-str field of a dataclass
+    against its declared type and bounds.
 
     An int field rejects bools and non-integral numbers; a float field takes
     an int and rejects NaN and infinities. Accepted values are normalized in
     place (2.0 -> 2 for an int, 1 -> 1.0 for a float), so equal settings
     always fingerprint alike. Fields of other types are left to the caller.
     """
-    for name, check in _checks_for(type(obj)):
-        object.__setattr__(obj, name, check(name, getattr(obj, name)))
+    for name, (check, bounds) in _checks_for(type(obj)).items():
+        object.__setattr__(obj, name, _check(name, getattr(obj, name), check, bounds))
+
+
+class ConfigSection:
+    """Base of the config sections with no cross-field rule."""
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def check_values(cls, values: dict) -> None:
+    """Check each value of `values` against the declaration of the field of
+    `cls` its key names, as `check_fields` would, normalizing nothing. A key
+    that names no such field is a ConfigError too."""
+    checks = _checks_for(cls)
+    for name, value in values.items():
+        if name not in checks:
+            raise ConfigError(f"{name} is not a field of {cls.__name__}", field=name)
+        _check(name, value, *checks[name])
 
 
 @functools.cache
-def _checks_for(cls) -> tuple:
-    # Resolving the annotations costs far more than checking the values, and
-    # some configs are built once per request.
+def _checks_for(cls) -> dict:
+    # Resolving the annotations costs far more than checking the values.
     hints = get_type_hints(cls)
-    return tuple((f.name, _CHECKS[hints[f.name]]) for f in fields(cls) if hints[f.name] in _CHECKS)
+    return {
+        f.name: (_CHECKS[hints[f.name]], f.metadata) for f in fields(cls) if hints[f.name] in _CHECKS
+    }

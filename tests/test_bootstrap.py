@@ -502,6 +502,17 @@ def test_taxonomy_save_load_round_trip(tmp_path):
     assert loaded == tax
 
 
+def test_a_taxonomy_with_empty_params_round_trips(tmp_path):
+    # An in-process LabelTaxonomy records no bootstrap settings: `"params": {}`.
+    tax = _taxonomy(["A", "B"])
+    path = tmp_path / "taxonomy.json"
+    write_atomic(path, taxonomy_to_json(tax))
+    assert '"params": {}' in path.read_text(encoding="utf-8")
+    loaded = load_taxonomy(path)
+    assert loaded == tax
+    assert taxonomy_to_json(loaded) == path.read_text(encoding="utf-8")
+
+
 def test_taxonomy_fingerprint_is_stable_and_sensitive(tmp_path):
     tax_a = _taxonomy(["A", "B"])
     tax_b = _taxonomy(["A", "C"])

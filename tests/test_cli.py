@@ -6,21 +6,26 @@ from __future__ import annotations
 import fcntl
 import gc
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from reportguide import bootstrap, classifier, guidance, metrics
 from reportguide.cli import (
+    FLAG_ALIASES,
     STAGES,
     PipelineConfig,
+    _build_parser,
+    _collect_overrides,
     config_fingerprint,
     load_config,
     main,
@@ -36,6 +41,7 @@ from reportguide.corpus import (
 )
 from reportguide.errors import ConfigError, DataError
 from reportguide.gateway import SENTINEL_ENTITIES, ChatRequest, GatewayConfig, complete
+from reportguide.schema import describe_bounds
 
 # ---------------------------------------------------------------------------
 # A 12-record corpus small enough to push through every stage in-process:
@@ -185,6 +191,75 @@ def test_validation_rejects_bad_values(mini, dotted, value, hint):
         load_config(mini["config"], [(dotted, value)])
 
 
+def _declared_bounds(cls=PipelineConfig, prefix=""):
+    """(dotted key, type, bounds) of every config field that declares bounds,
+    found by walking the sections' declarations."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _declared_bounds(hints[f.name], f"{prefix}{f.name}.")
+        elif f.metadata:
+            yield f"{prefix}{f.name}", hints[f.name], f.metadata
+
+
+def _past(kind, bound, direction):
+    """The value next to `bound` in `direction` (+1 up, -1 down) for `kind`."""
+    return bound + direction if kind is int else math.nextafter(bound, direction * math.inf)
+
+
+def _bound_cases():
+    """(key, JSON value, accepted) just past and at each declared bound, and
+    outside each declared choice."""
+    for key, kind, bounds in _declared_bounds():
+        for name, bound in bounds.items():
+            if name == "choices":
+                rows = [("outside", ["nope"] if kind == list[str] else "nope", False)]
+            elif name == "above":  # exclusive: the bound is out, the value past it in
+                rows = [("at", bound, False), ("past", _past(kind, bound, 1), True)]
+            else:
+                outward = 1 if name == "high" else -1
+                rows = [("past", _past(kind, bound, outward), False), ("at", bound, True)]
+            for where, value, accepted in rows:
+                yield pytest.param(key, json.dumps(value), accepted, id=f"{key}-{name}-{where}")
+
+
+@pytest.mark.parametrize("key, value, accepted", list(_bound_cases()))
+def test_every_declared_bound_is_checked_when_the_config_loads(mini, key, value, accepted):
+    if accepted:
+        config = load_config(mini["config"], [(key, value)])
+        node = config
+        for part in key.split("."):
+            node = getattr(node, part)
+        assert node == json.loads(value)
+    else:
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be ")):
+            load_config(mini["config"], [(key, value)])
+
+
+def test_the_bounds_walk_finds_every_section():
+    keys = {key for key, _, _ in _declared_bounds()}
+    assert {"bootstrap.b", "gateway.parallelism", "train.tau", "train.learning_rate",
+            "guidance.threshold", "guidance.generator.backend", "metrics.enabled"} <= keys
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [("--threshold", "abc", "guidance.threshold"), ("--seed", "1.5", "train.seed")],
+)
+def test_a_bad_named_flag_is_a_configuration_error(mini, caplog, flag, value, key):
+    assert main(["train", "--config", mini["config"], flag, value]) == 2
+    assert f"configuration error: {key} must be " in caplog.text
+
+
+@pytest.mark.parametrize("flag, key", FLAG_ALIASES)
+def test_each_named_flag_is_an_alias_of_set(flag, key):
+    parser = _build_parser()
+    for value in ("0.25", "7", "label_only", "/tmp/w"):
+        named = _collect_overrides(*parser.parse_known_args(["train", flag, value]))
+        aliased = _collect_overrides(*parser.parse_known_args(["train", "--set", f"{key}={value}"]))
+        assert named == aliased == [(key, value)]
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -194,6 +269,7 @@ def test_validation_rejects_bad_values(mini, dotted, value, hint):
         "train.batch_size=null",
         "paths.workdir=5",
         "paths=5",
+        "train.tau=-5",
     ],
 )
 def test_bad_values_exit_2_from_every_stage(mini, caplog, override):
@@ -246,6 +322,13 @@ def test_readme_configuration_block_matches_the_schema():
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
     assert doc == asdict(PipelineConfig())
+    # Each declared bound or choice is stated on its field's line.
+    lines = block.splitlines()
+    for key, _, bounds in _declared_bounds():
+        at = 0
+        for part in key.split("."):
+            at = next(i for i in range(at, len(lines)) if lines[i].lstrip().startswith(f'"{part}":'))
+        assert describe_bounds(bounds) in lines[at], (key, lines[at])
 
 
 def test_readme_files_table_names_the_stage_that_writes_each_artifact():
@@ -869,13 +952,61 @@ def _drop_feature_row(record_id):
          "evaluate",
          "generated-image_and_label-pred.jsonl lacks 1 of the 2 records "
          "of split 'test', first 's1'"),
+        (_edit_json("taxonomy.json", lambda d: d.__setitem__("params", {"b": None, "theta": "x"})),
+         "train", "taxonomy.json: params.b must be an integer, got None"),
+        (_edit_json("taxonomy.json", lambda d: d["params"].__setitem__("theta", -1)),
+         "predict", "taxonomy.json: params.theta must be >= 0, got -1"),
+        (_edit_json("taxonomy.json", lambda d: d["params"].__setitem__("zz", 1)),
+         "train", "taxonomy.json: params.zz is not a field of BootstrapConfig"),
+        (_edit_json("taxonomy.json", lambda d: d.__setitem__("merge_rounds", -3)),
+         "train", "taxonomy.json: merge_rounds must be an integer >= 0"),
+        (_edit_json("taxonomy.json", lambda d: d.pop("merge_rounds")),
+         "predict", "taxonomy.json: merge_rounds must be an integer >= 0"),
+        (_edit_json("checkpoint.json", lambda d: d.__setitem__("tau", -5)),
+         "predict", "checkpoint.json: tau must be >= 0, got -5.0"),
+        (_edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives")),
+         "train", "labels.jsonl line 3: positives must be a list of integers"),
+        (_append_line("../data/manifest.jsonl",
+                      '{"id": 7, "split": "train", "report": "x", "images": []}'),
+         "train", "manifest line 13: id must be a string, got 7"),
+        (_append_line("../data/manifest.jsonl",
+                      '{"id": "x1", "split": "train", "report": 5, "images": []}'),
+         "train", "manifest line 13: record 'x1': report must be a string, got 5"),
+        (_append_line("../data/manifest.jsonl",
+                      '{"id": "x1", "split": "train", "report": "x", "images": [{"path": null}]}'),
+         "generate", "manifest line 13: image path must be a string, got None"),
+        (_append_line("../data/manifest.jsonl", '{"id": "x1", "split": "train", "report": "x", '
+                      '"images": [{"path": "p.png", "modality": 3}]}'),
+         "train", "manifest line 13: image modality must be a string, got 3"),
+        (_edit_rows("generated-image_and_label-pred.jsonl", lambda rows: [
+            row.update(mode="label_only", label_source="gt") for row in rows]),
+         "evaluate", "generated-image_and_label-pred.jsonl line 1: mode and label_source are "
+         "'label_only' and 'gt', not 'image_and_label' and 'pred'"),
+        (_edit_rows("generated-image_and_label-pred.jsonl",
+                    lambda rows: rows[1].__setitem__("label_source", None)),
+         "evaluate", "generated-image_and_label-pred.jsonl line 2: mode and label_source are "
+         "'image_and_label' and None"),
+        (_edit_rows("generated-image_and_label-pred.jsonl", lambda rows: rows[1].pop("prompt")),
+         "evaluate", "generated-image_and_label-pred.jsonl line 2: prompt must be a string"),
+        (_edit_rows("generated-image_and_label-pred.jsonl",
+                    lambda rows: rows[0].__setitem__("prompt", ["x"])),
+         "evaluate", "generated-image_and_label-pred.jsonl line 1: prompt must be a string"),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
     assert main(["pipeline", "--config", mini["config"]]) == 0
     tamper(mini["workdir"])
+    before = _snapshot(mini["workdir"])
     assert main([command, "--config", mini["config"], "--force"]) == 4
     assert message in caplog.text
+    assert _snapshot(mini["workdir"]) == before  # the failed stage wrote nothing
+
+
+def _snapshot(workdir):
+    return {
+        str(path.relative_to(workdir)): path.read_bytes() if path.is_file() else None
+        for path in sorted(workdir.rglob("*"))
+    }
 
 
 @pytest.mark.parametrize(
