@@ -137,9 +137,6 @@ class MLCDataset:
                     f"record {item.record_id!r} has unsorted or duplicate positives"
                 )
 
-    def by_id(self) -> dict[str, AnnotatedItem]:
-        return {item.record_id: item for item in self.items}
-
     def split_items(self, split: str) -> list[AnnotatedItem]:
         return [item for item in self.items if item.split == split]
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bootstrap import MLCDataset, taxonomy_fingerprint
+from .bootstrap import LabelTaxonomy, MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
 from .errors import DivergenceError, FeatureValidationError, TrainingError
 from .fileio import read_json
@@ -447,10 +447,11 @@ def _finite_floats(path, key: str, values) -> np.ndarray:
     return array
 
 
-def load_checkpoint(path: str | Path) -> ClassifierParams:
-    """Read a checkpoint; a missing, ill-typed or non-finite value, or a
-    negative tau, is a TrainingError, so a damaged file never yields NaN
-    predictions."""
+def load_checkpoint(path: str | Path, taxonomy: LabelTaxonomy) -> ClassifierParams:
+    """Read a checkpoint bound to `taxonomy`. A missing, ill-typed or
+    non-finite value, a negative tau, or a checkpoint trained against another
+    taxonomy or another number of labels is a TrainingError, so a damaged or
+    stale file never yields NaN or misnamed predictions."""
     doc = read_json(path, TrainingError, f"checkpoint {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise TrainingError(
@@ -473,10 +474,21 @@ def load_checkpoint(path: str | Path) -> ClassifierParams:
     tau = float(_finite_floats(path, "tau", [doc["tau"]])[0])
     if tau < 0:
         raise TrainingError(f"checkpoint {path}: tau must be >= 0, got {tau}")
-    return ClassifierParams(
+    params = ClassifierParams(
         weights=weights.reshape(k, d),
         bias=_finite_floats(path, "bias", doc["bias"]),
         frequencies=_finite_floats(path, "frequencies", doc["frequencies"]),
         tau=tau,
         taxonomy_hash=doc["taxonomy_hash"],
     )
+    if params.taxonomy_hash != taxonomy_fingerprint(taxonomy):
+        raise TrainingError(
+            "checkpoint was trained against a different taxonomy than the one "
+            "in the workdir; re-run the train stage"
+        )
+    if k != len(taxonomy):
+        raise TrainingError(
+            f"checkpoint {path} has k={k} but the taxonomy in the workdir "
+            f"has {len(taxonomy)} labels; re-run the train stage"
+        )
+    return params

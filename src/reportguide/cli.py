@@ -9,7 +9,10 @@ a stage on that corpus, writes the outputs only after the whole run has
 returned, and leaves `meta/<stage>.json` describing the run. `pipeline` runs
 the table's rows in order in-process, so its artifacts are byte-identical to
 running the stages one by one. The subcommands, and the stage named when an
-input is missing, come from the same table.
+input is missing, come from the same table. Each artifact is checked by its
+one reader (`load_checkpoint` binds the checkpoint to the taxonomy,
+`load_generated` checks a whole generated file), so this module raises only
+configuration and missing-prerequisite errors.
 
 Exit codes: 0 success, 2 configuration error, 3 gateway error, 4 data error,
 5 missing prerequisite.
@@ -41,7 +44,6 @@ from .errors import (
     ConfigError,
     DataError,
     GatewayError,
-    GeneratedFileError,
     GenerationError,
     PipelineError,
     PrerequisiteError,
@@ -239,23 +241,18 @@ class _WorkdirLock:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 os.close(fd)
-                raise self._held() from None
+                break
             try:
                 current = os.stat(self.path).st_ino == os.fstat(fd).st_ino
             except FileNotFoundError:
                 current = False
             if current:
-                break
+                os.ftruncate(fd, 0)
+                os.write(fd, str(os.getpid()).encode("ascii"))
+                self._fd = fd
+                return self
             os.close(fd)
-        else:
-            raise self._held()
-        os.ftruncate(fd, 0)
-        os.write(fd, str(os.getpid()).encode("ascii"))
-        self._fd = fd
-        return self
-
-    def _held(self) -> ConfigError:
-        return ConfigError(f"workdir is locked by another running command ({self.path})")
+        raise ConfigError(f"workdir is locked by another running command ({self.path})")
 
     def __exit__(self, *exc_info):
         # Unlink while still holding the lock (see __enter__).
@@ -327,23 +324,12 @@ def _predict_split(config: PipelineConfig, corpus: Corpus):
     """Predict every record of `guidance.split`, in id order, with the
     checkpoint bound to the workdir's taxonomy. Returns the checkpoint, the
     labelled dataset and the predictions by record id."""
-    from . import bootstrap as bootstrap_mod
     from . import classifier as classifier_mod
 
     features = load_features(config.paths.features, corpus)
     checkpoint = _require(config, "checkpoint.json")
-    params = classifier_mod.load_checkpoint(checkpoint)
     taxonomy, dataset = _load_stage1(config, corpus)
-    if params.taxonomy_hash != bootstrap_mod.taxonomy_fingerprint(taxonomy):
-        raise DataError(
-            "checkpoint was trained against a different taxonomy than the one "
-            "in the workdir; re-run the train stage"
-        )
-    if params.k != len(taxonomy):
-        raise DataError(
-            f"checkpoint {checkpoint} has k={params.k} but the taxonomy in the workdir "
-            f"has {len(taxonomy)} labels; re-run the train stage"
-        )
+    params = classifier_mod.load_checkpoint(checkpoint, taxonomy)
     ids = sorted(rec.id for rec in corpus.split(config.guidance.split))
     predictions = classifier_mod.predict_records(params, features, ids, config.guidance.threshold)
     return params, dataset, predictions
@@ -402,30 +388,7 @@ def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[st
     mode, source = config.guidance.cell
     split = config.guidance.split
     gen_path = _require(config, guidance_mod.generated_filename(mode, source))
-    rows = guidance_mod.load_generated(gen_path, corpus)
-    # Every cell is scored over exactly the split's records, so that the
-    # cells' corpus means compare like with like, and only over rows that
-    # the cell's own prompts produced.
-    for lineno, row, rec in rows:
-        where = f"generated file {gen_path} line {lineno}"
-        if rec.split != split:
-            raise GeneratedFileError(
-                f"{where}: record {rec.id!r} is in split {rec.split!r}, not {split!r}"
-            )
-        if row.get("mode") != mode or row.get("label_source") != source:
-            raise GeneratedFileError(
-                f"{where}: mode and label_source are {row.get('mode')!r} and "
-                f"{row.get('label_source')!r}, not {mode!r} and {source!r}"
-            )
-        if type(row.get("prompt")) is not str:
-            raise GeneratedFileError(f"{where}: prompt must be a string")
-    expected = corpus.split(split)
-    missing = sorted({rec.id for rec in expected} - {rec.id for _, _, rec in rows})
-    if missing:
-        raise GeneratedFileError(
-            f"generated file {gen_path} lacks {len(missing)} of the {len(expected)} records "
-            f"of split {split!r}, first {', '.join(map(repr, missing[:3]))}"
-        )
+    rows = guidance_mod.load_generated(gen_path, corpus, mode, source, split)
     report = metrics_mod.evaluate_generation(
         [(rec.id, row["report"], rec.report) for _, row, rec in rows],
         gateway=config.gateway,

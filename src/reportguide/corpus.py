@@ -133,12 +133,15 @@ def read_record_rows(
     path: str | Path, corpus: Corpus, error: type[PipelineError], what: str
 ) -> Iterator[tuple[int, dict, ReportRecord]]:
     """Stream (line number, object, record) for each row of a one-row-per-record
-    JSONL file. An unknown `id`, an id already on an earlier line, or a file
-    with no rows raises `error`, with `what` ("labels file <path>") leading."""
+    JSONL file. An `id` that is not a string (the manifest's rule), an unknown
+    id, an id already on an earlier line, or a file with no rows raises
+    `error`, with `what` ("labels file <path>") leading."""
     index = corpus.index()
     line_of: dict[str, int] = {}
     for lineno, obj in read_jsonl(path, error, what):
-        rid = str(obj.get("id", ""))
+        rid = obj.get("id")
+        if type(rid) is not str:
+            raise error(f"{what} line {lineno}: id must be a string, got {rid!r}")
         rec = index.get(rid)
         if rec is None:
             raise error(f"{what} line {lineno}: unknown record id {rid!r}")

@@ -77,8 +77,9 @@ class EmptyTaxonomyError(BootstrapError):
     """Frequency filtering removed every label."""
 
 
-class TrainingError(PipelineError):
-    """Classifier training could not run or did not converge."""
+class TrainingError(DataError):
+    """Classifier training could not run or did not converge, or a checkpoint
+    is damaged or bound to another taxonomy."""
 
 
 class DivergenceError(TrainingError):
@@ -95,8 +96,7 @@ class GenerationError(PipelineError):
 
 
 class GeneratedFileError(DataError):
-    """A generated-report file cannot be read, has a line that is not a JSON
-    object or has no string `report`, or lists a record id twice."""
+    """A generated-report file breaks its contract: see `guidance.load_generated`."""
 
 
 class ArtifactWriteError(PipelineError):

@@ -294,14 +294,36 @@ def generated_to_jsonl(rows: list[dict]) -> str:
     return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
-def load_generated(path: str | Path, corpus: Corpus) -> list[tuple[int, dict, ReportRecord]]:
-    """The rows of a generated file in file order, each with its line number
-    and the record it names. Every row's `report` is a string and no record
-    appears twice, so each record is scored once."""
+def load_generated(
+    path: str | Path, corpus: Corpus, mode: str, label_source: str, split: str
+) -> list[tuple[int, dict, ReportRecord]]:
+    """The rows of one cell's generated file in file order, each with its line
+    number and record. Each row has a string `report` and `prompt`, carries
+    the cell's `mode` and `label_source` and names a record of `split`, once;
+    every record of the split has a row. So a cell is scored over exactly the
+    split's records, and only over rows that its own prompts produced."""
     what = f"generated file {path}"
     rows = []
     for lineno, obj, rec in read_record_rows(path, corpus, GeneratedFileError, what):
-        if not isinstance(obj.get("report"), str):
-            raise GeneratedFileError(f"{what} line {lineno}: report must be a string")
+        where = f"{what} line {lineno}"
+        for key in ("report", "prompt"):
+            if type(obj.get(key)) is not str:
+                raise GeneratedFileError(f"{where}: {key} must be a string")
+        if obj.get("mode") != mode or obj.get("label_source") != label_source:
+            raise GeneratedFileError(
+                f"{where}: mode and label_source are {obj.get('mode')!r} and "
+                f"{obj.get('label_source')!r}, not {mode!r} and {label_source!r}"
+            )
+        if rec.split != split:
+            raise GeneratedFileError(
+                f"{where}: record {rec.id!r} is in split {rec.split!r}, not {split!r}"
+            )
         rows.append((lineno, obj, rec))
+    expected = corpus.split(split)
+    missing = sorted({rec.id for rec in expected} - {rec.id for _, _, rec in rows})
+    if missing:
+        raise GeneratedFileError(
+            f"{what} lacks {len(missing)} of the {len(expected)} records "
+            f"of split {split!r}, first {', '.join(map(repr, missing[:3]))}"
+        )
     return rows

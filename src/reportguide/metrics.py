@@ -512,23 +512,18 @@ def evaluate_generation(
         for row, (_, scores) in zip(per_sample, scored):
             row.update(zip(names, scores))
 
-    if "rouge_l" in enabled:
-        values = _per_pair(lambda c, r: rouge_l_sample(c.tokens, r.tokens), cands, refs)
-        corpus["rouge_l"] = sum(values) / n
-        for row, v in zip(per_sample, values):
-            row["rouge_l"] = v
-
-    if "cider_d" in enabled:
-        values = cider_d_scores(cands, refs)
-        corpus["cider_d"] = sum(values) / n
-        for row, v in zip(per_sample, values):
-            row["cider_d"] = v
-
-    if "meteor_simple" in enabled:
-        values = _per_pair(lambda c, r: meteor_sample(c.tokens, r.tokens), cands, refs)
-        corpus["meteor_simple"] = sum(values) / n
-        for row, v in zip(per_sample, values):
-            row["meteor_simple"] = v
+    # The per-sample metrics averaged over the corpus, in metrics.json key order.
+    for name, column in (
+        ("rouge_l", lambda: _per_pair(lambda c, r: rouge_l_sample(c.tokens, r.tokens), cands, refs)),
+        ("cider_d", lambda: cider_d_scores(cands, refs)),
+        ("meteor_simple", lambda: _per_pair(lambda c, r: meteor_sample(c.tokens, r.tokens),
+                                            cands, refs)),
+    ):
+        if name in enabled:
+            values = column()
+            corpus[name] = sum(values) / n
+            for row, v in zip(per_sample, values):
+                row[name] = v
 
     if "entity_f1" in enabled:
         scores, failures = entity_f1_scores(gen_texts, ref_texts, gateway)

@@ -22,6 +22,7 @@ from reportguide.bootstrap import (
     LabelTaxonomy,
     MLCDataset,
     labels_to_jsonl,
+    taxonomy_fingerprint,
     taxonomy_to_json,
 )
 from reportguide.classifier import (
@@ -63,7 +64,7 @@ def _params(weights, bias=None, frequencies=None, tau=1.0):
         bias=np.zeros(k) if bias is None else np.asarray(bias, dtype=np.float64),
         frequencies=np.full(k, 0.5) if frequencies is None else frequencies,
         tau=tau,
-        taxonomy_hash="t",
+        taxonomy_hash=taxonomy_fingerprint(_taxonomy(k)),
     )
 
 
@@ -909,7 +910,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     params = train(dataset, features, TrainConfig(epochs=5, batch_size=4, seed=2))
     path = tmp_path / "checkpoint.json"
     write_atomic(path, checkpoint_to_json(params))
-    loaded = load_checkpoint(path)
+    loaded = load_checkpoint(path, dataset.taxonomy)
     assert np.array_equal(loaded.weights, params.weights)
     assert np.array_equal(loaded.bias, params.bias)
     assert np.array_equal(loaded.frequencies, params.frequencies)
@@ -926,7 +927,7 @@ def test_checkpoint_survives_awkward_floats(tmp_path):
     )
     path = tmp_path / "checkpoint.json"
     write_atomic(path, checkpoint_to_json(params))
-    loaded = load_checkpoint(path)
+    loaded = load_checkpoint(path, _taxonomy(2))
     assert np.array_equal(loaded.weights, params.weights)
     assert np.array_equal(loaded.bias, params.bias)
 
@@ -935,7 +936,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "checkpoint.json"
     path.write_text('{"version": 99}', encoding="utf-8")
     with pytest.raises(TrainingError, match="version"):
-        load_checkpoint(path)
+        load_checkpoint(path, _taxonomy(2))
 
 
 def test_checkpoint_rejects_wrong_weight_count(tmp_path):
@@ -946,7 +947,7 @@ def test_checkpoint_rejects_wrong_weight_count(tmp_path):
     )
     path.write_text(doc, encoding="utf-8")
     with pytest.raises(TrainingError, match="k\\*d"):
-        load_checkpoint(path)
+        load_checkpoint(path, _taxonomy(2))
 
 
 def _tampered_checkpoint(tmp_path, edit) -> Path:
@@ -993,18 +994,30 @@ def _set_first(key, value):
 def test_checkpoint_rejects_malformed_values(tmp_path, edit, message):
     path = _tampered_checkpoint(tmp_path, edit)
     with pytest.raises(TrainingError, match=re.escape(message)):
-        load_checkpoint(path)
+        load_checkpoint(path, _taxonomy(2))
+
+
+def test_checkpoint_is_bound_to_the_taxonomy_it_was_trained_against(tmp_path):
+    path = _tampered_checkpoint(tmp_path, lambda doc: None)
+    assert load_checkpoint(path, _taxonomy(2)).k == 2
+    with pytest.raises(TrainingError, match="trained against a different taxonomy"):
+        load_checkpoint(path, _taxonomy(3))
+    wide = _params(np.zeros((3, 2)))
+    wide.taxonomy_hash = taxonomy_fingerprint(_taxonomy(2))
+    write_atomic(path, checkpoint_to_json(wide))
+    with pytest.raises(TrainingError, match=re.escape(f"{path} has k=3 but the taxonomy")):
+        load_checkpoint(path, _taxonomy(2))
 
 
 def test_checkpoint_rejects_a_non_object_document(tmp_path):
     path = tmp_path / "checkpoint.json"
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(TrainingError, match="JSON object"):
-        load_checkpoint(path)
+        load_checkpoint(path, _taxonomy(2))
 
 
 def test_checkpoint_rejects_invalid_json(tmp_path):
     path = tmp_path / "checkpoint.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(TrainingError, match="JSON"):
-        load_checkpoint(path)
+        load_checkpoint(path, _taxonomy(2))

@@ -964,6 +964,11 @@ def _drop_feature_row(record_id):
          "predict", "taxonomy.json: merge_rounds must be an integer >= 0"),
         (_edit_json("checkpoint.json", lambda d: d.__setitem__("tau", -5)),
          "predict", "checkpoint.json: tau must be >= 0, got -5.0"),
+        (_edit_rows("labels.jsonl", lambda rows: rows[2].__setitem__("id", 7)),
+         "train", "labels.jsonl line 3: id must be a string, got 7"),
+        (_edit_rows("generated-image_and_label-pred.jsonl",
+                    lambda rows: rows[1].__setitem__("id", True)),
+         "evaluate", "generated-image_and_label-pred.jsonl line 2: id must be a string, got True"),
         (_edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives")),
          "train", "labels.jsonl line 3: positives must be a list of integers"),
         (_append_line("../data/manifest.jsonl",
@@ -1000,6 +1005,14 @@ def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
     assert main([command, "--config", mini["config"], "--force"]) == 4
     assert message in caplog.text
     assert _snapshot(mini["workdir"]) == before  # the failed stage wrote nothing
+
+
+def test_a_damaged_checkpoint_is_logged_as_a_data_error(mini, caplog):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    _edit_json("checkpoint.json", lambda d: d.__setitem__("tau", -5))(mini["workdir"])
+    assert main(["predict", "--config", mini["config"], "--force"]) == 4
+    assert "data error: checkpoint " in caplog.text
+    assert "tau must be >= 0, got -5.0" in caplog.text
 
 
 def _snapshot(workdir):
@@ -1128,11 +1141,11 @@ def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
     assert main(["predict", "--config", mini["config"]]) == 0
     assert calls == {"load_manifest": 1, "predict": test_rows}
     workdir = mini["workdir"]
-    params = classifier.load_checkpoint(workdir / "checkpoint.json")
     config = load_config(mini["config"], [])
     corpus = cli.load_manifest(config.paths.manifest)
     features = cli.load_features(config.paths.features, corpus)
-    _, dataset = cli._load_stage1(config, corpus)
+    taxonomy, dataset = cli._load_stage1(config, corpus)
+    params = classifier.load_checkpoint(workdir / "checkpoint.json", taxonomy)
     items = dataset.split_items("test")
     predicted = classifier.predict_records(params, features, [i.record_id for i in items], 0.5)
     fresh = classifier.evaluate_mlc(

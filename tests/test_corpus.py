@@ -225,8 +225,9 @@ def test_read_record_rows_yields_each_row_with_its_record_in_file_order(tmp_path
     "text, message",
     [
         ('{"id": "a"}\n{"id": "c"}\n', "rows file line 2: unknown record id 'c'"),
-        ('{"id": "a"}\n{"id": 7}\n', "rows file line 2: unknown record id '7'"),
-        ('{"x": 1}\n', "rows file line 1: unknown record id ''"),
+        ('{"id": "a"}\n{"id": 7}\n', "rows file line 2: id must be a string, got 7"),
+        ('{"id": true}\n', "rows file line 1: id must be a string, got True"),
+        ('{"x": 1}\n', "rows file line 1: id must be a string, got None"),
         ('{"id": "b"}\n{"id": "a"}\n{"id": "b"}\n',
          "rows file line 3: record id 'b' is already on line 1"),
         ("", "rows file has no rows"),

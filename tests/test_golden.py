@@ -16,7 +16,7 @@ from collections import Counter
 
 from reportguide import classifier as classifier_mod
 from reportguide import gateway as gateway_mod
-from reportguide.bootstrap import MLCDataset, bootstrap_dataset
+from reportguide.bootstrap import bootstrap_dataset
 from reportguide.classifier import train
 from reportguide.cli import BootstrapConfig, TrainConfig, main
 from reportguide.guidance import ABLATION_MODES, generated_filename
@@ -87,14 +87,6 @@ def _counting(monkeypatch, owner, attr) -> list:
 
     monkeypatch.setattr(owner, attr, wrapper)
     return calls
-
-
-def test_ablation_builds_the_label_map_at_most_once_per_cell(synth_dir, monkeypatch, tmp_path):
-    config = _synth_config(synth_dir, tmp_path)
-    assert main(["pipeline", "--config", str(config), "--set", "train.epochs=2"]) == 0
-    calls = _counting(monkeypatch, MLCDataset, "by_id")
-    assert main(["generate", "--config", str(config), "--ablation", "--force"]) == 0
-    assert len(calls) <= len(ABLATION_MODES)
 
 
 def test_training_computes_the_logit_shift_once(synth, mock_gateway, monkeypatch):

@@ -371,7 +371,7 @@ def test_run_generation_writes_file_that_loads_back(tmp_path):
         GeneratorConfig(backend="mock"),
     )
     write_atomic(path, generated_to_jsonl(rows))
-    loaded = load_generated(path, corpus)
+    loaded = load_generated(path, corpus, "image_and_label", "gt", "test")
     assert [row for _, row, _ in loaded] == rows
     assert [(lineno, rec) for lineno, _, rec in loaded] == [
         (i, corpus.index()[row["id"]]) for i, row in enumerate(rows, start=1)
@@ -379,21 +379,36 @@ def test_run_generation_writes_file_that_loads_back(tmp_path):
 
 
 _ONE_RECORD = Corpus(records=[ReportRecord(id="a", split="test", report="ref")])
+_ONE_ROW = json.dumps(
+    {"id": "a", "mode": "image_only", "label_source": "none", "prompt": "p", "report": "x"}
+)
 
 
 def test_load_generated_reports_bad_lines(tmp_path):
     path = tmp_path / "generated.jsonl"
-    path.write_text('{"id": "a", "report": "x"}\n{broken\n', encoding="utf-8")
+    path.write_text(_ONE_ROW + "\n{broken\n", encoding="utf-8")
     with pytest.raises(GeneratedFileError, match="line 2"):
-        load_generated(path, _ONE_RECORD)
+        load_generated(path, _ONE_RECORD, "image_only", "none", "test")
+
+
+def test_load_generated_names_the_first_faulty_line(tmp_path):
+    corpus = Corpus(records=[ReportRecord(id=rid, split="test", report="ref") for rid in "ab"])
+    path = tmp_path / "generated.jsonl"
+    rows = [
+        {"id": "a", "mode": "label_only", "label_source": "gt", "prompt": "p", "report": "x"},
+        {"id": "b", "mode": "image_only", "label_source": "none", "prompt": "p", "report": 3},
+    ]
+    path.write_text(generated_to_jsonl(rows), encoding="utf-8")
+    with pytest.raises(GeneratedFileError, match=f"{path.name} line 1: mode and label_source"):
+        load_generated(path, corpus, "image_only", "none", "test")
 
 
 @pytest.mark.parametrize("line", ['["a"]', '"text"', "3", "null"])
 def test_load_generated_rejects_non_object_lines(tmp_path, line):
     path = tmp_path / "generated.jsonl"
-    path.write_text('{"id": "a", "report": "x"}\n' + line + "\n", encoding="utf-8")
+    path.write_text(_ONE_ROW + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(GeneratedFileError, match=f"{path.name} line 2: not a JSON object"):
-        load_generated(path, _ONE_RECORD)
+        load_generated(path, _ONE_RECORD, "image_only", "none", "test")
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +489,20 @@ def test_ablation_writes_all_five_cells_over_the_same_records(synth, synth_dir, 
     paths = _generate_ablation(synth, synth_dir, tmp_path / "run")
     assert set(paths) == {mode_tag(m, s) for m, s in ABLATION_MODES}
     id_sets = []
-    for tag, path in paths.items():
-        id_sets.append([rec.id for _, _, rec in load_generated(path, synth.corpus)])
+    for mode, source in ABLATION_MODES:
+        rows = load_generated(paths[mode_tag(mode, source)], synth.corpus, mode, source, "test")
+        id_sets.append([rec.id for _, _, rec in rows])
     assert all(ids == id_sets[0] for ids in id_sets)
     assert len(id_sets[0]) == len(synth.corpus.split("test"))
 
 
 def test_ablation_gt_and_pred_prompts_agree_for_a_perfect_head(synth, synth_dir, tmp_path):
     paths = _generate_ablation(synth, synth_dir, tmp_path / "run")
-    gt_rows = [row for _, row, _ in load_generated(paths["image_and_label-gt"], synth.corpus)]
-    pred_rows = [row for _, row, _ in load_generated(paths["image_and_label-pred"], synth.corpus)]
+    gt_rows, pred_rows = (
+        [row for _, row, _ in load_generated(path, synth.corpus, "image_and_label", source, "test")]
+        for source, path in (("gt", paths["image_and_label-gt"]),
+                             ("pred", paths["image_and_label-pred"]))
+    )
     assert [r["prompt"] for r in gt_rows] == [r["prompt"] for r in pred_rows]
     assert [r["report"] for r in gt_rows] == [r["report"] for r in pred_rows]
 
@@ -537,11 +556,15 @@ def _small_synth_dir(synth, out) -> Path:
     return out
 
 
-def _assert_each_cell_sent_its_images(synth, paths, expected_report):
-    """Every row's report echoes the request its cell sent for its record;
-    `expected_report(prompt, images)` renders what that request should be."""
+def _assert_each_cell_sent_its_images(data, paths, expected_report):
+    """Every row's report echoes the request its cell sent for its record of
+    the manifest in `data`; `expected_report(prompt, images)` renders what
+    that request should be."""
+    corpus = load_manifest(data / "manifest.jsonl")
     for mode, source in ABLATION_MODES:
-        for _, row, rec in load_generated(paths[mode_tag(mode, source)], synth.corpus):
+        for _, row, rec in load_generated(
+            paths[mode_tag(mode, source)], corpus, mode, source, "test"
+        ):
             images = [] if mode == "label_only" else [im.path for im in rec.images]
             assert rec.images and row["report"] == expected_report(row["prompt"], images)
 
@@ -551,13 +574,14 @@ def test_http_ablation_sends_images_in_every_mode_but_label_only(
 ):
     monkeypatch.setenv("LLM_API_KEY", "test-key")
     server = stub_server_factory(reply=lambda doc: doc["messages"][1]["content"])
+    data = _small_synth_dir(synth, tmp_path / "data")
     paths = _generate_ablation(
-        synth, _small_synth_dir(synth, tmp_path / "data"), tmp_path / "run",
+        synth, data, tmp_path / "run",
         "--set", "guidance.generator.backend=http",
         "--set", f"guidance.generator.endpoint={server.endpoint}",
     )
     _assert_each_cell_sent_its_images(
-        synth,
+        data,
         paths,
         lambda prompt, images: prompt + ("\n\nImages: " + ", ".join(images) if images else ""),
     )
@@ -575,13 +599,14 @@ def test_command_ablation_sends_images_in_every_mode_but_label_only(synth, tmp_p
         encoding="utf-8",
     )
     command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    data = _small_synth_dir(synth, tmp_path / "data")
     paths = _generate_ablation(
-        synth, _small_synth_dir(synth, tmp_path / "data"), tmp_path / "run",
+        synth, data, tmp_path / "run",
         "--set", "guidance.generator.backend=command",
         "--set", f"guidance.generator.command={command}",
     )
     _assert_each_cell_sent_its_images(
-        synth,
+        data,
         paths,
         lambda prompt, images: json.dumps({"prompt": prompt, "images": images}, ensure_ascii=False),
     )
