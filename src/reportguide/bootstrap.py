@@ -396,9 +396,6 @@ def bootstrap_dataset(
     serialize to byte-identical artifacts.
     """
     train = corpus.split("train")
-    if not train:
-        raise BootstrapError("corpus has no training records; nothing to bootstrap from")
-
     batches = [
         [rec.report for rec in train[i : i + config.b]]
         for i in range(0, len(train), config.b)

@@ -5,6 +5,9 @@ training each logit is shifted by the log-odds of its label's empirical
 training frequency, scaled by tau; rare labels get a large negative shift,
 so the weights must push harder to call them positive. Inference uses the
 raw, unshifted logits, which is where the tail recall gain comes from.
+One function, `_batch_step`, computes a batch's logits and gradient: `train`
+runs it on every batch and `bce_loss_and_grad` on one example, so a gradient
+check of the latter checks the code that trains.
 """
 
 from __future__ import annotations
@@ -113,32 +116,35 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.maximum(e, np.sign(z)) / (1.0 + e)
 
 
-def _batch_loss_grad(
-    x: np.ndarray,
-    y: np.ndarray,
-    params: ClassifierParams,
-    shift: np.ndarray | None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean BCE over labels and batch rows, with analytic gradients.
+def _batch_step(x, y, weights_t, bias, shift, z, e, s, grad_w, grad_b) -> None:
+    """One batch's logits and mean-BCE gradient, written into the buffers.
 
-    `shift`, when given, is added to every row of logits: the training-time
-    logit adjustment. Loss per row is the mean over the k labels of
-    y*softplus(-z) + (1-y)*softplus(z), evaluated with logaddexp so large
-    logits cannot overflow. The gradient wrt each (possibly shifted) logit
-    is (sigmoid(z) - y) / (k * batch).
+    `z` gets the logits x @ weights_t + bias, plus `shift` (the training-time
+    logit adjustment) when given. `s` then gets the gradient wrt each logit,
+    (sigmoid(z) - y) / (k * batch), with `e` as scratch, and `grad_w` and
+    `grad_b` the gradients of the weights and the bias. Each buffer has the
+    batch's rows; the loss, when wanted, is `_mean_bce(z, y)` afterwards.
     """
-    n, k = y.shape
-    z = x @ params.weights.T + params.bias
+    np.matmul(x, weights_t, out=z)
+    z += bias
     if shift is not None:
-        z = z + shift
-    loss = _mean_bce(z, y)
-    dz = (_sigmoid(z) - y) / (k * n)
-    grad_w = dz.T @ x
-    grad_b = dz.sum(axis=0)
-    return loss, grad_w, grad_b
+        z += shift
+    # _sigmoid(z), then minus y, over k * batch.
+    np.copysign(z, -1.0, out=e)
+    np.exp(e, out=e)
+    np.sign(z, out=s)
+    np.maximum(e, s, out=s)
+    np.add(1.0, e, out=e)
+    np.divide(s, e, out=s)
+    np.subtract(s, y, out=s)
+    np.divide(s, s.size, out=s)
+    np.matmul(s.T, x, out=grad_w)
+    np.add.reduce(s, axis=0, out=grad_b)
 
 
 def _mean_bce(z: np.ndarray, y: np.ndarray) -> float:
+    """Mean over labels and rows of y*softplus(-z) + (1-y)*softplus(z),
+    evaluated with logaddexp so large logits cannot overflow."""
     n, k = y.shape
     per_label = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
     return float(per_label.sum() / (k * n))
@@ -158,8 +164,10 @@ def bce_loss_and_grad(
     if y.shape[1] != params.k:
         raise TrainingError(f"target dim {y.shape[1]} does not match k={params.k}")
     shift = _logit_shift(params.frequencies, params.tau) if adjustment == "on" else None
-    loss, grad_w, grad_b = _batch_loss_grad(x, y, params, shift)
-    return {"loss": loss, "grad_w": grad_w, "grad_b": grad_b}
+    z, e, s = (np.empty((1, params.k)) for _ in range(3))
+    grad_w, grad_b = np.empty((params.k, params.d)), np.empty(params.k)
+    _batch_step(x, y, params.weights.T, params.bias, shift, z, e, s, grad_w, grad_b)
+    return {"loss": _mean_bce(z, y), "grad_w": grad_w, "grad_b": grad_b}
 
 
 # Rows gathered per step of the fast loop: thousands at narrow widths, one
@@ -230,14 +238,12 @@ def train(
 
     def batch_views(length: int) -> list[tuple]:
         """Each batch of a gathered chunk of `length` rows: its start, its
-        rows of the gather buffers, the temporaries cut to its row count m,
-        the transpose of the gradient rows, and its divisor k * m."""
+        rows of the gather buffers, and the temporaries cut to its row count."""
         views = []
         for start in range(0, length, bs):
             m = min(bs, length - start)
-            z, e, s = z_buf[:m], e_buf[:m], s_buf[:m]
             rows = slice(start, start + m)
-            views.append((start, x_buf[rows], y_buf[rows], z, e, s, s.T, k * m))
+            views.append((start, x_buf[rows], y_buf[rows], z_buf[:m], e_buf[:m], s_buf[:m]))
         return views
 
     views_of: dict[int, list[tuple]] = {}
@@ -254,13 +260,8 @@ def train(
             np.take(y_all, taken, axis=0, out=y_buf[: len(taken)], mode="clip")
             if len(taken) not in views_of:
                 views_of[len(taken)] = batch_views(len(taken))
-            for start, xb, yb, z, e, s, s_t, divisor in views_of[len(taken)]:
-                # _batch_loss_grad's float operations, in the same order,
-                # into the buffers: z is the logits, then s the gradient.
-                np.matmul(xb, weights_t, out=z)
-                z += bias
-                if shift is not None:
-                    z += shift
+            for start, xb, yb, z, e, s in views_of[len(taken)]:
+                _batch_step(xb, yb, weights_t, bias, shift, z, e, s, grad_w, grad_b)
                 if checked and not math.isfinite(_mean_bce(z, yb)):
                     batch_no = (first + start) // bs
                     raise DivergenceError(
@@ -269,17 +270,6 @@ def train(
                         epoch=epoch,
                         batch=batch_no,
                     )
-                # _sigmoid(z), then minus y, over k * m.
-                np.copysign(z, -1.0, out=e)
-                np.exp(e, out=e)
-                np.sign(z, out=s)
-                np.maximum(e, s, out=s)
-                np.add(1.0, e, out=e)
-                np.divide(s, e, out=s)
-                np.subtract(s, yb, out=s)
-                np.divide(s, divisor, out=s)
-                np.matmul(s_t, xb, out=grad_w)
-                np.add.reduce(s, axis=0, out=grad_b)
                 grads *= lr
                 block -= grads
 

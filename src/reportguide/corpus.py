@@ -56,9 +56,11 @@ class ReportRecord:
 
 @dataclass
 class Corpus:
-    """Ordered collection of records with unique ids."""
+    """Ordered collection of records with unique ids, and the manifest they
+    were read from, which errors name."""
 
     records: list[ReportRecord] = field(default_factory=list)
+    manifest: str = "(in memory)"
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -81,9 +83,14 @@ class Corpus:
         return cached
 
     def split(self, name: str) -> list[ReportRecord]:
+        """The records of split `name`, in manifest order. A split with no
+        records is a ManifestError: no stage has anything to do on it."""
         if name not in SPLITS:
             raise ManifestError(f"unknown split {name!r}")
-        return [rec for rec in self.records if rec.split == name]
+        records = [rec for rec in self.records if rec.split == name]
+        if not records:
+            raise ManifestError(f"manifest {self.manifest} has no records in split {name!r}")
+        return records
 
 
 def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
@@ -126,7 +133,7 @@ def load_manifest(path: str | Path) -> Corpus:
         records.append(rec)
     if not records:
         raise ManifestError(f"manifest {path} has no records")
-    return Corpus(records=records)
+    return Corpus(records=records, manifest=str(path))
 
 
 def read_record_rows(

@@ -1,9 +1,11 @@
 """Text-overlap and entity metrics for generated reports.
 
-Every metric here is computed from first principles over a shared tokenizer
-so scores are reproducible bit for bit: corpus-level BLEU-1..4 without
-smoothing, LCS-based ROUGE-L, a tf-idf consensus score with length penalty,
-a compact alignment-based METEOR variant, and LLM-extracted entity overlap.
+Every metric here is computed from first principles over a shared tokenizer,
+and every float sum adds left to right (`_float_sum`), so scores are
+reproducible bit for bit on every supported Python: corpus-level BLEU-1..4
+without smoothing, LCS-based ROUGE-L, a tf-idf consensus score with length
+penalty, a compact alignment-based METEOR variant, and LLM-extracted entity
+overlap.
 One candidate is scored against exactly one reference. Within a call, each
 distinct text is tokenized once and its n-gram counts are shared by BLEU
 and CIDEr-D, and each distinct (generated, reference) pair is scored once:
@@ -13,8 +15,10 @@ float is the one that scoring each slot on its own gives.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -46,6 +50,14 @@ MAX_N = 4  # BLEU and CIDEr-D use the n-gram orders 1..MAX_N
 # which holds no ideograph, the second branch alone is the same pattern.
 _TOKEN_PATTERN = f"[{CJK_CLASS}]|[^\\W_{CJK_CLASS}]+"
 _ASCII_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def _float_sum(values) -> float:
+    """The plain left-to-right sum of `values`, starting from 0.0: what
+    builtin `sum` gives on Python 3.10 and 3.11. From 3.12 on, `sum`
+    compensates float rounding, which would change scores in their last
+    bits, so every float sum here goes through this one."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def tokenize(text: str) -> list[str]:
@@ -184,14 +196,12 @@ def _bleu(stats: tuple[int, ...]) -> list[float]:
     if cand_len == 0:
         return scores
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
-    logs: list[float] = []
-    for clipped, total in zip(rest[:MAX_N], rest[MAX_N:]):
+    log_sum = 0.0
+    for n, (clipped, total) in enumerate(zip(rest[:MAX_N], rest[MAX_N:]), 1):
         if not clipped:  # clipped <= total, so this is a zero precision
             break
-        logs.append(math.log(clipped / total))
-        # `sum` of the list, not a running total: from Python 3.12 on, `sum`
-        # compensates float rounding, and the scores must not change.
-        scores[len(logs) - 1] = bp * math.exp(sum(logs) / len(logs))
+        log_sum += math.log(clipped / total)
+        scores[n - 1] = bp * math.exp(log_sum / n)
     return scores
 
 
@@ -291,7 +301,7 @@ def cider_d_scores(
         out = []
         for counts, idf in zip(grams, idfs):
             vec = {gram: count * idf.get(gram, unseen_idf) for gram, count in counts.items()}
-            out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+            out.append((vec, math.sqrt(_float_sum(v * v for v in vec.values()))))
         return out
 
     # Only a text that more than one slot carries keeps its vectors: holding
@@ -312,17 +322,16 @@ def cider_d_scores(
         )
         per_n = []
         for (cand_vec, cand_norm), (ref_vec, ref_norm) in zip(vectors(cand), vectors(ref)):
-            # Reference-clipped cosine. The sums stay plain left-to-right
-            # sums in n-gram order so that no score changes in its last bits.
+            # Reference-clipped cosine, summed left to right in n-gram order.
             if cand_norm == 0.0 or ref_norm == 0.0:
                 per_n.append(0.0)
                 continue
-            dot = sum(
+            dot = _float_sum(
                 min(v, ref_vec.get(gram, 0.0)) * ref_vec.get(gram, 0.0)
                 for gram, v in cand_vec.items()
             )
             per_n.append(dot / (cand_norm * ref_norm) * penalty)
-        return 10.0 * sum(per_n) / MAX_N
+        return 10.0 * _float_sum(per_n) / MAX_N
 
     return _per_pair(score, cands, refs)
 
@@ -521,7 +530,7 @@ def evaluate_generation(
     ):
         if name in enabled:
             values = column()
-            corpus[name] = sum(values) / n
+            corpus[name] = _float_sum(values) / n
             for row, v in zip(per_sample, values):
                 row[name] = v
 
@@ -529,9 +538,9 @@ def evaluate_generation(
         scores, failures = entity_f1_scores(gen_texts, ref_texts, gateway)
         kept = [s for s in scores if s is not None]
         m = len(kept)
-        corpus["entity_p"] = (sum(s.precision for s in kept) / m) if m else 0.0
-        corpus["entity_r"] = (sum(s.recall for s in kept) / m) if m else 0.0
-        corpus["entity_f1"] = (sum(s.f1 for s in kept) / m) if m else 0.0
+        corpus["entity_p"] = (_float_sum(s.precision for s in kept) / m) if m else 0.0
+        corpus["entity_r"] = (_float_sum(s.recall for s in kept) / m) if m else 0.0
+        corpus["entity_f1"] = (_float_sum(s.f1 for s in kept) / m) if m else 0.0
         if failures:
             corpus["entity_excluded"] = failures
         for row, s in zip(per_sample, scores):

@@ -1,5 +1,8 @@
 """The config schema. A config section's fields declare their type in the
-annotation and their bounds in `field(metadata=...)`: inclusive `low` and
+annotation, read as written and never evaluated: every config module has
+`from __future__ import annotations`, so a checked field's annotation is the
+string "int", "float", "str" or "list[str]", on every Python version. Its
+bounds are declared in `field(metadata=...)`: inclusive `low` and
 `high`, an exclusive lower bound `above`, or the `choices` of a str field or
 of each element of a list[str] one. `check_fields` checks both as a section
 is built, so a bad value is a ConfigError naming its field when the config
@@ -9,12 +12,10 @@ holds a mapping, such as the settings an artifact records, to a declaration."""
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
 from dataclasses import fields
-from typing import get_type_hints
 
 from .errors import ConfigError
 
@@ -54,7 +55,7 @@ def _as_str_list(name: str, value):
     return list(value)
 
 
-_CHECKS = {int: _as_int, float: _as_float, str: _as_str, list[str]: _as_str_list}
+_CHECKS = {"int": _as_int, "float": _as_float, "str": _as_str, "list[str]": _as_str_list}
 
 
 # Each bound a field may declare: how it is written, and its test.
@@ -110,10 +111,5 @@ def check_values(cls, values: dict) -> None:
         _check(name, value, *checks[name])
 
 
-@functools.cache
 def _checks_for(cls) -> dict:
-    # Resolving the annotations costs far more than checking the values.
-    hints = get_type_hints(cls)
-    return {
-        f.name: (_CHECKS[hints[f.name]], f.metadata) for f in fields(cls) if hints[f.name] in _CHECKS
-    }
+    return {f.name: (_CHECKS[f.type], f.metadata) for f in fields(cls) if f.type in _CHECKS}

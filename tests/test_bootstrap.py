@@ -32,6 +32,7 @@ from reportguide.errors import (
     ConfigError,
     EmptyTaxonomyError,
     LLMOutputError,
+    ManifestError,
     MergeBudgetError,
     MergeProgressError,
 )
@@ -353,7 +354,7 @@ def test_bootstrap_multiple_batches_still_recover_labels(synth, mock_gateway):
 
 def test_bootstrap_requires_training_records(mock_gateway):
     corpus = Corpus(records=[ReportRecord(id="a", split="test", report="t")])
-    with pytest.raises(BootstrapError):
+    with pytest.raises(ManifestError, match="has no records in split 'train'"):
         bootstrap_dataset(corpus, BootstrapConfig(), mock_gateway)
 
 

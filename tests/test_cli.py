@@ -14,7 +14,6 @@ import subprocess
 import sys
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -191,29 +190,29 @@ def test_validation_rejects_bad_values(mini, dotted, value, hint):
         load_config(mini["config"], [(dotted, value)])
 
 
-def _declared_bounds(cls=PipelineConfig, prefix=""):
-    """(dotted key, type, bounds) of every config field that declares bounds,
+def _declared_fields(config=PipelineConfig(), prefix=""):
+    """(dotted key, annotation as written, bounds) of every leaf config field,
     found by walking the sections' declarations."""
-    hints = get_type_hints(cls)
-    for f in fields(cls):
-        if is_dataclass(hints[f.name]):
-            yield from _declared_bounds(hints[f.name], f"{prefix}{f.name}.")
-        elif f.metadata:
-            yield f"{prefix}{f.name}", hints[f.name], f.metadata
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from _declared_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f.type, f.metadata
 
 
 def _past(kind, bound, direction):
     """The value next to `bound` in `direction` (+1 up, -1 down) for `kind`."""
-    return bound + direction if kind is int else math.nextafter(bound, direction * math.inf)
+    return bound + direction if kind == "int" else math.nextafter(bound, direction * math.inf)
 
 
 def _bound_cases():
     """(key, JSON value, accepted) just past and at each declared bound, and
     outside each declared choice."""
-    for key, kind, bounds in _declared_bounds():
+    for key, kind, bounds in _declared_fields():
         for name, bound in bounds.items():
             if name == "choices":
-                rows = [("outside", ["nope"] if kind == list[str] else "nope", False)]
+                rows = [("outside", ["nope"] if kind == "list[str]" else "nope", False)]
             elif name == "above":  # exclusive: the bound is out, the value past it in
                 rows = [("at", bound, False), ("past", _past(kind, bound, 1), True)]
             else:
@@ -237,9 +236,21 @@ def test_every_declared_bound_is_checked_when_the_config_loads(mini, key, value,
 
 
 def test_the_bounds_walk_finds_every_section():
-    keys = {key for key, _, _ in _declared_bounds()}
+    keys = {key for key, _, bounds in _declared_fields() if bounds}
     assert {"bootstrap.b", "gateway.parallelism", "train.tau", "train.learning_rate",
             "guidance.threshold", "guidance.generator.backend", "metrics.enabled"} <= keys
+
+
+# A JSON value of another type than each declared annotation's.
+_WRONG_TYPE = {"int": '"x"', "float": '"x"', "str": "5", "list[str]": "5"}
+
+
+@pytest.mark.parametrize(
+    "key, kind", [pytest.param(key, kind, id=key) for key, kind, _ in _declared_fields()]
+)
+def test_every_field_rejects_a_value_of_the_wrong_json_type(mini, key, kind):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be ")):
+        load_config(mini["config"], [(key, _WRONG_TYPE[kind])])
 
 
 @pytest.mark.parametrize(
@@ -324,7 +335,7 @@ def test_readme_configuration_block_matches_the_schema():
     assert doc == asdict(PipelineConfig())
     # Each declared bound or choice is stated on its field's line.
     lines = block.splitlines()
-    for key, _, bounds in _declared_bounds():
+    for key, _, bounds in _declared_fields():
         at = 0
         for part in key.split("."):
             at = next(i for i in range(at, len(lines)) if lines[i].lstrip().startswith(f'"{part}":'))
@@ -996,13 +1007,20 @@ def _drop_feature_row(record_id):
         (_edit_rows("generated-image_and_label-pred.jsonl",
                     lambda rows: rows[0].__setitem__("prompt", ["x"])),
          "evaluate", "generated-image_and_label-pred.jsonl line 1: prompt must be a string"),
+        *[
+            (_edit_rows("../data/manifest.jsonl", lambda rows: [
+                row.update(split="val") for row in rows if row["split"] == "test"]),
+             command, "manifest.jsonl has no records in split 'test'")
+            for command in ("predict", "generate", "generate --ablation",
+                            "generate --mode label_only --label-source gt")
+        ],
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
     assert main(["pipeline", "--config", mini["config"]]) == 0
     tamper(mini["workdir"])
     before = _snapshot(mini["workdir"])
-    assert main([command, "--config", mini["config"], "--force"]) == 4
+    assert main([*command.split(), "--config", mini["config"], "--force"]) == 4
     assert message in caplog.text
     assert _snapshot(mini["workdir"]) == before  # the failed stage wrote nothing
 

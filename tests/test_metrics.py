@@ -27,6 +27,7 @@ from reportguide.metrics import (
     _bleu,
     _bleu_counts,
     _bleu_from_counts,
+    _float_sum,
     _lcs_length,
     _per_pair,
     bleu_scores,
@@ -159,6 +160,15 @@ def test_ngram_counts_window():
 # ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------
+
+
+def test_float_sum_adds_left_to_right_without_compensation():
+    # A compensated sum (math.fsum, or builtin sum from Python 3.12) gives 1.0.
+    values = [1e16, 1.0, -1e16]
+    assert math.fsum(values) == 1.0
+    assert _float_sum(values) == 0.0
+    assert _float_sum(iter(values)) == 0.0
+    assert _float_sum([]) == 0.0
 
 
 def test_bleu_identity_corpus_is_exactly_one():
