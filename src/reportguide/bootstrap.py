@@ -293,10 +293,6 @@ def merge_label_sets(
                 next_sets.append(g[0])
             else:
                 next_sets.append(_merge_group(g, config, tracker))
-        if len(next_sets) >= len(working):
-            raise MergeProgressError(
-                f"merge round {rounds + 1} did not reduce {len(working)} sets"
-            )
         working = next_sets
         rounds += 1
     final = working[0]

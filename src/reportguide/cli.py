@@ -512,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_overrides(args: argparse.Namespace, extra: list[str]) -> list[tuple[str, str]]:
+def _collect_overrides(args: argparse.Namespace) -> list[tuple[str, str]]:
     overrides = [
         (key, getattr(args, key)) for _, key in FLAG_ALIASES if getattr(args, key, None) is not None
     ]
@@ -521,13 +521,6 @@ def _collect_overrides(args: argparse.Namespace, extra: list[str]) -> list[tuple
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides.append((key.strip(), value))
-    for item in extra:
-        # Arbitrary --section.key=value flags are accepted as overrides.
-        if item.startswith("--") and "=" in item:
-            key, _, value = item[2:].partition("=")
-            overrides.append((key.strip(), value))
-        else:
-            raise ConfigError(f"unrecognized argument {item!r}")
     return overrides
 
 
@@ -548,9 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     freeze = gc.get_freeze_count() == 0
     try:
+        if extra:
+            raise ConfigError(f"unrecognized argument {extra[0]!r}")
         if args.command == "synth":
-            if extra:
-                raise ConfigError(f"unrecognized argument {extra[0]!r}")
             if args.seed is not None and args.seed < 0:
                 raise ConfigError(f"synth --seed must be >= 0, got {args.seed}")
             out = Path(args.out)
@@ -568,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_OK
 
-        overrides = _collect_overrides(args, extra)
+        overrides = _collect_overrides(args)
         config = load_config(args.config, overrides)
         workdir = Path(config.paths.workdir)
         try:

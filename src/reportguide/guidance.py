@@ -15,12 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .corpus import Corpus, ReportRecord, read_record_rows
-from .errors import (
-    ConfigError,
-    GeneratedFileError,
-    GenerationError,
-    PrerequisiteError,
-)
+from .errors import ConfigError, DataError, GeneratedFileError, GenerationError
 from .gateway import ChatRequest, GatewayConfig, complete
 from .schema import check_fields
 
@@ -47,25 +42,10 @@ _IMAGE_ONLY_TEMPLATE = "Based on the image, generate a detailed diagnostic repor
 
 @dataclass(frozen=True)
 class GuidancePrompt:
-    record_id: str
-    mode: str
     label_source: str  # "gt", "pred", or "none" for image_only
     label_names: tuple[str, ...]
     text: str
-    image_paths: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown guidance mode {self.mode!r}")
-        if self.mode == "image_only":
-            if self.label_source != "none" or self.label_names:
-                raise ConfigError("image_only prompts must not carry label content")
-        elif self.label_source not in LABEL_SOURCES:
-            raise ConfigError(
-                f"label source must be one of {LABEL_SOURCES}, got {self.label_source!r}"
-            )
-        if self.mode == "label_only" and self.image_paths:
-            raise ConfigError("label_only prompts must not carry image paths")
+    image_paths: tuple[str, ...]
 
 
 def serialize_labels(
@@ -79,45 +59,36 @@ def serialize_labels(
 
     Labels appear in ascending taxonomy index order, comma separated. The
     prompt text depends only on the positives, the taxonomy names, and the
-    mode; ground-truth and predicted labels share this exact code path.
+    mode; ground-truth and predicted labels share this exact code path. An
+    image_only prompt carries no label content, whatever it is given.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown guidance mode {mode!r}")
-    record_id = record.id if record is not None else ""
+    if mode == "image_only":
+        label_source, names, text = "none", (), _IMAGE_ONLY_TEMPLATE
+    else:
+        if label_source not in LABEL_SOURCES:
+            raise ConfigError(
+                f"label source must be one of {LABEL_SOURCES}, got {label_source!r}"
+            )
+        ordered = sorted(set(int(j) for j in positives))
+        k = len(taxonomy)
+        for j in ordered:
+            if not 0 <= j < k:
+                raise ConfigError(f"label index {j} outside taxonomy of size {k}")
+        names = tuple(taxonomy.labels[j].name for j in ordered)
+        if names:
+            text = _FINDINGS_TEMPLATE.format(findings=", ".join(names))
+        else:
+            text = _NO_FINDINGS_TEMPLATE
     # label_only is the ablation's no-image condition: its requests name no image.
     image_paths = (
         tuple(im.path for im in record.images)
         if record is not None and mode != "label_only"
         else ()
     )
-
-    if mode == "image_only":
-        return GuidancePrompt(
-            record_id=record_id,
-            mode=mode,
-            label_source="none",
-            label_names=(),
-            text=_IMAGE_ONLY_TEMPLATE,
-            image_paths=image_paths,
-        )
-
-    ordered = sorted(set(int(j) for j in positives))
-    k = len(taxonomy)
-    for j in ordered:
-        if not 0 <= j < k:
-            raise ConfigError(f"label index {j} outside taxonomy of size {k}")
-    names = tuple(taxonomy.labels[j].name for j in ordered)
-    if names:
-        text = _FINDINGS_TEMPLATE.format(findings=", ".join(names))
-    else:
-        text = _NO_FINDINGS_TEMPLATE
     return GuidancePrompt(
-        record_id=record_id,
-        mode=mode,
-        label_source=label_source,
-        label_names=names,
-        text=text,
-        image_paths=image_paths,
+        label_source=label_source, label_names=names, text=text, image_paths=image_paths
     )
 
 
@@ -219,10 +190,8 @@ def _http_generate(prompt: GuidancePrompt, config: GeneratorConfig) -> str:
     return response.text
 
 
-def generate_report(
-    record: ReportRecord, prompt: GuidancePrompt, config: GeneratorConfig
-) -> str:
-    """Produce one report for one record through the configured backend."""
+def generate_report(prompt: GuidancePrompt, config: GeneratorConfig) -> str:
+    """Produce one report from one prompt through the configured backend."""
     if config.backend == "mock":
         return _mock_generate(prompt)
     if config.backend == "command":
@@ -264,7 +233,8 @@ def run_generation(
     """Generate reports for one (mode, label source) cell of the ablation.
 
     `labels` maps each record id of the split to its positives from
-    `label_source`; image_only cells read none. Output rows are ordered by
+    `label_source`; image_only cells read none. A record of the split with no
+    entry is a data error: no stage can supply it. Output rows are ordered by
     record id. Each row carries the prompt that produced it so downstream
     evaluation never has to re-derive prompts.
     """
@@ -272,11 +242,13 @@ def run_generation(
     for rec in sorted(corpus.split(split), key=lambda r: r.id):
         positives = () if mode == "image_only" else labels.get(rec.id)
         if positives is None:
-            raise PrerequisiteError(f"record {rec.id!r} has no {label_source} label vector")
+            raise DataError(
+                f"record {rec.id!r} of split {split!r} has no {label_source} label vector"
+            )
         prompt = serialize_labels(
             positives, taxonomy, mode=mode, label_source=label_source, record=rec
         )
-        report = generate_report(rec, prompt, generator)
+        report = generate_report(prompt, generator)
         rows.append(
             {
                 "id": rec.id,

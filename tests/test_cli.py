@@ -266,8 +266,8 @@ def test_a_bad_named_flag_is_a_configuration_error(mini, caplog, flag, value, ke
 def test_each_named_flag_is_an_alias_of_set(flag, key):
     parser = _build_parser()
     for value in ("0.25", "7", "label_only", "/tmp/w"):
-        named = _collect_overrides(*parser.parse_known_args(["train", flag, value]))
-        aliased = _collect_overrides(*parser.parse_known_args(["train", "--set", f"{key}={value}"]))
+        named = _collect_overrides(parser.parse_args(["train", flag, value]))
+        aliased = _collect_overrides(parser.parse_args(["train", "--set", f"{key}={value}"]))
         assert named == aliased == [(key, value)]
 
 
@@ -1014,6 +1014,12 @@ def _drop_feature_row(record_id):
             for command in ("predict", "generate", "generate --ablation",
                             "generate --mode label_only --label-source gt")
         ],
+        *[
+            (_edit_rows("labels.jsonl",
+                        lambda rows: rows.remove(next(r for r in rows if r["id"] == "s2"))),
+             command, "data error: record 's2' of split 'test' has no gt label vector")
+            for command in ("generate --mode label_only --label-source gt", "generate --ablation")
+        ],
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
@@ -1088,14 +1094,10 @@ def test_workdir_flag_redirects_artifacts(mini):
     assert not (mini["workdir"] / "taxonomy.json").exists()
 
 
-def test_leftover_dotted_flags_act_as_overrides(mini):
-    assert main(["bootstrap", "--config", mini["config"], "--bootstrap.theta=3"]) == 0
-    doc = json.loads((mini["workdir"] / "taxonomy.json").read_text(encoding="utf-8"))
-    assert doc["params"]["theta"] == 3
-
-
-def test_leftover_dotted_flag_with_bad_type_exits_2(mini):
-    assert main(["bootstrap", "--config", mini["config"], "--bootstrap.theta=abc"]) == 2
+def test_a_dotted_flag_is_an_unrecognized_argument(mini, caplog):
+    assert main(["bootstrap", "--config", mini["config"], "--bootstrap.theta=3"]) == 2
+    assert "unrecognized argument '--bootstrap.theta=3'" in caplog.text
+    assert not mini["workdir"].exists()
 
 
 def test_pipeline_end_to_end_produces_every_artifact(mini):

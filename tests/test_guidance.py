@@ -34,15 +34,14 @@ from reportguide.corpus import (
 )
 from reportguide.errors import (
     ConfigError,
+    DataError,
     GeneratedFileError,
     GenerationError,
-    PrerequisiteError,
 )
 from reportguide.fileio import write_atomic
 from reportguide.guidance import (
     ABLATION_MODES,
     GeneratorConfig,
-    GuidancePrompt,
     generate_report,
     generated_filename,
     generated_to_jsonl,
@@ -155,7 +154,7 @@ def test_unknown_mode_is_rejected():
         serialize_labels((0,), tax, mode="banana")
 
 
-def test_record_binding_carries_id_and_image_paths():
+def test_record_binding_carries_image_paths():
     tax = _taxonomy(["A"])
     rec = ReportRecord(
         id="r9",
@@ -164,53 +163,25 @@ def test_record_binding_carries_id_and_image_paths():
         images=(ImageRef(path="images/r9.png"),),
     )
     prompt = serialize_labels((0,), tax, record=rec)
-    assert prompt.record_id == "r9"
     assert prompt.image_paths == ("images/r9.png",)
 
 
 def test_label_only_prompt_carries_no_image_paths():
     rec = ReportRecord(id="r9", split="test", report="t", images=(ImageRef(path="images/r9.png"),))
     prompt = serialize_labels((0,), _taxonomy(["A"]), mode="label_only", record=rec)
-    assert (prompt.record_id, prompt.image_paths) == ("r9", ())
-    with pytest.raises(ConfigError, match="label_only prompts must not carry image paths"):
-        GuidancePrompt(
-            record_id="r9",
-            mode="label_only",
-            label_source="gt",
-            label_names=("A",),
-            text=prompt.text,
-            image_paths=("images/r9.png",),
-        )
+    assert prompt.image_paths == ()
 
 
 def test_image_only_prompt_cannot_carry_labels():
-    with pytest.raises(ConfigError):
-        GuidancePrompt(
-            record_id="r",
-            mode="image_only",
-            label_source="pred",
-            label_names=(),
-            text=IMAGE_ONLY_PROMPT,
-        )
-    with pytest.raises(ConfigError):
-        GuidancePrompt(
-            record_id="r",
-            mode="image_only",
-            label_source="none",
-            label_names=("A",),
-            text=IMAGE_ONLY_PROMPT,
-        )
+    prompt = serialize_labels((0,), _taxonomy(["A"]), mode="image_only", label_source="gt")
+    assert (prompt.label_source, prompt.label_names) == ("none", ())
 
 
 def test_label_bearing_prompt_requires_known_source():
-    with pytest.raises(ConfigError):
-        GuidancePrompt(
-            record_id="r",
-            mode="image_and_label",
-            label_source="none",
-            label_names=("A",),
-            text="t",
-        )
+    for mode in ("label_only", "image_and_label"):
+        for source in ("none", "banana"):
+            with pytest.raises(ConfigError, match=f"label source must be one of .*got '{source}'"):
+                serialize_labels((0,), _taxonomy(["A"]), mode=mode, label_source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +202,23 @@ def _prompt_for(names, positives):
     return serialize_labels(positives, _taxonomy(names))
 
 
-_REC = ReportRecord(id="r", split="test", report="ref")
-
-
 def test_mock_generator_expands_each_label_to_its_phrase():
     prompt = _prompt_for(["Pleural effusion", "Consolidation"], (0, 1))
-    report = generate_report(_REC, prompt, GeneratorConfig(backend="mock"))
+    report = generate_report(prompt, GeneratorConfig(backend="mock"))
     assert report == "Findings: pleural effusion is present. consolidation is present."
 
 
 def test_mock_generator_mentions_each_label_exactly_once():
     names = ["Atelectasis", "Pneumothorax", "Consolidation"]
     prompt = _prompt_for(names, (0, 1, 2))
-    report = generate_report(_REC, prompt, GeneratorConfig(backend="mock"))
+    report = generate_report(prompt, GeneratorConfig(backend="mock"))
     for name in names:
         assert report.count(mock_phrase(name)) == 1
 
 
 def test_mock_generator_without_findings_is_fixed():
     prompt = _prompt_for(["A"], ())
-    report = generate_report(_REC, prompt, GeneratorConfig(backend="mock"))
+    report = generate_report(prompt, GeneratorConfig(backend="mock"))
     assert report == "Findings: no abnormality described."
 
 
@@ -270,7 +238,7 @@ def test_command_generator_round_trips_prompt_and_ignores_log_noise(tmp_path):
         "print(json.dumps({'report': 'echo: ' + req['prompt']}))\n",
     )
     prompt = _prompt_for(["Pleural effusion"], (0,))
-    report = generate_report(_REC, prompt, config)
+    report = generate_report(prompt, config)
     assert report == "echo: " + prompt.text
 
 
@@ -285,25 +253,25 @@ def test_command_generator_receives_image_paths(tmp_path):
         id="r", split="test", report="ref", images=(ImageRef(path="im/x.png"),)
     )
     prompt = serialize_labels((), _taxonomy(["A"]), record=rec)
-    assert generate_report(rec, prompt, config) == "im/x.png"
+    assert generate_report(prompt, config) == "im/x.png"
 
 
 def test_command_generator_nonzero_exit_raises(tmp_path):
     config = _command_config(tmp_path, "import sys\nsys.exit(3)\n")
     with pytest.raises(GenerationError, match="exited with 3"):
-        generate_report(_REC, _prompt_for(["A"], ()), config)
+        generate_report(_prompt_for(["A"], ()), config)
 
 
 def test_command_generator_garbage_stdout_raises(tmp_path):
     config = _command_config(tmp_path, "print('not json at all')\n")
     with pytest.raises(GenerationError, match="parseable"):
-        generate_report(_REC, _prompt_for(["A"], ()), config)
+        generate_report(_prompt_for(["A"], ()), config)
 
 
 def test_command_generator_non_string_report_raises(tmp_path):
     config = _command_config(tmp_path, "print('{\"report\": 42}')\n")
     with pytest.raises(GenerationError, match="non-string"):
-        generate_report(_REC, _prompt_for(["A"], ()), config)
+        generate_report(_prompt_for(["A"], ()), config)
 
 
 def test_command_generator_missing_binary_raises():
@@ -311,7 +279,7 @@ def test_command_generator_missing_binary_raises():
         backend="command", command="/nonexistent/generator-binary-xyz"
     )
     with pytest.raises(GenerationError):
-        generate_report(_REC, _prompt_for(["A"], ()), config)
+        generate_report(_prompt_for(["A"], ()), config)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +318,10 @@ def test_run_generation_image_only_has_no_label_source():
     assert all(r["prompt"] == IMAGE_ONLY_PROMPT for r in rows)
 
 
-def test_run_generation_gt_without_labels_is_a_prerequisite_error():
+def test_run_generation_gt_without_labels_is_a_data_error():
     corpus, tax, labels = _gen_corpus_and_labels()
     del labels["t-b"]
-    with pytest.raises(PrerequisiteError, match="'t-b' has no gt label vector"):
+    with pytest.raises(DataError, match="'t-b' of split 'test' has no gt label vector"):
         run_generation(
             corpus, tax, "image_and_label", "gt", labels, GeneratorConfig(backend="mock")
         )

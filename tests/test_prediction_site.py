@@ -17,7 +17,9 @@ and on a `load_manifest` call outside `cli.main`, so that no stage reads the
 manifest again. It fails, too, on a `raise` in `cli.py` of anything but a new
 `ConfigError` or `PrerequisiteError`, and on any use of `taxonomy_hash` there,
 so that no artifact rule, such as the checkpoint's binding to its taxonomy,
-moves back out of the artifact's reader.
+moves back out of the artifact's reader. And it fails on a `GuidancePrompt`
+built outside `guidance.serialize_labels`, whose checks are the prompt's
+only ones.
 """
 
 from __future__ import annotations
@@ -105,3 +107,7 @@ def test_the_driver_leaves_the_checkpoint_binding_to_its_reader():
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert "taxonomy_hash" not in names
+
+
+def test_only_serialize_labels_builds_a_guidance_prompt():
+    assert _call_sites("GuidancePrompt") == {("guidance.py", "serialize_labels")}
