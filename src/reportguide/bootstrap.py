@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from .corpus import Corpus, read_record_rows
 from .errors import (
     BootstrapError,
-    ConfigError,
     EmptyTaxonomyError,
     LLMOutputError,
     MergeBudgetError,
@@ -488,10 +487,7 @@ def load_taxonomy(path: str | Path) -> LabelTaxonomy:
         raise BootstrapError(
             f"taxonomy file {path}: merge_rounds must be an integer >= 0 and params an object"
         )
-    try:
-        check_values(BootstrapConfig, params)
-    except ConfigError as exc:
-        raise BootstrapError(f"taxonomy file {path}: params.{exc}") from exc
+    check_values(BootstrapConfig, params, BootstrapError, f"taxonomy file {path}: params.")
     return LabelTaxonomy(labels=tuple(labels), merge_rounds=merge_rounds, params=dict(params))
 
 

@@ -24,6 +24,7 @@ from .bootstrap import LabelTaxonomy, MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
 from .errors import DivergenceError, FeatureValidationError, TrainingError
 from .fileio import read_json
+from .schema import check_values
 
 if TYPE_CHECKING:
     from .cli import TrainConfig
@@ -439,9 +440,12 @@ def _finite_floats(path, key: str, values) -> np.ndarray:
 
 def load_checkpoint(path: str | Path, taxonomy: LabelTaxonomy) -> ClassifierParams:
     """Read a checkpoint bound to `taxonomy`. A missing, ill-typed or
-    non-finite value, a negative tau, or a checkpoint trained against another
-    taxonomy or another number of labels is a TrainingError, so a damaged or
-    stale file never yields NaN or misnamed predictions."""
+    non-finite value, a tau that `train.tau`'s declaration rejects, or a
+    checkpoint trained against another taxonomy or another number of labels
+    is a TrainingError, so a damaged or stale file never yields NaN or
+    misnamed predictions."""
+    from .cli import TrainConfig  # the section whose `tau` the checkpoint records
+
     doc = read_json(path, TrainingError, f"checkpoint {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise TrainingError(
@@ -460,15 +464,12 @@ def load_checkpoint(path: str | Path, taxonomy: LabelTaxonomy) -> ClassifierPara
         raise TrainingError(
             f"checkpoint {path}: weights length {weights.shape[0]} != k*d = {k * d}"
         )
-    # train.tau declares the same bound: a negative tau favours frequent labels.
-    tau = float(_finite_floats(path, "tau", [doc["tau"]])[0])
-    if tau < 0:
-        raise TrainingError(f"checkpoint {path}: tau must be >= 0, got {tau}")
+    check_values(TrainConfig, {"tau": doc["tau"]}, TrainingError, f"checkpoint {path}: ")
     params = ClassifierParams(
         weights=weights.reshape(k, d),
         bias=_finite_floats(path, "bias", doc["bias"]),
         frequencies=_finite_floats(path, "frequencies", doc["frequencies"]),
-        tau=tau,
+        tau=float(doc["tau"]),
         taxonomy_hash=doc["taxonomy_hash"],
     )
     if params.taxonomy_hash != taxonomy_fingerprint(taxonomy):

@@ -12,10 +12,10 @@ running the stages one by one. The subcommands, and the stage named when an
 input is missing, come from the same table. Each artifact is checked by its
 one reader (`load_checkpoint` binds the checkpoint to the taxonomy,
 `load_generated` checks a whole generated file), so this module raises only
-configuration and missing-prerequisite errors.
+configuration, missing-prerequisite and artifact-write errors.
 
-Exit codes: 0 success, 2 configuration error, 3 gateway error, 4 data error,
-5 missing prerequisite.
+A command exits 0 on success. Every failure is a `PipelineError`, logged
+under its `label` and exiting with its `exit_code`, as `errors` declares.
 """
 
 from __future__ import annotations
@@ -40,26 +40,13 @@ from pathlib import Path
 from . import guidance as guidance_mod
 from . import metrics as metrics_mod
 from .corpus import SPLITS, Corpus, load_features, load_manifest
-from .errors import (
-    ConfigError,
-    DataError,
-    GatewayError,
-    GenerationError,
-    PipelineError,
-    PrerequisiteError,
-)
+from .errors import ArtifactWriteError, ConfigError, PipelineError, PrerequisiteError
 from .fileio import json_text, read_json, write_atomic
 from .gateway import GatewayConfig
 from .guidance import GeneratorConfig
 from .schema import ConfigSection
 
 logger = logging.getLogger(__name__)
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_GATEWAY = 3
-EXIT_DATA = 4
-EXIT_PREREQ = 5
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +234,13 @@ class _WorkdirLock:
             except FileNotFoundError:
                 current = False
             if current:
-                os.ftruncate(fd, 0)
-                os.write(fd, str(os.getpid()).encode("ascii"))
                 self._fd = fd
+                try:
+                    os.ftruncate(fd, 0)
+                    os.write(fd, str(os.getpid()).encode("ascii"))
+                except OSError as exc:
+                    self.__exit__()
+                    raise ConfigError(f"cannot write lock file {self.path}: {exc}") from exc
                 return self
             os.close(fd)
         raise ConfigError(f"workdir is locked by another running command ({self.path})")
@@ -439,6 +430,10 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
     workdir = Path(config.paths.workdir)
     names = stage.outputs(config, ablation)
     outputs = stage.run(config, corpus, ablation)
+    try:
+        (workdir / "meta").mkdir(exist_ok=True)
+    except OSError as exc:
+        raise ArtifactWriteError(f"cannot create {workdir / 'meta'}: {exc}") from exc
     for name in names:
         write_atomic(workdir / name, outputs[name])
     logger.info("%s: wrote %s", stage.name, ", ".join(names))
@@ -450,7 +445,6 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
         "started_unix": round(started, 3),
         "finished_unix": round(time.time(), 3),
     }
-    (workdir / "meta").mkdir(parents=True, exist_ok=True)
     write_atomic(workdir / "meta" / f"{stage.name}.json", json_text(meta))
 
 
@@ -559,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"wrote {len(synth.corpus)} records and "
                 f"{synth.features.rows}x{synth.features.dim} features to {args.out}"
             )
-            return EXIT_OK
+            return 0
 
         overrides = _collect_overrides(args)
         config = load_config(args.config, overrides)
@@ -590,22 +584,10 @@ def main(argv: list[str] | None = None) -> int:
                 gc.freeze()
             for stage in stages:
                 run_stage(stage, config, corpus, ablation)
-        return EXIT_OK
-    except ConfigError as exc:
-        logger.error("configuration error: %s", exc)
-        return EXIT_CONFIG
-    except (GatewayError, GenerationError) as exc:
-        logger.error("gateway error: %s", exc)
-        return EXIT_GATEWAY
-    except PrerequisiteError as exc:
-        logger.error("missing prerequisite: %s", exc)
-        return EXIT_PREREQ
-    except DataError as exc:
-        logger.error("data error: %s", exc)
-        return EXIT_DATA
+        return 0
     except PipelineError as exc:
-        logger.error("error: %s", exc)
-        return EXIT_DATA
+        logger.error("%s: %s", exc.label, exc)
+        return exc.exit_code
     finally:
         if freeze:
             gc.unfreeze()

@@ -63,11 +63,11 @@ class Corpus:
     manifest: str = "(in memory)"
 
     def __post_init__(self):
-        seen: set[str] = set()
+        self._index: dict[str, ReportRecord] = {}
         for rec in self.records:
-            if rec.id in seen:
+            if rec.id in self._index:
                 raise ManifestError(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
+            self._index[rec.id] = rec
 
     def __len__(self) -> int:
         return len(self.records)
@@ -76,11 +76,7 @@ class Corpus:
         return iter(self.records)
 
     def index(self) -> dict[str, ReportRecord]:
-        cached = getattr(self, "_index", None)
-        if cached is None or len(cached) != len(self.records):
-            cached = {rec.id: rec for rec in self.records}
-            self._index = cached
-        return cached
+        return self._index
 
     def split(self, name: str) -> list[ReportRecord]:
         """The records of split `name`, in manifest order. A split with no

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps these onto process exit codes, so new exception types should
-subclass whichever branch carries the right code rather than Exception.
+`PipelineError` has four direct subclasses, one per process exit code, each
+declaring its `exit_code` and the `label` the CLI logs it under. Every other
+error is on exactly one of those branches, and exits with its code.
 """
 
 from __future__ import annotations
@@ -10,10 +11,15 @@ from __future__ import annotations
 class PipelineError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code: int
+    label: str
+
 
 class ConfigError(PipelineError):
     """Invalid configuration: bad field values, missing API key env, bad flags.
     `field` names the declared field a bad value was given to, if any."""
+
+    exit_code, label = 2, "configuration error"
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
@@ -26,7 +32,9 @@ class SyntheticSeedError(ConfigError, AssertionError):
 
 
 class DataError(PipelineError):
-    """Malformed or inconsistent input data (manifests, feature files, labels)."""
+    """Malformed or inconsistent input data, or an artifact that could not be written."""
+
+    exit_code, label = 4, "data error"
 
 
 class ManifestError(DataError):
@@ -42,7 +50,9 @@ class FeatureValidationError(DataError):
 
 
 class GatewayError(PipelineError):
-    """Failure while talking to an LLM backend."""
+    """Failure while talking to an LLM or report generation backend."""
+
+    exit_code, label = 3, "gateway error"
 
 
 class TransportError(GatewayError):
@@ -91,7 +101,7 @@ class DivergenceError(TrainingError):
         self.batch = batch
 
 
-class GenerationError(PipelineError):
+class GenerationError(GatewayError):
     """A report generation backend failed."""
 
 
@@ -99,9 +109,11 @@ class GeneratedFileError(DataError):
     """A generated-report file breaks its contract: see `guidance.load_generated`."""
 
 
-class ArtifactWriteError(PipelineError):
+class ArtifactWriteError(DataError):
     """An artifact could not be written (disk full, I/O error, no permission)."""
 
 
 class PrerequisiteError(PipelineError):
     """A CLI stage was invoked before the stage that produces its inputs."""
+
+    exit_code, label = 5, "missing prerequisite"

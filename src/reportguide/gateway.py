@@ -598,6 +598,19 @@ def _log_call(log: _CallLog | None, key: str, model: str, response: ChatResponse
         log.replies.setdefault(key, (response.text, response.input_tokens, response.output_tokens))
 
 
+def _usage_count(usage: dict, key: str, text: str) -> int:
+    """The reply's token count under `key` if `_parse_call_log` can replay it
+    (an int >= 0), else, where usage lacks it or gives another finite number,
+    an estimate from `text`. Any other value raises ValueError, or TypeError
+    from `math.isfinite` if it is no number at all."""
+    count = usage.get(key)
+    if type(count) is int and count >= 0:
+        return count
+    if key in usage and not isinstance(count, int) and not math.isfinite(count):
+        raise ValueError(f"usage {key} must be a finite number, got {count!r}")
+    return estimate_tokens(text)
+
+
 def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
     api_key = _api_key(config)
     payload = {
@@ -669,16 +682,9 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
                 usage = doc.get("usage") or {}
                 if not (isinstance(text, str) and isinstance(usage, dict)):
                     raise TypeError("content must be a string and usage an object")
-                # A count is estimated only where the reply's usage lacks it.
-                input_tokens = int(
-                    usage["prompt_tokens"] if "prompt_tokens" in usage
-                    else estimate_tokens(request.system + request.user)
-                )
-                output_tokens = int(
-                    usage["completion_tokens"] if "completion_tokens" in usage
-                    else estimate_tokens(text)
-                )
-            except (ValueError, LookupError, TypeError, OverflowError) as exc:
+                input_tokens = _usage_count(usage, "prompt_tokens", request.system + request.user)
+                output_tokens = _usage_count(usage, "completion_tokens", text)
+            except (ValueError, LookupError, TypeError) as exc:
                 raise TransportError(f"malformed chat-completion response: {exc}") from exc
             response = ChatResponse(text, input_tokens, output_tokens, latency_ms)
             _log_call(log, key, config.model, response)

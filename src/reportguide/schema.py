@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import fields
 
-from .errors import ConfigError
+from .errors import ConfigError, PipelineError
 
 
 def _fail(name: str, expected: str, value) -> ConfigError:
@@ -100,15 +100,19 @@ class ConfigSection:
         check_fields(self)
 
 
-def check_values(cls, values: dict) -> None:
+def check_values(cls, values: dict, error: type[PipelineError], prefix: str) -> None:
     """Check each value of `values` against the declaration of the field of
-    `cls` its key names, as `check_fields` would, normalizing nothing. A key
-    that names no such field is a ConfigError too."""
+    `cls` its key names, as `check_fields` would, normalizing nothing. A bad
+    value, or a key that names no such field, raises `error` with a message
+    that starts with `prefix`."""
     checks = _checks_for(cls)
     for name, value in values.items():
         if name not in checks:
-            raise ConfigError(f"{name} is not a field of {cls.__name__}", field=name)
-        _check(name, value, *checks[name])
+            raise error(f"{prefix}{name} is not a field of {cls.__name__}")
+        try:
+            _check(name, value, *checks[name])
+        except ConfigError as exc:
+            raise error(f"{prefix}{exc}") from exc
 
 
 def _checks_for(cls) -> dict:

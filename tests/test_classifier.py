@@ -974,12 +974,12 @@ def _set_first(key, value):
         (_set_first("bias", -math.inf), "'bias' holds a non-finite value"),
         (_set_first("frequencies", math.nan), "'frequencies' holds a non-finite value"),
         (_set_first("weights", 10**400), "'weights' holds a non-finite value"),
-        (_set("tau", math.nan), "'tau' holds a non-finite value"),
+        (_set("tau", math.nan), "tau must be a finite number, got nan"),
         (_set_first("weights", "1.0"), "'weights' must hold numbers only"),
         (_set_first("bias", True), "'bias' must hold numbers only"),
         (_set_first("weights", [1.0]), "'weights' must hold numbers only"),
         (_set("bias", 0.0), "'bias' must hold numbers only"),
-        (_set("tau", "1"), "'tau' must hold numbers only"),
+        (_set("tau", "1"), "tau must be a finite number, got '1'"),
         (_set("k", "2"), "k and d must be positive integers"),
         (_set("k", True), "k and d must be positive integers"),
         (_set("d", 2.0), "k and d must be positive integers"),

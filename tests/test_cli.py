@@ -3,8 +3,10 @@ artifact and locking discipline, and the mini end-to-end pipeline."""
 
 from __future__ import annotations
 
+import ast
 import fcntl
 import gc
+import inspect
 import json
 import math
 import os
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reportguide import bootstrap, classifier, guidance, metrics
+from reportguide import bootstrap, classifier, errors, guidance, metrics
 from reportguide.cli import (
     FLAG_ALIASES,
     STAGES,
@@ -38,7 +40,7 @@ from reportguide.corpus import (
     save_features,
     save_manifest,
 )
-from reportguide.errors import ConfigError, DataError
+from reportguide.errors import ConfigError, DataError, PipelineError
 from reportguide.gateway import SENTINEL_ENTITIES, ChatRequest, GatewayConfig, complete
 from reportguide.schema import describe_bounds
 
@@ -183,6 +185,9 @@ def test_override_unknown_dotted_key_is_rejected(mini):
         ("gateway", '{"backend": "http", "endpoint": "http://host:port/v1"}', "not a valid URL"),
         ("guidance.generator", '{"backend": "http", "endpoint": "https:///v1"}',
          "guidance.generator: endpoint must be"),
+        ("paths.workdir.x", "1", "does not name a field"),
+        pytest.param("train.tau", "9" * 400, "tau must be a finite number",
+                     id="train.tau-400-digits"),
     ],
 )
 def test_validation_rejects_bad_values(mini, dotted, value, hint):
@@ -281,6 +286,8 @@ def test_each_named_flag_is_an_alias_of_set(flag, key):
         "paths.workdir=5",
         "paths=5",
         "train.tau=-5",
+        "paths.workdir.x=1",
+        pytest.param("train.tau=" + "9" * 400, id="train.tau=400-digits"),
     ],
 )
 def test_bad_values_exit_2_from_every_stage(mini, caplog, override):
@@ -580,6 +587,51 @@ def test_http_gateway_without_endpoint_exits_2(mini):
     assert main(["bootstrap", "--config", mini["config"], "--backend", "http"]) == 2
 
 
+def _error_classes():
+    return [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and cls.__module__ == errors.__name__
+    ]
+
+
+def _branches():
+    """The direct subclasses of PipelineError, one per exit code."""
+    return [cls for cls in _error_classes() if cls.__bases__ == (PipelineError,)]
+
+
+def test_each_error_is_on_exactly_one_branch_and_each_branch_declares_its_code():
+    branches = _branches()
+    assert sorted(cls.exit_code for cls in branches) == [2, 3, 4, 5]
+    for cls in branches:
+        assert {"exit_code", "label"} <= set(vars(cls)), cls
+    for cls in _error_classes():
+        if cls is not PipelineError:
+            assert len([b for b in branches if b in cls.__mro__]) == 1, cls
+
+
+def test_main_maps_every_package_error_in_one_handler():
+    names = {cls.__name__ for cls in _error_classes()}
+    caught = [
+        {name.id for name in ast.walk(node.type) if isinstance(name, ast.Name)} & names
+        for node in ast.walk(ast.parse(inspect.getsource(main)))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+    ]
+    assert [c for c in caught if c] == [{"PipelineError"}]
+
+
+def test_readme_exit_code_table_lists_success_and_each_declared_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| code | meaning |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {
+        int(code): meaning.strip()
+        for code, meaning in (line.split("|")[1:3] for line in table.splitlines())
+    }
+    assert sorted(rows) == [0, 2, 3, 4, 5]
+    assert rows[0] == "success"
+    for cls in _branches():
+        assert rows[cls.exit_code].startswith(cls.label), cls
+
+
 def test_predict_before_train_exits_5(mini, caplog):
     assert main(["bootstrap", "--config", mini["config"]]) == 0
     for command in ("predict", "generate"):  # generate's default cell reads `pred`
@@ -621,6 +673,39 @@ def test_a_lock_that_cannot_be_opened_exits_2(mini, caplog):
     assert f"configuration error: cannot open lock file {lock}: [Errno 21]" in caplog.text
     assert lock.is_dir()
     assert not (mini["workdir"] / "taxonomy.json").exists()
+
+
+def _meta_is_a_file(workdir, monkeypatch):
+    (workdir / "meta").write_text("not a directory", encoding="utf-8")
+
+
+def _lock_write_fails(workdir, monkeypatch):
+    def no_space(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "ftruncate", no_space)
+
+
+@pytest.mark.parametrize(
+    "setup, code, message",
+    [
+        (_meta_is_a_file, 4, "data error: cannot create {workdir}/meta: [Errno 17]"),
+        (_lock_write_fails, 2,
+         "configuration error: cannot write lock file {workdir}/.lock: [Errno 28]"),
+    ],
+    ids=["meta-is-a-file", "lock-write-fails"],
+)
+def test_a_workdir_that_cannot_be_written_leaves_it_unchanged(
+    mini, monkeypatch, caplog, setup, code, message
+):
+    workdir = mini["workdir"]
+    workdir.mkdir()
+    setup(workdir, monkeypatch)
+    before, fds = _snapshot(workdir), len(os.listdir("/proc/self/fd"))
+    assert main(["bootstrap", "--config", mini["config"]]) == code
+    assert message.format(workdir=workdir) in caplog.text
+    assert _snapshot(workdir) == before  # no output, no meta file, no .lock
+    assert len(os.listdir("/proc/self/fd")) == fds  # the lock's fd is closed
 
 
 def test_lock_left_by_a_killed_run_is_taken_over(mini, caplog):
@@ -737,7 +822,7 @@ def test_a_write_that_fails_leaves_the_previous_artifacts(
 
     monkeypatch.setattr(os, failing, no_space)
     assert main([stage, "--config", mini["config"], "--force"]) == 4
-    assert re.search(r"error: cannot write \S+: \[Errno 28\] No space", caplog.text)
+    assert re.search(r"data error: cannot write \S+: \[Errno 28\] No space", caplog.text)
     assert _files(mini["workdir"]) == before  # no .tmp file left either
 
 
@@ -871,7 +956,8 @@ def _drop_feature_row(record_id):
         (_edit_json("checkpoint.json", lambda d: d["weights"].__setitem__(0, float("nan"))),
          "predict", "non-finite"),
         (_edit_json("checkpoint.json", lambda d: d.pop("k")), "predict", "missing k"),
-        (_edit_json("checkpoint.json", lambda d: d.__setitem__("tau", "1")), "predict", "'tau'"),
+        (_edit_json("checkpoint.json", lambda d: d.__setitem__("tau", "1")),
+         "predict", "checkpoint.json: tau must be a finite number, got '1'"),
         (_append_line("labels.jsonl", '["t1"]'), "train", "labels.jsonl line 13"),
         (_append_line("labels.jsonl", '{"id": "t1", "positives": ["x"]}'),
          "train", "labels.jsonl line 13"),
@@ -982,6 +1068,9 @@ def _drop_feature_row(record_id):
          "evaluate", "generated-image_and_label-pred.jsonl line 2: id must be a string, got True"),
         (_edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives")),
          "train", "labels.jsonl line 3: positives must be a list of integers"),
+        (_edit_rows("labels.jsonl", lambda rows: rows.__setitem__(
+            slice(None), [row for row in rows if not row["id"].startswith("t")])),
+         "train", "data error: dataset has no training items"),
         (_append_line("../data/manifest.jsonl",
                       '{"id": 7, "split": "train", "report": "x", "images": []}'),
          "train", "manifest line 13: id must be a string, got 7"),

@@ -428,6 +428,29 @@ def test_http_reply_estimates_only_the_counts_its_usage_lacks(
     assert (response.input_tokens, response.output_tokens) == tokens
 
 
+@pytest.mark.parametrize(
+    "usage, tokens",
+    [
+        ({"prompt_tokens": -4, "completion_tokens": 7}, (estimate_tokens("the system"), 7)),
+        ({"prompt_tokens": 5, "completion_tokens": 7.5}, (5, estimate_tokens("hello"))),
+        ({"prompt_tokens": True, "completion_tokens": 7}, (estimate_tokens("the system"), 7)),
+    ],
+    ids=["negative", "float", "bool"],
+)
+def test_a_count_the_log_would_not_replay_is_estimated_and_replayed(
+    stub_server_factory, monkeypatch, tmp_path, usage, tokens
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(body=_reply("hello", usage=usage))
+    request = ChatRequest(system="the ", user="system")
+    first = complete(request, _logged_config(server, tmp_path))
+    gateway_mod._CALL_LOGS.clear()  # read the log from disk, as a new process does
+    again = complete(request, _logged_config(server, tmp_path))
+    assert len(server.requests) == 1
+    assert (first.input_tokens, first.output_tokens) == tokens
+    assert again == gateway_mod.ChatResponse("hello", *tokens, 0.0)
+
+
 def test_http_missing_api_key_fails_before_any_request(stub_server_factory, monkeypatch):
     monkeypatch.delenv("LLM_API_KEY", raising=False)
     server = stub_server_factory()

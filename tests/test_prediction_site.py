@@ -3,7 +3,7 @@ n-grams are counted in one place: `metrics._Text.grams`; JSONL rows are
 bound to manifest records in one place: `corpus.read_record_rows`; and the
 manifest is loaded in one place: `cli.main`, once per command. Each
 artifact is checked by its one reader, so the driver in `cli.py` raises only
-configuration and missing-prerequisite errors.
+configuration, missing-prerequisite and artifact-write errors.
 
 The guard parses each module of the package and fails on a call to
 `predict` outside `predict_records`, on a feature-row lookup (`row_for_id`)
@@ -15,7 +15,7 @@ fails on a record lookup through `Corpus.index()`, or a JSONL read, outside
 `corpus.py`, so that no artifact reader resolves record ids its own way,
 and on a `load_manifest` call outside `cli.main`, so that no stage reads the
 manifest again. It fails, too, on a `raise` in `cli.py` of anything but a new
-`ConfigError` or `PrerequisiteError`, and on any use of `taxonomy_hash` there,
+`ConfigError`, `PrerequisiteError` or `ArtifactWriteError`, and on any use of `taxonomy_hash` there,
 so that no artifact rule, such as the checkpoint's binding to its taxonomy,
 moves back out of the artifact's reader. And it fails on a `GuidancePrompt`
 built outside `guidance.serialize_labels`, whose checks are the prompt's
@@ -92,14 +92,14 @@ def test_only_the_driver_loads_the_manifest():
     assert _call_sites("load_manifest") == {("cli.py", "main")}
 
 
-def test_the_driver_raises_only_config_and_prerequisite_errors():
+def test_the_driver_raises_only_config_prerequisite_and_write_errors():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     raised = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise):
             func = node.exc.func if isinstance(node.exc, ast.Call) else None
             raised.add(func.id if isinstance(func, ast.Name) else ast.unparse(node))
-    assert raised == {"ConfigError", "PrerequisiteError"}
+    assert raised == {"ArtifactWriteError", "ConfigError", "PrerequisiteError"}
 
 
 def test_the_driver_leaves_the_checkpoint_binding_to_its_reader():
