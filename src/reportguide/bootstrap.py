@@ -108,7 +108,7 @@ class LabelTaxonomy:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedItem:
     record_id: str
     split: str

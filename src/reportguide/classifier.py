@@ -68,7 +68,7 @@ class ClassifierParams:
         return int(self.weights.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     probabilities: np.ndarray
     positives: tuple[int, ...]
@@ -201,15 +201,15 @@ def train(
     if not train_items:
         raise TrainingError("dataset has no training items")
 
-    rows = []
-    for item in train_items:
+    # One float64 matrix of the training rows; float32 widens exactly.
+    x_all = np.empty((len(train_items), features.dim), dtype=np.float64)
+    for i, item in enumerate(train_items):
         row = features.row_for_id(item.record_id)
         if row is None:
             raise TrainingError(
                 f"training record {item.record_id!r} has no feature row"
             )
-        rows.append(row)
-    x_all = np.asarray(rows, dtype=np.float64)
+        x_all[i] = row
     k = len(dataset.taxonomy)
     y_all = np.zeros((len(train_items), k), dtype=np.float64)
     for i, item in enumerate(train_items):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 SPLITS = ("train", "val", "test")
+# Each split name to its SPLITS object, so every record shares one of three.
+_SPLIT_OBJECT = {name: name for name in SPLITS}
 
 FEATURE_MAGIC = b"FFMX"
 
@@ -46,10 +49,13 @@ class ReportRecord:
     def __post_init__(self):
         if not self.id:
             raise ManifestError("record id must be non-empty")
-        if self.split not in SPLITS:
+        # The type is checked first: a dict lookup of a list raises TypeError.
+        split = _SPLIT_OBJECT.get(self.split) if isinstance(self.split, str) else None
+        if split is None:
             raise ManifestError(
                 f"record {self.id!r}: split must be one of {SPLITS}, got {self.split!r}"
             )
+        self.split = split
         if not self.report:
             raise ManifestError(f"record {self.id!r}: report text must be non-empty")
 
@@ -95,14 +101,17 @@ def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
         if not isinstance(images_raw, list):
             raise ManifestError("images must be an array")
         try:
-            images = [ImageRef(img.get("path"), img.get("modality", "")) for img in images_raw]
+            pairs = [(img.get("path"), img.get("modality", "")) for img in images_raw]
         except AttributeError:  # a JSON value other than an object has no .get
             raise ManifestError("every images entry must be a JSON object") from None
-        for path, modality in images:
+        images = []
+        for path, modality in pairs:
             if type(path) is not str:
                 raise ManifestError(f"image path must be a string, got {path!r}")
             if type(modality) is not str:
                 raise ManifestError(f"image modality must be a string, got {modality!r}")
+            # A modality is categorical: every record shares one object per value.
+            images.append(ImageRef(path, sys.intern(modality)))
         rid, report = obj.get("id", ""), obj.get("report", "")
         if type(rid) is not str:
             raise ManifestError(f"id must be a string, got {rid!r}")
@@ -234,7 +243,9 @@ def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
 def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatrix:
     """Read a feature file and its id sidecar.
 
-    When a corpus is given, every row id must resolve to a record.
+    A file with no columns is a FeatureFormatError. When a corpus is given,
+    every row id must resolve to a record, and the matrix keeps that record's
+    own id object.
     """
     import numpy as np
 
@@ -250,6 +261,8 @@ def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatr
             f"feature payload is {len(data) - 12} bytes, expected {expected} "
             f"({rows} rows x {cols} cols) in {path}"
         )
+    if cols == 0:
+        raise FeatureFormatError(f"feature file {path} has 0 columns per row")
     values = np.frombuffer(data, dtype="<f4", offset=12).reshape(rows, cols)
 
     sidecar = _sidecar_path(path)
@@ -260,12 +273,20 @@ def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatr
             f"sidecar {sidecar} lists {len(row_ids)} ids but matrix has {rows} rows"
         )
 
-    matrix = FeatureMatrix(values=values, row_ids=row_ids)
+    # Rebinding each row id to its record's id object frees the sidecar's
+    # copy. An unknown id is raised only after the matrix's own checks.
+    unknown = None
     if corpus is not None:
         index = corpus.index()
         for i, rid in enumerate(row_ids):
-            if rid not in index:
-                raise FeatureValidationError(
-                    f"feature row {i} references unknown record id {rid!r}"
-                )
+            rec = index.get(rid)
+            if rec is not None:
+                row_ids[i] = rec.id
+            elif unknown is None:
+                unknown = i
+    matrix = FeatureMatrix(values=values, row_ids=row_ids)
+    if unknown is not None:
+        raise FeatureValidationError(
+            f"feature row {unknown} references unknown record id {row_ids[unknown]!r}"
+        )
     return matrix

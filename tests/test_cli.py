@@ -12,6 +12,7 @@ import math
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from dataclasses import asdict, fields, is_dataclass
@@ -32,6 +33,7 @@ from reportguide.cli import (
     main,
 )
 from reportguide.corpus import (
+    FEATURE_MAGIC,
     Corpus,
     FeatureMatrix,
     ReportRecord,
@@ -950,6 +952,12 @@ def _drop_feature_row(record_id):
     return tamper
 
 
+def _zero_width_features(workdir):
+    path = workdir / "../data/features.ffmx"
+    rows, _ = struct.unpack_from("<II", path.read_bytes(), 4)
+    path.write_bytes(FEATURE_MAGIC + struct.pack("<II", rows, 0))
+
+
 @pytest.mark.parametrize(
     "tamper, command, message",
     [
@@ -1011,6 +1019,7 @@ def _drop_feature_row(record_id):
          "features.ffmx; expected b'FFMX'"),
         (_make_directory("../data/features.ffmx"), "train",
          "features.ffmx: [Errno 21] Is a directory"),
+        (_zero_width_features, "train", "features.ffmx has 0 columns per row"),
         (_replace_file("../data/features.ffmx.ids", b"\xff\xfe{"), "train",
          "features.ffmx.ids: not UTF-8 text"),
         (_make_directory("../data/features.ffmx.ids"), "train",

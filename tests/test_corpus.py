@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reportguide.bootstrap import bootstrap_dataset
+from reportguide.classifier import predict_records, train
+from reportguide.cli import BootstrapConfig, TrainConfig
 from reportguide.corpus import (
+    SPLITS,
     Corpus,
     FeatureMatrix,
     ImageRef,
@@ -138,17 +142,21 @@ def test_load_manifest_names_duplicate_id(tmp_path):
     assert "line 2" in str(excinfo.value)
 
 
-def test_load_manifest_reports_line_of_invalid_record(tmp_path):
+@pytest.mark.parametrize("split", ["nope", [], None, {}])
+def test_load_manifest_reports_line_of_invalid_record(tmp_path, split):
     path = tmp_path / "manifest.jsonl"
     _write_manifest(
         path,
         [
             {"id": "a", "split": "train", "report": "one", "images": []},
-            {"id": "b", "split": "nope", "report": "two", "images": []},
+            {"id": "b", "split": split, "report": "two", "images": []},
         ],
     )
-    with pytest.raises(ManifestError, match="line 2"):
+    with pytest.raises(ManifestError) as excinfo:
         load_manifest(path)
+    assert str(excinfo.value) == (
+        f"manifest line 2: record 'b': split must be one of {SPLITS}, got {split!r}"
+    )
 
 
 _GOOD_LINE = '{"id": "b", "split": "val", "report": "two", "images": [{"path": "p.png"}]}'
@@ -415,3 +423,26 @@ def test_feature_round_trip_is_exact_for_random_matrices(tmp_path_factory, rows,
     loaded = load_features(path)
     np.testing.assert_array_equal(loaded.values, values)
     assert loaded.row_ids == ids
+
+
+# ---------------------------------------------------------------------------
+# Per-record memory
+# ---------------------------------------------------------------------------
+
+
+def test_every_stage_holds_a_shared_value_once_per_corpus(synth_dir, mock_gateway):
+    corpus = load_manifest(synth_dir / "manifest.jsonl")
+    assert all(any(rec.split is name for name in SPLITS) for rec in corpus)
+    modalities = [image.modality for rec in corpus for image in rec.images]
+    first: dict[str, str] = {}
+    assert modalities and all(first.setdefault(m, m) is m for m in modalities)
+
+    features = load_features(synth_dir / "features.ffmx", corpus)
+    index = corpus.index()
+    assert all(rid is index[rid].id for rid in features.row_ids)
+
+    dataset = bootstrap_dataset(corpus, BootstrapConfig(), mock_gateway)
+    params = train(dataset, features, TrainConfig(epochs=1))
+    predictions = predict_records(params, features, [rec.id for rec in corpus], 0.5)
+    assert not hasattr(dataset.items[0], "__dict__")
+    assert not hasattr(next(iter(predictions.values())), "__dict__")

@@ -12,8 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
+import pytest
+
+import reportguide
 from reportguide import classifier as classifier_mod
 from reportguide import gateway as gateway_mod
 from reportguide.bootstrap import bootstrap_dataset
@@ -75,6 +82,96 @@ def test_ablation_artifacts_match_the_golden_digests(synth_dir, tmp_path):
             workdir / "metrics.json"
         )
     assert digests == GOLDEN_SHA256
+
+
+# The artifacts that the stages without numpy write: `bootstrap`, then the
+# generate and evaluate cells that read no predictions.
+_NUMPY_FREE = {name: digest for name, digest in GOLDEN_SHA256.items() if "pred" not in name}
+
+# Run by another interpreter: argv is the synthetic corpus, a scratch
+# directory and the expected digests, whose names say which cells to run.
+# It exits non-zero if a command fails, else prints each artifact's digest
+# and whether numpy was imported.
+_OTHER_INTERPRETER_RUN = """
+import hashlib, json, sys
+from pathlib import Path
+from reportguide.cli import main
+
+synth, scratch, expected = Path(sys.argv[1]), Path(sys.argv[2]), json.loads(sys.argv[3])
+config = scratch / "config.json"
+config.write_text(json.dumps({"paths": {
+    "manifest": str(synth / "manifest.jsonl"),
+    "features": str(synth / "features.ffmx"),
+    "workdir": str(scratch / "run"),
+}}), encoding="utf-8")
+
+def run(*args):
+    if main([*args, "--config", str(config), "--force"]) != 0:
+        sys.exit(f"{' '.join(args)} failed")
+
+sha256 = lambda name: hashlib.sha256((scratch / "run" / name).read_bytes()).hexdigest()
+run("bootstrap")
+digests = {name: sha256(name) for name in ("taxonomy.json", "labels.jsonl")}
+for name in expected:
+    if name.startswith("generated-"):
+        tag = name[len("generated-"):-len(".jsonl")]
+        mode, _, source = tag.partition("-")
+        cell = ["--mode", mode] + (["--label-source", source] if source else [])
+        run("generate", *cell)
+        run("evaluate", *cell)
+        digests[name], digests["metrics.json " + tag] = sha256(name), sha256("metrics.json")
+print(json.dumps({"digests": digests, "numpy": "numpy" in sys.modules}))
+"""
+
+
+# Written so that any Python, 2.7 included, runs it.
+_PROBE = (
+    "import os, sys; sys.stdout.write('%d %d %s %s' % (sys.version_info[0], "
+    "sys.version_info[1], sys.version.split()[0], os.path.realpath(sys.executable)))"
+)
+
+
+def _other_interpreters() -> dict[str, str]:
+    """Version to path of each Python >= 3.10 under $PYENV_ROOT/versions that
+    runs and is not the running interpreter. A pyenv shim may not run, so
+    each candidate is asked for its own version and executable."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    running = os.path.realpath(sys.executable)
+    found = {}
+    for candidate in sorted(root.glob("*/bin/python3")):
+        try:
+            probe = subprocess.run(
+                [str(candidate), "-c", _PROBE], capture_output=True, text=True, timeout=10
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = probe.stdout.split(" ", 3)
+        if probe.returncode != 0 or len(fields) != 4:
+            continue
+        major, minor, version, executable = fields
+        if (int(major), int(minor)) >= (3, 10) and executable != running:
+            found[version] = str(candidate)
+    return found
+
+
+def test_numpy_free_golden_digests_hold_on_every_local_interpreter(synth_dir, tmp_path):
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no Python >= 3.10 other than the running one under $PYENV_ROOT/versions")
+    env = {**os.environ, "PYTHONPATH": str(Path(reportguide.__file__).parent.parent)}
+    results = {}
+    for version, python in interpreters.items():
+        scratch = tmp_path / version
+        scratch.mkdir()
+        proc = subprocess.run(
+            [python, "-c", _OTHER_INTERPRETER_RUN, str(synth_dir), str(scratch),
+             json.dumps(_NUMPY_FREE)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, f"Python {version}: {proc.stderr}"
+        results[version] = json.loads(proc.stdout)
+    expected = {"digests": _NUMPY_FREE, "numpy": False}
+    assert results == {version: expected for version in interpreters}
 
 
 def _counting(monkeypatch, owner, attr) -> list:
