@@ -198,8 +198,6 @@ def train(
     update's epoch and batch, so non-finite parameters are never returned.
     """
     train_items = dataset.split_items("train")
-    if not train_items:
-        raise TrainingError("dataset has no training items")
 
     # One float64 matrix of the training rows; float32 widens exactly.
     x_all = np.empty((len(train_items), features.dim), dtype=np.float64)

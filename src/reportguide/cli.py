@@ -9,10 +9,11 @@ a stage on that corpus, writes the outputs only after the whole run has
 returned, and leaves `meta/<stage>.json` describing the run. `pipeline` runs
 the table's rows in order in-process, so its artifacts are byte-identical to
 running the stages one by one. The subcommands, and the stage named when an
-input is missing, come from the same table. Each artifact is checked by its
-one reader (`load_checkpoint` binds the checkpoint to the taxonomy,
-`load_generated` checks a whole generated file), so this module raises only
-configuration, missing-prerequisite and artifact-write errors.
+input is missing, come from the same table. A run reads every other input
+through `read(name)`, once per stage, and `_read` reads each with the
+artifact's one reader (`load_checkpoint` binds the checkpoint to the
+taxonomy, `load_generated` checks a whole generated file), so this module
+raises only configuration, missing-prerequisite and artifact-write errors.
 
 A command exits 0 on success. Every failure is a `PipelineError`, logged
 under its `label` and exiting with its `exit_code`, as `errors` declares.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import gc
 import hashlib
 import json
@@ -257,9 +259,14 @@ class _WorkdirLock:
         return False
 
 
-def _require(config: PipelineConfig, name: str) -> Path:
-    """The workdir's `name`; when it is missing, the error names the stage
-    that outputs it."""
+def _read(name: str, config: PipelineConfig, corpus: Corpus, read: Callable[[str], object]):
+    """One stage input: `features`, or a workdir artifact by its one reader,
+    bound to `read("taxonomy.json")`. A missing artifact names the stage that
+    writes it; the checkpoint is found before, and checked after, the labels."""
+    if name == "features":
+        return load_features(config.paths.features, corpus)
+    if name == "labels.jsonl":
+        taxonomy = read("taxonomy.json")
     path = Path(config.paths.workdir) / name
     if not path.exists():
         # With ablation, generate names every cell's file.
@@ -267,24 +274,28 @@ def _require(config: PipelineConfig, name: str) -> Path:
         raise PrerequisiteError(
             f"missing {name} in {path.parent}; run `reportguide {producer}` first"
         )
-    return path
+    if name in ("taxonomy.json", "labels.jsonl"):
+        from . import bootstrap as bootstrap_mod
 
+        if name == "taxonomy.json":
+            return bootstrap_mod.load_taxonomy(path)
+        return bootstrap_mod.load_labels(path, corpus, taxonomy)
+    if name == "checkpoint.json":
+        from . import classifier as classifier_mod
 
-def _load_stage1(config: PipelineConfig, corpus: Corpus):
-    from . import bootstrap as bootstrap_mod
-
-    taxonomy = bootstrap_mod.load_taxonomy(_require(config, "taxonomy.json"))
-    dataset = bootstrap_mod.load_labels(_require(config, "labels.jsonl"), corpus, taxonomy)
-    return taxonomy, dataset
+        read("labels.jsonl")  # the labels are checked first
+        return classifier_mod.load_checkpoint(path, read("taxonomy.json"))
+    mode, source = config.guidance.cell
+    return guidance_mod.load_generated(path, corpus, mode, source, config.guidance.split)
 
 
 # ---------------------------------------------------------------------------
-# Stages: each run function reads the corpus it is handed, returns its
-# outputs' text by name and writes nothing; run_stage writes them.
+# Stages: each run function reads the corpus and, through `read`, its
+# inputs, returns its outputs' text by name and writes nothing.
 # ---------------------------------------------------------------------------
 
 
-def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
+def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
     from . import bootstrap as bootstrap_mod
 
     dataset = bootstrap_mod.bootstrap_dataset(corpus, config.bootstrap, config.gateway)
@@ -302,37 +313,32 @@ def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[s
     }
 
 
-def _train(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
+def _train(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
     from . import classifier as classifier_mod
 
-    features = load_features(config.paths.features, corpus)
-    _, dataset = _load_stage1(config, corpus)
-    params = classifier_mod.train(dataset, features, config.train)
+    features = read("features")
+    params = classifier_mod.train(read("labels.jsonl"), features, config.train)
     return {"checkpoint.json": classifier_mod.checkpoint_to_json(params)}
 
 
-def _predict_split(config: PipelineConfig, corpus: Corpus):
+def _predict_split(config: PipelineConfig, corpus: Corpus, read):
     """Predict every record of `guidance.split`, in id order, with the
-    checkpoint bound to the workdir's taxonomy. Returns the checkpoint, the
-    labelled dataset and the predictions by record id."""
+    workdir's checkpoint; returns the predictions by record id."""
     from . import classifier as classifier_mod
 
-    features = load_features(config.paths.features, corpus)
-    checkpoint = _require(config, "checkpoint.json")
-    taxonomy, dataset = _load_stage1(config, corpus)
-    params = classifier_mod.load_checkpoint(checkpoint, taxonomy)
+    features, params = read("features"), read("checkpoint.json")
     ids = sorted(rec.id for rec in corpus.split(config.guidance.split))
-    predictions = classifier_mod.predict_records(params, features, ids, config.guidance.threshold)
-    return params, dataset, predictions
+    return classifier_mod.predict_records(params, features, ids, config.guidance.threshold)
 
 
-def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
+def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
     from . import classifier as classifier_mod
 
-    params, dataset, predictions = _predict_split(config, corpus)
+    predictions = _predict_split(config, corpus, read)
     split = config.guidance.split
     positives = {rid: pred.positives for rid, pred in predictions.items()}
-    scores = classifier_mod.evaluate_mlc(params.k, dataset.split_items(split), positives)
+    items = read("labels.jsonl").split_items(split)
+    scores = classifier_mod.evaluate_mlc(read("checkpoint.json").k, items, positives)
     logger.info(
         "predict: split=%s macro_f1=%.4f micro_f1=%.4f",
         split,
@@ -351,15 +357,12 @@ def _cells(config: PipelineConfig, ablation: bool) -> tuple[tuple[str, str], ...
     return guidance_mod.ABLATION_MODES if ablation else (config.guidance.cell,)
 
 
-def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
+def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
     g = config.guidance
     cells = _cells(config, ablation)
     # Each record is predicted once, however many cells read `pred`.
-    predictions = {}
-    if any(s == "pred" for _, s in cells):
-        _, dataset, predictions = _predict_split(config, corpus)
-    else:
-        _, dataset = _load_stage1(config, corpus)
+    predictions = _predict_split(config, corpus, read) if any(s == "pred" for _, s in cells) else {}
+    dataset = read("labels.jsonl")
     # image_only cells, whose source is "none", read no labels.
     labels = {
         "pred": {rid: pred.positives for rid, pred in predictions.items()},
@@ -375,11 +378,10 @@ def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[st
     }
 
 
-def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[str, str]:
+def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
     mode, source = config.guidance.cell
     split = config.guidance.split
-    gen_path = _require(config, guidance_mod.generated_filename(mode, source))
-    rows = guidance_mod.load_generated(gen_path, corpus, mode, source, split)
+    rows = read(guidance_mod.generated_filename(mode, source))
     report = metrics_mod.evaluate_generation(
         [(rec.id, row["report"], rec.report) for _, row, rec in rows],
         gateway=config.gateway,
@@ -398,13 +400,13 @@ def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool) -> dict[st
 @dataclass(frozen=True)
 class Stage:
     """One row of the stage table. `outputs(config, ablation)` names the
-    workdir files the stage writes; `run(config, corpus, ablation)` returns
-    their text by name."""
+    workdir files the stage writes; `run(config, corpus, ablation, read)`
+    returns their text by name, reading each input through `read(name)`."""
 
     name: str
     help: str
     outputs: Callable[[PipelineConfig, bool], list[str]]
-    run: Callable[[PipelineConfig, Corpus, bool], dict[str, str]]
+    run: Callable[[PipelineConfig, Corpus, bool, Callable[[str], object]], dict[str, str]]
 
 
 # In pipeline order.
@@ -429,7 +431,12 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
     started = time.time()
     workdir = Path(config.paths.workdir)
     names = stage.outputs(config, ablation)
-    outputs = stage.run(config, corpus, ablation)
+    # The run reads each input once. The feature matrix, the largest, has one
+    # use in a stage, so it is not kept past it; nothing is kept past the run.
+    memo = functools.cache(lambda name: _read(name, config, corpus, read))
+    read = lambda name: memo(name) if name != "features" else _read(name, config, corpus, read)
+    outputs = stage.run(config, corpus, ablation, read)
+    memo.cache_clear()
     try:
         (workdir / "meta").mkdir(exist_ok=True)
     except OSError as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import fcntl
+import functools
 import gc
 import inspect
 import json
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reportguide import bootstrap, classifier, errors, guidance, metrics
+from reportguide import bootstrap, classifier, cli, errors, guidance, metrics
 from reportguide.cli import (
     FLAG_ALIASES,
     STAGES,
@@ -351,13 +352,14 @@ def test_readme_configuration_block_matches_the_schema():
         assert describe_bounds(bounds) in lines[at], (key, lines[at])
 
 
-def test_readme_files_table_names_the_stage_that_writes_each_artifact():
+def test_readme_files_table_names_the_stage_that_writes_each_artifact(stage_reads):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    table = readme.split("| file | written by | contents |\n|---|---|---|\n", 1)[1]
-    rows = [
-        tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+    table = readme.split("| file | written by | read by | contents |\n|---|---|---|---|\n", 1)[1]
+    cells = [
+        [cell.strip() for cell in line.split("|")[1:4]]
         for line in table.split("\n\n", 1)[0].splitlines()
     ]
+    rows = [(name.strip("`"), writer.strip("`")) for name, writer, _ in cells]
     assert ("meta/<command>.json", "every stage") in rows
     documented = [(name, writer) for name, writer in rows if writer != "every stage"]
     outputs = [
@@ -374,6 +376,16 @@ def test_readme_files_table_names_the_stage_that_writes_each_artifact():
         assert len([row for row in documented if describes(row, output)]) == 1, output
     for row in documented:
         assert any(describes(row, output) for output in outputs), row
+
+    # "read by" names exactly the stages that were seen reading the file.
+    stage_names = {stage.name for stage in STAGES}
+    for (name, _), (_, _, readers) in zip(rows, cells):
+        pattern = re.escape(name).replace("<tag>", "[a-z_-]+")
+        recorded = {
+            command[0] for command, keys, _, _ in stage_reads
+            if any(re.fullmatch(pattern, key) for key in keys)
+        }
+        assert set(re.findall(r"`(\w+)`", readers)) & stage_names == recorded, name
 
 
 def test_http_generator_falls_back_to_the_gateway_section(mini):
@@ -642,6 +654,15 @@ def test_predict_before_train_exits_5(mini, caplog):
         assert "reportguide train" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["predict", "generate"])
+def test_a_missing_checkpoint_is_reported_before_damaged_labels(mini, caplog, command):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    (mini["workdir"] / "checkpoint.json").unlink()
+    _edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives"))(mini["workdir"])
+    assert main([command, "--config", mini["config"], "--force"]) == 5
+    assert "reportguide train" in caplog.text
+
+
 def test_evaluate_before_generate_exits_5(mini, caplog):
     assert main(["bootstrap", "--config", mini["config"]]) == 0
     assert main(["evaluate", "--config", mini["config"]]) == 5
@@ -855,13 +876,20 @@ def test_a_stage_that_fails_after_its_library_work_writes_nothing(
     assert _files(mini["workdir"]) == before  # no output, no meta file
 
 
+def _accessor(config, corpus):
+    """A memoised `read` over `cli._read`, standing in for the one that
+    `run_stage` hands each run."""
+    read = functools.cache(lambda name: cli._read(name, config, corpus, read))
+    return read
+
+
 @pytest.mark.parametrize("ablation", [False, True])
 def test_each_stage_returns_exactly_the_outputs_it_declares(mini, ablation):
     assert main(["pipeline", "--config", mini["config"]]) == 0
     config = load_config(mini["config"], [])
     corpus = load_manifest(config.paths.manifest)
     for stage in STAGES:
-        outputs = stage.run(config, corpus, ablation)
+        outputs = stage.run(config, corpus, ablation, _accessor(config, corpus))
         assert sorted(outputs) == sorted(stage.outputs(config, ablation)), stage.name
         assert all(isinstance(text, str) for text in outputs.values()), stage.name
 
@@ -950,6 +978,24 @@ def _drop_feature_row(record_id):
         rows = FeatureMatrix(values=full.values[keep], row_ids=[full.row_ids[i] for i in keep])
         save_features(rows, path)
     return tamper
+
+
+def _together(*tampers):
+    def tamper(workdir):
+        for each in tampers:
+            each(workdir)
+    return tamper
+
+
+def _remove(name):
+    def tamper(workdir):
+        (workdir / name).unlink()
+    return tamper
+
+
+def _bad_feature_magic(workdir):
+    path = workdir / "../data/features.ffmx"
+    path.write_bytes(b"BAD!" + path.read_bytes()[4:])
 
 
 def _zero_width_features(workdir):
@@ -1118,6 +1164,15 @@ def _zero_width_features(workdir):
              command, "data error: record 's2' of split 'test' has no gt label vector")
             for command in ("generate --mode label_only --label-source gt", "generate --ablation")
         ],
+        # Precedence: the labels are checked before the checkpoint's contents,
+        # and the feature file before the checkpoint is looked for.
+        *[
+            (_together(_edit_json("checkpoint.json", lambda d: d.pop("k")),
+                       _edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives"))),
+             command, "labels.jsonl line 3")
+            for command in ("predict", "generate", "generate --ablation")
+        ],
+        (_together(_remove("checkpoint.json"), _bad_feature_magic), "predict", "bad magic"),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
@@ -1240,8 +1295,6 @@ def test_pipeline_end_to_end_produces_every_artifact(mini):
 def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
     mini, monkeypatch
 ):
-    from reportguide import classifier, cli
-
     assert main(["bootstrap", "--config", mini["config"]]) == 0
     assert main(["train", "--config", mini["config"]]) == 0
     calls = {"load_manifest": 0, "predict": 0}
@@ -1262,7 +1315,8 @@ def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
     config = load_config(mini["config"], [])
     corpus = cli.load_manifest(config.paths.manifest)
     features = cli.load_features(config.paths.features, corpus)
-    taxonomy, dataset = cli._load_stage1(config, corpus)
+    taxonomy = bootstrap.load_taxonomy(workdir / "taxonomy.json")
+    dataset = bootstrap.load_labels(workdir / "labels.jsonl", corpus, taxonomy)
     params = classifier.load_checkpoint(workdir / "checkpoint.json", taxonomy)
     items = dataset.split_items("test")
     predicted = classifier.predict_records(params, features, [i.record_id for i in items], 0.5)
@@ -1281,6 +1335,77 @@ def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
     calls.update(load_manifest=0, predict=0)
     assert main(["pipeline", "--config", mini["config"], "--force"]) == 0
     assert calls["load_manifest"] == 1
+
+
+# Paths opened for reading, while a stage run records them. An audit hook
+# cannot be removed, so the one `stage_reads` adds records only while this
+# is a list.
+_OPENED: list[str] | None = None
+
+
+def _record_reads(event, args):
+    if event == "open" and _OPENED is not None:
+        path, _, flags = args
+        if isinstance(path, (str, os.PathLike)) and not flags & (
+            os.O_WRONLY | os.O_RDWR | os.O_DIRECTORY
+        ):
+            _OPENED.append(os.path.abspath(path))
+
+
+@pytest.fixture(scope="module")
+def stage_reads(synth_dir, tmp_path_factory):
+    """Run every stage on the synthetic corpus: bootstrap, train, predict,
+    generate and evaluate for each of the five cells, then generate
+    --ablation. Returns, per run, the command, the names `cli._read` was
+    called with, the paths of those names, and the workdir files and the
+    feature file that the run opened for reading, in order."""
+    global _OPENED
+    workdir = tmp_path_factory.mktemp("reads") / "run"
+    features = str(synth_dir / "features.ffmx")
+    config = workdir.parent / "config.json"
+    config.write_text(json.dumps({"paths": {
+        "manifest": str(synth_dir / "manifest.jsonl"), "features": features,
+        "workdir": str(workdir),
+    }}), encoding="utf-8")
+    commands = [["bootstrap"], ["train"], ["predict"]]
+    for mode, source in guidance.ABLATION_MODES:
+        cell = ["--mode", mode] + ([] if source == "none" else ["--label-source", source])
+        commands += [["generate", *cell], ["evaluate", *cell]]
+    commands.append(["generate", "--ablation"])
+
+    def recording(keys):
+        def read(name, *args):
+            keys.append(name)
+            return original(name, *args)
+        return read
+
+    original = cli._read
+    sys.addaudithook(_record_reads)
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        for command in commands:
+            keys, _OPENED = [], []
+            patch.setattr(cli, "_read", recording(keys))
+            try:
+                assert main([*command, "--config", str(config), "--force"]) == 0, command
+            finally:
+                opened, _OPENED = _OPENED, None
+            paths = {features if key == "features" else str(workdir / key) for key in keys}
+            opened = [path for path in opened
+                      if path == features or Path(path).parent == workdir]
+            runs.append((command, keys, paths, opened))
+    return runs
+
+
+def test_each_stage_opens_each_input_once_and_only_through_its_accessor(stage_reads):
+    for command, keys, paths, opened in stage_reads:
+        assert len(keys) == len(set(keys)), command  # each input is read once
+        assert len(opened) == len(set(opened)), (command, opened)
+        assert set(opened) == paths, command
+        if command[0] == "generate":
+            uses_pred = "--ablation" in command or command[-1] == "pred"
+            assert ("checkpoint.json" in keys) == uses_pred, command
+    assert [keys for command, keys, _, _ in stage_reads if command[0] == "bootstrap"] == [[]]
 
 
 def test_meta_records_the_effective_config_fingerprint(mini):

@@ -14,7 +14,9 @@ goes back to rebuilding the n-gram tables of a text for each pair. It also
 fails on a record lookup through `Corpus.index()`, or a JSONL read, outside
 `corpus.py`, so that no artifact reader resolves record ids its own way,
 and on a `load_manifest` call outside `cli.main`, so that no stage reads the
-manifest again. It fails, too, on a `raise` in `cli.py` of anything but a new
+manifest again, and on a call to an artifact reader, or to `load_features`,
+anywhere in `cli.py` but `_read`, so that each stage input is read in one
+place. It fails, too, on a `raise` in `cli.py` of anything but a new
 `ConfigError`, `PrerequisiteError` or `ArtifactWriteError`, and on any use of `taxonomy_hash` there,
 so that no artifact rule, such as the checkpoint's binding to its taxonomy,
 moves back out of the artifact's reader. And it fails on a `GuidancePrompt`
@@ -90,6 +92,13 @@ def test_only_corpus_looks_up_records_and_reads_jsonl():
 
 def test_only_the_driver_loads_the_manifest():
     assert _call_sites("load_manifest") == {("cli.py", "main")}
+
+
+def test_the_driver_reads_every_stage_input_in_one_place():
+    readers = ("load_taxonomy", "load_labels", "load_checkpoint", "load_generated", "load_features")
+    for reader in readers:
+        sites = {scope for module, scope in _call_sites(reader) if module == "cli.py"}
+        assert sites == {"_read"}, reader
 
 
 def test_the_driver_raises_only_config_prerequisite_and_write_errors():
