@@ -16,6 +16,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -115,9 +116,24 @@ class AnnotatedItem:
     positives: tuple[int, ...]
 
 
+def _vector_fault(positives: tuple[int, ...], k: int) -> str | None:
+    """Why a positive-index vector is invalid for a taxonomy of `k` labels:
+    an index outside 0..k-1, or indices not strictly ascending; None if valid."""
+    for j in positives:
+        if not 0 <= j < k:
+            return f"has label index {j} outside 0..{k - 1}"
+    if any(a >= b for a, b in zip(positives, positives[1:])):
+        return "has unsorted or duplicate positives"
+    return None
+
+
 @dataclass(frozen=True)
 class MLCDataset:
-    """Taxonomy plus one positive-index vector per annotated record."""
+    """Taxonomy plus one positive-index vector per annotated record.
+
+    Each distinct vector is checked once, in item order, so an invalid one
+    is reported for the first record that carries it.
+    """
 
     taxonomy: LabelTaxonomy
     items: tuple[AnnotatedItem, ...]
@@ -125,16 +141,13 @@ class MLCDataset:
 
     def __post_init__(self):
         k = len(self.taxonomy)
+        valid: set[tuple[int, ...]] = set()
         for item in self.items:
-            for j in item.positives:
-                if not 0 <= j < k:
-                    raise BootstrapError(
-                        f"record {item.record_id!r} has label index {j} outside 0..{k - 1}"
-                    )
-            if list(item.positives) != sorted(set(item.positives)):
-                raise BootstrapError(
-                    f"record {item.record_id!r} has unsorted or duplicate positives"
-                )
+            if item.positives not in valid:
+                fault = _vector_fault(item.positives, k)
+                if fault:
+                    raise BootstrapError(f"record {item.record_id!r} {fault}")
+                valid.add(item.positives)
 
     def split_items(self, split: str) -> list[AnnotatedItem]:
         return [item for item in self.items if item.split == split]
@@ -338,11 +351,11 @@ def annotate_report(
 def filter_labels(dataset: MLCDataset, min_label_count: int) -> MLCDataset:
     """Drop labels below the training-split frequency threshold.
 
-    Survivors are re-indexed densely in their original order and every
-    vector is re-projected. Counts are taken over the training split only.
+    Survivors are re-indexed densely in their original order and each
+    distinct vector is re-projected once; a projection keeps its order, so
+    it stays sorted. Counts are taken over the training split only.
     """
-    k = len(dataset.taxonomy)
-    counts = [0] * k
+    counts = [0] * len(dataset.taxonomy)
     for item in dataset.items:
         if item.split == "train":
             for j in item.positives:
@@ -354,7 +367,10 @@ def filter_labels(dataset: MLCDataset, min_label_count: int) -> MLCDataset:
             f"no label reaches the frequency threshold {min_label_count} "
             f"on the training split"
         )
-    remap = {e.index: new for new, e in enumerate(survivors)}
+    # Old index to new, None for a dropped label.
+    remap: list[int | None] = [None] * len(counts)
+    for new, e in enumerate(survivors):
+        remap[e.index] = new
     new_labels = tuple(
         LabelEntry(index=new, name=e.name, aliases=e.aliases, count=counts[e.index])
         for new, e in enumerate(survivors)
@@ -364,15 +380,16 @@ def filter_labels(dataset: MLCDataset, min_label_count: int) -> MLCDataset:
         merge_rounds=dataset.taxonomy.merge_rounds,
         params=dict(dataset.taxonomy.params),
     )
-    new_items = tuple(
-        AnnotatedItem(
-            record_id=item.record_id,
-            split=item.split,
-            positives=tuple(sorted(remap[j] for j in item.positives if j in remap)),
-        )
-        for item in dataset.items
-    )
-    return MLCDataset(taxonomy=new_taxonomy, items=new_items, skipped=dataset.skipped)
+    projected: dict[tuple[int, ...], tuple[int, ...]] = {}
+    new_items = []
+    for item in dataset.items:
+        positives = projected.get(item.positives)
+        if positives is None:
+            positives = projected[item.positives] = tuple(
+                remap[j] for j in item.positives if remap[j] is not None
+            )
+        new_items.append(AnnotatedItem(item.record_id, item.split, positives))
+    return MLCDataset(taxonomy=new_taxonomy, items=tuple(new_items), skipped=dataset.skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -501,20 +518,35 @@ def taxonomy_fingerprint(taxonomy: LabelTaxonomy) -> str:
 
 
 def labels_to_jsonl(dataset: MLCDataset) -> str:
+    """One `{"id": ..., "positives": [...]}` line per item, the bytes that
+    `json.dumps` writes with its defaults (ASCII escapes, ", " and ": ")."""
     return "".join(
-        json.dumps({"id": item.record_id, "positives": list(item.positives)}) + "\n"
+        f'{{"id": {encode_basestring_ascii(item.record_id)}, '
+        f'"positives": [{", ".join(map(str, item.positives))}]}}\n'
         for item in dataset.items
     )
 
 
 def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> MLCDataset:
+    """Read labels.jsonl; a faulty row is reported with its line, and each
+    distinct vector is checked against the taxonomy once and shared by the
+    records that carry it."""
     items: list[AnnotatedItem] = []
     what = f"labels file {path}"
+    k = len(taxonomy)
+    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
     for lineno, obj, rec in read_record_rows(path, corpus, BootstrapError, what):
         positives = obj.get("positives")
         if not isinstance(positives, list) or not all(_is_int(j) for j in positives):
             raise BootstrapError(f"{what} line {lineno}: positives must be a list of integers")
-        items.append(AnnotatedItem(record_id=rec.id, split=rec.split, positives=tuple(positives)))
+        vector = tuple(positives)
+        shared = vectors.get(vector)
+        if shared is None:
+            fault = _vector_fault(vector, k)
+            if fault:
+                raise BootstrapError(f"{what} line {lineno}: record {rec.id!r} {fault}")
+            shared = vectors[vector] = vector
+        items.append(AnnotatedItem(record_id=rec.id, split=rec.split, positives=shared))
     return MLCDataset(taxonomy=taxonomy, items=tuple(items))
 
 

@@ -360,18 +360,21 @@ def _cells(config: PipelineConfig, ablation: bool) -> tuple[tuple[str, str], ...
 def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
     g = config.guidance
     cells = _cells(config, ablation)
-    # Each record is predicted once, however many cells read `pred`.
-    predictions = _predict_split(config, corpus, read) if any(s == "pred" for _, s in cells) else {}
-    dataset = read("labels.jsonl")
-    # image_only cells, whose source is "none", read no labels.
-    labels = {
-        "pred": {rid: pred.positives for rid, pred in predictions.items()},
-        "gt": {item.record_id: item.positives for item in dataset.items},
-    }
+    sources = {source for _, source in cells}
+    # image_only cells, whose source is "none", read neither the labels nor
+    # the taxonomy. Each record is predicted once, however many cells read
+    # `pred`; the checkpoint's reader reads the labels first.
+    labels = {}
+    if "pred" in sources:
+        predictions = _predict_split(config, corpus, read)
+        labels["pred"] = {rid: pred.positives for rid, pred in predictions.items()}
+    if "gt" in sources:
+        labels["gt"] = {item.record_id: item.positives for item in read("labels.jsonl").items}
+    taxonomy = read("taxonomy.json") if labels else None
     return {
         guidance_mod.generated_filename(mode, source): guidance_mod.generated_to_jsonl(
             guidance_mod.run_generation(
-                corpus, dataset.taxonomy, mode, source, labels.get(source, {}), g.generator, g.split
+                corpus, taxonomy, mode, source, labels.get(source, {}), g.generator, g.split
             )
         )
         for mode, source in cells

@@ -15,7 +15,7 @@ import json
 import struct
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -67,13 +67,18 @@ class Corpus:
 
     records: list[ReportRecord] = field(default_factory=list)
     manifest: str = "(in memory)"
+    # The records by id, when the caller has already built it and found no
+    # duplicate id in it (`load_manifest` does, naming the line).
+    checked_index: InitVar[dict[str, ReportRecord] | None] = None
 
-    def __post_init__(self):
-        self._index: dict[str, ReportRecord] = {}
-        for rec in self.records:
-            if rec.id in self._index:
-                raise ManifestError(f"duplicate record id {rec.id!r}")
-            self._index[rec.id] = rec
+    def __post_init__(self, checked_index):
+        if checked_index is None:
+            checked_index = {}
+            for rec in self.records:
+                if rec.id in checked_index:
+                    raise ManifestError(f"duplicate record id {rec.id!r}")
+                checked_index[rec.id] = rec
+        self._index = checked_index
 
     def __len__(self) -> int:
         return len(self.records)
@@ -129,16 +134,16 @@ def load_manifest(path: str | Path) -> Corpus:
     manifest with no records is an error too.
     """
     records: list[ReportRecord] = []
-    seen: set[str] = set()
+    index: dict[str, ReportRecord] = {}
     for lineno, obj in read_jsonl(path, ManifestError, "manifest"):
         rec = _record_from_obj(obj, lineno)
-        if rec.id in seen:
+        if rec.id in index:
             raise ManifestError(f"manifest line {lineno}: duplicate record id {rec.id!r}")
-        seen.add(rec.id)
+        index[rec.id] = rec
         records.append(rec)
     if not records:
         raise ManifestError(f"manifest {path} has no records")
-    return Corpus(records=records, manifest=str(path))
+    return Corpus(records=records, manifest=str(path), checked_index=index)
 
 
 def read_record_rows(

@@ -50,7 +50,7 @@ class GuidancePrompt:
 
 def serialize_labels(
     positives: tuple[int, ...] | list[int],
-    taxonomy: LabelTaxonomy,
+    taxonomy: LabelTaxonomy | None,
     mode: str = "image_and_label",
     label_source: str = "pred",
     record: ReportRecord | None = None,
@@ -60,7 +60,8 @@ def serialize_labels(
     Labels appear in ascending taxonomy index order, comma separated. The
     prompt text depends only on the positives, the taxonomy names, and the
     mode; ground-truth and predicted labels share this exact code path. An
-    image_only prompt carries no label content, whatever it is given.
+    image_only prompt carries no label content, whatever it is given, and
+    reads no taxonomy.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown guidance mode {mode!r}")
@@ -223,7 +224,7 @@ def generated_filename(mode: str, label_source: str) -> str:
 
 def run_generation(
     corpus: Corpus,
-    taxonomy: LabelTaxonomy,
+    taxonomy: LabelTaxonomy | None,
     mode: str,
     label_source: str,
     labels: dict[str, tuple[int, ...]],
@@ -233,10 +234,10 @@ def run_generation(
     """Generate reports for one (mode, label source) cell of the ablation.
 
     `labels` maps each record id of the split to its positives from
-    `label_source`; image_only cells read none. A record of the split with no
-    entry is a data error: no stage can supply it. Output rows are ordered by
-    record id. Each row carries the prompt that produced it so downstream
-    evaluation never has to re-derive prompts.
+    `label_source`; image_only cells read none, and no taxonomy either. A
+    record of the split with no entry is a data error: no stage can supply
+    it. Output rows are ordered by record id. Each row carries the prompt
+    that produced it so downstream evaluation never has to re-derive prompts.
     """
     rows: list[dict] = []
     for rec in sorted(corpus.split(split), key=lambda r: r.id):

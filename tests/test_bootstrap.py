@@ -6,8 +6,11 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reportguide.bootstrap import (
     AnnotatedItem,
@@ -94,6 +97,30 @@ def test_dataset_rejects_unsorted_positives():
     tax = _taxonomy(["A", "B"])
     with pytest.raises(BootstrapError):
         MLCDataset(taxonomy=tax, items=(AnnotatedItem("r", "train", (1, 0)),))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((2,), "has label index 2 outside 0..1"),
+        ((0, 2), "has label index 2 outside 0..1"),
+        ((-1,), "has label index -1 outside 0..1"),
+        ((1, 0), "has unsorted or duplicate positives"),
+        ((1, 1), "has unsorted or duplicate positives"),
+    ],
+)
+def test_dataset_names_the_first_record_carrying_an_invalid_vector(bad, message):
+    # A valid vector repeats before the invalid one, which two records carry.
+    tax = _taxonomy(["A", "B"])
+    items = (
+        AnnotatedItem("r1", "train", (0, 1)),
+        AnnotatedItem("r2", "test", (0, 1)),
+        AnnotatedItem("r3", "train", bad),
+        AnnotatedItem("r4", "val", (0, 1)),
+        AnnotatedItem("r5", "train", bad),
+    )
+    with pytest.raises(BootstrapError, match=f"^record 'r3' {message}$"):
+        MLCDataset(taxonomy=tax, items=items)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +349,55 @@ def test_filter_labels_post_condition_min_count_at_threshold():
 def test_filter_labels_all_removed_raises():
     with pytest.raises(EmptyTaxonomyError):
         filter_labels(_counted_dataset(), min_label_count=1000)
+
+
+def test_filter_labels_projects_a_vector_shared_across_splits_once():
+    tax = _taxonomy(["L0", "L1", "L2"])
+    shared = (0, 1, 2)
+    items = (
+        AnnotatedItem("t1", "train", shared),
+        AnnotatedItem("t2", "train", (0, 2)),
+        AnnotatedItem("s1", "test", shared),
+        AnnotatedItem("v1", "val", (1,)),
+    )
+    filtered = filter_labels(MLCDataset(taxonomy=tax, items=items), min_label_count=2)
+    assert filtered.taxonomy.names() == ["L0", "L2"]
+    # The test record that shares t1's vector does not count towards L0.
+    assert [e.count for e in filtered.taxonomy.labels] == [2, 2]
+    assert [(i.record_id, i.split, i.positives) for i in filtered.items] == [
+        ("t1", "train", (0, 1)), ("t2", "train", (0, 1)), ("s1", "test", (0, 1)), ("v1", "val", ()),
+    ]
+    assert filtered.items[0].positives is filtered.items[2].positives
+
+
+_SPLIT_NAMES = st.sampled_from(("train", "val", "test"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    rows=st.lists(st.tuples(_SPLIT_NAMES, st.sets(st.integers(0, 5))), min_size=1, max_size=30),
+    theta=st.integers(0, 4),
+)
+def test_filter_labels_matches_a_per_record_reprojection(k, rows, theta):
+    items = tuple(
+        AnnotatedItem(f"r{n}", split, tuple(sorted(j for j in positives if j < k)))
+        for n, (split, positives) in enumerate(rows)
+    )
+    dataset = MLCDataset(taxonomy=_taxonomy([f"L{j}" for j in range(k)]), items=items)
+    counts = Counter(j for item in items if item.split == "train" for j in item.positives)
+    kept = [j for j in range(k) if counts[j] >= theta]
+    if not kept:
+        with pytest.raises(EmptyTaxonomyError):
+            filter_labels(dataset, theta)
+        return
+    remap = {old: new for new, old in enumerate(kept)}
+    filtered = filter_labels(dataset, theta)
+    assert filtered.taxonomy.names() == [f"L{j}" for j in kept]
+    assert [e.count for e in filtered.taxonomy.labels] == [counts[j] for j in kept]
+    assert [item.positives for item in filtered.items] == [
+        tuple(sorted(remap[j] for j in item.positives if j in remap)) for item in items
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +648,33 @@ def test_labels_save_load_round_trip(tmp_path):
     assert loaded.items == dataset.items
 
 
+_RECORD_ID = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(
+            ('"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "肺", "😀")
+        ),
+        st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_RECORD_ID, st.lists(st.integers(-(2**70), 2**70), max_size=60)), max_size=8
+    )
+)
+@example([("", []), ("r1", list(range(500))), ("r2", [2**64, -(2**63)])])
+def test_labels_to_jsonl_writes_the_bytes_of_json_dumps(rows):
+    # Any str id and int vector: labels_to_jsonl reads only `items`.
+    dataset = SimpleNamespace(items=[AnnotatedItem(i, "train", tuple(p)) for i, p in rows])
+    assert labels_to_jsonl(dataset) == "".join(
+        json.dumps({"id": i, "positives": list(p)}) + "\n" for i, p in rows
+    )
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -581,6 +684,9 @@ def test_labels_save_load_round_trip(tmp_path):
         ('{"id": "r1", "positives": [0.5]}', "line 2: positives must be a list of integers"),
         ('{"id": "r1", "positives": [true]}', "line 2: positives must be a list of integers"),
         ('{"id": "r1", "positives": 0}', "line 2: positives must be a list of integers"),
+        ('{"id": "r1", "positives": [1]}', "line 2: record 'r1' has label index 1 outside 0..0"),
+        ('{"id": "r1", "positives": [0, 0]}',
+         "line 2: record 'r1' has unsorted or duplicate positives"),
     ],
 )
 def test_load_labels_rejects_malformed_lines(tmp_path, line, message):
@@ -592,6 +698,41 @@ def test_load_labels_rejects_malformed_lines(tmp_path, line, message):
     path.write_text('{"id": "r0", "positives": [0]}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(BootstrapError, match=f"labels file .*labels.jsonl {message}"):
         load_labels(path, corpus, tax)
+
+
+def test_load_labels_names_the_line_of_the_first_record_carrying_an_invalid_vector(tmp_path):
+    tax = _taxonomy(["A", "B"])
+    corpus = Corpus(
+        records=[ReportRecord(id=f"r{n}", split="train", report="t") for n in range(5)]
+    )
+    path = tmp_path / "labels.jsonl"
+    rows = [("r0", [0, 1]), ("r1", [0, 1]), ("r2", [1, 0]), ("r3", [0, 1]), ("r4", [1, 0])]
+    # The blank line makes file lines and row positions differ.
+    path.write_text(
+        "\n" + "".join(json.dumps({"id": i, "positives": p}) + "\n" for i, p in rows),
+        encoding="utf-8",
+    )
+    with pytest.raises(
+        BootstrapError,
+        match=f"^labels file {path} line 4: record 'r2' has unsorted or duplicate positives$",
+    ):
+        load_labels(path, corpus, tax)
+
+
+def test_load_labels_shares_one_vector_among_the_records_that_carry_it(tmp_path):
+    tax = _taxonomy(["A", "B"])
+    corpus = Corpus(
+        records=[ReportRecord(id=f"r{n}", split="train", report="t") for n in range(3)]
+    )
+    path = tmp_path / "labels.jsonl"
+    path.write_text(
+        '{"id": "r0", "positives": [0, 1]}\n{"id": "r1", "positives": []}\n'
+        '{"id": "r2", "positives": [0, 1]}\n',
+        encoding="utf-8",
+    )
+    items = load_labels(path, corpus, tax).items
+    assert [item.positives for item in items] == [(0, 1), (), (0, 1)]
+    assert items[0].positives is items[2].positives
 
 
 def test_load_labels_rejects_unknown_record(tmp_path):

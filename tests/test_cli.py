@@ -663,6 +663,37 @@ def test_a_missing_checkpoint_is_reported_before_damaged_labels(mini, caplog, co
     assert "reportguide train" in caplog.text
 
 
+def test_an_image_only_generate_reads_no_bootstrap_output(mini):
+    # An image_only prompt carries no labels, so the cell needs only the manifest.
+    assert main(["generate", "--config", mini["config"], "--mode", "image_only"]) == 0
+    assert sorted(p.name for p in mini["workdir"].iterdir()) == [
+        "generated-image_only.jsonl", "meta",
+    ]
+    after = mini["tmp"] / "after"
+    assert main(["pipeline", "--config", mini["config"], "--workdir", str(after)]) == 0
+    assert main(["generate", "--config", mini["config"], "--workdir", str(after),
+                 "--mode", "image_only", "--force"]) == 0
+    assert (after / "generated-image_only.jsonl").read_bytes() == (
+        mini["workdir"] / "generated-image_only.jsonl"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, producer",
+    [
+        ("generate --mode label_only --label-source gt", "bootstrap"),
+        ("generate --mode image_and_label --label-source gt", "bootstrap"),
+        ("generate --mode label_only --label-source pred", "train"),
+        ("generate --ablation", "train"),
+    ],
+)
+def test_a_generate_cell_that_carries_labels_needs_the_bootstrap_outputs(
+    mini, caplog, command, producer
+):
+    assert main([*command.split(), "--config", mini["config"]]) == 5
+    assert f"run `reportguide {producer}` first" in caplog.text
+
+
 def test_evaluate_before_generate_exits_5(mini, caplog):
     assert main(["bootstrap", "--config", mini["config"]]) == 0
     assert main(["evaluate", "--config", mini["config"]]) == 5
@@ -1123,6 +1154,10 @@ def _zero_width_features(workdir):
          "evaluate", "generated-image_and_label-pred.jsonl line 2: id must be a string, got True"),
         (_edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives")),
          "train", "labels.jsonl line 3: positives must be a list of integers"),
+        (_edit_rows("labels.jsonl", lambda rows: rows[2].__setitem__("positives", [99])),
+         "train", "labels.jsonl line 3: record 't3' has label index 99 outside 0..1"),
+        (_edit_rows("labels.jsonl", lambda rows: rows[2].__setitem__("positives", [1, 0])),
+         "train", "labels.jsonl line 3: record 't3' has unsorted or duplicate positives"),
         (_edit_rows("labels.jsonl", lambda rows: rows.__setitem__(
             slice(None), [row for row in rows if not row["id"].startswith("t")])),
          "train", "data error: dataset has no training items"),
@@ -1404,7 +1439,12 @@ def test_each_stage_opens_each_input_once_and_only_through_its_accessor(stage_re
         assert set(opened) == paths, command
         if command[0] == "generate":
             uses_pred = "--ablation" in command or command[-1] == "pred"
+            carries_labels = "--ablation" in command or "--label-source" in command
             assert ("checkpoint.json" in keys) == uses_pred, command
+            # An image_only cell reads no bootstrap output, nor anything else.
+            assert ("taxonomy.json" in keys) == carries_labels, command
+            assert ("labels.jsonl" in keys) == carries_labels, command
+            assert bool(keys) == carries_labels, command
     assert [keys for command, keys, _, _ in stage_reads if command[0] == "bootstrap"] == [[]]
 
 

@@ -63,7 +63,7 @@ def test_record_requires_nonempty_report():
 
 def test_corpus_rejects_duplicate_ids():
     rec = lambda i: ReportRecord(id=i, split="train", report="t")
-    with pytest.raises(ManifestError, match="x"):
+    with pytest.raises(ManifestError, match="^duplicate record id 'x'$"):
         Corpus(records=[rec("x"), rec("x")])
 
 
@@ -137,9 +137,20 @@ def test_load_manifest_names_duplicate_id(tmp_path):
             {"id": "x", "split": "val", "report": "two", "images": []},
         ],
     )
-    with pytest.raises(ManifestError, match="'x'") as excinfo:
+    with pytest.raises(ManifestError, match="^manifest line 2: duplicate record id 'x'$"):
         load_manifest(path)
-    assert "line 2" in str(excinfo.value)
+
+
+def test_load_manifest_indexes_each_record_by_its_id(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    _write_manifest(
+        path,
+        [{"id": rid, "split": "train", "report": "t", "images": []} for rid in ("b", "a", "c")],
+    )
+    corpus = load_manifest(path)
+    assert corpus.index() == {rec.id: rec for rec in corpus.records}
+    assert list(corpus.index()) == ["b", "a", "c"]
+    assert all(corpus.index()[rec.id] is rec for rec in corpus.records)
 
 
 @pytest.mark.parametrize("split", ["nope", [], None, {}])
