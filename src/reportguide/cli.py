@@ -34,6 +34,7 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 # `classifier` and `synthetic` load numpy, which bootstrap and evaluate never
 # use, and `bootstrap` is code that only bootstrap, train, predict and
@@ -400,8 +401,7 @@ def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> d
     return {"metrics.json": json_text(report)}
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One row of the stage table. `outputs(config, ablation)` names the
     workdir files the stage writes; `run(config, corpus, ablation, read)`
     returns their text by name, reading each input through `read(name)`."""

@@ -11,11 +11,11 @@ evaluate) never loads it.
 
 from __future__ import annotations
 
-import json
 import struct
 import sys
 from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -172,21 +172,35 @@ def read_record_rows(
         raise error(f"{what} has no rows")
 
 
+def _image_text(im: ImageRef) -> str:
+    return (
+        f'{{"path": {encode_basestring(im.path)}, '
+        f'"modality": {encode_basestring(im.modality)}}}'
+    )
+
+
+def manifest_to_jsonl(corpus: Corpus) -> str:
+    """The manifest.jsonl text of `corpus`: one line per record, keys id,
+    split, report and images (path, modality in each image).
+
+    Each line is the bytes that `json.dumps(..., ensure_ascii=False)` writes
+    for the record's object, non-ASCII text raw, built from the C string
+    encoder that call uses, with no object or encoder made per record.
+    """
+    return "".join([
+        f'{{"id": {encode_basestring(rec.id)}, "split": {encode_basestring(rec.split)}, '
+        f'"report": {encode_basestring(rec.report)}, '
+        f'"images": [{", ".join(map(_image_text, rec.images))}]}}\n'
+        for rec in corpus.records
+    ])
+
+
 def save_manifest(corpus: Corpus, path: str | Path) -> None:
-    """Write manifest.jsonl in canonical form (fixed key order, UTF-8).
+    """Write manifest.jsonl in canonical form (`manifest_to_jsonl`, UTF-8).
 
     save(load(p)) reproduces a canonically written file byte for byte.
     """
-    lines = []
-    for rec in corpus.records:
-        obj = {
-            "id": rec.id,
-            "split": rec.split,
-            "report": rec.report,
-            "images": [{"path": im.path, "modality": im.modality} for im in rec.images],
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
-    write_atomic(path, "".join(lines))
+    write_atomic(path, manifest_to_jsonl(corpus))
 
 
 @dataclass

@@ -16,7 +16,6 @@ import functools
 import json
 import json.scanner
 import os
-import secrets
 from collections.abc import Iterator
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -37,7 +36,7 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:

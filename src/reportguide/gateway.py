@@ -21,7 +21,6 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
@@ -66,8 +65,7 @@ class ChatRequest:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(NamedTuple):
     text: str
     input_tokens: int
     output_tokens: int
@@ -742,6 +740,8 @@ def map_calls(fn, items, config: GatewayConfig) -> list:
     """
     if config.backend == "mock":
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # here, so a mock process never loads it
+
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         return list(pool.map(fn, items))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import InitVar, dataclass, field, replace
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -263,8 +264,18 @@ def run_generation(
 
 
 def generated_to_jsonl(rows: list[dict]) -> str:
-    """Generated rows as the JSON lines `load_generated` reads back."""
-    return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    """Generated rows, as `run_generation` builds them, as the JSON lines
+    `load_generated` reads back: keys id, mode, label_source, prompt and
+    report, each a string. Each line is the bytes that
+    `json.dumps(row, ensure_ascii=False)` writes, non-ASCII text raw, built
+    from the C string encoder that call uses, with no encoder made per row."""
+    return "".join([
+        f'{{"id": {encode_basestring(row["id"])}, "mode": {encode_basestring(row["mode"])}, '
+        f'"label_source": {encode_basestring(row["label_source"])}, '
+        f'"prompt": {encode_basestring(row["prompt"])}, '
+        f'"report": {encode_basestring(row["report"])}}}\n'
+        for row in rows
+    ])
 
 
 def load_generated(

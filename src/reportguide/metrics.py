@@ -22,6 +22,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, DataError, LLMOutputError
 from .gateway import (
@@ -412,8 +413,7 @@ def extract_entities(text: str, config: GatewayConfig) -> set[str]:
     return {e for e in (_normalize_entity(x) for x in entities) if e}
 
 
-@dataclass(frozen=True)
-class EntityScores:
+class EntityScores(NamedTuple):
     precision: float
     recall: float
     f1: float

@@ -4,11 +4,12 @@ annotation, read as written and never evaluated: every config module has
 string "int", "float", "str" or "list[str]", on every Python version. Its
 bounds are declared in `field(metadata=...)`: inclusive `low` and
 `high`, an exclusive lower bound `above`, or the `choices` of a str field or
-of each element of a list[str] one. `check_fields` checks both as a section
-is built, so a bad value is a ConfigError naming its field when the config
-loads; only rules relating two fields are hand-written after it, and a
-section with none inherits `ConfigSection`'s `__post_init__`. `check_values`
-holds a mapping, such as the settings an artifact records, to a declaration."""
+of each element of a list[str] one, which names each element once.
+`check_fields` checks both as a section is built, so a bad value is a
+ConfigError naming its field when the config loads; only rules relating two
+fields are hand-written after it, and a section with none inherits
+`ConfigSection`'s `__post_init__`. `check_values` holds a mapping, such as
+the settings an artifact records, to a declaration."""
 
 from __future__ import annotations
 
@@ -72,11 +73,15 @@ def describe_bounds(bounds) -> str:
 
 def _check(name: str, value, check, bounds):
     value = check(name, value)
+    seen = set()
     for item in value if isinstance(value, list) else (value,):
         if item not in bounds.get("choices", (item,)) or not all(
             test(item, bounds[key]) for key, (_, test) in _BOUNDS.items() if key in bounds
         ):
             raise _fail(name, describe_bounds(bounds), item)
+        if item in seen:
+            raise ConfigError(f"{name} names {item!r} more than once", field=name)
+        seen.add(item)
     return value
 
 

@@ -10,9 +10,28 @@ from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import strategies as st
 
 from reportguide.gateway import GatewayConfig
 from reportguide.synthetic import build_synthetic_corpus, write_synthetic_corpus
+
+
+def json_strings(min_size: int = 0) -> st.SearchStrategy[str]:
+    """Text that exercises every way a JSON string writer can go wrong:
+    quotes, backslashes, control characters, non-ASCII text, U+2028/U+2029
+    and lone surrogates, among any other characters."""
+    return st.text(
+        st.one_of(
+            st.characters(),
+            st.sampled_from(
+                ('"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "肺", "😀")
+            ),
+            st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+        ),
+        min_size=min_size,
+        max_size=20,
+    )
+
 
 # One pass/fail line per acceptance criterion, echoed after the test summary.
 ACCEPTANCE_LINES: list[str] = []

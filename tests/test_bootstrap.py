@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import json_strings
+
 from reportguide.bootstrap import (
     AnnotatedItem,
     LabelEntry,
@@ -648,22 +650,10 @@ def test_labels_save_load_round_trip(tmp_path):
     assert loaded.items == dataset.items
 
 
-_RECORD_ID = st.text(
-    st.one_of(
-        st.characters(),
-        st.sampled_from(
-            ('"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "肺", "😀")
-        ),
-        st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
-    ),
-    max_size=20,
-)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.tuples(_RECORD_ID, st.lists(st.integers(-(2**70), 2**70), max_size=60)), max_size=8
+        st.tuples(json_strings(), st.lists(st.integers(-(2**70), 2**70), max_size=60)), max_size=8
     )
 )
 @example([("", []), ("r1", list(range(500))), ("r2", [2**64, -(2**63)])])

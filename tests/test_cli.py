@@ -180,6 +180,8 @@ def test_override_unknown_dotted_key_is_rejected(mini):
         ("guidance.generator", "1", "generator"),
         ("guidance.generator.backend", "zzz", "backend"),
         ("metrics.enabled", '"bleu"', "list of strings"),
+        ("metrics.enabled", '["bleu", "rouge_l", "bleu"]',
+         "metrics.enabled names 'bleu' more than once"),
         ("gateway.call_log_path", '"calls.jsonl"', "unknown config key"),
         ("gateway.retry_base_delay", "0", "unknown config key"),
         ("guidance.generator.gateway", "{}", "unknown config key"),

@@ -8,8 +8,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import json_strings
 
 from reportguide.bootstrap import bootstrap_dataset
 from reportguide.classifier import predict_records, train
@@ -22,6 +24,7 @@ from reportguide.corpus import (
     ReportRecord,
     load_features,
     load_manifest,
+    manifest_to_jsonl,
     read_record_rows,
     save_features,
     save_manifest,
@@ -303,6 +306,40 @@ def test_manifest_round_trip_preserves_records(tmp_path_factory, rows):
     save_manifest(Corpus(records=records), path)
     loaded = load_manifest(path)
     assert list(loaded.records) == records
+
+
+_IMAGES = st.lists(st.builds(ImageRef, json_strings(), json_strings()), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(json_strings(min_size=1), st.sampled_from(SPLITS), json_strings(min_size=1),
+                  _IMAGES),
+        max_size=6,
+        unique_by=lambda t: t[0],
+    )
+)
+@example([
+    ("a", "train", "r", ()),
+    ("b", "val", "r", (ImageRef("p.png", "xray"),)),
+    ("c", "test", "r", (ImageRef("p1", ""), ImageRef("p2", "ct"), ImageRef("\u2028", "\ud800"))),
+])
+def test_manifest_to_jsonl_writes_the_bytes_of_json_dumps(rows):
+    records = [ReportRecord(i, s, r, tuple(images)) for i, s, r, images in rows]
+    assert manifest_to_jsonl(Corpus(records=records)) == "".join(
+        json.dumps(
+            {
+                "id": i,
+                "split": s,
+                "report": r,
+                "images": [{"path": im.path, "modality": im.modality} for im in images],
+            },
+            ensure_ascii=False,
+        )
+        + "\n"
+        for i, s, r, images in rows
+    )
 
 
 # ---------------------------------------------------------------------------

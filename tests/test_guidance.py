@@ -11,6 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import json_strings
 
 from reportguide.bootstrap import (
     AnnotatedItem,
@@ -366,9 +370,21 @@ def test_load_generated_names_the_first_faulty_line(tmp_path):
         {"id": "a", "mode": "label_only", "label_source": "gt", "prompt": "p", "report": "x"},
         {"id": "b", "mode": "image_only", "label_source": "none", "prompt": "p", "report": 3},
     ]
-    path.write_text(generated_to_jsonl(rows), encoding="utf-8")
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     with pytest.raises(GeneratedFileError, match=f"{path.name} line 1: mode and label_source"):
         load_generated(path, corpus, "image_only", "none", "test")
+
+
+_GENERATED_KEYS = ("id", "mode", "label_source", "prompt", "report")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[json_strings()] * len(_GENERATED_KEYS)), max_size=6))
+def test_generated_to_jsonl_writes_the_bytes_of_json_dumps(values):
+    rows = [dict(zip(_GENERATED_KEYS, row)) for row in values]
+    assert generated_to_jsonl(rows) == "".join(
+        json.dumps(row, ensure_ascii=False) + "\n" for row in rows
+    )
 
 
 @pytest.mark.parametrize("line", ['["a"]', '"text"', "3", "null"])

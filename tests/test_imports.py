@@ -5,9 +5,11 @@ those two inside the functions that run them, so `bootstrap` and `evaluate`
 start without numpy. `cli` imports `bootstrap` the same way, and `guidance`
 names its `LabelTaxonomy` for type checking only and imports `subprocess`
 where it spawns a generator, so an `evaluate` process loads no bootstrap
-code, no `difflib` and no `subprocess`. The subprocess test checks that in
-a fresh interpreter, because this test session has loaded all of them
-already. The guard parses each module of the package and fails, naming the
+code, no `difflib` and no `subprocess`. `fileio` names its temp files from
+`os.urandom`, not `secrets`, and `gateway` imports `concurrent.futures`
+where it starts http threads, so a mock `bootstrap` or `evaluate` loads
+neither. The subprocess test checks that in a fresh interpreter, because
+this test session has loaded all of them already. The guard parses each module of the package and fails, naming the
 file and line, on an import that runs when a module is imported (one
 outside every function and every `if TYPE_CHECKING:` block) and would undo
 that: an import of numpy outside `classifier.py` and `synthetic.py`, an
@@ -119,7 +121,9 @@ _RUN = """
 import json, sys
 from reportguide.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-watched = ("numpy", "reportguide.bootstrap", "difflib", "subprocess")
+watched = (
+    "numpy", "reportguide.bootstrap", "difflib", "subprocess", "secrets", "concurrent.futures"
+)
 print(json.dumps({"codes": codes, "loaded": [m for m in watched if m in sys.modules]}))
 """
 
@@ -149,7 +153,8 @@ def ran_config(synth_dir, tmp_path_factory) -> str:
         (None, []),
         ("bootstrap", ["reportguide.bootstrap", "difflib"]),
         ("evaluate", []),
-        ("train", ["numpy", "reportguide.bootstrap", "difflib"]),
+        # numpy's random generator imports `secrets` itself.
+        ("train", ["numpy", "reportguide.bootstrap", "difflib", "secrets"]),
     ],
     ids=["import", "bootstrap", "evaluate", "train"],
 )
