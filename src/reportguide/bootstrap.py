@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Corpus, read_record_rows
 from .errors import (
@@ -109,8 +109,9 @@ class LabelTaxonomy:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedItem:
+class AnnotatedItem(NamedTuple):
+    """One record's row of the dataset: its id, split and positive indices."""
+
     record_id: str
     split: str
     positives: tuple[int, ...]
@@ -348,20 +349,24 @@ def annotate_report(
 # ---------------------------------------------------------------------------
 
 
-def filter_labels(dataset: MLCDataset, min_label_count: int) -> MLCDataset:
+def filter_labels(
+    taxonomy: LabelTaxonomy, vectors: dict[tuple[int, ...], int], min_label_count: int
+) -> tuple[LabelTaxonomy, dict[tuple[int, ...], tuple[int, ...]]]:
     """Drop labels below the training-split frequency threshold.
 
-    Survivors are re-indexed densely in their original order and each
-    distinct vector is re-projected once; a projection keeps its order, so
-    it stays sorted. Counts are taken over the training split only.
+    `vectors` maps each distinct positive-index vector to the number of
+    training records that carry it (0 for one that only other splits
+    carry), so counts are taken over the training split only. Survivors are
+    re-indexed densely in their original order. Returns the filtered
+    taxonomy and each vector's projection onto it; a projection keeps its
+    order, so it stays sorted.
     """
-    counts = [0] * len(dataset.taxonomy)
-    for item in dataset.items:
-        if item.split == "train":
-            for j in item.positives:
-                counts[j] += 1
+    counts = [0] * len(taxonomy)
+    for vector, carriers in vectors.items():
+        for j in vector:
+            counts[j] += carriers
 
-    survivors = [e for e in dataset.taxonomy.labels if counts[e.index] >= min_label_count]
+    survivors = [e for e in taxonomy.labels if counts[e.index] >= min_label_count]
     if not survivors:
         raise EmptyTaxonomyError(
             f"no label reaches the frequency threshold {min_label_count} "
@@ -377,19 +382,13 @@ def filter_labels(dataset: MLCDataset, min_label_count: int) -> MLCDataset:
     )
     new_taxonomy = LabelTaxonomy(
         labels=new_labels,
-        merge_rounds=dataset.taxonomy.merge_rounds,
-        params=dict(dataset.taxonomy.params),
+        merge_rounds=taxonomy.merge_rounds,
+        params=dict(taxonomy.params),
     )
-    projected: dict[tuple[int, ...], tuple[int, ...]] = {}
-    new_items = []
-    for item in dataset.items:
-        positives = projected.get(item.positives)
-        if positives is None:
-            positives = projected[item.positives] = tuple(
-                remap[j] for j in item.positives if remap[j] is not None
-            )
-        new_items.append(AnnotatedItem(item.record_id, item.split, positives))
-    return MLCDataset(taxonomy=new_taxonomy, items=tuple(new_items), skipped=dataset.skipped)
+    projection = {
+        vector: tuple(remap[j] for j in vector if remap[j] is not None) for vector in vectors
+    }
+    return new_taxonomy, projection
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +439,32 @@ def bootstrap_dataset(
         len(corpus.records),
         len(carriers),
     )
-    items: list[AnnotatedItem] = []
+    failures = {t: p for t, p in annotations.items() if isinstance(p, LLMOutputError)}
     skipped: list[str] = []
-    for record in corpus.records:
-        positives = annotations[record.report]
-        if isinstance(positives, LLMOutputError):
-            logger.debug("skipping record %s: annotation unparseable: %s", record.id, positives)
-            skipped.append(record.id)
-        else:
-            items.append(AnnotatedItem(record.id, record.split, positives))
-    if skipped:
+    if failures:
+        for record in corpus.records:
+            if record.report in failures:
+                error = failures[record.report]
+                logger.debug("skipping record %s: annotation unparseable: %s", record.id, error)
+                skipped.append(record.id)
         logger.warning("annotation skipped %d records", len(skipped))
 
-    dataset = MLCDataset(taxonomy=draft, items=tuple(items), skipped=tuple(skipped))
-    return filter_labels(dataset, config.theta)
+    # Labels are counted, dropped and reindexed from the distinct vectors
+    # and the training records carrying each, so each record's row is built
+    # once, with its filtered vector.
+    train_carriers = Counter(record.report for record in train)
+    vectors: dict[tuple[int, ...], int] = {}
+    for text, positives in annotations.items():
+        if text not in failures:
+            vectors[positives] = vectors.get(positives, 0) + train_carriers[text]
+    taxonomy, projection = filter_labels(draft, vectors, config.theta)
+    rows = {text: projection[p] for text, p in annotations.items() if text not in failures}
+    items = [
+        AnnotatedItem(record.id, record.split, rows[record.report])
+        for record in corpus.records
+        if record.report in rows
+    ]
+    return MLCDataset(taxonomy=taxonomy, items=tuple(items), skipped=tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +530,20 @@ def taxonomy_fingerprint(taxonomy: LabelTaxonomy) -> str:
 
 def labels_to_jsonl(dataset: MLCDataset) -> str:
     """One `{"id": ..., "positives": [...]}` line per item, the bytes that
-    `json.dumps` writes with its defaults (ASCII escapes, ", " and ": ")."""
-    return "".join(
-        f'{{"id": {encode_basestring_ascii(item.record_id)}, '
-        f'"positives": [{", ".join(map(str, item.positives))}]}}\n'
-        for item in dataset.items
-    )
+    `json.dumps` writes with its defaults (ASCII escapes, ", " and ": ").
+    Each distinct vector's `, "positives": [...]}` tail is built once."""
+    tails: dict[tuple[int, ...], str] = {}
+    lines = []
+    for record_id, _, positives in dataset.items:
+        tail = tails.get(positives)
+        if tail is None:
+            tail = tails[positives] = f', "positives": [{", ".join(map(str, positives))}]}}\n'
+        lines.append('{"id": ' + encode_basestring_ascii(record_id) + tail)
+    return "".join(lines)
+
+
+# The one type a `positives` entry may have: not bool, float or str.
+_INT_TYPE = frozenset({int})
 
 
 def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> MLCDataset:
@@ -537,7 +556,9 @@ def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> ML
     vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
     for lineno, obj, rec in read_record_rows(path, corpus, BootstrapError, what):
         positives = obj.get("positives")
-        if not isinstance(positives, list) or not all(_is_int(j) for j in positives):
+        # The entries' types are checked before the vector is looked up: a
+        # tuple holding True or 1.0 equals one holding 1.
+        if type(positives) is not list or not _INT_TYPE.issuperset(map(type, positives)):
             raise BootstrapError(f"{what} line {lineno}: positives must be a list of integers")
         vector = tuple(positives)
         shared = vectors.get(vector)
@@ -546,7 +567,7 @@ def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> ML
             if fault:
                 raise BootstrapError(f"{what} line {lineno}: record {rec.id!r} {fault}")
             shared = vectors[vector] = vector
-        items.append(AnnotatedItem(record_id=rec.id, split=rec.split, positives=shared))
+        items.append(AnnotatedItem(rec.id, rec.split, shared))
     return MLCDataset(taxonomy=taxonomy, items=tuple(items))
 
 

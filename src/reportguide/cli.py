@@ -37,11 +37,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 # `classifier` and `synthetic` load numpy, which bootstrap and evaluate never
-# use, and `bootstrap` is code that only bootstrap, train, predict and
-# generate run: each is imported inside the functions that run it, so a
-# stage's process loads only the code of that stage.
+# use, `bootstrap` is code that only bootstrap, train, predict and generate
+# run, and `metrics` is code that only evaluate runs: each is imported inside
+# the functions that run it, so a stage's process loads only the code of
+# that stage.
 from . import guidance as guidance_mod
-from . import metrics as metrics_mod
 from .corpus import SPLITS, Corpus, load_features, load_manifest
 from .errors import ArtifactWriteError, ConfigError, PipelineError, PrerequisiteError
 from .fileio import json_text, read_json, write_atomic
@@ -103,11 +103,15 @@ class GuidanceConfig(ConfigSection):
         return self.mode, "none" if self.mode == "image_only" else self.label_source
 
 
+# The metrics `evaluate` can score, in `metrics.json` order; `metrics` reads
+# them from here.
+METRIC_NAMES = ("bleu", "rouge_l", "cider_d", "meteor_simple", "entity_f1")
+
+
 @dataclass(frozen=True)
 class MetricsConfig(ConfigSection):
     enabled: list[str] = field(
-        default_factory=lambda: list(metrics_mod.METRIC_NAMES),
-        metadata={"choices": metrics_mod.METRIC_NAMES},
+        default_factory=lambda: list(METRIC_NAMES), metadata={"choices": METRIC_NAMES}
     )
 
 
@@ -383,6 +387,8 @@ def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> d
 
 
 def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
+    from . import metrics as metrics_mod
+
     mode, source = config.guidance.cell
     split = config.guidance.split
     rows = read(guidance_mod.generated_filename(mode, source))

@@ -8,6 +8,9 @@ artifact but the checkpoint.
 Reads go through the `read_*` functions: a file that cannot be read (a
 directory, no permission, not UTF-8) or is not the JSON it should be raises
 the caller's typed `error`, with `what` ("taxonomy file <path>") leading.
+So does JSON whose string escapes decode to a lone surrogate, such as
+`"\\ud800"`: no UTF-8 file can hold that text, so an artifact built from it
+could never be written.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 import json
 import json.scanner
 import os
+import re
 from collections.abc import Iterator
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -149,6 +153,38 @@ def read_text(path: str | Path, error: type[PipelineError], what: str) -> str:
         raise _unreadable(error, what, path, exc) from exc
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def lone_surrogate(text: str) -> str | None:
+    """The first lone surrogate in `text`, or None. A JSON escape from
+    `\\uD800` to `\\uDFFF` that is not half of a pair decodes to one, and
+    no UTF-8 file can hold it, so text decoded from JSON that could reach an
+    artifact or the call log is checked with this."""
+    found = _SURROGATE.search(text)
+    return found[0] if found else None
+
+
+# A JSON string token; in valid JSON, none spans lines.
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _reject_lone_surrogates(line: str, error: type[PipelineError], where: str) -> None:
+    """Raise `error` if a string on this line of valid JSON decodes to a
+    lone surrogate. Only a `\\uD...` escape makes one, so callers pass
+    only lines holding a backslash, which a single-character search finds
+    at memchr speed."""
+    if "\\ud" not in line and "\\uD" not in line:
+        return
+    for token in _STRING.findall(line):
+        char = lone_surrogate(json.loads(token))
+        if char:
+            raise error(
+                f"{where}: a string escape decodes to the lone surrogate {char!r}, "
+                f"which UTF-8 cannot encode"
+            )
+
+
 def read_json(path: str | Path, error: type[PipelineError], what: str) -> dict:
     """The file's JSON document, which must be an object."""
     text = read_text(path, error, what)
@@ -158,6 +194,9 @@ def read_json(path: str | Path, error: type[PipelineError], what: str) -> dict:
         raise error(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{what}: not a JSON object")
+    if "\\" in text:
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            _reject_lone_surrogates(line, error, f"{what} line {lineno}")
     return doc
 
 
@@ -196,6 +235,8 @@ def read_jsonl(
                     raise error(f"{what} line {lineno}: invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise error(f"{what} line {lineno}: not a JSON object")
+                if "\\" in line:
+                    _reject_lone_surrogates(line, error, f"{what} line {lineno}")
                 yield lineno, obj
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(error, what, path, exc) from exc

@@ -33,7 +33,7 @@ from .errors import (
     MockContractError,
     TransportError,
 )
-from .fileio import read_text
+from .fileio import lone_surrogate, read_text
 from .schema import check_fields
 from .textnorm import CJK_CLASS, alias_key, match_key
 
@@ -539,7 +539,9 @@ def _parse_call_log(text: str) -> dict[str, tuple[str, int, int]]:
             key = entry["request_sha256"]
         except (ValueError, LookupError, TypeError):
             continue
-        if (isinstance(key, str) and isinstance(reply[0], str)
+        # A reply holding a lone surrogate was never logged by a call
+        # (`_http_complete` rejects it) and could not be written out.
+        if (isinstance(key, str) and isinstance(reply[0], str) and not lone_surrogate(reply[0])
                 and all(type(n) is int and n >= 0 for n in reply[1:])):
             replies.setdefault(key, reply)
     return replies
@@ -680,6 +682,8 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
                 usage = doc.get("usage") or {}
                 if not (isinstance(text, str) and isinstance(usage, dict)):
                     raise TypeError("content must be a string and usage an object")
+                if char := lone_surrogate(text):
+                    raise ValueError(f"content holds the lone surrogate {char!r}")
                 input_tokens = _usage_count(usage, "prompt_tokens", request.system + request.user)
                 output_tokens = _usage_count(usage, "completion_tokens", text)
             except (ValueError, LookupError, TypeError) as exc:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 from .corpus import Corpus, ReportRecord, read_record_rows
 from .errors import ConfigError, DataError, GeneratedFileError, GenerationError
+from .fileio import lone_surrogate
 from .gateway import ChatRequest, GatewayConfig, complete
 from .schema import check_fields
 
@@ -159,19 +160,20 @@ def _command_generate(prompt: GuidancePrompt, config: GeneratorConfig) -> str:
         proc = subprocess.run(
             config.command,
             shell=True,
-            input=request_line + "\n",
+            input=(request_line + "\n").encode("utf-8"),
             capture_output=True,
-            text=True,
             timeout=300,
         )
     except (OSError, subprocess.SubprocessError) as exc:
         raise GenerationError(f"generator command failed to run: {exc}") from exc
     if proc.returncode != 0:
+        stderr = proc.stderr.decode("utf-8", "replace")
         raise GenerationError(
-            f"generator command exited with {proc.returncode}: {proc.stderr.strip()[:500]}"
+            f"generator command exited with {proc.returncode}: {stderr.strip()[:500]}"
         )
     try:
-        payload = json.loads(proc.stdout.strip().splitlines()[-1])
+        # Output that is not UTF-8 raises UnicodeDecodeError, a ValueError.
+        payload = json.loads(proc.stdout.decode("utf-8").strip().splitlines()[-1])
         report = payload["report"]
     except (ValueError, LookupError, IndexError) as exc:
         raise GenerationError(
@@ -179,6 +181,8 @@ def _command_generate(prompt: GuidancePrompt, config: GeneratorConfig) -> str:
         ) from exc
     if not isinstance(report, str):
         raise GenerationError("generator command returned a non-string report")
+    if char := lone_surrogate(report):
+        raise GenerationError(f"generator command returned the lone surrogate {char!r}")
     return report
 
 

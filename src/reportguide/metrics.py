@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .cli import METRIC_NAMES
 from .errors import ConfigError, DataError, LLMOutputError
 from .gateway import (
     ChatRequest,
@@ -35,8 +36,6 @@ from .gateway import (
 from .textnorm import CJK_CLASS
 
 logger = logging.getLogger(__name__)
-
-METRIC_NAMES = ("bleu", "rouge_l", "cider_d", "meteor_simple", "entity_f1")
 
 ROUGE_BETA = 1.2
 CIDER_SIGMA = 6.0

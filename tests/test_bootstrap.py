@@ -9,7 +9,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import json_strings
@@ -45,6 +45,7 @@ from reportguide.fileio import write_atomic
 from reportguide.cli import BootstrapConfig, main
 from reportguide.gateway import ChatRequest, ChatResponse, GatewayConfig, estimate_tokens
 
+from reportguide import bootstrap as bootstrap_mod
 from reportguide import gateway as gateway_mod
 
 
@@ -293,9 +294,17 @@ def test_annotate_matches_aliases_case_insensitively(monkeypatch, mock_gateway):
 # ---------------------------------------------------------------------------
 
 
-def _counted_dataset():
+def _train_vectors(items) -> dict[tuple[int, ...], int]:
+    """Each distinct vector of `items` with the number of training items
+    carrying it, as `bootstrap_dataset` hands them to `filter_labels`."""
+    vectors: dict[tuple[int, ...], int] = {}
+    for item in items:
+        vectors[item.positives] = vectors.get(item.positives, 0) + (item.split == "train")
+    return vectors
+
+
+def _counted_vectors():
     """Three labels with training counts [20, 14, 15]."""
-    tax = _taxonomy(["L0", "L1", "L2"])
     items = []
     for i in range(20):
         positives = [0]
@@ -306,51 +315,46 @@ def _counted_dataset():
         items.append(AnnotatedItem(f"t{i:02d}", "train", tuple(sorted(positives))))
     # A non-training item must not affect the counts.
     items.append(AnnotatedItem("v00", "val", (0, 1, 2)))
-    return MLCDataset(taxonomy=tax, items=tuple(items))
+    return _taxonomy(["L0", "L1", "L2"]), _train_vectors(items)
 
 
 def test_filter_labels_drops_below_threshold_and_reindexes():
-    filtered = filter_labels(_counted_dataset(), min_label_count=15)
-    assert filtered.taxonomy.names() == ["L0", "L2"]
-    assert [e.index for e in filtered.taxonomy.labels] == [0, 1]
-    assert [e.count for e in filtered.taxonomy.labels] == [20, 15]
+    taxonomy, _ = filter_labels(*_counted_vectors(), min_label_count=15)
+    assert taxonomy.names() == ["L0", "L2"]
+    assert [e.index for e in taxonomy.labels] == [0, 1]
+    assert [e.count for e in taxonomy.labels] == [20, 15]
 
 
 def test_filter_labels_counts_training_split_only():
     # L1 occurs 14 times in train plus once in val; 15 total must not save it.
-    filtered = filter_labels(_counted_dataset(), min_label_count=15)
-    assert "L1" not in filtered.taxonomy.names()
+    taxonomy, _ = filter_labels(*_counted_vectors(), min_label_count=15)
+    assert "L1" not in taxonomy.names()
 
 
 def test_filter_labels_reprojects_vectors_by_name():
-    dataset = _counted_dataset()
-    filtered = filter_labels(dataset, min_label_count=15)
-    before = {i.record_id: i for i in dataset.items}
-    for item in filtered.items:
-        old_names = {
-            dataset.taxonomy.labels[j].name for j in before[item.record_id].positives
-        }
-        new_names = {filtered.taxonomy.labels[j].name for j in item.positives}
-        assert new_names == old_names - {"L1"}
+    draft, vectors = _counted_vectors()
+    taxonomy, projection = filter_labels(draft, vectors, min_label_count=15)
+    assert projection.keys() == vectors.keys()
+    for vector, projected in projection.items():
+        old_names = {draft.labels[j].name for j in vector}
+        assert {taxonomy.labels[j].name for j in projected} == old_names - {"L1"}
 
 
 def test_filter_labels_theta_one_is_identity_on_present_labels():
-    dataset = _counted_dataset()
-    filtered = filter_labels(dataset, min_label_count=1)
-    assert filtered.taxonomy.names() == ["L0", "L1", "L2"]
-    assert {i.record_id: i.positives for i in filtered.items} == {
-        i.record_id: i.positives for i in dataset.items
-    }
+    draft, vectors = _counted_vectors()
+    taxonomy, projection = filter_labels(draft, vectors, min_label_count=1)
+    assert taxonomy.names() == ["L0", "L1", "L2"]
+    assert projection == {vector: vector for vector in vectors}
 
 
 def test_filter_labels_post_condition_min_count_at_threshold():
-    filtered = filter_labels(_counted_dataset(), min_label_count=15)
-    assert min(e.count for e in filtered.taxonomy.labels) >= 15
+    taxonomy, _ = filter_labels(*_counted_vectors(), min_label_count=15)
+    assert min(e.count for e in taxonomy.labels) >= 15
 
 
 def test_filter_labels_all_removed_raises():
     with pytest.raises(EmptyTaxonomyError):
-        filter_labels(_counted_dataset(), min_label_count=1000)
+        filter_labels(*_counted_vectors(), min_label_count=1000)
 
 
 def test_filter_labels_projects_a_vector_shared_across_splits_once():
@@ -362,14 +366,11 @@ def test_filter_labels_projects_a_vector_shared_across_splits_once():
         AnnotatedItem("s1", "test", shared),
         AnnotatedItem("v1", "val", (1,)),
     )
-    filtered = filter_labels(MLCDataset(taxonomy=tax, items=items), min_label_count=2)
-    assert filtered.taxonomy.names() == ["L0", "L2"]
+    taxonomy, projection = filter_labels(tax, _train_vectors(items), min_label_count=2)
+    assert taxonomy.names() == ["L0", "L2"]
     # The test record that shares t1's vector does not count towards L0.
-    assert [e.count for e in filtered.taxonomy.labels] == [2, 2]
-    assert [(i.record_id, i.split, i.positives) for i in filtered.items] == [
-        ("t1", "train", (0, 1)), ("t2", "train", (0, 1)), ("s1", "test", (0, 1)), ("v1", "val", ()),
-    ]
-    assert filtered.items[0].positives is filtered.items[2].positives
+    assert [e.count for e in taxonomy.labels] == [2, 2]
+    assert projection == {shared: (0, 1), (0, 2): (0, 1), (1,): ()}
 
 
 _SPLIT_NAMES = st.sampled_from(("train", "val", "test"))
@@ -386,18 +387,18 @@ def test_filter_labels_matches_a_per_record_reprojection(k, rows, theta):
         AnnotatedItem(f"r{n}", split, tuple(sorted(j for j in positives if j < k)))
         for n, (split, positives) in enumerate(rows)
     )
-    dataset = MLCDataset(taxonomy=_taxonomy([f"L{j}" for j in range(k)]), items=items)
+    draft = _taxonomy([f"L{j}" for j in range(k)])
     counts = Counter(j for item in items if item.split == "train" for j in item.positives)
     kept = [j for j in range(k) if counts[j] >= theta]
     if not kept:
         with pytest.raises(EmptyTaxonomyError):
-            filter_labels(dataset, theta)
+            filter_labels(draft, _train_vectors(items), theta)
         return
     remap = {old: new for new, old in enumerate(kept)}
-    filtered = filter_labels(dataset, theta)
-    assert filtered.taxonomy.names() == [f"L{j}" for j in kept]
-    assert [e.count for e in filtered.taxonomy.labels] == [counts[j] for j in kept]
-    assert [item.positives for item in filtered.items] == [
+    taxonomy, projection = filter_labels(draft, _train_vectors(items), theta)
+    assert taxonomy.names() == [f"L{j}" for j in kept]
+    assert [e.count for e in taxonomy.labels] == [counts[j] for j in kept]
+    assert [projection[item.positives] for item in items] == [
         tuple(sorted(remap[j] for j in item.positives if j in remap)) for item in items
     ]
 
@@ -441,6 +442,117 @@ def test_bootstrap_reruns_write_byte_identical_artifacts(synth, mock_gateway):
     b = bootstrap_dataset(synth.corpus, BootstrapConfig(), mock_gateway)
     assert taxonomy_to_json(a.taxonomy) == taxonomy_to_json(b.taxonomy)
     assert labels_to_jsonl(a) == labels_to_jsonl(b)
+
+
+def _reference_filter_labels(dataset: MLCDataset, min_label_count: int) -> MLCDataset:
+    """The former filter step, kept as the reference for the single pass of
+    `bootstrap_dataset`: it counts the training labels over a draft row per
+    record, then copies every row with its vector projected."""
+    counts = [0] * len(dataset.taxonomy)
+    for item in dataset.items:
+        if item.split == "train":
+            for j in item.positives:
+                counts[j] += 1
+    survivors = [e for e in dataset.taxonomy.labels if counts[e.index] >= min_label_count]
+    if not survivors:
+        raise EmptyTaxonomyError(
+            f"no label reaches the frequency threshold {min_label_count} "
+            f"on the training split"
+        )
+    remap: list[int | None] = [None] * len(counts)
+    for new, e in enumerate(survivors):
+        remap[e.index] = new
+    taxonomy = LabelTaxonomy(
+        labels=tuple(
+            LabelEntry(index=new, name=e.name, aliases=e.aliases, count=counts[e.index])
+            for new, e in enumerate(survivors)
+        ),
+        merge_rounds=dataset.taxonomy.merge_rounds,
+        params=dict(dataset.taxonomy.params),
+    )
+    items = tuple(
+        AnnotatedItem(
+            item.record_id,
+            item.split,
+            tuple(remap[j] for j in item.positives if remap[j] is not None),
+        )
+        for item in dataset.items
+    )
+    return MLCDataset(taxonomy=taxonomy, items=items, skipped=dataset.skipped)
+
+
+def _reference_bootstrap(corpus, draft, annotations, theta) -> MLCDataset:
+    """A draft row per annotated record, then `_reference_filter_labels`."""
+    items, skipped = [], []
+    for record in corpus.records:
+        positives = annotations[record.report]
+        if isinstance(positives, LLMOutputError):
+            skipped.append(record.id)
+        else:
+            items.append(AnnotatedItem(record.id, record.split, positives))
+    draft_dataset = MLCDataset(taxonomy=draft, items=tuple(items), skipped=tuple(skipped))
+    return _reference_filter_labels(draft_dataset, theta)
+
+
+def _reference_labels_jsonl(dataset: MLCDataset) -> str:
+    return "".join(
+        json.dumps({"id": item.record_id, "positives": list(item.positives)}) + "\n"
+        for item in dataset.items
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    # One entry per distinct report text: its labels, or None when the
+    # annotation stays unparseable.
+    table=st.lists(st.none() | st.sets(st.integers(0, 4)), min_size=1, max_size=6),
+    records=st.lists(st.tuples(st.integers(0, 5), _SPLIT_NAMES), min_size=1, max_size=30),
+    theta=st.integers(0, 8),
+)
+@example(k=2, table=[None, {0}], records=[(0, "train"), (1, "test")], theta=1)
+@example(k=3, table=[{0, 1}, {2}], records=[(0, "train"), (1, "train")], theta=5)
+@example(k=1, table=[None], records=[(0, "train")], theta=0)
+def test_bootstrap_dataset_matches_the_draft_then_filter_flow(k, table, records, theta):
+    assume(any(split == "train" for _, split in records))
+    texts = [f"report {n}" for n in range(len(table))]
+    annotations = {
+        text: LLMOutputError("unparseable") if labels is None
+        else tuple(sorted(j for j in labels if j < k))
+        for text, labels in zip(texts, table)
+    }
+    corpus = Corpus(records=[
+        ReportRecord(f"r{n}", split, texts[t % len(texts)]) for n, (t, split) in enumerate(records)
+    ])
+    names = [f"L{j}" for j in range(k)]
+    config = BootstrapConfig(theta=theta)
+    draft = LabelTaxonomy(
+        labels=tuple(LabelEntry(index=j, name=n) for j, n in enumerate(names)),
+        params={"b": config.b, "kappa": config.kappa, "theta": theta},
+    )
+
+    def annotate(text, taxonomy, gateway, carriers):
+        if isinstance(annotations[text], LLMOutputError):
+            raise annotations[text]
+        return annotations[text]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bootstrap_mod, "extract_batch_labels", lambda reports, gateway: [])
+        patch.setattr(bootstrap_mod, "merge_label_sets", lambda sets, gateway, budget: (
+            names, {}, 0))
+        patch.setattr(bootstrap_mod, "annotate_report", annotate)
+        try:
+            expected = _reference_bootstrap(corpus, draft, annotations, theta)
+        except EmptyTaxonomyError as exc:
+            with pytest.raises(EmptyTaxonomyError, match=f"^{exc}$"):
+                bootstrap_dataset(corpus, config, GatewayConfig())
+            return
+        dataset = bootstrap_dataset(corpus, config, GatewayConfig())
+    assert dataset.taxonomy == expected.taxonomy
+    assert taxonomy_to_json(dataset.taxonomy) == taxonomy_to_json(expected.taxonomy)
+    assert dataset.items == expected.items
+    assert dataset.skipped == expected.skipped
+    assert labels_to_jsonl(dataset) == _reference_labels_jsonl(expected)
 
 
 def test_bootstrap_skips_records_with_unparseable_annotation(monkeypatch, mock_gateway):
@@ -688,6 +800,24 @@ def test_load_labels_rejects_malformed_lines(tmp_path, line, message):
     path.write_text('{"id": "r0", "positives": [0]}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(BootstrapError, match=f"labels file .*labels.jsonl {message}"):
         load_labels(path, corpus, tax)
+
+
+@pytest.mark.parametrize("entry", ["true", "1.0", '"1"'])
+def test_load_labels_rejects_an_entry_equal_to_an_index_but_not_an_integer(tmp_path, entry):
+    # True and 1.0 equal 1, so the row after `[0, 1]` must fail on its
+    # types, not share the vector already read.
+    tax = _taxonomy(["A", "B"])
+    corpus = Corpus(
+        records=[ReportRecord(id=rid, split="train", report="t") for rid in ("r0", "r1")]
+    )
+    path = tmp_path / "labels.jsonl"
+    path.write_text(
+        '{"id": "r0", "positives": [0, 1]}\n{"id": "r1", "positives": [0, ' + entry + "]}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(BootstrapError) as info:
+        load_labels(path, corpus, tax)
+    assert str(info.value) == f"labels file {path} line 2: positives must be a list of integers"
 
 
 def test_load_labels_names_the_line_of_the_first_record_carrying_an_invalid_vector(tmp_path):

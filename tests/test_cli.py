@@ -1037,6 +1037,11 @@ def _zero_width_features(workdir):
     path.write_bytes(FEATURE_MAGIC + struct.pack("<II", rows, 0))
 
 
+_LONE_SURROGATE = (
+    "a string escape decodes to the lone surrogate '\\ud800', which UTF-8 cannot encode"
+)
+
+
 @pytest.mark.parametrize(
     "tamper, command, message",
     [
@@ -1210,6 +1215,20 @@ def _zero_width_features(workdir):
             for command in ("predict", "generate", "generate --ablation")
         ],
         (_together(_remove("checkpoint.json"), _bad_feature_magic), "predict", "bad magic"),
+        # json.dumps writes a lone surrogate as an escape, which decodes back
+        # to text that no UTF-8 file can hold.
+        (_edit_rows("../data/manifest.jsonl", lambda rows: rows[2].update(id="t3\ud800")),
+         "generate --mode image_only", "data error: manifest line 3: " + _LONE_SURROGATE),
+        *[
+            (_edit_json("taxonomy.json", lambda d: d["labels"][1].update(name="B\ud800")),
+             command, "taxonomy.json line 1: " + _LONE_SURROGATE)
+            for command in ("predict", "generate")
+        ],
+        (_edit_rows("labels.jsonl", lambda rows: rows[2].update(id="t3\udfff")),
+         "train", "labels.jsonl line 3: a string escape decodes to the lone surrogate '\\udfff'"),
+        (_edit_rows("generated-image_and_label-pred.jsonl",
+                    lambda rows: rows[1].update(report="\ud800 x")),
+         "evaluate", "generated-image_and_label-pred.jsonl line 2: " + _LONE_SURROGATE),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
@@ -1219,6 +1238,45 @@ def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
     assert main([*command.split(), "--config", mini["config"], "--force"]) == 4
     assert message in caplog.text
     assert _snapshot(mini["workdir"]) == before  # the failed stage wrote nothing
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (lambda server: ["bootstrap", *_http(server)],
+         "gateway error: malformed chat-completion response: "
+         "content holds the lone surrogate '\\ud800'"),
+        (lambda server: ["generate", "--set", "guidance.generator.backend=command",
+                         "--set", "guidance.generator.command=printf '\\377\\n'"],
+         "gateway error: generator command wrote no parseable report line: "
+         "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["http-reply-lone-surrogate", "command-output-not-utf8"],
+)
+def test_a_reply_that_is_not_unicode_text_exits_3(
+    mini, caplog, stub_server_factory, monkeypatch, args, message
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    # json.dumps escapes the lone surrogate, so the reply is valid JSON.
+    server = stub_server_factory(
+        body=json.dumps({"choices": [{"message": {"content": "x\ud800"}}]}).encode("utf-8")
+    )
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    before = _snapshot(mini["workdir"])
+    assert main([*args(server), "--config", mini["config"], "--force"]) == 3
+    assert message in caplog.text
+    assert _snapshot(mini["workdir"]) == before  # nothing written, not even a call log line
+
+
+def test_a_config_string_that_is_not_unicode_text_exits_2(mini, caplog):
+    path = Path(mini["config"])
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["gateway"] = {"model": "m\ud800"}
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    line = path.read_text(encoding="utf-8").split("\n").index('    "model": "m\\ud800"') + 1
+    assert main(["bootstrap", "--config", mini["config"]]) == 2
+    assert f"configuration error: config file {path} line {line}: {_LONE_SURROGATE}" in caplog.text
+    assert not mini["workdir"].exists()
 
 
 def test_a_damaged_checkpoint_is_logged_as_a_data_error(mini, caplog):

@@ -378,6 +378,7 @@ def _reply(content="x", **extra) -> bytes:
         _reply(usage={"completion_tokens": float("inf")}),
         _reply(content=None),
         _reply(content=5),
+        _reply(content="x\ud800"),  # json.dumps escapes the lone surrogate
         b'{"choices": []}',
         b"[]",
     ],
@@ -646,6 +647,7 @@ def test_the_log_keeps_only_complete_entries():
         json.dumps({**entry, "request_sha256": "bool", "input_tokens": True}),
         json.dumps({**entry, "request_sha256": "negative", "output_tokens": -1}),
         json.dumps({**entry, "request_sha256": "number", "text": 3}),
+        json.dumps({**entry, "request_sha256": "surrogate", "text": "t\ud800"}),
         json.dumps(entry),
         json.dumps({**entry, "text": "later"}),
         '{"request_sha256": "torn", "inp',

@@ -278,6 +278,21 @@ def test_command_generator_non_string_report_raises(tmp_path):
         generate_report(_prompt_for(["A"], ()), config)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("import sys\nsys.stdout.buffer.write(b'\\xff\\n')\n",
+         "wrote no parseable report line: 'utf-8' codec can't decode byte 0xff"),
+        ("print('{\"report\": \"x\\\\ud800\"}')\n", "returned the lone surrogate '\\\\ud800'"),
+    ],
+    ids=["not-utf8", "lone-surrogate"],
+)
+def test_command_generator_output_that_is_not_unicode_text_raises(tmp_path, body, message):
+    config = _command_config(tmp_path, body)
+    with pytest.raises(GenerationError, match=f"^generator command {message}"):
+        generate_report(_prompt_for(["A"], ()), config)
+
+
 def test_command_generator_missing_binary_raises():
     config = GeneratorConfig(
         backend="command", command="/nonexistent/generator-binary-xyz"

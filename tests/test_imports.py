@@ -8,7 +8,8 @@ where it spawns a generator, so an `evaluate` process loads no bootstrap
 code, no `difflib` and no `subprocess`. `fileio` names its temp files from
 `os.urandom`, not `secrets`, and `gateway` imports `concurrent.futures`
 where it starts http threads, so a mock `bootstrap` or `evaluate` loads
-neither. The subprocess test checks that in a fresh interpreter, because
+neither. `cli` imports `metrics`, the scorer, inside `_evaluate`, so only an
+`evaluate` process loads it. The subprocess test checks that in a fresh interpreter, because
 this test session has loaded all of them already. The guard parses each module of the package and fails, naming the
 file and line, on an import that runs when a module is imported (one
 outside every function and every `if TYPE_CHECKING:` block) and would undo
@@ -122,7 +123,8 @@ import json, sys
 from reportguide.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 watched = (
-    "numpy", "reportguide.bootstrap", "difflib", "subprocess", "secrets", "concurrent.futures"
+    "numpy", "reportguide.bootstrap", "difflib", "subprocess", "secrets", "concurrent.futures",
+    "reportguide.metrics",
 )
 print(json.dumps({"codes": codes, "loaded": [m for m in watched if m in sys.modules]}))
 """
@@ -152,7 +154,7 @@ def ran_config(synth_dir, tmp_path_factory) -> str:
     [
         (None, []),
         ("bootstrap", ["reportguide.bootstrap", "difflib"]),
-        ("evaluate", []),
+        ("evaluate", ["reportguide.metrics"]),
         # numpy's random generator imports `secrets` itself.
         ("train", ["numpy", "reportguide.bootstrap", "difflib", "secrets"]),
     ],
