@@ -516,6 +516,8 @@ def load_taxonomy(path: str | Path) -> LabelTaxonomy:
             f"taxonomy file {path}: merge_rounds must be an integer >= 0 and params an object"
         )
     check_values(BootstrapConfig, params, BootstrapError, f"taxonomy file {path}: params.")
+    if not labels:  # bootstrap never writes one (EmptyTaxonomyError)
+        raise BootstrapError(f"taxonomy file {path} has no labels")
     return LabelTaxonomy(labels=tuple(labels), merge_rounds=merge_rounds, params=dict(params))
 
 

@@ -198,21 +198,23 @@ def train(
     """
     train_items = dataset.split_items("train")
 
-    # One float64 matrix of the training rows; float32 widens exactly.
-    x_all = np.empty((len(train_items), features.dim), dtype=np.float64)
+    # Each training item's row of the float32 feature matrix. Batches are
+    # gathered from it a chunk at a time and widened to float64, which is
+    # exact, so no float64 copy of the training split is held.
+    index = np.empty(len(train_items), dtype=np.intp)
     for i, item in enumerate(train_items):
-        row = features.row_for_id(item.record_id)
+        row = features.row_index(item.record_id)
         if row is None:
             raise TrainingError(
                 f"training record {item.record_id!r} has no feature row"
             )
-        x_all[i] = row
+        index[i] = row
     k = len(dataset.taxonomy)
-    y_all = np.zeros((len(train_items), k), dtype=np.float64)
+    y_all = np.zeros((len(train_items), k), dtype=np.uint8)
     for i, item in enumerate(train_items):
-        y_all[i, list(item.positives)] = 1.0
+        y_all[i, list(item.positives)] = 1
 
-    n, d = x_all.shape
+    n, d = len(index), features.dim
     # Weights and bias are views of one block, so one update moves both.
     block = np.zeros((k, d + 1), dtype=np.float64)
     params = ClassifierParams(
@@ -229,8 +231,14 @@ def train(
     rng = np.random.default_rng(config.seed)
     bs, lr = config.batch_size, config.learning_rate
     chunk = bs * max(1, _GATHER_BYTES // max(1, 8 * d * bs))
-    x_buf = np.empty((min(chunk, n), d))
-    y_buf = np.empty((min(chunk, n), k))
+    # np.take gathers a chunk in the stored dtypes, float32 rows and uint8
+    # targets, and np.copyto widens them into the float64 gather buffers.
+    # Every index is in range, so "clip" never clips; unlike the default
+    # mode it fills `out` without a copy.
+    height = min(chunk, n)
+    rows_buf = np.empty(height, dtype=np.intp)
+    x_rows, y_rows = np.empty((height, d), dtype=np.float32), np.empty((height, k), dtype=np.uint8)
+    x_buf, y_buf = np.empty((height, d)), np.empty((height, k))
     # Every per-batch temporary lives in one of these (batch rows x k).
     z_buf, e_buf, s_buf = (np.empty((min(bs, n), k)) for _ in range(3))
 
@@ -245,20 +253,27 @@ def train(
         return views
 
     views_of: dict[int, list[tuple]] = {}
-    x_max = max(x_all.max(initial=0.0), -x_all.min(initial=0.0))
+    # The largest |x| over the training rows, which bounds every epoch.
+    x_max = 0.0
+    for first in range(0, n, chunk):
+        xs = x_rows[: min(chunk, n - first)]
+        np.take(features.values, index[first : first + chunk], axis=0, out=xs, mode="clip")
+        x_max = max(x_max, float(xs.max(initial=0.0)), -float(xs.min(initial=0.0)))
     weights_t, bias, grad_w, grad_b = block[:, :d].T, block[:, d], grads[:, :d], grads[:, d]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         checked = not _epoch_stays_finite(params, shift, x_max, config, n)
         for first in range(0, n, chunk):
-            # The indices are a permutation of range(n), so "clip" never
-            # clips; unlike the default mode it fills `out` without a copy.
             taken = order[first : first + chunk]
-            np.take(x_all, taken, axis=0, out=x_buf[: len(taken)], mode="clip")
-            np.take(y_all, taken, axis=0, out=y_buf[: len(taken)], mode="clip")
-            if len(taken) not in views_of:
-                views_of[len(taken)] = batch_views(len(taken))
-            for start, xb, yb, z, e, s in views_of[len(taken)]:
+            m = len(taken)
+            np.take(index, taken, out=rows_buf[:m], mode="clip")
+            np.take(features.values, rows_buf[:m], axis=0, out=x_rows[:m], mode="clip")
+            np.copyto(x_buf[:m], x_rows[:m])
+            np.take(y_all, taken, axis=0, out=y_rows[:m], mode="clip")
+            np.copyto(y_buf[:m], y_rows[:m])
+            if m not in views_of:
+                views_of[m] = batch_views(m)
+            for start, xb, yb, z, e, s in views_of[m]:
                 _batch_step(xb, yb, weights_t, bias, shift, z, e, s, grad_w, grad_b)
                 if checked and not math.isfinite(_mean_bce(z, yb)):
                     batch_no = (first + start) // bs
@@ -292,7 +307,9 @@ def _epoch_stays_finite(params, shift, x_max: float, config: TrainConfig, n: int
     weight by at most lr * max|x| / k and each bias by at most lr / k. Over
     the epoch's batches that bounds every logit; the factor 2 covers
     rounding. A NaN or inf anywhere makes the bound fail, never pass, and so
-    does an empty head, whose mean loss is 0 / 0.
+    does an empty head, whose mean loss is 0 / 0: no taxonomy file yields
+    one, since `load_taxonomy` refuses an empty taxonomy, but a caller may
+    pass one.
     """
     k, d = params.weights.shape
     if k == 0:

@@ -205,12 +205,15 @@ def save_manifest(corpus: Corpus, path: str | Path) -> None:
 
 @dataclass
 class FeatureMatrix:
-    """Dense float32 feature rows plus the record id owning each row."""
+    """Dense float32 feature rows plus the record id owning each row.
+
+    `source` names where the row ids came from in a duplicate-id error."""
 
     values: np.ndarray
     row_ids: list[str]
+    source: InitVar[str] = "the feature matrix"
 
-    def __post_init__(self):
+    def __post_init__(self, source: str):
         import numpy as np
 
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -222,15 +225,24 @@ class FeatureMatrix:
             raise FeatureValidationError(
                 f"{self.values.shape[0]} feature rows but {len(self.row_ids)} row ids"
             )
-        bad = np.argwhere(~np.isfinite(self.values))
-        if bad.size:
-            r, c = (int(x) for x in bad[0])
+        # The float64 sum of float32 values is finite exactly when every value
+        # is, and numpy reduces through a fixed-size buffer, so no temporary
+        # the size of the matrix is made unless a value is bad.
+        with np.errstate(invalid="ignore"):
+            finite = np.isfinite(self.values.sum(dtype=np.float64))
+        if not finite:
+            r, c = (int(x) for x in np.argwhere(~np.isfinite(self.values))[0])
             raise FeatureValidationError(
                 f"non-finite feature value at row {r}, column {c} (record {self.row_ids[r]!r})"
             )
         self._row_of = {rid: i for i, rid in enumerate(self.row_ids)}
         if len(self._row_of) != len(self.row_ids):
-            raise FeatureValidationError("duplicate record id in feature rows")
+            # The first row whose id the dict maps to a later row.
+            i = next(i for i, rid in enumerate(self.row_ids) if self._row_of[rid] != i)
+            rid = self.row_ids[i]
+            raise FeatureValidationError(
+                f"{source} lists duplicate record id {rid!r} at rows {i} and {self._row_of[rid]}"
+            )
 
     @property
     def rows(self) -> int:
@@ -239,6 +251,10 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return int(self.values.shape[1])
+
+    def row_index(self, record_id: str) -> int | None:
+        """The index of `record_id`'s row in `values`, or None."""
+        return self._row_of.get(record_id)
 
     def row_for_id(self, record_id: str) -> np.ndarray | None:
         i = self._row_of.get(record_id)
@@ -303,7 +319,9 @@ def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatr
                 row_ids[i] = rec.id
             elif unknown is None:
                 unknown = i
-    matrix = FeatureMatrix(values=values, row_ids=row_ids)
+    matrix = FeatureMatrix(
+        values=values, row_ids=row_ids, source=f"feature id sidecar {sidecar}"
+    )
     if unknown is not None:
         raise FeatureValidationError(
             f"feature row {unknown} references unknown record id {row_ids[unknown]!r}"

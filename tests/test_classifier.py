@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -424,6 +425,35 @@ def test_training_names_missing_feature_record():
     features = _features([[1.0]], ["other"])
     with pytest.raises(TrainingError, match="ghost"):
         train(dataset, features, TrainConfig(epochs=1))
+
+
+def test_training_holds_no_float64_copy_of_the_features():
+    n, d = 2000, 256
+    dataset, features = _random_problem(n, d, 4, seed=5)
+    tracemalloc.start()
+    try:
+        train(dataset, features, TrainConfig(epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8 / 2, peak
+
+
+def test_a_huge_test_row_leaves_every_epoch_unchecked():
+    # The bound on every logit reads max|x| over the training rows only: a
+    # 1e30 in a test row would fail it at this learning rate, and make each
+    # epoch compute its loss.
+    items = [AnnotatedItem(f"r{i}", "train", (i % 2,)) for i in range(6)]
+    dataset = _dataset(2, [*items, AnnotatedItem("held", "test", (0,))])
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 3))
+    ids = [f"r{i}" for i in range(6)] + ["held"]
+    config = TrainConfig(learning_rate=1e240, epochs=3, batch_size=2)
+    plain = checkpoint_to_json(train(dataset, _features(values, ids), config))
+    values[6] = 1e30
+    with mock.patch.object(classifier, "_mean_bce", wraps=classifier._mean_bce) as mean_bce:
+        params = train(dataset, _features(values, ids), config)
+    assert checkpoint_to_json(params) == plain
+    assert mean_bce.call_count == 0
 
 
 def test_divergence_reports_epoch_and_batch():

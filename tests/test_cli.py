@@ -1026,6 +1026,16 @@ def _remove(name):
     return tamper
 
 
+def _copy_sidecar_line(source, target):
+    """Overwrite line `target` of the feature id sidecar with line `source`."""
+    def tamper(workdir):
+        path = workdir / "../data/features.ffmx.ids"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[target - 1] = lines[source - 1]
+        path.write_text("".join(lines), encoding="utf-8")
+    return tamper
+
+
 def _bad_feature_magic(workdir):
     path = workdir / "../data/features.ffmx"
     path.write_bytes(b"BAD!" + path.read_bytes()[4:])
@@ -1110,6 +1120,8 @@ _LONE_SURROGATE = (
          "features.ffmx.ids: [Errno 21] Is a directory"),
         (_drop_feature_row("s2"), "predict", "record 's2' has no feature row"),
         (_drop_feature_row("s2"), "generate", "record 's2' has no feature row"),
+        (_copy_sidecar_line(4, 6), "train", "data error: feature id sidecar "
+         "<tmp>/data/features.ffmx.ids lists duplicate record id 't4' at rows 3 and 5\n"),
         *[
             (_resize_checkpoint(delta), command,
              f"checkpoint.json has k={2 + delta} but the taxonomy in the workdir has 2 labels")
@@ -1117,6 +1129,15 @@ _LONE_SURROGATE = (
             for command in ("predict", "generate")
         ],
         (_replace_file("taxonomy.json", b""), "train", "taxonomy.json is not valid JSON"),
+        # An empty taxonomy, with every label row emptied to match: no label
+        # row check can catch it, and training would divide 0 by 0.
+        *[
+            (_together(_edit_json("taxonomy.json", lambda d: d.__setitem__("labels", [])),
+                       _edit_rows("labels.jsonl",
+                                  lambda rows: [row.update(positives=[]) for row in rows])),
+             command, "data error: taxonomy file <tmp>/run/taxonomy.json has no labels\n")
+            for command in ("train", "generate --mode label_only --label-source gt")
+        ],
         (_replace_file("labels.jsonl", b""), "train", "labels.jsonl has no rows"),
         (_replace_file("labels.jsonl", b""), "predict", "labels.jsonl has no rows"),
         (_replace_file("checkpoint.json", b""), "predict", "checkpoint.json is not valid JSON"),
@@ -1236,7 +1257,7 @@ def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
     tamper(mini["workdir"])
     before = _snapshot(mini["workdir"])
     assert main([*command.split(), "--config", mini["config"], "--force"]) == 4
-    assert message in caplog.text
+    assert message.replace("<tmp>", str(mini["tmp"])) in caplog.text
     assert _snapshot(mini["workdir"]) == before  # the failed stage wrote nothing
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,8 +439,23 @@ def test_feature_matrix_rejects_row_count_mismatch():
 
 
 def test_feature_matrix_rejects_duplicate_ids():
-    with pytest.raises(FeatureValidationError, match="duplicate"):
-        FeatureMatrix(values=np.ones((2, 2), dtype=np.float32), row_ids=["a", "a"])
+    with pytest.raises(
+        FeatureValidationError,
+        match="^the feature matrix lists duplicate record id 'a' at rows 0 and 2$",
+    ):
+        FeatureMatrix(values=np.ones((4, 2), dtype=np.float32), row_ids=["a", "b", "a", "b"])
+
+
+def test_load_features_names_the_sidecar_the_id_and_the_rows_of_a_duplicate(tmp_path):
+    path = tmp_path / "f.ffmx"
+    save_features(FeatureMatrix(values=np.ones((3, 2), dtype=np.float32),
+                                row_ids=["a", "b", "c"]), path)
+    (tmp_path / "f.ffmx.ids").write_text("a\nb\nb\n", encoding="utf-8")
+    with pytest.raises(FeatureValidationError) as info:
+        load_features(path)
+    assert str(info.value) == (
+        f"feature id sidecar {path}.ids lists duplicate record id 'b' at rows 1 and 2"
+    )
 
 
 def test_feature_matrix_names_record_with_non_finite_value():
@@ -449,10 +465,54 @@ def test_feature_matrix_names_record_with_non_finite_value():
         FeatureMatrix(values=values, row_ids=["ok", "bad"])
 
 
+@pytest.mark.parametrize(
+    "bad, where",
+    [
+        # inf and -inf sum to NaN; the first in row order is named.
+        ({(3, 1): np.inf, (5, 0): -np.inf}, "row 3, column 1 (record 'r3')"),
+        ({(6, 0): -np.inf, (2, 2): np.nan}, "row 2, column 2 (record 'r2')"),
+        ({(7, 2): np.nan}, "row 7, column 2 (record 'r7')"),
+    ],
+)
+def test_feature_matrix_names_the_first_non_finite_value(bad, where):
+    values = np.full((8, 3), np.finfo(np.float32).max, dtype=np.float32)
+    for position, value in bad.items():
+        values[position] = value
+    with pytest.raises(FeatureValidationError) as info:
+        FeatureMatrix(values=values, row_ids=[f"r{i}" for i in range(8)])
+    assert str(info.value) == f"non-finite feature value at {where}"
+
+
+def test_feature_matrix_accepts_the_largest_float32_values():
+    # Their sum overflows float32, never float64.
+    values = np.full((2000, 256), np.finfo(np.float32).max, dtype=np.float32)
+    matrix = FeatureMatrix(values=values, row_ids=[f"r{i}" for i in range(2000)])
+    assert matrix.rows == 2000
+
+
+def test_building_a_feature_matrix_makes_no_matrix_sized_temporary():
+    values = np.random.default_rng(0).normal(size=(2000, 256)).astype(np.float32)
+    ids = [f"r{i}" for i in range(2000)]
+    tracemalloc.start()
+    try:
+        FeatureMatrix(values=values, row_ids=ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 8, peak
+
+
 def test_row_for_id_returns_none_for_unknown():
     matrix = FeatureMatrix(values=np.ones((1, 2), dtype=np.float32), row_ids=["a"])
     assert matrix.row_for_id("zzz") is None
     np.testing.assert_array_equal(matrix.row_for_id("a"), np.ones(2, dtype=np.float32))
+
+
+def test_row_index_names_the_row_that_row_for_id_returns():
+    values = np.arange(6, dtype=np.float32).reshape(3, 2)
+    matrix = FeatureMatrix(values=values, row_ids=["c", "a", "b"])
+    assert [matrix.row_index(rid) for rid in ("a", "b", "c", "zzz")] == [1, 2, 0, None]
+    np.testing.assert_array_equal(matrix.row_for_id("b"), values[matrix.row_index("b")])
 
 
 @given(

@@ -6,8 +6,8 @@ artifact is checked by its one reader, so the driver in `cli.py` raises only
 configuration, missing-prerequisite and artifact-write errors.
 
 The guard parses each module of the package and fails on a call to
-`predict` outside `predict_records`, on a feature-row lookup (`row_for_id`)
-outside `predict_records` and `train`, on any import from `classifier`
+`predict` outside `predict_records`, on a feature-row lookup (`row_for_id` or
+`row_index`) outside `predict_records` and `train`, on any import from `classifier`
 in `guidance.py`, which writes reports from the labels it is handed, and on
 a call to `ngram_counts` outside the per-text analysis, so that no metric
 goes back to rebuilding the n-gram tables of a text for each pair. It also
@@ -60,7 +60,7 @@ def test_only_predict_records_calls_predict():
 
 
 def test_only_predict_records_and_train_look_up_feature_rows():
-    assert _call_sites("row_for_id") == {
+    assert _call_sites("row_for_id") | _call_sites("row_index") == {
         ("classifier.py", "predict_records"),
         ("classifier.py", "train"),
     }
