@@ -548,12 +548,15 @@ def labels_to_jsonl(dataset: MLCDataset) -> str:
 _INT_TYPE = frozenset({int})
 
 
-def load_labels(path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy) -> MLCDataset:
-    """Read labels.jsonl; a faulty row is reported with its line, and each
-    distinct vector is checked against the taxonomy once and shared by the
-    records that carry it."""
+def load_labels(
+    path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy, kind: str = "labels"
+) -> MLCDataset:
+    """Read labels.jsonl, or predictions.jsonl as `kind` "predictions"; a
+    faulty row is reported with its file and line, and each distinct vector
+    is checked against the taxonomy once and shared by the records that
+    carry it."""
     items: list[AnnotatedItem] = []
-    what = f"labels file {path}"
+    what = f"{kind} file {path}"
     k = len(taxonomy)
     vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
     for lineno, obj, rec in read_record_rows(path, corpus, BootstrapError, what):

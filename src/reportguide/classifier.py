@@ -357,10 +357,10 @@ def predict_records(
     """
     predictions: dict[str, Prediction] = {}
     for record_id in ids:
-        row = features.row_for_id(record_id)
+        row = features.row_index(record_id)
         if row is None:
             raise FeatureValidationError(f"record {record_id!r} has no feature row")
-        predictions[record_id] = predict(params, row, threshold=threshold)
+        predictions[record_id] = predict(params, features.values[row], threshold=threshold)
     return predictions
 
 

@@ -36,11 +36,11 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
-# `classifier` and `synthetic` load numpy, which bootstrap and evaluate never
-# use, `bootstrap` is code that only bootstrap, train, predict and generate
-# run, and `metrics` is code that only evaluate runs: each is imported inside
-# the functions that run it, so a stage's process loads only the code of
-# that stage.
+# `classifier` and `synthetic` load numpy, which only train, predict and
+# synth use, `bootstrap` is code that only bootstrap, train, predict and
+# generate run, and `metrics` is code that only evaluate runs: each is
+# imported inside the functions that run it, so a stage's process loads
+# only the code of that stage.
 from . import guidance as guidance_mod
 from .corpus import SPLITS, Corpus, load_features, load_manifest
 from .errors import ArtifactWriteError, ConfigError, PipelineError, PrerequisiteError
@@ -266,12 +266,15 @@ class _WorkdirLock:
 
 def _read(name: str, config: PipelineConfig, corpus: Corpus, read: Callable[[str], object]):
     """One stage input: `features`, or a workdir artifact by its one reader,
-    bound to `read("taxonomy.json")`. A missing artifact names the stage that
-    writes it; the checkpoint is found before, and checked after, the labels."""
+    bound to `read("taxonomy.json")`; `predictions.jsonl` is read by the
+    labels reader. A missing artifact names the stage that writes it. The
+    taxonomy is read before the labels are looked for, and after the
+    predictions are, so a missing predictions file names `predict`; the
+    checkpoint is found before, and checked after, the labels."""
     if name == "features":
         return load_features(config.paths.features, corpus)
     if name == "labels.jsonl":
-        taxonomy = read("taxonomy.json")
+        read("taxonomy.json")
     path = Path(config.paths.workdir) / name
     if not path.exists():
         # With ablation, generate names every cell's file.
@@ -279,12 +282,13 @@ def _read(name: str, config: PipelineConfig, corpus: Corpus, read: Callable[[str
         raise PrerequisiteError(
             f"missing {name} in {path.parent}; run `reportguide {producer}` first"
         )
-    if name in ("taxonomy.json", "labels.jsonl"):
+    if name in ("taxonomy.json", "labels.jsonl", "predictions.jsonl"):
         from . import bootstrap as bootstrap_mod
 
         if name == "taxonomy.json":
             return bootstrap_mod.load_taxonomy(path)
-        return bootstrap_mod.load_labels(path, corpus, taxonomy)
+        kind = name.partition(".")[0]
+        return bootstrap_mod.load_labels(path, corpus, read("taxonomy.json"), kind)
     if name == "checkpoint.json":
         from . import classifier as classifier_mod
 
@@ -326,24 +330,18 @@ def _train(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict
     return {"checkpoint.json": classifier_mod.checkpoint_to_json(params)}
 
 
-def _predict_split(config: PipelineConfig, corpus: Corpus, read):
+def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
     """Predict every record of `guidance.split`, in id order, with the
-    workdir's checkpoint; returns the predictions by record id."""
+    workdir's checkpoint, and score the predictions against its labels."""
     from . import classifier as classifier_mod
 
     features, params = read("features"), read("checkpoint.json")
-    ids = sorted(rec.id for rec in corpus.split(config.guidance.split))
-    return classifier_mod.predict_records(params, features, ids, config.guidance.threshold)
-
-
-def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
-    from . import classifier as classifier_mod
-
-    predictions = _predict_split(config, corpus, read)
     split = config.guidance.split
+    ids = sorted(rec.id for rec in corpus.split(split))
+    predictions = classifier_mod.predict_records(params, features, ids, config.guidance.threshold)
     positives = {rid: pred.positives for rid, pred in predictions.items()}
     items = read("labels.jsonl").split_items(split)
-    scores = classifier_mod.evaluate_mlc(read("checkpoint.json").k, items, positives)
+    scores = classifier_mod.evaluate_mlc(params.k, items, positives)
     logger.info(
         "predict: split=%s macro_f1=%.4f micro_f1=%.4f",
         split,
@@ -366,15 +364,13 @@ def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> d
     g = config.guidance
     cells = _cells(config, ablation)
     sources = {source for _, source in cells}
-    # image_only cells, whose source is "none", read neither the labels nor
-    # the taxonomy. Each record is predicted once, however many cells read
-    # `pred`; the checkpoint's reader reads the labels first.
-    labels = {}
-    if "pred" in sources:
-        predictions = _predict_split(config, corpus, read)
-        labels["pred"] = {rid: pred.positives for rid, pred in predictions.items()}
-    if "gt" in sources:
-        labels["gt"] = {item.record_id: item.positives for item in read("labels.jsonl").items}
+    # Each source's labels file; image_only cells, whose source is "none",
+    # read none, nor the taxonomy. A missing labels.jsonl is named first.
+    labels = {
+        source: {item.record_id: item.positives for item in read(name).items}
+        for source, name in (("gt", "labels.jsonl"), ("pred", "predictions.jsonl"))
+        if source in sources
+    }
     taxonomy = read("taxonomy.json") if labels else None
     return {
         guidance_mod.generated_filename(mode, source): guidance_mod.generated_to_jsonl(

@@ -240,9 +240,10 @@ def run_generation(
 
     `labels` maps each record id of the split to its positives from
     `label_source`; image_only cells read none, and no taxonomy either. A
-    record of the split with no entry is a data error: no stage can supply
-    it. Output rows are ordered by record id. Each row carries the prompt
-    that produced it so downstream evaluation never has to re-derive prompts.
+    record of the split with no entry is a data error: its labels file has
+    no row for it. Output rows are ordered by record id. Each row carries
+    the prompt that produced it so downstream evaluation never has to
+    re-derive prompts.
     """
     rows: list[dict] = []
     for rec in sorted(corpus.split(split), key=lambda r: r.id):

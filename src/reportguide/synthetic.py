@@ -125,12 +125,6 @@ class SyntheticCorpus:
     rare_names: tuple[str, ...]
     gt_labels: dict[str, tuple[str, ...]]  # record id -> finding names, primaries first
 
-    def gt_primary_indices(self, record_id: str) -> tuple[int, ...]:
-        order = {name: i for i, name in enumerate(self.primary_names)}
-        return tuple(
-            sorted(order[n] for n in self.gt_labels[record_id] if n in order)
-        )
-
 
 def build_synthetic_corpus(seed: int = SYNTHETIC_SEED) -> SyntheticCorpus:
     """Deterministically generate the 200-report corpus and its features."""

@@ -650,19 +650,16 @@ def test_readme_exit_code_table_lists_success_and_each_declared_code():
 
 def test_predict_before_train_exits_5(mini, caplog):
     assert main(["bootstrap", "--config", mini["config"]]) == 0
-    for command in ("predict", "generate"):  # generate's default cell reads `pred`
+    # generate's default cell reads `pred`, which only predict writes.
+    for command, producer in (("predict", "train"), ("generate", "predict")):
         caplog.clear()
         assert main([command, "--config", mini["config"]]) == 5
-        assert "reportguide train" in caplog.text
-
-
-@pytest.mark.parametrize("command", ["predict", "generate"])
-def test_a_missing_checkpoint_is_reported_before_damaged_labels(mini, caplog, command):
-    assert main(["pipeline", "--config", mini["config"]]) == 0
-    (mini["workdir"] / "checkpoint.json").unlink()
-    _edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives"))(mini["workdir"])
-    assert main([command, "--config", mini["config"], "--force"]) == 5
-    assert "reportguide train" in caplog.text
+        assert f"reportguide {producer}" in caplog.text
+    assert main(["train", "--config", mini["config"]]) == 0
+    caplog.clear()
+    assert main(["generate", "--config", mini["config"]]) == 5
+    assert "missing predictions.jsonl" in caplog.text
+    assert "run `reportguide predict` first" in caplog.text
 
 
 def test_an_image_only_generate_reads_no_bootstrap_output(mini):
@@ -685,8 +682,9 @@ def test_an_image_only_generate_reads_no_bootstrap_output(mini):
     [
         ("generate --mode label_only --label-source gt", "bootstrap"),
         ("generate --mode image_and_label --label-source gt", "bootstrap"),
-        ("generate --mode label_only --label-source pred", "train"),
-        ("generate --ablation", "train"),
+        ("generate --mode label_only --label-source pred", "predict"),
+        # The gt labels are read first, so the earliest missing stage is named.
+        ("generate --ablation", "bootstrap"),
     ],
 )
 def test_a_generate_cell_that_carries_labels_needs_the_bootstrap_outputs(
@@ -1119,15 +1117,21 @@ _LONE_SURROGATE = (
         (_make_directory("../data/features.ffmx.ids"), "train",
          "features.ffmx.ids: [Errno 21] Is a directory"),
         (_drop_feature_row("s2"), "predict", "record 's2' has no feature row"),
-        (_drop_feature_row("s2"), "generate", "record 's2' has no feature row"),
+        (_edit_rows("predictions.jsonl",
+                    lambda rows: rows.remove(next(r for r in rows if r["id"] == "s2"))),
+         "generate", "data error: record 's2' of split 'test' has no pred label vector"),
         (_copy_sidecar_line(4, 6), "train", "data error: feature id sidecar "
          "<tmp>/data/features.ffmx.ids lists duplicate record id 't4' at rows 3 and 5\n"),
         *[
-            (_resize_checkpoint(delta), command,
+            (_resize_checkpoint(delta), "predict",
              f"checkpoint.json has k={2 + delta} but the taxonomy in the workdir has 2 labels")
             for delta in (1, -1)
-            for command in ("predict", "generate")
         ],
+        (_edit_rows("predictions.jsonl", lambda rows: rows[1].__setitem__("id", "zzz")),
+         "generate", "data error: predictions file <tmp>/run/predictions.jsonl line 2: "
+         "unknown record id 'zzz'"),
+        (_edit_rows("predictions.jsonl", lambda rows: rows[0].__setitem__("positives", [2])),
+         "generate", "predictions.jsonl line 1: record 's1' has label index 2 outside 0..1"),
         (_replace_file("taxonomy.json", b""), "train", "taxonomy.json is not valid JSON"),
         # An empty taxonomy, with every label row emptied to match: no label
         # row check can catch it, and training would divide 0 by 0.
@@ -1228,18 +1232,21 @@ _LONE_SURROGATE = (
             for command in ("generate --mode label_only --label-source gt", "generate --ablation")
         ],
         # Precedence: the labels are checked before the checkpoint's contents,
-        # and the feature file before the checkpoint is looked for.
-        *[
-            (_together(_edit_json("checkpoint.json", lambda d: d.pop("k")),
-                       _edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives"))),
-             command, "labels.jsonl line 3")
-            for command in ("predict", "generate", "generate --ablation")
-        ],
+        # and the feature file before the checkpoint is looked for; an
+        # ablation checks the labels before the predictions.
+        (_together(_edit_json("checkpoint.json", lambda d: d.pop("k")),
+                   _edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives"))),
+         "predict", "labels.jsonl line 3"),
+        (_together(_edit_rows("predictions.jsonl", lambda rows: rows[1].update(id="zzz")),
+                   _edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives"))),
+         "generate --ablation", "labels.jsonl line 3"),
         (_together(_remove("checkpoint.json"), _bad_feature_magic), "predict", "bad magic"),
         # json.dumps writes a lone surrogate as an escape, which decodes back
         # to text that no UTF-8 file can hold.
         (_edit_rows("../data/manifest.jsonl", lambda rows: rows[2].update(id="t3\ud800")),
          "generate --mode image_only", "data error: manifest line 3: " + _LONE_SURROGATE),
+        (_edit_rows("predictions.jsonl", lambda rows: rows[1].update(id="s2\ud800")),
+         "generate", "predictions.jsonl line 2: " + _LONE_SURROGATE),
         *[
             (_edit_json("taxonomy.json", lambda d: d["labels"][1].update(name="B\ud800")),
              command, "taxonomy.json line 1: " + _LONE_SURROGATE)
@@ -1306,6 +1313,36 @@ def test_a_damaged_checkpoint_is_logged_as_a_data_error(mini, caplog):
     assert main(["predict", "--config", mini["config"], "--force"]) == 4
     assert "data error: checkpoint " in caplog.text
     assert "tau must be >= 0, got -5.0" in caplog.text
+
+
+def test_a_pred_cell_renders_the_predictions_that_predict_wrote(mini):
+    # Neither the checkpoint nor the features, nor --threshold, reach generate.
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    name = "generated-image_and_label-pred.jsonl"
+    written = (mini["workdir"] / name).read_bytes()
+    _replace_file("checkpoint.json", b"")(mini["workdir"])
+    _bad_feature_magic(mini["workdir"])
+    assert main(["generate", "--config", mini["config"], "--threshold", "1", "--force"]) == 0
+    assert (mini["workdir"] / name).read_bytes() == written
+
+
+@pytest.mark.parametrize(
+    "command, missing, damage, producer",
+    [
+        ("predict", "checkpoint.json",
+         _edit_rows("labels.jsonl", lambda rows: rows[2].pop("positives")), "train"),
+        # The predictions are looked for before their taxonomy is read.
+        ("generate", "predictions.jsonl", _replace_file("taxonomy.json", "[]"), "predict"),
+    ],
+)
+def test_a_missing_input_is_reported_before_the_damaged_files_it_is_bound_to(
+    mini, caplog, command, missing, damage, producer
+):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    (mini["workdir"] / missing).unlink()
+    damage(mini["workdir"])
+    assert main([command, "--config", mini["config"], "--force"]) == 5
+    assert f"reportguide {producer}" in caplog.text
 
 
 def _snapshot(workdir):
@@ -1443,9 +1480,10 @@ def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
         json.dumps(fresh, indent=2) + "\n"
     )
 
+    # generate renders the labels predict wrote: it predicts nothing.
     calls.update(load_manifest=0, predict=0)
     assert main(["generate", "--config", mini["config"], "--ablation"]) == 0
-    assert calls == {"load_manifest": 1, "predict": test_rows}
+    assert calls == {"load_manifest": 1, "predict": 0}
 
     # `pipeline` hands one corpus to all five stages.
     calls.update(load_manifest=0, predict=0)
@@ -1474,10 +1512,11 @@ def stage_reads(synth_dir, tmp_path_factory):
     generate and evaluate for each of the five cells, then generate
     --ablation. Returns, per run, the command, the names `cli._read` was
     called with, the paths of those names, and the workdir files and the
-    feature file that the run opened for reading, in order."""
+    feature files that the run opened for reading, in order."""
     global _OPENED
     workdir = tmp_path_factory.mktemp("reads") / "run"
     features = str(synth_dir / "features.ffmx")
+    feature_files = {features, features + ".ids"}
     config = workdir.parent / "config.json"
     config.write_text(json.dumps({"paths": {
         "manifest": str(synth_dir / "manifest.jsonl"), "features": features,
@@ -1506,9 +1545,11 @@ def stage_reads(synth_dir, tmp_path_factory):
                 assert main([*command, "--config", str(config), "--force"]) == 0, command
             finally:
                 opened, _OPENED = _OPENED, None
-            paths = {features if key == "features" else str(workdir / key) for key in keys}
+            paths = set().union(
+                *(feature_files if key == "features" else {str(workdir / key)} for key in keys)
+            )
             opened = [path for path in opened
-                      if path == features or Path(path).parent == workdir]
+                      if path in feature_files or Path(path).parent == workdir]
             runs.append((command, keys, paths, opened))
     return runs
 
@@ -1520,12 +1561,17 @@ def test_each_stage_opens_each_input_once_and_only_through_its_accessor(stage_re
         assert set(opened) == paths, command
         if command[0] == "generate":
             uses_pred = "--ablation" in command or command[-1] == "pred"
-            carries_labels = "--ablation" in command or "--label-source" in command
-            assert ("checkpoint.json" in keys) == uses_pred, command
-            # An image_only cell reads no bootstrap output, nor anything else.
-            assert ("taxonomy.json" in keys) == carries_labels, command
-            assert ("labels.jsonl" in keys) == carries_labels, command
-            assert bool(keys) == carries_labels, command
+            uses_gt = "--ablation" in command or command[-1] == "gt"
+            # A cell reads the labels of its source and their taxonomy, and no
+            # classifier input: predict has applied the classifier already.
+            # An image_only cell reads nothing.
+            assert ("predictions.jsonl" in keys) == uses_pred, command
+            assert ("labels.jsonl" in keys) == uses_gt, command
+            assert ("taxonomy.json" in keys) == (uses_pred or uses_gt), command
+            assert set(keys) <= {"predictions.jsonl", "labels.jsonl", "taxonomy.json"}, command
+            assert {Path(path).name for path in opened}.isdisjoint(
+                {"checkpoint.json", "features.ffmx", "features.ffmx.ids"}
+            ), command
     assert [keys for command, keys, _, _ in stage_reads if command[0] == "bootstrap"] == [[]]
 
 

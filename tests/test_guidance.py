@@ -424,10 +424,16 @@ def test_mode_tags_and_filenames():
     )
 
 
+def _gt_primary_indices(synth, record_id):
+    """The indices, among the primary findings, of a record's ground truth."""
+    order = {name: i for i, name in enumerate(synth.primary_names)}
+    return tuple(sorted(order[n] for n in synth.gt_labels[record_id] if n in order))
+
+
 def _gt_dataset_over(synth):
     tax = _taxonomy(list(synth.primary_names))
     items = tuple(
-        AnnotatedItem(rec.id, rec.split, synth.gt_primary_indices(rec.id))
+        AnnotatedItem(rec.id, rec.split, _gt_primary_indices(synth, rec.id))
         for rec in synth.corpus.records
     )
     return MLCDataset(taxonomy=tax, items=items)
@@ -451,8 +457,8 @@ def _identity_params_over(synth):
 
 
 def _generate_ablation(synth, synth_dir, workdir, *flags):
-    """Run `generate --ablation`, with any extra `flags`, over the
-    ground-truth labels and the hand-built head, for the records of the
+    """Run `predict`, then `generate --ablation` with any extra `flags`, over
+    the ground-truth labels and the hand-built head, for the records of the
     manifest in `synth_dir`; return each cell's file by mode tag."""
     workdir.mkdir(parents=True)
     dataset = _gt_dataset_over(synth)
@@ -461,17 +467,13 @@ def _generate_ablation(synth, synth_dir, workdir, *flags):
     write_atomic(workdir / "taxonomy.json", taxonomy_to_json(dataset.taxonomy))
     write_atomic(workdir / "labels.jsonl", labels_to_jsonl(replace(dataset, items=items)))
     write_atomic(workdir / "checkpoint.json", checkpoint_to_json(_identity_params_over(synth)))
-    code = main(
-        [
-            "generate",
-            "--ablation",
-            "--workdir", str(workdir),
-            "--set", f"paths.manifest={synth_dir / 'manifest.jsonl'}",
-            "--set", f"paths.features={synth_dir / 'features.ffmx'}",
-            *flags,
-        ]
-    )
-    assert code == 0
+    args = [
+        "--workdir", str(workdir),
+        "--set", f"paths.manifest={synth_dir / 'manifest.jsonl'}",
+        "--set", f"paths.features={synth_dir / 'features.ffmx'}",
+    ]
+    assert main(["predict", *args]) == 0
+    assert main(["generate", "--ablation", *args, *flags]) == 0
     return {mode_tag(m, s): workdir / generated_filename(m, s) for m, s in ABLATION_MODES}
 
 
@@ -481,7 +483,7 @@ def test_hand_built_head_reproduces_generator_labels(synth):
     params = _identity_params_over(synth)
     for rec in synth.corpus.split("test"):
         row = synth.features.row_for_id(rec.id)
-        assert predict(params, row).positives == synth.gt_primary_indices(rec.id)
+        assert predict(params, row).positives == _gt_primary_indices(synth, rec.id)
 
 
 def test_ablation_writes_all_five_cells_over_the_same_records(synth, synth_dir, tmp_path):
@@ -526,6 +528,7 @@ def test_ablation_predicts_each_record_once_and_writes_what_single_cells_write(
         return real_predict(params_, row, threshold=threshold)
 
     monkeypatch.setattr(classifier, "predict", counting_predict)
+    # predict predicts each record once; generate renders what it wrote.
     _generate_ablation(synth, synth_dir, tmp_path / "ablation")
     assert len(calls) == len(test_ids)
     for mode, source in ABLATION_MODES:

@@ -1,8 +1,9 @@
 """Each stage process imports only the code it runs.
 
 numpy is loaded by `classifier` and `synthetic` alone, and `cli` imports
-those two inside the functions that run them, so `bootstrap` and `evaluate`
-start without numpy. `cli` imports `bootstrap` the same way, and `guidance`
+those two inside the functions that run them, so `bootstrap`, `generate`
+and `evaluate` start without numpy, and without `classifier`: generate
+renders the labels that predict wrote. `cli` imports `bootstrap` the same way, and `guidance`
 names its `LabelTaxonomy` for type checking only and imports `subprocess`
 where it spawns a generator, so an `evaluate` process loads no bootstrap
 code, no `difflib` and no `subprocess`. `fileio` names its temp files from
@@ -123,7 +124,7 @@ import json, sys
 from reportguide.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 watched = (
-    "numpy", "reportguide.bootstrap", "difflib", "subprocess", "secrets", "concurrent.futures",
+    "numpy", "reportguide.classifier", "reportguide.bootstrap", "difflib", "subprocess", "secrets", "concurrent.futures",
     "reportguide.metrics",
 )
 print(json.dumps({"codes": codes, "loaded": [m for m in watched if m in sys.modules]}))
@@ -155,15 +156,17 @@ def ran_config(synth_dir, tmp_path_factory) -> str:
         (None, []),
         ("bootstrap", ["reportguide.bootstrap", "difflib"]),
         ("evaluate", ["reportguide.metrics"]),
+        ("generate --ablation", ["reportguide.bootstrap", "difflib"]),
         # numpy's random generator imports `secrets` itself.
-        ("train", ["numpy", "reportguide.bootstrap", "difflib", "secrets"]),
+        ("train", ["numpy", "reportguide.classifier", "reportguide.bootstrap", "difflib",
+                   "secrets"]),
     ],
-    ids=["import", "bootstrap", "evaluate", "train"],
+    ids=["import", "bootstrap", "evaluate", "generate-ablation", "train"],
 )
 def test_a_fresh_process_loads_numpy_only_for_the_stages_that_use_it(
     ran_config, stage, loaded
 ):
-    runs = [] if stage is None else [[stage, "--config", ran_config, "--force"]]
+    runs = [] if stage is None else [[*stage.split(), "--config", ran_config, "--force"]]
     out = subprocess.run(
         [sys.executable, "-c", _RUN, json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": str(_SRC)},

@@ -1,13 +1,16 @@
-"""Records are predicted in one place: `classifier.predict_records`;
-n-grams are counted in one place: `metrics._Text.grams`; JSONL rows are
-bound to manifest records in one place: `corpus.read_record_rows`; and the
-manifest is loaded in one place: `cli.main`, once per command. Each
+"""Records are predicted in one place: `classifier.predict_records`, which
+only the predict stage, `cli._predict`, calls, since generate renders the
+labels predict wrote; n-grams are counted in one place:
+`metrics._Text.grams`; JSONL rows are bound to manifest records in one
+place: `corpus.read_record_rows`; and the manifest is loaded in one place:
+`cli.main`, once per command. Each
 artifact is checked by its one reader, so the driver in `cli.py` raises only
 configuration, missing-prerequisite and artifact-write errors.
 
 The guard parses each module of the package and fails on a call to
-`predict` outside `predict_records`, on a feature-row lookup (`row_for_id` or
-`row_index`) outside `predict_records` and `train`, on any import from `classifier`
+`predict` outside `predict_records`, on a call to `predict_records` outside
+`cli._predict`, on a feature-row lookup outside `predict_records` and `train`,
+which look rows up through `row_index`, on any import from `classifier`
 in `guidance.py`, which writes reports from the labels it is handed, and on
 a call to `ngram_counts` outside the per-text analysis, so that no metric
 goes back to rebuilding the n-gram tables of a text for each pair. It also
@@ -59,11 +62,16 @@ def test_only_predict_records_calls_predict():
     assert _call_sites("predict") == {("classifier.py", "predict_records")}
 
 
+def test_only_the_predict_stage_predicts_records():
+    assert _call_sites("predict_records") == {("cli.py", "_predict")}
+
+
 def test_only_predict_records_and_train_look_up_feature_rows():
-    assert _call_sites("row_for_id") | _call_sites("row_index") == {
+    assert _call_sites("row_index") == {
         ("classifier.py", "predict_records"),
         ("classifier.py", "train"),
     }
+    assert _call_sites("row_for_id") == set()
 
 
 def test_guidance_imports_nothing_from_classifier():
