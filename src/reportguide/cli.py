@@ -6,14 +6,15 @@ nothing. Each stage command reads one JSON config file, validates it, takes
 a lock on the working directory, refuses to overwrite any selected stage's
 outputs without --force, and reads the manifest once; `run_stage` then runs
 a stage on that corpus, writes the outputs only after the whole run has
-returned, and leaves `meta/<stage>.json` describing the run. `pipeline` runs
-the table's rows in order in-process, so its artifacts are byte-identical to
-running the stages one by one. The subcommands, and the stage named when an
-input is missing, come from the same table. A run reads every other input
-through `read(name)`, once per stage, and `_read` reads each with the
-artifact's one reader (`load_checkpoint` binds the checkpoint to the
-taxonomy, `load_generated` checks a whole generated file), so this module
-raises only configuration, missing-prerequisite and artifact-write errors.
+returned, and leaves `meta/<stage>.json` describing the run and what it was
+made from. `pipeline` runs the table's rows in order in-process, so its
+artifacts are byte-identical to running the stages one by one. The
+subcommands, and the stage named when an input is missing, come from the
+same table. A run reads every other input through `read(name)`, once per
+stage, and `_read` reads each with the artifact's one reader
+(`load_checkpoint` binds the checkpoint to the taxonomy, `load_generated`
+checks a whole generated file), so this module raises only configuration,
+missing-prerequisite and artifact-write errors.
 
 A command exits 0 on success. Every failure is a `PipelineError`, logged
 under its `label` and exiting with its `exit_code`, as `errors` declares.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import functools
 import gc
 import hashlib
 import json
@@ -264,24 +264,67 @@ class _WorkdirLock:
         return False
 
 
+def _producer(name: str, config: PipelineConfig) -> str | None:
+    """The stage that writes workdir file `name`; with ablation, generate
+    writes every cell's file."""
+    return next((stage.name for stage in STAGES if name in stage.outputs(config, True)), None)
+
+
+def _last_run(config: PipelineConfig, stage: str | None) -> dict:
+    """`meta/<stage>.json`, the record of the stage's last run, or {}."""
+    path = Path(config.paths.workdir) / "meta" / f"{stage}.json"
+    try:
+        return read_json(path, PrerequisiteError, str(path))
+    except PrerequisiteError:
+        return {}
+
+
+def _written_sha256(name: str, config: PipelineConfig) -> str | None:
+    """The sha256 of workdir file `name` as its stage's last run recorded it."""
+    outputs = _last_run(config, _producer(name, config)).get("outputs")
+    return outputs.get(name) if isinstance(outputs, dict) else None
+
+
+def _check_predictions(config: PipelineConfig) -> None:
+    """Refuse pred labels that predict's last run made for another split or
+    threshold, or from a taxonomy, labels or checkpoint that the workdir no
+    longer holds: a pred cell renders them as they are."""
+    workdir, run = Path(config.paths.workdir), _last_run(config, "predict")
+    made, inputs = run.get("config"), run.get("inputs")
+    made = made.get("guidance") if isinstance(made, dict) else None
+    if not isinstance(made, dict) or not isinstance(inputs, dict):
+        stale = [f"{workdir / 'meta' / 'predict.json'} does not record the run that wrote it"]
+    else:
+        wanted = {"split": config.guidance.split, "threshold": config.guidance.threshold}
+        stale = [f"it was made for {key} {made.get(key)!r}, not {value!r}"
+                 for key, value in wanted.items() if made.get(key) != value]
+        stale += [f"{name} has been rewritten since predict read it"
+                  for name, sha in inputs.items() if sha != _written_sha256(name, config)]
+    if stale:
+        raise PrerequisiteError(
+            f"stale predictions.jsonl in {workdir}: {stale[0]}; run `reportguide predict` first"
+        )
+
+
 def _read(name: str, config: PipelineConfig, corpus: Corpus, read: Callable[[str], object]):
     """One stage input: `features`, or a workdir artifact by its one reader,
     bound to `read("taxonomy.json")`; `predictions.jsonl` is read by the
-    labels reader. A missing artifact names the stage that writes it. The
-    taxonomy is read before the labels are looked for, and after the
-    predictions are, so a missing predictions file names `predict`; the
-    checkpoint is found before, and checked after, the labels."""
+    labels reader, once `_check_predictions` has found it current. A missing
+    artifact names the stage that writes it. The taxonomy is read before the
+    labels are looked for, and after the predictions are, so a missing
+    predictions file names `predict`; the checkpoint is found before, and
+    checked after, the labels."""
     if name == "features":
         return load_features(config.paths.features, corpus)
     if name == "labels.jsonl":
         read("taxonomy.json")
     path = Path(config.paths.workdir) / name
     if not path.exists():
-        # With ablation, generate names every cell's file.
-        producer = next(stage.name for stage in STAGES if name in stage.outputs(config, True))
         raise PrerequisiteError(
-            f"missing {name} in {path.parent}; run `reportguide {producer}` first"
+            f"missing {name} in {path.parent}; run `reportguide {_producer(name, config)}` first"
         )
+    if name == "predictions.jsonl":
+        _check_predictions(config)
     if name in ("taxonomy.json", "labels.jsonl", "predictions.jsonl"):
         from . import bootstrap as bootstrap_mod
 
@@ -432,28 +475,44 @@ STAGES = (
 
 def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bool) -> None:
     """Run one stage on `corpus`: build all its outputs, then write each and
-    record the run in `meta/<name>.json`. A stage that fails writes nothing."""
+    record the run in `meta/<name>.json`: its effective config, the sha256 of
+    each output, and, for each workdir file it read, the sha256 that file's
+    stage recorded writing. A stage that fails writes nothing."""
     started = time.time()
     workdir = Path(config.paths.workdir)
     names = stage.outputs(config, ablation)
     # The run reads each input once. The feature matrix, the largest, has one
     # use in a stage, so it is not kept past it; nothing is kept past the run.
-    memo = functools.cache(lambda name: _read(name, config, corpus, read))
-    read = lambda name: memo(name) if name != "features" else _read(name, config, corpus, read)
+    inputs: dict[str, object] = {}
+
+    def read(name: str):
+        if name == "features":
+            return _read(name, config, corpus, read)
+        if name not in inputs:
+            inputs[name] = _read(name, config, corpus, read)
+        return inputs[name]
+
     outputs = stage.run(config, corpus, ablation, read)
-    memo.cache_clear()
+    made_from = {name: _written_sha256(name, config) for name in inputs}
+    inputs.clear()
     try:
         (workdir / "meta").mkdir(exist_ok=True)
     except OSError as exc:
         raise ArtifactWriteError(f"cannot create {workdir / 'meta'}: {exc}") from exc
+    written = {}
     for name in names:
-        write_atomic(workdir / name, outputs[name])
+        data = outputs[name].encode("utf-8")
+        write_atomic(workdir / name, data)
+        written[name] = hashlib.sha256(data).hexdigest()
     logger.info("%s: wrote %s", stage.name, ", ".join(names))
     meta = {
         "command": stage.name,
         "config_sha256": config_fingerprint(config),
+        "config": asdict(config),
         "gateway_model": config.gateway.model,
         "gateway_backend": config.gateway.backend,
+        "inputs": made_from,
+        "outputs": written,
         "started_unix": round(started, 3),
         "finished_unix": round(time.time(), 3),
     }

@@ -7,6 +7,7 @@ import ast
 import fcntl
 import functools
 import gc
+import hashlib
 import inspect
 import json
 import math
@@ -1316,14 +1317,79 @@ def test_a_damaged_checkpoint_is_logged_as_a_data_error(mini, caplog):
 
 
 def test_a_pred_cell_renders_the_predictions_that_predict_wrote(mini):
-    # Neither the checkpoint nor the features, nor --threshold, reach generate.
+    # Neither the checkpoint nor the features reach generate.
     assert main(["pipeline", "--config", mini["config"]]) == 0
     name = "generated-image_and_label-pred.jsonl"
     written = (mini["workdir"] / name).read_bytes()
     _replace_file("checkpoint.json", b"")(mini["workdir"])
     _bad_feature_magic(mini["workdir"])
-    assert main(["generate", "--config", mini["config"], "--threshold", "1", "--force"]) == 0
+    assert main(["generate", "--config", mini["config"], "--force"]) == 0
     assert (mini["workdir"] / name).read_bytes() == written
+
+
+@pytest.mark.parametrize(
+    "rerun, flags, why",
+    [
+        # A rebootstrap rewrites the taxonomy the predicted indices name.
+        (["bootstrap", "--set", "bootstrap.theta=3"], [],
+         "taxonomy.json has been rewritten since predict read it"),
+        (["train", "--seed", "7"], [], "checkpoint.json has been rewritten since predict read it"),
+        ([], ["--threshold", "1"], "it was made for threshold 0.5, not 1.0"),
+        ([], ["--set", "guidance.split=val"], "it was made for split 'test', not 'val'"),
+        (["rm", "meta/predict.json"], [],
+         "{workdir}/meta/predict.json does not record the run that wrote it"),
+        (["edit", "meta/predict.json"], [],
+         "{workdir}/meta/predict.json does not record the run that wrote it"),
+    ],
+    ids=["rebootstrap", "retrain", "threshold", "split", "no-record", "damaged-record"],
+)
+def test_a_pred_cell_refuses_predictions_that_predict_made_from_other_inputs(
+    mini, caplog, rerun, flags, why
+):
+    workdir = mini["workdir"]
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    if rerun[:1] == ["rm"]:
+        (workdir / rerun[1]).unlink()
+    elif rerun[:1] == ["edit"]:
+        _edit_json(rerun[1], lambda doc: doc.__setitem__("config", []))(workdir)
+    elif rerun:
+        assert main([*rerun, "--config", mini["config"], "--force"]) == 0
+    before = _snapshot(workdir)
+    assert main(["generate", "--config", mini["config"], *flags, "--force"]) == 5
+    assert (
+        f"missing prerequisite: stale predictions.jsonl in {workdir}: "
+        f"{why.format(workdir=workdir)}; run `reportguide predict` first"
+    ) in caplog.text
+    assert _snapshot(workdir) == before
+    # gt and image_only cells do not read predict's labels.
+    for cell in (["--label-source", "gt"], ["--mode", "image_only"]):
+        assert main(["generate", "--config", mini["config"], *cell, *flags, "--force"]) == 0
+
+
+def test_a_predict_run_brings_stale_predictions_up_to_date(mini):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    assert main(["train", "--config", mini["config"], "--seed", "7", "--force"]) == 0
+    assert main(["generate", "--config", mini["config"], "--force"]) == 5
+    assert main(["predict", "--config", mini["config"], "--force"]) == 0
+    assert main(["generate", "--config", mini["config"], "--force"]) == 0
+
+
+def test_meta_records_what_each_run_read_and_wrote(mini):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    workdir = mini["workdir"]
+    meta = {stage: json.loads((workdir / "meta" / f"{stage}.json").read_text(encoding="utf-8"))
+            for stage in ("bootstrap", "train", "predict", "generate", "evaluate")}
+    for stage, run in meta.items():
+        assert run["config"] == asdict(load_config(mini["config"], [])), stage
+        for name, sha in run["outputs"].items():
+            assert sha == hashlib.sha256((workdir / name).read_bytes()).hexdigest(), name
+        for name, sha in run["inputs"].items():
+            assert sha == hashlib.sha256((workdir / name).read_bytes()).hexdigest(), name
+    assert meta["bootstrap"]["inputs"] == {}
+    assert set(meta["train"]["inputs"]) == {"taxonomy.json", "labels.jsonl"}
+    assert set(meta["predict"]["inputs"]) == {"taxonomy.json", "labels.jsonl", "checkpoint.json"}
+    assert set(meta["generate"]["inputs"]) == {"taxonomy.json", "predictions.jsonl"}
+    assert set(meta["evaluate"]["inputs"]) == {"generated-image_and_label-pred.jsonl"}
 
 
 @pytest.mark.parametrize(
