@@ -130,25 +130,15 @@ def _vector_fault(positives: tuple[int, ...], k: int) -> str | None:
 
 @dataclass(frozen=True)
 class MLCDataset:
-    """Taxonomy plus one positive-index vector per annotated record.
-
-    Each distinct vector is checked once, in item order, so an invalid one
-    is reported for the first record that carries it.
+    """Taxonomy plus one positive-index vector per annotated record, each
+    strictly ascending and within the taxonomy: `load_labels` checks every
+    vector it reads, and `bootstrap_dataset` builds each as a projection of
+    a sorted, in-range annotation.
     """
 
     taxonomy: LabelTaxonomy
     items: tuple[AnnotatedItem, ...]
     skipped: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        k = len(self.taxonomy)
-        valid: set[tuple[int, ...]] = set()
-        for item in self.items:
-            if item.positives not in valid:
-                fault = _vector_fault(item.positives, k)
-                if fault:
-                    raise BootstrapError(f"record {item.record_id!r} {fault}")
-                valid.add(item.positives)
 
     def split_items(self, split: str) -> list[AnnotatedItem]:
         return [item for item in self.items if item.split == split]
@@ -240,15 +230,19 @@ class _AliasTracker:
         return tuple(self.aliases.get(match_key(name), ()))
 
 
-def _merge_group(
-    group: list[list[str]], config: GatewayConfig, tracker: _AliasTracker
-) -> list[str]:
+def _merge_call(group: list[list[str]], config: GatewayConfig) -> list[list[str]]:
+    """The synonym groups the gateway proposes for one group of label sets."""
     request = ChatRequest(
         system=_prompt_text("merge.txt"),
         user=json.dumps(group, ensure_ascii=False),
     )
-    groups = complete_with_reprompt(request, config, parse_string_groups)
+    return complete_with_reprompt(request, config, parse_string_groups)
 
+
+def _merge_group(
+    group: list[list[str]], groups: list[list[str]], tracker: _AliasTracker
+) -> list[str]:
+    """Fold one group's synonym `groups` into its merged label list."""
     offered = {match_key(s) for labels in group for s in labels}
     merged: list[str] = []
     seen: set[str] = set()
@@ -300,13 +294,12 @@ def merge_label_sets(
                 f"merge budget {merge_budget} cannot fit two sets in one call; "
                 f"{len(working)} sets remain after {rounds} rounds"
             )
-        next_sets: list[list[str]] = []
-        for g in groups:
-            if len(g) == 1:
-                next_sets.append(g[0])
-            else:
-                next_sets.append(_merge_group(g, config, tracker))
-        working = next_sets
+        # The round's calls may run concurrently (`map_calls`); their replies
+        # are folded in group order, so the result does not depend on timing.
+        replies = iter(map_calls(lambda g: _merge_call(g, config),
+                                 [g for g in groups if len(g) > 1], config))
+        working = [g[0] if len(g) == 1 else _merge_group(g, next(replies), tracker)
+                   for g in groups]
         rounds += 1
     final = working[0]
     aliases = {match_key(s): tracker.for_name(s) for s in final}

@@ -429,7 +429,6 @@ def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> d
     from . import metrics as metrics_mod
 
     mode, source = config.guidance.cell
-    split = config.guidance.split
     rows = read(guidance_mod.generated_filename(mode, source))
     report = metrics_mod.evaluate_generation(
         [(rec.id, row["report"], rec.report) for _, row, rec in rows],
@@ -438,8 +437,7 @@ def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> d
         config_echo={
             "mode": mode,
             "label_source": source,
-            "split": split,
-            "threshold": config.guidance.threshold,
+            "split": config.guidance.split,
             "enabled": list(config.metrics.enabled),
         },
     )

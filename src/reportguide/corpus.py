@@ -85,10 +85,9 @@ class Corpus:
         return self._index
 
     def split(self, name: str) -> list[ReportRecord]:
-        """The records of split `name`, in manifest order. A split with no
-        records is a ManifestError: no stage has anything to do on it."""
-        if name not in SPLITS:
-            raise ManifestError(f"unknown split {name!r}")
+        """The records of split `name`, one of SPLITS, in manifest order. A
+        split with no records is a ManifestError: no stage has anything to
+        do on it."""
         records = [rec for rec in self.records if rec.split == name]
         if not records:
             raise ManifestError(f"manifest {self.manifest} has no records in split {name!r}")

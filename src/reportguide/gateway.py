@@ -146,7 +146,9 @@ def _find_json_span(text: str, open_ch: str, close_ch: str) -> str | None:
 
 def _parse_array(text: str, invalid: str) -> list:
     """The JSON array in possibly noisy LLM output, ignoring code fences and
-    prose around it; else LLMOutputError carrying the raw text."""
+    prose around it; else LLMOutputError carrying the raw text. An array
+    whose string escapes decode to a lone surrogate is unparseable too: no
+    artifact could hold a label or entity made from it."""
     span = _find_json_span(strip_code_fences(text), "[", "]")
     if span is None:
         raise LLMOutputError("no JSON array found in LLM output", raw_text=text)
@@ -154,6 +156,13 @@ def _parse_array(text: str, invalid: str) -> list:
         data = json.loads(span)
     except json.JSONDecodeError as exc:
         raise LLMOutputError(f"{invalid}: {exc}", raw_text=text) from exc
+    # Only a `\uD...` escape decodes to a lone surrogate.
+    if ("\\ud" in span or "\\uD" in span) and (
+        char := lone_surrogate(json.dumps(data, ensure_ascii=False))
+    ):
+        raise LLMOutputError(
+            f"{invalid}: a string escape decodes to the lone surrogate {char!r}", raw_text=text
+        )
     return data
 
 

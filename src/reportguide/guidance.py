@@ -59,27 +59,17 @@ def serialize_labels(
 ) -> GuidancePrompt:
     """Render a label vector into a guidance prompt.
 
-    Labels appear in ascending taxonomy index order, comma separated. The
-    prompt text depends only on the positives, the taxonomy names, and the
-    mode; ground-truth and predicted labels share this exact code path. An
-    image_only prompt carries no label content, whatever it is given, and
-    reads no taxonomy.
+    Labels appear in the vector's order, comma separated: `load_labels`
+    passes only strictly ascending vectors of taxonomy indices, and the
+    config's choices fix `mode` and `label_source`. The prompt text depends
+    only on the positives, the taxonomy names, and the mode; ground-truth
+    and predicted labels share this exact code path. An image_only prompt
+    carries no label content, whatever it is given, and reads no taxonomy.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown guidance mode {mode!r}")
     if mode == "image_only":
         label_source, names, text = "none", (), _IMAGE_ONLY_TEMPLATE
     else:
-        if label_source not in LABEL_SOURCES:
-            raise ConfigError(
-                f"label source must be one of {LABEL_SOURCES}, got {label_source!r}"
-            )
-        ordered = sorted(set(int(j) for j in positives))
-        k = len(taxonomy)
-        for j in ordered:
-            if not 0 <= j < k:
-                raise ConfigError(f"label index {j} outside taxonomy of size {k}")
-        names = tuple(taxonomy.labels[j].name for j in ordered)
+        names = tuple(taxonomy.labels[j].name for j in positives)
         if names:
             text = _FINDINGS_TEMPLATE.format(findings=", ".join(names))
         else:

@@ -476,7 +476,7 @@ def entity_f1_scores(
 
 def evaluate_generation(
     pairs: list[tuple[str, str, str]],
-    gateway: GatewayConfig | None = None,
+    gateway: GatewayConfig = GatewayConfig(),
     enabled: tuple[str, ...] = METRIC_NAMES,
     config_echo: dict | None = None,
 ) -> dict:
@@ -485,17 +485,11 @@ def evaluate_generation(
     Corpus values are pooled for BLEU and averaged per sample for the rest,
     both over every slot in slot order. Each distinct text is analysed once
     (`_analyse`) for every text-overlap metric, and each distinct pair is
-    scored once per metric (`_per_pair`). Requires a gateway config when
-    entity_f1 is enabled.
+    scored once per metric (`_per_pair`). `pairs` is not empty and `enabled`
+    names only METRIC_NAMES: `load_generated` and the config's choices hold
+    evaluate's inputs to that. Entities are extracted through `gateway`, the
+    mock by default.
     """
-    for name in enabled:
-        if name not in METRIC_NAMES:
-            raise ConfigError(f"unknown metric {name!r}")
-    if "entity_f1" in enabled and gateway is None:
-        raise ConfigError("entity_f1 needs a gateway config for extraction")
-    if not pairs:
-        raise ConfigError("no generated/reference pairs to evaluate")
-
     ids = [p[0] for p in pairs]
     gen_texts = [p[1] for p in pairs]
     ref_texts = [p[2] for p in pairs]

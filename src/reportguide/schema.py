@@ -19,6 +19,7 @@ import operator
 from dataclasses import fields
 
 from .errors import ConfigError, PipelineError
+from .fileio import lone_surrogate
 
 
 def _fail(name: str, expected: str, value) -> ConfigError:
@@ -47,13 +48,17 @@ def _as_float(name: str, value):
 def _as_str(name: str, value):
     if not isinstance(value, str):
         raise _fail(name, "a string", value)
+    # A lone surrogate, which a `\ud800` escape or a non-UTF-8 byte in an
+    # argv flag decodes to, could not be recorded in `meta/`.
+    if lone_surrogate(value):
+        raise _fail(name, "text that UTF-8 can encode", value)
     return value
 
 
 def _as_str_list(name: str, value):
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise _fail(name, "a list of strings", value)
-    return list(value)
+    return [_as_str(name, item) for item in value]
 
 
 _CHECKS = {"int": _as_int, "float": _as_float, "str": _as_str, "list[str]": _as_str_list}

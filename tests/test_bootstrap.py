@@ -90,42 +90,6 @@ def test_taxonomy_index_of_resolves_names_and_aliases():
     assert tax.index_of("unknown thing") is None
 
 
-def test_dataset_rejects_out_of_range_positives():
-    tax = _taxonomy(["A"])
-    with pytest.raises(BootstrapError):
-        MLCDataset(taxonomy=tax, items=(AnnotatedItem("r", "train", (1,)),))
-
-
-def test_dataset_rejects_unsorted_positives():
-    tax = _taxonomy(["A", "B"])
-    with pytest.raises(BootstrapError):
-        MLCDataset(taxonomy=tax, items=(AnnotatedItem("r", "train", (1, 0)),))
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ((2,), "has label index 2 outside 0..1"),
-        ((0, 2), "has label index 2 outside 0..1"),
-        ((-1,), "has label index -1 outside 0..1"),
-        ((1, 0), "has unsorted or duplicate positives"),
-        ((1, 1), "has unsorted or duplicate positives"),
-    ],
-)
-def test_dataset_names_the_first_record_carrying_an_invalid_vector(bad, message):
-    # A valid vector repeats before the invalid one, which two records carry.
-    tax = _taxonomy(["A", "B"])
-    items = (
-        AnnotatedItem("r1", "train", (0, 1)),
-        AnnotatedItem("r2", "test", (0, 1)),
-        AnnotatedItem("r3", "train", bad),
-        AnnotatedItem("r4", "val", (0, 1)),
-        AnnotatedItem("r5", "train", bad),
-    )
-    with pytest.raises(BootstrapError, match=f"^record 'r3' {message}$"):
-        MLCDataset(taxonomy=tax, items=items)
-
-
 # ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
@@ -671,6 +635,26 @@ def test_http_bootstrap_annotates_each_distinct_text_once(
     assert len(server.requests) == tasks["[task:extract]"] + tasks["[task:merge]"] + distinct
     for name in ("labels.jsonl", "taxonomy.json"):
         assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
+
+
+def test_an_http_merge_round_runs_its_calls_on_parallelism_threads(
+    stub_server_factory, monkeypatch, mock_gateway
+):
+    # Eight one-label sets of 2 tokens each, two to a call at a budget of 4:
+    # rounds of 4, 2 and 1 calls. Each pair names one finding, so every
+    # merged set keeps one label.
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    sets = [["TB"], ["PTB"]] * 4
+    assert {estimate_tokens(json.dumps(s)) for s in sets} == {2}
+    expected = merge_label_sets(sets, mock_gateway, merge_budget=4)
+    assert expected[1:] == ({"tb": ("PTB",)}, 3)
+    for parallelism in (1, 3):
+        server = stub_server_factory(reply=_mock_reply, delay=0.15)
+        config = GatewayConfig(backend="http", endpoint=server.endpoint,
+                               parallelism=parallelism, requests_per_minute=60000)
+        assert merge_label_sets(sets, config, merge_budget=4) == expected
+        assert len(server.requests) == 7
+        assert server.max_in_flight == parallelism
 
 
 # ---------------------------------------------------------------------------

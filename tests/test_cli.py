@@ -194,6 +194,16 @@ def test_override_unknown_dotted_key_is_rejected(mini):
         ("paths.workdir.x", "1", "does not name a field"),
         pytest.param("train.tau", "9" * 400, "tau must be a finite number",
                      id="train.tau-400-digits"),
+        # A lone surrogate: from a JSON escape, or from a non-UTF-8 byte in
+        # an argv flag, which Python decodes to one.
+        ("gateway.model", '"m\\ud800"',
+         "gateway.model must be text that UTF-8 can encode, got 'm\\\\ud800'"),
+        ("paths.workdir", '"w\\udc80"', "paths.workdir must be text that UTF-8 can encode"),
+        ("paths.workdir", "w\udc80", "paths.workdir must be text that UTF-8 can encode"),
+        ("guidance.generator.command", "cat \udcff",
+         "guidance.generator.command must be text that UTF-8 can encode"),
+        ("metrics.enabled", '["bleu", "x\\ud800"]',
+         "metrics.enabled must be text that UTF-8 can encode, got 'x\\\\ud800'"),
     ],
 )
 def test_validation_rejects_bad_values(mini, dotted, value, hint):
@@ -266,11 +276,18 @@ def test_every_field_rejects_a_value_of_the_wrong_json_type(mini, key, kind):
 
 @pytest.mark.parametrize(
     "flag, value, key",
-    [("--threshold", "abc", "guidance.threshold"), ("--seed", "1.5", "train.seed")],
+    [
+        ("--threshold", "abc", "guidance.threshold"),
+        ("--seed", "1.5", "train.seed"),
+        ("--mode", "banana", "guidance.mode"),
+        ("--label-source", "x", "guidance.label_source"),
+    ],
 )
 def test_a_bad_named_flag_is_a_configuration_error(mini, caplog, flag, value, key):
-    assert main(["train", "--config", mini["config"], flag, value]) == 2
-    assert f"configuration error: {key} must be " in caplog.text
+    for command in ("train", "generate"):
+        caplog.clear()
+        assert main([command, "--config", mini["config"], flag, value]) == 2
+        assert f"configuration error: {key} must be " in caplog.text
 
 
 @pytest.mark.parametrize("flag, key", FLAG_ALIASES)
@@ -293,6 +310,7 @@ def test_each_named_flag_is_an_alias_of_set(flag, key):
         "paths=5",
         "train.tau=-5",
         "paths.workdir.x=1",
+        'metrics.enabled=["nope"]',
         pytest.param("train.tau=" + "9" * 400, id="train.tau=400-digits"),
     ],
 )
@@ -1133,6 +1151,22 @@ _LONE_SURROGATE = (
          "unknown record id 'zzz'"),
         (_edit_rows("predictions.jsonl", lambda rows: rows[0].__setitem__("positives", [2])),
          "generate", "predictions.jsonl line 1: record 's1' has label index 2 outside 0..1"),
+        # Each label file's reader is the one check of its vectors, for every
+        # stage that reads it.
+        *[
+            (_edit_rows(name, lambda rows, bad=bad: rows[-1].__setitem__("positives", bad)),
+             command, f"{name} line {line}: record 's2' {fault}")
+            for name, command, line in (
+                ("labels.jsonl", "generate --mode label_only --label-source gt", 12),
+                ("predictions.jsonl", "generate --mode label_only", 2),
+            )
+            for bad, fault in (
+                ([99], "has label index 99 outside 0..1"),
+                ([2, 0], "has label index 2 outside 0..1"),
+                ([1, 0], "has unsorted or duplicate positives"),
+                ([1, 1], "has unsorted or duplicate positives"),
+            )
+        ],
         (_replace_file("taxonomy.json", b""), "train", "taxonomy.json is not valid JSON"),
         # An empty taxonomy, with every label row emptied to match: no label
         # row check can catch it, and training would divide 0 by 0.
@@ -1270,31 +1304,60 @@ def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
 
 
 @pytest.mark.parametrize(
-    "args, message",
+    "content, args, message",
     [
-        (lambda server: ["bootstrap", *_http(server)],
+        ("x\ud800", lambda server: ["bootstrap", *_http(server)],
          "gateway error: malformed chat-completion response: "
          "content holds the lone surrogate '\\ud800'"),
-        (lambda server: ["generate", "--set", "guidance.generator.backend=command",
-                         "--set", "guidance.generator.command=printf '\\377\\n'"],
+        # Valid text, which holds the escape itself: only parsing the array
+        # decodes it to a lone surrogate, and the call log keeps the text.
+        ('["\\ud800 odd"]',
+         lambda server: ["bootstrap", *_http(server), "--set", "bootstrap.theta=0"],
+         "gateway error: invalid JSON array in LLM output: "
+         "a string escape decodes to the lone surrogate '\\ud800'"),
+        ("x\ud800", lambda server: ["generate", "--set", "guidance.generator.backend=command",
+                                     "--set", "guidance.generator.command=printf '\\377\\n'"],
          "gateway error: generator command wrote no parseable report line: "
          "'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["http-reply-lone-surrogate", "command-output-not-utf8"],
+    ids=["http-reply-lone-surrogate", "http-array-escapes-a-lone-surrogate",
+         "command-output-not-utf8"],
 )
 def test_a_reply_that_is_not_unicode_text_exits_3(
-    mini, caplog, stub_server_factory, monkeypatch, args, message
+    mini, caplog, stub_server_factory, monkeypatch, content, args, message
 ):
     monkeypatch.setenv("LLM_API_KEY", "test-key")
-    # json.dumps escapes the lone surrogate, so the reply is valid JSON.
+    # json.dumps escapes a lone surrogate, so the reply is valid JSON.
     server = stub_server_factory(
-        body=json.dumps({"choices": [{"message": {"content": "x\ud800"}}]}).encode("utf-8")
+        body=json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
     )
     assert main(["pipeline", "--config", mini["config"]]) == 0
     before = _snapshot(mini["workdir"])
     assert main([*args(server), "--config", mini["config"], "--force"]) == 3
     assert message in caplog.text
-    assert _snapshot(mini["workdir"]) == before  # nothing written, not even a call log line
+    after = _snapshot(mini["workdir"])
+    log = after.pop("gateway_calls.jsonl", None)
+    assert after == before  # nothing written but the call log
+    # A reply is logged only once its content is known to be text.
+    assert (log is not None) == content.isascii()
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["--set", 'gateway.model="m\\ud800"'], "gateway.model"),
+        (["--set", 'paths.workdir="w\\udc80"'], "paths.workdir"),
+        (["--workdir", os.fsdecode(b"w\x80")], "paths.workdir"),
+    ],
+)
+def test_a_config_string_holding_a_lone_surrogate_exits_2_before_the_workdir_is_made(
+    mini, caplog, monkeypatch, args, key
+):
+    monkeypatch.chdir(mini["tmp"])
+    before = sorted(path.name for path in mini["tmp"].iterdir())
+    assert main(["bootstrap", "--config", mini["config"], *args]) == 2
+    assert f"configuration error: {key} must be text that UTF-8 can encode" in caplog.text
+    assert sorted(path.name for path in mini["tmp"].iterdir()) == before
 
 
 def test_a_config_string_that_is_not_unicode_text_exits_2(mini, caplog):

@@ -80,8 +80,6 @@ def test_corpus_lookup_and_split_sizes():
     corpus = Corpus(records=records)
     assert corpus.index()["b"].split == "val"
     assert [len(corpus.split(s)) for s in ("train", "val", "test")] == [1, 1, 1]
-    with pytest.raises(ManifestError):
-        corpus.split("holdout")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from reportguide.classifier import train
 from reportguide.cli import BootstrapConfig, TrainConfig, main
 from reportguide.guidance import ABLATION_MODES, generated_filename
 
+# Each metrics.json echoes its cell, split and metrics, and no threshold:
+# predict alone applies one.
 GOLDEN_SHA256 = {
     "taxonomy.json": "a152bb338167c64cfdf3baaf5e72c43aafac821776405217a053a86313dcce2b",
     "labels.jsonl": "ade7690db0242820f6fab00c74b0b2dbe05fa8e726fb1d87ec25c66f40c877d6",
@@ -36,11 +38,11 @@ GOLDEN_SHA256 = {
     "generated-image_and_label-pred.jsonl": "85002aedb51cab739c67d2404010425ec4af4f102c710acac1b0f28076991a4a",
     "generated-label_only-gt.jsonl": "16fea12f31b746eaefe544d0757fcb9dd56de653e4b77fc11f468ff54b3798c2",
     "generated-image_and_label-gt.jsonl": "2a68f1e24547ffe7d7e843be992864f006b10a117083cae151df0f23ee20a938",
-    "metrics.json image_only": "c0368ede121da3b8fa49c33313be5de0174b1a113702a330cc40492d413a05ce",
-    "metrics.json label_only-pred": "fb0f902a1c054bcb5e4b9af88d370ad95dcd8133194cb1d3af141852a227a5ab",
-    "metrics.json image_and_label-pred": "220026f9465968940eee0cbbb111dc0cbdbdd1781b6306ee8fa2ac567b89db66",
-    "metrics.json label_only-gt": "cde7646a73f98716e4da755f18c6deb842d421eb1f9b5e47a3d31ed644a658c8",
-    "metrics.json image_and_label-gt": "659e52f96515e3adc5b18430eec932ab131d62d9c94bddf77cc38df652e1b424",
+    "metrics.json image_only": "707e9764e6fc183c981cd99274221e9c4e70d2ddc2f19a5ba05e0be8ea690bb4",
+    "metrics.json label_only-pred": "2087be5067c2ad22aa4df0ea39da4c71b7bf8f7f32ea2d89f373514e9caa30ee",
+    "metrics.json image_and_label-pred": "425654409cc2746d8e67d20c4193197b1185661503f8d4601499d2ab5f05c3d4",
+    "metrics.json label_only-gt": "bc050f32d02fedde0b654f21dd6503f58f7f633d03d8b38fc2eec7e406a70844",
+    "metrics.json image_and_label-gt": "2a9a3739b11540c4d77a757214336f2dff454674fc276c213395ebea3c65b312",
 }
 
 

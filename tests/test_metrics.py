@@ -972,21 +972,6 @@ def test_corpus_bleu_matches_the_pooled_path_bit_for_bit(pairs):
     ]
 
 
-def test_evaluate_generation_unknown_metric_is_an_error():
-    with pytest.raises(ConfigError, match="unknown metric"):
-        evaluate_generation(_PAIRS, enabled=("bleu", "made_up"))
-
-
-def test_evaluate_generation_entities_require_a_gateway():
-    with pytest.raises(ConfigError, match="gateway"):
-        evaluate_generation(_PAIRS, enabled=("entity_f1",))
-
-
-def test_evaluate_generation_empty_pairs_is_an_error():
-    with pytest.raises(ConfigError, match="pairs"):
-        evaluate_generation([], enabled=("bleu",))
-
-
 def test_evaluate_generation_warns_on_empty_reference(caplog):
     pairs = [("r1", "some text", ""), ("r2", "a b", "a b")]
     with caplog.at_level(logging.WARNING, logger="reportguide.metrics"):

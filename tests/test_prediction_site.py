@@ -23,8 +23,8 @@ place. It fails, too, on a `raise` in `cli.py` of anything but a new
 `ConfigError`, `PrerequisiteError` or `ArtifactWriteError`, and on any use of `taxonomy_hash` there,
 so that no artifact rule, such as the checkpoint's binding to its taxonomy,
 moves back out of the artifact's reader. And it fails on a `GuidancePrompt`
-built outside `guidance.serialize_labels`, whose checks are the prompt's
-only ones.
+built outside `guidance.serialize_labels`, so that ground-truth and
+predicted labels are rendered by one function.
 """
 
 from __future__ import annotations
