@@ -21,13 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Corpus, read_record_rows
-from .errors import (
-    BootstrapError,
-    EmptyTaxonomyError,
-    LLMOutputError,
-    MergeBudgetError,
-    MergeProgressError,
-)
+from .errors import DataError, LLMOutputError
 from .fileio import json_text, read_json
 from .gateway import (
     ChatRequest,
@@ -74,12 +68,12 @@ class LabelTaxonomy:
     def __post_init__(self):
         for i, entry in enumerate(self.labels):
             if entry.index != i:
-                raise BootstrapError(
+                raise DataError(
                     f"label {entry.name!r} has index {entry.index}, expected {i}"
                 )
         keys = [match_key(e.name) for e in self.labels]
         if len(set(keys)) != len(keys):
-            raise BootstrapError("taxonomy contains duplicate label names")
+            raise DataError("taxonomy contains duplicate label names")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -191,7 +185,7 @@ def _group_consecutive(sets: list[list[str]], budget: int) -> list[list[list[str
     for label_set in sets:
         cost = _set_cost(label_set)
         if cost > budget:
-            raise MergeBudgetError(
+            raise DataError(
                 f"label set of {len(label_set)} names costs {cost} tokens, "
                 f"over the merge budget of {budget}"
             )
@@ -281,7 +275,7 @@ def merge_label_sets(
     # An empty set (a batch of normal studies) has nothing to merge.
     working = [labels for labels in map(_dedupe_surfaces, sets) if labels]
     if not working:
-        raise BootstrapError("no label sets to merge")
+        raise DataError("no label sets to merge")
     if len(working) == 1:
         return list(working[0]), {match_key(s): () for s in working[0]}, 0
 
@@ -290,7 +284,7 @@ def merge_label_sets(
     while len(working) > 1:
         groups = _group_consecutive(working, merge_budget)
         if len(groups) == len(working):
-            raise MergeProgressError(
+            raise DataError(
                 f"merge budget {merge_budget} cannot fit two sets in one call; "
                 f"{len(working)} sets remain after {rounds} rounds"
             )
@@ -361,7 +355,7 @@ def filter_labels(
 
     survivors = [e for e in taxonomy.labels if counts[e.index] >= min_label_count]
     if not survivors:
-        raise EmptyTaxonomyError(
+        raise DataError(
             f"no label reaches the frequency threshold {min_label_count} "
             f"on the training split"
         )
@@ -481,36 +475,36 @@ def taxonomy_to_json(taxonomy: LabelTaxonomy) -> str:
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:
     from .cli import BootstrapConfig  # the section whose settings `params` records
 
-    doc = read_json(path, BootstrapError, f"taxonomy file {path}")
+    doc = read_json(path, DataError, f"taxonomy file {path}")
     if doc.get("version") != 1:
-        raise BootstrapError(f"taxonomy file {path} has unsupported version {doc.get('version')!r}")
+        raise DataError(f"taxonomy file {path} has unsupported version {doc.get('version')!r}")
     entries = doc.get("labels", [])
     if not isinstance(entries, list):
-        raise BootstrapError(f"taxonomy file {path}: labels must be a list")
+        raise DataError(f"taxonomy file {path}: labels must be a list")
     labels = []
     for i, e in enumerate(entries):
         where = f"taxonomy file {path} label {i}"
         if not isinstance(e, dict):
-            raise BootstrapError(f"{where}: not a JSON object")
+            raise DataError(f"{where}: not a JSON object")
         index, name = e.get("index"), e.get("name")
         aliases, count = e.get("aliases", []), e.get("count", 0)
         if not _is_int(index):
-            raise BootstrapError(f"{where}: index must be an integer")
+            raise DataError(f"{where}: index must be an integer")
         if not isinstance(name, str):
-            raise BootstrapError(f"{where}: name must be a string")
+            raise DataError(f"{where}: name must be a string")
         if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
-            raise BootstrapError(f"{where}: aliases must be a list of strings")
+            raise DataError(f"{where}: aliases must be a list of strings")
         if not _is_int(count):
-            raise BootstrapError(f"{where}: count must be an integer")
+            raise DataError(f"{where}: count must be an integer")
         labels.append(LabelEntry(index=index, name=name, aliases=tuple(aliases), count=count))
     merge_rounds, params = doc.get("merge_rounds"), doc.get("params", {})
     if not _is_int(merge_rounds) or merge_rounds < 0 or not isinstance(params, dict):
-        raise BootstrapError(
+        raise DataError(
             f"taxonomy file {path}: merge_rounds must be an integer >= 0 and params an object"
         )
-    check_values(BootstrapConfig, params, BootstrapError, f"taxonomy file {path}: params.")
-    if not labels:  # bootstrap never writes one (EmptyTaxonomyError)
-        raise BootstrapError(f"taxonomy file {path} has no labels")
+    check_values(BootstrapConfig, params, DataError, f"taxonomy file {path}: params.")
+    if not labels:  # bootstrap never writes one: its frequency filter refuses
+        raise DataError(f"taxonomy file {path} has no labels")
     return LabelTaxonomy(labels=tuple(labels), merge_rounds=merge_rounds, params=dict(params))
 
 
@@ -552,18 +546,18 @@ def load_labels(
     what = f"{kind} file {path}"
     k = len(taxonomy)
     vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for lineno, obj, rec in read_record_rows(path, corpus, BootstrapError, what):
+    for lineno, obj, rec in read_record_rows(path, corpus, DataError, what):
         positives = obj.get("positives")
         # The entries' types are checked before the vector is looked up: a
         # tuple holding True or 1.0 equals one holding 1.
         if type(positives) is not list or not _INT_TYPE.issuperset(map(type, positives)):
-            raise BootstrapError(f"{what} line {lineno}: positives must be a list of integers")
+            raise DataError(f"{what} line {lineno}: positives must be a list of integers")
         vector = tuple(positives)
         shared = vectors.get(vector)
         if shared is None:
             fault = _vector_fault(vector, k)
             if fault:
-                raise BootstrapError(f"{what} line {lineno}: record {rec.id!r} {fault}")
+                raise DataError(f"{what} line {lineno}: record {rec.id!r} {fault}")
             shared = vectors[vector] = vector
         items.append(AnnotatedItem(rec.id, rec.split, shared))
     return MLCDataset(taxonomy=taxonomy, items=tuple(items))

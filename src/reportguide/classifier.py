@@ -22,7 +22,7 @@ import numpy as np
 
 from .bootstrap import LabelTaxonomy, MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
-from .errors import DivergenceError, FeatureValidationError, TrainingError
+from .errors import DataError
 from .fileio import read_json
 from .schema import check_values
 
@@ -48,16 +48,16 @@ class ClassifierParams:
         self.bias = np.asarray(self.bias, dtype=np.float64)
         self.frequencies = np.asarray(self.frequencies, dtype=np.float64)
         if self.weights.ndim != 2:
-            raise TrainingError(f"weights must be 2-D, got shape {self.weights.shape}")
+            raise DataError(f"weights must be 2-D, got shape {self.weights.shape}")
         k = self.weights.shape[0]
         if self.bias.shape != (k,):
-            raise TrainingError(f"bias shape {self.bias.shape} does not match k={k}")
+            raise DataError(f"bias shape {self.bias.shape} does not match k={k}")
         if self.frequencies.shape != (k,):
-            raise TrainingError(
+            raise DataError(
                 f"frequencies shape {self.frequencies.shape} does not match k={k}"
             )
         if np.any(self.frequencies <= 0) or np.any(self.frequencies >= 1):
-            raise TrainingError("frequencies must lie strictly inside (0, 1)")
+            raise DataError("frequencies must lie strictly inside (0, 1)")
 
     @property
     def k(self) -> int:
@@ -79,7 +79,7 @@ def compute_frequencies(dataset: MLCDataset) -> np.ndarray:
     train_items = dataset.split_items("train")
     n = len(train_items)
     if n == 0:
-        raise TrainingError("dataset has no training items")
+        raise DataError("dataset has no training items")
     k = len(dataset.taxonomy)
     counts = np.zeros(k, dtype=np.float64)
     for item in train_items:
@@ -93,7 +93,7 @@ def _logit_shift(frequencies, tau: float) -> np.ndarray:
     """tau times the log-odds of each label frequency: the training shift."""
     p = np.asarray(frequencies, dtype=np.float64)
     if np.any(p <= 0) or np.any(p >= 1):
-        raise TrainingError("frequencies must lie strictly inside (0, 1)")
+        raise DataError("frequencies must lie strictly inside (0, 1)")
     return tau * np.log(p / (1.0 - p))
 
 
@@ -160,9 +160,9 @@ def bce_loss_and_grad(
     x = np.asarray(features, dtype=np.float64).reshape(1, -1)
     y = np.asarray(target, dtype=np.float64).reshape(1, -1)
     if x.shape[1] != params.d:
-        raise TrainingError(f"feature dim {x.shape[1]} does not match d={params.d}")
+        raise DataError(f"feature dim {x.shape[1]} does not match d={params.d}")
     if y.shape[1] != params.k:
-        raise TrainingError(f"target dim {y.shape[1]} does not match k={params.k}")
+        raise DataError(f"target dim {y.shape[1]} does not match k={params.k}")
     shift = _logit_shift(params.frequencies, params.tau) if adjustment == "on" else None
     z, e, s = (np.empty((1, params.k)) for _ in range(3))
     grad_w, grad_b = np.empty((params.k, params.d)), np.empty(params.k)
@@ -190,10 +190,10 @@ def train(
     parameters: shuffling comes from one seeded generator and batches are
     accumulated in a fixed order.
 
-    A non-finite mean loss at any batch raises DivergenceError naming the
+    A non-finite mean loss at any batch raises DataError naming the
     epoch and batch before that batch's update. The loss is computed only in
     epochs that could reach one (see _epoch_stays_finite). A weight or bias
-    left non-finite by the last update raises DivergenceError naming that
+    left non-finite by the last update raises DataError naming that
     update's epoch and batch, so non-finite parameters are never returned.
     """
     train_items = dataset.split_items("train")
@@ -205,7 +205,7 @@ def train(
     for i, item in enumerate(train_items):
         row = features.row_index(item.record_id)
         if row is None:
-            raise TrainingError(
+            raise DataError(
                 f"training record {item.record_id!r} has no feature row"
             )
         index[i] = row
@@ -277,11 +277,9 @@ def train(
                 _batch_step(xb, yb, weights_t, bias, shift, z, e, s, grad_w, grad_b)
                 if checked and not math.isfinite(_mean_bce(z, yb)):
                     batch_no = (first + start) // bs
-                    raise DivergenceError(
+                    raise DataError(
                         f"training loss became non-finite at epoch {epoch}, batch {batch_no}; "
-                        f"lower the learning rate",
-                        epoch=epoch,
-                        batch=batch_no,
+                        f"lower the learning rate"
                     )
                 grads *= lr
                 block -= grads
@@ -290,11 +288,9 @@ def train(
     # the very last update can leave one unreported.
     if not np.isfinite(block).all():
         epoch, batch_no = config.epochs - 1, -(-n // bs) - 1
-        raise DivergenceError(
+        raise DataError(
             f"training parameters became non-finite at epoch {epoch}, batch {batch_no}; "
-            f"lower the learning rate",
-            epoch=epoch,
-            batch=batch_no,
+            f"lower the learning rate"
         )
     params.weights, params.bias = block[:, :d].copy(), block[:, d].copy()
     return params
@@ -337,7 +333,7 @@ def predict(
     """
     x = np.asarray(features, dtype=np.float64).reshape(-1)
     if x.shape[0] != params.d:
-        raise TrainingError(f"feature dim {x.shape[0]} does not match d={params.d}")
+        raise DataError(f"feature dim {x.shape[0]} does not match d={params.d}")
     z = params.weights @ x + params.bias
     probs = _sigmoid(z)
     positives = tuple(int(j) for j in range(params.k) if probs[j] > threshold)
@@ -353,13 +349,13 @@ def predict_records(
     """Predict each record id from its feature row, keyed in the order given.
 
     The one inference loop: a record with no feature row is a
-    FeatureValidationError.
+    DataError.
     """
     predictions: dict[str, Prediction] = {}
     for record_id in ids:
         row = features.row_index(record_id)
         if row is None:
-            raise FeatureValidationError(f"record {record_id!r} has no feature row")
+            raise DataError(f"record {record_id!r} has no feature row")
         predictions[record_id] = predict(params, features.values[row], threshold=threshold)
     return predictions
 
@@ -442,13 +438,13 @@ def _finite_floats(path, key: str, values) -> np.ndarray:
     if not isinstance(values, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
-        raise TrainingError(f"checkpoint {path}: {key!r} must hold numbers only")
+        raise DataError(f"checkpoint {path}: {key!r} must hold numbers only")
     try:
         array = np.asarray(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         array = np.array([math.inf])
     if not np.all(np.isfinite(array)):
-        raise TrainingError(f"checkpoint {path}: {key!r} holds a non-finite value")
+        raise DataError(f"checkpoint {path}: {key!r} holds a non-finite value")
     return array
 
 
@@ -456,29 +452,29 @@ def load_checkpoint(path: str | Path, taxonomy: LabelTaxonomy) -> ClassifierPara
     """Read a checkpoint bound to `taxonomy`. A missing, ill-typed or
     non-finite value, a tau that `train.tau`'s declaration rejects, or a
     checkpoint trained against another taxonomy or another number of labels
-    is a TrainingError, so a damaged or stale file never yields NaN or
+    is a DataError, so a damaged or stale file never yields NaN or
     misnamed predictions."""
     from .cli import TrainConfig  # the section whose `tau` the checkpoint records
 
-    doc = read_json(path, TrainingError, f"checkpoint {path}")
+    doc = read_json(path, DataError, f"checkpoint {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise TrainingError(
+        raise DataError(
             f"checkpoint {path} has unsupported version {doc.get('version')!r}"
         )
     missing = [key for key in _CHECKPOINT_KEYS if key not in doc]
     if missing:
-        raise TrainingError(f"checkpoint {path} is missing {', '.join(missing)}")
+        raise DataError(f"checkpoint {path} is missing {', '.join(missing)}")
     k, d = doc["k"], doc["d"]
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (k, d)):
-        raise TrainingError(f"checkpoint {path}: k and d must be positive integers")
+        raise DataError(f"checkpoint {path}: k and d must be positive integers")
     if not isinstance(doc["taxonomy_hash"], str):
-        raise TrainingError(f"checkpoint {path}: taxonomy_hash must be a string")
+        raise DataError(f"checkpoint {path}: taxonomy_hash must be a string")
     weights = _finite_floats(path, "weights", doc["weights"])
     if weights.shape != (k * d,):
-        raise TrainingError(
+        raise DataError(
             f"checkpoint {path}: weights length {weights.shape[0]} != k*d = {k * d}"
         )
-    check_values(TrainConfig, {"tau": doc["tau"]}, TrainingError, f"checkpoint {path}: ")
+    check_values(TrainConfig, {"tau": doc["tau"]}, DataError, f"checkpoint {path}: ")
     params = ClassifierParams(
         weights=weights.reshape(k, d),
         bias=_finite_floats(path, "bias", doc["bias"]),
@@ -487,12 +483,12 @@ def load_checkpoint(path: str | Path, taxonomy: LabelTaxonomy) -> ClassifierPara
         taxonomy_hash=doc["taxonomy_hash"],
     )
     if params.taxonomy_hash != taxonomy_fingerprint(taxonomy):
-        raise TrainingError(
+        raise DataError(
             "checkpoint was trained against a different taxonomy than the one "
             "in the workdir; re-run the train stage"
         )
     if k != len(taxonomy):
-        raise TrainingError(
+        raise DataError(
             f"checkpoint {path} has k={k} but the taxonomy in the workdir "
             f"has {len(taxonomy)} labels; re-run the train stage"
         )

@@ -43,7 +43,7 @@ from typing import NamedTuple
 # only the code of that stage.
 from . import guidance as guidance_mod
 from .corpus import SPLITS, Corpus, load_features, load_manifest
-from .errors import ArtifactWriteError, ConfigError, PipelineError, PrerequisiteError
+from .errors import ConfigError, DataError, PipelineError, PrerequisiteError
 from .fileio import json_text, read_json, write_atomic
 from .gateway import GatewayConfig
 from .guidance import GeneratorConfig
@@ -199,7 +199,7 @@ def _apply_override(doc: dict, dotted: str, raw: str) -> None:
             raise ConfigError(f"config key {dotted!r} does not name a field")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         value = raw  # bare strings may be given unquoted
     node[leaf] = value
 
@@ -496,7 +496,7 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
     try:
         (workdir / "meta").mkdir(exist_ok=True)
     except OSError as exc:
-        raise ArtifactWriteError(f"cannot create {workdir / 'meta'}: {exc}") from exc
+        raise DataError(f"cannot create {workdir / 'meta'}: {exc}") from exc
     written = {}
     for name in names:
         data = outputs[name].encode("utf-8")

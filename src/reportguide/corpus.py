@@ -19,7 +19,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import FeatureFormatError, FeatureValidationError, ManifestError, PipelineError
+from .errors import DataError, PipelineError
 from .fileio import read_bytes, read_jsonl, read_text, write_atomic
 
 if TYPE_CHECKING:
@@ -48,16 +48,16 @@ class ReportRecord:
 
     def __post_init__(self):
         if not self.id:
-            raise ManifestError("record id must be non-empty")
+            raise DataError("record id must be non-empty")
         # The type is checked first: a dict lookup of a list raises TypeError.
         split = _SPLIT_OBJECT.get(self.split) if isinstance(self.split, str) else None
         if split is None:
-            raise ManifestError(
+            raise DataError(
                 f"record {self.id!r}: split must be one of {SPLITS}, got {self.split!r}"
             )
         self.split = split
         if not self.report:
-            raise ManifestError(f"record {self.id!r}: report text must be non-empty")
+            raise DataError(f"record {self.id!r}: report text must be non-empty")
 
 
 @dataclass
@@ -72,7 +72,7 @@ class Corpus:
         self._index: dict[str, ReportRecord] = {}
         for rec in self.records:
             if rec.id in self._index:
-                raise ManifestError(f"duplicate record id {rec.id!r}")
+                raise DataError(f"duplicate record id {rec.id!r}")
             self._index[rec.id] = rec
 
     def __len__(self) -> int:
@@ -86,11 +86,11 @@ class Corpus:
 
     def split(self, name: str) -> list[ReportRecord]:
         """The records of split `name`, one of SPLITS, in manifest order. A
-        split with no records is a ManifestError: no stage has anything to
+        split with no records is a DataError: no stage has anything to
         do on it."""
         records = [rec for rec in self.records if rec.split == name]
         if not records:
-            raise ManifestError(f"manifest {self.manifest} has no records in split {name!r}")
+            raise DataError(f"manifest {self.manifest} has no records in split {name!r}")
         return records
 
 
@@ -98,27 +98,27 @@ def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
     try:
         images_raw = obj.get("images", [])
         if not isinstance(images_raw, list):
-            raise ManifestError("images must be an array")
+            raise DataError("images must be an array")
         try:
             pairs = [(img.get("path"), img.get("modality", "")) for img in images_raw]
         except AttributeError:  # a JSON value other than an object has no .get
-            raise ManifestError("every images entry must be a JSON object") from None
+            raise DataError("every images entry must be a JSON object") from None
         images = []
         for path, modality in pairs:
             if type(path) is not str:
-                raise ManifestError(f"image path must be a string, got {path!r}")
+                raise DataError(f"image path must be a string, got {path!r}")
             if type(modality) is not str:
-                raise ManifestError(f"image modality must be a string, got {modality!r}")
+                raise DataError(f"image modality must be a string, got {modality!r}")
             # A modality is categorical: every record shares one object per value.
             images.append(ImageRef(path, sys.intern(modality)))
         rid, report = obj.get("id", ""), obj.get("report", "")
         if type(rid) is not str:
-            raise ManifestError(f"id must be a string, got {rid!r}")
+            raise DataError(f"id must be a string, got {rid!r}")
         if type(report) is not str:
-            raise ManifestError(f"record {rid!r}: report must be a string, got {report!r}")
+            raise DataError(f"record {rid!r}: report must be a string, got {report!r}")
         return ReportRecord(rid, obj.get("split", ""), report, tuple(images))
-    except ManifestError as exc:
-        raise ManifestError(f"manifest line {lineno}: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"manifest line {lineno}: {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> Corpus:
@@ -129,14 +129,14 @@ def load_manifest(path: str | Path) -> Corpus:
     """
     records: list[ReportRecord] = []
     seen: set[str] = set()
-    for lineno, obj in read_jsonl(path, ManifestError, "manifest"):
+    for lineno, obj in read_jsonl(path, DataError, "manifest"):
         rec = _record_from_obj(obj, lineno)
         if rec.id in seen:
-            raise ManifestError(f"manifest line {lineno}: duplicate record id {rec.id!r}")
+            raise DataError(f"manifest line {lineno}: duplicate record id {rec.id!r}")
         seen.add(rec.id)
         records.append(rec)
     if not records:
-        raise ManifestError(f"manifest {path} has no records")
+        raise DataError(f"manifest {path} has no records")
     return Corpus(records=records, manifest=str(path))
 
 
@@ -212,11 +212,11 @@ class FeatureMatrix:
 
         self.values = np.asarray(self.values, dtype=np.float32)
         if self.values.ndim != 2:
-            raise FeatureValidationError(
+            raise DataError(
                 f"feature matrix must be 2-D, got shape {self.values.shape}"
             )
         if self.values.shape[0] != len(self.row_ids):
-            raise FeatureValidationError(
+            raise DataError(
                 f"{self.values.shape[0]} feature rows but {len(self.row_ids)} row ids"
             )
         # The float64 sum of float32 values is finite exactly when every value
@@ -226,7 +226,7 @@ class FeatureMatrix:
             finite = np.isfinite(self.values.sum(dtype=np.float64))
         if not finite:
             r, c = (int(x) for x in np.argwhere(~np.isfinite(self.values))[0])
-            raise FeatureValidationError(
+            raise DataError(
                 f"non-finite feature value at row {r}, column {c} (record {self.row_ids[r]!r})"
             )
         self._row_of = {rid: i for i, rid in enumerate(self.row_ids)}
@@ -234,7 +234,7 @@ class FeatureMatrix:
             # The first row whose id the dict maps to a later row.
             i = next(i for i, rid in enumerate(self.row_ids) if self._row_of[rid] != i)
             rid = self.row_ids[i]
-            raise FeatureValidationError(
+            raise DataError(
                 f"{source} lists duplicate record id {rid!r} at rows {i} and {self._row_of[rid]}"
             )
 
@@ -272,33 +272,33 @@ def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
 def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatrix:
     """Read a feature file and its id sidecar.
 
-    A file with no columns is a FeatureFormatError. When a corpus is given,
+    A file with no columns is a DataError. When a corpus is given,
     every row id must resolve to a record, and the matrix keeps that record's
     own id object.
     """
     import numpy as np
 
-    data = read_bytes(path, FeatureFormatError, f"feature file {path}")
+    data = read_bytes(path, DataError, f"feature file {path}")
     if data[:4] != FEATURE_MAGIC:
-        raise FeatureFormatError(f"bad magic {data[:4]!r} in {path}; expected {FEATURE_MAGIC!r}")
+        raise DataError(f"bad magic {data[:4]!r} in {path}; expected {FEATURE_MAGIC!r}")
     if len(data) < 12:
-        raise FeatureFormatError(f"truncated header in {path}")
+        raise DataError(f"truncated header in {path}")
     rows, cols = struct.unpack_from("<II", data, 4)
     expected = rows * cols * 4
     if len(data) - 12 != expected:
-        raise FeatureFormatError(
+        raise DataError(
             f"feature payload is {len(data) - 12} bytes, expected {expected} "
             f"({rows} rows x {cols} cols) in {path}"
         )
     if cols == 0:
-        raise FeatureFormatError(f"feature file {path} has 0 columns per row")
+        raise DataError(f"feature file {path} has 0 columns per row")
     values = np.frombuffer(data, dtype="<f4", offset=12).reshape(rows, cols)
 
     sidecar = _sidecar_path(path)
-    text = read_text(sidecar, FeatureFormatError, f"feature id sidecar {sidecar}")
+    text = read_text(sidecar, DataError, f"feature id sidecar {sidecar}")
     row_ids = [line for line in text.split("\n") if line]
     if len(row_ids) != rows:
-        raise FeatureValidationError(
+        raise DataError(
             f"sidecar {sidecar} lists {len(row_ids)} ids but matrix has {rows} rows"
         )
 
@@ -317,7 +317,7 @@ def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatr
         values=values, row_ids=row_ids, source=f"feature id sidecar {sidecar}"
     )
     if unknown is not None:
-        raise FeatureValidationError(
+        raise DataError(
             f"feature row {unknown} references unknown record id {row_ids[unknown]!r}"
         )
     return matrix

@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .errors import ArtifactWriteError, PipelineError
+from .errors import DataError, PipelineError
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:
@@ -34,7 +34,7 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     flushed, fsynced and renamed onto `path`; the directory is then fsynced
     so the rename itself is durable. On any error the temp file is removed
     and, unless only the directory fsync failed, `path` is left as it was; an
-    OSError is raised again as an ArtifactWriteError naming `path`. A new
+    OSError is raised again as a DataError naming `path`. A new
     file gets mode 0o666 & ~umask, as `open(path, "w")` would give it.
     """
     path = Path(path)
@@ -58,7 +58,7 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
-        raise ArtifactWriteError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 class _Unhandled(Exception):
@@ -190,7 +190,7 @@ def read_json(path: str | Path, error: type[PipelineError], what: str) -> dict:
     text = read_text(path, error, what)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or a value too deep or long
         raise error(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{what}: not a JSON object")
@@ -231,7 +231,7 @@ def read_jsonl(
                     continue
                 try:
                     obj = _decode_line(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise error(f"{what} line {lineno}: invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise error(f"{what} line {lineno}: not a JSON object")

@@ -26,13 +26,7 @@ from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
 
 from . import __version__
-from .errors import (
-    ArtifactWriteError,
-    ConfigError,
-    LLMOutputError,
-    MockContractError,
-    TransportError,
-)
+from .errors import ConfigError, DataError, GatewayError, LLMOutputError
 from .fileio import lone_surrogate, read_text
 from .schema import check_fields
 from .textnorm import CJK_CLASS, alias_key, match_key
@@ -49,20 +43,13 @@ RETRY_BASE_DELAY = 0.25
 REPROMPT_SUFFIX = "\n\nReturn only the JSON array. No prose, no code fences."
 
 
-@dataclass(frozen=True)
-class ChatRequest:
+class ChatRequest(NamedTuple):
     """A single chat-completion call: one system prompt, one user message."""
 
     system: str
     user: str
     temperature: float = 0.0
     max_tokens: int = 2048
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
-        if self.max_tokens < 1:
-            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 class ChatResponse(NamedTuple):
@@ -151,18 +138,16 @@ def _parse_array(text: str, invalid: str) -> list:
     artifact could hold a label or entity made from it."""
     span = _find_json_span(strip_code_fences(text), "[", "]")
     if span is None:
-        raise LLMOutputError("no JSON array found in LLM output", raw_text=text)
+        raise LLMOutputError("no JSON array found in LLM output")
     try:
         data = json.loads(span)
-    except json.JSONDecodeError as exc:
-        raise LLMOutputError(f"{invalid}: {exc}", raw_text=text) from exc
+    except (ValueError, RecursionError) as exc:
+        raise LLMOutputError(f"{invalid}: {exc}") from exc
     # Only a `\uD...` escape decodes to a lone surrogate.
     if ("\\ud" in span or "\\uD" in span) and (
         char := lone_surrogate(json.dumps(data, ensure_ascii=False))
     ):
-        raise LLMOutputError(
-            f"{invalid}: a string escape decodes to the lone surrogate {char!r}", raw_text=text
-        )
+        raise LLMOutputError(f"{invalid}: a string escape decodes to the lone surrogate {char!r}")
     return data
 
 
@@ -170,7 +155,7 @@ def parse_string_list(text: str) -> list[str]:
     """Parse a JSON array of strings out of possibly noisy LLM output."""
     data = _parse_array(text, "invalid JSON array in LLM output")
     if not all(isinstance(x, str) for x in data):
-        raise LLMOutputError("LLM output is not an array of strings", raw_text=text)
+        raise LLMOutputError("LLM output is not an array of strings")
     return data
 
 
@@ -179,7 +164,7 @@ def parse_string_groups(text: str) -> list[list[str]]:
     data = _parse_array(text, "invalid JSON in LLM output")
     for item in data:
         if not isinstance(item, list) or not item or not all(isinstance(x, str) for x in item):
-            raise LLMOutputError("LLM output group is not a non-empty string array", raw_text=text)
+            raise LLMOutputError("LLM output group is not a non-empty string array")
     return data
 
 
@@ -302,11 +287,11 @@ def _mock_merge(user_text: str) -> list[list[str]]:
 def _mock_annotate(user_text: str) -> list[str]:
     span = _find_json_span(user_text, "{", "}")
     if span is None:
-        raise MockContractError("annotate request carries no JSON payload")
+        raise GatewayError("annotate request carries no JSON payload")
     try:
         payload = json.loads(span)
     except json.JSONDecodeError as exc:
-        raise MockContractError(f"annotate request payload is not valid JSON: {exc}") from exc
+        raise GatewayError(f"annotate request payload is not valid JSON: {exc}") from exc
     report = payload.get("report", "")
     labels = payload.get("labels", [])
     aliases = payload.get("aliases", {})
@@ -328,7 +313,7 @@ def _mock_complete(request: ChatRequest) -> str:
         return json.dumps(_mock_merge(request.user), ensure_ascii=False)
     if SENTINEL_ANNOTATE in request.system:
         return json.dumps(_mock_annotate(request.user), ensure_ascii=False)
-    raise MockContractError(
+    raise GatewayError(
         "mock backend received a system prompt without a recognized task sentinel"
     )
 
@@ -527,9 +512,9 @@ class _CallLog:
             self.file_id, self.replies, self.torn = None, {}, False
             return
         except OSError as exc:
-            raise ArtifactWriteError(f"cannot read gateway call log {self.path}: {exc}") from exc
+            raise DataError(f"cannot read gateway call log {self.path}: {exc}") from exc
         if (st.st_dev, st.st_ino) != self.file_id:
-            text = read_text(self.path, ArtifactWriteError, f"gateway call log {self.path}")
+            text = read_text(self.path, DataError, f"gateway call log {self.path}")
             self.file_id = (st.st_dev, st.st_ino)
             self.replies = _parse_call_log(text)
             self.torn = not text.endswith("\n") and text != ""
@@ -546,7 +531,7 @@ def _parse_call_log(text: str) -> dict[str, tuple[str, int, int]]:
             entry = json.loads(line)
             reply = (entry["text"], entry["input_tokens"], entry["output_tokens"])
             key = entry["request_sha256"]
-        except (ValueError, LookupError, TypeError):
+        except (ValueError, LookupError, TypeError, RecursionError):
             continue
         # A reply holding a lone surrogate was never logged by a call
         # (`_http_complete` rejects it) and could not be written out.
@@ -602,7 +587,7 @@ def _log_call(log: _CallLog | None, key: str, model: str, response: ChatResponse
                 fh.write("\n" + line if log.torn else line)
                 st = os.fstat(fh.fileno())
         except OSError as exc:
-            raise ArtifactWriteError(f"cannot write gateway call log {log.path}: {exc}") from exc
+            raise DataError(f"cannot write gateway call log {log.path}: {exc}") from exc
         log.file_id, log.torn = (st.st_dev, st.st_ino), False
         log.replies.setdefault(key, (response.text, response.input_tokens, response.output_tokens))
 
@@ -681,7 +666,7 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
                 logger.warning("gateway attempt %d failed: %s", attempt + 1, last_error)
                 continue
             if resp.status != 200:
-                raise TransportError(
+                raise GatewayError(
                     f"gateway request failed with HTTP {resp.status}: "
                     f"{data.decode('utf-8', 'replace')[:500]}"
                 )
@@ -695,12 +680,12 @@ def _http_complete(request: ChatRequest, config: GatewayConfig) -> ChatResponse:
                     raise ValueError(f"content holds the lone surrogate {char!r}")
                 input_tokens = _usage_count(usage, "prompt_tokens", request.system + request.user)
                 output_tokens = _usage_count(usage, "completion_tokens", text)
-            except (ValueError, LookupError, TypeError) as exc:
-                raise TransportError(f"malformed chat-completion response: {exc}") from exc
+            except (ValueError, LookupError, TypeError, RecursionError) as exc:
+                raise GatewayError(f"malformed chat-completion response: {exc}") from exc
             response = ChatResponse(text, input_tokens, output_tokens, latency_ms)
             _log_call(log, key, config.model, response)
             return response
-    raise TransportError(
+    raise GatewayError(
         f"gateway gave up after {config.max_retries + 1} attempts; last error: {last_error}"
     )
 
@@ -727,19 +712,13 @@ def complete_with_reprompt(request: ChatRequest, config: GatewayConfig, parser):
     """Run a call and parse its text; on a parse failure, reprompt exactly once.
 
     The reprompt repeats the request with REPROMPT_SUFFIX appended to the
-    user message. A second parse failure propagates its LLMOutputError,
-    raw text attached.
+    user message. A second parse failure propagates its LLMOutputError.
     """
     text = complete(request, config).text
     try:
         return parser(text)
     except LLMOutputError:
-        nudged = ChatRequest(
-            system=request.system,
-            user=request.user + REPROMPT_SUFFIX,
-            temperature=request.temperature,
-            max_tokens=request.max_tokens,
-        )
+        nudged = request._replace(user=request.user + REPROMPT_SUFFIX)
         return parser(complete(nudged, config).text)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .corpus import Corpus, ReportRecord, read_record_rows
-from .errors import ConfigError, DataError, GeneratedFileError, GenerationError
+from .errors import ConfigError, DataError, GatewayError
 from .fileio import lone_surrogate
 from .gateway import ChatRequest, GatewayConfig, complete
 from .schema import check_fields
@@ -155,24 +155,24 @@ def _command_generate(prompt: GuidancePrompt, config: GeneratorConfig) -> str:
             timeout=300,
         )
     except (OSError, subprocess.SubprocessError) as exc:
-        raise GenerationError(f"generator command failed to run: {exc}") from exc
+        raise GatewayError(f"generator command failed to run: {exc}") from exc
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", "replace")
-        raise GenerationError(
+        raise GatewayError(
             f"generator command exited with {proc.returncode}: {stderr.strip()[:500]}"
         )
     try:
         # Output that is not UTF-8 raises UnicodeDecodeError, a ValueError.
         payload = json.loads(proc.stdout.decode("utf-8").strip().splitlines()[-1])
         report = payload["report"]
-    except (ValueError, LookupError, IndexError) as exc:
-        raise GenerationError(
+    except (ValueError, LookupError, IndexError, RecursionError) as exc:
+        raise GatewayError(
             f"generator command wrote no parseable report line: {exc}"
         ) from exc
     if not isinstance(report, str):
-        raise GenerationError("generator command returned a non-string report")
+        raise GatewayError("generator command returned a non-string report")
     if char := lone_surrogate(report):
-        raise GenerationError(f"generator command returned the lone surrogate {char!r}")
+        raise GatewayError(f"generator command returned the lone surrogate {char!r}")
     return report
 
 
@@ -283,25 +283,25 @@ def load_generated(
     split's records, and only over rows that its own prompts produced."""
     what = f"generated file {path}"
     rows = []
-    for lineno, obj, rec in read_record_rows(path, corpus, GeneratedFileError, what):
+    for lineno, obj, rec in read_record_rows(path, corpus, DataError, what):
         where = f"{what} line {lineno}"
         for key in ("report", "prompt"):
             if type(obj.get(key)) is not str:
-                raise GeneratedFileError(f"{where}: {key} must be a string")
+                raise DataError(f"{where}: {key} must be a string")
         if obj.get("mode") != mode or obj.get("label_source") != label_source:
-            raise GeneratedFileError(
+            raise DataError(
                 f"{where}: mode and label_source are {obj.get('mode')!r} and "
                 f"{obj.get('label_source')!r}, not {mode!r} and {label_source!r}"
             )
         if rec.split != split:
-            raise GeneratedFileError(
+            raise DataError(
                 f"{where}: record {rec.id!r} is in split {rec.split!r}, not {split!r}"
             )
         rows.append((lineno, obj, rec))
     expected = corpus.split(split)
     missing = sorted({rec.id for rec in expected} - {rec.id for _, _, rec in rows})
     if missing:
-        raise GeneratedFileError(
+        raise DataError(
             f"{what} lacks {len(missing)} of the {len(expected)} records "
             f"of split {split!r}, first {', '.join(map(repr, missing[:3]))}"
         )

@@ -16,6 +16,14 @@ from reportguide.gateway import GatewayConfig
 from reportguide.synthetic import build_synthetic_corpus, write_synthetic_corpus
 
 
+# JSON that `json.loads` refuses without a JSONDecodeError: an array nested
+# past the recursion limit (RecursionError; 3.11 fails at 1,000 levels, 3.13
+# parses 5,000), and an integer literal longer than
+# `sys.get_int_max_str_digits()` (a plain ValueError).
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_INT = "9" * 5_000
+
+
 # Characters that JSON string writers get wrong: a quote, a backslash,
 # control characters, DEL, U+2028/U+2029, and non-ASCII text of two, three
 # and four UTF-8 bytes.

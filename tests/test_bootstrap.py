@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -32,15 +33,7 @@ from reportguide.bootstrap import (
     taxonomy_to_json,
 )
 from reportguide.corpus import Corpus, ReportRecord
-from reportguide.errors import (
-    BootstrapError,
-    ConfigError,
-    EmptyTaxonomyError,
-    LLMOutputError,
-    ManifestError,
-    MergeBudgetError,
-    MergeProgressError,
-)
+from reportguide.errors import ConfigError, DataError, LLMOutputError
 from reportguide.fileio import write_atomic
 from reportguide.cli import BootstrapConfig, main
 from reportguide.gateway import ChatRequest, ChatResponse, GatewayConfig, estimate_tokens
@@ -74,12 +67,12 @@ def test_bootstrap_config_validation():
 
 
 def test_taxonomy_requires_dense_indices():
-    with pytest.raises(BootstrapError):
+    with pytest.raises(DataError, match="^label 'A' has index 1, expected 0$"):
         LabelTaxonomy(labels=(LabelEntry(index=1, name="A"),))
 
 
 def test_taxonomy_rejects_case_insensitive_duplicate_names():
-    with pytest.raises(BootstrapError):
+    with pytest.raises(DataError, match="^taxonomy contains duplicate label names$"):
         _taxonomy(["Effusion", "effusion"])
 
 
@@ -129,14 +122,13 @@ def test_extraction_reprompts_once_then_succeeds(monkeypatch, mock_gateway):
     assert "Return only the JSON array" in calls[1].user
 
 
-def test_extraction_failure_after_reprompt_carries_raw_text(monkeypatch, mock_gateway):
+def test_extraction_failure_after_reprompt_raises_llm_output_error(monkeypatch, mock_gateway):
     def fake_complete(request, config):
         return ChatResponse(text="still not json", input_tokens=0, output_tokens=0)
 
     monkeypatch.setattr(gateway_mod, "complete", fake_complete)
-    with pytest.raises(LLMOutputError) as excinfo:
+    with pytest.raises(LLMOutputError, match="^no JSON array found in LLM output$"):
         extract_batch_labels(["whatever"], mock_gateway)
-    assert excinfo.value.raw_text == "still not json"
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +159,23 @@ def test_merge_without_progress_raises(mock_gateway):
     # cannot reduce the set count.
     sets = [["AAAAAAAAAA"], ["BBBBBBBBBB"]]
     assert all(estimate_tokens(json.dumps(s)) <= 5 for s in sets)
-    with pytest.raises(MergeProgressError):
+    with pytest.raises(
+        DataError,
+        match="^merge budget 5 cannot fit two sets in one call; 2 sets remain after 0 rounds$",
+    ):
         merge_label_sets(sets, mock_gateway, merge_budget=5)
 
 
 def test_merge_oversized_single_set_raises_budget_error(mock_gateway):
     oversized = ["X" * 100]
-    with pytest.raises(MergeBudgetError):
+    with pytest.raises(
+        DataError, match="^label set of 1 names costs 26 tokens, over the merge budget of 10$"
+    ):
         merge_label_sets([["A"], oversized], mock_gateway, merge_budget=10)
 
 
 def test_merge_empty_input_raises(mock_gateway):
-    with pytest.raises(BootstrapError):
+    with pytest.raises(DataError, match="^no label sets to merge$"):
         merge_label_sets([], mock_gateway, merge_budget=10)
 
 
@@ -317,7 +314,9 @@ def test_filter_labels_post_condition_min_count_at_threshold():
 
 
 def test_filter_labels_all_removed_raises():
-    with pytest.raises(EmptyTaxonomyError):
+    with pytest.raises(
+        DataError, match="^no label reaches the frequency threshold 1000 on the training split$"
+    ):
         filter_labels(*_counted_vectors(), min_label_count=1000)
 
 
@@ -355,7 +354,9 @@ def test_filter_labels_matches_a_per_record_reprojection(k, rows, theta):
     counts = Counter(j for item in items if item.split == "train" for j in item.positives)
     kept = [j for j in range(k) if counts[j] >= theta]
     if not kept:
-        with pytest.raises(EmptyTaxonomyError):
+        with pytest.raises(
+            DataError, match=f"^no label reaches the frequency threshold {theta} on the training"
+        ):
             filter_labels(draft, _train_vectors(items), theta)
         return
     remap = {old: new for new, old in enumerate(kept)}
@@ -397,7 +398,7 @@ def test_bootstrap_multiple_batches_still_recover_labels(synth, mock_gateway):
 
 def test_bootstrap_requires_training_records(mock_gateway):
     corpus = Corpus(records=[ReportRecord(id="a", split="test", report="t")])
-    with pytest.raises(ManifestError, match="has no records in split 'train'"):
+    with pytest.raises(DataError, match="has no records in split 'train'"):
         bootstrap_dataset(corpus, BootstrapConfig(), mock_gateway)
 
 
@@ -419,7 +420,7 @@ def _reference_filter_labels(dataset: MLCDataset, min_label_count: int) -> MLCDa
                 counts[j] += 1
     survivors = [e for e in dataset.taxonomy.labels if counts[e.index] >= min_label_count]
     if not survivors:
-        raise EmptyTaxonomyError(
+        raise DataError(
             f"no label reaches the frequency threshold {min_label_count} "
             f"on the training split"
         )
@@ -507,8 +508,8 @@ def test_bootstrap_dataset_matches_the_draft_then_filter_flow(k, table, records,
         patch.setattr(bootstrap_mod, "annotate_report", annotate)
         try:
             expected = _reference_bootstrap(corpus, draft, annotations, theta)
-        except EmptyTaxonomyError as exc:
-            with pytest.raises(EmptyTaxonomyError, match=f"^{exc}$"):
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{exc}$"):
                 bootstrap_dataset(corpus, config, GatewayConfig())
             return
         dataset = bootstrap_dataset(corpus, config, GatewayConfig())
@@ -698,7 +699,7 @@ def test_taxonomy_fingerprint_is_stable_and_sensitive(tmp_path):
 def test_load_taxonomy_rejects_unknown_version(tmp_path):
     path = tmp_path / "taxonomy.json"
     path.write_text('{"version": 99, "labels": []}', encoding="utf-8")
-    with pytest.raises(BootstrapError, match="version"):
+    with pytest.raises(DataError, match="version"):
         load_taxonomy(path)
 
 
@@ -723,7 +724,7 @@ def test_load_taxonomy_rejects_unknown_version(tmp_path):
 def test_load_taxonomy_rejects_malformed_documents(tmp_path, doc, message):
     path = tmp_path / "taxonomy.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(BootstrapError, match=message) as info:
+    with pytest.raises(DataError, match=message) as info:
         load_taxonomy(path)
     assert str(path) in str(info.value)
 
@@ -782,7 +783,7 @@ def test_load_labels_rejects_malformed_lines(tmp_path, line, message):
     )
     path = tmp_path / "labels.jsonl"
     path.write_text('{"id": "r0", "positives": [0]}\n' + line + "\n", encoding="utf-8")
-    with pytest.raises(BootstrapError, match=f"labels file .*labels.jsonl {message}"):
+    with pytest.raises(DataError, match=f"labels file .*labels.jsonl {message}"):
         load_labels(path, corpus, tax)
 
 
@@ -799,9 +800,9 @@ def test_load_labels_rejects_an_entry_equal_to_an_index_but_not_an_integer(tmp_p
         '{"id": "r0", "positives": [0, 1]}\n{"id": "r1", "positives": [0, ' + entry + "]}\n",
         encoding="utf-8",
     )
-    with pytest.raises(BootstrapError) as info:
+    message = f"labels file {path} line 2: positives must be a list of integers"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_labels(path, corpus, tax)
-    assert str(info.value) == f"labels file {path} line 2: positives must be a list of integers"
 
 
 def test_load_labels_names_the_line_of_the_first_record_carrying_an_invalid_vector(tmp_path):
@@ -817,7 +818,7 @@ def test_load_labels_names_the_line_of_the_first_record_carrying_an_invalid_vect
         encoding="utf-8",
     )
     with pytest.raises(
-        BootstrapError,
+        DataError,
         match=f"^labels file {path} line 4: record 'r2' has unsorted or duplicate positives$",
     ):
         load_labels(path, corpus, tax)
@@ -844,7 +845,7 @@ def test_load_labels_rejects_unknown_record(tmp_path):
     corpus = Corpus(records=[ReportRecord(id="r1", split="train", report="t")])
     path = tmp_path / "labels.jsonl"
     path.write_text('{"id": "ghost", "positives": []}\n', encoding="utf-8")
-    with pytest.raises(BootstrapError, match="labels.jsonl line 1: unknown record id 'ghost'"):
+    with pytest.raises(DataError, match="labels.jsonl line 1: unknown record id 'ghost'"):
         load_labels(path, corpus, tax)
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import DEEP_JSON, LONG_INT
 from reportguide import bootstrap, classifier, cli, errors, guidance, metrics
 from reportguide.cli import (
     FLAG_ALIASES,
@@ -204,6 +205,12 @@ def test_override_unknown_dotted_key_is_rejected(mini):
          "guidance.generator.command must be text that UTF-8 can encode"),
         ("metrics.enabled", '["bleu", "x\\ud800"]',
          "metrics.enabled must be text that UTF-8 can encode, got 'x\\\\ud800'"),
+        # JSON that json.loads refuses without a JSONDecodeError is taken as
+        # a bare string too.
+        pytest.param("train.seed", DEEP_JSON, r"^train.seed must be an integer, got '\[\[\[",
+                     id="train.seed-deep"),
+        pytest.param("train.seed", LONG_INT, "^train.seed must be an integer, got '999",
+                     id="train.seed-long-int"),
     ],
 )
 def test_validation_rejects_bad_values(mini, dotted, value, hint):
@@ -609,6 +616,26 @@ def test_invalid_config_json_exits_2(tmp_path):
     assert main(["bootstrap", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (DEEP_JSON, "is not valid JSON: "),
+        ('{"train": {"seed": ' + LONG_INT + "}}",
+         "is not valid JSON: Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep", "long-int"],
+)
+def test_config_file_too_deep_or_too_long_to_parse_exits_2(
+    mini, caplog, monkeypatch, doc, message
+):
+    monkeypatch.chdir(mini["tmp"])
+    Path(mini["config"]).write_text(doc, encoding="utf-8")
+    before = sorted(path.name for path in mini["tmp"].iterdir())
+    assert main(["bootstrap", "--config", mini["config"]]) == 2
+    assert f"configuration error: config file {mini['config']} {message}" in caplog.text
+    assert sorted(path.name for path in mini["tmp"].iterdir()) == before
+
+
 def test_set_flag_without_equals_exits_2(mini):
     code = main(["bootstrap", "--config", mini["config"], "--set", "trainepochs"])
     assert code == 2
@@ -642,6 +669,36 @@ def test_each_error_is_on_exactly_one_branch_and_each_branch_declares_its_code()
     for cls in _error_classes():
         if cls is not PipelineError:
             assert len([b for b in branches if b in cls.__mro__]) == 1, cls
+
+
+def _caught_names() -> set[str]:
+    """Each name an `except` clause or an `isinstance` call of `src/` or
+    `bench/` tests an exception against."""
+    root = Path(__file__).resolve().parent.parent
+    names = set()
+    paths = [*(root / "src" / "reportguide").glob("*.py"), *(root / "bench").glob("*.py")]
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                tested = node.type
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2):
+                tested = node.args[1]
+            else:
+                continue
+            names |= {n.id for n in ast.walk(tested) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(tested) if isinstance(n, ast.Attribute)}
+    return names
+
+
+def test_each_error_below_a_branch_has_a_catcher():
+    # A class that no code tells apart from its branch is one more name for it.
+    caught = _caught_names()
+    for cls in _error_classes():
+        if cls is PipelineError or cls in _branches():
+            continue
+        outside = [b for b in cls.__bases__ if b.__module__ != errors.__name__]
+        assert cls.__name__ in caught or any(b.__name__ in caught for b in outside), cls
 
 
 def test_main_maps_every_package_error_in_one_handler():
@@ -1292,6 +1349,21 @@ _LONE_SURROGATE = (
         (_edit_rows("generated-image_and_label-pred.jsonl",
                     lambda rows: rows[1].update(report="\ud800 x")),
          "evaluate", "generated-image_and_label-pred.jsonl line 2: " + _LONE_SURROGATE),
+        # JSON that json.loads refuses with a RecursionError or a plain
+        # ValueError, not a JSONDecodeError.
+        (_replace_file("taxonomy.json", '{"labels": ' + DEEP_JSON + "}"), "train",
+         "data error: taxonomy file <tmp>/run/taxonomy.json is not valid JSON: "),
+        (_replace_file("checkpoint.json", DEEP_JSON), "predict",
+         "data error: checkpoint <tmp>/run/checkpoint.json is not valid JSON: "),
+        (_append_line("labels.jsonl", '{"id": "t1", "positives": ' + DEEP_JSON + "}"), "train",
+         "data error: labels file <tmp>/run/labels.jsonl line 13: invalid JSON: "),
+        (_append_line("labels.jsonl", '{"id": "t1", "positives": [' + LONG_INT + "]}"), "train",
+         "labels.jsonl line 13: invalid JSON: Exceeds the limit (4300 digits)"),
+        (_append_line("../data/manifest.jsonl",
+                      '{"id": "x1", "split": "train", "report": "x", "images": ' + DEEP_JSON + "}"),
+         "evaluate", "data error: manifest line 13: invalid JSON: "),
+        (_append_line("generated-image_and_label-pred.jsonl", DEEP_JSON), "evaluate",
+         "generated-image_and_label-pred.jsonl line 3: invalid JSON: "),
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
@@ -1340,6 +1412,35 @@ def test_a_reply_that_is_not_unicode_text_exits_3(
     assert after == before  # nothing written but the call log
     # A reply is logged only once its content is known to be text.
     assert (log is not None) == content.isascii()
+
+
+# A generator command that prints an array nested past the parser's depth limit.
+_PRINT_DEEP = f"{shlex.quote(sys.executable)} -c \"print('[' * 100000 + ']' * 100000)\""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (lambda server: ["bootstrap", *_http(server)],
+         "gateway error: malformed chat-completion response: "),
+        (lambda server: ["generate", "--set", "guidance.generator.backend=command",
+                         "--set", f"guidance.generator.command={_PRINT_DEEP}"],
+         "gateway error: generator command wrote no parseable report line: "),
+    ],
+    ids=["http-content-deep", "command-output-deep"],
+)
+def test_a_reply_too_deep_to_parse_exits_3(
+    mini, caplog, stub_server_factory, monkeypatch, args, message
+):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    server = stub_server_factory(
+        body=b'{"choices": [{"message": {"content": ' + DEEP_JSON.encode() + b"}}]}"
+    )
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    before = _snapshot(mini["workdir"])
+    assert main([*args(server), "--config", mini["config"], "--force"]) == 3
+    assert message in caplog.text
+    assert _snapshot(mini["workdir"]) == before  # not even the call log is written
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ sidecar binding, and round-trip fidelity."""
 from __future__ import annotations
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -30,13 +31,7 @@ from reportguide.corpus import (
     save_features,
     save_manifest,
 )
-from reportguide.errors import (
-    DataError,
-    FeatureFormatError,
-    FeatureValidationError,
-    GeneratedFileError,
-    ManifestError,
-)
+from reportguide.errors import DataError
 
 
 def _write_manifest(path, rows):
@@ -51,23 +46,24 @@ def _write_manifest(path, rows):
 
 
 def test_record_requires_nonempty_id():
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError, match="^record id must be non-empty$"):
         ReportRecord(id="", split="train", report="text")
 
 
 def test_record_requires_known_split():
-    with pytest.raises(ManifestError):
+    message = f"^record 'a': split must be one of {re.escape(str(SPLITS))}, got 'holdout'$"
+    with pytest.raises(DataError, match=message):
         ReportRecord(id="a", split="holdout", report="text")
 
 
 def test_record_requires_nonempty_report():
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError, match="^record 'a': report text must be non-empty$"):
         ReportRecord(id="a", split="train", report="")
 
 
 def test_corpus_rejects_duplicate_ids():
     rec = lambda i: ReportRecord(id=i, split="train", report="t")
-    with pytest.raises(ManifestError, match="^duplicate record id 'x'$"):
+    with pytest.raises(DataError, match="^duplicate record id 'x'$"):
         Corpus(records=[rec("x"), rec("x")])
 
 
@@ -126,7 +122,7 @@ def test_load_manifest_names_bad_json_line(tmp_path):
         "this is not json\n",
         encoding="utf-8",
     )
-    with pytest.raises(ManifestError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         load_manifest(path)
 
 
@@ -139,7 +135,7 @@ def test_load_manifest_names_duplicate_id(tmp_path):
             {"id": "x", "split": "val", "report": "two", "images": []},
         ],
     )
-    with pytest.raises(ManifestError, match="^manifest line 2: duplicate record id 'x'$"):
+    with pytest.raises(DataError, match="^manifest line 2: duplicate record id 'x'$"):
         load_manifest(path)
 
 
@@ -165,7 +161,7 @@ def test_load_manifest_reports_line_of_invalid_record(tmp_path, split):
             {"id": "b", "split": split, "report": "two", "images": []},
         ],
     )
-    with pytest.raises(ManifestError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         load_manifest(path)
     assert str(excinfo.value) == (
         f"manifest line 2: record 'b': split must be one of {SPLITS}, got {split!r}"
@@ -196,7 +192,7 @@ def test_load_manifest_words_invalid_json_as_json_loads_does(tmp_path, line):
     )
     with pytest.raises(json.JSONDecodeError) as expected:
         json.loads(line + "\n")
-    with pytest.raises(ManifestError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         load_manifest(path)
     assert str(excinfo.value) == f"manifest line 2: invalid JSON: {expected.value}"
 
@@ -209,7 +205,7 @@ def test_load_manifest_rejects_an_images_entry_that_is_not_an_object(tmp_path, i
         f'{{"id": "b", "split": "train", "report": "x", "images": [{{}}, {image}]}}\n',
         encoding="utf-8",
     )
-    with pytest.raises(ManifestError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         load_manifest(path)
     assert str(excinfo.value) == (
         "manifest line 2: every images entry must be a JSON object"
@@ -242,6 +238,10 @@ def test_read_record_rows_yields_each_row_with_its_record_in_file_order(tmp_path
     ]
 
 
+class _RowsError(DataError):
+    """The error a caller hands `read_record_rows`."""
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -258,8 +258,8 @@ def test_read_record_rows_yields_each_row_with_its_record_in_file_order(tmp_path
 def test_read_record_rows_raises_the_callers_error(tmp_path, text, message):
     path = tmp_path / "rows.jsonl"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(GeneratedFileError) as excinfo:
-        list(read_record_rows(path, _AB, GeneratedFileError, "rows file"))
+    with pytest.raises(_RowsError) as excinfo:
+        list(read_record_rows(path, _AB, _RowsError, "rows file"))
     assert str(excinfo.value) == message
 
 
@@ -374,7 +374,7 @@ def test_save_then_load_features_round_trip_exact(tmp_path):
 def test_load_features_rejects_bad_magic(tmp_path):
     path = tmp_path / "f.ffmx"
     path.write_bytes(b"NOPE" + struct.pack("<II", 1, 1) + struct.pack("<f", 1.0))
-    with pytest.raises(FeatureFormatError, match="magic"):
+    with pytest.raises(DataError, match="magic"):
         load_features(path)
 
 
@@ -382,14 +382,14 @@ def test_load_features_rejects_truncated_payload(tmp_path):
     path = tmp_path / "f.ffmx"
     path.write_bytes(b"FFMX" + struct.pack("<II", 2, 3) + struct.pack("<3f", 1, 2, 3))
     (tmp_path / "f.ffmx.ids").write_text("a\nb\n", encoding="utf-8")
-    with pytest.raises(FeatureFormatError, match="expected 24"):
+    with pytest.raises(DataError, match="expected 24"):
         load_features(path)
 
 
 def test_load_features_rejects_truncated_header(tmp_path):
     path = tmp_path / "f.ffmx"
     path.write_bytes(b"FFMX" + b"\x01\x00")
-    with pytest.raises(FeatureFormatError, match="header"):
+    with pytest.raises(DataError, match="header"):
         load_features(path)
 
 
@@ -398,14 +398,14 @@ def test_load_features_cites_position_of_nan(tmp_path):
     payload = struct.pack("<4f", 1.0, float("nan"), 3.0, 4.0)
     path.write_bytes(b"FFMX" + struct.pack("<II", 2, 2) + payload)
     (tmp_path / "f.ffmx.ids").write_text("a\nb\n", encoding="utf-8")
-    with pytest.raises(FeatureValidationError, match=r"row 0, column 1"):
+    with pytest.raises(DataError, match=r"row 0, column 1"):
         load_features(path)
 
 
 def test_load_features_requires_sidecar(tmp_path):
     path = tmp_path / "f.ffmx"
     path.write_bytes(b"FFMX" + struct.pack("<II", 1, 1) + struct.pack("<f", 1.0))
-    with pytest.raises(FeatureFormatError, match="sidecar"):
+    with pytest.raises(DataError, match="sidecar"):
         load_features(path)
 
 
@@ -413,7 +413,7 @@ def test_load_features_rejects_sidecar_count_mismatch(tmp_path):
     path = tmp_path / "f.ffmx"
     path.write_bytes(b"FFMX" + struct.pack("<II", 2, 1) + struct.pack("<2f", 1.0, 2.0))
     (tmp_path / "f.ffmx.ids").write_text("a\n", encoding="utf-8")
-    with pytest.raises(FeatureValidationError, match="1 ids"):
+    with pytest.raises(DataError, match="1 ids"):
         load_features(path)
 
 
@@ -422,23 +422,23 @@ def test_load_features_rejects_unknown_record_id(tmp_path):
     matrix = FeatureMatrix(values=np.ones((1, 2), dtype=np.float32), row_ids=["ghost"])
     save_features(matrix, path)
     corpus = Corpus(records=[ReportRecord(id="real", split="train", report="t")])
-    with pytest.raises(FeatureValidationError, match="ghost"):
+    with pytest.raises(DataError, match="ghost"):
         load_features(path, corpus)
 
 
 def test_feature_matrix_rejects_non_2d():
-    with pytest.raises(FeatureValidationError):
+    with pytest.raises(DataError, match=r"^feature matrix must be 2-D, got shape \(3,\)$"):
         FeatureMatrix(values=np.ones(3, dtype=np.float32), row_ids=["a", "b", "c"])
 
 
 def test_feature_matrix_rejects_row_count_mismatch():
-    with pytest.raises(FeatureValidationError):
+    with pytest.raises(DataError, match="^2 feature rows but 1 row ids$"):
         FeatureMatrix(values=np.ones((2, 2), dtype=np.float32), row_ids=["a"])
 
 
 def test_feature_matrix_rejects_duplicate_ids():
     with pytest.raises(
-        FeatureValidationError,
+        DataError,
         match="^the feature matrix lists duplicate record id 'a' at rows 0 and 2$",
     ):
         FeatureMatrix(values=np.ones((4, 2), dtype=np.float32), row_ids=["a", "b", "a", "b"])
@@ -449,7 +449,7 @@ def test_load_features_names_the_sidecar_the_id_and_the_rows_of_a_duplicate(tmp_
     save_features(FeatureMatrix(values=np.ones((3, 2), dtype=np.float32),
                                 row_ids=["a", "b", "c"]), path)
     (tmp_path / "f.ffmx.ids").write_text("a\nb\nb\n", encoding="utf-8")
-    with pytest.raises(FeatureValidationError) as info:
+    with pytest.raises(DataError) as info:
         load_features(path)
     assert str(info.value) == (
         f"feature id sidecar {path}.ids lists duplicate record id 'b' at rows 1 and 2"
@@ -459,7 +459,7 @@ def test_load_features_names_the_sidecar_the_id_and_the_rows_of_a_duplicate(tmp_
 def test_feature_matrix_names_record_with_non_finite_value():
     values = np.ones((2, 2), dtype=np.float32)
     values[1, 0] = np.inf
-    with pytest.raises(FeatureValidationError, match="'bad'"):
+    with pytest.raises(DataError, match="'bad'"):
         FeatureMatrix(values=values, row_ids=["ok", "bad"])
 
 
@@ -476,7 +476,7 @@ def test_feature_matrix_names_the_first_non_finite_value(bad, where):
     values = np.full((8, 3), np.finfo(np.float32).max, dtype=np.float32)
     for position, value in bad.items():
         values[position] = value
-    with pytest.raises(FeatureValidationError) as info:
+    with pytest.raises(DataError) as info:
         FeatureMatrix(values=values, row_ids=[f"r{i}" for i in range(8)])
     assert str(info.value) == f"non-finite feature value at {where}"
 

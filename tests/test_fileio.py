@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reportguide
-from reportguide.errors import ArtifactWriteError, DataError
+from reportguide.errors import DataError
 from reportguide.fileio import json_text, read_jsonl, write_atomic
 
 PACKAGE = Path(reportguide.__file__).parent
@@ -162,7 +162,7 @@ def test_write_atomic_fsyncs_the_file_then_its_directory(tmp_path, monkeypatch):
 
 def test_a_failed_directory_fsync_is_an_artifact_write_error(tmp_path, monkeypatch):
     _fsynced_kinds(monkeypatch, fail_on_directories=True)
-    with pytest.raises(ArtifactWriteError, match=r"cannot write .*a\.json: \[Errno 5\]"):
+    with pytest.raises(DataError, match=r"cannot write .*a\.json: \[Errno 5\]"):
         write_atomic(tmp_path / "a.json", "{}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["a.json"]  # no temp file left
 

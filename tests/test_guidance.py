@@ -36,12 +36,7 @@ from reportguide.corpus import (
     save_features,
     save_manifest,
 )
-from reportguide.errors import (
-    ConfigError,
-    DataError,
-    GeneratedFileError,
-    GenerationError,
-)
+from reportguide.errors import ConfigError, DataError, GatewayError
 from reportguide.fileio import write_atomic
 from reportguide.guidance import (
     ABLATION_MODES,
@@ -237,19 +232,19 @@ def test_command_generator_receives_image_paths(tmp_path):
 
 def test_command_generator_nonzero_exit_raises(tmp_path):
     config = _command_config(tmp_path, "import sys\nsys.exit(3)\n")
-    with pytest.raises(GenerationError, match="exited with 3"):
+    with pytest.raises(GatewayError, match="exited with 3"):
         generate_report(_prompt_for(["A"], ()), config)
 
 
 def test_command_generator_garbage_stdout_raises(tmp_path):
     config = _command_config(tmp_path, "print('not json at all')\n")
-    with pytest.raises(GenerationError, match="parseable"):
+    with pytest.raises(GatewayError, match="parseable"):
         generate_report(_prompt_for(["A"], ()), config)
 
 
 def test_command_generator_non_string_report_raises(tmp_path):
     config = _command_config(tmp_path, "print('{\"report\": 42}')\n")
-    with pytest.raises(GenerationError, match="non-string"):
+    with pytest.raises(GatewayError, match="non-string"):
         generate_report(_prompt_for(["A"], ()), config)
 
 
@@ -264,7 +259,7 @@ def test_command_generator_non_string_report_raises(tmp_path):
 )
 def test_command_generator_output_that_is_not_unicode_text_raises(tmp_path, body, message):
     config = _command_config(tmp_path, body)
-    with pytest.raises(GenerationError, match=f"^generator command {message}"):
+    with pytest.raises(GatewayError, match=f"^generator command {message}"):
         generate_report(_prompt_for(["A"], ()), config)
 
 
@@ -272,7 +267,7 @@ def test_command_generator_missing_binary_raises():
     config = GeneratorConfig(
         backend="command", command="/nonexistent/generator-binary-xyz"
     )
-    with pytest.raises(GenerationError):
+    with pytest.raises(GatewayError, match="^generator command exited with 127: "):
         generate_report(_prompt_for(["A"], ()), config)
 
 
@@ -349,7 +344,7 @@ _ONE_ROW = json.dumps(
 def test_load_generated_reports_bad_lines(tmp_path):
     path = tmp_path / "generated.jsonl"
     path.write_text(_ONE_ROW + "\n{broken\n", encoding="utf-8")
-    with pytest.raises(GeneratedFileError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         load_generated(path, _ONE_RECORD, "image_only", "none", "test")
 
 
@@ -361,7 +356,7 @@ def test_load_generated_names_the_first_faulty_line(tmp_path):
         {"id": "b", "mode": "image_only", "label_source": "none", "prompt": "p", "report": 3},
     ]
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    with pytest.raises(GeneratedFileError, match=f"{path.name} line 1: mode and label_source"):
+    with pytest.raises(DataError, match=f"{path.name} line 1: mode and label_source"):
         load_generated(path, corpus, "image_only", "none", "test")
 
 
@@ -381,7 +376,7 @@ def test_generated_to_jsonl_writes_the_bytes_of_json_dumps(values):
 def test_load_generated_rejects_non_object_lines(tmp_path, line):
     path = tmp_path / "generated.jsonl"
     path.write_text(_ONE_ROW + "\n" + line + "\n", encoding="utf-8")
-    with pytest.raises(GeneratedFileError, match=f"{path.name} line 2: not a JSON object"):
+    with pytest.raises(DataError, match=f"{path.name} line 2: not a JSON object"):
         load_generated(path, _ONE_RECORD, "image_only", "none", "test")
 
 

@@ -20,7 +20,9 @@ and on a `load_manifest` call outside `cli.main`, so that no stage reads the
 manifest again, and on a call to an artifact reader, or to `load_features`,
 anywhere in `cli.py` but `_read`, so that each stage input is read in one
 place. It fails, too, on a `raise` in `cli.py` of anything but a new
-`ConfigError`, `PrerequisiteError` or `ArtifactWriteError`, and on any use of `taxonomy_hash` there,
+`ConfigError` or `PrerequisiteError`, or a new `DataError` inside an
+`except OSError` handler (an artifact that could not be written), and on
+any use of `taxonomy_hash` there,
 so that no artifact rule, such as the checkpoint's binding to its taxonomy,
 moves back out of the artifact's reader. And it fails on a `GuidancePrompt`
 built outside `guidance.serialize_labels`, so that ground-truth and
@@ -110,13 +112,24 @@ def test_the_driver_reads_every_stage_input_in_one_place():
 
 
 def test_the_driver_raises_only_config_prerequisite_and_write_errors():
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     raised = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Raise):
-            func = node.exc.func if isinstance(node.exc, ast.Call) else None
-            raised.add(func.id if isinstance(func, ast.Name) else ast.unparse(node))
-    assert raised == {"ArtifactWriteError", "ConfigError", "PrerequisiteError"}
+
+    def visit(node: ast.AST, handler: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                visit(child, ast.unparse(child.type) if child.type else None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, None)
+                continue
+            if isinstance(child, ast.Raise):
+                func = child.exc.func if isinstance(child.exc, ast.Call) else None
+                name = func.id if isinstance(func, ast.Name) else ast.unparse(child)
+                raised.add(f"{name} in except {handler}" if name == "DataError" else name)
+            visit(child, handler)
+
+    visit(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")), None)
+    assert raised == {"ConfigError", "DataError in except OSError", "PrerequisiteError"}
 
 
 def test_the_driver_leaves_the_checkpoint_binding_to_its_reader():
