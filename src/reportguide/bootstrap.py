@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .corpus import Corpus, read_record_rows
 from .errors import DataError, LLMOutputError
 from .fileio import json_text, read_json
 from .gateway import (
     ChatRequest,
-    GatewayConfig,
     complete_with_reprompt,
     estimate_tokens,
     map_calls,
@@ -33,11 +32,8 @@ from .gateway import (
     parse_string_groups,
     parse_string_list,
 )
-from .schema import check_values
+from .schema import BootstrapConfig, GatewayConfig, check_values
 from .textnorm import alias_key, collapse_whitespace, match_key
-
-if TYPE_CHECKING:
-    from .cli import BootstrapConfig
 
 logger = logging.getLogger(__name__)
 
@@ -473,8 +469,6 @@ def taxonomy_to_json(taxonomy: LabelTaxonomy) -> str:
 
 
 def load_taxonomy(path: str | Path) -> LabelTaxonomy:
-    from .cli import BootstrapConfig  # the section whose settings `params` records
-
     doc = read_json(path, DataError, f"taxonomy file {path}")
     if doc.get("version") != 1:
         raise DataError(f"taxonomy file {path} has unsupported version {doc.get('version')!r}")

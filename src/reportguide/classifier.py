@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,10 +24,7 @@ from .bootstrap import LabelTaxonomy, MLCDataset, taxonomy_fingerprint
 from .corpus import FeatureMatrix
 from .errors import DataError
 from .fileio import read_json
-from .schema import check_values
-
-if TYPE_CHECKING:
-    from .cli import TrainConfig
+from .schema import TrainConfig, check_values
 
 CHECKPOINT_VERSION = 1
 
@@ -179,6 +176,7 @@ _GATHER_BYTES = 1 << 18
 _SAFE_LOSS_SUM = 1e300
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     dataset: MLCDataset,
     features: FeatureMatrix,
@@ -190,11 +188,13 @@ def train(
     parameters: shuffling comes from one seeded generator and batches are
     accumulated in a fixed order.
 
-    A non-finite mean loss at any batch raises DataError naming the
-    epoch and batch before that batch's update. The loss is computed only in
-    epochs that could reach one (see _epoch_stays_finite). A weight or bias
-    left non-finite by the last update raises DataError naming that
-    update's epoch and batch, so non-finite parameters are never returned.
+    A logit shift that tau makes non-finite raises DataError naming
+    `train.tau` before the first batch, and a non-finite mean loss at any
+    batch one naming the epoch and batch, before that batch's update; the
+    loss is computed only in epochs that could reach one (see
+    _epoch_stays_finite). A weight or bias left non-finite by the last update
+    raises one naming its epoch and batch, so non-finite parameters are never
+    returned. numpy does not warn of the overflows these errors report.
     """
     train_items = dataset.split_items("train")
 
@@ -228,6 +228,8 @@ def train(
 
     # The shift is constant during training: computed once, added per batch.
     shift = _logit_shift(params.frequencies, params.tau) if config.adjustment == "on" else None
+    if shift is not None and not np.isfinite(shift).all():
+        raise DataError(f"train.tau={config.tau!r} makes the logit shift non-finite; lower it")
     rng = np.random.default_rng(config.seed)
     bs, lr = config.batch_size, config.learning_rate
     chunk = bs * max(1, _GATHER_BYTES // max(1, 8 * d * bs))
@@ -454,8 +456,6 @@ def load_checkpoint(path: str | Path, taxonomy: LabelTaxonomy) -> ClassifierPara
     checkpoint trained against another taxonomy or another number of labels
     is a DataError, so a damaged or stale file never yields NaN or
     misnamed predictions."""
-    from .cli import TrainConfig  # the section whose `tau` the checkpoint records
-
     doc = read_json(path, DataError, f"checkpoint {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise DataError(

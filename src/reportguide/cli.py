@@ -1,4 +1,5 @@
-"""Command-line pipeline orchestrator.
+"""Command-line pipeline orchestrator: arguments, the workdir lock, the
+lineage checks and the stage table. `schema` declares and loads the config.
 
 The five stages are the rows of one table, `STAGES`: each names the workdir
 files it writes and a run function that returns their text and writes
@@ -32,7 +33,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,171 +43,12 @@ from typing import NamedTuple
 # imported inside the functions that run it, so a stage's process loads
 # only the code of that stage.
 from . import guidance as guidance_mod
-from .corpus import SPLITS, Corpus, load_features, load_manifest
+from .corpus import Corpus, load_features, load_manifest
 from .errors import ConfigError, DataError, PipelineError, PrerequisiteError
 from .fileio import json_text, read_json, write_atomic
-from .gateway import GatewayConfig
-from .guidance import GeneratorConfig
-from .schema import ConfigSection
+from .schema import PipelineConfig, config_fingerprint, load_config
 
 logger = logging.getLogger(__name__)
-
-
-# ---------------------------------------------------------------------------
-# Configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathsConfig(ConfigSection):
-    manifest: str = ""
-    features: str = ""
-    workdir: str = ""
-
-
-@dataclass(frozen=True)
-class BootstrapConfig(ConfigSection):
-    """Batching and filtering knobs for the bootstrap stage.
-
-    `b` is the number of reports per extraction batch, `kappa` the token
-    budget of one merge call, and `theta` the minimum number of positive
-    training records a label needs to be kept.
-    """
-
-    b: int = field(default=200, metadata={"low": 1})
-    kappa: int = field(default=200, metadata={"low": 1})
-    theta: int = field(default=15, metadata={"low": 0})
-
-
-@dataclass(frozen=True)
-class TrainConfig(ConfigSection):
-    learning_rate: float = field(default=1e-2, metadata={"above": 0})
-    epochs: int = field(default=200, metadata={"low": 1})
-    batch_size: int = field(default=32, metadata={"low": 1})
-    seed: int = field(default=0, metadata={"low": 0})
-    tau: float = field(default=1.0, metadata={"low": 0})
-    adjustment: str = field(default="on", metadata={"choices": ("on", "off")})
-
-
-@dataclass(frozen=True)
-class GuidanceConfig(ConfigSection):
-    mode: str = field(default="image_and_label", metadata={"choices": guidance_mod.MODES})
-    label_source: str = field(default="pred", metadata={"choices": guidance_mod.LABEL_SOURCES})
-    threshold: float = field(default=0.5, metadata={"low": 0, "high": 1})
-    split: str = field(default="test", metadata={"choices": SPLITS})
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-
-    @property
-    def cell(self) -> tuple[str, str]:
-        """The (mode, label source) cell to generate and evaluate: image_only
-        prompts carry no labels, whatever label_source says."""
-        return self.mode, "none" if self.mode == "image_only" else self.label_source
-
-
-# The metrics `evaluate` can score, in `metrics.json` order; `metrics` reads
-# them from here.
-METRIC_NAMES = ("bleu", "rouge_l", "cider_d", "meteor_simple", "entity_f1")
-
-
-@dataclass(frozen=True)
-class MetricsConfig(ConfigSection):
-    enabled: list[str] = field(
-        default_factory=lambda: list(METRIC_NAMES), metadata={"choices": METRIC_NAMES}
-    )
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """The config file: one field per section, each the config of the stage
-    code that reads it."""
-
-    paths: PathsConfig = field(default_factory=PathsConfig)
-    bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
-    gateway: GatewayConfig = field(default_factory=GatewayConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
-
-
-def _section(cls, data, path: str, **wiring):
-    """Build one config section from its JSON object.
-
-    Unknown keys and values its dataclass rejects become ConfigErrors naming
-    the dotted path. `wiring` passes an already built subsection, or an
-    init-only argument that no file key can set.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {path!r} must be an object")
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown config key {path + '.' + key!r}")
-    try:
-        return cls(**{**data, **wiring})
-    except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc}" if exc.field else f"{path}: {exc}") from exc
-
-
-def load_config(path: str | Path | None, overrides: list[tuple[str, str]]) -> PipelineConfig:
-    """Build the effective config: file values over defaults, then flag
-    overrides over the file. Unknown keys are rejected, not ignored, and
-    every value is type-checked here, before any stage runs."""
-    doc = {} if path is None else read_json(path, ConfigError, f"config file {path}")
-    for dotted, raw in overrides:
-        _apply_override(doc, dotted, raw)
-    sections = {f.name for f in fields(PipelineConfig)}
-    for name in doc:
-        if name not in sections:
-            raise ConfigError(f"unknown config section {name!r}")
-
-    paths = _section(PathsConfig, doc.get("paths", {}), "paths")
-    for key in ("workdir", "manifest", "features"):
-        if not getattr(paths, key):
-            raise ConfigError(f"paths.{key} is required")
-    for what, name in (("manifest", paths.manifest), ("feature", paths.features)):
-        if not Path(name).exists():
-            raise ConfigError(f"{what} file {name} does not exist")
-    # Every http call of every stage, generation's included, appends a line.
-    call_log = str(Path(paths.workdir) / "gateway_calls.jsonl")
-    gateway = _section(GatewayConfig, doc.get("gateway", {}), "gateway", call_log_path=call_log)
-    guidance = doc.get("guidance", {})
-    # The one cross-section rule: an http generator takes its key variable
-    # and limits, and its endpoint and model where unset, from the gateway.
-    generator = _section(
-        GeneratorConfig,
-        guidance.get("generator", {}) if isinstance(guidance, dict) else {},
-        "guidance.generator",
-        gateway=gateway,
-    )
-    return PipelineConfig(
-        paths=paths,
-        bootstrap=_section(BootstrapConfig, doc.get("bootstrap", {}), "bootstrap"),
-        gateway=gateway,
-        train=_section(TrainConfig, doc.get("train", {}), "train"),
-        guidance=_section(GuidanceConfig, guidance, "guidance", generator=generator),
-        metrics=_section(MetricsConfig, doc.get("metrics", {}), "metrics"),
-    )
-
-
-def _apply_override(doc: dict, dotted: str, raw: str) -> None:
-    """Set one dotted key in the raw config document; the value is checked
-    with the rest of its section."""
-    *parents, leaf = dotted.split(".")
-    node = doc
-    for part in parents:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"config key {dotted!r} does not name a field")
-    try:
-        value = json.loads(raw)
-    except (ValueError, RecursionError):
-        value = raw  # bare strings may be given unquoted
-    node[leaf] = value
-
-
-def config_fingerprint(config: PipelineConfig) -> str:
-    doc = json.dumps(asdict(config), sort_keys=True)
-    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 declaring its `exit_code` and the `label` the CLI logs it under: `ConfigError`
 (2), `GatewayError` (3), `DataError` (4) and `PrerequisiteError` (5). Each
 error the package raises is one of these seven classes, and each has a
-catcher: `cli.main` catches `PipelineError`; `cli._section` reads a
+catcher: `cli.main` catches `PipelineError`; `schema._section` reads a
 `ConfigError`'s `field`, and `schema.check_values` catches it;
 `cli._last_run` catches `PrerequisiteError`; the reprompt path catches
 `LLMOutputError`, and each task's policy tells it apart from other gateway

@@ -6,7 +6,8 @@ connections, with bounded retries, a parallelism cap, and request-rate
 spacing; a request already answered in the call log gets the logged reply
 instead of being sent again. The `mock` backend is a pure function of the
 request, routed by a sentinel tag embedded in the system prompt, so every
-pipeline stage can run offline and byte-reproducibly.
+pipeline stage can run offline and byte-reproducibly. `schema` declares
+`GatewayConfig`, the settings of a call.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import os
 import re
 import threading
 import time
-from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
 
 from . import __version__
 from .errors import ConfigError, DataError, GatewayError, LLMOutputError
 from .fileio import lone_surrogate, read_text
-from .schema import check_fields
+from .schema import GatewayConfig
 from .textnorm import CJK_CLASS, alias_key, match_key
 
 logger = logging.getLogger(__name__)
@@ -57,45 +57,6 @@ class ChatResponse(NamedTuple):
     input_tokens: int
     output_tokens: int
     latency_ms: float = 0.0
-
-
-@dataclass(frozen=True)
-class GatewayConfig:
-    """Where and how to send chat calls.
-
-    `endpoint` is the full chat-completions URL for the http backend. The API
-    key is only ever read from the environment variable named by
-    `api_key_env`; the key itself never appears in configs or artifacts.
-    `call_log_path`, when set, receives one JSON line per real (http) call,
-    reply text included, and answers a repeat of a logged request in its
-    place; it is an init-only argument, not a field, so no config file can
-    set it.
-    """
-
-    backend: str = field(default="mock", metadata={"choices": ("mock", "http")})
-    endpoint: str = ""
-    model: str = "mock-clinical-1"
-    api_key_env: str = "LLM_API_KEY"
-    max_retries: int = field(default=3, metadata={"low": 0})
-    parallelism: int = field(default=4, metadata={"low": 1})
-    requests_per_minute: int = field(default=600, metadata={"low": 1})
-    call_log_path: InitVar[str | None] = None
-
-    def __post_init__(self, call_log_path):
-        object.__setattr__(self, "call_log_path", call_log_path)
-        check_fields(self)
-        if self.backend == "http":
-            if not self.endpoint:
-                raise ConfigError("http backend requires an endpoint URL")
-            try:
-                parts = urlsplit(self.endpoint)
-                parts.port  # a non-numeric or out-of-range port raises here
-            except ValueError as exc:
-                raise ConfigError(f"endpoint {self.endpoint!r} is not a valid URL: {exc}") from exc
-            if parts.scheme not in ("http", "https") or not parts.hostname:
-                raise ConfigError(
-                    f"endpoint must be an http:// or https:// URL with a host, got {self.endpoint!r}"
-                )
 
 
 _CJK_CHAR = f"[{CJK_CLASS}]"

@@ -4,30 +4,28 @@ Predicted (or ground-truth) labels are serialized into a fixed natural
 language template that a multimodal generator consumes alongside the images.
 Generation itself is pluggable: a deterministic mock for offline runs, an
 external command spawned per record, or an OpenAI-compatible HTTP endpoint.
+`GeneratorConfig`, `MODES` and `LABEL_SOURCES` are declared in `schema`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .corpus import Corpus, ReportRecord, read_record_rows
-from .errors import ConfigError, DataError, GatewayError
+from .errors import DataError, GatewayError
 from .fileio import lone_surrogate
-from .gateway import ChatRequest, GatewayConfig, complete
-from .schema import check_fields
+from .gateway import ChatRequest, complete
+from .schema import GeneratorConfig
 
 if TYPE_CHECKING:
     from .bootstrap import LabelTaxonomy
 
 logger = logging.getLogger(__name__)
-
-MODES = ("image_only", "label_only", "image_and_label")
-LABEL_SOURCES = ("gt", "pred")
 
 # The guidance template. Both label-bearing modes share it verbatim; the
 # image-only ablation keeps just the instruction sentence.
@@ -88,40 +86,6 @@ def serialize_labels(
 # ---------------------------------------------------------------------------
 # Generation backends
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """How reports get generated from guidance prompts.
-
-    backend "mock" expands labels through a fixed phrase rule; "command"
-    spawns `command` once per record with a one-line JSON request on stdin;
-    "http" forwards the prompt through the chat gateway.
-
-    For "http", the init-only `gateway` argument (the config's gateway
-    section) supplies the key variable, limits and call log, and the endpoint
-    and model where `endpoint` and `model` are empty. After init, `gateway` is
-    the resolved http gateway, or None for the other backends.
-    """
-
-    backend: str = field(default="mock", metadata={"choices": ("mock", "command", "http")})
-    command: str = ""
-    endpoint: str = ""
-    model: str = ""
-    gateway: InitVar[GatewayConfig | None] = None
-
-    def __post_init__(self, gateway):
-        check_fields(self)
-        if self.backend == "command" and not self.command:
-            raise ConfigError("command generator backend requires a command line")
-        chat = None
-        if self.backend == "http":
-            base = gateway or GatewayConfig()
-            endpoint, model = self.endpoint or base.endpoint, self.model or base.model
-            chat = replace(base, backend="http", endpoint=endpoint, model=model,
-                           call_log_path=base.call_log_path)
-        object.__setattr__(self, "gateway", chat)
-
 
 _GENERATION_SYSTEM_PROMPT = (
     "You are a radiology reporting assistant. Write the diagnostic report "

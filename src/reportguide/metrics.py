@@ -24,15 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cli import METRIC_NAMES
 from .errors import ConfigError, DataError, LLMOutputError
-from .gateway import (
-    ChatRequest,
-    GatewayConfig,
-    complete_with_reprompt,
-    map_distinct_texts,
-    parse_string_list,
-)
+from .gateway import ChatRequest, complete_with_reprompt, map_distinct_texts, parse_string_list
+from .schema import METRIC_NAMES, GatewayConfig
 from .textnorm import CJK_CLASS
 
 logger = logging.getLogger(__name__)

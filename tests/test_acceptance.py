@@ -35,7 +35,7 @@ from reportguide.classifier import (
     predict_records,
     train,
 )
-from reportguide.cli import BootstrapConfig, TrainConfig, main
+from reportguide.cli import main
 from reportguide.corpus import FeatureMatrix
 from reportguide.gateway import GatewayConfig
 from reportguide.guidance import serialize_labels
@@ -47,6 +47,7 @@ from reportguide.metrics import (
     rouge_l_sample,
     tokenize,
 )
+from reportguide.schema import BootstrapConfig, TrainConfig
 
 
 def _record(tag: str, passed: bool, detail: str) -> None:

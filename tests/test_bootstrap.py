@@ -35,8 +35,9 @@ from reportguide.bootstrap import (
 from reportguide.corpus import Corpus, ReportRecord
 from reportguide.errors import ConfigError, DataError, LLMOutputError
 from reportguide.fileio import write_atomic
-from reportguide.cli import BootstrapConfig, main
+from reportguide.cli import main
 from reportguide.gateway import ChatRequest, ChatResponse, GatewayConfig, estimate_tokens
+from reportguide.schema import BootstrapConfig
 
 from reportguide import bootstrap as bootstrap_mod
 from reportguide import gateway as gateway_mod

@@ -40,10 +40,11 @@ from reportguide.classifier import (
     predict_records,
     train,
 )
-from reportguide.cli import TrainConfig, main
+from reportguide.cli import main
 from reportguide.corpus import Corpus, FeatureMatrix, ReportRecord, save_features, save_manifest
 from reportguide.errors import ConfigError, DataError
 from reportguide.fileio import write_atomic
+from reportguide.schema import TrainConfig
 
 
 def _taxonomy(k: int) -> LabelTaxonomy:

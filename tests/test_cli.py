@@ -297,6 +297,26 @@ def test_a_bad_named_flag_is_a_configuration_error(mini, caplog, flag, value, ke
         assert f"configuration error: {key} must be " in caplog.text
 
 
+@pytest.mark.parametrize(
+    "item, start",
+    [
+        (f"train.seed={LONG_INT}", "train.seed must be an integer, got '999"),
+        (f"train.seed={'[' * 5_000 + ']' * 5_000}", "train.seed must be an integer, got '[[["),
+        # 6 levels of 6 items each, which JSON parses: 46,656 ones.
+        ("train.seed=" + functools.reduce(lambda inner, _: f"[{', '.join([inner] * 6)}]",
+                                          range(6), "1"),
+         "train.seed must be an integer, got [[[[[[1, "),
+        (f"train.{'x' * 5_000}=1", "unknown config key 'train.xxx"),
+    ],
+    ids=["5000-digits", "5000-deep", "6-wide-6-deep", "5000-character-key"],
+)
+def test_a_huge_bad_value_is_echoed_cut_short(mini, caplog, item, start):
+    assert main(["train", "--config", mini["config"], "--set", item]) == 2
+    [line] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert line.startswith(f"configuration error: {start}")
+    assert "\n" not in line and len(line) < 200
+
+
 @pytest.mark.parametrize("flag, key", FLAG_ALIASES)
 def test_each_named_flag_is_an_alias_of_set(flag, key):
     parser = _build_parser()
@@ -1608,6 +1628,27 @@ def test_divergent_training_exits_4(mini):
          "--set", "train.learning_rate=1e308", "--set", "train.batch_size=1"]
     )
     assert code == 4
+
+
+def test_training_overflows_print_no_numpy_warning(synth_dir, tmp_path, caplog, recwarn):
+    """Training turns every non-finite value into a DataError, so no numpy
+    RuntimeWarning reaches stderr: a tau that overflows the logit shift
+    exits 4 naming train.tau, and a learning rate so large that the bound on
+    an epoch's logits overflows, but no logit does, trains."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"paths": {
+        "manifest": str(synth_dir / "manifest.jsonl"),
+        "features": str(synth_dir / "features.ffmx"),
+        "workdir": str(tmp_path / "run"),
+    }}), encoding="utf-8")
+    assert main(["bootstrap", "--config", str(config)]) == 0
+    train = ["train", "--config", str(config), "--force", "--set"]
+    assert main([*train, "train.tau=1e308"]) == 4
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "data error: train.tau=1e+308 makes the logit shift non-finite; lower it"
+    ]
+    assert main([*train, "train.learning_rate=1e306"]) == 0
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 # ---------------------------------------------------------------------------

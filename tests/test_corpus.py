@@ -17,7 +17,6 @@ from conftest import json_strings
 
 from reportguide.bootstrap import bootstrap_dataset
 from reportguide.classifier import predict_records, train
-from reportguide.cli import BootstrapConfig, TrainConfig
 from reportguide.corpus import (
     SPLITS,
     Corpus,
@@ -32,6 +31,7 @@ from reportguide.corpus import (
     save_manifest,
 )
 from reportguide.errors import DataError
+from reportguide.schema import BootstrapConfig, TrainConfig
 
 
 def _write_manifest(path, rows):

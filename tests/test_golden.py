@@ -25,8 +25,9 @@ from reportguide import classifier as classifier_mod
 from reportguide import gateway as gateway_mod
 from reportguide.bootstrap import bootstrap_dataset
 from reportguide.classifier import train
-from reportguide.cli import BootstrapConfig, TrainConfig, main
+from reportguide.cli import main
 from reportguide.guidance import ABLATION_MODES, generated_filename
+from reportguide.schema import BootstrapConfig, TrainConfig
 
 # Each metrics.json echoes its cell, split and metrics, and no threshold:
 # predict alone applies one.

@@ -16,7 +16,10 @@ file and line, on an import that runs when a module is imported (one
 outside every function and every `if TYPE_CHECKING:` block) and would undo
 that: an import of numpy outside `classifier.py` and `synthetic.py`, an
 import of `classifier` or `synthetic` in `cli.py`, or an import of
-`bootstrap` in `cli.py` or `guidance.py`. A last fresh-interpreter test
+`bootstrap` in `cli.py` or `guidance.py`. Another guard fails on any import
+of `cli`, wherever it stands, in a module but `__main__.py`: library code
+takes its config sections from `schema`, and a fresh interpreter that runs
+README's "Library use" imports loads no `cli`. A last fresh-interpreter test
 checks that an `evaluate` over ASCII text compiles no pattern holding the
 CJK class, which takes milliseconds to compile.
 """
@@ -41,6 +44,19 @@ _SRC = PACKAGE.parent
 NUMPY_MODULES = {"classifier.py", "synthetic.py"}
 
 
+def _imported(node: ast.AST) -> list[str]:
+    """The module names an import statement names, relative ones with their
+    leading dots; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        prefix = "." * node.level
+        if node.module:
+            return [prefix + node.module]
+        return [prefix + alias.name for alias in node.names]  # from . import name
+    return []
+
+
 def _import_time_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, module name) of each import that runs when the module is
     imported. Relative names keep their leading dots."""
@@ -53,14 +69,7 @@ def _import_time_imports(tree: ast.Module) -> list[tuple[int, str]]:
             if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
                 visit(node.orelse)
                 continue
-            if isinstance(node, ast.Import):
-                found.extend((node.lineno, alias.name) for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                prefix = "." * node.level
-                if node.module:
-                    found.append((node.lineno, prefix + node.module))
-                else:  # from . import name
-                    found.extend((node.lineno, prefix + alias.name) for alias in node.names)
+            found.extend((node.lineno, name) for name in _imported(node))
             visit(ast.iter_child_nodes(node))
 
     visit(tree.body)
@@ -117,6 +126,45 @@ def test_neither_cli_nor_guidance_imports_bootstrap_when_imported():
         if module in ("cli.py", "guidance.py") and _package_module(name) == "bootstrap"
     ]
     assert offenders == []
+
+
+def test_only_main_imports_cli():
+    """No library module imports `cli`: not when it is imported, not inside a
+    function and not for type checking. The config sections live in
+    `schema`."""
+    found = [
+        (path.name, node.lineno, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _imported(node)
+        if _package_module(name) == "cli"
+    ]
+    assert ("__main__.py", ".cli") in {(module, name) for module, _, name in found}
+    offenders = [f"{module}:{line} imports {name}" for module, line, name in found
+                 if module != "__main__.py"]
+    assert offenders == []
+
+
+def _library_use_imports() -> list[str]:
+    """The import lines of README's "Library use" example."""
+    readme = (_SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith(("from ", "import "))]
+
+
+def test_the_readme_library_imports_load_no_cli():
+    imports = _library_use_imports()
+    assert "from reportguide.schema import BootstrapConfig, GatewayConfig, TrainConfig" in imports
+    code = "\n".join([*imports, "import sys", "print('reportguide.cli' in sys.modules)"])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.split() == ["False"], out.stderr
 
 
 _RUN = """
