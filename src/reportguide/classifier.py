@@ -31,30 +31,16 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class ClassifierParams:
-    """Trained head: weights (k x d), bias (k), and the training metadata
-    needed to reproduce the logit shift."""
+    """Trained head: float64 weights (k x d), bias (k), and the training
+    metadata needed to reproduce the logit shift: each label's frequency,
+    strictly inside (0, 1), and tau. `train` builds them so and
+    `load_checkpoint` checks them; a library caller passes them so."""
 
     weights: np.ndarray
     bias: np.ndarray
     frequencies: np.ndarray
     tau: float
     taxonomy_hash: str
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        self.frequencies = np.asarray(self.frequencies, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise DataError(f"weights must be 2-D, got shape {self.weights.shape}")
-        k = self.weights.shape[0]
-        if self.bias.shape != (k,):
-            raise DataError(f"bias shape {self.bias.shape} does not match k={k}")
-        if self.frequencies.shape != (k,):
-            raise DataError(
-                f"frequencies shape {self.frequencies.shape} does not match k={k}"
-            )
-        if np.any(self.frequencies <= 0) or np.any(self.frequencies >= 1):
-            raise DataError("frequencies must lie strictly inside (0, 1)")
 
     @property
     def k(self) -> int:
@@ -452,9 +438,10 @@ def _finite_floats(path, key: str, values) -> np.ndarray:
 
 def load_checkpoint(path: str | Path, taxonomy: LabelTaxonomy) -> ClassifierParams:
     """Read a checkpoint bound to `taxonomy`. A missing, ill-typed or
-    non-finite value, a tau that `train.tau`'s declaration rejects, or a
-    checkpoint trained against another taxonomy or another number of labels
-    is a DataError, so a damaged or stale file never yields NaN or
+    non-finite value, an array whose length disagrees with k and d, a
+    frequency outside (0, 1), a tau that `train.tau`'s declaration rejects,
+    or a checkpoint trained against another taxonomy or another number of
+    labels is a DataError, so a damaged or stale file never yields NaN or
     misnamed predictions."""
     doc = read_json(path, DataError, f"checkpoint {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -475,10 +462,17 @@ def load_checkpoint(path: str | Path, taxonomy: LabelTaxonomy) -> ClassifierPara
             f"checkpoint {path}: weights length {weights.shape[0]} != k*d = {k * d}"
         )
     check_values(TrainConfig, {"tau": doc["tau"]}, DataError, f"checkpoint {path}: ")
+    bias = _finite_floats(path, "bias", doc["bias"])
+    frequencies = _finite_floats(path, "frequencies", doc["frequencies"])
+    for key, array in (("bias", bias), ("frequencies", frequencies)):
+        if array.shape != (k,):
+            raise DataError(f"checkpoint {path}: {key} length {array.shape[0]} != k = {k}")
+    if np.any(frequencies <= 0) or np.any(frequencies >= 1):
+        raise DataError(f"checkpoint {path}: frequencies must lie strictly inside (0, 1)")
     params = ClassifierParams(
         weights=weights.reshape(k, d),
-        bias=_finite_floats(path, "bias", doc["bias"]),
-        frequencies=_finite_floats(path, "frequencies", doc["frequencies"]),
+        bias=bias,
+        frequencies=frequencies,
         tau=float(doc["tau"]),
         taxonomy_hash=doc["taxonomy_hash"],
     )

@@ -1,11 +1,12 @@
 """Command-line pipeline orchestrator: arguments, the workdir lock, the
 lineage checks and the stage table. `schema` declares and loads the config.
 
-The five stages are the rows of one table, `STAGES`: each names the workdir
-files it writes and a run function that returns their text and writes
-nothing. Each stage command reads one JSON config file, validates it, takes
-a lock on the working directory, refuses to overwrite any selected stage's
-outputs without --force, and reads the manifest once; `run_stage` then runs
+The five stages are the rows of one table, `STAGES`: each names the record
+fields it reads, the workdir files it writes and a run function that
+returns their text and writes nothing. Each stage command reads one JSON
+config file, validates it, takes a lock on the working directory, refuses
+to overwrite any selected stage's outputs without --force, and reads the
+manifest once, keeping only the fields its stages read; `run_stage` then runs
 a stage on that corpus, writes the outputs only after the whole run has
 returned, and leaves `meta/<stage>.json` describing the run and what it was
 made from. `pipeline` runs the table's rows in order in-process, so its
@@ -287,28 +288,31 @@ def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> d
 
 
 class Stage(NamedTuple):
-    """One row of the stage table. `outputs(config, ablation)` names the
-    workdir files the stage writes; `run(config, corpus, ablation, read)`
-    returns their text by name, reading each input through `read(name)`."""
+    """One row of the stage table. `fields` names the record fields that
+    `run` reads besides id and split, the only ones its process keeps;
+    `outputs(config, ablation)` names the workdir files the stage writes;
+    `run(config, corpus, ablation, read)` returns their text by name,
+    reading each input through `read(name)`."""
 
     name: str
     help: str
+    fields: tuple[str, ...]
     outputs: Callable[[PipelineConfig, bool], list[str]]
     run: Callable[[PipelineConfig, Corpus, bool, Callable[[str], object]], dict[str, str]]
 
 
 # In pipeline order.
 STAGES = (
-    Stage("bootstrap", "extract, merge, annotate, and filter the label taxonomy",
+    Stage("bootstrap", "extract, merge, annotate, and filter the label taxonomy", ("report",),
           lambda config, ablation: ["taxonomy.json", "labels.jsonl", "audit.json"], _bootstrap),
-    Stage("train", "fit the multi-label classifier head",
+    Stage("train", "fit the multi-label classifier head", (),
           lambda config, ablation: ["checkpoint.json"], _train),
-    Stage("predict", "write label predictions and classifier metrics",
+    Stage("predict", "write label predictions and classifier metrics", (),
           lambda config, ablation: ["predictions.jsonl", "mlc_metrics.json"], _predict),
-    Stage("generate", "generate reports for the configured mode",
+    Stage("generate", "generate reports for the configured mode", ("images",),
           lambda config, ablation: [guidance_mod.generated_filename(m, s)
                                     for m, s in _cells(config, ablation)], _generate),
-    Stage("evaluate", "score generated reports against references",
+    Stage("evaluate", "score generated reports against references", ("report",),
           lambda config, ablation: ["metrics.json"], _evaluate),
 )
 
@@ -349,8 +353,6 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
         "command": stage.name,
         "config_sha256": config_fingerprint(config),
         "config": asdict(config),
-        "gateway_model": config.gateway.model,
-        "gateway_backend": config.gateway.backend,
         "inputs": made_from,
         "outputs": written,
         "started_unix": round(started, 3),
@@ -487,7 +489,8 @@ def main(argv: list[str] | None = None) -> int:
                 )
             gc.disable()
             try:
-                corpus = load_manifest(config.paths.manifest)
+                fields = {name for stage in stages for name in stage.fields}
+                corpus = load_manifest(config.paths.manifest, fields)
             finally:
                 if gc_was_enabled:
                     gc.enable()

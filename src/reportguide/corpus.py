@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 import sys
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import InitVar, dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -39,7 +39,10 @@ class ImageRef(NamedTuple):
 
 @dataclass(slots=True)
 class ReportRecord:
-    """One study: a unique id, a split, the reference report, its images."""
+    """One study: a unique id, a split, the reference report, its images.
+
+    A record that `load_manifest` read for a stage holds None in each of
+    `report` and `images` that no stage of the command reads."""
 
     id: str
     split: str
@@ -121,12 +124,15 @@ def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
         raise DataError(f"manifest line {lineno}: {exc}") from exc
 
 
-def load_manifest(path: str | Path) -> Corpus:
+def load_manifest(path: str | Path, fields: Collection[str] | None = None) -> Corpus:
     """Read manifest.jsonl, preserving record order.
 
     Errors carry the 1-based line number; duplicate ids name the id. A
-    manifest with no records is an error too.
+    manifest with no records is an error too. Every line is checked in
+    full; then each of `report` and `images` not in `fields` is set to
+    None, so its text is freed line by line. None keeps every field.
     """
+    drop = () if fields is None else [name for name in ("report", "images") if name not in fields]
     records: list[ReportRecord] = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path, DataError, "manifest"):
@@ -134,6 +140,8 @@ def load_manifest(path: str | Path) -> Corpus:
         if rec.id in seen:
             raise DataError(f"manifest line {lineno}: duplicate record id {rec.id!r}")
         seen.add(rec.id)
+        for name in drop:
+            setattr(rec, name, None)
         records.append(rec)
     if not records:
         raise DataError(f"manifest {path} has no records")

@@ -33,10 +33,15 @@ _ECHO = reprlib.Repr()
 _ECHO.maxstring = _ECHO.maxlong = 80
 
 
+def _cut(text: str, width: int = 80) -> str:
+    """`text` if it fits in `width` characters, else its two ends around "..."."""
+    head = (width - 3) // 2
+    return text if len(text) <= width else f"{text[:head]}...{text[head + 3 - width:]}"
+
+
 def _echo(value) -> str:
     """`value` as an error echoes it: at most 80 characters, a deep value cut."""
-    text = _ECHO.repr(value)
-    return text if len(text) <= 80 else f"{text[:38]}...{text[-39:]}"
+    return _cut(_ECHO.repr(value))
 
 
 def _fail(name: str, expected: str, value) -> ConfigError:
@@ -199,10 +204,14 @@ class GatewayConfig:
                 parts = urlsplit(self.endpoint)
                 parts.port  # a non-numeric or out-of-range port raises here
             except ValueError as exc:
-                raise ConfigError(f"endpoint {self.endpoint!r} is not a valid URL: {exc}") from exc
+                # The error may quote the port, which is as long as the value.
+                raise ConfigError(
+                    f"endpoint {_echo(self.endpoint)} is not a valid URL: {_cut(str(exc), 50)}"
+                ) from exc
             if parts.scheme not in ("http", "https") or not parts.hostname:
                 raise ConfigError(
-                    f"endpoint must be an http:// or https:// URL with a host, got {self.endpoint!r}"
+                    f"endpoint must be an http:// or https:// URL with a host, "
+                    f"got {_echo(self.endpoint)}"
                 )
 
 

@@ -103,22 +103,6 @@ def test_train_config_rejects_bad_values(kwargs):
         TrainConfig(**kwargs)
 
 
-def test_params_reject_mismatched_shapes():
-    with pytest.raises(DataError, match=r"^bias shape \(3,\) does not match k=2$"):
-        ClassifierParams(
-            weights=np.zeros((2, 3)),
-            bias=np.zeros(3),
-            frequencies=np.full(2, 0.5),
-            tau=1.0,
-            taxonomy_hash="t",
-        )
-
-
-def test_params_reject_degenerate_frequencies():
-    with pytest.raises(DataError, match=r"^frequencies must lie strictly inside \(0, 1\)$"):
-        _params(np.zeros((2, 3)), frequencies=np.array([0.5, 1.0]))
-
-
 # ---------------------------------------------------------------------------
 # Frequencies
 # ---------------------------------------------------------------------------

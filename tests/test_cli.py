@@ -317,6 +317,23 @@ def test_a_huge_bad_value_is_echoed_cut_short(mini, caplog, item, start):
     assert "\n" not in line and len(line) < 200
 
 
+@pytest.mark.parametrize(
+    "endpoint, start",
+    [
+        ("ftp://" + "h" * 5_000,
+         "gateway: endpoint must be an http:// or https:// URL with a host, got 'ftp://hhh"),
+        ("http://h:" + "x" * 5_000, "gateway: endpoint 'http://h:xxx"),
+    ],
+    ids=["5000-character-host", "5000-character-port"],
+)
+def test_a_huge_bad_endpoint_is_echoed_cut_short(mini, caplog, endpoint, start):
+    assert main(["train", "--config", mini["config"], "--set", "gateway.backend=http",
+                 "--set", f"gateway.endpoint={endpoint}"]) == 2
+    [line] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert line.startswith(f"configuration error: {start}")
+    assert "\n" not in line and len(line) < 200
+
+
 @pytest.mark.parametrize("flag, key", FLAG_ALIASES)
 def test_each_named_flag_is_an_alias_of_set(flag, key):
     parser = _build_parser()
@@ -1384,6 +1401,47 @@ _LONE_SURROGATE = (
          "evaluate", "data error: manifest line 13: invalid JSON: "),
         (_append_line("generated-image_and_label-pred.jsonl", DEEP_JSON), "evaluate",
          "generated-image_and_label-pred.jsonl line 3: invalid JSON: "),
+        # The checkpoint reader checks each array's length and the frequencies.
+        *[
+            (_edit_json("checkpoint.json", edit), "predict",
+             f"data error: checkpoint <tmp>/run/checkpoint.json: {fault}\n")
+            for edit, fault in (
+                (lambda d: d["bias"].pop(), "bias length 1 != k = 2"),
+                (lambda d: d["frequencies"].pop(), "frequencies length 1 != k = 2"),
+                (lambda d: d["frequencies"].__setitem__(0, 1.0),
+                 "frequencies must lie strictly inside (0, 1)"),
+            )
+        ],
+        # train and predict keep no report or image, and still check every
+        # manifest line in full, with the message of a stage that keeps them.
+        *[
+            (tamper, command, f"data error: manifest line {fault}")
+            for tamper, fault, commands in (
+                (_append_line("../data/manifest.jsonl", '{"id": "x1", "split": "train", '
+                              '"report": "x", "images": [{"path": null}]}'),
+                 "13: image path must be a string, got None\n", ("train",)),
+                (_edit_rows("../data/manifest.jsonl", lambda rows: rows[2].update(id="t3\ud800")),
+                 "3: " + _LONE_SURROGATE, ("train",)),
+                (_append_line("../data/manifest.jsonl", '{"id": "x1", "split": "train", '
+                              '"report": "x", "images": ' + DEEP_JSON + "}"),
+                 "13: invalid JSON: ", ("train",)),
+                (_append_line("../data/manifest.jsonl", '{"id": "x1", "split": "train", '
+                              '"report": ""}'),
+                 "13: record 'x1': report text must be non-empty\n",
+                 ("bootstrap", "train", "predict")),
+                (_append_line("../data/manifest.jsonl", '{"id": "", "split": "train", '
+                              '"report": "x"}'),
+                 "13: record id must be non-empty\n", ("train", "predict")),
+                (_append_line("../data/manifest.jsonl", '{"id": "x1", "split": "dev", '
+                              '"report": "x"}'),
+                 "13: record 'x1': split must be one of ('train', 'val', 'test'), got 'dev'\n",
+                 ("train", "predict")),
+                (_append_line("../data/manifest.jsonl", '{"id": "t1", "split": "train", '
+                              '"report": "x"}'),
+                 "13: duplicate record id 't1'\n", ("train", "predict")),
+            )
+            for command in commands
+        ],
     ],
 )
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
@@ -1762,6 +1820,23 @@ def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
     assert calls["load_manifest"] == 1
 
 
+def test_each_command_keeps_only_the_record_fields_its_stages_read(mini, monkeypatch):
+    kept = []
+
+    def spying(path, fields=None):
+        kept.append(set(fields))
+        return load_manifest(path, fields)
+
+    monkeypatch.setattr(cli, "load_manifest", spying)
+    commands = ["bootstrap", "train", "predict", "generate", "evaluate", "pipeline"]
+    for command in commands:
+        assert main([command, "--config", mini["config"], "--force"]) == 0, command
+    assert dict(zip(commands, kept)) == {
+        "bootstrap": {"report"}, "train": set(), "predict": set(), "generate": {"images"},
+        "evaluate": {"report"}, "pipeline": {"report", "images"},
+    }
+
+
 # Paths opened for reading, while a stage run records them. An audit hook
 # cannot be removed, so the one `stage_reads` adds records only while this
 # is a list.
@@ -1854,7 +1929,7 @@ def test_meta_records_the_effective_config_fingerprint(mini):
     expected = config_fingerprint(load_config(mini["config"], []))
     assert meta["config_sha256"] == expected
     assert meta["command"] == "bootstrap"
-    assert meta["gateway_backend"] == "mock"
+    assert meta["config"]["gateway"]["backend"] == "mock"
 
 
 def test_generate_ablation_writes_all_five_files(mini):

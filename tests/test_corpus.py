@@ -17,6 +17,7 @@ from conftest import json_strings
 
 from reportguide.bootstrap import bootstrap_dataset
 from reportguide.classifier import predict_records, train
+from reportguide.cli import STAGES
 from reportguide.corpus import (
     SPLITS,
     Corpus,
@@ -210,6 +211,22 @@ def test_load_manifest_rejects_an_images_entry_that_is_not_an_object(tmp_path, i
     assert str(excinfo.value) == (
         "manifest line 2: every images entry must be a JSON object"
     )
+
+
+def test_load_manifest_sets_each_field_it_is_not_asked_to_keep_to_none(tmp_path):
+    path = tmp_path / "m.jsonl"
+    _write_manifest(path, [
+        {"id": "a", "split": "train", "report": "r", "images": [{"path": "a.png"}]},
+    ])
+    for fields, report, images in [
+        (None, "r", (ImageRef("a.png"),)),
+        (("report", "images"), "r", (ImageRef("a.png"),)),
+        (("report",), "r", None),
+        (("images",), None, (ImageRef("a.png"),)),
+        ((), None, None),
+    ]:
+        [rec] = load_manifest(path, fields).records
+        assert (rec.id, rec.split, rec.report, rec.images) == ("a", "train", report, images)
 
 
 def test_load_manifest_skips_blank_lines(tmp_path):
@@ -552,3 +569,29 @@ def test_every_stage_holds_a_shared_value_once_per_corpus(synth_dir, mock_gatewa
     predictions = predict_records(params, features, [rec.id for rec in corpus], 0.5)
     assert not hasattr(dataset.items[0], "__dict__")
     assert not hasattr(next(iter(predictions.values())), "__dict__")
+
+
+def _held_by_load_manifest(path, fields=None) -> int:
+    """Bytes still allocated after `load_manifest(path, fields)` returns."""
+    tracemalloc.start()
+    try:
+        corpus = load_manifest(path, fields)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 2000
+    return held
+
+
+def test_a_train_process_holds_no_report_text_or_image_list(synth, tmp_path):
+    # A bench/inputs.py corpus: each synthetic record copied with a fresh id.
+    records = [
+        ReportRecord(f"c{copy:04d}-{rec.id}", rec.split, rec.report, rec.images)
+        for copy in range(10)
+        for rec in synth.corpus.records
+    ]
+    path = tmp_path / "manifest.jsonl"
+    save_manifest(Corpus(records=records), path)
+    [fields] = [stage.fields for stage in STAGES if stage.name == "train"]
+    full, kept = _held_by_load_manifest(path), _held_by_load_manifest(path, fields)
+    assert kept < 0.4 * full, (kept, full)
