@@ -73,10 +73,10 @@ def compute_frequencies(dataset: MLCDataset) -> np.ndarray:
 
 
 def _logit_shift(frequencies, tau: float) -> np.ndarray:
-    """tau times the log-odds of each label frequency: the training shift."""
+    """tau times the log-odds of each label frequency: the training shift.
+    Each frequency lies strictly inside (0, 1), as `compute_frequencies`
+    clips it and `load_checkpoint` checks it."""
     p = np.asarray(frequencies, dtype=np.float64)
-    if np.any(p <= 0) or np.any(p >= 1):
-        raise DataError("frequencies must lie strictly inside (0, 1)")
     return tau * np.log(p / (1.0 - p))
 
 
@@ -84,8 +84,9 @@ def adjust_logits(logits, frequencies, tau: float) -> np.ndarray:
     """Shift logits by tau times the log-odds of each label frequency.
 
     Accepts scalars or arrays; frequencies broadcast against logits, so a
-    (n, k) logit matrix pairs with a length-k frequency vector. At p = 0.5
-    the shift is exactly zero and logits pass through unchanged.
+    (n, k) logit matrix pairs with a length-k frequency vector. Each
+    frequency must lie strictly inside (0, 1). At p = 0.5 the shift is
+    exactly zero and logits pass through unchanged.
     """
     return np.asarray(logits, dtype=np.float64) + _logit_shift(frequencies, tau)
 

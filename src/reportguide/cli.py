@@ -6,11 +6,14 @@ fields it reads, the workdir files it writes and a run function that
 returns their text and writes nothing. Each stage command reads one JSON
 config file, validates it, takes a lock on the working directory, refuses
 to overwrite any selected stage's outputs without --force, and reads the
-manifest once, keeping only the fields its stages read; `run_stage` then runs
+manifest once, keeping only the fields its stages read, from the workdir's
+manifest snapshot when that is current; `run_stage` then runs
 a stage on that corpus, writes the outputs only after the whole run has
 returned, and leaves `meta/<stage>.json` describing the run and what it was
 made from. `pipeline` runs the table's rows in order in-process, so its
-artifacts are byte-identical to running the stages one by one. The
+artifacts are byte-identical to running the stages one by one. A command
+that succeeds and keeps the reports writes the snapshot if it was missing
+or stale. The
 subcommands, and the stage named when an input is missing, come from the
 same table. A run reads every other input through `read(name)`, once per
 stage, and `_read` reads each with the artifact's one reader
@@ -44,7 +47,7 @@ from typing import NamedTuple
 # imported inside the functions that run it, so a stage's process loads
 # only the code of that stage.
 from . import guidance as guidance_mod
-from .corpus import Corpus, load_features, load_manifest
+from .corpus import Corpus, load_features, load_manifest, save_snapshot
 from .errors import ConfigError, DataError, PipelineError, PrerequisiteError
 from .fileio import json_text, read_json, write_atomic
 from .schema import PipelineConfig, config_fingerprint, load_config
@@ -105,6 +108,12 @@ class _WorkdirLock:
             os.close(self._fd)
             self._fd = None
         return False
+
+
+# The workdir's snapshot of the checked manifest: written once a command
+# that keeps the reports succeeds, so later commands on the same manifest
+# bytes skip the JSONL.
+SNAPSHOT = Path("meta") / "manifest.snapshot"
 
 
 def _producer(name: str, config: PipelineConfig) -> str | None:
@@ -320,18 +329,22 @@ STAGES = (
 def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bool) -> None:
     """Run one stage on `corpus`: build all its outputs, then write each and
     record the run in `meta/<name>.json`: its effective config, the sha256 of
-    each output, and, for each workdir file it read, the sha256 that file's
-    stage recorded writing. A stage that fails writes nothing."""
+    each output, for each workdir file it read the sha256 that file's stage
+    recorded writing, and (`corpus`) the sha256 of the manifest bytes and,
+    if it read them, of the feature file. A stage that fails writes nothing."""
     started = time.time()
     workdir = Path(config.paths.workdir)
     names = stage.outputs(config, ablation)
     # The run reads each input once. The feature matrix, the largest, has one
     # use in a stage, so it is not kept past it; nothing is kept past the run.
     inputs: dict[str, object] = {}
+    lineage = {"manifest_sha256": corpus.manifest_sha256}
 
     def read(name: str):
         if name == "features":
-            return _read(name, config, corpus, read)
+            features = _read(name, config, corpus, read)
+            lineage["features_sha256"] = features.sha256
+            return features
         if name not in inputs:
             inputs[name] = _read(name, config, corpus, read)
         return inputs[name]
@@ -354,6 +367,7 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
         "config_sha256": config_fingerprint(config),
         "config": asdict(config),
         "inputs": made_from,
+        "corpus": lineage,
         "outputs": written,
         "started_unix": round(started, 3),
         "finished_unix": round(time.time(), 3),
@@ -490,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
             gc.disable()
             try:
                 fields = {name for stage in stages for name in stage.fields}
-                corpus = load_manifest(config.paths.manifest, fields)
+                corpus = load_manifest(config.paths.manifest, fields, workdir / SNAPSHOT)
             finally:
                 if gc_was_enabled:
                     gc.enable()
@@ -498,6 +512,7 @@ def main(argv: list[str] | None = None) -> int:
                 gc.freeze()
             for stage in stages:
                 run_stage(stage, config, corpus, ablation)
+            save_snapshot(corpus)
         return 0
     except PipelineError as exc:
         logger.error("%s: %s", exc.label, exc)

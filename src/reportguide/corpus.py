@@ -6,21 +6,30 @@ bound to records through a `.ids` sidecar listing one record id per row.
 Artifacts holding one JSON line per record (labels, generated reports) are
 bound to the manifest through `read_record_rows`. Only the feature-file code
 imports numpy, where it runs, so a stage that reads no features (bootstrap,
-evaluate) never loads it.
+evaluate) never loads it. The readers import `hashlib`, which loads OpenSSL,
+where they hash, so a process that only writes inputs never loads it.
+
+A manifest is checked once per manifest bytes, not once per process: a
+*snapshot* file holds the checked records of one manifest, keyed by the
+sha256 of its bytes, in one section per field, and `load_manifest`
+rebuilds the corpus from the sections a process keeps instead of decoding
+the JSONL again.
 """
 
 from __future__ import annotations
 
+import marshal
 import struct
 import sys
 from collections.abc import Collection, Iterator
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataError, PipelineError
-from .fileio import read_bytes, read_jsonl, read_text, write_atomic
+from .fileio import read_bytes, read_jsonl, read_sections, read_text, write_atomic, write_sections
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,6 +39,18 @@ SPLITS = ("train", "val", "test")
 _SPLIT_OBJECT = {name: name for name in SPLITS}
 
 FEATURE_MAGIC = b"FFMX"
+
+# A manifest snapshot is a `write_sections` file keyed by its layout and the
+# sha256 of the manifest bytes, with one section per record field, in this
+# order: the list of every record's value of that field, in marshal format
+# 2; images as (each record's image count, every path and modality in
+# turn). That format has no back-references, so its bytes are a function of
+# the values, the same on every Python 3; it is loaded only once its sha256
+# has matched. A change to the layout changes `_SNAPSHOT_LAYOUT`, so an
+# older snapshot reads as stale.
+_SNAPSHOT_LAYOUT = "reportguide manifest snapshot 1"
+_SECTIONS = ("id", "split", "report", "images")
+_MARSHAL_FORMAT = 2
 
 
 class ImageRef(NamedTuple):
@@ -65,13 +86,17 @@ class ReportRecord:
 
 @dataclass
 class Corpus:
-    """Ordered collection of records with unique ids, and the manifest they
-    were read from, which errors name."""
+    """Ordered collection of records with unique ids, the manifest they were
+    read from, which errors name, and the sha256 of its bytes."""
 
     records: list[ReportRecord] = field(default_factory=list)
     manifest: str = "(in memory)"
+    manifest_sha256: str | None = None
 
     def __post_init__(self):
+        # (snapshot path, every record's report, every record's images) when
+        # `load_manifest` was given a snapshot it could not use.
+        self._unsaved: tuple[Path, list, list] | None = None
         self._index: dict[str, ReportRecord] = {}
         for rec in self.records:
             if rec.id in self._index:
@@ -124,28 +149,117 @@ def _record_from_obj(obj: dict, lineno: int) -> ReportRecord:
         raise DataError(f"manifest line {lineno}: {exc}") from exc
 
 
-def load_manifest(path: str | Path, fields: Collection[str] | None = None) -> Corpus:
+def load_manifest(
+    path: str | Path, fields: Collection[str] | None = None, snapshot: str | Path | None = None
+) -> Corpus:
     """Read manifest.jsonl, preserving record order.
 
     Errors carry the 1-based line number; duplicate ids name the id. A
     manifest with no records is an error too. Every line is checked in
     full; then each of `report` and `images` not in `fields` is set to
     None, so its text is freed line by line. None keeps every field.
+
+    `snapshot` names a snapshot file for this manifest. When it holds a
+    current one, written by `save_snapshot` for the same manifest bytes,
+    the corpus is rebuilt from the sections that `fields` needs, each of
+    which must match its digest, and the JSONL is not decoded. Any other
+    file there, or none, is ignored: the manifest is read as without
+    one, and, if `fields` keeps the reports, `save_snapshot` can then
+    write it. A reader that drops the reports keeps none for the snapshot,
+    so it holds no more than without one.
     """
-    drop = () if fields is None else [name for name in ("report", "images") if name not in fields]
+    import hashlib
+
+    data = read_bytes(path, DataError, "manifest")
+    digest = hashlib.sha256(data).hexdigest()
+    kept = [name for name in ("report", "images") if fields is None or name in fields]
+    if snapshot is not None:
+        records = _snapshot_records(Path(snapshot), digest, kept)
+        if records is not None:
+            return Corpus(records=records, manifest=str(path), manifest_sha256=digest)
+    drop = [name for name in ("report", "images") if name not in kept]
+    unsaved = snapshot is not None and "report" in kept
     records: list[ReportRecord] = []
+    reports: list[str] = []
+    images: list[tuple[ImageRef, ...]] = []
     seen: set[str] = set()
-    for lineno, obj in read_jsonl(path, DataError, "manifest"):
+    for lineno, obj in read_jsonl(path, DataError, "manifest", data):
         rec = _record_from_obj(obj, lineno)
         if rec.id in seen:
             raise DataError(f"manifest line {lineno}: duplicate record id {rec.id!r}")
         seen.add(rec.id)
+        if unsaved:
+            reports.append(rec.report)
+            images.append(rec.images)
         for name in drop:
             setattr(rec, name, None)
         records.append(rec)
     if not records:
         raise DataError(f"manifest {path} has no records")
-    return Corpus(records=records, manifest=str(path))
+    corpus = Corpus(records=records, manifest=str(path), manifest_sha256=digest)
+    if unsaved:
+        corpus._unsaved = (Path(snapshot), reports, images)
+    return corpus
+
+
+def save_snapshot(corpus: Corpus) -> None:
+    """Write the snapshot that `load_manifest(path, fields, snapshot)` found
+    missing or stale for `corpus`, if it did and `fields` kept the reports;
+    else do nothing.
+
+    The file is replaced atomically but not fsynced (`write_sections`): a
+    snapshot lost in a crash, or torn, fails its check and is written again.
+    One that cannot be written is left unwritten, and the manifest is read
+    instead.
+    """
+    if corpus._unsaved is None:
+        return
+    path, reports, images = corpus._unsaved
+    columns = (
+        [rec.id for rec in corpus],
+        [rec.split for rec in corpus],
+        reports,
+        (list(map(len, images)), list(chain.from_iterable(chain.from_iterable(images)))),
+    )
+    sections = {
+        name: marshal.dumps(column, _MARSHAL_FORMAT) for name, column in zip(_SECTIONS, columns)
+    }
+    try:
+        write_sections(path, f"{_SNAPSHOT_LAYOUT}, sha256 {corpus.manifest_sha256}", sections)
+    except DataError:
+        return
+    corpus._unsaved = None
+
+
+def _snapshot_records(path: Path, digest: str, kept: list[str]) -> list[ReportRecord] | None:
+    """The records of the snapshot at `path`, holding the `kept` fields, if
+    it is current for manifest bytes `digest` and each section read matches
+    its sha256; else None. Only those sections are read and decoded, and
+    their records were checked when the snapshot was written, so they are
+    built without checks."""
+    blobs = read_sections(path, f"{_SNAPSHOT_LAYOUT}, sha256 {digest}", ["id", "split", *kept])
+    if blobs is None:
+        return None
+    columns = {name: marshal.loads(blob) for name, blob in blobs.items()}
+    none = [None] * len(columns["id"])
+    images = none
+    if "images" in columns:
+        counts, flat = columns["images"]
+        refs = list(map(ImageRef, flat[0::2], map(sys.intern, flat[1::2])))
+        images, start = [], 0
+        for count in counts:
+            images.append(tuple(refs[start:start + count]))
+            start += count
+    new = object.__new__
+    records = []
+    for rid, split, report, imgs in zip(
+        columns["id"], map(_SPLIT_OBJECT.__getitem__, columns["split"]),
+        columns.get("report", none), images,
+    ):
+        rec = new(ReportRecord)
+        rec.id, rec.split, rec.report, rec.images = rid, split, report, imgs
+        records.append(rec)
+    return records
 
 
 def read_record_rows(
@@ -207,13 +321,15 @@ def save_manifest(corpus: Corpus, path: str | Path) -> None:
 
 @dataclass
 class FeatureMatrix:
-    """Dense float32 feature rows plus the record id owning each row.
+    """Dense float32 feature rows plus the record id owning each row, and
+    the sha256 of the feature file they were read from.
 
     `source` names where the row ids came from in a duplicate-id error."""
 
     values: np.ndarray
     row_ids: list[str]
     source: InitVar[str] = "the feature matrix"
+    sha256: str | None = None
 
     def __post_init__(self, source: str):
         import numpy as np
@@ -284,6 +400,8 @@ def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatr
     every row id must resolve to a record, and the matrix keeps that record's
     own id object.
     """
+    import hashlib
+
     import numpy as np
 
     data = read_bytes(path, DataError, f"feature file {path}")
@@ -322,7 +440,8 @@ def load_features(path: str | Path, corpus: Corpus | None = None) -> FeatureMatr
             elif unknown is None:
                 unknown = i
     matrix = FeatureMatrix(
-        values=values, row_ids=row_ids, source=f"feature id sidecar {sidecar}"
+        values=values, row_ids=row_ids, source=f"feature id sidecar {sidecar}",
+        sha256=hashlib.sha256(data).hexdigest(),
     )
     if unknown is not None:
         raise DataError(

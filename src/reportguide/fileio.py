@@ -3,7 +3,10 @@
 Each stage reads only files an earlier stage wrote, so every artifact is
 replaced in one step: a failed or killed stage leaves the previous file or
 none, never part of one. `json_text` is the text of every indented JSON
-artifact but the checkpoint.
+artifact but the checkpoint. A *sections* file (`write_sections`) is a
+cache: each named section carries its sha256, and `read_sections` returns
+sections only when every one asked for matches, so a torn or stale file is
+read as no file.
 
 Reads go through the `read_*` functions: a file that cannot be read (a
 directory, no permission, not UTF-8) or is not the JSON it should be raises
@@ -16,10 +19,12 @@ could never be written.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import json.scanner
 import os
 import re
+import stat
 from collections.abc import Iterator
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -27,38 +32,126 @@ from pathlib import Path
 from .errors import DataError, PipelineError
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Replace `path` with `data`; a str is written as UTF-8.
+def write_atomic(
+    path: str | Path, data: str | bytes | list[bytes], durable: bool = True
+) -> None:
+    """Replace `path` with `data`; a str is written as UTF-8, a list of
+    bytes one after another.
 
     The bytes go to `.<name>.<random>.tmp` in the same directory, which is
     flushed, fsynced and renamed onto `path`; the directory is then fsynced
-    so the rename itself is durable. On any error the temp file is removed
-    and, unless only the directory fsync failed, `path` is left as it was; an
-    OSError is raised again as a DataError naming `path`. A new
-    file gets mode 0o666 & ~umask, as `open(path, "w")` would give it.
+    so the rename itself is durable. With `durable` false neither fsync is
+    made, and a crash may leave the file lost or torn, which only a reader
+    that checks it can tell. On any error the temp file is removed and,
+    unless only the directory fsync failed, `path` is left as it was; an
+    OSError is raised again as a DataError naming `path`. A new file gets
+    mode 0o666 & ~umask, as `open(path, "w")` would give it.
     """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
+    chunks = data if isinstance(data, list) else [data]
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
+                fh.writelines(chunks)
+                if durable:
+                    fh.flush()
+                    os.fsync(fh.fileno())
             os.replace(tmp, path)
-            dir_fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+            if durable:
+                dir_fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+                try:
+                    os.fsync(dir_fd)
+                finally:
+                    os.close(dir_fd)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+# A sections file is one JSON header line, {"version", "key", "sections":
+# {name: [length, sha256], ...}}, then each section's bytes in that order.
+_SECTIONS_VERSION = 1
+_HEADER_LIMIT = 4096
+
+
+def write_sections(path: Path, key: str, sections: dict[str, bytes]) -> None:
+    """Replace `path`, atomically but not durably, with `sections` and a
+    header giving `key`, for which they were made, and each section's
+    length and sha256. An empty directory at `path` is removed first.
+    Raises DataError as `write_atomic` does."""
+    import hashlib  # deferred, as in `corpus`: writing inputs loads no OpenSSL
+
+    header = {
+        "version": _SECTIONS_VERSION,
+        "key": key,
+        "sections": {
+            name: [len(blob), hashlib.sha256(blob).hexdigest()] for name, blob in sections.items()
+        },
+    }
+    try:
+        if path.is_dir() and not path.is_symlink():
+            path.rmdir()
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    head = json.dumps(header).encode("utf-8") + b"\n"
+    write_atomic(path, [head, *sections.values()], durable=False)
+
+
+def _section_spans(header: bytes, key: str) -> dict[str, tuple[int, int, str]] | None:
+    """Section name to (offset after the header, length, sha256), from the
+    header line of a sections file made for `key`; else None."""
+    try:
+        doc = json.loads(header)
+        if doc["version"] != _SECTIONS_VERSION or doc["key"] != key:
+            return None
+        spans, offset = {}, 0
+        for name, (length, sha) in doc["sections"].items():
+            if type(length) is not int or length < 0:
+                return None
+            spans[name] = (offset, length, sha)
+            offset += length
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
+        return None  # not JSON, or not a header
+    return spans
+
+
+def read_sections(path: Path, key: str, names) -> dict[str, bytes] | None:
+    """The sections `names` of the `write_sections` file at `path`, if it
+    is a regular file made for `key` and each of them matches its sha256;
+    else None, whatever is or is not at `path`. No other section is read."""
+    import hashlib
+
+    try:
+        # Opened without blocking, so that a FIFO is refused, not waited on.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:
+        return None
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            return None
+        with open(fd, "rb", closefd=False) as fh:
+            spans = _section_spans(fh.readline(_HEADER_LIMIT), key)
+            if spans is None or not spans.keys() >= set(names):
+                return None
+            base, found = fh.tell(), {}
+            for name in names:
+                offset, length, sha = spans[name]
+                fh.seek(base + offset)
+                blob = fh.read(length)
+                if len(blob) != length or hashlib.sha256(blob).hexdigest() != sha:
+                    return None
+                found[name] = blob
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+    return found
 
 
 class _Unhandled(Exception):
@@ -220,12 +313,17 @@ def _decode_line(line: str):
 
 
 def read_jsonl(
-    path: str | Path, error: type[PipelineError], what: str
+    path: str | Path, error: type[PipelineError], what: str, data: bytes | None = None
 ) -> Iterator[tuple[int, dict]]:
     """Stream (1-based line number, object) for each non-blank line. Lines
-    end at newlines only, not at the U+2028 that `json.dumps` leaves raw."""
+    end at newlines only, not at the U+2028 that `json.dumps` leaves raw.
+    `data`, when given, is the file's bytes, already read: they are decoded
+    as the file would be, in chunks of the same size, so every error and
+    its order are the file's."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") if data is None else io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8"
+        ) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.isspace():
                     continue

@@ -25,6 +25,7 @@ import pytest
 
 from conftest import DEEP_JSON, LONG_INT
 from reportguide import bootstrap, classifier, cli, errors, guidance, metrics
+from reportguide import corpus as corpus_mod
 from reportguide.cli import (
     FLAG_ALIASES,
     STAGES,
@@ -426,7 +427,17 @@ def test_readme_files_table_names_the_stage_that_writes_each_artifact(stage_read
     ]
     rows = [(name.strip("`"), writer.strip("`")) for name, writer, _ in cells]
     assert ("meta/<command>.json", "every stage") in rows
-    documented = [(name, writer) for name, writer in rows if writer != "every stage"]
+    # The manifest snapshot is no stage's output: the commands whose stages
+    # keep the reports write it.
+    [writers] = [writer for name, writer in rows if name == cli.SNAPSHOT.as_posix()]
+    assert {name.strip(" `") for name in writers.split(",")} == {
+        stage.name for stage in STAGES if "report" in stage.fields
+    }
+    documented = [
+        (name, writer)
+        for name, writer in rows
+        if writer != "every stage" and name != cli.SNAPSHOT.as_posix()
+    ]
     outputs = [
         (name, stage.name)
         for stage in STAGES
@@ -1045,7 +1056,8 @@ def test_artifacts_get_mode_0666_less_the_umask(mini):
     finally:
         os.umask(umask)
     modes = {p.name: p.stat().st_mode & 0o777 for p in mini["workdir"].rglob("*") if p.is_file()}
-    assert len(modes) == 13 and set(modes.values()) == {0o640}, modes  # 8 artifacts, 5 meta
+    # 8 artifacts, 5 meta records and the manifest snapshot
+    assert len(modes) == 14 and set(modes.values()) == {0o640}, modes
 
 
 def test_tampered_taxonomy_fails_predict_with_4(mini):
@@ -1447,6 +1459,7 @@ _LONE_SURROGATE = (
 def test_malformed_artifacts_exit_4(mini, caplog, tamper, command, message):
     assert main(["pipeline", "--config", mini["config"]]) == 0
     tamper(mini["workdir"])
+    _drop_manifest_snapshot(mini["workdir"])
     before = _snapshot(mini["workdir"])
     assert main([*command.split(), "--config", mini["config"], "--force"]) == 4
     assert message.replace("<tmp>", str(mini["tmp"])) in caplog.text
@@ -1482,6 +1495,7 @@ def test_a_reply_that_is_not_unicode_text_exits_3(
         body=json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
     )
     assert main(["pipeline", "--config", mini["config"]]) == 0
+    _drop_manifest_snapshot(mini["workdir"])
     before = _snapshot(mini["workdir"])
     assert main([*args(server), "--config", mini["config"], "--force"]) == 3
     assert message in caplog.text
@@ -1515,6 +1529,7 @@ def test_a_reply_too_deep_to_parse_exits_3(
         body=b'{"choices": [{"message": {"content": ' + DEEP_JSON.encode() + b"}}]}"
     )
     assert main(["pipeline", "--config", mini["config"]]) == 0
+    _drop_manifest_snapshot(mini["workdir"])
     before = _snapshot(mini["workdir"])
     assert main([*args(server), "--config", mini["config"], "--force"]) == 3
     assert message in caplog.text
@@ -1596,6 +1611,7 @@ def test_a_pred_cell_refuses_predictions_that_predict_made_from_other_inputs(
         _edit_json(rerun[1], lambda doc: doc.__setitem__("config", []))(workdir)
     elif rerun:
         assert main([*rerun, "--config", mini["config"], "--force"]) == 0
+    _drop_manifest_snapshot(workdir)
     before = _snapshot(workdir)
     assert main(["generate", "--config", mini["config"], *flags, "--force"]) == 5
     assert (
@@ -1823,9 +1839,9 @@ def test_predict_and_generate_load_the_manifest_once_and_predict_each_row_once(
 def test_each_command_keeps_only_the_record_fields_its_stages_read(mini, monkeypatch):
     kept = []
 
-    def spying(path, fields=None):
+    def spying(path, fields=None, snapshot=None):
         kept.append(set(fields))
-        return load_manifest(path, fields)
+        return load_manifest(path, fields, snapshot)
 
     monkeypatch.setattr(cli, "load_manifest", spying)
     commands = ["bootstrap", "train", "predict", "generate", "evaluate", "pipeline"]
@@ -1835,6 +1851,126 @@ def test_each_command_keeps_only_the_record_fields_its_stages_read(mini, monkeyp
         "bootstrap": {"report"}, "train": set(), "predict": set(), "generate": {"images"},
         "evaluate": {"report"}, "pipeline": {"report", "images"},
     }
+
+
+# ---------------------------------------------------------------------------
+# The manifest snapshot
+# ---------------------------------------------------------------------------
+
+
+def _drop_manifest_snapshot(workdir):
+    """Remove the manifest snapshot that an earlier run wrote, so that the
+    next command reads the JSONL and could write one."""
+    (workdir / cli.SNAPSHOT).unlink()
+
+
+def _outputs(workdir):
+    """The bytes of every file outside meta/, and of the manifest snapshot:
+    all that a run leaves but its meta records and their timestamps."""
+    return {
+        str(path.relative_to(workdir)): path.read_bytes()
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file() and (path.parent.name != "meta" or path.name == cli.SNAPSHOT.name)
+    }
+
+
+def _edit_snapshot(edit):
+    def tamper(mini):
+        path = mini["workdir"] / cli.SNAPSHOT
+        path.write_bytes(edit(path.read_bytes()))
+    return tamper
+
+
+def _replace_snapshot(make):
+    def tamper(mini):
+        path = mini["workdir"] / cli.SNAPSHOT
+        path.unlink()
+        make(path)
+    return tamper
+
+
+def _zero_report_digest(blob: bytes) -> bytes:
+    header, _, rest = blob.partition(b"\n")
+    doc = json.loads(header)
+    doc["sections"]["report"][1] = "0" * 64
+    return json.dumps(doc).encode() + b"\n" + rest
+
+
+def _rewrite_manifest_at_the_same_size(mini):
+    path = mini["tmp"] / "data" / "manifest.jsonl"
+    before = path.read_bytes()
+    path.write_bytes(b"".join(reversed(before.splitlines(keepends=True))))
+    assert len(path.read_bytes()) == len(before) and path.read_bytes() != before
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda mini: _drop_manifest_snapshot(mini["workdir"]),
+        _rewrite_manifest_at_the_same_size,
+        _edit_snapshot(lambda blob: blob[: len(blob) // 2]),
+        _edit_snapshot(_zero_report_digest),
+        _edit_snapshot(lambda blob: blob[:-2] + bytes([blob[-2] ^ 1]) + blob[-1:]),
+        _edit_snapshot(lambda blob: b"not json\n" + blob.partition(b"\n")[2]),
+        _replace_snapshot(Path.mkdir),
+        _replace_snapshot(lambda path: os.symlink(path.name, path)),  # ELOOP: no one reads it
+        _replace_snapshot(os.mkfifo),
+    ],
+    ids=["missing", "stale", "truncated", "section-digest-wrong", "section-byte-flipped",
+         "header-not-json", "directory", "unreadable", "fifo"],
+)
+def test_a_snapshot_that_is_not_current_is_replaced_by_a_jsonl_read(mini, tamper):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    tamper(mini)
+    assert main(["pipeline", "--config", mini["config"], "--force"]) == 0
+    clean = mini["tmp"] / "clean"
+    assert main(["pipeline", "--config", mini["config"], "--workdir", str(clean)]) == 0
+    assert _outputs(mini["workdir"]) == _outputs(clean)
+    assert cli.SNAPSHOT.as_posix() in _outputs(clean)  # a current snapshot is left
+
+
+def test_only_bootstrap_decodes_the_manifest_in_a_stage_by_stage_run(mini, monkeypatch):
+    decoded = []
+    read_jsonl = corpus_mod.read_jsonl
+
+    def counting(path, error, what, *args):
+        if what == "manifest":
+            decoded.append(command[0])
+        return read_jsonl(path, error, what, *args)
+
+    monkeypatch.setattr(corpus_mod, "read_jsonl", counting)
+    commands = [["bootstrap"], ["train"], ["predict"], ["generate", "--ablation"]]
+    for mode, source in guidance.ABLATION_MODES:
+        commands.append(["evaluate", "--mode", mode]
+                        + ([] if source == "none" else ["--label-source", source]))
+    for command in commands:
+        assert main([*command, "--config", mini["config"], "--force"]) == 0, command
+    assert decoded == ["bootstrap"]
+
+
+def test_only_a_command_that_keeps_the_reports_writes_the_snapshot(mini):
+    # Train, predict and generate drop the reports, so they keep none to write.
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    for command in ["train", "predict", "generate", "evaluate", "bootstrap"]:
+        (mini["workdir"] / cli.SNAPSHOT).unlink(missing_ok=True)
+        assert main([command, "--config", mini["config"], "--force"]) == 0
+        writes = any("report" in stage.fields for stage in STAGES if stage.name == command)
+        assert (mini["workdir"] / cli.SNAPSHOT).is_file() is writes, command
+
+
+def test_each_meta_record_names_the_corpus_bytes_it_was_made_from(mini):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    config = load_config(mini["config"], [])
+    sha = {
+        "manifest_sha256": hashlib.sha256(Path(config.paths.manifest).read_bytes()).hexdigest(),
+        "features_sha256": hashlib.sha256(Path(config.paths.features).read_bytes()).hexdigest(),
+    }
+    for stage in STAGES:
+        meta = json.loads((mini["workdir"] / "meta" / f"{stage.name}.json").read_text("utf-8"))
+        reads_features = stage.name in ("train", "predict")
+        wanted = sha if reads_features else {"manifest_sha256": sha["manifest_sha256"]}
+        assert meta["corpus"] == wanted, stage.name
+        assert "features" not in meta["inputs"]
 
 
 # Paths opened for reading, while a stage run records them. An audit hook

@@ -6,7 +6,9 @@ from __future__ import annotations
 import json
 import re
 import struct
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import json_strings
 
+from reportguide import corpus as corpus_mod
 from reportguide.bootstrap import bootstrap_dataset
 from reportguide.classifier import predict_records, train
 from reportguide.cli import STAGES
@@ -30,6 +33,7 @@ from reportguide.corpus import (
     read_record_rows,
     save_features,
     save_manifest,
+    save_snapshot,
 )
 from reportguide.errors import DataError
 from reportguide.schema import BootstrapConfig, TrainConfig
@@ -359,6 +363,78 @@ def test_manifest_to_jsonl_writes_the_bytes_of_json_dumps(rows):
 
 
 # ---------------------------------------------------------------------------
+# Manifest snapshots
+# ---------------------------------------------------------------------------
+
+# Text a manifest can hold (no lone surrogate), rich in what JSON writers
+# and line splitters get wrong: quotes, backslashes, raw U+2028/U+2029,
+# control characters and non-ASCII text.
+_MANIFEST_TEXT = st.text(
+    st.characters(exclude_categories=["Cs"])
+    | st.sampled_from(['"', "\\", "\u2028", "\u2029", "\x00", "\n", "é", "肺", "😀"]),
+    min_size=1,
+    max_size=12,
+)
+# Few values, so that records share modalities.
+_MODALITY = st.sampled_from(["", "xray", "ct", "肺 CT"]) | _MANIFEST_TEXT
+_FIELD_SETS = [None, (), ("report",), ("images",), ("report", "images")]
+
+
+def _manifest_line(rid, split, report, images, ascii_only):
+    obj = {"id": rid, "split": split, "report": report}
+    if images is not None:
+        obj["images"] = [
+            {"path": path} if modality is None else {"path": path, "modality": modality}
+            for path, modality in images
+        ]
+    return json.dumps(obj, ensure_ascii=ascii_only) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            _MANIFEST_TEXT,
+            st.sampled_from(SPLITS),
+            _MANIFEST_TEXT,
+            st.none() | st.lists(st.tuples(_MANIFEST_TEXT, st.none() | _MODALITY), max_size=3),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda row: row[0],
+    ),
+    written_with=st.sampled_from([None, ("report",), ("report", "images")]),
+)
+def test_a_snapshot_rebuilds_the_corpus_that_the_jsonl_gives(tmp_path_factory, rows, written_with):
+    tmp = tmp_path_factory.mktemp("snapshot")
+    path, snapshot = tmp / "manifest.jsonl", tmp / "manifest.snapshot"
+    path.write_text("".join(_manifest_line(*row) for row in rows), encoding="utf-8")
+    for fields in (), ("images",):
+        save_snapshot(load_manifest(path, fields, snapshot))
+    assert not snapshot.exists()  # a reader that drops the reports writes none
+    save_snapshot(load_manifest(path, written_with, snapshot))
+    assert snapshot.is_file()
+    for fields in _FIELD_SETS:
+        parsed = load_manifest(path, fields)
+        with mock.patch.object(corpus_mod, "read_jsonl", side_effect=AssertionError("decoded")):
+            read = load_manifest(path, fields, snapshot)
+        assert read == parsed and read.manifest == str(path)
+        assert list(read.index()) == [rec.id for rec in parsed]
+        assert all(rec.split is next(s for s in SPLITS if s == rec.split) for rec in read)
+        for rec in read:
+            for image in rec.images or ():
+                assert image.modality is sys.intern(image.modality)
+                assert type(image) is ImageRef
+
+
+def _report_section_offset(snapshot) -> int:
+    header, _, _ = snapshot.read_bytes().partition(b"\n")
+    sections = json.loads(header)["sections"]
+    return len(header) + 1 + sections["id"][0] + sections["split"][0]
+
+
+# ---------------------------------------------------------------------------
 # Feature files
 # ---------------------------------------------------------------------------
 
@@ -571,11 +647,12 @@ def test_every_stage_holds_a_shared_value_once_per_corpus(synth_dir, mock_gatewa
     assert not hasattr(next(iter(predictions.values())), "__dict__")
 
 
-def _held_by_load_manifest(path, fields=None) -> int:
-    """Bytes still allocated after `load_manifest(path, fields)` returns."""
+def _held_by_load_manifest(path, fields=None, snapshot=None) -> int:
+    """Bytes still allocated after `load_manifest(path, fields, snapshot)`
+    returns."""
     tracemalloc.start()
     try:
-        corpus = load_manifest(path, fields)
+        corpus = load_manifest(path, fields, snapshot)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -592,6 +669,25 @@ def test_a_train_process_holds_no_report_text_or_image_list(synth, tmp_path):
     ]
     path = tmp_path / "manifest.jsonl"
     save_manifest(Corpus(records=records), path)
-    [fields] = [stage.fields for stage in STAGES if stage.name == "train"]
-    full, kept = _held_by_load_manifest(path), _held_by_load_manifest(path, fields)
-    assert kept < 0.4 * full, (kept, full)
+    full = _held_by_load_manifest(path)
+    snapshot = tmp_path / "manifest.snapshot"
+    save_snapshot(load_manifest(path, snapshot=snapshot))
+    blob = bytearray(snapshot.read_bytes())
+    blob[_report_section_offset(snapshot) + 10] ^= 1
+    snapshot.write_bytes(bytes(blob))
+    for stage in ("train", "predict"):
+        [fields] = [row.fields for row in STAGES if row.name == stage]
+        # Decoding the JSONL, given no snapshot or a missing one...
+        held = [
+            _held_by_load_manifest(path, fields),
+            _held_by_load_manifest(path, fields, tmp_path / "missing.snapshot"),
+        ]
+        # ...or reading the snapshot, which never reads the report section:
+        # the damaged byte there goes unnoticed.
+        with mock.patch.object(corpus_mod, "read_jsonl", side_effect=AssertionError("decoded")):
+            held.append(_held_by_load_manifest(path, fields, snapshot))
+        assert max(held) < 0.4 * full, (stage, held, full)
+    # A process that keeps the reports checks that section, and reads the JSONL.
+    with mock.patch.object(corpus_mod, "read_jsonl", wraps=corpus_mod.read_jsonl) as decoded:
+        load_manifest(path, ("report",), snapshot)
+    assert decoded.call_count == 1

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import reportguide
 from reportguide.errors import DataError
-from reportguide.fileio import json_text, read_jsonl, write_atomic
+from reportguide.fileio import json_text, read_jsonl, read_sections, write_atomic, write_sections
 
 PACKAGE = Path(reportguide.__file__).parent
 
@@ -165,6 +165,60 @@ def test_a_failed_directory_fsync_is_an_artifact_write_error(tmp_path, monkeypat
     with pytest.raises(DataError, match=r"cannot write .*a\.json: \[Errno 5\]"):
         write_atomic(tmp_path / "a.json", "{}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["a.json"]  # no temp file left
+
+
+_SECTIONS = {"a": b"first", "b": b"", "c": b"\x00third\n"}
+
+
+def test_a_sections_file_returns_the_sections_asked_for_and_is_not_fsynced(
+    tmp_path, monkeypatch
+):
+    kinds = _fsynced_kinds(monkeypatch)
+    path = tmp_path / "cache"
+    write_sections(path, "k1", _SECTIONS)
+    assert kinds == []  # a lost cache file is only read as none
+    assert read_sections(path, "k1", ["a", "b", "c"]) == _SECTIONS
+    assert read_sections(path, "k1", ["c"]) == {"c": _SECTIONS["c"]}
+    assert read_sections(path, "k2", ["a"]) is None  # made for another key
+    assert read_sections(path, "k1", ["a", "d"]) is None  # no such section
+
+
+def test_a_damaged_section_fails_only_a_read_that_asks_for_it(tmp_path):
+    path = tmp_path / "cache"
+    write_sections(path, "k", _SECTIONS)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-3] + b"X" + blob[-2:])  # inside section c
+    assert read_sections(path, "k", ["a", "b"]) == {"a": b"first", "b": b""}
+    assert read_sections(path, "k", ["a", "c"]) is None
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"", b"[]", b'{"version": 1}', b'{"version": 1, "key": "k", "sections": []}',
+     b'{"version": 1, "key": "k", "sections": {"a": [1.5, "x"]}}',
+     b'{"version": 1, "key": "k", "sections": {"a": 5}}',
+     b'{"version": 2, "key": "k", "sections": {}}', b"[" * 10_000,
+     b'{"version": 1, "key": "k", "sections": {"a": [-1, "x"]}}'],
+    ids=["empty", "list", "no-key", "sections-list", "float-length", "not-a-pair",
+         "other-version", "too-deep", "negative-length"],
+)
+def test_a_sections_file_with_a_header_it_did_not_write_reads_as_none(tmp_path, header):
+    path = tmp_path / "cache"
+    path.write_bytes(header + b"\nfirst")
+    assert read_sections(path, "k", ["a"]) is None
+
+
+def test_write_sections_replaces_an_empty_directory_but_no_other(tmp_path):
+    path = tmp_path / "cache"
+    path.mkdir()
+    write_sections(path, "k", {"a": b"x"})
+    assert read_sections(path, "k", ["a"]) == {"a": b"x"}
+    path.unlink()
+    path.mkdir()
+    (path / "kept").write_text("x", encoding="utf-8")
+    with pytest.raises(DataError, match="cannot write .*cache"):
+        write_sections(path, "k", {"a": b"x"})
+    assert (path / "kept").is_file()
 
 
 def test_the_scan_flags_every_kind_of_write():

@@ -91,30 +91,29 @@ def test_ablation_artifacts_match_the_golden_digests(synth_dir, tmp_path):
 # generate and evaluate cells that read no predictions.
 _NUMPY_FREE = {name: digest for name, digest in GOLDEN_SHA256.items() if "pred" not in name}
 
-# Run by another interpreter: argv is the synthetic corpus, a scratch
-# directory and the expected digests, whose names say which cells to run.
-# It exits non-zero if a command fails, else prints each artifact's digest
-# and whether numpy was imported.
+# Run by another interpreter: argv is a config, whose workdir holds the
+# manifest snapshot that the running interpreter wrote, and the expected
+# digests, whose names say which cells to run. It exits non-zero if a
+# command fails, else prints each artifact's digest, whether numpy was
+# imported, whether the snapshot was kept (read, not written again), and the
+# sha256 of the snapshot it writes itself in a fresh workdir.
 _OTHER_INTERPRETER_RUN = """
 import hashlib, json, sys
 from pathlib import Path
 from reportguide.cli import main
 
-synth, scratch, expected = Path(sys.argv[1]), Path(sys.argv[2]), json.loads(sys.argv[3])
-config = scratch / "config.json"
-config.write_text(json.dumps({"paths": {
-    "manifest": str(synth / "manifest.jsonl"),
-    "features": str(synth / "features.ffmx"),
-    "workdir": str(scratch / "run"),
-}}), encoding="utf-8")
+config, expected = Path(sys.argv[1]), json.loads(sys.argv[2])
+run_dir = Path(json.loads(config.read_text(encoding="utf-8"))["paths"]["workdir"])
+snapshot = Path("meta") / "manifest.snapshot"
+written = (run_dir / snapshot).stat().st_ino
 
 def run(*args):
     if main([*args, "--config", str(config), "--force"]) != 0:
         sys.exit(f"{' '.join(args)} failed")
 
-sha256 = lambda name: hashlib.sha256((scratch / "run" / name).read_bytes()).hexdigest()
+sha256 = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
 run("bootstrap")
-digests = {name: sha256(name) for name in ("taxonomy.json", "labels.jsonl")}
+digests = {name: sha256(run_dir / name) for name in ("taxonomy.json", "labels.jsonl")}
 for name in expected:
     if name.startswith("generated-"):
         tag = name[len("generated-"):-len(".jsonl")]
@@ -122,8 +121,13 @@ for name in expected:
         cell = ["--mode", mode] + (["--label-source", source] if source else [])
         run("generate", *cell)
         run("evaluate", *cell)
-        digests[name], digests["metrics.json " + tag] = sha256(name), sha256("metrics.json")
-print(json.dumps({"digests": digests, "numpy": "numpy" in sys.modules}))
+        digests[name] = sha256(run_dir / name)
+        digests["metrics.json " + tag] = sha256(run_dir / "metrics.json")
+kept = (run_dir / snapshot).stat().st_ino == written
+fresh = run_dir.parent / "fresh"
+run("bootstrap", "--workdir", str(fresh))
+print(json.dumps({"digests": digests, "numpy": "numpy" in sys.modules, "snapshot_kept": kept,
+                  "snapshot_sha256": sha256(fresh / snapshot)}))
 """
 
 
@@ -166,14 +170,18 @@ def test_numpy_free_golden_digests_hold_on_every_local_interpreter(synth_dir, tm
     for version, python in interpreters.items():
         scratch = tmp_path / version
         scratch.mkdir()
+        config = _synth_config(synth_dir, scratch)
+        # The running interpreter writes the snapshot that the other one reads.
+        assert main(["bootstrap", "--config", str(config)]) == 0
+        snapshot = _sha256(scratch / "run" / "meta" / "manifest.snapshot")
         proc = subprocess.run(
-            [python, "-c", _OTHER_INTERPRETER_RUN, str(synth_dir), str(scratch),
-             json.dumps(_NUMPY_FREE)],
+            [python, "-c", _OTHER_INTERPRETER_RUN, str(config), json.dumps(_NUMPY_FREE)],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, f"Python {version}: {proc.stderr}"
         results[version] = json.loads(proc.stdout)
-    expected = {"digests": _NUMPY_FREE, "numpy": False}
+    expected = {"digests": _NUMPY_FREE, "numpy": False, "snapshot_kept": True,
+                "snapshot_sha256": snapshot}
     assert results == {version: expected for version in interpreters}
 
 
