@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, read_record_rows
+from .corpus import Corpus, Twin, load_twin, read_record_rows
 from .errors import DataError, LLMOutputError
 from .fileio import json_text, read_json
 from .gateway import (
@@ -554,6 +554,59 @@ def load_labels(
                 raise DataError(f"{what} line {lineno}: record {rec.id!r} {fault}")
             shared = vectors[vector] = vector
         items.append(AnnotatedItem(rec.id, rec.split, shared))
+    return MLCDataset(taxonomy=taxonomy, items=tuple(items))
+
+
+# A labels twin, of labels.jsonl or predictions.jsonl, is keyed by the
+# manifest and the taxonomy that `load_labels` checks the rows against, and
+# holds each row's record position in the manifest, each row's index into
+# the list of distinct vectors, and that list.
+_LABELS_TWIN = "reportguide labels twin 1"
+_LABELS_SECTIONS = ("position", "vector", "vectors")
+
+
+def _labels_twin_key(corpus: Corpus, taxonomy: LabelTaxonomy) -> str:
+    return (
+        f"{_LABELS_TWIN}, manifest {corpus.manifest_sha256}, "
+        f"taxonomy {taxonomy_fingerprint(taxonomy)}"
+    )
+
+
+def labels_twin(
+    corpus: Corpus, taxonomy: LabelTaxonomy, rows: list[tuple[str, tuple[int, ...]]]
+) -> Twin | None:
+    """The twin of a labels or predictions file whose lines are `rows`,
+    (record id, positives) in file order, each vector strictly ascending
+    within `taxonomy`, for `labels_from_twin` to rebuild them from; None for
+    no rows, which `load_labels` refuses, or a corpus read from no manifest,
+    whose positions no key could bind."""
+    if not rows or corpus.manifest_sha256 is None:
+        return None
+    distinct: dict[tuple[int, ...], int] = {}
+    values = {
+        "position": corpus.positions([rid for rid, _ in rows]),
+        "vector": [distinct.setdefault(vector, len(distinct)) for _, vector in rows],
+        "vectors": list(distinct),
+    }
+    return Twin(_labels_twin_key(corpus, taxonomy), values)
+
+
+def labels_from_twin(
+    twin: Path, path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy
+) -> MLCDataset | None:
+    """What `load_labels(path, corpus, taxonomy)` returns, rebuilt from the
+    twin file `twin` that `labels_twin` wrote, if it is current for the
+    bytes at `path`, `corpus` and `taxonomy`; else None. Nothing is decoded
+    from `path` or checked again."""
+    found = load_twin(twin, path, _labels_twin_key(corpus, taxonomy), _LABELS_SECTIONS)
+    if found is None:
+        return None
+    values = found[1]
+    records, vectors = corpus.records, values["vectors"]
+    items = [
+        AnnotatedItem(rec.id, rec.split, vectors[vector])
+        for rec, vector in zip(map(records.__getitem__, values["position"]), values["vector"])
+    ]
     return MLCDataset(taxonomy=taxonomy, items=tuple(items))
 
 

@@ -19,7 +19,9 @@ same table. A run reads every other input through `read(name)`, once per
 stage, and `_read` reads each with the artifact's one reader
 (`load_checkpoint` binds the checkpoint to the taxonomy, `load_generated`
 checks a whole generated file), so this module raises only configuration,
-missing-prerequisite and artifact-write errors.
+missing-prerequisite and artifact-write errors. A stage that writes a
+labels, predictions or generated file leaves its twin (`twin_path`), and
+`_read` rebuilds such a file from a current twin instead of its reader.
 
 A command exits 0 on success. Every failure is a `PipelineError`, logged
 under its `label` and exiting with its `exit_code`, as `errors` declares.
@@ -47,7 +49,7 @@ from typing import NamedTuple
 # imported inside the functions that run it, so a stage's process loads
 # only the code of that stage.
 from . import guidance as guidance_mod
-from .corpus import Corpus, load_features, load_manifest, save_snapshot
+from .corpus import Corpus, Twin, load_features, load_manifest, save_snapshot, save_twin
 from .errors import ConfigError, DataError, PipelineError, PrerequisiteError
 from .fileio import json_text, read_json, write_atomic
 from .schema import PipelineConfig, config_fingerprint, load_config
@@ -116,6 +118,13 @@ class _WorkdirLock:
 SNAPSHOT = Path("meta") / "manifest.snapshot"
 
 
+def twin_path(name: str) -> Path:
+    """Where, in the workdir, the stage that writes artifact `name` leaves
+    its twin: the checked values it was written from, so later stages skip
+    decoding it."""
+    return Path("meta") / f"{name}.twin"
+
+
 def _producer(name: str, config: PipelineConfig) -> str | None:
     """The stage that writes workdir file `name`; with ablation, generate
     writes every cell's file."""
@@ -158,14 +167,19 @@ def _check_predictions(config: PipelineConfig) -> None:
         )
 
 
-def _read(name: str, config: PipelineConfig, corpus: Corpus, read: Callable[[str], object]):
+def _read(
+    name: str, config: PipelineConfig, corpus: Corpus, read: Callable[[str], object],
+    checked: list[str],
+):
     """One stage input: `features`, or a workdir artifact by its one reader,
     bound to `read("taxonomy.json")`; `predictions.jsonl` is read by the
     labels reader, once `_check_predictions` has found it current. A missing
     artifact names the stage that writes it. The taxonomy is read before the
     labels are looked for, and after the predictions are, so a missing
     predictions file names `predict`; the checkpoint is found before, and
-    checked after, the labels."""
+    checked after, the labels. A labels, predictions or generated file is
+    rebuilt from its twin when that is current; otherwise its reader decodes
+    and checks it, and its name is added to `checked`."""
     if name == "features":
         return load_features(config.paths.features, corpus)
     if name == "labels.jsonl":
@@ -177,29 +191,42 @@ def _read(name: str, config: PipelineConfig, corpus: Corpus, read: Callable[[str
         )
     if name == "predictions.jsonl":
         _check_predictions(config)
+    twin = path.parent / twin_path(name)
     if name in ("taxonomy.json", "labels.jsonl", "predictions.jsonl"):
         from . import bootstrap as bootstrap_mod
 
         if name == "taxonomy.json":
             return bootstrap_mod.load_taxonomy(path)
-        kind = name.partition(".")[0]
-        return bootstrap_mod.load_labels(path, corpus, read("taxonomy.json"), kind)
+        taxonomy = read("taxonomy.json")
+        found = bootstrap_mod.labels_from_twin(twin, path, corpus, taxonomy)
+        if found is None:
+            checked.append(name)
+            found = bootstrap_mod.load_labels(path, corpus, taxonomy, name.partition(".")[0])
+        return found
     if name == "checkpoint.json":
         from . import classifier as classifier_mod
 
         read("labels.jsonl")  # the labels are checked first
         return classifier_mod.load_checkpoint(path, read("taxonomy.json"))
-    mode, source = config.guidance.cell
-    return guidance_mod.load_generated(path, corpus, mode, source, config.guidance.split)
+    cell = (*config.guidance.cell, config.guidance.split)
+    found = guidance_mod.generated_from_twin(twin, path, corpus, *cell)
+    if found is None:
+        checked.append(name)
+        found = guidance_mod.load_generated(path, corpus, *cell)
+    return found
 
 
 # ---------------------------------------------------------------------------
 # Stages: each run function reads the corpus and, through `read`, its
-# inputs, returns its outputs' text by name and writes nothing.
+# inputs, returns its outputs' text by name, with the twin of each that has
+# one, and writes nothing.
 # ---------------------------------------------------------------------------
 
+# An output's text, or its text and its twin.
+Output = str | tuple[str, Twin | None]
 
-def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
+
+def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, Output]:
     from . import bootstrap as bootstrap_mod
 
     dataset = bootstrap_mod.bootstrap_dataset(corpus, config.bootstrap, config.gateway)
@@ -210,14 +237,18 @@ def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> 
         len(dataset.items),
         len(dataset.skipped),
     )
+    rows = [(item.record_id, item.positives) for item in dataset.items]
     return {
         "taxonomy.json": bootstrap_mod.taxonomy_to_json(dataset.taxonomy),
-        "labels.jsonl": bootstrap_mod.labels_to_jsonl(dataset),
+        "labels.jsonl": (
+            bootstrap_mod.labels_to_jsonl(dataset),
+            bootstrap_mod.labels_twin(corpus, dataset.taxonomy, rows),
+        ),
         "audit.json": json_text(audit),
     }
 
 
-def _train(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
+def _train(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, Output]:
     from . import classifier as classifier_mod
 
     features = read("features")
@@ -225,9 +256,10 @@ def _train(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict
     return {"checkpoint.json": classifier_mod.checkpoint_to_json(params)}
 
 
-def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
+def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, Output]:
     """Predict every record of `guidance.split`, in id order, with the
     workdir's checkpoint, and score the predictions against its labels."""
+    from . import bootstrap as bootstrap_mod
     from . import classifier as classifier_mod
 
     features, params = read("features"), read("checkpoint.json")
@@ -248,14 +280,16 @@ def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> di
                     "probs": [float(p) for p in pred.probabilities]}) + "\n"
         for rid, pred in predictions.items()
     ]
-    return {"predictions.jsonl": "".join(lines), "mlc_metrics.json": json_text(scores)}
+    rows = [(rid, pred.positives) for rid, pred in predictions.items()]
+    twin = bootstrap_mod.labels_twin(corpus, read("taxonomy.json"), rows)
+    return {"predictions.jsonl": ("".join(lines), twin), "mlc_metrics.json": json_text(scores)}
 
 
 def _cells(config: PipelineConfig, ablation: bool) -> tuple[tuple[str, str], ...]:
     return guidance_mod.ABLATION_MODES if ablation else (config.guidance.cell,)
 
 
-def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
+def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, Output]:
     g = config.guidance
     cells = _cells(config, ablation)
     sources = {source for _, source in cells}
@@ -267,23 +301,25 @@ def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> d
         if source in sources
     }
     taxonomy = read("taxonomy.json") if labels else None
-    return {
-        guidance_mod.generated_filename(mode, source): guidance_mod.generated_to_jsonl(
-            guidance_mod.run_generation(
-                corpus, taxonomy, mode, source, labels.get(source, {}), g.generator, g.split
-            )
+    outputs: dict[str, Output] = {}
+    for mode, source in cells:
+        rows = guidance_mod.run_generation(
+            corpus, taxonomy, mode, source, labels.get(source, {}), g.generator, g.split
         )
-        for mode, source in cells
-    }
+        outputs[guidance_mod.generated_filename(mode, source)] = (
+            guidance_mod.generated_to_jsonl(rows),
+            guidance_mod.generated_twin(corpus, mode, source, g.split, rows),
+        )
+    return outputs
 
 
-def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, str]:
+def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, Output]:
     from . import metrics as metrics_mod
 
     mode, source = config.guidance.cell
     rows = read(guidance_mod.generated_filename(mode, source))
     report = metrics_mod.evaluate_generation(
-        [(rec.id, row["report"], rec.report) for _, row, rec in rows],
+        [(rec.id, generated, rec.report) for rec, generated in rows],
         gateway=config.gateway,
         enabled=tuple(config.metrics.enabled),
         config_echo={
@@ -300,14 +336,15 @@ class Stage(NamedTuple):
     """One row of the stage table. `fields` names the record fields that
     `run` reads besides id and split, the only ones its process keeps;
     `outputs(config, ablation)` names the workdir files the stage writes;
-    `run(config, corpus, ablation, read)` returns their text by name,
-    reading each input through `read(name)`."""
+    `run(config, corpus, ablation, read)` returns their text by name, with
+    the twin of each that has one, reading each input through
+    `read(name)`."""
 
     name: str
     help: str
     fields: tuple[str, ...]
     outputs: Callable[[PipelineConfig, bool], list[str]]
-    run: Callable[[PipelineConfig, Corpus, bool, Callable[[str], object]], dict[str, str]]
+    run: Callable[[PipelineConfig, Corpus, bool, Callable[[str], object]], dict[str, Output]]
 
 
 # In pipeline order.
@@ -327,11 +364,14 @@ STAGES = (
 
 
 def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bool) -> None:
-    """Run one stage on `corpus`: build all its outputs, then write each and
-    record the run in `meta/<name>.json`: its effective config, the sha256 of
-    each output, for each workdir file it read the sha256 that file's stage
-    recorded writing, and (`corpus`) the sha256 of the manifest bytes and,
-    if it read them, of the feature file. A stage that fails writes nothing."""
+    """Run one stage on `corpus`: build all its outputs, then write each,
+    then the twins of those that have one, and record the run in
+    `meta/<name>.json`: its effective config, the sha256 of each output, for
+    each workdir file it read the sha256 that file's stage recorded writing,
+    which inputs it decoded and checked for want of a current twin or
+    snapshot (`checked`, the manifest included), and (`corpus`) the sha256
+    of the manifest bytes and, if it read them, of the feature file. A stage
+    that fails writes nothing."""
     started = time.time()
     workdir = Path(config.paths.workdir)
     names = stage.outputs(config, ablation)
@@ -339,14 +379,15 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
     # use in a stage, so it is not kept past it; nothing is kept past the run.
     inputs: dict[str, object] = {}
     lineage = {"manifest_sha256": corpus.manifest_sha256}
+    checked = ["manifest"] if corpus.decoded else []
 
     def read(name: str):
         if name == "features":
-            features = _read(name, config, corpus, read)
+            features = _read(name, config, corpus, read, checked)
             lineage["features_sha256"] = features.sha256
             return features
         if name not in inputs:
-            inputs[name] = _read(name, config, corpus, read)
+            inputs[name] = _read(name, config, corpus, read, checked)
         return inputs[name]
 
     outputs = stage.run(config, corpus, ablation, read)
@@ -356,17 +397,23 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
         (workdir / "meta").mkdir(exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create {workdir / 'meta'}: {exc}") from exc
-    written = {}
+    written, twins = {}, {}
     for name in names:
-        data = outputs[name].encode("utf-8")
+        output = outputs[name]
+        text, twins[name] = (output, None) if isinstance(output, str) else output
+        data = text.encode("utf-8")
         write_atomic(workdir / name, data)
         written[name] = hashlib.sha256(data).hexdigest()
+    for name, twin in twins.items():
+        if twin is not None:
+            save_twin(workdir / twin_path(name), twin.key, written[name], twin.values)
     logger.info("%s: wrote %s", stage.name, ", ".join(names))
     meta = {
         "command": stage.name,
         "config_sha256": config_fingerprint(config),
         "config": asdict(config),
         "inputs": made_from,
+        "checked": checked,
         "corpus": lineage,
         "outputs": written,
         "started_unix": round(started, 3),

@@ -9,16 +9,21 @@ imports numpy, where it runs, so a stage that reads no features (bootstrap,
 evaluate) never loads it. The readers import `hashlib`, which loads OpenSSL,
 where they hash, so a process that only writes inputs never loads it.
 
-A manifest is checked once per manifest bytes, not once per process: a
-*snapshot* file holds the checked records of one manifest, keyed by the
-sha256 of its bytes, in one section per field, and `load_manifest`
-rebuilds the corpus from the sections a process keeps instead of decoding
-the JSONL again.
+A file is checked once per file bytes, not once per process. Its *twin*
+(`save_twin`) is a sections file holding the checked values that the file
+was written from or read into, keyed by the sha256 of the file's bytes and
+by whatever else its reader checks it against; a reader given a current
+twin rebuilds its result from it instead of decoding the file again. The
+manifest's twin is its *snapshot*, one section per record field, from which
+`load_manifest` rebuilds the corpus from the sections a process keeps. The
+twins of the artifacts bound to the manifest name each record by its
+position in the manifest (`Corpus.positions`).
 """
 
 from __future__ import annotations
 
 import marshal
+import os
 import struct
 import sys
 from collections.abc import Collection, Iterator
@@ -29,7 +34,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataError, PipelineError
-from .fileio import read_bytes, read_jsonl, read_sections, read_text, write_atomic, write_sections
+from .fileio import (
+    read_bytes,
+    read_jsonl,
+    read_sections,
+    read_text,
+    sha256_file,
+    write_atomic,
+    write_sections,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,17 +53,19 @@ _SPLIT_OBJECT = {name: name for name in SPLITS}
 
 FEATURE_MAGIC = b"FFMX"
 
-# A manifest snapshot is a `write_sections` file keyed by its layout and the
-# sha256 of the manifest bytes, with one section per record field, in this
-# order: the list of every record's value of that field, in marshal format
-# 2; images as (each record's image count, every path and modality in
-# turn). That format has no back-references, so its bytes are a function of
-# the values, the same on every Python 3; it is loaded only once its sha256
-# has matched. A change to the layout changes `_SNAPSHOT_LAYOUT`, so an
-# older snapshot reads as stale.
+# A twin is a `write_sections` file keyed by its layout, the reader's other
+# inputs and the sha256 of the file's bytes, with each section's value in
+# marshal format 2. That format has no back-references, so its bytes are a
+# function of the values, the same on every Python 3; a section is loaded
+# only once its sha256 has matched. A change to a layout changes its layout
+# string, so an older twin reads as stale.
+_MARSHAL_FORMAT = 2
+
+# A manifest snapshot has one section per record field, in this order: the
+# list of every record's value of that field; images as (each record's
+# image count, every path and modality in turn).
 _SNAPSHOT_LAYOUT = "reportguide manifest snapshot 1"
 _SECTIONS = ("id", "split", "report", "images")
-_MARSHAL_FORMAT = 2
 
 
 class ImageRef(NamedTuple):
@@ -87,11 +102,14 @@ class ReportRecord:
 @dataclass
 class Corpus:
     """Ordered collection of records with unique ids, the manifest they were
-    read from, which errors name, and the sha256 of its bytes."""
+    read from, which errors name, and the sha256 of its bytes; `decoded`
+    when `load_manifest` decoded and checked them from the JSONL rather than
+    a snapshot."""
 
     records: list[ReportRecord] = field(default_factory=list)
     manifest: str = "(in memory)"
     manifest_sha256: str | None = None
+    decoded: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         # (snapshot path, every record's report, every record's images) when
@@ -111,6 +129,11 @@ class Corpus:
 
     def index(self) -> dict[str, ReportRecord]:
         return self._index
+
+    def positions(self, ids) -> list[int]:
+        """The position in the manifest of the record of each id in `ids`."""
+        position = {rid: i for i, rid in enumerate(self._index)}
+        return [position[rid] for rid in ids]
 
     def split(self, name: str) -> list[ReportRecord]:
         """The records of split `name`, one of SPLITS, in manifest order. A
@@ -167,23 +190,29 @@ def load_manifest(
     one, and, if `fields` keeps the reports, `save_snapshot` can then
     write it. A reader that drops the reports keeps none for the snapshot,
     so it holds no more than without one.
+
+    The manifest is never held whole: it is hashed in chunks to look the
+    snapshot up, and the JSONL decode hashes the bytes it decodes as it
+    reads them, so `manifest_sha256` names exactly those.
     """
     import hashlib
 
-    data = read_bytes(path, DataError, "manifest")
-    digest = hashlib.sha256(data).hexdigest()
     kept = [name for name in ("report", "images") if fields is None or name in fields]
     if snapshot is not None:
-        records = _snapshot_records(Path(snapshot), digest, kept)
-        if records is not None:
-            return Corpus(records=records, manifest=str(path), manifest_sha256=digest)
+        found = load_twin(Path(snapshot), path, _SNAPSHOT_LAYOUT, ["id", "split", *kept])
+        if found is not None:
+            digest, columns = found
+            return Corpus(
+                records=_snapshot_records(columns), manifest=str(path), manifest_sha256=digest
+            )
+    digest = hashlib.sha256()
     drop = [name for name in ("report", "images") if name not in kept]
     unsaved = snapshot is not None and "report" in kept
     records: list[ReportRecord] = []
     reports: list[str] = []
     images: list[tuple[ImageRef, ...]] = []
     seen: set[str] = set()
-    for lineno, obj in read_jsonl(path, DataError, "manifest", data):
+    for lineno, obj in read_jsonl(path, DataError, "manifest", digest):
         rec = _record_from_obj(obj, lineno)
         if rec.id in seen:
             raise DataError(f"manifest line {lineno}: duplicate record id {rec.id!r}")
@@ -196,7 +225,9 @@ def load_manifest(
         records.append(rec)
     if not records:
         raise DataError(f"manifest {path} has no records")
-    corpus = Corpus(records=records, manifest=str(path), manifest_sha256=digest)
+    corpus = Corpus(
+        records=records, manifest=str(path), manifest_sha256=digest.hexdigest(), decoded=True
+    )
     if unsaved:
         corpus._unsaved = (Path(snapshot), reports, images)
     return corpus
@@ -207,10 +238,8 @@ def save_snapshot(corpus: Corpus) -> None:
     missing or stale for `corpus`, if it did and `fields` kept the reports;
     else do nothing.
 
-    The file is replaced atomically but not fsynced (`write_sections`): a
-    snapshot lost in a crash, or torn, fails its check and is written again.
-    One that cannot be written is left unwritten, and the manifest is read
-    instead.
+    It is a twin (`save_twin`): one that cannot be written is left
+    unwritten, and the manifest is read instead.
     """
     if corpus._unsaved is None:
         return
@@ -221,26 +250,14 @@ def save_snapshot(corpus: Corpus) -> None:
         reports,
         (list(map(len, images)), list(chain.from_iterable(chain.from_iterable(images)))),
     )
-    sections = {
-        name: marshal.dumps(column, _MARSHAL_FORMAT) for name, column in zip(_SECTIONS, columns)
-    }
-    try:
-        write_sections(path, f"{_SNAPSHOT_LAYOUT}, sha256 {corpus.manifest_sha256}", sections)
-    except DataError:
-        return
-    corpus._unsaved = None
+    if save_twin(path, _SNAPSHOT_LAYOUT, corpus.manifest_sha256, dict(zip(_SECTIONS, columns))):
+        corpus._unsaved = None
 
 
-def _snapshot_records(path: Path, digest: str, kept: list[str]) -> list[ReportRecord] | None:
-    """The records of the snapshot at `path`, holding the `kept` fields, if
-    it is current for manifest bytes `digest` and each section read matches
-    its sha256; else None. Only those sections are read and decoded, and
-    their records were checked when the snapshot was written, so they are
-    built without checks."""
-    blobs = read_sections(path, f"{_SNAPSHOT_LAYOUT}, sha256 {digest}", ["id", "split", *kept])
-    if blobs is None:
-        return None
-    columns = {name: marshal.loads(blob) for name, blob in blobs.items()}
+def _snapshot_records(columns: dict) -> list[ReportRecord]:
+    """The records of a current snapshot's `columns`, holding the fields
+    read. Their values were checked when the snapshot was written, so they
+    are built without checks."""
     none = [None] * len(columns["id"])
     images = none
     if "images" in columns:
@@ -260,6 +277,46 @@ def _snapshot_records(path: Path, digest: str, kept: list[str]) -> list[ReportRe
         rec.id, rec.split, rec.report, rec.images = rid, split, report, imgs
         records.append(rec)
     return records
+
+
+class Twin(NamedTuple):
+    """What a stage writes to an artifact's twin: the key of the checks its
+    reader makes besides the artifact's sha256, and the values by section."""
+
+    key: str
+    values: dict[str, object]
+
+
+def save_twin(path: Path, key: str, sha256: str, values: dict[str, object]) -> bool:
+    """Replace the twin file `path` of a file whose bytes have `sha256`
+    with `values`, one section each, for the readers whose other checks
+    `key` names; True once written.
+
+    The file is replaced atomically but not fsynced (`write_sections`): a
+    twin lost in a crash, or torn, fails its check. One that cannot be
+    written is left unwritten, and its file is read instead."""
+    blobs = {name: marshal.dumps(value, _MARSHAL_FORMAT) for name, value in values.items()}
+    try:
+        write_sections(path, f"{key}, sha256 {sha256}", blobs)
+    except DataError:
+        return False
+    return True
+
+
+def load_twin(
+    path: Path, source: str | Path, key: str, names
+) -> tuple[str, dict[str, object]] | None:
+    """(sha256 of `source`, the values of sections `names`) of the twin
+    file `path`, if it was saved for `key` and the current bytes of
+    `source` and each of those sections matches its digest; else None.
+    `source` is hashed in chunks, and only when `path` is a regular file."""
+    if not os.path.isfile(path):
+        return None
+    digest = sha256_file(source)
+    blobs = None if digest is None else read_sections(path, f"{key}, sha256 {digest}", names)
+    if blobs is None:
+        return None
+    return digest, {name: marshal.loads(blob) for name, blob in blobs.items()}
 
 
 def read_record_rows(

@@ -6,7 +6,8 @@ none, never part of one. `json_text` is the text of every indented JSON
 artifact but the checkpoint. A *sections* file (`write_sections`) is a
 cache: each named section carries its sha256, and `read_sections` returns
 sections only when every one asked for matches, so a torn or stale file is
-read as no file.
+read as no file. A cache is keyed by the sha256 of the file it stands for,
+which `sha256_file` hashes in chunks, so no file is held whole to hash it.
 
 Reads go through the `read_*` functions: a file that cannot be read (a
 directory, no permission, not UTF-8) or is not the JSON it should be raises
@@ -121,20 +122,54 @@ def _section_spans(header: bytes, key: str) -> dict[str, tuple[int, int, str]] |
     return spans
 
 
+def _regular_fd(path) -> int | None:
+    """A read-only descriptor of the regular file at `path`, or None. The
+    file is opened without blocking, so that a FIFO is refused, not waited
+    on."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:
+        return None
+    try:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            return fd
+    except OSError:
+        pass
+    os.close(fd)
+    return None
+
+
+def sha256_file(path) -> str | None:
+    """The sha256 of the regular file at `path`, read in 64 KiB chunks; None
+    if it is not a regular file or cannot be read."""
+    import hashlib
+
+    fd = _regular_fd(path)
+    if fd is None:
+        return None
+    digest, chunk = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(chunk)
+    try:
+        with open(fd, "rb", buffering=0, closefd=False) as fh:
+            while size := fh.readinto(chunk):
+                digest.update(view[:size])
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+    return digest.hexdigest()
+
+
 def read_sections(path: Path, key: str, names) -> dict[str, bytes] | None:
     """The sections `names` of the `write_sections` file at `path`, if it
     is a regular file made for `key` and each of them matches its sha256;
     else None, whatever is or is not at `path`. No other section is read."""
     import hashlib
 
-    try:
-        # Opened without blocking, so that a FIFO is refused, not waited on.
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    except OSError:
+    fd = _regular_fd(path)
+    if fd is None:
         return None
     try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            return None
         with open(fd, "rb", closefd=False) as fh:
             spans = _section_spans(fh.readline(_HEADER_LIMIT), key)
             if spans is None or not spans.keys() >= set(names):
@@ -312,17 +347,32 @@ def _decode_line(line: str):
     return obj
 
 
+class _HashedFile(io.FileIO):
+    """A file opened for reading whose every byte read updates `digest`."""
+
+    def __init__(self, path, digest):
+        super().__init__(os.fspath(path))  # as `open` does: errors name the path's text
+        self.digest = digest
+
+    def readinto(self, buffer):
+        size = super().readinto(buffer)
+        if size:
+            self.digest.update(memoryview(buffer)[:size])
+        return size
+
+
 def read_jsonl(
-    path: str | Path, error: type[PipelineError], what: str, data: bytes | None = None
+    path: str | Path, error: type[PipelineError], what: str, digest=None
 ) -> Iterator[tuple[int, dict]]:
     """Stream (1-based line number, object) for each non-blank line. Lines
     end at newlines only, not at the U+2028 that `json.dumps` leaves raw.
-    `data`, when given, is the file's bytes, already read: they are decoded
-    as the file would be, in chunks of the same size, so every error and
-    its order are the file's."""
+    `digest`, when given, is a hashlib object that every byte read from the
+    file updates, so that once the last row is out it holds the hash of
+    exactly the bytes decoded. The file is read as `open` reads it either
+    way, so every error and its order are the same."""
     try:
-        with open(path, encoding="utf-8") if data is None else io.TextIOWrapper(
-            io.BytesIO(data), encoding="utf-8"
+        with open(path, encoding="utf-8") if digest is None else io.TextIOWrapper(
+            io.BufferedReader(_HashedFile(path, digest)), encoding="utf-8"
         ) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.isspace():

@@ -541,7 +541,14 @@ def evaluate_generation(
 
 
 def _validate_ranges(corpus: dict) -> None:
-    unit = ("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "meteor_simple",
+    """Refuse corpus scores outside their ranges: [0, 1] for the BLEU,
+    ROUGE-L, METEOR and entity scores, [0, 10] for CIDEr-D, each within a
+    rounding tolerance. Every other check in the program is on a value that
+    enters it; this is the only one on the program's own numbers before they
+    become an artifact. So a scorer defect exits 4 (README's exit-4 row,
+    "a metric outside its range") instead of writing a silently wrong
+    `metrics.json`."""
+    unit =("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "meteor_simple",
             "entity_p", "entity_r", "entity_f1")
     for name in unit:
         if name in corpus and not -1e-12 <= corpus[name] <= 1.0 + 1e-12:

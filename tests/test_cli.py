@@ -10,10 +10,12 @@ import gc
 import hashlib
 import inspect
 import json
+import logging
 import math
 import os
 import re
 import shlex
+import shutil
 import struct
 import subprocess
 import sys
@@ -41,6 +43,7 @@ from reportguide.corpus import (
     Corpus,
     FeatureMatrix,
     ReportRecord,
+    Twin,
     load_features,
     load_manifest,
     save_features,
@@ -433,15 +436,22 @@ def test_readme_files_table_names_the_stage_that_writes_each_artifact(stage_read
     assert {name.strip(" `") for name in writers.split(",")} == {
         stage.name for stage in STAGES if "report" in stage.fields
     }
-    documented = [
-        (name, writer)
-        for name, writer in rows
-        if writer != "every stage" and name != cli.SNAPSHOT.as_posix()
-    ]
     outputs = [
         (name, stage.name)
         for stage in STAGES
         for name in stage.outputs(PipelineConfig(), True)
+    ]
+    # Nor is a twin: the stage that writes its artifact writes it.
+    twinned = r"labels\.jsonl|predictions\.jsonl|generated-[a-z_-]+\.jsonl"
+    twin_row = cli.twin_path("<artifact>").as_posix()
+    [writers] = [writer for name, writer in rows if name == twin_row]
+    assert {name.strip(" `") for name in writers.split(",")} == {
+        stage for name, stage in outputs if re.fullmatch(twinned, name)
+    }
+    documented = [
+        (name, writer)
+        for name, writer in rows
+        if writer != "every stage" and name not in (cli.SNAPSHOT.as_posix(), twin_row)
     ]
 
     def describes(row, output):
@@ -453,10 +463,11 @@ def test_readme_files_table_names_the_stage_that_writes_each_artifact(stage_read
     for row in documented:
         assert any(describes(row, output) for output in outputs), row
 
-    # "read by" names exactly the stages that were seen reading the file.
+    # "read by" names exactly the stages that were seen reading the file,
+    # or for the twins, a twinned file.
     stage_names = {stage.name for stage in STAGES}
     for (name, _), (_, _, readers) in zip(rows, cells):
-        pattern = re.escape(name).replace("<tag>", "[a-z_-]+")
+        pattern = twinned if name == twin_row else re.escape(name).replace("<tag>", "[a-z_-]+")
         recorded = {
             command[0] for command, keys, _, _ in stage_reads
             if any(re.fullmatch(pattern, key) for key in keys)
@@ -1034,7 +1045,7 @@ def test_a_stage_that_fails_after_its_library_work_writes_nothing(
 def _accessor(config, corpus):
     """A memoised `read` over `cli._read`, standing in for the one that
     `run_stage` hands each run."""
-    read = functools.cache(lambda name: cli._read(name, config, corpus, read))
+    read = functools.cache(lambda name: cli._read(name, config, corpus, read, []))
     return read
 
 
@@ -1046,7 +1057,12 @@ def test_each_stage_returns_exactly_the_outputs_it_declares(mini, ablation):
     for stage in STAGES:
         outputs = stage.run(config, corpus, ablation, _accessor(config, corpus))
         assert sorted(outputs) == sorted(stage.outputs(config, ablation)), stage.name
-        assert all(isinstance(text, str) for text in outputs.values()), stage.name
+        # Each output is its text, or its text and its twin: the labels,
+        # predictions and generated files have one.
+        for name, output in outputs.items():
+            twinned = name in ("labels.jsonl", "predictions.jsonl") or name.startswith("generated-")
+            text, twin = output if twinned else (output, None)
+            assert isinstance(text, str) and isinstance(twin, Twin) is twinned, name
 
 
 def test_artifacts_get_mode_0666_less_the_umask(mini):
@@ -1056,8 +1072,9 @@ def test_artifacts_get_mode_0666_less_the_umask(mini):
     finally:
         os.umask(umask)
     modes = {p.name: p.stat().st_mode & 0o777 for p in mini["workdir"].rglob("*") if p.is_file()}
-    # 8 artifacts, 5 meta records and the manifest snapshot
-    assert len(modes) == 14 and set(modes.values()) == {0o640}, modes
+    # 8 artifacts, 5 meta records, the manifest snapshot and the twins of
+    # labels.jsonl, predictions.jsonl and the generated cell
+    assert len(modes) == 17 and set(modes.values()) == {0o640}, modes
 
 
 def test_tampered_taxonomy_fails_predict_with_4(mini):
@@ -1973,6 +1990,201 @@ def test_each_meta_record_names_the_corpus_bytes_it_was_made_from(mini):
         assert "features" not in meta["inputs"]
 
 
+# ---------------------------------------------------------------------------
+# Artifact twins
+# ---------------------------------------------------------------------------
+
+# The commands that read a twinned artifact, in pipeline order: train and
+# predict read labels.jsonl, generate reads labels.jsonl and
+# predictions.jsonl, and each evaluate cell reads its generated file.
+_TWIN_READERS = [["train"], ["predict"], ["generate", "--ablation"]] + [
+    ["evaluate", "--mode", mode] + ([] if source == "none" else ["--label-source", source])
+    for mode, source in guidance.ABLATION_MODES
+]
+
+
+def _twins(workdir) -> list[Path]:
+    return sorted((workdir / "meta").glob("*.twin"))
+
+
+# Each tamper below takes the workdir whose twins a run reads and the copy
+# whose twins were deleted, and changes what it changes in both.
+
+
+def _each_twin(tamper):
+    def tamper_all(workdir, plain):
+        twins = _twins(workdir)
+        assert len(twins) == 7  # labels, predictions and five cells
+        for path in twins:
+            tamper(path)
+    return tamper_all
+
+
+def _edit_twin(edit):
+    return _each_twin(lambda path: path.write_bytes(edit(path.read_bytes())))
+
+
+def _replace_twin(make):
+    def replace(path):
+        path.unlink()
+        make(path)
+    return _each_twin(replace)
+
+
+def _zero_first_section_digest(blob: bytes) -> bytes:
+    header, _, rest = blob.partition(b"\n")
+    doc = json.loads(header)
+    next(iter(doc["sections"].values()))[1] = "0" * 64
+    return json.dumps(doc).encode() + b"\n" + rest
+
+
+def _reverse_lines(path):
+    before = path.read_bytes()
+    path.write_bytes(b"".join(reversed(before.splitlines(keepends=True))))
+    assert len(path.read_bytes()) == len(before) and path.read_bytes() != before, path
+
+
+def _rewrite_twinned_artifacts_at_the_same_size(workdir, plain):
+    names = ["labels.jsonl", "predictions.jsonl"]
+    names += [guidance.generated_filename(m, s) for m, s in guidance.ABLATION_MODES]
+    for name in names:
+        _reverse_lines(workdir / name)
+        _reverse_lines(plain / name)
+
+
+def _drop_the_last_label(workdir, plain):
+    # Rows that carry it are now out of range.
+    for path in (workdir / "taxonomy.json", plain / "taxonomy.json"):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["labels"][-1]
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _replace_the_manifest(workdir, plain):
+    # The same records in another order: every twin's positions are wrong.
+    _reverse_lines(workdir.parent / "data" / "manifest.jsonl")
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _each_twin(Path.unlink),
+        _rewrite_twinned_artifacts_at_the_same_size,
+        _edit_twin(lambda blob: blob[: len(blob) // 2]),
+        _edit_twin(_zero_first_section_digest),
+        _edit_twin(lambda blob: b"not json\n" + blob.partition(b"\n")[2]),
+        _replace_twin(Path.mkdir),
+        _replace_twin(os.mkfifo),
+        _replace_twin(lambda path: os.symlink(path.name, path)),  # ELOOP: no one reads it
+        _drop_the_last_label,
+        _replace_the_manifest,
+    ],
+    ids=["missing", "stale", "truncated", "section-digest-wrong", "header-not-json",
+         "directory", "fifo", "unreadable", "taxonomy-rewritten", "manifest-replaced"],
+)
+def test_a_twin_that_is_not_current_is_read_as_none(mini, caplog, tamper):
+    """Each reader of a twinned artifact, given a twin that is not current
+    for it, exits as it does with no twin, with the same messages, and
+    leaves the same artifacts."""
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    assert main(["generate", "--config", mini["config"], "--ablation", "--force"]) == 0
+    plain = mini["tmp"] / "plain"
+    shutil.copytree(mini["workdir"], plain)
+    for path in _twins(plain):
+        path.unlink()
+    tamper(mini["workdir"], plain)
+    runs = {}
+    for workdir in (mini["workdir"], plain):
+        caplog.clear()
+        codes = []
+        for command in _TWIN_READERS:
+            args = [*command, "--config", mini["config"], "--workdir", str(workdir), "--force"]
+            codes.append(main(args))
+            if codes[-1]:
+                break
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        runs[workdir] = (codes, [e.replace(str(workdir), "<workdir>") for e in errors])
+    assert runs[mini["workdir"]] == runs[plain]
+    assert _outputs(mini["workdir"]) == _outputs(plain)
+
+
+def test_no_stage_decodes_an_artifact_that_its_writer_twinned(synth_dir, tmp_path, monkeypatch):
+    """In a stage-by-stage ablation on the synthetic corpus only bootstrap
+    decodes a JSONL file, the manifest, and each meta record's `checked`
+    says so."""
+    workdir = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"paths": {
+        "manifest": str(synth_dir / "manifest.jsonl"),
+        "features": str(synth_dir / "features.ffmx"),
+        "workdir": str(workdir),
+    }}), encoding="utf-8")
+    decoded = []
+    read_jsonl = corpus_mod.read_jsonl
+
+    def counting(path, error, what, *args):
+        decoded.append((command[0], what.split(" ")[0]))
+        return read_jsonl(path, error, what, *args)
+
+    monkeypatch.setattr(corpus_mod, "read_jsonl", counting)
+    checked = []
+    for command in [["bootstrap"], *_TWIN_READERS]:
+        assert main([*command, "--config", str(config), "--force"]) == 0, command
+        meta = workdir / "meta" / f"{command[0]}.json"
+        checked.append(json.loads(meta.read_text(encoding="utf-8"))["checked"])
+    assert decoded == [("bootstrap", "manifest")]
+    assert checked == [["manifest"]] + [[]] * len(_TWIN_READERS)
+
+
+def test_checked_names_each_jsonl_input_decoded_for_want_of_a_twin(mini):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    for path in _twins(mini["workdir"]):
+        path.unlink()
+    (mini["workdir"] / cli.SNAPSHOT).unlink()
+    assert main(["generate", "--config", mini["config"], "--ablation", "--force"]) == 0
+    meta = json.loads((mini["workdir"] / "meta" / "generate.json").read_text(encoding="utf-8"))
+    assert meta["checked"] == ["manifest", "labels.jsonl", "predictions.jsonl"]
+    # Generate wrote the cell's twin; it keeps no reports, so it wrote no
+    # snapshot, but the first evaluate does.
+    for checked in (["manifest"], []):
+        assert main(["evaluate", "--config", mini["config"], "--force"]) == 0
+        meta = json.loads((mini["workdir"] / "meta" / "evaluate.json").read_text("utf-8"))
+        assert meta["checked"] == checked
+
+
+def test_only_the_stage_that_writes_an_artifact_writes_its_twin(mini, monkeypatch):
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    twins = {path.name: path.read_bytes() for path in _twins(mini["workdir"])}
+    saved = []
+    monkeypatch.setattr(cli, "save_twin", lambda path, *args: saved.append(path.name))
+    for command in ["bootstrap", "train", "predict", "generate", "evaluate"]:
+        assert main([command, "--config", mini["config"], "--force"]) == 0
+    assert saved == [
+        "labels.jsonl.twin", "predictions.jsonl.twin", "generated-image_and_label-pred.jsonl.twin"
+    ]
+    assert sorted(saved) == sorted(twins)
+    # A twin is keyed by the sha256 of the bytes its stage wrote.
+    for name, blob in twins.items():
+        artifact = hashlib.sha256((mini["workdir"] / name[: -len(".twin")]).read_bytes())
+        assert json.loads(blob.partition(b"\n")[0])["key"].endswith(artifact.hexdigest())
+
+
+def test_a_twin_that_cannot_be_written_is_left_out(mini, monkeypatch):
+    def failing(path, *args, **kwargs):
+        if path.name.endswith(".twin"):
+            raise DataError(f"cannot write {path}: disk full")
+        return write_sections(path, *args, **kwargs)
+
+    write_sections = corpus_mod.write_sections
+    monkeypatch.setattr(corpus_mod, "write_sections", failing)
+    assert main(["pipeline", "--config", mini["config"]]) == 0
+    assert _twins(mini["workdir"]) == []
+    clean = mini["tmp"] / "clean"
+    monkeypatch.undo()
+    assert main(["pipeline", "--config", mini["config"], "--workdir", str(clean)]) == 0
+    assert _outputs(mini["workdir"]) == _outputs(clean)
+
+
 # Paths opened for reading, while a stage run records them. An audit hook
 # cannot be removed, so the one `stage_reads` adds records only while this
 # is a list.
@@ -2108,8 +2320,9 @@ def test_a_failing_ablation_cell_leaves_every_generated_file_unchanged(mini, cap
     assert code == 3
     assert "labels refused" in caplog.text
     after = _files(mini["workdir"])
+    # The five cells and, in meta/, their twins.
     generated = sorted(name for name in before if name.name.startswith("generated-"))
-    assert len(generated) == 5
+    assert len(generated) == 10
     for name in generated:
         assert after[name] == before[name], name
 

@@ -3,6 +3,7 @@ sidecar binding, and round-trip fidelity."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import struct
@@ -18,7 +19,17 @@ from hypothesis import strategies as st
 from conftest import json_strings
 
 from reportguide import corpus as corpus_mod
-from reportguide.bootstrap import bootstrap_dataset
+from reportguide.bootstrap import (
+    AnnotatedItem,
+    LabelEntry,
+    LabelTaxonomy,
+    MLCDataset,
+    bootstrap_dataset,
+    labels_from_twin,
+    labels_to_jsonl,
+    labels_twin,
+    load_labels,
+)
 from reportguide.classifier import predict_records, train
 from reportguide.cli import STAGES
 from reportguide.corpus import (
@@ -34,8 +45,16 @@ from reportguide.corpus import (
     save_features,
     save_manifest,
     save_snapshot,
+    save_twin,
 )
 from reportguide.errors import DataError
+from reportguide.guidance import (
+    ABLATION_MODES,
+    generated_from_twin,
+    generated_to_jsonl,
+    generated_twin,
+    load_generated,
+)
 from reportguide.schema import BootstrapConfig, TrainConfig
 
 
@@ -428,6 +447,91 @@ def test_a_snapshot_rebuilds_the_corpus_that_the_jsonl_gives(tmp_path_factory, r
                 assert type(image) is ImageRef
 
 
+_MANIFEST_ROWS = st.lists(
+    st.tuples(
+        _MANIFEST_TEXT,
+        st.sampled_from(SPLITS),
+        _MANIFEST_TEXT,
+        st.none() | st.lists(st.tuples(_MANIFEST_TEXT, st.none() | _MODALITY), max_size=3),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda row: row[0],
+)
+
+
+def _write_twin_of(path, twin, tmp) -> object:
+    """Save `twin` for the bytes at `path`, as `run_stage` does."""
+    twin_file = tmp / f"{path.name}.twin"
+    assert save_twin(twin_file, twin.key, hashlib.sha256(path.read_bytes()).hexdigest(),
+                     twin.values)
+    return twin_file
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_MANIFEST_ROWS, k=st.integers(1, 5), data=st.data())
+def test_a_twin_rebuilds_what_the_checked_readers_return(tmp_path_factory, rows, k, data):
+    tmp = tmp_path_factory.mktemp("twin")
+    path = tmp / "manifest.jsonl"
+    path.write_text("".join(_manifest_line(*row) for row in rows), encoding="utf-8")
+    # The writer's corpus keeps every field; a reader's, none.
+    written, corpus = load_manifest(path), load_manifest(path, ())
+    taxonomy = LabelTaxonomy(labels=tuple(LabelEntry(i, f"finding {i}") for i in range(k)))
+    vector = st.lists(st.integers(0, k - 1), unique=True, max_size=k).map(sorted).map(tuple)
+    pool = data.draw(st.lists(vector, min_size=1, max_size=3))
+    order = data.draw(st.permutations(written.records))
+    chosen = order[: data.draw(st.integers(1, len(order)))]
+    # Each vector drawn anew, so that equal vectors are distinct objects.
+    label_rows = [(rec.id, tuple(data.draw(st.sampled_from(pool)))) for rec in chosen]
+    dataset = MLCDataset(taxonomy, tuple(AnnotatedItem(rid, written.index()[rid].split, v)
+                                         for rid, v in label_rows))
+    texts = {
+        "labels": labels_to_jsonl(dataset),
+        "predictions": "".join(json.dumps({"id": rid, "positives": list(v), "probs": [0.5] * k})
+                               + "\n" for rid, v in label_rows),
+    }
+    index = corpus.index()
+    for kind, text in texts.items():
+        labels = tmp / f"{kind}.jsonl"
+        labels.write_text(text, encoding="utf-8")
+        twin = _write_twin_of(labels, labels_twin(written, taxonomy, label_rows), tmp)
+        checked = load_labels(labels, corpus, taxonomy, kind)
+        with mock.patch.object(corpus_mod, "read_jsonl", side_effect=AssertionError("decoded")):
+            rebuilt = labels_from_twin(twin, labels, corpus, taxonomy)
+        assert rebuilt == checked
+        assert all(item.record_id is index[item.record_id].id for item in rebuilt.items)
+        assert all(item.split is index[item.record_id].split for item in rebuilt.items)
+        # One shared tuple per distinct vector, as the checked read shares them.
+        for items in (checked.items, rebuilt.items):
+            distinct = {item.positives for item in items}
+            assert len({id(item.positives) for item in items}) == len(distinct)
+    split = data.draw(st.sampled_from(sorted({rec.split for rec in corpus})))
+    mode, source = data.draw(st.sampled_from(ABLATION_MODES))
+    generated_rows = [
+        {"id": rec.id, "mode": mode, "label_source": source, "prompt": data.draw(_MANIFEST_TEXT),
+         "report": data.draw(_MANIFEST_TEXT)}
+        for rec in data.draw(st.permutations(written.split(split)))
+    ]
+    generated = tmp / "generated.jsonl"
+    generated.write_text(generated_to_jsonl(generated_rows), encoding="utf-8")
+    twin = _write_twin_of(
+        generated, generated_twin(written, mode, source, split, generated_rows), tmp
+    )
+    checked = load_generated(generated, corpus, mode, source, split)
+    with mock.patch.object(corpus_mod, "read_jsonl", side_effect=AssertionError("decoded")):
+        rebuilt = generated_from_twin(twin, generated, corpus, mode, source, split)
+    assert rebuilt == checked
+    assert all(rec is index[rec.id] for rec, _ in rebuilt)
+
+
+def test_no_twin_binds_a_corpus_read_from_no_manifest():
+    corpus = Corpus(records=[ReportRecord("a", "test", "ref")])
+    taxonomy = LabelTaxonomy(labels=(LabelEntry(0, "finding"),))
+    assert labels_twin(corpus, taxonomy, [("a", (0,))]) is None
+    assert generated_twin(corpus, "image_only", "none", "test", [{"id": "a", "report": "x"}]) is None
+
+
 def _report_section_offset(snapshot) -> int:
     header, _, _ = snapshot.read_bytes().partition(b"\n")
     sections = json.loads(header)["sections"]
@@ -647,15 +751,46 @@ def test_every_stage_holds_a_shared_value_once_per_corpus(synth_dir, mock_gatewa
     assert not hasattr(next(iter(predictions.values())), "__dict__")
 
 
-def _held_by_load_manifest(path, fields=None, snapshot=None) -> int:
-    """Bytes still allocated after `load_manifest(path, fields, snapshot)`
-    returns."""
+def test_load_manifest_never_holds_the_manifest_whole(tmp_path):
+    # Long reports, dropped line by line: the file dwarfs what is kept.
+    records = [ReportRecord(f"r{i:03d}", SPLITS[i % 3], f"{i} " + "x" * 20_000) for i in range(200)]
+    path = tmp_path / "manifest.jsonl"
+    save_manifest(Corpus(records=records), path)
+    size = path.stat().st_size
+    snapshot = tmp_path / "manifest.snapshot"
+    save_snapshot(load_manifest(path, snapshot=snapshot))
+    stale = tmp_path / "stale.snapshot"
+    stale.write_bytes(snapshot.read_bytes().replace(b"sha256 ", b"sha256 0", 1))
+    # A decode with no snapshot, a hash then a decode past a stale one, and
+    # a hash then a snapshot read.
+    for given in (None, stale, snapshot):
+        tracemalloc.start()
+        try:
+            corpus = load_manifest(path, (), given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.manifest_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert corpus.decoded is (given is not snapshot)
+        assert peak < size / 8, (given, peak, size)
+
+
+def _held_by(call):
+    """Bytes still allocated once `call()` has returned, while its result is
+    alive, and the result."""
     tracemalloc.start()
     try:
-        corpus = load_manifest(path, fields, snapshot)
+        result = call()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return held, result
+
+
+def _held_by_load_manifest(path, fields=None, snapshot=None) -> int:
+    """Bytes still allocated after `load_manifest(path, fields, snapshot)`
+    returns."""
+    held, corpus = _held_by(lambda: load_manifest(path, fields, snapshot))
     assert len(corpus) == 2000
     return held
 
@@ -691,3 +826,19 @@ def test_a_train_process_holds_no_report_text_or_image_list(synth, tmp_path):
     with mock.patch.object(corpus_mod, "read_jsonl", wraps=corpus_mod.read_jsonl) as decoded:
         load_manifest(path, ("report",), snapshot)
     assert decoded.call_count == 1
+    # Its labels, read from their twin, hold no more than the checked read.
+    corpus = load_manifest(path, ())
+    taxonomy = LabelTaxonomy(labels=tuple(LabelEntry(i, f"finding {i}") for i in range(4)))
+    rows = [(rec.id, tuple(j for j in range(4) if i % 16 >> j & 1)) for i, rec in enumerate(corpus)]
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(labels_to_jsonl(MLCDataset(taxonomy, tuple(
+        AnnotatedItem(rid, "train", vector) for rid, vector in rows))), encoding="utf-8")
+    twin = _write_twin_of(labels, labels_twin(corpus, taxonomy, rows), tmp_path)
+    # Each read runs once untraced first, so that neither is charged for
+    # what a first call caches for the process. What the two reads hold
+    # then differs only by a few small objects that free lists keep, which
+    # do not grow with the rows: 1 KiB allows for them.
+    reads = [lambda: load_labels(labels, corpus, taxonomy),
+             lambda: labels_from_twin(twin, labels, corpus, taxonomy)]
+    (checked, dataset), (rebuilt, twin_dataset) = [(read(), _held_by(read))[1] for read in reads]
+    assert twin_dataset == dataset and rebuilt <= checked + 1024, (rebuilt, checked)

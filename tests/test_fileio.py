@@ -12,6 +12,7 @@ stage driver, `cli.run_stage`, and by the writers of pipeline inputs.
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import stat
@@ -24,7 +25,14 @@ from hypothesis import strategies as st
 
 import reportguide
 from reportguide.errors import DataError
-from reportguide.fileio import json_text, read_jsonl, read_sections, write_atomic, write_sections
+from reportguide.fileio import (
+    json_text,
+    read_jsonl,
+    read_sections,
+    sha256_file,
+    write_atomic,
+    write_sections,
+)
 
 PACKAGE = Path(reportguide.__file__).parent
 
@@ -296,10 +304,10 @@ def _json_loads_rows(path, what):
     return rows, None
 
 
-def _read_jsonl_rows(path, what):
+def _read_jsonl_rows(path, what, digest=None):
     rows = []
     try:
-        for row in read_jsonl(path, DataError, what):
+        for row in read_jsonl(path, DataError, what, digest):
             rows.append(row)
     except DataError as exc:
         return rows, str(exc)
@@ -368,6 +376,51 @@ def test_read_jsonl_reads_each_line_as_json_loads_does(tmp_path, text, stop):
         assert message is None
     else:
         assert message.split(": ", 1)[1].startswith(stop)
+    # Hashing the bytes as they are read changes nothing of that.
+    digest = hashlib.sha256()
+    assert repr(_read_jsonl_rows(path, "rows", digest)) == repr((rows, message))
+    if stop is None:
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+_ROW = b'{"text": "' + b"x" * 90 + b'"}\n'
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _ROW * 300 + b"\xff" + _ROW,  # bad UTF-8 in a later chunk
+        _ROW * 80 + b"{\n" + _ROW * 3 + b"\xff",  # bad JSON, then bad UTF-8 in its chunk
+        _ROW * 80 + b"{\n" + _ROW * 200 + b"\xff",  # bad JSON, then bad UTF-8 chunks later
+        _ROW * 1000,
+    ],
+    ids=["bad-utf8", "bad-json-then-bad-utf8-nearby", "bad-json-then-bad-utf8-far", "clean"],
+)
+def test_read_jsonl_reports_the_same_error_whether_or_not_it_hashes(tmp_path, data):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(data)
+    digest = hashlib.sha256()
+    assert _read_jsonl_rows(path, "rows", digest) == _read_jsonl_rows(path, "rows")
+    if data == _ROW * 1000:
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+    for unreadable in (tmp_path / "missing.jsonl", tmp_path):
+        assert _read_jsonl_rows(unreadable, "rows", hashlib.sha256()) == _read_jsonl_rows(
+            unreadable, "rows"
+        )
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 200_001])
+def test_sha256_file_hashes_a_regular_file_in_chunks(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(bytes(range(256)) * (size // 256) + b"z" * (size % 256))
+    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_sha256_file_is_none_for_anything_but_a_readable_regular_file(tmp_path):
+    os.mkfifo(tmp_path / "fifo")  # refused, not waited on
+    os.symlink("loop", tmp_path / "loop")
+    for name in ("missing", "fifo", "loop", "."):
+        assert sha256_file(tmp_path / name) is None, name
 
 
 # ---------------------------------------------------------------------------

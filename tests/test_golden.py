@@ -92,11 +92,15 @@ def test_ablation_artifacts_match_the_golden_digests(synth_dir, tmp_path):
 _NUMPY_FREE = {name: digest for name, digest in GOLDEN_SHA256.items() if "pred" not in name}
 
 # Run by another interpreter: argv is a config, whose workdir holds the
-# manifest snapshot that the running interpreter wrote, and the expected
-# digests, whose names say which cells to run. It exits non-zero if a
-# command fails, else prints each artifact's digest, whether numpy was
-# imported, whether the snapshot was kept (read, not written again), and the
-# sha256 of the snapshot it writes itself in a fresh workdir.
+# manifest snapshot and the twins of labels.jsonl and of each cell that the
+# running interpreter wrote, and the expected digests, whose names say which
+# cells to run. Each cell is evaluated, reading the running interpreter's
+# twin of its generated file, then generated, reading its labels twin. It
+# exits non-zero if a command fails, else prints each artifact's digest,
+# whether numpy was imported, each command's `checked`, whether the
+# snapshot was kept (read, not written again), the sha256 of each twin it
+# wrote itself, once bootstrap has run again, and of the snapshot it
+# writes itself in a fresh workdir.
 _OTHER_INTERPRETER_RUN = """
 import hashlib, json, sys
 from pathlib import Path
@@ -110,23 +114,28 @@ written = (run_dir / snapshot).stat().st_ino
 def run(*args):
     if main([*args, "--config", str(config), "--force"]) != 0:
         sys.exit(f"{' '.join(args)} failed")
+    meta = run_dir / "meta" / f"{args[0]}.json"
+    return json.loads(meta.read_text(encoding="utf-8"))["checked"]
 
 sha256 = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
-run("bootstrap")
-digests = {name: sha256(run_dir / name) for name in ("taxonomy.json", "labels.jsonl")}
+digests, checked = {}, []
 for name in expected:
     if name.startswith("generated-"):
         tag = name[len("generated-"):-len(".jsonl")]
         mode, _, source = tag.partition("-")
         cell = ["--mode", mode] + (["--label-source", source] if source else [])
-        run("generate", *cell)
-        run("evaluate", *cell)
-        digests[name] = sha256(run_dir / name)
+        checked.append(run("evaluate", *cell))
         digests["metrics.json " + tag] = sha256(run_dir / "metrics.json")
+        checked.append(run("generate", *cell))
+        digests[name] = sha256(run_dir / name)
 kept = (run_dir / snapshot).stat().st_ino == written
+run("bootstrap")
+digests.update({name: sha256(run_dir / name) for name in ("taxonomy.json", "labels.jsonl")})
+twins = {path.name: sha256(path) for path in sorted((run_dir / "meta").glob("*.twin"))}
 fresh = run_dir.parent / "fresh"
 run("bootstrap", "--workdir", str(fresh))
-print(json.dumps({"digests": digests, "numpy": "numpy" in sys.modules, "snapshot_kept": kept,
+print(json.dumps({"digests": digests, "numpy": "numpy" in sys.modules, "checked": checked,
+                  "snapshot_kept": kept, "twins_sha256": twins,
                   "snapshot_sha256": sha256(fresh / snapshot)}))
 """
 
@@ -171,17 +180,26 @@ def test_numpy_free_golden_digests_hold_on_every_local_interpreter(synth_dir, tm
         scratch = tmp_path / version
         scratch.mkdir()
         config = _synth_config(synth_dir, scratch)
-        # The running interpreter writes the snapshot that the other one reads.
+        # The running interpreter writes the snapshot and twins that the
+        # other one reads.
         assert main(["bootstrap", "--config", str(config)]) == 0
-        snapshot = _sha256(scratch / "run" / "meta" / "manifest.snapshot")
+        for name in _NUMPY_FREE:
+            if name.startswith("generated-"):
+                mode, _, source = name[len("generated-"):-len(".jsonl")].partition("-")
+                cell = ["--mode", mode] + (["--label-source", source] if source else [])
+                assert main(["generate", *cell, "--config", str(config)]) == 0
+        meta = scratch / "run" / "meta"
+        snapshot = _sha256(meta / "manifest.snapshot")
+        twins = {path.name: _sha256(path) for path in sorted(meta.glob("*.twin"))}
+        assert len(twins) == 4  # labels.jsonl and three cells
         proc = subprocess.run(
             [python, "-c", _OTHER_INTERPRETER_RUN, str(config), json.dumps(_NUMPY_FREE)],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, f"Python {version}: {proc.stderr}"
         results[version] = json.loads(proc.stdout)
-    expected = {"digests": _NUMPY_FREE, "numpy": False, "snapshot_kept": True,
-                "snapshot_sha256": snapshot}
+    expected = {"digests": _NUMPY_FREE, "numpy": False, "checked": [[]] * 6,
+                "snapshot_kept": True, "twins_sha256": twins, "snapshot_sha256": snapshot}
     assert results == {version: expected for version in interpreters}
 
 

@@ -329,10 +329,15 @@ def test_run_generation_writes_file_that_loads_back(tmp_path):
     )
     write_atomic(path, generated_to_jsonl(rows))
     loaded = load_generated(path, corpus, "image_and_label", "gt", "test")
-    assert [row for _, row, _ in loaded] == rows
-    assert [(lineno, rec) for lineno, _, rec in loaded] == [
-        (i, corpus.index()[row["id"]]) for i, row in enumerate(rows, start=1)
-    ]
+    assert _generated_rows(path) == rows
+    assert loaded == [(corpus.index()[row["id"]], row["report"]) for row in rows]
+    assert all(rec is corpus.index()[row["id"]] for (rec, _), row in zip(loaded, rows))
+
+
+def _generated_rows(path) -> list[dict]:
+    """Every row of a generated file, with the prompt that `load_generated`
+    does not return."""
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
 _ONE_RECORD = Corpus(records=[ReportRecord(id="a", split="test", report="ref")])
@@ -462,7 +467,7 @@ def test_ablation_writes_all_five_cells_over_the_same_records(synth, synth_dir, 
     id_sets = []
     for mode, source in ABLATION_MODES:
         rows = load_generated(paths[mode_tag(mode, source)], synth.corpus, mode, source, "test")
-        id_sets.append([rec.id for _, _, rec in rows])
+        id_sets.append([rec.id for rec, _ in rows])
     assert all(ids == id_sets[0] for ids in id_sets)
     assert len(id_sets[0]) == len(synth.corpus.split("test"))
 
@@ -470,9 +475,8 @@ def test_ablation_writes_all_five_cells_over_the_same_records(synth, synth_dir, 
 def test_ablation_gt_and_pred_prompts_agree_for_a_perfect_head(synth, synth_dir, tmp_path):
     paths = _generate_ablation(synth, synth_dir, tmp_path / "run")
     gt_rows, pred_rows = (
-        [row for _, row, _ in load_generated(path, synth.corpus, "image_and_label", source, "test")]
-        for source, path in (("gt", paths["image_and_label-gt"]),
-                             ("pred", paths["image_and_label-pred"]))
+        _generated_rows(path)
+        for path in (paths["image_and_label-gt"], paths["image_and_label-pred"])
     )
     assert [r["prompt"] for r in gt_rows] == [r["prompt"] for r in pred_rows]
     assert [r["report"] for r in gt_rows] == [r["report"] for r in pred_rows]
@@ -534,11 +538,11 @@ def _assert_each_cell_sent_its_images(data, paths, expected_report):
     that request should be."""
     corpus = load_manifest(data / "manifest.jsonl")
     for mode, source in ABLATION_MODES:
-        for _, row, rec in load_generated(
-            paths[mode_tag(mode, source)], corpus, mode, source, "test"
-        ):
+        path = paths[mode_tag(mode, source)]
+        loaded = load_generated(path, corpus, mode, source, "test")
+        for (rec, report), row in zip(loaded, _generated_rows(path), strict=True):
             images = [] if mode == "label_only" else [im.path for im in rec.images]
-            assert rec.images and row["report"] == expected_report(row["prompt"], images)
+            assert rec.images and report == expected_report(row["prompt"], images)
 
 
 def test_http_ablation_sends_images_in_every_mode_but_label_only(
