@@ -218,12 +218,12 @@ def _read(
 
 # ---------------------------------------------------------------------------
 # Stages: each run function reads the corpus and, through `read`, its
-# inputs, returns its outputs' text by name, with the twin of each that has
-# one, and writes nothing.
+# inputs, returns each output's text and twin (None for a file with none)
+# by name, and writes nothing.
 # ---------------------------------------------------------------------------
 
-# An output's text, or its text and its twin.
-Output = str | tuple[str, Twin | None]
+# An output's text and its twin, if it has one.
+Output = tuple[str, Twin | None]
 
 
 def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, Output]:
@@ -239,12 +239,12 @@ def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> 
     )
     rows = [(item.record_id, item.positives) for item in dataset.items]
     return {
-        "taxonomy.json": bootstrap_mod.taxonomy_to_json(dataset.taxonomy),
+        "taxonomy.json": (bootstrap_mod.taxonomy_to_json(dataset.taxonomy), None),
         "labels.jsonl": (
             bootstrap_mod.labels_to_jsonl(dataset),
             bootstrap_mod.labels_twin(corpus, dataset.taxonomy, rows),
         ),
-        "audit.json": json_text(audit),
+        "audit.json": (json_text(audit), None),
     }
 
 
@@ -253,7 +253,7 @@ def _train(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict
 
     features = read("features")
     params = classifier_mod.train(read("labels.jsonl"), features, config.train)
-    return {"checkpoint.json": classifier_mod.checkpoint_to_json(params)}
+    return {"checkpoint.json": (classifier_mod.checkpoint_to_json(params), None)}
 
 
 def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, Output]:
@@ -282,7 +282,10 @@ def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> di
     ]
     rows = [(rid, pred.positives) for rid, pred in predictions.items()]
     twin = bootstrap_mod.labels_twin(corpus, read("taxonomy.json"), rows)
-    return {"predictions.jsonl": ("".join(lines), twin), "mlc_metrics.json": json_text(scores)}
+    return {
+        "predictions.jsonl": ("".join(lines), twin),
+        "mlc_metrics.json": (json_text(scores), None),
+    }
 
 
 def _cells(config: PipelineConfig, ablation: bool) -> tuple[tuple[str, str], ...]:
@@ -329,16 +332,15 @@ def _evaluate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> d
             "enabled": list(config.metrics.enabled),
         },
     )
-    return {"metrics.json": json_text(report)}
+    return {"metrics.json": (json_text(report), None)}
 
 
 class Stage(NamedTuple):
     """One row of the stage table. `fields` names the record fields that
     `run` reads besides id and split, the only ones its process keeps;
     `outputs(config, ablation)` names the workdir files the stage writes;
-    `run(config, corpus, ablation, read)` returns their text by name, with
-    the twin of each that has one, reading each input through
-    `read(name)`."""
+    `run(config, corpus, ablation, read)` returns, by name, the text of each
+    and its twin or None, reading each input through `read(name)`."""
 
     name: str
     help: str
@@ -399,8 +401,7 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
         raise DataError(f"cannot create {workdir / 'meta'}: {exc}") from exc
     written, twins = {}, {}
     for name in names:
-        output = outputs[name]
-        text, twins[name] = (output, None) if isinstance(output, str) else output
+        text, twins[name] = outputs[name]
         data = text.encode("utf-8")
         write_atomic(workdir / name, data)
         written[name] = hashlib.sha256(data).hexdigest()

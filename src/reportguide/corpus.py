@@ -55,16 +55,21 @@ FEATURE_MAGIC = b"FFMX"
 
 # A twin is a `write_sections` file keyed by its layout, the reader's other
 # inputs and the sha256 of the file's bytes, with each section's value in
-# marshal format 2. That format has no back-references, so its bytes are a
-# function of the values, the same on every Python 3; a section is loaded
-# only once its sha256 has matched. A change to a layout changes its layout
-# string, so an older twin reads as stale.
+# marshal format 2: a list as one object per slice of `_SLICE` items, each
+# extending the one before, anything else as one object, each object after
+# its length in 4 bytes, big-endian. A writer so holds one slice's bytes at
+# a time, however long the list. Format 2 has no back-references, so its
+# bytes are a function of the values, the same on every Python 3; a section
+# is loaded only once its sha256 has matched. A change to a layout changes
+# its layout string, so an older twin reads as stale.
 _MARSHAL_FORMAT = 2
+_SLICE = 1024
+_OBJECT_LENGTH = struct.Struct(">I")
 
 # A manifest snapshot has one section per record field, in this order: the
-# list of every record's value of that field; images as (each record's
-# image count, every path and modality in turn).
-_SNAPSHOT_LAYOUT = "reportguide manifest snapshot 1"
+# list of every record's value of that field; images as each record's image
+# count, then every path and modality in turn, in one list.
+_SNAPSHOT_LAYOUT = "reportguide manifest snapshot 2"
 _SECTIONS = ("id", "split", "report", "images")
 
 
@@ -115,6 +120,8 @@ class Corpus:
         # (snapshot path, every record's report, every record's images) when
         # `load_manifest` was given a snapshot it could not use.
         self._unsaved: tuple[Path, list, list] | None = None
+        # Each id to its record's position, built on the first `positions`.
+        self._position: dict[str, int] | None = None
         self._index: dict[str, ReportRecord] = {}
         for rec in self.records:
             if rec.id in self._index:
@@ -132,7 +139,9 @@ class Corpus:
 
     def positions(self, ids) -> list[int]:
         """The position in the manifest of the record of each id in `ids`."""
-        position = {rid: i for i, rid in enumerate(self._index)}
+        if self._position is None:
+            self._position = {rid: i for i, rid in enumerate(self._index)}
+        position = self._position
         return [position[rid] for rid in ids]
 
     def split(self, name: str) -> list[ReportRecord]:
@@ -248,7 +257,7 @@ def save_snapshot(corpus: Corpus) -> None:
         [rec.id for rec in corpus],
         [rec.split for rec in corpus],
         reports,
-        (list(map(len, images)), list(chain.from_iterable(chain.from_iterable(images)))),
+        [*map(len, images), *chain.from_iterable(chain.from_iterable(images))],
     )
     if save_twin(path, _SNAPSHOT_LAYOUT, corpus.manifest_sha256, dict(zip(_SECTIONS, columns))):
         corpus._unsaved = None
@@ -261,10 +270,10 @@ def _snapshot_records(columns: dict) -> list[ReportRecord]:
     none = [None] * len(columns["id"])
     images = none
     if "images" in columns:
-        counts, flat = columns["images"]
-        refs = list(map(ImageRef, flat[0::2], map(sys.intern, flat[1::2])))
+        n, column = len(columns["id"]), columns["images"]
+        refs = list(map(ImageRef, column[n::2], map(sys.intern, column[n + 1::2])))
         images, start = [], 0
-        for count in counts:
+        for count in column[:n]:
             images.append(tuple(refs[start:start + count]))
             start += count
     new = object.__new__
@@ -295,9 +304,9 @@ def save_twin(path: Path, key: str, sha256: str, values: dict[str, object]) -> b
     The file is replaced atomically but not fsynced (`write_sections`): a
     twin lost in a crash, or torn, fails its check. One that cannot be
     written is left unwritten, and its file is read instead."""
-    blobs = {name: marshal.dumps(value, _MARSHAL_FORMAT) for name, value in values.items()}
+    sections = ((name, _marshalled(value)) for name, value in values.items())
     try:
-        write_sections(path, f"{key}, sha256 {sha256}", blobs)
+        write_sections(path, f"{key}, sha256 {sha256}", sections)
     except DataError:
         return False
     return True
@@ -316,7 +325,34 @@ def load_twin(
     blobs = None if digest is None else read_sections(path, f"{key}, sha256 {digest}", names)
     if blobs is None:
         return None
-    return digest, {name: marshal.loads(blob) for name, blob in blobs.items()}
+    return digest, {name: _unmarshalled(blob) for name, blob in blobs.items()}
+
+
+def _marshalled(value) -> Iterator[bytes]:
+    """The bytes of the twin section holding `value`, one object at a time."""
+    parts = [value]
+    if type(value) is list and len(value) > _SLICE:
+        parts = (value[start:start + _SLICE] for start in range(0, len(value), _SLICE))
+    for part in parts:
+        blob = marshal.dumps(part, _MARSHAL_FORMAT)
+        yield _OBJECT_LENGTH.pack(len(blob))
+        yield blob
+        del blob  # written: free it before the next slice is marshalled
+
+
+def _unmarshalled(blob: bytes):
+    """The value of the twin section `blob` (`_marshalled`)."""
+    view, start, value = memoryview(blob), 0, None
+    while start < len(blob):
+        (length,) = _OBJECT_LENGTH.unpack_from(blob, start)
+        start += _OBJECT_LENGTH.size
+        part = marshal.loads(view[start:start + length])
+        start += length
+        if value is None:
+            value = part
+        else:
+            value.extend(part)
+    return value
 
 
 def read_record_rows(

@@ -26,7 +26,8 @@ import json.scanner
 import os
 import re
 import stat
-from collections.abc import Iterator
+import struct
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -34,10 +35,10 @@ from .errors import DataError, PipelineError
 
 
 def write_atomic(
-    path: str | Path, data: str | bytes | list[bytes], durable: bool = True
+    path: str | Path, data: str | bytes | Iterable[bytes], durable: bool = True
 ) -> None:
-    """Replace `path` with `data`; a str is written as UTF-8, a list of
-    bytes one after another.
+    """Replace `path` with `data`; a str is written as UTF-8, an iterable of
+    bytes one after another, each taken once the one before is written.
 
     The bytes go to `.<name>.<random>.tmp` in the same directory, which is
     flushed, fsynced and renamed onto `path`; the directory is then fsynced
@@ -51,7 +52,7 @@ def write_atomic(
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
-    chunks = data if isinstance(data, list) else [data]
+    chunks = [data] if isinstance(data, bytes) else data
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -75,40 +76,55 @@ def write_atomic(
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-# A sections file is one JSON header line, {"version", "key", "sections":
-# {name: [length, sha256], ...}}, then each section's bytes in that order.
-_SECTIONS_VERSION = 1
-_HEADER_LIMIT = 4096
+# A sections file is each section's bytes in turn, then one JSON footer
+# line, {"version", "key", "sections": {name: [length, sha256], ...}}, then
+# that line's length as 4 bytes, big-endian. The digests follow the
+# sections, so each section is written as it is made.
+_SECTIONS_VERSION = 2
+_FOOTER_LIMIT = 4096
+_FOOTER_LENGTH = struct.Struct(">I")
 
 
-def write_sections(path: Path, key: str, sections: dict[str, bytes]) -> None:
-    """Replace `path`, atomically but not durably, with `sections` and a
-    header giving `key`, for which they were made, and each section's
-    length and sha256. An empty directory at `path` is removed first.
-    Raises DataError as `write_atomic` does."""
+def write_sections(
+    path: Path, key: str, sections: Iterable[tuple[str, Iterable[bytes]]]
+) -> None:
+    """Replace `path`, atomically but not durably, with the sections that
+    `sections` gives as (name, its bytes in chunks) pairs, and a footer
+    giving `key`, for which they were made, and each section's length and
+    sha256. Each chunk is taken once the one before is written, so a lazy
+    `sections` holds one chunk at a time. An empty directory at `path` is
+    removed first. Raises DataError as `write_atomic` does."""
     import hashlib  # deferred, as in `corpus`: writing inputs loads no OpenSSL
 
-    header = {
-        "version": _SECTIONS_VERSION,
-        "key": key,
-        "sections": {
-            name: [len(blob), hashlib.sha256(blob).hexdigest()] for name, blob in sections.items()
-        },
-    }
     try:
         if path.is_dir() and not path.is_symlink():
             path.rmdir()
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-    head = json.dumps(header).encode("utf-8") + b"\n"
-    write_atomic(path, [head, *sections.values()], durable=False)
+
+    def chunks():
+        table = {}
+        for name, section in sections:
+            digest, length = hashlib.sha256(), 0
+            for chunk in section:
+                digest.update(chunk)
+                length += len(chunk)
+                yield chunk
+                del chunk  # written: free it before the next one is made
+            table[name] = [length, digest.hexdigest()]
+        footer = {"version": _SECTIONS_VERSION, "key": key, "sections": table}
+        line = json.dumps(footer).encode("utf-8") + b"\n"
+        yield line + _FOOTER_LENGTH.pack(len(line))
+
+    write_atomic(path, chunks(), durable=False)
 
 
-def _section_spans(header: bytes, key: str) -> dict[str, tuple[int, int, str]] | None:
-    """Section name to (offset after the header, length, sha256), from the
-    header line of a sections file made for `key`; else None."""
+def _section_spans(footer: bytes, key: str, size: int) -> dict[str, tuple[int, int, str]] | None:
+    """Section name to (offset, length, sha256), from the footer line of a
+    sections file made for `key` whose sections fill its first `size`
+    bytes; else None."""
     try:
-        doc = json.loads(header)
+        doc = json.loads(footer)
         if doc["version"] != _SECTIONS_VERSION or doc["key"] != key:
             return None
         spans, offset = {}, 0
@@ -118,8 +134,8 @@ def _section_spans(header: bytes, key: str) -> dict[str, tuple[int, int, str]] |
             spans[name] = (offset, length, sha)
             offset += length
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
-        return None  # not JSON, or not a header
-    return spans
+        return None  # not JSON, or not a footer
+    return spans if offset == size else None
 
 
 def _regular_fd(path) -> int | None:
@@ -171,18 +187,26 @@ def read_sections(path: Path, key: str, names) -> dict[str, bytes] | None:
         return None
     try:
         with open(fd, "rb", closefd=False) as fh:
-            spans = _section_spans(fh.readline(_HEADER_LIMIT), key)
+            end = fh.seek(0, os.SEEK_END) - _FOOTER_LENGTH.size
+            if end < 0:
+                return None
+            fh.seek(end)
+            (length,) = _FOOTER_LENGTH.unpack(fh.read(_FOOTER_LENGTH.size))
+            if not 0 < length <= min(end, _FOOTER_LIMIT):
+                return None
+            fh.seek(end - length)
+            spans = _section_spans(fh.read(length), key, end - length)
             if spans is None or not spans.keys() >= set(names):
                 return None
-            base, found = fh.tell(), {}
+            found = {}
             for name in names:
                 offset, length, sha = spans[name]
-                fh.seek(base + offset)
+                fh.seek(offset)
                 blob = fh.read(length)
                 if len(blob) != length or hashlib.sha256(blob).hexdigest() != sha:
                     return None
                 found[name] = blob
-    except OSError:
+    except (OSError, struct.error):
         return None
     finally:
         os.close(fd)

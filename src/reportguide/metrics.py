@@ -548,7 +548,7 @@ def _validate_ranges(corpus: dict) -> None:
     become an artifact. So a scorer defect exits 4 (README's exit-4 row,
     "a metric outside its range") instead of writing a silently wrong
     `metrics.json`."""
-    unit =("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "meteor_simple",
+    unit = ("bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "meteor_simple",
             "entity_p", "entity_r", "entity_f1")
     for name in unit:
         if name in corpus and not -1e-12 <= corpus[name] <= 1.0 + 1e-12:

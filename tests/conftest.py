@@ -4,6 +4,7 @@ scriptable chat-completions stub server for exercising the http backend."""
 from __future__ import annotations
 
 import json
+import struct
 import threading
 import time
 from collections.abc import Callable
@@ -22,6 +23,19 @@ from reportguide.synthetic import build_synthetic_corpus, write_synthetic_corpus
 # `sys.get_int_max_str_digits()` (a plain ValueError).
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 LONG_INT = "9" * 5_000
+
+
+def sections_footer(blob: bytes) -> tuple[dict, int]:
+    """The footer line of the sections file `blob`, decoded, and its offset:
+    the sections fill the bytes before it."""
+    (length,) = struct.unpack(">I", blob[-4:])
+    return json.loads(blob[-4 - length:-4]), len(blob) - 4 - length
+
+
+def with_sections_footer(blob: bytes, footer: bytes) -> bytes:
+    """The sections file `blob` with `footer` as its footer line."""
+    line = footer + b"\n"
+    return blob[: sections_footer(blob)[1]] + line + struct.pack(">I", len(line))
 
 
 # Characters that JSON string writers get wrong: a quote, a backslash,

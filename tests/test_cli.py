@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DEEP_JSON, LONG_INT
+from conftest import DEEP_JSON, LONG_INT, sections_footer, with_sections_footer
 from reportguide import bootstrap, classifier, cli, errors, guidance, metrics
 from reportguide import corpus as corpus_mod
 from reportguide.cli import (
@@ -1057,12 +1057,9 @@ def test_each_stage_returns_exactly_the_outputs_it_declares(mini, ablation):
     for stage in STAGES:
         outputs = stage.run(config, corpus, ablation, _accessor(config, corpus))
         assert sorted(outputs) == sorted(stage.outputs(config, ablation)), stage.name
-        # Each output is its text, or its text and its twin: the labels,
-        # predictions and generated files have one.
-        for name, output in outputs.items():
-            twinned = name in ("labels.jsonl", "predictions.jsonl") or name.startswith("generated-")
-            text, twin = output if twinned else (output, None)
-            assert isinstance(text, str) and isinstance(twin, Twin) is twinned, name
+        # Each output is its text and its twin, or None.
+        for name, (text, twin) in outputs.items():
+            assert isinstance(text, str) and (twin is None or isinstance(twin, Twin)), name
 
 
 def test_artifacts_get_mode_0666_less_the_umask(mini):
@@ -1907,10 +1904,9 @@ def _replace_snapshot(make):
 
 
 def _zero_report_digest(blob: bytes) -> bytes:
-    header, _, rest = blob.partition(b"\n")
-    doc = json.loads(header)
+    doc, _ = sections_footer(blob)
     doc["sections"]["report"][1] = "0" * 64
-    return json.dumps(doc).encode() + b"\n" + rest
+    return with_sections_footer(blob, json.dumps(doc).encode())
 
 
 def _rewrite_manifest_at_the_same_size(mini):
@@ -1927,14 +1923,14 @@ def _rewrite_manifest_at_the_same_size(mini):
         _rewrite_manifest_at_the_same_size,
         _edit_snapshot(lambda blob: blob[: len(blob) // 2]),
         _edit_snapshot(_zero_report_digest),
-        _edit_snapshot(lambda blob: blob[:-2] + bytes([blob[-2] ^ 1]) + blob[-1:]),
-        _edit_snapshot(lambda blob: b"not json\n" + blob.partition(b"\n")[2]),
+        _edit_snapshot(lambda blob: bytes([blob[0] ^ 1]) + blob[1:]),
+        _edit_snapshot(lambda blob: with_sections_footer(blob, b"not json")),
         _replace_snapshot(Path.mkdir),
         _replace_snapshot(lambda path: os.symlink(path.name, path)),  # ELOOP: no one reads it
         _replace_snapshot(os.mkfifo),
     ],
     ids=["missing", "stale", "truncated", "section-digest-wrong", "section-byte-flipped",
-         "header-not-json", "directory", "unreadable", "fifo"],
+         "footer-not-json", "directory", "unreadable", "fifo"],
 )
 def test_a_snapshot_that_is_not_current_is_replaced_by_a_jsonl_read(mini, tamper):
     assert main(["pipeline", "--config", mini["config"]]) == 0
@@ -2032,10 +2028,9 @@ def _replace_twin(make):
 
 
 def _zero_first_section_digest(blob: bytes) -> bytes:
-    header, _, rest = blob.partition(b"\n")
-    doc = json.loads(header)
+    doc, _ = sections_footer(blob)
     next(iter(doc["sections"].values()))[1] = "0" * 64
-    return json.dumps(doc).encode() + b"\n" + rest
+    return with_sections_footer(blob, json.dumps(doc).encode())
 
 
 def _reverse_lines(path):
@@ -2072,14 +2067,14 @@ def _replace_the_manifest(workdir, plain):
         _rewrite_twinned_artifacts_at_the_same_size,
         _edit_twin(lambda blob: blob[: len(blob) // 2]),
         _edit_twin(_zero_first_section_digest),
-        _edit_twin(lambda blob: b"not json\n" + blob.partition(b"\n")[2]),
+        _edit_twin(lambda blob: with_sections_footer(blob, b"not json")),
         _replace_twin(Path.mkdir),
         _replace_twin(os.mkfifo),
         _replace_twin(lambda path: os.symlink(path.name, path)),  # ELOOP: no one reads it
         _drop_the_last_label,
         _replace_the_manifest,
     ],
-    ids=["missing", "stale", "truncated", "section-digest-wrong", "header-not-json",
+    ids=["missing", "stale", "truncated", "section-digest-wrong", "footer-not-json",
          "directory", "fifo", "unreadable", "taxonomy-rewritten", "manifest-replaced"],
 )
 def test_a_twin_that_is_not_current_is_read_as_none(mini, caplog, tamper):
@@ -2166,7 +2161,7 @@ def test_only_the_stage_that_writes_an_artifact_writes_its_twin(mini, monkeypatc
     # A twin is keyed by the sha256 of the bytes its stage wrote.
     for name, blob in twins.items():
         artifact = hashlib.sha256((mini["workdir"] / name[: -len(".twin")]).read_bytes())
-        assert json.loads(blob.partition(b"\n")[0])["key"].endswith(artifact.hexdigest())
+        assert sections_footer(blob)[0]["key"].endswith(artifact.hexdigest())
 
 
 def test_a_twin_that_cannot_be_written_is_left_out(mini, monkeypatch):

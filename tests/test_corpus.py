@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import re
 import struct
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import json_strings
+from conftest import json_strings, sections_footer
 
 from reportguide import corpus as corpus_mod
 from reportguide.bootstrap import (
@@ -40,6 +41,7 @@ from reportguide.corpus import (
     ReportRecord,
     load_features,
     load_manifest,
+    load_twin,
     manifest_to_jsonl,
     read_record_rows,
     save_features,
@@ -432,7 +434,9 @@ def test_a_snapshot_rebuilds_the_corpus_that_the_jsonl_gives(tmp_path_factory, r
     for fields in (), ("images",):
         save_snapshot(load_manifest(path, fields, snapshot))
     assert not snapshot.exists()  # a reader that drops the reports writes none
-    save_snapshot(load_manifest(path, written_with, snapshot))
+    # Lists of more than two items are marshalled in slices, as long ones are.
+    with mock.patch.object(corpus_mod, "_SLICE", 2):
+        save_snapshot(load_manifest(path, written_with, snapshot))
     assert snapshot.is_file()
     for fields in _FIELD_SETS:
         parsed = load_manifest(path, fields)
@@ -464,8 +468,10 @@ _MANIFEST_ROWS = st.lists(
 def _write_twin_of(path, twin, tmp) -> object:
     """Save `twin` for the bytes at `path`, as `run_stage` does."""
     twin_file = tmp / f"{path.name}.twin"
-    assert save_twin(twin_file, twin.key, hashlib.sha256(path.read_bytes()).hexdigest(),
-                     twin.values)
+    # Lists of more than two items are marshalled in slices, as long ones are.
+    with mock.patch.object(corpus_mod, "_SLICE", 2):
+        assert save_twin(twin_file, twin.key, hashlib.sha256(path.read_bytes()).hexdigest(),
+                         twin.values)
     return twin_file
 
 
@@ -532,10 +538,27 @@ def test_no_twin_binds_a_corpus_read_from_no_manifest():
     assert generated_twin(corpus, "image_only", "none", "test", [{"id": "a", "report": "x"}]) is None
 
 
+def test_save_twin_holds_one_marshalled_slice_at_a_time(tmp_path):
+    # Three sections of about 3 MB each, marshalled 1024 items at a time.
+    values = {name: [name * 100] * 30_000 for name in "abc"}
+    size = len(marshal.dumps(values["a"], 2))
+    tracemalloc.start()
+    try:
+        assert save_twin(tmp_path / "x.twin", "key", "0" * 64, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 8, (peak, size)
+    assert load_twin(tmp_path / "x.twin", tmp_path / "x.twin", "key", "abc") is None  # stale
+    path = tmp_path / "source"
+    path.write_bytes(b"x")
+    assert save_twin(tmp_path / "x.twin", "key", hashlib.sha256(b"x").hexdigest(), values)
+    assert load_twin(tmp_path / "x.twin", path, "key", "abc")[1] == values
+
+
 def _report_section_offset(snapshot) -> int:
-    header, _, _ = snapshot.read_bytes().partition(b"\n")
-    sections = json.loads(header)["sections"]
-    return len(header) + 1 + sections["id"][0] + sections["split"][0]
+    sections = sections_footer(snapshot.read_bytes())[0]["sections"]
+    return sections["id"][0] + sections["split"][0]
 
 
 # ---------------------------------------------------------------------------

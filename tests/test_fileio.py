@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import stat
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -178,12 +179,18 @@ def test_a_failed_directory_fsync_is_an_artifact_write_error(tmp_path, monkeypat
 _SECTIONS = {"a": b"first", "b": b"", "c": b"\x00third\n"}
 
 
+def _in_chunks(sections: dict) -> list:
+    """`sections` as `write_sections` takes them: c in two chunks."""
+    return [(name, [blob[:2], blob[2:]] if name == "c" else [blob])
+            for name, blob in sections.items()]
+
+
 def test_a_sections_file_returns_the_sections_asked_for_and_is_not_fsynced(
     tmp_path, monkeypatch
 ):
     kinds = _fsynced_kinds(monkeypatch)
     path = tmp_path / "cache"
-    write_sections(path, "k1", _SECTIONS)
+    write_sections(path, "k1", _in_chunks(_SECTIONS))
     assert kinds == []  # a lost cache file is only read as none
     assert read_sections(path, "k1", ["a", "b", "c"]) == _SECTIONS
     assert read_sections(path, "k1", ["c"]) == {"c": _SECTIONS["c"]}
@@ -193,39 +200,75 @@ def test_a_sections_file_returns_the_sections_asked_for_and_is_not_fsynced(
 
 def test_a_damaged_section_fails_only_a_read_that_asks_for_it(tmp_path):
     path = tmp_path / "cache"
-    write_sections(path, "k", _SECTIONS)
+    write_sections(path, "k", _in_chunks(_SECTIONS))
     blob = path.read_bytes()
-    path.write_bytes(blob[:-3] + b"X" + blob[-2:])  # inside section c
+    path.write_bytes(blob[:6] + b"X" + blob[7:])  # inside section c, after a and b
     assert read_sections(path, "k", ["a", "b"]) == {"a": b"first", "b": b""}
     assert read_sections(path, "k", ["a", "c"]) is None
 
 
-@pytest.mark.parametrize(
-    "header",
-    [b"", b"[]", b'{"version": 1}', b'{"version": 1, "key": "k", "sections": []}',
-     b'{"version": 1, "key": "k", "sections": {"a": [1.5, "x"]}}',
-     b'{"version": 1, "key": "k", "sections": {"a": 5}}',
-     b'{"version": 2, "key": "k", "sections": {}}', b"[" * 10_000,
-     b'{"version": 1, "key": "k", "sections": {"a": [-1, "x"]}}'],
-    ids=["empty", "list", "no-key", "sections-list", "float-length", "not-a-pair",
-         "other-version", "too-deep", "negative-length"],
-)
-def test_a_sections_file_with_a_header_it_did_not_write_reads_as_none(tmp_path, header):
+def test_write_sections_takes_each_chunk_once_the_one_before_is_written(tmp_path):
     path = tmp_path / "cache"
-    path.write_bytes(header + b"\nfirst")
+    size = 1 << 17  # past the write buffer, so a written chunk is on disk
+    on_disk = []
+
+    def chunks(name):
+        for _ in range(2):
+            [tmp] = tmp_path.glob(".cache.*.tmp")
+            on_disk.append(tmp.stat().st_size)
+            yield name.encode() * size
+
+    write_sections(path, "k", ((name, chunks(name)) for name in "ab"))
+    assert on_disk == [0, size, 2 * size, 3 * size]
+    assert read_sections(path, "k", ["b"]) == {"b": b"b" * 2 * size}
+
+
+def _footer(doc: dict) -> bytes:
+    line = json.dumps(doc).encode() + b"\n"
+    return line + struct.pack(">I", len(line))
+
+
+_SHA_FIRST = hashlib.sha256(b"first").hexdigest()
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [b"", b"\0\0", b"[]\n" + struct.pack(">I", 3), _footer({"version": 2}),
+     _footer({"version": 2, "key": "k", "sections": []}),
+     _footer({"version": 2, "key": "k", "sections": {"a": [5.0, _SHA_FIRST]}}),
+     _footer({"version": 2, "key": "k", "sections": {"a": 5}}),
+     _footer({"version": 1, "key": "k", "sections": {"a": [5, _SHA_FIRST]}}),
+     b"[" * 4000 + b"\n" + struct.pack(">I", 4001),
+     _footer({"version": 2, "key": "k", "sections": {"a": [-1, _SHA_FIRST]}}),
+     _footer({"version": 2, "key": "k", "sections": {"a": [4, _SHA_FIRST]}}),
+     _footer({"version": 2, "key": "k", "sections": {"a": [5, _SHA_FIRST]}})[:-4]
+     + struct.pack(">I", 1 << 20),
+     b"x" * 5000 + b"\n" + struct.pack(">I", 5001)],
+    ids=["empty", "short", "list", "no-key", "sections-list", "float-length", "not-a-pair",
+         "other-version", "too-deep", "negative-length", "short-of-the-footer",
+         "length-past-the-start", "too-long"],
+)
+def test_a_sections_file_with_a_footer_it_did_not_write_reads_as_none(tmp_path, tail):
+    path = tmp_path / "cache"
+    path.write_bytes(b"first" + tail)
     assert read_sections(path, "k", ["a"]) is None
+    # The same bytes with the footer `write_sections` gives them are read.
+    path.write_bytes(
+        b"first" + _footer({"version": 2, "key": "k", "sections": {"a": [5, _SHA_FIRST]}})
+    )
+    assert read_sections(path, "k", ["a"]) == {"a": b"first"}
 
 
 def test_write_sections_replaces_an_empty_directory_but_no_other(tmp_path):
     path = tmp_path / "cache"
     path.mkdir()
-    write_sections(path, "k", {"a": b"x"})
+    write_sections(path, "k", [("a", [b"x"])])
     assert read_sections(path, "k", ["a"]) == {"a": b"x"}
     path.unlink()
     path.mkdir()
     (path / "kept").write_text("x", encoding="utf-8")
     with pytest.raises(DataError, match="cannot write .*cache"):
-        write_sections(path, "k", {"a": b"x"})
+        write_sections(path, "k", [("a", [b"x"])])
     assert (path / "kept").is_file()
 
 

@@ -94,13 +94,16 @@ _NUMPY_FREE = {name: digest for name, digest in GOLDEN_SHA256.items() if "pred" 
 # Run by another interpreter: argv is a config, whose workdir holds the
 # manifest snapshot and the twins of labels.jsonl and of each cell that the
 # running interpreter wrote, and the expected digests, whose names say which
-# cells to run. Each cell is evaluated, reading the running interpreter's
-# twin of its generated file, then generated, reading its labels twin. It
-# exits non-zero if a command fails, else prints each artifact's digest,
-# whether numpy was imported, each command's `checked`, whether the
-# snapshot was kept (read, not written again), the sha256 of each twin it
-# wrote itself, once bootstrap has run again, and of the snapshot it
-# writes itself in a fresh workdir.
+# cells to run. The cells run twice. First each is evaluated, reading the
+# running interpreter's twin of its generated file, then generated, reading
+# its labels twin. Then, once bootstrap has run again, each is generated and
+# evaluated with every twin deleted before each command, so that the JSONL
+# readers decode and check labels.jsonl and the generated file. It exits
+# non-zero if a command fails, else prints, for each pass, each artifact's
+# digest and each command's `checked`, and whether numpy was imported,
+# whether the snapshot was kept (read, not written again), the sha256 of
+# each twin it wrote itself and of the snapshot it writes itself in a fresh
+# workdir.
 _OTHER_INTERPRETER_RUN = """
 import hashlib, json, sys
 from pathlib import Path
@@ -118,25 +121,35 @@ def run(*args):
     return json.loads(meta.read_text(encoding="utf-8"))["checked"]
 
 sha256 = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
-digests, checked = {}, []
-for name in expected:
-    if name.startswith("generated-"):
-        tag = name[len("generated-"):-len(".jsonl")]
-        mode, _, source = tag.partition("-")
-        cell = ["--mode", mode] + (["--label-source", source] if source else [])
-        checked.append(run("evaluate", *cell))
-        digests["metrics.json " + tag] = sha256(run_dir / "metrics.json")
-        checked.append(run("generate", *cell))
-        digests[name] = sha256(run_dir / name)
+
+def cells(twins):
+    digests, checked = {}, []
+    for name in expected:
+        if name.startswith("generated-"):
+            tag = name[len("generated-"):-len(".jsonl")]
+            mode, _, source = tag.partition("-")
+            cell = ["--mode", mode] + (["--label-source", source] if source else [])
+            for command in ("evaluate", "generate") if twins else ("generate", "evaluate"):
+                if not twins:
+                    for twin in (run_dir / "meta").glob("*.twin"):
+                        twin.unlink()
+                checked.append(run(command, *cell))
+            digests[name] = sha256(run_dir / name)
+            digests["metrics.json " + tag] = sha256(run_dir / "metrics.json")
+    return digests, checked
+
+passes = {"twin": cells(True)}
 kept = (run_dir / snapshot).stat().st_ino == written
 run("bootstrap")
-digests.update({name: sha256(run_dir / name) for name in ("taxonomy.json", "labels.jsonl")})
+labels = {name: sha256(run_dir / name) for name in ("taxonomy.json", "labels.jsonl")}
 twins = {path.name: sha256(path) for path in sorted((run_dir / "meta").glob("*.twin"))}
+passes["jsonl"] = cells(False)
 fresh = run_dir.parent / "fresh"
 run("bootstrap", "--workdir", str(fresh))
-print(json.dumps({"digests": digests, "numpy": "numpy" in sys.modules, "checked": checked,
-                  "snapshot_kept": kept, "twins_sha256": twins,
-                  "snapshot_sha256": sha256(fresh / snapshot)}))
+print(json.dumps({**{kind: {"digests": {**labels, **digests}, "checked": checked}
+                    for kind, (digests, checked) in passes.items()},
+                  "numpy": "numpy" in sys.modules, "snapshot_kept": kept,
+                  "twins_sha256": twins, "snapshot_sha256": sha256(fresh / snapshot)}))
 """
 
 
@@ -198,8 +211,15 @@ def test_numpy_free_golden_digests_hold_on_every_local_interpreter(synth_dir, tm
         )
         assert proc.returncode == 0, f"Python {version}: {proc.stderr}"
         results[version] = json.loads(proc.stdout)
-    expected = {"digests": _NUMPY_FREE, "numpy": False, "checked": [[]] * 6,
-                "snapshot_kept": True, "twins_sha256": twins, "snapshot_sha256": snapshot}
+    cells = [name for name in _NUMPY_FREE if name.startswith("generated-")]
+    # Without twins, generate decodes the labels of a cell that reads them,
+    # and evaluate the generated file.
+    decoded = [checked for name in cells
+               for checked in (["labels.jsonl"] if "-gt" in name else [], [name])]
+    expected = {"twin": {"digests": _NUMPY_FREE, "checked": [[]] * 2 * len(cells)},
+                "jsonl": {"digests": _NUMPY_FREE, "checked": decoded},
+                "numpy": False, "snapshot_kept": True, "twins_sha256": twins,
+                "snapshot_sha256": snapshot}
     assert results == {version: expected for version in interpreters}
 
 
