@@ -14,13 +14,14 @@ import hashlib
 import json
 import logging
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, Twin, load_twin, read_record_rows
+from .corpus import Corpus, ReportRecord, read_record_rows
 from .errors import DataError, LLMOutputError
 from .fileio import json_text, read_json
 from .gateway import (
@@ -536,7 +537,7 @@ def load_labels(
     faulty row is reported with its file and line, and each distinct vector
     is checked against the taxonomy once and shared by the records that
     carry it."""
-    items: list[AnnotatedItem] = []
+    rows: list[tuple[ReportRecord, tuple[int, ...]]] = []
     what = f"{kind} file {path}"
     k = len(taxonomy)
     vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -553,61 +554,20 @@ def load_labels(
             if fault:
                 raise DataError(f"{what} line {lineno}: record {rec.id!r} {fault}")
             shared = vectors[vector] = vector
-        items.append(AnnotatedItem(rec.id, rec.split, shared))
-    return MLCDataset(taxonomy=taxonomy, items=tuple(items))
+        rows.append((rec, shared))
+    return labels_dataset(taxonomy, rows)
 
 
-# A labels twin, of labels.jsonl or predictions.jsonl, is keyed by the
-# manifest and the taxonomy that `load_labels` checks the rows against, and
-# holds each row's record position in the manifest, each row's index into
-# the list of distinct vectors, and that list.
-_LABELS_TWIN = "reportguide labels twin 1"
-_LABELS_SECTIONS = ("position", "vector", "vectors")
-
-
-def _labels_twin_key(corpus: Corpus, taxonomy: LabelTaxonomy) -> str:
-    return (
-        f"{_LABELS_TWIN}, manifest {corpus.manifest_sha256}, "
-        f"taxonomy {taxonomy_fingerprint(taxonomy)}"
-    )
-
-
-def labels_twin(
-    corpus: Corpus, taxonomy: LabelTaxonomy, rows: list[tuple[str, tuple[int, ...]]]
-) -> Twin | None:
-    """The twin of a labels or predictions file whose lines are `rows`,
-    (record id, positives) in file order, each vector strictly ascending
-    within `taxonomy`, for `labels_from_twin` to rebuild them from; None for
-    no rows, which `load_labels` refuses, or a corpus read from no manifest,
-    whose positions no key could bind."""
-    if not rows or corpus.manifest_sha256 is None:
-        return None
-    distinct: dict[tuple[int, ...], int] = {}
-    values = {
-        "position": corpus.positions([rid for rid, _ in rows]),
-        "vector": [distinct.setdefault(vector, len(distinct)) for _, vector in rows],
-        "vectors": list(distinct),
-    }
-    return Twin(_labels_twin_key(corpus, taxonomy), values)
-
-
-def labels_from_twin(
-    twin: Path, path: str | Path, corpus: Corpus, taxonomy: LabelTaxonomy
-) -> MLCDataset | None:
-    """What `load_labels(path, corpus, taxonomy)` returns, rebuilt from the
-    twin file `twin` that `labels_twin` wrote, if it is current for the
-    bytes at `path`, `corpus` and `taxonomy`; else None. Nothing is decoded
-    from `path` or checked again."""
-    found = load_twin(twin, path, _labels_twin_key(corpus, taxonomy), _LABELS_SECTIONS)
-    if found is None:
-        return None
-    values = found[1]
-    records, vectors = corpus.records, values["vectors"]
-    items = [
-        AnnotatedItem(rec.id, rec.split, vectors[vector])
-        for rec, vector in zip(map(records.__getitem__, values["position"]), values["vector"])
-    ]
-    return MLCDataset(taxonomy=taxonomy, items=tuple(items))
+def labels_dataset(
+    taxonomy: LabelTaxonomy, rows: Iterable[tuple[ReportRecord, tuple[int, ...]]]
+) -> MLCDataset:
+    """The dataset of a labels or predictions file whose rows are `rows`,
+    (record, positives) in file order, each vector strictly ascending
+    within `taxonomy`, as `load_labels` checks them or a rows twin
+    (`corpus.rows_from_twin`) returns them: each item keeps its record's
+    id and split objects and the row's vector object."""
+    return MLCDataset(taxonomy, tuple(AnnotatedItem(rec.id, rec.split, positives)
+                                      for rec, positives in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ stage, and `_read` reads each with the artifact's one reader
 (`load_checkpoint` binds the checkpoint to the taxonomy, `load_generated`
 checks a whole generated file), so this module raises only configuration,
 missing-prerequisite and artifact-write errors. A stage that writes a
-labels, predictions or generated file leaves its twin (`twin_path`), and
-`_read` rebuilds such a file from a current twin instead of its reader.
+labels, predictions or generated file leaves its rows twin
+(`corpus.rows_twin`) at `twin_path`, keyed by what the file's reader checks
+it against (`_labels_key`, `_cell_key`), and `_read` rebuilds such a file
+from a current twin instead of its reader.
 
 A command exits 0 on success. Every failure is a `PipelineError`, logged
 under its `label` and exiting with its `exit_code`, as `errors` declares.
@@ -49,7 +51,16 @@ from typing import NamedTuple
 # imported inside the functions that run it, so a stage's process loads
 # only the code of that stage.
 from . import guidance as guidance_mod
-from .corpus import Corpus, Twin, load_features, load_manifest, save_snapshot, save_twin
+from .corpus import (
+    Corpus,
+    Twin,
+    load_features,
+    load_manifest,
+    rows_from_twin,
+    rows_twin,
+    save_snapshot,
+    save_twin,
+)
 from .errors import ConfigError, DataError, PipelineError, PrerequisiteError
 from .fileio import json_text, read_json, write_atomic
 from .schema import PipelineConfig, config_fingerprint, load_config
@@ -125,6 +136,20 @@ def twin_path(name: str) -> Path:
     return Path("meta") / f"{name}.twin"
 
 
+def _labels_key(taxonomy) -> str:
+    """The reader's part of the key of a labels or predictions file's rows
+    twin: the taxonomy that `load_labels` checks each vector against."""
+    from .bootstrap import taxonomy_fingerprint
+
+    return f"taxonomy {taxonomy_fingerprint(taxonomy)}"
+
+
+def _cell_key(mode: str, label_source: str, split: str) -> str:
+    """The reader's part of the key of a generated file's rows twin: the
+    cell that `load_generated` checks each row against."""
+    return f"cell {mode!r} {label_source!r} {split!r}"
+
+
 def _producer(name: str, config: PipelineConfig) -> str | None:
     """The stage that writes workdir file `name`; with ablation, generate
     writes every cell's file."""
@@ -178,8 +203,9 @@ def _read(
     labels are looked for, and after the predictions are, so a missing
     predictions file names `predict`; the checkpoint is found before, and
     checked after, the labels. A labels, predictions or generated file is
-    rebuilt from its twin when that is current; otherwise its reader decodes
-    and checks it, and its name is added to `checked`."""
+    rebuilt from the rows of its twin when that is current
+    (`corpus.rows_from_twin`); otherwise its reader decodes and checks it,
+    and its name is added to `checked`."""
     if name == "features":
         return load_features(config.paths.features, corpus)
     if name == "labels.jsonl":
@@ -191,29 +217,32 @@ def _read(
         )
     if name == "predictions.jsonl":
         _check_predictions(config)
-    twin = path.parent / twin_path(name)
-    if name in ("taxonomy.json", "labels.jsonl", "predictions.jsonl"):
-        from . import bootstrap as bootstrap_mod
+    if name == "taxonomy.json":
+        from .bootstrap import load_taxonomy
 
-        if name == "taxonomy.json":
-            return bootstrap_mod.load_taxonomy(path)
-        taxonomy = read("taxonomy.json")
-        found = bootstrap_mod.labels_from_twin(twin, path, corpus, taxonomy)
-        if found is None:
-            checked.append(name)
-            found = bootstrap_mod.load_labels(path, corpus, taxonomy, name.partition(".")[0])
-        return found
+        return load_taxonomy(path)
     if name == "checkpoint.json":
         from . import classifier as classifier_mod
 
         read("labels.jsonl")  # the labels are checked first
         return classifier_mod.load_checkpoint(path, read("taxonomy.json"))
-    cell = (*config.guidance.cell, config.guidance.split)
-    found = guidance_mod.generated_from_twin(twin, path, corpus, *cell)
-    if found is None:
+    # A twinned file: rebuilt from its twin's rows, or decoded and checked.
+    labels = name in ("labels.jsonl", "predictions.jsonl")
+    if labels:
+        from . import bootstrap as bootstrap_mod
+
+        taxonomy = read("taxonomy.json")
+        key = _labels_key(taxonomy)
+    else:
+        cell = (*config.guidance.cell, config.guidance.split)
+        key = _cell_key(*cell)
+    rows = rows_from_twin(path.parent / twin_path(name), path, corpus, key)
+    if rows is None:
         checked.append(name)
-        found = guidance_mod.load_generated(path, corpus, *cell)
-    return found
+        if labels:
+            return bootstrap_mod.load_labels(path, corpus, taxonomy, name.partition(".")[0])
+        return guidance_mod.load_generated(path, corpus, *cell)
+    return bootstrap_mod.labels_dataset(taxonomy, rows) if labels else list(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +266,13 @@ def _bootstrap(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> 
         len(dataset.items),
         len(dataset.skipped),
     )
-    rows = [(item.record_id, item.positives) for item in dataset.items]
+    ids = [item.record_id for item in dataset.items]
+    vectors = [item.positives for item in dataset.items]
     return {
         "taxonomy.json": (bootstrap_mod.taxonomy_to_json(dataset.taxonomy), None),
         "labels.jsonl": (
             bootstrap_mod.labels_to_jsonl(dataset),
-            bootstrap_mod.labels_twin(corpus, dataset.taxonomy, rows),
+            rows_twin(corpus, _labels_key(dataset.taxonomy), ids, vectors),
         ),
         "audit.json": (json_text(audit), None),
     }
@@ -259,7 +289,6 @@ def _train(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict
 def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> dict[str, Output]:
     """Predict every record of `guidance.split`, in id order, with the
     workdir's checkpoint, and score the predictions against its labels."""
-    from . import bootstrap as bootstrap_mod
     from . import classifier as classifier_mod
 
     features, params = read("features"), read("checkpoint.json")
@@ -280,8 +309,8 @@ def _predict(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> di
                     "probs": [float(p) for p in pred.probabilities]}) + "\n"
         for rid, pred in predictions.items()
     ]
-    rows = [(rid, pred.positives) for rid, pred in predictions.items()]
-    twin = bootstrap_mod.labels_twin(corpus, read("taxonomy.json"), rows)
+    key = _labels_key(read("taxonomy.json"))
+    twin = rows_twin(corpus, key, list(positives), list(positives.values()))
     return {
         "predictions.jsonl": ("".join(lines), twin),
         "mlc_metrics.json": (json_text(scores), None),
@@ -311,7 +340,8 @@ def _generate(config: PipelineConfig, corpus: Corpus, ablation: bool, read) -> d
         )
         outputs[guidance_mod.generated_filename(mode, source)] = (
             guidance_mod.generated_to_jsonl(rows),
-            guidance_mod.generated_twin(corpus, mode, source, g.split, rows),
+            rows_twin(corpus, _cell_key(mode, source, g.split), [row["id"] for row in rows],
+                      [row["report"] for row in rows]),
         )
     return outputs
 

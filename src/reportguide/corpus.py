@@ -15,9 +15,11 @@ was written from or read into, keyed by the sha256 of the file's bytes and
 by whatever else its reader checks it against; a reader given a current
 twin rebuilds its result from it instead of decoding the file again. The
 manifest's twin is its *snapshot*, one section per record field, from which
-`load_manifest` rebuilds the corpus from the sections a process keeps. The
-twins of the artifacts bound to the manifest name each record by its
-position in the manifest (`Corpus.positions`).
+`load_manifest` rebuilds the corpus from the sections a process keeps. An
+artifact holding one row per record (labels, predictions, a generated
+cell) has a *rows twin* (`rows_twin`, `rows_from_twin`): each row's record
+by its position in the manifest, and its value as an index into the list of
+the file's distinct values.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class Corpus:
         # (snapshot path, every record's report, every record's images) when
         # `load_manifest` was given a snapshot it could not use.
         self._unsaved: tuple[Path, list, list] | None = None
-        # Each id to its record's position, built on the first `positions`.
+        # Each id to its record's position, built by the first `rows_twin`.
         self._position: dict[str, int] | None = None
         self._index: dict[str, ReportRecord] = {}
         for rec in self.records:
@@ -136,13 +138,6 @@ class Corpus:
 
     def index(self) -> dict[str, ReportRecord]:
         return self._index
-
-    def positions(self, ids) -> list[int]:
-        """The position in the manifest of the record of each id in `ids`."""
-        if self._position is None:
-            self._position = {rid: i for i, rid in enumerate(self._index)}
-        position = self._position
-        return [position[rid] for rid in ids]
 
     def split(self, name: str) -> list[ReportRecord]:
         """The records of split `name`, one of SPLITS, in manifest order. A
@@ -353,6 +348,55 @@ def _unmarshalled(blob: bytes):
         else:
             value.extend(part)
     return value
+
+
+# A rows twin, of a file holding one row per record, is keyed by this layout,
+# the manifest, and the reader's own part: what else it checks the rows
+# against. It holds each row's record position in the manifest, each row's
+# index into the list of the file's distinct values, and that list.
+_ROWS_LAYOUT = "reportguide rows twin 1"
+_ROWS_SECTIONS = ("position", "value", "values")
+
+
+def _rows_key(corpus: Corpus, key: str) -> str:
+    return f"{_ROWS_LAYOUT}, manifest {corpus.manifest_sha256}, {key}"
+
+
+def rows_twin(corpus: Corpus, key: str, ids: list[str], values: list) -> Twin | None:
+    """The twin of a file whose rows, in file order, name the records `ids`
+    of `corpus` and carry `values`, each a checked marshallable value, for
+    `rows_from_twin(twin, path, corpus, key)` to rebuild them from; None for
+    no rows, which every reader refuses, or a corpus read from no manifest,
+    whose positions no key could bind."""
+    if not ids or corpus.manifest_sha256 is None:
+        return None
+    if corpus._position is None:
+        corpus._position = {rid: i for i, rid in enumerate(corpus.index())}
+    position, distinct = corpus._position, {}
+    return Twin(_rows_key(corpus, key), {
+        "position": [position[rid] for rid in ids],
+        "value": [distinct.setdefault(value, len(distinct)) for value in values],
+        "values": list(distinct),
+    })
+
+
+def rows_from_twin(
+    twin: Path, path: str | Path, corpus: Corpus, key: str
+) -> Iterator[tuple[ReportRecord, object]] | None:
+    """The (record of `corpus`, value) of each row, in file order, that
+    `rows_twin(corpus, key, ...)` gave for the file at `path`, rebuilt from
+    the twin file `twin` if it is current for the bytes at `path`, `corpus`
+    and `key`; else None. Equal values are one shared object. Nothing is
+    decoded from `path` or checked again. The rows are made as they are
+    iterated, so a caller that builds its own result holds no list of them."""
+    found = load_twin(twin, path, _rows_key(corpus, key), _ROWS_SECTIONS)
+    if found is None:
+        return None
+    sections = found[1]
+    return zip(
+        map(corpus.records.__getitem__, sections["position"]),
+        map(sections["values"].__getitem__, sections["value"]),
+    )
 
 
 def read_record_rows(

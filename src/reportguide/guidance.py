@@ -16,7 +16,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .corpus import Corpus, ReportRecord, Twin, load_twin, read_record_rows
+from .corpus import Corpus, ReportRecord, read_record_rows
 from .errors import DataError, GatewayError
 from .fileio import lone_surrogate
 from .gateway import ChatRequest, complete
@@ -271,47 +271,3 @@ def load_generated(
             f"of split {split!r}, first {', '.join(map(repr, missing[:3]))}"
         )
     return rows
-
-
-# A generated twin is keyed by the manifest and the cell that
-# `load_generated` checks the rows against, and holds each row's record
-# position in the manifest and its report.
-_GENERATED_TWIN = "reportguide generated twin 1"
-
-
-def _generated_twin_key(corpus: Corpus, mode: str, label_source: str, split: str) -> str:
-    return (
-        f"{_GENERATED_TWIN}, manifest {corpus.manifest_sha256}, "
-        f"cell {mode!r} {label_source!r} {split!r}"
-    )
-
-
-def generated_twin(
-    corpus: Corpus, mode: str, label_source: str, split: str, rows: list[dict]
-) -> Twin | None:
-    """The twin of the generated file of the (mode, label source) cell over
-    `split` whose rows, as `run_generation` returns them, are `rows`, for
-    `generated_from_twin` to rebuild them from; None for a corpus read from
-    no manifest, whose positions no key could bind."""
-    if corpus.manifest_sha256 is None:
-        return None
-    values = {
-        "position": corpus.positions([row["id"] for row in rows]),
-        "report": [row["report"] for row in rows],
-    }
-    return Twin(_generated_twin_key(corpus, mode, label_source, split), values)
-
-
-def generated_from_twin(
-    twin: Path, path: str | Path, corpus: Corpus, mode: str, label_source: str, split: str
-) -> list[tuple[ReportRecord, str]] | None:
-    """What `load_generated(path, corpus, mode, label_source, split)`
-    returns, rebuilt from the twin file `twin` that `generated_twin` wrote,
-    if it is current for the bytes at `path`, `corpus` and the cell; else
-    None. Nothing is decoded from `path` or checked again."""
-    key = _generated_twin_key(corpus, mode, label_source, split)
-    found = load_twin(twin, path, key, ("position", "report"))
-    if found is None:
-        return None
-    values = found[1]
-    return list(zip(map(corpus.records.__getitem__, values["position"]), values["report"]))

@@ -2060,6 +2060,28 @@ def _replace_the_manifest(workdir, plain):
     _reverse_lines(workdir.parent / "data" / "manifest.jsonl")
 
 
+def _rewrite_twins_in_the_first_layouts(workdir, plain):
+    """Each twin as the first layouts held it, current for its artifact: a
+    labels layout (positions, vector indices, distinct vectors) and a
+    generated layout (positions, every report), each keyed as now but for
+    its layout string."""
+    for path in _twins(workdir):
+        artifact = workdir / path.name[: -len(".twin")]
+        key = sections_footer(path.read_bytes())[0]["key"].rsplit(", sha256 ", 1)[0]
+        _, values = corpus_mod.load_twin(path, artifact, key, ("position", "value", "values"))
+        parts = key.partition(", ")[2]  # "manifest <sha256>, <the reader's part>"
+        if ", taxonomy " in parts:
+            key = f"reportguide labels twin 1, {parts}"
+            values = {"position": values["position"], "vector": values["value"],
+                      "vectors": values["values"]}
+        else:
+            key = f"reportguide generated twin 1, {parts}"
+            values = {"position": values["position"],
+                      "report": [values["values"][i] for i in values["value"]]}
+        sha256 = hashlib.sha256(artifact.read_bytes()).hexdigest()
+        assert corpus_mod.save_twin(path, key, sha256, values)
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -2073,14 +2095,18 @@ def _replace_the_manifest(workdir, plain):
         _replace_twin(lambda path: os.symlink(path.name, path)),  # ELOOP: no one reads it
         _drop_the_last_label,
         _replace_the_manifest,
+        _rewrite_twins_in_the_first_layouts,
     ],
     ids=["missing", "stale", "truncated", "section-digest-wrong", "footer-not-json",
-         "directory", "fifo", "unreadable", "taxonomy-rewritten", "manifest-replaced"],
+         "directory", "fifo", "unreadable", "taxonomy-rewritten", "manifest-replaced",
+         "first-layouts"],
 )
 def test_a_twin_that_is_not_current_is_read_as_none(mini, caplog, tamper):
     """Each reader of a twinned artifact, given a twin that is not current
     for it, exits as it does with no twin, with the same messages, and
-    leaves the same artifacts."""
+    leaves the same artifacts; each run's `checked` names each file it
+    decoded once. The five evaluate cells run first too, on the cells'
+    twins as tampered, since generate then writes new ones."""
     assert main(["pipeline", "--config", mini["config"]]) == 0
     assert main(["generate", "--config", mini["config"], "--ablation", "--force"]) == 0
     plain = mini["tmp"] / "plain"
@@ -2088,19 +2114,33 @@ def test_a_twin_that_is_not_current_is_read_as_none(mini, caplog, tamper):
     for path in _twins(plain):
         path.unlink()
     tamper(mini["workdir"], plain)
-    runs = {}
+    runs, checks = {}, {}
     for workdir in (mini["workdir"], plain):
         caplog.clear()
-        codes = []
-        for command in _TWIN_READERS:
+        codes, checked = [], []
+        for command in _TWIN_READERS[3:] + _TWIN_READERS:
             args = [*command, "--config", mini["config"], "--workdir", str(workdir), "--force"]
             codes.append(main(args))
             if codes[-1]:
                 break
+            meta = workdir / "meta" / f"{command[0]}.json"
+            checked.append(json.loads(meta.read_text(encoding="utf-8"))["checked"])
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         runs[workdir] = (codes, [e.replace(str(workdir), "<workdir>") for e in errors])
+        checks[workdir] = checked
+        assert all(len(set(names)) == len(names) for names in checked), checked
     assert runs[mini["workdir"]] == runs[plain]
     assert _outputs(mini["workdir"]) == _outputs(plain)
+    # Each file whose twin is read as none is decoded and checked, as with
+    # no twin; a rewritten taxonomy leaves the cells' twins current.
+    if tamper is not _drop_the_last_label:
+        assert checks[mini["workdir"]] == checks[plain]
+    # Predict and generate replaced each twin they write that is a file;
+    # bootstrap, which writes the labels', did not run.
+    for path in _twins(mini["workdir"]):
+        if path.is_file() and path.name != "labels.jsonl.twin":
+            key = sections_footer(path.read_bytes())[0]["key"]
+            assert key.startswith("reportguide rows twin 1, "), key
 
 
 def test_no_stage_decodes_an_artifact_that_its_writer_twinned(synth_dir, tmp_path, monkeypatch):

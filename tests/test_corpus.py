@@ -26,9 +26,8 @@ from reportguide.bootstrap import (
     LabelTaxonomy,
     MLCDataset,
     bootstrap_dataset,
-    labels_from_twin,
+    labels_dataset,
     labels_to_jsonl,
-    labels_twin,
     load_labels,
 )
 from reportguide.classifier import predict_records, train
@@ -44,6 +43,8 @@ from reportguide.corpus import (
     load_twin,
     manifest_to_jsonl,
     read_record_rows,
+    rows_from_twin,
+    rows_twin,
     save_features,
     save_manifest,
     save_snapshot,
@@ -52,9 +53,7 @@ from reportguide.corpus import (
 from reportguide.errors import DataError
 from reportguide.guidance import (
     ABLATION_MODES,
-    generated_from_twin,
     generated_to_jsonl,
-    generated_twin,
     load_generated,
 )
 from reportguide.schema import BootstrapConfig, TrainConfig
@@ -498,13 +497,15 @@ def test_a_twin_rebuilds_what_the_checked_readers_return(tmp_path_factory, rows,
                                + "\n" for rid, v in label_rows),
     }
     index = corpus.index()
+    key = f"taxonomy {k}"
+    ids, vectors = [rid for rid, _ in label_rows], [v for _, v in label_rows]
     for kind, text in texts.items():
         labels = tmp / f"{kind}.jsonl"
         labels.write_text(text, encoding="utf-8")
-        twin = _write_twin_of(labels, labels_twin(written, taxonomy, label_rows), tmp)
+        twin = _write_twin_of(labels, rows_twin(written, key, ids, vectors), tmp)
         checked = load_labels(labels, corpus, taxonomy, kind)
         with mock.patch.object(corpus_mod, "read_jsonl", side_effect=AssertionError("decoded")):
-            rebuilt = labels_from_twin(twin, labels, corpus, taxonomy)
+            rebuilt = labels_dataset(taxonomy, rows_from_twin(twin, labels, corpus, key))
         assert rebuilt == checked
         assert all(item.record_id is index[item.record_id].id for item in rebuilt.items)
         assert all(item.split is index[item.record_id].split for item in rebuilt.items)
@@ -514,28 +515,43 @@ def test_a_twin_rebuilds_what_the_checked_readers_return(tmp_path_factory, rows,
             assert len({id(item.positives) for item in items}) == len(distinct)
     split = data.draw(st.sampled_from(sorted({rec.split for rec in corpus})))
     mode, source = data.draw(st.sampled_from(ABLATION_MODES))
+    records = data.draw(st.permutations(written.split(split)))
+    # Every report distinct, or every report the same text.
+    if data.draw(st.booleans()):
+        reports = data.draw(st.lists(_MANIFEST_TEXT, min_size=len(records),
+                                     max_size=len(records), unique=True))
+    else:
+        reports = [data.draw(_MANIFEST_TEXT)] * len(records)
     generated_rows = [
         {"id": rec.id, "mode": mode, "label_source": source, "prompt": data.draw(_MANIFEST_TEXT),
-         "report": data.draw(_MANIFEST_TEXT)}
-        for rec in data.draw(st.permutations(written.split(split)))
+         "report": report}
+        for rec, report in zip(records, reports)
     ]
     generated = tmp / "generated.jsonl"
     generated.write_text(generated_to_jsonl(generated_rows), encoding="utf-8")
-    twin = _write_twin_of(
-        generated, generated_twin(written, mode, source, split, generated_rows), tmp
-    )
+    key = f"cell {mode} {source} {split}"
+    twin = _write_twin_of(generated, rows_twin(written, key, [rec.id for rec in records], reports),
+                          tmp)
     checked = load_generated(generated, corpus, mode, source, split)
     with mock.patch.object(corpus_mod, "read_jsonl", side_effect=AssertionError("decoded")):
-        rebuilt = generated_from_twin(twin, generated, corpus, mode, source, split)
+        rebuilt = list(rows_from_twin(twin, generated, corpus, key))
     assert rebuilt == checked
     assert all(rec is index[rec.id] for rec, _ in rebuilt)
+    assert len({id(report) for _, report in rebuilt}) == len(set(reports))
+    # A twin is current only for the key it was written for.
+    assert rows_from_twin(twin, generated, corpus, f"cell {mode} {source} other") is None
 
 
-def test_no_twin_binds_a_corpus_read_from_no_manifest():
+def test_no_twin_binds_a_corpus_read_from_no_manifest(tmp_path):
     corpus = Corpus(records=[ReportRecord("a", "test", "ref")])
-    taxonomy = LabelTaxonomy(labels=(LabelEntry(0, "finding"),))
-    assert labels_twin(corpus, taxonomy, [("a", (0,))]) is None
-    assert generated_twin(corpus, "image_only", "none", "test", [{"id": "a", "report": "x"}]) is None
+    assert rows_twin(corpus, "key", ["a"], [(0,)]) is None
+    path = tmp_path / "manifest.jsonl"
+    save_manifest(corpus, path)
+    corpus = load_manifest(path)
+    assert rows_twin(corpus, "key", [], []) is None
+    assert rows_twin(corpus, "key", ["a"], [(0,)]).values == {
+        "position": [0], "value": [0], "values": [(0,)]
+    }
 
 
 def test_save_twin_holds_one_marshalled_slice_at_a_time(tmp_path):
@@ -856,12 +872,13 @@ def test_a_train_process_holds_no_report_text_or_image_list(synth, tmp_path):
     labels = tmp_path / "labels.jsonl"
     labels.write_text(labels_to_jsonl(MLCDataset(taxonomy, tuple(
         AnnotatedItem(rid, "train", vector) for rid, vector in rows))), encoding="utf-8")
-    twin = _write_twin_of(labels, labels_twin(corpus, taxonomy, rows), tmp_path)
+    ids, vectors = [rid for rid, _ in rows], [vector for _, vector in rows]
+    twin = _write_twin_of(labels, rows_twin(corpus, "taxonomy", ids, vectors), tmp_path)
     # Each read runs once untraced first, so that neither is charged for
     # what a first call caches for the process. What the two reads hold
     # then differs only by a few small objects that free lists keep, which
     # do not grow with the rows: 1 KiB allows for them.
     reads = [lambda: load_labels(labels, corpus, taxonomy),
-             lambda: labels_from_twin(twin, labels, corpus, taxonomy)]
+             lambda: labels_dataset(taxonomy, rows_from_twin(twin, labels, corpus, "taxonomy"))]
     (checked, dataset), (rebuilt, twin_dataset) = [(read(), _held_by(read))[1] for read in reads]
     assert twin_dataset == dataset and rebuilt <= checked + 1024, (rebuilt, checked)

@@ -27,8 +27,10 @@ CJK class, which takes milliseconds to compile.
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,11 +147,33 @@ def test_only_main_imports_cli():
     assert offenders == []
 
 
+def _library_use() -> str:
+    """README's "Library use" section."""
+    readme = (_SRC.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _library_use_imports() -> list[str]:
     """The import lines of README's "Library use" example."""
-    readme = (_SRC.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    block = _library_use().split("```python\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith(("from ", "import "))]
+
+
+def test_the_readme_library_use_names_only_what_the_package_holds():
+    """The example's imports run, and each backticked call in the section's
+    prose, such as `load_manifest(path)`, names an attribute of a package
+    module or a method of one of its classes."""
+    exec("\n".join(_library_use_imports()), {})
+    held = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__main__":  # running it runs the CLI
+            attributes = vars(importlib.import_module(f"reportguide.{path.stem}"))
+            held.update(attributes)
+            held.update(name for value in attributes.values() if isinstance(value, type)
+                        and value.__module__.startswith("reportguide.") for name in dir(value))
+    called = set(re.findall(r"`(?:\w+\.)*(\w+)\(", _library_use()))
+    assert "load_manifest" in called
+    assert sorted(called - held) == []
 
 
 def test_the_readme_library_imports_load_no_cli():
