@@ -15,7 +15,6 @@ import json
 import logging
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -46,23 +45,23 @@ def _prompt_text(name: str) -> str:
     return resources.files("reportguide.prompts").joinpath(name).read_text(encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class LabelEntry:
+class LabelEntry(NamedTuple):
     index: int
     name: str
     aliases: tuple[str, ...] = ()
     count: int = 0
 
 
-@dataclass(frozen=True)
 class LabelTaxonomy:
-    """Ordered label vocabulary with merge provenance and training counts."""
+    """Ordered label vocabulary with merge provenance and training counts.
+    Two taxonomies are equal when their labels, merge rounds and params are."""
 
-    labels: tuple[LabelEntry, ...]
-    merge_rounds: int = 0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(
+        self, labels: tuple[LabelEntry, ...], merge_rounds: int = 0, params: dict | None = None
+    ):
+        self.labels = labels
+        self.merge_rounds = merge_rounds
+        self.params = {} if params is None else params
         for i, entry in enumerate(self.labels):
             if entry.index != i:
                 raise DataError(
@@ -71,6 +70,13 @@ class LabelTaxonomy:
         keys = [match_key(e.name) for e in self.labels]
         if len(set(keys)) != len(keys):
             raise DataError("taxonomy contains duplicate label names")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.merge_rounds, self.params) == (
+            other.labels, other.merge_rounds, other.params
+        )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -119,8 +125,7 @@ def _vector_fault(positives: tuple[int, ...], k: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class MLCDataset:
+class MLCDataset(NamedTuple):
     """Taxonomy plus one positive-index vector per annotated record, each
     strictly ascending and within the taxonomy: `load_labels` checks every
     vector it reads, and `bootstrap_dataset` builds each as a projection of

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,18 +28,25 @@ from .schema import TrainConfig, check_values
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
 class ClassifierParams:
     """Trained head: float64 weights (k x d), bias (k), and the training
     metadata needed to reproduce the logit shift: each label's frequency,
     strictly inside (0, 1), and tau. `train` builds them so and
     `load_checkpoint` checks them; a library caller passes them so."""
 
-    weights: np.ndarray
-    bias: np.ndarray
-    frequencies: np.ndarray
-    tau: float
-    taxonomy_hash: str
+    def __init__(
+        self,
+        weights: np.ndarray,
+        bias: np.ndarray,
+        frequencies: np.ndarray,
+        tau: float,
+        taxonomy_hash: str,
+    ):
+        self.weights = weights
+        self.bias = bias
+        self.frequencies = frequencies
+        self.tau = tau
+        self.taxonomy_hash = taxonomy_hash
 
     @property
     def k(self) -> int:

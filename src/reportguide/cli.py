@@ -41,7 +41,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -63,7 +62,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError, PipelineError, PrerequisiteError
 from .fileio import json_text, read_json, write_atomic
-from .schema import PipelineConfig, config_fingerprint, load_config
+from .schema import PipelineConfig, as_dict, config_fingerprint, load_config
 
 logger = logging.getLogger(__name__)
 
@@ -442,7 +441,7 @@ def run_stage(stage: Stage, config: PipelineConfig, corpus: Corpus, ablation: bo
     meta = {
         "command": stage.name,
         "config_sha256": config_fingerprint(config),
-        "config": asdict(config),
+        "config": as_dict(config),
         "inputs": made_from,
         "checked": checked,
         "corpus": lineage,

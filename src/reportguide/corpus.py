@@ -29,7 +29,6 @@ import os
 import struct
 import sys
 from collections.abc import Collection, Iterator
-from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -45,11 +44,11 @@ from .fileio import (
     write_atomic,
     write_sections,
 )
+from .schema import SPLITS
 
 if TYPE_CHECKING:
     import numpy as np
 
-SPLITS = ("train", "val", "test")
 # Each split name to its SPLITS object, so every record shares one of three.
 _SPLIT_OBJECT = {name: name for name in SPLITS}
 
@@ -80,55 +79,82 @@ class ImageRef(NamedTuple):
     modality: str = ""
 
 
-@dataclass(slots=True)
 class ReportRecord:
     """One study: a unique id, a split, the reference report, its images.
 
     A record that `load_manifest` read for a stage holds None in each of
     `report` and `images` that no stage of the command reads."""
 
-    id: str
-    split: str
-    report: str
-    images: tuple[ImageRef, ...] = ()
+    __slots__ = ("id", "split", "report", "images")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, split: str, report: str, images: tuple[ImageRef, ...] = ()):
+        if not id:
             raise DataError("record id must be non-empty")
         # The type is checked first: a dict lookup of a list raises TypeError.
-        split = _SPLIT_OBJECT.get(self.split) if isinstance(self.split, str) else None
-        if split is None:
-            raise DataError(
-                f"record {self.id!r}: split must be one of {SPLITS}, got {self.split!r}"
-            )
-        self.split = split
-        if not self.report:
-            raise DataError(f"record {self.id!r}: report text must be non-empty")
+        split_object = _SPLIT_OBJECT.get(split) if isinstance(split, str) else None
+        if split_object is None:
+            raise DataError(f"record {id!r}: split must be one of {SPLITS}, got {split!r}")
+        if not report:
+            raise DataError(f"record {id!r}: report text must be non-empty")
+        self.id, self.split, self.report, self.images = id, split_object, report, images
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.split, self.report, self.images) == (
+            other.id, other.split, other.report, other.images
+        )
+
+    def __repr__(self) -> str:
+        return (f"ReportRecord(id={self.id!r}, split={self.split!r}, report={self.report!r}, "
+                f"images={self.images!r})")
 
 
-@dataclass
 class Corpus:
     """Ordered collection of records with unique ids, the manifest they were
     read from, which errors name, and the sha256 of its bytes; `decoded`
     when `load_manifest` decoded and checked them from the JSONL rather than
-    a snapshot."""
+    a snapshot. Two corpora are equal when their records, manifest and
+    sha256 are."""
 
-    records: list[ReportRecord] = field(default_factory=list)
-    manifest: str = "(in memory)"
-    manifest_sha256: str | None = None
-    decoded: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(
+        self, records: list[ReportRecord] | None = None, manifest: str = "(in memory)",
+        manifest_sha256: str | None = None, decoded: bool = False,
+    ):
+        self.records = [] if records is None else records
+        self.manifest, self.manifest_sha256, self.decoded = manifest, manifest_sha256, decoded
         # (snapshot path, every record's report, every record's images) when
         # `load_manifest` was given a snapshot it could not use.
         self._unsaved: tuple[Path, list, list] | None = None
         # Each id to its record's position, built by the first `rows_twin`.
         self._position: dict[str, int] | None = None
-        self._index: dict[str, ReportRecord] = {}
+        # Each id to its record; None until first use in a `from_checked` corpus.
+        self._index: dict[str, ReportRecord] | None = {}
         for rec in self.records:
             if rec.id in self._index:
                 raise DataError(f"duplicate record id {rec.id!r}")
             self._index[rec.id] = rec
+
+    @classmethod
+    def from_checked(
+        cls, records: list[ReportRecord], manifest: str, manifest_sha256: str, decoded: bool
+    ) -> Corpus:
+        """The corpus of `records`, whose ids are known unique: checked line
+        by line as `load_manifest` decoded them, or read from the snapshot
+        of a manifest so checked. It is built without checking them again,
+        and its index is built on first use."""
+        corpus = cls.__new__(cls)
+        corpus.records, corpus.manifest = records, manifest
+        corpus.manifest_sha256, corpus.decoded = manifest_sha256, decoded
+        corpus._unsaved = corpus._position = corpus._index = None
+        return corpus
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.records, self.manifest, self.manifest_sha256) == (
+            other.records, other.manifest, other.manifest_sha256
+        )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -137,6 +163,8 @@ class Corpus:
         return iter(self.records)
 
     def index(self) -> dict[str, ReportRecord]:
+        if self._index is None:
+            self._index = {rec.id: rec for rec in self.records}
         return self._index
 
     def split(self, name: str) -> list[ReportRecord]:
@@ -206,9 +234,7 @@ def load_manifest(
         found = load_twin(Path(snapshot), path, _SNAPSHOT_LAYOUT, ["id", "split", *kept])
         if found is not None:
             digest, columns = found
-            return Corpus(
-                records=_snapshot_records(columns), manifest=str(path), manifest_sha256=digest
-            )
+            return Corpus.from_checked(_snapshot_records(columns), str(path), digest, decoded=False)
     digest = hashlib.sha256()
     drop = [name for name in ("report", "images") if name not in kept]
     unsaved = snapshot is not None and "report" in kept
@@ -229,9 +255,7 @@ def load_manifest(
         records.append(rec)
     if not records:
         raise DataError(f"manifest {path} has no records")
-    corpus = Corpus(
-        records=records, manifest=str(path), manifest_sha256=digest.hexdigest(), decoded=True
-    )
+    corpus = Corpus.from_checked(records, str(path), digest.hexdigest(), decoded=True)
     if unsaved:
         corpus._unsaved = (Path(snapshot), reports, images)
     return corpus
@@ -456,22 +480,24 @@ def save_manifest(corpus: Corpus, path: str | Path) -> None:
     write_atomic(path, manifest_to_jsonl(corpus))
 
 
-@dataclass
 class FeatureMatrix:
     """Dense float32 feature rows plus the record id owning each row, and
     the sha256 of the feature file they were read from.
 
     `source` names where the row ids came from in a duplicate-id error."""
 
-    values: np.ndarray
-    row_ids: list[str]
-    source: InitVar[str] = "the feature matrix"
-    sha256: str | None = None
-
-    def __post_init__(self, source: str):
+    def __init__(
+        self,
+        values: np.ndarray,
+        row_ids: list[str],
+        source: str = "the feature matrix",
+        sha256: str | None = None,
+    ):
         import numpy as np
 
-        self.values = np.asarray(self.values, dtype=np.float32)
+        self.values = np.asarray(values, dtype=np.float32)
+        self.row_ids = row_ids
+        self.sha256 = sha256
         if self.values.ndim != 2:
             raise DataError(
                 f"feature matrix must be 2-D, got shape {self.values.shape}"

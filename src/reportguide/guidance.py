@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Corpus, ReportRecord, read_record_rows
 from .errors import DataError, GatewayError
@@ -40,8 +39,7 @@ _NO_FINDINGS_TEMPLATE = (
 _IMAGE_ONLY_TEMPLATE = "Based on the image, generate a detailed diagnostic report."
 
 
-@dataclass(frozen=True)
-class GuidancePrompt:
+class GuidancePrompt(NamedTuple):
     label_source: str  # "gt", "pred", or "none" for image_only
     label_names: tuple[str, ...]
     text: str

@@ -21,7 +21,6 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError, DataError, LLMOutputError
@@ -75,14 +74,16 @@ def ngram_counts(tokens: list[str], n: int) -> Counter:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False, slots=True)
 class _Text:
     """One distinct text of a scoring call: its tokens and the number of
     slots of the two columns that carry it. Hashed by identity."""
 
-    tokens: tuple[str, ...]
-    uses: int = 0
-    kept: list[Counter] | None = None
+    __slots__ = ("tokens", "uses", "kept")
+
+    def __init__(self, tokens: tuple[str, ...]):
+        self.tokens = tokens
+        self.uses = 0
+        self.kept: list[Counter] | None = None
 
     def grams(self) -> list[Counter]:
         """The n-gram counts of orders 1..MAX_N. A text that more than one

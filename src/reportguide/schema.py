@@ -2,17 +2,19 @@
 from the config file and the `--set` overrides, and the rules that check
 them. Library modules import their sections from here, never from `cli`.
 
-A field declares its type in the annotation, read as written and never
-evaluated: with `from __future__ import annotations`, a checked field's
-annotation is the string "int", "float", "str" or "list[str]". Its bounds
-are declared in `field(metadata=...)`: inclusive `low` and `high`, an
+A section is an immutable plain class whose constructor takes its fields,
+with their defaults, in the order `_fields` lists them. One table, `FIELDS`,
+declares every leaf field by its dotted key: its type ("int", "float",
+"str" or "list[str]") and its bounds: inclusive `low` and `high`, an
 exclusive lower bound `above`, or the `choices` of a str field or of each
-element of a list[str] one, which names each element once. `check_fields`
-checks both as a section is built, so a bad value is a ConfigError naming
-its field, and echoing the value cut short, when the config loads; only
-rules relating two fields are hand-written after it, and a section with
-none inherits `ConfigSection`'s `__post_init__`. `check_values` holds a
-mapping, such as the settings an artifact records, to a declaration."""
+element of a list[str] one, which names each element once. A section
+checks each leaf field against its declaration as it is built
+(`ConfigSection._set`), so a bad value is a ConfigError naming its field,
+and echoing the value cut short, when the config loads; only rules relating
+two fields are hand-written after it. `check_values` holds a mapping, such
+as the settings an artifact records, to a declaration. `as_dict` gives the
+nested dict of a config that `meta/<stage>.json` records and
+`config_fingerprint` hashes."""
 
 from __future__ import annotations
 
@@ -21,11 +23,9 @@ import json
 import math
 import operator
 import reprlib
-from dataclasses import InitVar, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .corpus import SPLITS
 from .errors import ConfigError, PipelineError
 from .fileio import lone_surrogate, read_json
 
@@ -112,53 +112,146 @@ def _check(name: str, value, check, bounds):
     return value
 
 
-def check_fields(obj) -> None:
-    """Check every int, float, str and list-of-str field of a dataclass
-    against its declared type and bounds.
+# The record splits of a manifest; `corpus` reads them from here.
+SPLITS = ("train", "val", "test")
+MODES = ("image_only", "label_only", "image_and_label")
+LABEL_SOURCES = ("gt", "pred")
+# The metrics `evaluate` can score, in `metrics.json` order; `metrics` reads
+# them from here.
+METRIC_NAMES = ("bleu", "rouge_l", "cider_d", "meteor_simple", "entity_f1")
 
-    An int field rejects bools and non-integral numbers; a float field takes
-    an int and rejects NaN and infinities. Accepted values are normalized in
-    place (2.0 -> 2 for an int, 1 -> 1.0 for a float), so equal settings
-    always fingerprint alike. Fields of other types are left to the caller.
-    """
-    for name, (check, bounds) in _checks_for(type(obj)).items():
-        object.__setattr__(obj, name, _check(name, getattr(obj, name), check, bounds))
+# Every leaf field of the config, section by section in constructor order:
+# its type and its bounds.
+FIELDS = {
+    "paths.manifest": ("str", {}),
+    "paths.features": ("str", {}),
+    "paths.workdir": ("str", {}),
+    "bootstrap.b": ("int", {"low": 1}),
+    "bootstrap.kappa": ("int", {"low": 1}),
+    "bootstrap.theta": ("int", {"low": 0}),
+    "gateway.backend": ("str", {"choices": ("mock", "http")}),
+    "gateway.endpoint": ("str", {}),
+    "gateway.model": ("str", {}),
+    "gateway.api_key_env": ("str", {}),
+    "gateway.max_retries": ("int", {"low": 0}),
+    "gateway.parallelism": ("int", {"low": 1}),
+    "gateway.requests_per_minute": ("int", {"low": 1}),
+    "train.learning_rate": ("float", {"above": 0}),
+    "train.epochs": ("int", {"low": 1}),
+    "train.batch_size": ("int", {"low": 1}),
+    "train.seed": ("int", {"low": 0}),
+    "train.tau": ("float", {"low": 0}),
+    "train.adjustment": ("str", {"choices": ("on", "off")}),
+    "guidance.mode": ("str", {"choices": MODES}),
+    "guidance.label_source": ("str", {"choices": LABEL_SOURCES}),
+    "guidance.threshold": ("float", {"low": 0, "high": 1}),
+    "guidance.split": ("str", {"choices": SPLITS}),
+    "guidance.generator.backend": ("str", {"choices": ("mock", "command", "http")}),
+    "guidance.generator.command": ("str", {}),
+    "guidance.generator.endpoint": ("str", {}),
+    "guidance.generator.model": ("str", {}),
+    "metrics.enabled": ("list[str]", {"choices": METRIC_NAMES}),
+}
 
 
 class ConfigSection:
-    """Base of the config sections with no cross-field rule."""
+    """Base of the config sections: immutable, equal to a section of its
+    class whose fields are equal, and hashed by its fields. A section names
+    its dotted key in `_key` ("" for the whole config) and its fields, in
+    constructor order, in `_fields`; its constructor hands its arguments to
+    `_set`."""
 
-    def __post_init__(self):
-        check_fields(self)
+    __slots__ = ()
+    _key = ""
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Each leaf field to its (check, bounds); a subsection field has none.
+        cls._checks = {}
+        for name in cls._fields:
+            declared = FIELDS.get(f"{cls._key}.{name}")
+            if declared is not None:
+                cls._checks[name] = (_CHECKS[declared[0]], declared[1])
+
+    def _set(self, values: dict) -> None:
+        """Set each field to its value in `values`, a leaf field once it has
+        passed its check. An int field rejects bools and non-integral
+        numbers; a float field takes an int and rejects NaN and infinities.
+        Accepted values are normalized (2.0 -> 2 for an int, 1 -> 1.0 for a
+        float), so equal settings always fingerprint alike."""
+        for name in self._fields:
+            value = values[name]
+            if name in self._checks:
+                value = _check(name, value, *self._checks[name])
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        """A new section of this class with the fields `changes` names set
+        to its values and the others kept, built and checked as any section
+        is; an init-only argument that `changes` does not name takes its
+        default."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+
+def as_dict(section: ConfigSection) -> dict:
+    """Each field of `section` by name, in order, a subsection as a dict of
+    its own and a list copied: what `meta/<stage>.json` records as `config`
+    and `config_fingerprint` hashes."""
+    doc = {}
+    for name in section._fields:
+        value = getattr(section, name)
+        if isinstance(value, ConfigSection):
+            value = as_dict(value)
+        elif isinstance(value, list):
+            value = list(value)
+        doc[name] = value
+    return doc
 
 
 def check_values(cls, values: dict, error: type[PipelineError], prefix: str) -> None:
     """Check each value of `values` against the declaration of the field of
-    `cls` its key names, as `check_fields` would, normalizing nothing. A bad
-    value, or a key that names no such field, raises `error` with a message
-    that starts with `prefix`."""
-    checks = _checks_for(cls)
+    section class `cls` its key names, as building the section would,
+    normalizing nothing. A bad value, or a key that names no such field,
+    raises `error` with a message that starts with `prefix`."""
     for name, value in values.items():
-        if name not in checks:
+        if name not in cls._checks:
             raise error(f"{prefix}{name} is not a field of {cls.__name__}")
         try:
-            _check(name, value, *checks[name])
+            _check(name, value, *cls._checks[name])
         except ConfigError as exc:
             raise error(f"{prefix}{exc}") from exc
 
 
-def _checks_for(cls) -> dict:
-    return {f.name: (_CHECKS[f.type], f.metadata) for f in fields(cls) if f.type in _CHECKS}
-
-
-@dataclass(frozen=True)
 class PathsConfig(ConfigSection):
-    manifest: str = ""
-    features: str = ""
-    workdir: str = ""
+    _key = "paths"
+    __slots__ = _fields = ("manifest", "features", "workdir")
+
+    def __init__(self, manifest: str = "", features: str = "", workdir: str = ""):
+        self._set(locals())
 
 
-@dataclass(frozen=True)
 class BootstrapConfig(ConfigSection):
     """Batching and filtering knobs for the bootstrap stage.
 
@@ -167,13 +260,14 @@ class BootstrapConfig(ConfigSection):
     training records a label needs to be kept.
     """
 
-    b: int = field(default=200, metadata={"low": 1})
-    kappa: int = field(default=200, metadata={"low": 1})
-    theta: int = field(default=15, metadata={"low": 0})
+    _key = "bootstrap"
+    __slots__ = _fields = ("b", "kappa", "theta")
+
+    def __init__(self, b: int = 200, kappa: int = 200, theta: int = 15):
+        self._set(locals())
 
 
-@dataclass(frozen=True)
-class GatewayConfig:
+class GatewayConfig(ConfigSection):
     """Where and how to send chat calls.
 
     `endpoint` is the full chat-completions URL for the http backend. The API
@@ -185,18 +279,18 @@ class GatewayConfig:
     set it.
     """
 
-    backend: str = field(default="mock", metadata={"choices": ("mock", "http")})
-    endpoint: str = ""
-    model: str = "mock-clinical-1"
-    api_key_env: str = "LLM_API_KEY"
-    max_retries: int = field(default=3, metadata={"low": 0})
-    parallelism: int = field(default=4, metadata={"low": 1})
-    requests_per_minute: int = field(default=600, metadata={"low": 1})
-    call_log_path: InitVar[str | None] = None
+    _key = "gateway"
+    _fields = ("backend", "endpoint", "model", "api_key_env", "max_retries", "parallelism",
+               "requests_per_minute")
+    __slots__ = (*_fields, "call_log_path")
 
-    def __post_init__(self, call_log_path):
+    def __init__(
+        self, backend: str = "mock", endpoint: str = "", model: str = "mock-clinical-1",
+        api_key_env: str = "LLM_API_KEY", max_retries: int = 3, parallelism: int = 4,
+        requests_per_minute: int = 600, call_log_path: str | None = None,
+    ):
         object.__setattr__(self, "call_log_path", call_log_path)
-        check_fields(self)
+        self._set(locals())
         if self.backend == "http":
             if not self.endpoint:
                 raise ConfigError("http backend requires an endpoint URL")
@@ -215,22 +309,18 @@ class GatewayConfig:
                 )
 
 
-@dataclass(frozen=True)
 class TrainConfig(ConfigSection):
-    learning_rate: float = field(default=1e-2, metadata={"above": 0})
-    epochs: int = field(default=200, metadata={"low": 1})
-    batch_size: int = field(default=32, metadata={"low": 1})
-    seed: int = field(default=0, metadata={"low": 0})
-    tau: float = field(default=1.0, metadata={"low": 0})
-    adjustment: str = field(default="on", metadata={"choices": ("on", "off")})
+    _key = "train"
+    __slots__ = _fields = ("learning_rate", "epochs", "batch_size", "seed", "tau", "adjustment")
+
+    def __init__(
+        self, learning_rate: float = 1e-2, epochs: int = 200, batch_size: int = 32,
+        seed: int = 0, tau: float = 1.0, adjustment: str = "on",
+    ):
+        self._set(locals())
 
 
-MODES = ("image_only", "label_only", "image_and_label")
-LABEL_SOURCES = ("gt", "pred")
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(ConfigSection):
     """How reports get generated from guidance prompts.
 
     backend "mock" expands labels through a fixed phrase rule; "command"
@@ -243,32 +333,35 @@ class GeneratorConfig:
     the resolved http gateway, or None for the other backends.
     """
 
-    backend: str = field(default="mock", metadata={"choices": ("mock", "command", "http")})
-    command: str = ""
-    endpoint: str = ""
-    model: str = ""
-    gateway: InitVar[GatewayConfig | None] = None
+    _key = "guidance.generator"
+    _fields = ("backend", "command", "endpoint", "model")
+    __slots__ = (*_fields, "gateway")
 
-    def __post_init__(self, gateway):
-        check_fields(self)
+    def __init__(
+        self, backend: str = "mock", command: str = "", endpoint: str = "", model: str = "",
+        gateway: GatewayConfig | None = None,
+    ):
+        self._set(locals())
         if self.backend == "command" and not self.command:
             raise ConfigError("command generator backend requires a command line")
         chat = None
         if self.backend == "http":
             base = gateway or GatewayConfig()
-            endpoint, model = self.endpoint or base.endpoint, self.model or base.model
-            chat = replace(base, backend="http", endpoint=endpoint, model=model,
-                           call_log_path=base.call_log_path)
+            chat = base.replace(backend="http", endpoint=self.endpoint or base.endpoint,
+                                model=self.model or base.model, call_log_path=base.call_log_path)
         object.__setattr__(self, "gateway", chat)
 
 
-@dataclass(frozen=True)
 class GuidanceConfig(ConfigSection):
-    mode: str = field(default="image_and_label", metadata={"choices": MODES})
-    label_source: str = field(default="pred", metadata={"choices": LABEL_SOURCES})
-    threshold: float = field(default=0.5, metadata={"low": 0, "high": 1})
-    split: str = field(default="test", metadata={"choices": SPLITS})
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
+    _key = "guidance"
+    __slots__ = _fields = ("mode", "label_source", "threshold", "split", "generator")
+
+    def __init__(
+        self, mode: str = "image_and_label", label_source: str = "pred", threshold: float = 0.5,
+        split: str = "test", generator: GeneratorConfig | None = None,
+    ):
+        generator = generator or GeneratorConfig()
+        self._set(locals())
 
     @property
     def cell(self) -> tuple[str, str]:
@@ -277,43 +370,48 @@ class GuidanceConfig(ConfigSection):
         return self.mode, "none" if self.mode == "image_only" else self.label_source
 
 
-# The metrics `evaluate` can score, in `metrics.json` order; `metrics` reads
-# them from here.
-METRIC_NAMES = ("bleu", "rouge_l", "cider_d", "meteor_simple", "entity_f1")
-
-
-@dataclass(frozen=True)
 class MetricsConfig(ConfigSection):
-    enabled: list[str] = field(
-        default_factory=lambda: list(METRIC_NAMES), metadata={"choices": METRIC_NAMES}
-    )
+    _key = "metrics"
+    __slots__ = _fields = ("enabled",)
+
+    def __init__(self, enabled: list[str] | None = None):
+        if enabled is None:
+            enabled = list(METRIC_NAMES)
+        self._set(locals())
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(ConfigSection):
     """The config file: one field per section, each the config of the stage
     code that reads it."""
 
-    paths: PathsConfig = field(default_factory=PathsConfig)
-    bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
-    gateway: GatewayConfig = field(default_factory=GatewayConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
+    __slots__ = _fields = ("paths", "bootstrap", "gateway", "train", "guidance", "metrics")
+
+    def __init__(
+        self, paths: PathsConfig | None = None, bootstrap: BootstrapConfig | None = None,
+        gateway: GatewayConfig | None = None, train: TrainConfig | None = None,
+        guidance: GuidanceConfig | None = None, metrics: MetricsConfig | None = None,
+    ):
+        self._set({
+            "paths": paths or PathsConfig(),
+            "bootstrap": bootstrap or BootstrapConfig(),
+            "gateway": gateway or GatewayConfig(),
+            "train": train or TrainConfig(),
+            "guidance": guidance or GuidanceConfig(),
+            "metrics": metrics or MetricsConfig(),
+        })
 
 
 def _section(cls, data, path: str, **wiring):
     """Build one config section from its JSON object.
 
-    Unknown keys and values its dataclass rejects become ConfigErrors naming
+    Unknown keys and values its section rejects become ConfigErrors naming
     the dotted path. `wiring` passes an already built subsection, or an
     init-only argument that no file key can set.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config section {_echo(path)} must be an object")
-    known = {f.name for f in fields(cls)}
     for key in data:
-        if key not in known:
+        if key not in cls._fields:
             raise ConfigError(f"unknown config key {_echo(path + '.' + key)}")
     try:
         return cls(**{**data, **wiring})
@@ -328,9 +426,8 @@ def load_config(path: str | Path | None, overrides: list[tuple[str, str]]) -> Pi
     doc = {} if path is None else read_json(path, ConfigError, f"config file {path}")
     for dotted, raw in overrides:
         _apply_override(doc, dotted, raw)
-    sections = {f.name for f in fields(PipelineConfig)}
     for name in doc:
-        if name not in sections:
+        if name not in PipelineConfig._fields:
             raise ConfigError(f"unknown config section {_echo(name)}")
 
     paths = _section(PathsConfig, doc.get("paths", {}), "paths")
@@ -379,5 +476,5 @@ def _apply_override(doc: dict, dotted: str, raw: str) -> None:
 
 
 def config_fingerprint(config: PipelineConfig) -> str:
-    doc = json.dumps(asdict(config), sort_keys=True)
+    doc = json.dumps(as_dict(config), sort_keys=True)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()

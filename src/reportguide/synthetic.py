@@ -11,8 +11,8 @@ run and score itself without any network access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +117,7 @@ _RARE_INJECTIONS = 5  # per rare finding, training split only
 _LABEL_COUNT_WEIGHTS = ((0, 0.08), (1, 0.30), (2, 0.34), (3, 0.20), (4, 0.08))
 
 
-@dataclass(frozen=True)
-class SyntheticCorpus:
+class SyntheticCorpus(NamedTuple):
     corpus: Corpus
     features: FeatureMatrix
     primary_names: tuple[str, ...]

@@ -7,7 +7,6 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -642,7 +641,7 @@ def _last_update_overflow_case():
     dataset, features, config = _divergence_case(
         [[1000.0], [2.0]], [(0,), (0,)], 1.5e308, 2, 3, "on"
     )
-    return dataset, features, replace(config, epochs=1)
+    return dataset, features, config.replace(epochs=1)
 
 
 def test_an_overflow_in_the_last_update_is_a_divergence():

@@ -19,7 +19,6 @@ import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +50,13 @@ from reportguide.corpus import (
 )
 from reportguide.errors import ConfigError, DataError, PipelineError
 from reportguide.gateway import SENTINEL_ENTITIES, ChatRequest, GatewayConfig, complete
-from reportguide.schema import describe_bounds
+from reportguide.schema import (
+    FIELDS,
+    GeneratorConfig,
+    TrainConfig,
+    as_dict,
+    describe_bounds,
+)
 
 # ---------------------------------------------------------------------------
 # A 12-record corpus small enough to push through every stage in-process:
@@ -222,15 +227,12 @@ def test_validation_rejects_bad_values(mini, dotted, value, hint):
         load_config(mini["config"], [(dotted, value)])
 
 
-def _declared_fields(config=PipelineConfig(), prefix=""):
-    """(dotted key, annotation as written, bounds) of every leaf config field,
-    found by walking the sections' declarations."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            yield from _declared_fields(value, f"{prefix}{f.name}.")
-        else:
-            yield f"{prefix}{f.name}", f.type, f.metadata
+def _declared_fields():
+    """(dotted key, declared type, bounds) of every leaf config field, from
+    the schema's one table; `test_settable_keys_are_exactly_the_documented_28`
+    checks that it names every leaf of the sections, in order."""
+    for key, (kind, bounds) in FIELDS.items():
+        yield key, kind, bounds
 
 
 def _past(kind, bound, direction):
@@ -389,7 +391,8 @@ def _dotted(doc: dict, prefix: str = "") -> dict:
 
 def test_settable_keys_are_exactly_the_documented_28(mini):
     config = load_config(mini["config"], [])
-    flat = _dotted(asdict(config))
+    flat = _dotted(as_dict(config))
+    assert list(flat) == list(FIELDS)
     assert set(flat) == {
         "paths.manifest", "paths.features", "paths.workdir",
         "bootstrap.b", "bootstrap.kappa", "bootstrap.theta",
@@ -411,7 +414,7 @@ def test_readme_configuration_block_matches_the_schema():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
-    assert doc == asdict(PipelineConfig())
+    assert doc == as_dict(PipelineConfig())
     # Each declared bound or choice is stated on its field's line.
     lines = block.splitlines()
     for key, _, bounds in _declared_fields():
@@ -620,6 +623,72 @@ def test_fingerprint_ignores_how_values_were_set(mini):
     assert config_fingerprint(via_file) == config_fingerprint(via_flag)
     as_float = load_config(mini["config"], [("train.epochs", "40.0"), ("train.tau", "1")])
     assert config_fingerprint(via_file) == config_fingerprint(as_float)
+
+
+def test_a_config_section_is_immutable_and_equal_by_its_fields():
+    train = TrainConfig(epochs=3.0)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'epochs'$"):
+        train.epochs = 4
+    assert train == TrainConfig(epochs=3) and hash(train) == hash(TrainConfig(epochs=3))
+    assert train != TrainConfig() and train != (3,)
+    assert train.replace(seed=2) == TrainConfig(epochs=3, seed=2)
+    with pytest.raises(ConfigError, match="^epochs must be >= 1, got 0$"):
+        train.replace(epochs=0)
+    # The init-only arguments are no fields: not compared, not recorded.
+    logged = GatewayConfig(backend="http", endpoint="http://h/v1", call_log_path="calls.jsonl")
+    assert logged == GatewayConfig(backend="http", endpoint="http://h/v1")
+    assert logged.call_log_path == "calls.jsonl"
+    assert logged.replace(max_retries=1).call_log_path is None
+    generator = GeneratorConfig(backend="http", model="g", gateway=logged)
+    other = GatewayConfig(backend="http", endpoint="http://other/v1")
+    assert generator == GeneratorConfig(backend="http", model="g", gateway=other)
+    assert generator.gateway == logged.replace(model="g")
+    assert generator.gateway.call_log_path == "calls.jsonl"
+    assert as_dict(generator) == {"backend": "http", "command": "", "endpoint": "", "model": "g"}
+
+
+# A config file that sets every key to a value other than its default,
+# 2.0 epochs and a tau of 2 among them.
+_EVERY_KEY_SET = {
+    "paths": {"manifest": "in/manifest.jsonl", "features": "in/features.ffmx", "workdir": "run"},
+    "bootstrap": {"b": 50, "kappa": 300, "theta": 3},
+    "gateway": {"backend": "http", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+                "model": "pinned-model", "api_key_env": "PINNED_KEY", "max_retries": 1,
+                "parallelism": 2, "requests_per_minute": 60},
+    "train": {"learning_rate": 0.05, "epochs": 2.0, "batch_size": 16, "seed": 3, "tau": 2,
+              "adjustment": "off"},
+    "guidance": {"mode": "label_only", "label_source": "gt", "threshold": 0.25, "split": "val",
+                 "generator": {"backend": "http", "command": "unused",
+                               "endpoint": "http://127.0.0.1:9/gen", "model": "gen-model"}},
+    "metrics": {"enabled": ["entity_f1", "bleu"]},
+}
+# The values the dataclass-based sections gave: a record or fingerprint
+# that shifts makes every existing workdir's lineage read as another
+# config's. The record is compared as JSON text, so key order and the
+# normalized numbers count too.
+_DEFAULT_FINGERPRINT = "fa33e565df2a31bd7b87f7bb302f9b4de46b30bb9df6fe078a8f5fd10e5da679"
+_EVERY_KEY_RECORD = {
+    **_EVERY_KEY_SET,
+    "train": {**_EVERY_KEY_SET["train"], "epochs": 2, "tau": 2.0},
+}
+_EVERY_KEY_FINGERPRINT = "3c2c71c40fa94e54d09001e1f8cc811f81b0b6abd6addf8f9b232c8f293fe060"
+
+
+def test_the_config_record_and_fingerprint_keep_their_pinned_values(
+    synth_dir, tmp_path, monkeypatch
+):
+    assert config_fingerprint(PipelineConfig()) == _DEFAULT_FINGERPRINT
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(synth_dir, "in")
+    paths = [arg for key, value in _EVERY_KEY_SET["paths"].items()
+             for arg in ("--set", f"paths.{key}={value}")]
+    assert main(["bootstrap", *paths]) == 0
+    # train calls no gateway, so the http endpoints are never contacted.
+    Path("config.json").write_text(json.dumps(_EVERY_KEY_SET), encoding="utf-8")
+    assert main(["train", "--config", "config.json"]) == 0
+    meta = json.loads(Path("run/meta/train.json").read_text(encoding="utf-8"))
+    assert json.dumps(meta["config"]) == json.dumps(_EVERY_KEY_RECORD)
+    assert meta["config_sha256"] == _EVERY_KEY_FINGERPRINT
 
 
 # ---------------------------------------------------------------------------
@@ -1652,7 +1721,7 @@ def test_meta_records_what_each_run_read_and_wrote(mini):
     meta = {stage: json.loads((workdir / "meta" / f"{stage}.json").read_text(encoding="utf-8"))
             for stage in ("bootstrap", "train", "predict", "generate", "evaluate")}
     for stage, run in meta.items():
-        assert run["config"] == asdict(load_config(mini["config"], [])), stage
+        assert run["config"] == as_dict(load_config(mini["config"], [])), stage
         for name, sha in run["outputs"].items():
             assert sha == hashlib.sha256((workdir / name).read_bytes()).hexdigest(), name
         for name, sha in run["inputs"].items():

@@ -92,6 +92,25 @@ def test_corpus_rejects_duplicate_ids():
         Corpus(records=[rec("x"), rec("x")])
 
 
+def test_a_read_manifest_is_not_checked_for_duplicate_ids_again(tmp_path):
+    """`load_manifest` checks each id as it decodes its line, and a snapshot
+    holds the ids of a manifest so checked, so neither path builds its
+    corpus through the checking constructor; the index is built on use."""
+    path, snapshot = tmp_path / "manifest.jsonl", tmp_path / "manifest.snapshot"
+    _write_manifest(
+        path, [{"id": rid, "split": "train", "report": "t", "images": []} for rid in ("b", "a")]
+    )
+    with mock.patch.object(Corpus, "__init__", side_effect=AssertionError("checked again")):
+        decoded = load_manifest(path, None, snapshot)
+        save_snapshot(decoded)
+        with mock.patch.object(corpus_mod, "read_jsonl", side_effect=AssertionError("decoded")):
+            read = load_manifest(path, None, snapshot)
+    assert decoded.decoded and not read.decoded
+    for corpus in decoded, read:
+        assert list(corpus.index()) == ["b", "a"]
+        assert all(corpus.index()[rec.id] is rec for rec in corpus.records)
+
+
 def test_corpus_lookup_and_split_sizes():
     records = [
         ReportRecord(id="a", split="train", report="t"),

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import shlex
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -440,7 +439,7 @@ def _generate_ablation(synth, synth_dir, workdir, *flags):
     ids = {rec.id for rec in load_manifest(synth_dir / "manifest.jsonl").records}
     items = tuple(item for item in dataset.items if item.record_id in ids)
     write_atomic(workdir / "taxonomy.json", taxonomy_to_json(dataset.taxonomy))
-    write_atomic(workdir / "labels.jsonl", labels_to_jsonl(replace(dataset, items=items)))
+    write_atomic(workdir / "labels.jsonl", labels_to_jsonl(dataset._replace(items=items)))
     write_atomic(workdir / "checkpoint.json", checkpoint_to_json(_identity_params_over(synth)))
     args = [
         "--workdir", str(workdir),

@@ -19,9 +19,17 @@ import of `classifier` or `synthetic` in `cli.py`, or an import of
 `bootstrap` in `cli.py` or `guidance.py`. Another guard fails on any import
 of `cli`, wherever it stands, in a module but `__main__.py`: library code
 takes its config sections from `schema`, and a fresh interpreter that runs
-README's "Library use" imports loads no `cli`. A last fresh-interpreter test
+README's "Library use" imports loads no `cli`. A fresh-interpreter test
 checks that an `evaluate` over ASCII text compiles no pattern holding the
 CJK class, which takes milliseconds to compile.
+
+No module imports `dataclasses`: the config sections, records and result
+types are plain classes or `NamedTuple`s, so a stage process neither loads
+`dataclasses` (with `inspect`, `ast` and `dis`) nor compiles the code each
+decoration generates. A guard fails on any such import, and a
+fresh-interpreter test runs the five stages and `import reportguide.gateway`,
+which the benchmark's stub server does, and finds no `dataclasses` loaded,
+and no `reportguide.corpus` after the gateway import.
 """
 
 from __future__ import annotations
@@ -128,6 +136,19 @@ def test_neither_cli_nor_guidance_imports_bootstrap_when_imported():
         if module in ("cli.py", "guidance.py") and _package_module(name) == "bootstrap"
     ]
     assert offenders == []
+
+
+def test_no_module_imports_dataclasses():
+    """Not when it is imported, not inside a function and not for type
+    checking."""
+    found = [
+        f"{path.name}:{node.lineno} imports {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _imported(node)
+        if name.split(".")[0] == "dataclasses"
+    ]
+    assert found == []
 
 
 def test_only_main_imports_cli():
@@ -287,3 +308,31 @@ def test_an_evaluate_over_ascii_text_compiles_no_cjk_pattern(ran_config):
     )
     result = json.loads(out.stdout.splitlines()[-1])
     assert result == {"codes": [0], "ascii_run": 0, "after_cjk_text": 1}, out.stderr
+
+
+# Runs each command, noting after each whether `dataclasses` is loaded.
+_RUN_WATCHING_DATACLASSES = """
+import json, sys
+from reportguide.cli import main
+print(json.dumps([[main(argv), "dataclasses" in sys.modules] for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_no_stage_and_no_gateway_import_loads_dataclasses(ran_config):
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    stages = ["bootstrap", "train", "predict", "generate", "evaluate"]
+    runs = [[stage, "--config", ran_config, "--force"] for stage in stages]
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_WATCHING_DATACLASSES, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, False]] * len(stages), out.stderr
+    code = (
+        "import json, sys, reportguide.gateway\n"
+        "print(json.dumps([m for m in ('dataclasses', 'reportguide.corpus') if m in sys.modules]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [], out.stderr
